@@ -40,7 +40,6 @@ package autotune
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"repro/internal/annotate"
@@ -50,12 +49,12 @@ import (
 	"repro/internal/forest"
 	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/miniapps"
 	"repro/internal/opentuner"
 	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/spec"
 )
 
 // Core re-exported types. The aliases keep one import path for users
@@ -144,47 +143,25 @@ func ParseKernel(text string) (*Kernel, error) { return annotate.Parse(text) }
 
 // NewKernelProblem builds a tuning problem: a named kernel on a named
 // machine under a named compiler with the given OpenMP thread count.
+// (The mini-app names HPL and RT resolve too, as in cmd/autotune.)
 func NewKernelProblem(kernel, machineName, compilerName string, threads int) (Problem, error) {
-	k, err := kernels.ByName(kernel)
-	if err != nil {
-		return nil, err
-	}
-	return NewProblemFromKernel(k, machineName, compilerName, threads)
+	return spec.Spec{Problem: kernel, Machine: machineName, Compiler: compilerName, Threads: threads}.Base()
 }
 
 // NewProblemFromKernel is NewKernelProblem for an already-built kernel
 // (e.g. one parsed from annotation text).
 func NewProblemFromKernel(k *Kernel, machineName, compilerName string, threads int) (Problem, error) {
-	m, err := machine.ByName(machineName)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := machine.CompilerByName(compilerName)
-	if err != nil {
-		return nil, err
-	}
-	if !m.SupportsCompiler(comp) {
-		return nil, fmt.Errorf("autotune: compiler %s not available on %s", compilerName, machineName)
-	}
-	return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: threads}), nil
+	return spec.Spec{Machine: machineName, Compiler: compilerName, Threads: threads}.BaseFor(k)
 }
 
 // NewHPLProblem builds the HPL mini-app tuning problem on a machine.
 func NewHPLProblem(machineName string) (Problem, error) {
-	m, err := machine.ByName(machineName)
-	if err != nil {
-		return nil, err
-	}
-	return miniapps.NewProblem(miniapps.HPL(), m), nil
+	return spec.Spec{Problem: "HPL", Machine: machineName}.Base()
 }
 
 // NewRTProblem builds the Raytracer compiler-flag tuning problem.
 func NewRTProblem(machineName string) (Problem, error) {
-	m, err := machine.ByName(machineName)
-	if err != nil {
-		return nil, err
-	}
-	return miniapps.NewProblem(miniapps.RT(), m), nil
+	return spec.Spec{Problem: "RT", Machine: machineName}.Base()
 }
 
 // RandomSearch runs random search without replacement for nmax

@@ -72,10 +72,11 @@
 // changes wall time only and composes with -journal/-resume: a journal
 // written under one worker count resumes bit-exactly under any other.
 //
-// Exit codes: 0 success, 1 runtime failure, 2 bad usage (unknown
-// problem, machine, compiler, or algorithm; mismatched resume), 3
-// interrupted by SIGINT/SIGTERM (with -journal the journal is left
-// resumable).
+// Exit codes: 0 success, 1 runtime failure, 2 bad usage (an invalid
+// evaluation spec — unknown problem, machine, compiler, or algorithm,
+// a compiler the machine lacks, an out-of-range setting — or a
+// mismatched resume), 3 interrupted by SIGINT/SIGTERM (with -journal
+// the journal is left resumable).
 package main
 
 import (
@@ -88,25 +89,17 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"syscall"
-	"time"
 
-	"repro/internal/annotate"
 	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/codegen"
-	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/miniapps"
 	"repro/internal/obs"
-	"repro/internal/opentuner"
-	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/spec"
 	"repro/internal/transform"
 )
 
@@ -191,10 +184,6 @@ func run() int {
 		}
 	}
 
-	if *faultRate < 0 || *faultRate >= 1 {
-		warnf("-faults must be in [0,1), got %v", *faultRate)
-		return exitUsage
-	}
 	if *workers < 0 {
 		warnf("-workers must be >= 0, got %d", *workers)
 		return exitUsage
@@ -206,36 +195,33 @@ func run() int {
 		runtime.GOMAXPROCS(*workers)
 	}
 
-	p, err := buildProblem(*problem, *annotation, *machineN, *compilerN, *threads)
+	sp := spec.Spec{
+		Problem: *problem, Annotation: *annotation,
+		Machine: *machineN, Compiler: *compilerN, Threads: *threads,
+		Faults: *faultRate, Retries: *retries, Timeout: *timeout,
+		Seed: *seed, Algorithm: *algo, Budget: *nmax,
+	}
+	sp.Normalize()
+	if err := sp.Validate(); err != nil {
+		warnf("%v", err)
+		return exitUsage
+	}
+	// The fault-aware evaluation layer: inject failures (if asked) and
+	// wrap with retry/timeout budgets. With neither faults nor budgets
+	// requested the problem runs bare.
+	p, inj, err := sp.Build()
 	if err != nil {
 		warnf("%v", err)
 		return exitUsage
 	}
-
-	// The fault-aware evaluation layer: inject failures (if asked) and
-	// wrap with retry/timeout budgets. With neither faults nor budgets
-	// requested the problem runs bare, exactly as before.
-	faulted := *faultRate > 0
-	var inj *faults.Injector
-	if faulted || *timeout > 0 {
-		fp := search.Fallible(p)
-		if faulted {
-			inj = faults.Wrap(p, faults.Profile(*machineN).ScaledTo(*faultRate), *seed)
-			fp = inj
-		}
-		p = search.NewResilient(fp, search.ResilientOptions{
-			Retries: *retries,
-			Timeout: *timeout,
-		})
-	}
 	if *throttle > 0 {
-		p = throttled{Problem: p, d: *throttle}
+		p = spec.Throttled{Problem: p, Wait: *throttle}
 	}
 
 	// The evaluation broker wraps outermost, so the full resilient stack
 	// runs inside its worker shards (or travels to remote workers). Like
-	// -workers it is results-invariant (and therefore absent from
-	// metaExtra): the broker only changes where evaluations execute,
+	// -workers it is results-invariant (and therefore absent from the
+	// journal meta): the broker only changes where evaluations execute,
 	// never what they return.
 	if explicit["broker-workers"] && *brokerW <= 0 {
 		warnf("-broker-workers must be > 0, got %d", *brokerW)
@@ -351,7 +337,7 @@ func run() int {
 	// the same key (cmd/tracestat). Spans are only emitted on broker
 	// paths, and only when a sink is attached.
 	ctx = obs.WithTrace(ctx, obs.TraceContext{
-		TraceID: fmt.Sprintf("%s-%s-%d", *algo, p.Name(), *seed),
+		TraceID: fmt.Sprintf("%s-%s-%d", sp.Algorithm, p.Name(), sp.Seed),
 		SpanID:  obs.RootSpanID,
 	})
 	if *metricsAddr != "" {
@@ -367,7 +353,7 @@ func run() int {
 	if inj != nil {
 		for _, w := range inj.Warnings() {
 			warnf("faults: %s", w)
-			obs.FromContext(ctx).Warn(*algo, "faults: "+w)
+			obs.FromContext(ctx).Warn(sp.Algorithm, "faults: "+w)
 		}
 	}
 
@@ -381,10 +367,12 @@ func run() int {
 		// evaluation still resumes cleanly (and the resume may drop the
 		// broker entirely).
 		wopt := journal.WrapOptions{TrackInFlight: brokered || remoteOn}
-		res, info, err = runJournaled(ctx, *journalDir, p, *algo, *nmax, *seed, metaExtra(
-			*problem, *annotation, *machineN, *compilerN, *threads, *algo, *faultRate, *retries, *timeout), wopt, &pulls)
+		res, info, err = sp.RunJournaled(ctx, *journalDir, p, wopt, &pulls)
 	} else {
-		res, err = runDirect(ctx, p, *algo, *nmax, *seed, &pulls)
+		var drive func(context.Context, search.Problem) *search.Result
+		if drive, err = sp.Driver(&pulls); err == nil {
+			res = drive(ctx, p)
+		}
 	}
 	// Read the interruption state before stopSignals: the stop function
 	// cancels the context itself, which must not read as a signal.
@@ -468,97 +456,16 @@ func run() int {
 	}
 
 	if *emit {
-		if err := emitBest(p, best.Config); err != nil {
+		base, err := sp.Base()
+		if err == nil {
+			err = emitBest(base, best.Config)
+		}
+		if err != nil {
 			warnf("emit: %v", err)
 			return exitError
 		}
 	}
 	return exitOK
-}
-
-// runDirect runs the chosen algorithm without journaling.
-func runDirect(ctx context.Context, p search.Problem, algo string, nmax int, seed uint64,
-	pulls *map[string]int) (*search.Result, error) {
-
-	drive, err := driveFor(algo, nmax, seed, pulls)
-	if err != nil {
-		return nil, err
-	}
-	return drive(ctx, p), nil
-}
-
-// runJournaled runs the chosen algorithm through the crash-safe journal
-// in dir, creating it or resuming bit-exactly from what it holds.
-func runJournaled(ctx context.Context, dir string, p search.Problem, algo string, nmax int,
-	seed uint64, extra map[string]string, wopt journal.WrapOptions, pulls *map[string]int) (*search.Result, *journal.RunInfo, error) {
-
-	if algo == "rs" {
-		// Random search gets the checkpoint fast path: resume continues
-		// directly from the restored sampler stream, no replay.
-		return journal.RunRS(ctx, dir, p, nmax, seed, extra, wopt)
-	}
-	drive, err := driveFor(algo, nmax, seed, pulls)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta := journal.Meta{Problem: p.Name(), Algorithm: algo, Seed: seed, NMax: nmax, Extra: extra}
-	return journal.Run(ctx, dir, meta, p, wopt, drive)
-}
-
-// driveFor returns the deterministic driver for one algorithm: the same
-// closure serves fresh runs and journal replays, so both draw the same
-// random streams.
-func driveFor(algo string, nmax int, seed uint64, pulls *map[string]int) (
-	func(context.Context, search.Problem) *search.Result, error) {
-
-	switch algo {
-	case "rs":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			return search.RS(ctx, p, nmax, rng.New(seed))
-		}, nil
-	case "sa":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			r := rng.New(seed)
-			return search.Drive(ctx, p, search.NewAnneal(p.Space(), r, 0.95), nmax)
-		}, nil
-	case "ga":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			r := rng.New(seed)
-			return search.Drive(ctx, p, search.NewGenetic(p.Space(), r, 16, 0.15), nmax)
-		}, nil
-	case "ps":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			r := rng.New(seed)
-			return search.Drive(ctx, p, search.NewPattern(p.Space(), r, 4), nmax)
-		}, nil
-	case "ensemble":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			tuner := opentuner.New(opentuner.Options{NMax: nmax}, rng.New(seed))
-			res, pl := tuner.Run(ctx, p)
-			*pulls = pl
-			return res
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q (known: rs, sa, ga, ps, ensemble)", algo)
-}
-
-// metaExtra pins every setting that shapes evaluation semantics into the
-// journal meta, so a resume under different settings is refused instead
-// of silently mixing two runs. -throttle is deliberately absent: it only
-// spends wall time.
-func metaExtra(problem, annotation, machineN, compilerN string, threads int, algo string,
-	faultRate float64, retries int, timeout float64) map[string]string {
-	return map[string]string{
-		"problem":    problem,
-		"annotation": annotation,
-		"machine":    machineN,
-		"compiler":   compilerN,
-		"threads":    strconv.Itoa(threads),
-		"algo":       algo,
-		"faults":     strconv.FormatFloat(faultRate, 'g', -1, 64),
-		"retries":    strconv.Itoa(retries),
-		"timeout":    strconv.FormatFloat(timeout, 'g', -1, 64),
-	}
 }
 
 // adoptMeta fills every flag the user left unset from the journaled
@@ -593,55 +500,10 @@ func adoptMeta(m journal.Meta, explicit map[string]bool, flags map[string]any,
 	return nil
 }
 
-// throttled pauses a fixed wall-clock duration before each evaluation.
-// The pause is interruptible and changes nothing about outcomes, so it
-// is not journaled.
-type throttled struct {
-	search.Problem
-	d time.Duration
-}
-
-func (t throttled) EvaluateFull(ctx context.Context, c space.Config) search.Outcome {
-	timer := time.NewTimer(t.d)
-	select {
-	case <-ctx.Done():
-		timer.Stop()
-	case <-timer.C:
-	}
-	return search.EvaluateFull(ctx, t.Problem, c)
-}
-
-// unwrapped peels the fault-injection and resilience layers off a
-// problem, returning the underlying one.
-func unwrapped(p search.Problem) search.Problem {
-	for {
-		if t, ok := p.(throttled); ok {
-			p = t.Problem
-			continue
-		}
-		if res, ok := p.(*search.Resilient); ok {
-			if u, ok := res.P.(interface{ Unwrap() search.Problem }); ok {
-				p = u.Unwrap()
-				continue
-			}
-			if inner, ok := res.P.(search.Problem); ok {
-				p = inner
-				continue
-			}
-			return p
-		}
-		if u, ok := p.(interface{ Unwrap() search.Problem }); ok {
-			p = u.Unwrap()
-			continue
-		}
-		return p
-	}
-}
-
 // emitBest prints the winning configuration's generated C code when the
-// problem is a kernel (mini-apps have no code to emit).
-func emitBest(p search.Problem, c space.Config) error {
-	kp, ok := unwrapped(p).(*kernels.Problem)
+// base problem is a kernel (mini-apps have no code to emit).
+func emitBest(base search.Problem, c space.Config) error {
+	kp, ok := base.(*kernels.Problem)
 	if !ok {
 		return fmt.Errorf("-emit only applies to kernel problems")
 	}
@@ -666,50 +528,4 @@ func emitBest(p search.Problem, c space.Config) error {
 		fmt.Println(src)
 	}
 	return nil
-}
-
-func buildProblem(name, annotation, machineN, compilerN string, threads int) (search.Problem, error) {
-	m, err := machine.ByName(machineN)
-	if err != nil {
-		return nil, err
-	}
-	if annotation != "" {
-		text, err := os.ReadFile(annotation)
-		if err != nil {
-			return nil, err
-		}
-		k, err := annotate.Parse(string(text))
-		if err != nil {
-			return nil, err
-		}
-		comp, err := machine.CompilerByName(compilerN)
-		if err != nil {
-			return nil, err
-		}
-		return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: threads}), nil
-	}
-	switch name {
-	case "HPL":
-		return miniapps.NewProblem(miniapps.HPL(), m), nil
-	case "RT":
-		return miniapps.NewProblem(miniapps.RT(), m), nil
-	default:
-		k, err := kernels.ByName(name)
-		if err != nil {
-			names := make([]string, 0, len(kernels.All())+2)
-			for _, kn := range kernels.All() {
-				names = append(names, kn.Name)
-			}
-			names = append(names, "HPL", "RT")
-			return nil, fmt.Errorf("unknown problem %q (known: %s)", name, strings.Join(names, ", "))
-		}
-		comp, err := machine.CompilerByName(compilerN)
-		if err != nil {
-			return nil, err
-		}
-		if !m.SupportsCompiler(comp) {
-			return nil, fmt.Errorf("compiler %s not available on %s", compilerN, machineN)
-		}
-		return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: threads}), nil
-	}
 }

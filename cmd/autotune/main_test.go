@@ -17,6 +17,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/kernels"
 	"repro/internal/search"
+	"repro/internal/spec"
 )
 
 // TestMain lets the test binary stand in for the autotune command: when
@@ -30,65 +31,18 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestBuildProblemVariants(t *testing.T) {
-	if _, err := buildProblem("LU", "", "Sandybridge", "gnu-4.4.7", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildProblem("HPL", "", "Power7", "gnu-4.4.7", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildProblem("RT", "", "X-Gene", "gnu-4.4.7", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildProblem("NOPE", "", "Sandybridge", "gnu-4.4.7", 1); err == nil {
-		t.Fatal("unknown problem accepted")
-	}
-	if _, err := buildProblem("LU", "", "C64", "gnu-4.4.7", 1); err == nil {
-		t.Fatal("unknown machine accepted")
-	}
-	if _, err := buildProblem("LU", "", "Power7", "intel-15.0.1", 1); err == nil {
-		t.Fatal("icc on Power7 accepted")
-	}
-}
-
-func TestBuildProblemFromAnnotation(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kernel.orio")
-	text := `
-kernel tiny input 32
-size N = 32
-array A[N] elem 8
-nest n
-loop i = 0 .. N
-stmt A[i] = A[i] flops 1
-param U_I on i unroll 1..4
-param T_I on i tile pow2 0..2
-param RT_I on i regtile pow2 0..1
-`
-	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	p, err := buildProblem("ignored", path, "Westmere", "gnu-4.4.7", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Space().NumParams() != 3 {
-		t.Fatalf("annotated problem has %d params", p.Space().NumParams())
-	}
-	if _, err := buildProblem("x", filepath.Join(dir, "missing"), "Westmere", "gnu-4.4.7", 1); err == nil {
-		t.Fatal("missing annotation file accepted")
-	}
-}
-
 func TestEmitBestRequiresKernelProblem(t *testing.T) {
-	hpl, err := buildProblem("HPL", "", "Sandybridge", "gnu-4.4.7", 1)
+	hpl, err := spec.Spec{Problem: "HPL", Machine: "Sandybridge"}.Base()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := emitBest(hpl, hpl.Space().Default()); err == nil {
 		t.Fatal("emit on a mini-app accepted")
 	}
-	lu, _ := buildProblem("LU", "", "Sandybridge", "gnu-4.4.7", 1)
+	lu, err := spec.Spec{Problem: "LU", Machine: "Sandybridge", Compiler: "gnu-4.4.7", Threads: 1}.Base()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := lu.(*kernels.Problem); !ok {
 		t.Fatal("kernel problem type assertion broken")
 	}
@@ -137,7 +91,7 @@ func TestSIGINTLeavesResumableJournal(t *testing.T) {
 		"-faults", "0.3", "-retries", "2", "-timeout", "30",
 	}
 
-	// Interrupt a throttled run mid-flight.
+	// Interrupt a run slowed by -throttle mid-flight.
 	child, childOut := autotuneCmd(append(runFlags, "-journal", jdir, "-throttle", "15ms")...)
 	if err := child.Start(); err != nil {
 		t.Fatal(err)
@@ -299,7 +253,7 @@ func TestRemoteWorkersServeAutotune(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &remote.Worker{Resolve: func(name string) (search.Problem, error) {
-		return buildProblem("ATAX", "", "Sandybridge", "gnu-4.4.7", 1)
+		return spec.Spec{Problem: "ATAX", Machine: "Sandybridge", Compiler: "gnu-4.4.7", Threads: 1}.Base()
 	}}
 	wctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -328,5 +282,56 @@ func TestRemoteWorkersServeAutotune(t *testing.T) {
 		if got := grepLine(remoteOut.String(), prefix); got != want {
 			t.Fatalf("remote %q line differs:\n  remote: %s\n  inline: %s", prefix, got, want)
 		}
+	}
+}
+
+// TestSpecChecksExitUsage pins the inputs the shared spec validation
+// refuses up front. Each once ran (or failed at run time with exit 1,
+// or panicked mid-search for the annotated kernel); each is now a usage
+// error, exit 2, before any evaluation.
+func TestSpecChecksExitUsage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec trial skipped in -short mode")
+	}
+	annotation := filepath.Join(t.TempDir(), "tiny.orio")
+	if err := os.WriteFile(annotation, []byte(`
+kernel tiny input 32
+size N = 32
+array A[N] elem 8
+nest n
+loop i = 0 .. N
+stmt A[i] = A[i] flops 1
+param U_I on i unroll 1..4
+param T_I on i tile pow2 0..2
+param RT_I on i regtile pow2 0..1
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative threads", []string{"-threads", "-1"}, "threads must be >= 1"},
+		{"negative retries", []string{"-retries", "-1"}, "retries must be >= 0"},
+		{"negative timeout", []string{"-timeout", "-1"}, "timeout must be >= 0"},
+		{"negative budget", []string{"-nmax", "-1"}, "budget must be >= 0"},
+		{"unknown algorithm", []string{"-algo", "nope"}, `unknown algorithm "nope"`},
+		{"mini-app with unknown compiler", []string{"-problem", "HPL", "-compiler", "msvc"}, "msvc"},
+		{"annotated kernel with unavailable compiler",
+			[]string{"-annotation", annotation, "-machine", "Power7", "-compiler", "intel-15.0.1"},
+			"autotune: compiler intel-15.0.1 not available on Power7"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-problem", "ATAX", "-nmax", "3"}, tc.args...)
+			cmd, out := autotuneCmd(args...)
+			if code := exitCode(t, cmd.Run()); code != exitUsage {
+				t.Fatalf("exit %d, want %d; output:\n%s", code, exitUsage, out)
+			}
+			if !strings.Contains(out.String(), tc.want) {
+				t.Fatalf("output missing %q:\n%s", tc.want, out)
+			}
+		})
 	}
 }

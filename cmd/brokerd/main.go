@@ -11,15 +11,20 @@
 //	        [-annotation FILE] [-metrics] [-trace FILE] [-flight FILE]
 //	        [-metrics-addr ADDR]
 //
-// The worker rebuilds the driver's evaluation stack locally from the
-// problem name each task carries: the simulated kernel or mini-app,
-// plus the fault injector and resilient retry/timeout budgets when
-// -faults/-timeout are set. For remote results to be bit-identical to
-// inline ones the evaluation-stack flags (-machine, -compiler,
-// -threads, -faults, -retries, -timeout, -seed) must match the
-// driver's; the driver's lease reclaim re-dispatches any divergence-
-// inducing mismatch as ordinary work, so a mismatch shows up as wrong
-// numbers, not a hang — keep the flags in lockstep.
+// The evaluation-stack flags (-machine, -compiler, -threads,
+// -annotation, -faults, -retries, -timeout, -seed) fill an evaluation
+// spec (internal/spec) — the same one cmd/autotune, cmd/autotuned, and
+// cmd/experiments build their stacks from. Each task names its problem,
+// and the worker sets that name on its spec and builds the stack the
+// driver would have built inline: the simulated kernel or mini-app, plus
+// the fault injector and resilient retry/timeout budgets when
+// -faults/-timeout are set. Task names are qualified by target
+// ("LU@Sandybridge/gnu-4.4.7/t1", "MM@XeonPhi/intel-15.0.1/t60+omp"),
+// so a worker whose spec builds a different problem under that name
+// refuses the task loudly instead of computing on the wrong simulated
+// target. The fault settings are not in the name: -faults, -retries,
+// -timeout, and -seed must match the driver's for remote results to be
+// bit-identical to inline ones.
 //
 // brokerd reconnects with capped exponential backoff when the driver
 // restarts or the network drops, and exits cleanly when the driver
@@ -49,15 +54,10 @@ import (
 	"sync"
 	"syscall"
 
-	"repro/internal/annotate"
 	"repro/internal/broker/remote"
-	"repro/internal/faults"
-	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/miniapps"
 	"repro/internal/obs"
 	"repro/internal/search"
-	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 const (
@@ -96,16 +96,15 @@ func run() int {
 		warnf("-connect is required (the driver's -workers-addr)")
 		return exitUsage
 	}
-	if *faultRate < 0 || *faultRate >= 1 {
-		warnf("-faults must be in [0,1), got %v", *faultRate)
-		return exitUsage
-	}
 	if *label == "" {
 		*label = fmt.Sprintf("brokerd-%d", os.Getpid())
 	}
 
-	resolve, err := newResolver(*machineN, *compilerN, *threads, *annotation,
-		*faultRate, *retries, *timeout, *seed)
+	resolve, err := newResolver(spec.Spec{
+		Annotation: *annotation,
+		Machine:    *machineN, Compiler: *compilerN, Threads: *threads,
+		Faults: *faultRate, Retries: *retries, Timeout: *timeout, Seed: *seed,
+	})
 	if err != nil {
 		warnf("%v", err)
 		return exitUsage
@@ -196,76 +195,40 @@ func run() int {
 	}
 }
 
-// newResolver builds the wire-name -> problem resolver: every problem
-// the driver can tune (SPAPT kernels, mini-apps, one optional annotated
-// kernel), each wrapped in the same fault-injection and resilience
-// stack the driver would use inline. Instances are cached per name so a
-// re-dispatched task evaluates against the same injector state, and the
-// cache is goroutine-safe because the worker evaluates tasks on
-// separate goroutines.
-func newResolver(machineN, compilerN string, threads int, annotation string,
-	faultRate float64, retries int, timeout float64, seed uint64) (remote.Resolver, error) {
-
-	m, err := machine.ByName(machineN)
-	if err != nil {
+// newResolver validates the worker's spec and builds the wire-name ->
+// problem resolver: every problem the driver can tune (SPAPT kernels,
+// mini-apps, and the spec's annotated kernel under its parsed name),
+// each built as the full evaluation stack the spec describes.
+// Instances are cached per name so a re-dispatched task evaluates
+// against the same injector state, and the cache is goroutine-safe
+// because the worker evaluates tasks on separate goroutines.
+func newResolver(s spec.Spec) (remote.Resolver, error) {
+	s.Normalize()
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	comp, err := machine.CompilerByName(compilerN)
-	if err != nil {
-		return nil, err
-	}
-	var annotated *kernels.Kernel
-	if annotation != "" {
-		text, err := os.ReadFile(annotation)
+	annotated := ""
+	if s.Annotation != "" {
+		p, err := s.Base()
 		if err != nil {
 			return nil, err
 		}
-		k, err := annotate.Parse(string(text))
-		if err != nil {
-			return nil, err
-		}
-		annotated = k
+		annotated, _, _ = strings.Cut(p.Name(), "@")
 	}
 
-	target := sim.Target{Machine: m, Compiler: comp, Threads: threads}
 	build := func(name string) (search.Problem, error) {
-		// Wire names are qualified — "LU@Sandybridge/gnu-4.4.7/t1",
-		// "HPL@Sandybridge" — so a worker configured for a different
-		// target refuses the task instead of silently computing on the
-		// wrong simulated machine.
-		base, tgt := name, ""
-		if i := strings.IndexByte(name, '@'); i >= 0 {
-			base, tgt = name[:i], name[i+1:]
+		base, _, qualified := strings.Cut(name, "@")
+		task := s
+		task.Problem = base
+		if base != annotated {
+			task.Annotation = ""
 		}
-		var p search.Problem
-		switch {
-		case annotated != nil && base == annotated.Name:
-			p = kernels.NewProblem(annotated, target)
-		case base == "HPL":
-			p = miniapps.NewProblem(miniapps.HPL(), m)
-		case base == "RT":
-			p = miniapps.NewProblem(miniapps.RT(), m)
-		default:
-			k, err := kernels.ByName(base)
-			if err != nil {
-				return nil, fmt.Errorf("unknown problem %q from driver", name)
-			}
-			if !m.SupportsCompiler(comp) {
-				return nil, fmt.Errorf("compiler %s not available on %s", compilerN, machineN)
-			}
-			p = kernels.NewProblem(k, target)
+		p, _, err := task.Build()
+		if err != nil {
+			return nil, err
 		}
-		if tgt != "" && p.Name() != name {
+		if qualified && p.Name() != name {
 			return nil, fmt.Errorf("target mismatch: driver tunes %s, this worker builds %s (align -machine/-compiler/-threads)", name, p.Name())
-		}
-		// Same stack shape as cmd/autotune: injector (stateful, hence
-		// the cache) under the resilient retry/timeout budgets.
-		if faultRate > 0 || timeout > 0 {
-			fp := search.Fallible(p)
-			if faultRate > 0 {
-				fp = faults.Wrap(p, faults.Profile(machineN).ScaledTo(faultRate), seed)
-			}
-			p = search.NewResilient(fp, search.ResilientOptions{Retries: retries, Timeout: timeout})
 		}
 		return p, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 // TestMain lets the test binary impersonate brokerd: a child process
@@ -60,6 +62,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-connect", "x", "-faults", "-0.1"},     // negative rate
 		{"-connect", "x", "-machine", "NoSuch"},  // unknown machine
 		{"-connect", "x", "-compiler", "NoSuch"}, // unknown compiler
+		{"-connect", "x", "-threads", "-1"},      // negative thread count
+		{"-connect", "x", "-retries", "-1"},      // negative retry budget
+		{"-connect", "x", "-timeout", "-1"},      // negative timeout
 	}
 	for _, args := range cases {
 		if code := exitCode(t, brokerdCmd(args...)); code != exitUsage {
@@ -232,7 +237,10 @@ func TestGracefulShutdownOnSignal(t *testing.T) {
 // returns the same instance for re-dispatched tasks (the stateful
 // fault injector must not be rebuilt mid-run).
 func TestResolverContract(t *testing.T) {
-	resolve, err := newResolver("Sandybridge", "gnu-4.4.7", 1, "", 0.3, 2, 30, 7)
+	resolve, err := newResolver(spec.Spec{
+		Machine: "Sandybridge", Compiler: "gnu-4.4.7", Threads: 1,
+		Faults: 0.3, Retries: 2, Timeout: 30, Seed: 7,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +269,58 @@ func TestResolverContract(t *testing.T) {
 	if _, err := resolve("LU@Power7/gnu-4.4.7/t1"); err == nil {
 		t.Error("resolve(LU@Power7/...): want target-mismatch error")
 	}
-	if _, err = newResolver("NoSuch", "gnu-4.4.7", 1, "", 0, 2, 0, 7); err == nil {
+	if _, err = newResolver(spec.Spec{Machine: "NoSuch"}); err == nil {
 		t.Error("newResolver with unknown machine: want error")
+	}
+}
+
+// TestResolverRefusesForcedOpenMP: the experiments' OpenMP cells force
+// the pragmas on, which changes every evaluation. Their wire names say
+// so, and a worker (which has no such flag) must refuse them rather
+// than return unforced numbers under the forced name.
+func TestResolverRefusesForcedOpenMP(t *testing.T) {
+	resolve, err := newResolver(spec.Spec{Machine: "XeonPhi", Compiler: "intel-15.0.1", Threads: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resolve("MM@XeonPhi/intel-15.0.1/t60"); err != nil {
+		t.Fatalf("unforced name: %v", err)
+	}
+	_, err = resolve("MM@XeonPhi/intel-15.0.1/t60+omp")
+	if err == nil || !strings.Contains(err.Error(), "target mismatch") {
+		t.Fatalf("forced-OpenMP name: got %v, want a target-mismatch error", err)
+	}
+}
+
+// TestResolverChecksAnnotatedCompiler: the annotated kernel gets the
+// same compiler-availability check as the built-in ones, at start-up.
+func TestResolverChecksAnnotatedCompiler(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tiny.orio")
+	text := `
+kernel tiny input 32
+size N = 32
+array A[N] elem 8
+nest n
+loop i = 0 .. N
+stmt A[i] = A[i] flops 1
+param U_I on i unroll 1..4
+param T_I on i tile pow2 0..2
+param RT_I on i regtile pow2 0..1
+`
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resolve, err := newResolver(spec.Spec{Annotation: path, Machine: "Westmere"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tiny@Westmere/gnu-4.4.7/t1", "LU@Westmere/gnu-4.4.7/t1"} {
+		if _, err := resolve(name); err != nil {
+			t.Errorf("resolve(%s): %v", name, err)
+		}
+	}
+	_, err = newResolver(spec.Spec{Annotation: path, Machine: "Power7", Compiler: "intel-15.0.1"})
+	if err == nil || !strings.Contains(err.Error(), "not available on Power7") {
+		t.Fatalf("annotated kernel with icc on Power7: got %v, want a compiler error", err)
 	}
 }

@@ -5,6 +5,8 @@
 // Usage:
 //
 //	correlate -problem LU -a Westmere -b Sandybridge [-n 200] [-seed 2016]
+//
+// An unknown problem or machine is a usage error (exit 2).
 package main
 
 import (
@@ -12,12 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/miniapps"
 	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/tabulate"
 )
@@ -35,12 +34,12 @@ func main() {
 	pa, err := build(*problem, *aName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "correlate:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 	pb, err := build(*problem, *bName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "correlate:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	seq := search.Sequence(pa.Space(), *n, rng.NewNamed(*seed, "correlate"))
@@ -61,21 +60,13 @@ func main() {
 		*aName+" [s]", *bName+" [s]", xs, ys, 64, 18))
 }
 
+// build validates and builds the bare problem on one machine under the
+// default target (GNU compiler, one thread).
 func build(name, machineN string) (search.Problem, error) {
-	m, err := machine.ByName(machineN)
-	if err != nil {
+	sp := spec.Spec{Problem: name, Machine: machineN}
+	sp.Normalize()
+	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	switch name {
-	case "HPL":
-		return miniapps.NewProblem(miniapps.HPL(), m), nil
-	case "RT":
-		return miniapps.NewProblem(miniapps.RT(), m), nil
-	default:
-		k, err := kernels.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: machine.GNU, Threads: 1}), nil
-	}
+	return sp.Base()
 }

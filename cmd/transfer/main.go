@@ -7,24 +7,24 @@
 //	transfer -problem LU -source Westmere -target Sandybridge
 //	         [-compiler gnu-4.4.7] [-threads 1] [-nmax 100]
 //	         [-pool 10000] [-delta 20] [-trees 100] [-seed 2016]
+//
+// An invalid evaluation spec on either machine (unknown problem,
+// machine, or compiler, a compiler the machine lacks, a negative
+// thread count or budget) is a usage error (exit 2).
 package main
 
 import (
 	"context"
-
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/forest"
-	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/miniapps"
 	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/sim"
 	"repro/internal/space"
+	"repro/internal/spec"
 	"repro/internal/tabulate"
 )
 
@@ -45,15 +45,16 @@ func main() {
 	)
 	flag.Parse()
 
-	src, err := buildProblem(*problem, *source, *compilerN, *threads)
+	sp := spec.Spec{Problem: *problem, Compiler: *compilerN, Threads: *threads, Budget: *nmax}
+	src, err := buildProblem(sp, *source)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "transfer:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
-	tgt, err := buildProblem(*problem, *target, *compilerN, *threads)
+	tgt, err := buildProblem(sp, *target)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "transfer:", err)
-		os.Exit(1)
+		os.Exit(2)
 	}
 
 	out, err := core.Run(context.Background(), src, tgt, core.Options{
@@ -140,28 +141,13 @@ func writeModel(path string, sur *core.Surrogate) error {
 	return f.Close()
 }
 
-func buildProblem(name, machineN, compilerN string, threads int) (search.Problem, error) {
-	m, err := machine.ByName(machineN)
-	if err != nil {
+// buildProblem validates the spec on one machine and builds its bare
+// problem.
+func buildProblem(sp spec.Spec, machineN string) (search.Problem, error) {
+	sp.Machine = machineN
+	sp.Normalize()
+	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	switch name {
-	case "HPL":
-		return miniapps.NewProblem(miniapps.HPL(), m), nil
-	case "RT":
-		return miniapps.NewProblem(miniapps.RT(), m), nil
-	default:
-		k, err := kernels.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		comp, err := machine.CompilerByName(compilerN)
-		if err != nil {
-			return nil, err
-		}
-		if !m.SupportsCompiler(comp) {
-			return nil, fmt.Errorf("compiler %s not available on %s", compilerN, machineN)
-		}
-		return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: threads}), nil
-	}
+	return sp.Base()
 }

@@ -2,8 +2,9 @@ package main
 
 import (
 	"context"
-
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -11,21 +12,56 @@ import (
 	"repro/internal/forest"
 	"repro/internal/rng"
 	"repro/internal/search"
+	"repro/internal/spec"
 )
 
-func TestBuildProblem(t *testing.T) {
-	for _, name := range []string{"MM", "ATAX", "COR", "LU", "HPL", "RT"} {
-		if _, err := buildProblem(name, "Sandybridge", "gnu-4.4.7", 1); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+// TestMain lets the test binary stand in for the transfer command: when
+// re-exec'd with TRANSFER_E2E_MAIN=1 it runs main() for the exit-code
+// tests below.
+func TestMain(m *testing.M) {
+	if os.Getenv("TRANSFER_E2E_MAIN") == "1" {
+		main()
+		return
 	}
-	if _, err := buildProblem("LU", "VAX", "gnu-4.4.7", 1); err == nil {
-		t.Fatal("unknown machine accepted")
+	os.Exit(m.Run())
+}
+
+// TestBuildProblem pins the spec checks transfer applies to both
+// machines: unknown names fail, and so do the inputs the shared spec
+// validation refuses (a negative thread count or budget, a compiler
+// name that resolves to nothing even for a mini-app). Every such
+// failure exits 2 before any evaluation.
+func TestBuildProblem(t *testing.T) {
+	sp := spec.Spec{Problem: "LU", Compiler: "gnu-4.4.7", Threads: 1, Budget: 100}
+	if _, err := buildProblem(sp, "Sandybridge"); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"unknown machine", []string{"-target", "VAX"}},
+		{"unknown problem", []string{"-problem", "FFT"}},
+		{"negative threads", []string{"-threads", "-1"}},
+		{"negative budget", []string{"-nmax", "-1"}},
+		{"mini-app with unknown compiler", []string{"-problem", "HPL", "-compiler", "msvc"}},
+		{"unavailable compiler", []string{"-source", "Power7", "-compiler", "intel-15.0.1"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], tc.args...)
+			cmd.Env = append(os.Environ(), "TRANSFER_E2E_MAIN=1")
+			out, err := cmd.CombinedOutput()
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+				t.Fatalf("transfer %v: %v, want exit 2; output:\n%s", tc.args, err, out)
+			}
+		})
 	}
 }
 
 func TestWriteArtifacts(t *testing.T) {
-	src, err := buildProblem("LU", "Westmere", "gnu-4.4.7", 1)
+	src, err := buildProblem(spec.Spec{Problem: "LU"}, "Westmere")
 	if err != nil {
 		t.Fatal(err)
 	}

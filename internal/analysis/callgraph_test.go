@@ -32,6 +32,7 @@ var detflowFixtureDirs = []string{
 	"detflow/internal/timeutil",
 	"detflow/internal/rng",
 	"detflow/internal/search",
+	"detflow/internal/spec",
 }
 
 // findNode locates a graph node by its chain label (pkg.Func or

@@ -95,6 +95,10 @@ var detflowRootRules = []detflowRootRule{
 	}},
 	// Journal replay must reproduce the original run exactly.
 	{Frag: "internal/journal", Names: []string{"Run", "RunRS", "EvaluateFull", "Records"}},
+	// The one evaluation-stack builder: every CLI, worker, and daemon
+	// session runs the stack and driver it builds, so a nondeterministic
+	// layer here would break every bit-identity invariant at once.
+	{Frag: "internal/spec", Names: []string{"Base", "Build", "Driver"}},
 }
 
 // detflowSanitizedPkg reports whether path hosts sanctioned

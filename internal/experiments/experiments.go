@@ -26,12 +26,10 @@ import (
 	"repro/internal/broker/remote"
 	"repro/internal/core"
 	"repro/internal/forest"
-	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/miniapps"
 	"repro/internal/obs"
 	"repro/internal/search"
-	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/tabulate"
 )
 
@@ -205,22 +203,15 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 // OpenTuner setup. When a broker rides the context (Config.BrokerWorkers
 // > 0), the problem is wrapped so its evaluations run through it.
 func problemFor(ctx context.Context, name string, m machine.Machine, comp machine.Compiler, threads int) (search.Problem, error) {
-	switch name {
-	case "HPL":
-		return broker.Wrap(ctx, miniapps.NewProblem(miniapps.HPL(), m)), nil
-	case "RT":
-		return broker.Wrap(ctx, miniapps.NewProblem(miniapps.RT(), m)), nil
-	default:
-		k, err := kernels.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		p := kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: threads})
-		// The OpenMP-based experiments (Figure 5, Table V) hold the
-		// pragmas fixed outside the search.
-		p.ForceOMP = threads > 1
-		return broker.Wrap(ctx, p), nil
+	// The OpenMP-based experiments (Figure 5, Table V) hold the pragmas
+	// fixed outside the search.
+	p, err := spec.Spec{
+		Problem: name, Machine: m.Name, Compiler: comp.Name, Threads: threads, ForceOMP: threads > 1,
+	}.Base()
+	if err != nil {
+		return nil, err
 	}
+	return broker.Wrap(ctx, p), nil
 }
 
 // transferOpts converts a Config into core options.

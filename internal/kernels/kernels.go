@@ -400,9 +400,15 @@ func NewProblem(k *Kernel, tgt sim.Target) *Problem {
 	return &Problem{Kernel: k, Target: tgt}
 }
 
-// Name identifies the problem, e.g. "MM@Sandybridge/gnu-4.4.7/t1".
+// Name identifies the problem, e.g. "MM@Sandybridge/gnu-4.4.7/t1". A
+// problem with ForceOMP set evaluates differently from one without, so
+// the name says so: "MM@XeonPhi/intel-15.0.1/t60+omp".
 func (p *Problem) Name() string {
-	return p.Kernel.Name + "@" + p.Target.Key()
+	name := p.Kernel.Name + "@" + p.Target.Key()
+	if p.ForceOMP {
+		name += "+omp"
+	}
+	return name
 }
 
 // Space returns the kernel's configuration space.

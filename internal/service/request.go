@@ -1,21 +1,9 @@
 package service
 
 import (
-	"context"
 	"fmt"
-	"strconv"
-	"time"
 
-	"repro/internal/evalcache"
-	"repro/internal/faults"
-	"repro/internal/kernels"
-	"repro/internal/machine"
-	"repro/internal/miniapps"
-	"repro/internal/opentuner"
-	"repro/internal/rng"
-	"repro/internal/search"
-	"repro/internal/sim"
-	"repro/internal/space"
+	"repro/internal/spec"
 )
 
 // Request is one tuning-session submission: which problem to tune on
@@ -59,190 +47,35 @@ const maxBudget = 1_000_000
 // maxThrottleMS bounds the per-evaluation wall-clock pause.
 const maxThrottleMS = 60_000
 
-// Normalize fills defaulted fields in place. Call before Validate.
+// Spec is the evaluation the request describes.
+func (r Request) Spec() spec.Spec {
+	return spec.Spec{
+		Problem: r.Kernel, Machine: r.Machine, Compiler: r.Compiler, Threads: r.Threads,
+		Faults: r.Faults, Retries: r.Retries, Timeout: r.Timeout,
+		Seed: r.Seed, Algorithm: r.Algorithm, Budget: r.Budget,
+	}
+}
+
+// Normalize fills defaulted fields in place: the spec's defaults, plus
+// cmd/autotune's two retries (a JSON request cannot tell an explicit 0
+// from an absent field). Call before Validate.
 func (r *Request) Normalize() {
-	if r.Compiler == "" {
-		r.Compiler = "gnu-4.4.7"
-	}
-	if r.Threads == 0 {
-		r.Threads = 1
-	}
-	if r.Algorithm == "" {
-		r.Algorithm = "rs"
-	}
+	s := r.Spec()
+	s.Normalize()
+	r.Compiler, r.Threads, r.Algorithm = s.Compiler, s.Threads, s.Algorithm
 	if r.Retries == 0 {
 		r.Retries = 2
 	}
 }
 
-// Validate checks every field against the same rules cmd/autotune
-// enforces, plus service-level bounds. It builds the problem once to
-// verify the kernel/machine/compiler combination exists.
+// Validate checks the service-level bounds, then the spec's own checks
+// — the same ones cmd/autotune enforces.
 func (r Request) Validate() error {
-	switch r.Algorithm {
-	case "rs", "sa", "ga", "ps", "ensemble":
-	default:
-		return fmt.Errorf("unknown algorithm %q (known: rs, sa, ga, ps, ensemble)", r.Algorithm)
-	}
 	if r.Budget <= 0 || r.Budget > maxBudget {
 		return fmt.Errorf("budget must be in [1,%d], got %d", maxBudget, r.Budget)
-	}
-	if r.Faults < 0 || r.Faults >= 1 {
-		return fmt.Errorf("faults must be in [0,1), got %v", r.Faults)
-	}
-	if r.Retries < 0 {
-		return fmt.Errorf("retries must be >= 0, got %d", r.Retries)
-	}
-	if r.Timeout < 0 {
-		return fmt.Errorf("timeout must be >= 0, got %v", r.Timeout)
-	}
-	if r.Threads < 1 {
-		return fmt.Errorf("threads must be >= 1, got %d", r.Threads)
 	}
 	if r.ThrottleMS < 0 || r.ThrottleMS > maxThrottleMS {
 		return fmt.Errorf("throttle_ms must be in [0,%d], got %d", maxThrottleMS, r.ThrottleMS)
 	}
-	if _, err := buildBase(r); err != nil {
-		return err
-	}
-	return nil
-}
-
-// buildBase constructs the bare problem (no fault or resilience layers).
-func buildBase(r Request) (search.Problem, error) {
-	m, err := machine.ByName(r.Machine)
-	if err != nil {
-		return nil, err
-	}
-	switch r.Kernel {
-	case "HPL":
-		return miniapps.NewProblem(miniapps.HPL(), m), nil
-	case "RT":
-		return miniapps.NewProblem(miniapps.RT(), m), nil
-	}
-	k, err := kernels.ByName(r.Kernel)
-	if err != nil {
-		return nil, fmt.Errorf("unknown kernel %q (known: MM, ATAX, COR, LU, HPL, RT)", r.Kernel)
-	}
-	comp, err := machine.CompilerByName(r.Compiler)
-	if err != nil {
-		return nil, err
-	}
-	if !m.SupportsCompiler(comp) {
-		return nil, fmt.Errorf("compiler %s not available on %s", r.Compiler, r.Machine)
-	}
-	return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: r.Threads}), nil
-}
-
-// buildStack constructs the full evaluation stack below the cache:
-// base problem, plus fault injection and retry/timeout budgets when the
-// request asks for them — layered exactly as cmd/autotune layers them,
-// so a service session is bit-identical to the equivalent CLI run.
-func buildStack(r Request) (search.Problem, error) {
-	p, err := buildBase(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Faults > 0 || r.Timeout > 0 {
-		fp := search.Fallible(p)
-		if r.Faults > 0 {
-			fp = faults.Wrap(p, faults.Profile(r.Machine).ScaledTo(r.Faults), r.Seed)
-		}
-		p = search.NewResilient(fp, search.ResilientOptions{Retries: r.Retries, Timeout: r.Timeout})
-	}
-	return p, nil
-}
-
-// scopeFor derives the evaluation-cache scope: the problem identity
-// plus every evaluator setting that shapes outcomes. Sessions that
-// differ only in search algorithm, budget, or (when no faults are
-// injected) seed share a scope — their evaluations are interchangeable
-// by construction, which is what lets a cache warmed by one session
-// serve another. See DESIGN.md §12.
-func scopeFor(r Request, problemName string) string {
-	if r.Faults == 0 && r.Timeout == 0 {
-		// Bare problem: the simulator is pure in (problem, config).
-		return problemName
-	}
-	settings := []string{
-		"faults=" + strconv.FormatFloat(r.Faults, 'g', -1, 64),
-		"retries=" + strconv.Itoa(r.Retries),
-		"timeout=" + strconv.FormatFloat(r.Timeout, 'g', -1, 64),
-	}
-	if r.Faults > 0 {
-		// The injector's rolls are a pure function of (seed, problem,
-		// config, attempt): a different seed is a different distribution
-		// of outcomes, so it partitions the key space.
-		settings = append(settings, "seed="+strconv.FormatUint(r.Seed, 10))
-	}
-	return evalcache.Scope(problemName, settings...)
-}
-
-// metaExtra pins the request's evaluation semantics into the journal
-// meta, using the same keys cmd/autotune writes, so a session journal
-// can equally be resumed by `autotune -resume`.
-func metaExtra(r Request) map[string]string {
-	return map[string]string{
-		"problem":    r.Kernel,
-		"annotation": "",
-		"machine":    r.Machine,
-		"compiler":   r.Compiler,
-		"threads":    strconv.Itoa(r.Threads),
-		"algo":       r.Algorithm,
-		"faults":     strconv.FormatFloat(r.Faults, 'g', -1, 64),
-		"retries":    strconv.Itoa(r.Retries),
-		"timeout":    strconv.FormatFloat(r.Timeout, 'g', -1, 64),
-	}
-}
-
-// driveFor returns the deterministic driver for one non-RS algorithm —
-// the same closures cmd/autotune uses, so both draw identical random
-// streams. (RS goes through journal.RunRS for its checkpoint fast path.)
-func driveFor(algo string, nmax int, seed uint64, pulls *map[string]int) (
-	func(context.Context, search.Problem) *search.Result, error) {
-
-	switch algo {
-	case "sa":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			r := rng.New(seed)
-			return search.Drive(ctx, p, search.NewAnneal(p.Space(), r, 0.95), nmax)
-		}, nil
-	case "ga":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			r := rng.New(seed)
-			return search.Drive(ctx, p, search.NewGenetic(p.Space(), r, 16, 0.15), nmax)
-		}, nil
-	case "ps":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			r := rng.New(seed)
-			return search.Drive(ctx, p, search.NewPattern(p.Space(), r, 4), nmax)
-		}, nil
-	case "ensemble":
-		return func(ctx context.Context, p search.Problem) *search.Result {
-			tuner := opentuner.New(opentuner.Options{NMax: nmax}, rng.New(seed))
-			res, pl := tuner.Run(ctx, p)
-			*pulls = pl
-			return res
-		}, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", algo)
-}
-
-// throttled pauses a fixed wall-clock duration before each evaluation,
-// exactly like cmd/autotune's -throttle: interruptible, wall-time only,
-// invisible to outcomes, and therefore layered below the cache so warm
-// resubmissions skip the pause along with the evaluation.
-type throttled struct {
-	search.Problem
-	d time.Duration
-}
-
-func (t throttled) EvaluateFull(ctx context.Context, c space.Config) search.Outcome {
-	timer := time.NewTimer(t.d)
-	select {
-	case <-ctx.Done():
-		timer.Stop()
-	case <-timer.C:
-	}
-	return search.EvaluateFull(ctx, t.Problem, c)
+	return r.Spec().Validate()
 }

@@ -31,6 +31,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/search"
+	"repro/internal/spec"
 )
 
 // Options configures a Server.
@@ -198,11 +199,11 @@ func (srv *Server) recoverOne(name string) (*session, error) {
 	if err := req.Validate(); err != nil {
 		return nil, fmt.Errorf("invalid persisted request: %w", err)
 	}
-	base, err := buildBase(req)
+	scope, err := req.Spec().Scope()
 	if err != nil {
 		return nil, err
 	}
-	s := &session{id: name, dir: dir, req: req, scope: scopeFor(req, base.Name())}
+	s := &session{id: name, dir: dir, req: req, scope: scope}
 
 	done := false
 	if journal.Exists(s.journalDir()) {
@@ -258,7 +259,7 @@ func (srv *Server) Submit(req Request) (Status, error) {
 	if err := req.Validate(); err != nil {
 		return Status{}, err
 	}
-	base, err := buildBase(req)
+	scope, err := req.Spec().Scope()
 	if err != nil {
 		return Status{}, err
 	}
@@ -271,7 +272,7 @@ func (srv *Server) Submit(req Request) (Status, error) {
 	srv.nextID++
 	s := &session{
 		id: id, dir: filepath.Join(srv.sessionsDir(), id),
-		req: req, scope: scopeFor(req, base.Name()),
+		req: req, scope: scope,
 		state: StatePending,
 	}
 	srv.sessions[id] = s
@@ -417,7 +418,7 @@ func (srv *Server) BestOf(id string) (Best, error) {
 	if !ok {
 		return Best{}, fmt.Errorf("service: session %s has no successful evaluations", id)
 	}
-	base, err := buildBase(s.req)
+	base, err := s.req.Spec().Base()
 	if err != nil {
 		return Best{}, err
 	}
@@ -477,7 +478,7 @@ func (srv *Server) runSession(s *session) {
 		s.mu.Unlock()
 		return
 	}
-	p, err := buildStack(s.req)
+	p, _, err := s.req.Spec().Build()
 	if err != nil {
 		s.state = StateFailed
 		s.errMsg = err.Error()
@@ -489,7 +490,7 @@ func (srv *Server) runSession(s *session) {
 		p = srv.b.Problem(p)
 	}
 	if s.req.ThrottleMS > 0 {
-		p = throttled{Problem: p, d: time.Duration(s.req.ThrottleMS) * time.Millisecond}
+		p = spec.Throttled{Problem: p, Wait: time.Duration(s.req.ThrottleMS) * time.Millisecond}
 	}
 	cp := srv.cache.Problem(p, s.scope)
 	s.cp = cp
@@ -557,20 +558,9 @@ func (srv *Server) runSession(s *session) {
 func (srv *Server) runJournaled(ctx context.Context, s *session, p search.Problem, brokered bool) (
 	*search.Result, *journal.RunInfo, error) {
 
-	wopt := journal.WrapOptions{TrackInFlight: brokered}
-	if s.req.Algorithm == "rs" {
-		return journal.RunRS(ctx, s.journalDir(), p, s.req.Budget, s.req.Seed, metaExtra(s.req), wopt)
-	}
 	var pulls map[string]int
-	drive, err := driveFor(s.req.Algorithm, s.req.Budget, s.req.Seed, &pulls)
-	if err != nil {
-		return nil, nil, err
-	}
-	meta := journal.Meta{
-		Problem: p.Name(), Algorithm: s.req.Algorithm,
-		Seed: s.req.Seed, NMax: s.req.Budget, Extra: metaExtra(s.req),
-	}
-	res, info, err := journal.Run(ctx, s.journalDir(), meta, p, wopt, drive)
+	wopt := journal.WrapOptions{TrackInFlight: brokered}
+	res, info, err := s.req.Spec().RunJournaled(ctx, s.journalDir(), p, wopt, &pulls)
 	if err == nil && pulls != nil {
 		s.mu.Lock()
 		s.pulls = pulls

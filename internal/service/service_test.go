@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/rng"
 	"repro/internal/search"
 )
 
@@ -86,15 +85,12 @@ func waitState(t *testing.T, base, id string, want State) Status {
 func controlRun(t *testing.T, req Request) *search.Result {
 	t.Helper()
 	req.Normalize()
-	p, err := buildStack(req)
+	p, _, err := req.Spec().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Algorithm == "rs" {
-		return search.RS(context.Background(), p, req.Budget, rng.New(req.Seed))
-	}
 	var pulls map[string]int
-	drive, err := driveFor(req.Algorithm, req.Budget, req.Seed, &pulls)
+	drive, err := req.Spec().Driver(&pulls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +115,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Kernel: "ATAX", Machine: "Sandybridge", Budget: 5, Seed: 1, Faults: 1.5},
 		{Kernel: "ATAX", Machine: "Sandybridge", Budget: 5, Seed: 1, Timeout: -1},
 		{Kernel: "ATAX", Machine: "Sandybridge", Budget: 5, Seed: 1, ThrottleMS: -4},
+		{Kernel: "HPL", Machine: "Sandybridge", Compiler: "msvc", Budget: 5, Seed: 1},
 	}
 	for i, req := range cases {
 		var e errorJSON
