@@ -43,20 +43,18 @@ crashtest:
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkExperimentCell' -benchtime 2x . | tee bench-parallel.txt
 
-# bench-json runs the benchmark suite — in-process broker dispatch
-# throughput, remote loopback dispatch (framing + heartbeat + lease
-# overhead per evaluation), fully traced remote dispatch (span
-# emission + recorder ring on top of the loopback path), end-to-end
-# RSp/RSb inline vs brokered, the isolated pool-scoring prelude those
-# searches pay up front, forest fit and batched prediction, and the
+# bench-json runs the benchmark suite — remote loopback dispatch
+# (framing + heartbeat + lease overhead per evaluation), fully traced
+# remote dispatch (span emission + recorder ring on top of the loopback
+# path), end-to-end RSp/RSb searches, the isolated pool-scoring
+# prelude those searches pay up front, forest fit and batched prediction, and the
 # full-module repolint analysis gate (parse + type-check + all nine
 # analyzers, so gate latency joins the tracked trajectory) — and
 # converts the combined output into BENCH_PR10.json (committed as the
 # PR's trajectory point; CI regenerates and uploads it). bench-raw.txt
 # keeps the raw `go test -bench` lines.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkBrokerThroughput' -benchtime 2x ./internal/broker/ > bench-raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkRemoteDispatch' -benchtime 2x ./internal/broker/remote/ >> bench-raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkRemoteDispatch' -benchtime 2x ./internal/broker/remote/ > bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributedTrace' -benchtime 2x ./internal/broker/remote/ >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndRS[pb]' -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolScoring' -benchtime 2x . >> bench-raw.txt
@@ -64,7 +62,8 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkRepolint' -benchtime 2x ./internal/analysis/ >> bench-raw.txt
 	$(GO) run ./cmd/benchjson -o BENCH_PR10.json < bench-raw.txt
 
-# broker-chaos runs the broker suite and its randomized chaos campaign
+# broker-chaos runs the broker and remote-worker suites, including the
+# randomized remote chaos campaign (network faults, connection kills),
 # under the race detector, verbosely (CI uploads the log on failure).
 # REPRO_FLIGHT_DIR makes every failed trial dump its flight recording
 # (the last telemetry events, spans included) there for forensics; the

@@ -17,7 +17,6 @@ import (
 
 	"testing"
 
-	"repro/internal/broker"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/forest"
@@ -372,13 +371,11 @@ func BenchmarkTelemetryRSpScoring(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Evaluation broker benchmarks: the end-to-end model-guided searches
-// (RSp, RSb) run inline and through the fault-tolerant broker. Results
-// are bit-identical either way (TestBrokerMatchesInline); the delta
-// measured here is the broker's dispatch overhead. `make bench-json`
-// collects these plus BenchmarkBrokerThroughput,
-// BenchmarkRemoteDispatch, and BenchmarkForestPredict into
-// BENCH_PR7.json.
+// End-to-end model-guided search benchmarks: one RSp or RSb search
+// (pool scoring plus 50 simulator evaluations) run inline. The
+// sub-benchmark keeps its "inline" name so the committed BENCH_*.json
+// ledger entries stay comparable. `make bench-json` collects these
+// plus BenchmarkRemoteDispatch and BenchmarkForestPredict.
 
 // benchSurrogate fits a small transfer surrogate once: T_a collected by
 // RS on Sandybridge, forest fitted on it, searches run on Westmere.
@@ -400,25 +397,13 @@ func benchSurrogate(b *testing.B) (search.Problem, *core.Surrogate) {
 
 func BenchmarkEndToEndRSp(b *testing.B) {
 	tgt, sur := benchSurrogate(b)
-	for _, c := range []struct {
-		name     string
-		brokered bool
-	}{{"inline", false}, {"brokered", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			p := search.Problem(tgt)
-			if c.brokered {
-				bk := broker.New(broker.Options{Workers: 4})
-				defer bk.Close()
-				p = bk.Problem(p)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				search.RSp(context.Background(), p, sur,
-					search.RSpOptions{NMax: 50, PoolSize: 2000, DeltaPct: 20},
-					rng.NewNamed(2016, "crn-stream"), rng.NewNamed(2016, "pool"))
-			}
-		})
-	}
+	b.Run("inline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			search.RSp(context.Background(), tgt, sur,
+				search.RSpOptions{NMax: 50, PoolSize: 2000, DeltaPct: 20},
+				rng.NewNamed(2016, "crn-stream"), rng.NewNamed(2016, "pool"))
+		}
+	})
 }
 
 // BenchmarkPoolScoring isolates the model-guided searches' hot prelude
@@ -445,23 +430,11 @@ func BenchmarkPoolScoring(b *testing.B) {
 
 func BenchmarkEndToEndRSb(b *testing.B) {
 	tgt, sur := benchSurrogate(b)
-	for _, c := range []struct {
-		name     string
-		brokered bool
-	}{{"inline", false}, {"brokered", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			p := search.Problem(tgt)
-			if c.brokered {
-				bk := broker.New(broker.Options{Workers: 4})
-				defer bk.Close()
-				p = bk.Problem(p)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				search.RSb(context.Background(), p, sur,
-					search.RSbOptions{NMax: 50, PoolSize: 2000},
-					rng.NewNamed(2016, "pool"))
-			}
-		})
-	}
+	b.Run("inline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			search.RSb(context.Background(), tgt, sur,
+				search.RSbOptions{NMax: 50, PoolSize: 2000},
+				rng.NewNamed(2016, "pool"))
+		}
+	})
 }

@@ -6,8 +6,7 @@
 //	autotune -problem LU -machine Sandybridge [-compiler gnu-4.4.7]
 //	         [-threads 1] [-algo rs|sa|ga|ps|ensemble] [-nmax 100] [-seed 42]
 //	         [-faults 0.3] [-retries 2] [-timeout 30] [-workers N]
-//	         [-broker] [-broker-workers N] [-hedge-after 50ms]
-//	         [-broker-remote -workers-addr unix:/tmp/tune.sock]
+//	         [-workers-addr unix:/tmp/tune.sock [-hedge-after 50ms]]
 //	         [-journal DIR] [-resume DIR] [-throttle 50ms]
 //	         [-trace FILE] [-progress] [-metrics] [-metrics-addr ADDR]
 //	         [-flight FILE] [-cpuprofile FILE] [-memprofile FILE]
@@ -25,8 +24,8 @@
 // and convergence table. -progress draws a live best-so-far/evals-per-
 // second line on stderr. -metrics prints an aggregated counter/histogram
 // snapshot after the run; -metrics-addr serves the same snapshot live
-// over HTTP (/metrics, with /healthz for probes). Brokered and remote
-// runs carry a deterministic trace id (algo-problem-seed) on every
+// over HTTP (/metrics, with /healthz for probes). Remote-worker runs
+// carry a deterministic trace id (algo-problem-seed) on every
 // dispatched task, so cmd/tracestat can stitch the coordinator's trace
 // with the workers' (brokerd -trace) into one causal timeline; they
 // also keep a fixed-size in-memory flight recorder, dumped to the
@@ -46,24 +45,19 @@
 // time per evaluation — it changes nothing about the result, only makes
 // fast simulated runs interruptible (demos, tests).
 //
-// -broker routes every evaluation through the fault-tolerant in-process
-// broker: queued worker shards with backpressure, capped-backoff
-// retries, optional hedged re-dispatch (-hedge-after D), per-worker
-// circuit breakers, and inline degradation when every worker is
-// quarantined. Like -workers it is results-invariant: the broker moves
-// evaluations between workers but never changes what they return, so a
-// brokered run is bit-identical to an inline one. With -journal,
-// brokered runs also journal the evaluation in flight, and the journal
-// resumes with or without the broker.
-//
-// -broker-remote -workers-addr ADDR serves evaluations to remote worker
-// processes (cmd/brokerd) connecting at ADDR (unix:/path or
-// [tcp:]host:port) instead of in-process shards: lease-based task
-// claims with heartbeat failure detection re-dispatch the work of dead
-// or partitioned workers, and evaluations degrade inline while no
-// worker is connected. Start workers with matching evaluation-stack
-// flags (machine, faults, retries, timeout, seed) so remote evaluations
-// are bit-identical to local ones.
+// -workers-addr ADDR serves evaluations to remote worker processes
+// (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port)
+// through the evaluation broker's queue: lease-based task claims with
+// heartbeat failure detection re-dispatch the work of dead or
+// partitioned workers, capped-backoff retries and optional hedged
+// re-dispatch (-hedge-after D) recover the rest, and evaluations
+// degrade inline while no worker is connected. Start workers with
+// matching evaluation-stack flags (machine, faults, retries, timeout,
+// seed) so remote evaluations are bit-identical to local ones. Like
+// -workers it is results-invariant: the broker moves evaluations
+// between processes but never changes what they return. With -journal,
+// remote runs also journal the evaluation in flight, and the journal
+// resumes with or without remote workers.
 //
 // -workers N caps the OS threads the Go runtime schedules goroutines on
 // (GOMAXPROCS; 0 keeps the runtime default). The search algorithms
@@ -135,11 +129,8 @@ func run() int {
 		resumeDir   = flag.String("resume", "", "resume an interrupted run from its journal directory")
 		throttle    = flag.Duration("throttle", 0, "wall-clock pause per evaluation (makes simulated runs interruptible)")
 		workers     = flag.Int("workers", 0, "cap on OS threads for goroutine scheduling (0 = runtime default; results identical for any value)")
-		brokerOn    = flag.Bool("broker", false, "route evaluations through the fault-tolerant broker (queued workers, retries, circuit breakers; results identical either way)")
-		brokerW     = flag.Int("broker-workers", 0, "broker worker shards (0 = broker default; implies -broker)")
-		hedgeAfter  = flag.Duration("hedge-after", 0, "broker hedged re-dispatch delay for straggling evaluations (0 disables; implies -broker)")
-		brokerRem   = flag.Bool("broker-remote", false, "serve evaluations to remote workers (cmd/brokerd) instead of in-process shards (requires -workers-addr)")
-		workAddr    = flag.String("workers-addr", "", "listen address for remote workers: unix:/path or [tcp:]host:port (implies -broker-remote)")
+		workAddr    = flag.String("workers-addr", "", "serve evaluations to remote workers (cmd/brokerd) listening on ADDR: unix:/path or [tcp:]host:port (results identical either way)")
+		hedgeAfter  = flag.Duration("hedge-after", 0, "hedged re-dispatch delay for straggling remote evaluations (0 disables; requires -workers-addr)")
 		verbose     = flag.Bool("v", false, "print every evaluation")
 		emit        = flag.Bool("emit", false, "print the best variant as C code (kernel problems)")
 		traceFile   = flag.String("trace", "", "write a JSONL event trace to FILE (read with cmd/tracestat)")
@@ -219,29 +210,21 @@ func run() int {
 	}
 
 	// The evaluation broker wraps outermost, so the full resilient stack
-	// runs inside its worker shards (or travels to remote workers). Like
-	// -workers it is results-invariant (and therefore absent from the
-	// journal meta): the broker only changes where evaluations execute,
-	// never what they return.
-	if explicit["broker-workers"] && *brokerW <= 0 {
-		warnf("-broker-workers must be > 0, got %d", *brokerW)
-		return exitUsage
-	}
+	// travels to the remote workers. Like -workers it is
+	// results-invariant (and therefore absent from the journal meta): the
+	// broker only changes where evaluations execute, never what they
+	// return.
 	if *hedgeAfter < 0 {
 		warnf("-hedge-after must be >= 0, got %v", *hedgeAfter)
 		return exitUsage
 	}
-	remoteOn := *brokerRem || *workAddr != ""
-	brokered := *brokerOn || *brokerW > 0 || *hedgeAfter > 0
-	switch {
-	case remoteOn && *workAddr == "":
-		warnf("-broker-remote requires -workers-addr (where cmd/brokerd workers connect)")
+	remoteOn := *workAddr != ""
+	if *hedgeAfter > 0 && !remoteOn {
+		warnf("-hedge-after requires -workers-addr (where cmd/brokerd workers connect)")
 		return exitUsage
-	case remoteOn && (*brokerOn || *brokerW > 0):
-		warnf("-broker-remote and in-process broker shards (-broker/-broker-workers) are mutually exclusive")
-		return exitUsage
-	case remoteOn:
-		b := broker.New(broker.Options{External: true, HedgeAfter: *hedgeAfter})
+	}
+	if remoteOn {
+		b := broker.New(broker.Options{HedgeAfter: *hedgeAfter})
 		defer b.Close()
 		ln, err := remote.Listen(*workAddr)
 		if err != nil {
@@ -252,10 +235,6 @@ func run() int {
 		defer pool.Close()
 		pool.Serve(ln)
 		warnf("serving evaluations to remote workers on %s (start cmd/brokerd with -connect %s)", *workAddr, *workAddr)
-		p = b.Problem(p)
-	case brokered:
-		b := broker.New(broker.Options{Workers: *brokerW, HedgeAfter: *hedgeAfter})
-		defer b.Close()
 		p = b.Problem(p)
 	}
 
@@ -323,11 +302,11 @@ func run() int {
 		prog = obs.NewProgressSink(os.Stderr, 0)
 		sinks = append(sinks, prog)
 	}
-	// The flight recorder is always on for brokered and remote runs: a
+	// The flight recorder is always on for remote-worker runs: a
 	// fixed-size in-memory ring of the last events, persisted only when
 	// the run fails and -flight names a destination.
 	var rec *obs.Recorder
-	if *flightFile != "" || brokered || remoteOn {
+	if *flightFile != "" || remoteOn {
 		rec = obs.NewRecorder(0)
 		sinks = append(sinks, rec)
 	}
@@ -363,10 +342,10 @@ func run() int {
 		pulls map[string]int
 	)
 	if *journalDir != "" {
-		// Brokered runs journal in-flight work, so a SIGKILL mid-
+		// Remote runs journal in-flight work, so a SIGKILL mid-
 		// evaluation still resumes cleanly (and the resume may drop the
-		// broker entirely).
-		wopt := journal.WrapOptions{TrackInFlight: brokered || remoteOn}
+		// remote workers entirely).
+		wopt := journal.WrapOptions{TrackInFlight: remoteOn}
 		res, info, err = sp.RunJournaled(ctx, *journalDir, p, wopt, &pulls)
 	} else {
 		var drive func(context.Context, search.Problem) *search.Result

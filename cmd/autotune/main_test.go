@@ -202,22 +202,24 @@ func TestWorkersComposeWithJournaledResume(t *testing.T) {
 	}
 }
 
-// TestBrokerFlagValidation pins the broker flag contract: explicitly
-// non-positive shard counts, negative hedge delays, and incoherent
-// remote flags are usage errors (exit 2) with a clear message, never
-// silently coerced.
+// TestBrokerFlagValidation pins the broker flag contract: negative
+// hedge delays, a hedge delay without remote workers, and the retired
+// in-process broker flags (-broker, -broker-workers, -broker-remote)
+// are usage errors (exit 2) with a clear message, never silently
+// coerced.
 func TestBrokerFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"broker-workers zero", []string{"-broker-workers", "0"}, "-broker-workers must be > 0"},
-		{"broker-workers negative", []string{"-broker-workers", "-3"}, "-broker-workers must be > 0"},
+		{"broker-workers zero", []string{"-broker-workers", "0"}, "flag provided but not defined: -broker-workers"},
+		{"broker-workers negative", []string{"-broker-workers", "-3"}, "flag provided but not defined: -broker-workers"},
 		{"hedge-after negative", []string{"-hedge-after", "-1ms"}, "-hedge-after must be >= 0"},
-		{"broker-remote without addr", []string{"-broker-remote"}, "-broker-remote requires -workers-addr"},
-		{"remote and shards", []string{"-workers-addr", "unix:/tmp/x.sock", "-broker"}, "mutually exclusive"},
-		{"remote and broker-workers", []string{"-broker-remote", "-workers-addr", "unix:/tmp/x.sock", "-broker-workers", "2"}, "mutually exclusive"},
+		{"hedge-after alone", []string{"-hedge-after", "5ms"}, "-hedge-after requires -workers-addr"},
+		{"broker-remote without addr", []string{"-broker-remote"}, "flag provided but not defined: -broker-remote"},
+		{"remote and shards", []string{"-workers-addr", "unix:/tmp/x.sock", "-broker"}, "flag provided but not defined: -broker"},
+		{"remote and broker-workers", []string{"-broker-remote", "-workers-addr", "unix:/tmp/x.sock", "-broker-workers", "2"}, "flag provided but not defined: -broker-remote"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,7 +250,7 @@ func TestRemoteWorkersServeAutotune(t *testing.T) {
 	}
 
 	addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
-	remoteCmd, remoteOut := autotuneCmd(append(runFlags, "-throttle", "5ms", "-broker-remote", "-workers-addr", addr)...)
+	remoteCmd, remoteOut := autotuneCmd(append(runFlags, "-throttle", "5ms", "-workers-addr", addr)...)
 	if err := remoteCmd.Start(); err != nil {
 		t.Fatal(err)
 	}

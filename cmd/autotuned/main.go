@@ -5,8 +5,7 @@
 // Usage:
 //
 //	autotuned -root DIR [-addr 127.0.0.1:8080] [-sessions 2]
-//	          [-queue 64] [-broker] [-broker-workers N]
-//	          [-trace-sessions] [-cache FILE] [-metrics-addr ADDR]
+//	          [-queue 64] [-trace-sessions] [-cache FILE] [-metrics-addr ADDR]
 //
 // The API (see internal/service):
 //
@@ -72,8 +71,6 @@ func run() int {
 		root        = flag.String("root", "", "state directory for sessions and journals (required)")
 		sessions    = flag.Int("sessions", 2, "max concurrently running sessions")
 		queue       = flag.Int("queue", 64, "max sessions waiting for a runner slot")
-		brokerOn    = flag.Bool("broker", false, "route evaluations through the in-process fault-tolerant broker")
-		brokerW     = flag.Int("broker-workers", 0, "broker worker shards (0 = broker default; implies -broker)")
 		traceSess   = flag.Bool("trace-sessions", false, "write a JSONL event trace per session (<session>/trace.jsonl)")
 		cacheFile   = flag.String("cache", "", "cache artifact FILE: imported at startup if present, exported on clean shutdown")
 		metricsAddr = flag.String("metrics-addr", "", "also serve /metrics and /healthz on a separate ADDR (obs.ServeMetrics)")
@@ -92,10 +89,6 @@ func run() int {
 		warnf("-queue must be >= 1, got %d", *queue)
 		return exitUsage
 	}
-	if *brokerW < 0 {
-		warnf("-broker-workers must be >= 0, got %d", *brokerW)
-		return exitUsage
-	}
 	if flag.NArg() > 0 {
 		warnf("unexpected arguments: %v", flag.Args())
 		return exitUsage
@@ -109,8 +102,6 @@ func run() int {
 		Root:          *root,
 		MaxSessions:   *sessions,
 		QueueDepth:    *queue,
-		Broker:        *brokerOn || *brokerW > 0,
-		BrokerWorkers: *brokerW,
 		TraceSessions: *traceSess,
 		Registry:      reg,
 		Logf:          warnf,

@@ -270,10 +270,10 @@ func recordsOf(t *testing.T, res service.ResultJSON) []search.Record {
 
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
-		{},                               // -root missing
-		{"-root", "x", "-sessions", "0"}, // no runners
-		{"-root", "x", "-queue", "0"},    // no queue
-		{"-root", "x", "-broker-workers", "-1"},
+		{},                                     // -root missing
+		{"-root", "x", "-sessions", "0"},       // no runners
+		{"-root", "x", "-queue", "0"},          // no queue
+		{"-root", "x", "-broker-workers", "2"}, // retired in-process broker flag
 		{"-root", "x", "stray-arg"},
 	}
 	for _, args := range cases {

@@ -1,5 +1,5 @@
 // Command brokerd is a remote evaluation worker: it connects to a
-// driver (cmd/autotune or cmd/experiments started with -broker-remote
+// driver (cmd/autotune or cmd/experiments started with
 // -workers-addr ADDR), receives broker tasks over the wire, evaluates
 // them locally, and streams the results back under a heartbeat.
 //
@@ -112,7 +112,7 @@ func run() int {
 
 	// Worker-side telemetry: the resilient layer's fault/retry/censor
 	// events and the worker-eval spans land here, local to this process
-	// (DESIGN.md §9/§10). Sinks compose: metrics aggregation, the JSONL
+	// (DESIGN.md §8/§9). Sinks compose: metrics aggregation, the JSONL
 	// trace tracestat stitches with the driver's by trace id, and the
 	// flight recorder dumped on abnormal exit.
 	var sinks []obs.Sink

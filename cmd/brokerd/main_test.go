@@ -98,9 +98,8 @@ func servingPool(t *testing.T, dir string, retries int) (*broker.Broker, *remote
 	t.Helper()
 	addr := "unix:" + filepath.Join(dir, "w.sock")
 	b := broker.New(broker.Options{
-		External: true,
-		Retries:  retries,
-		Backoff:  100 * time.Microsecond,
+		Retries: retries,
+		Backoff: 100 * time.Microsecond,
 	})
 	pool := remote.NewPool(b, remote.PoolOptions{})
 	ln, err := remote.Listen(addr)

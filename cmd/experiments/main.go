@@ -5,6 +5,7 @@
 //	experiments [-exp all|fig1,fig3,table4] [-seed N] [-quick]
 //	            [-nmax N] [-pool N] [-trees N] [-workers N] [-outdir DIR]
 //	            [-values] [-metrics] [-metrics-addr ADDR] [-resume DIR]
+//	            [-workers-addr unix:/tmp/exp.sock [-hedge-after 50ms]]
 //
 // Each experiment prints its report to stdout. With -outdir, the tables
 // are additionally written as CSV, the named values as <id>-values.txt,
@@ -20,6 +21,11 @@
 // independent cells over (0, the default, uses one per CPU). Every cell
 // derives its randomness from its own seed, so reports are bit-identical
 // for every worker count — -workers trades wall time only.
+//
+// -workers-addr ADDR serves every evaluation to remote worker processes
+// (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port), with
+// optional hedged re-dispatch of stragglers (-hedge-after D). Reports
+// are bit-identical with or without remote workers.
 //
 // With -outdir the command also keeps a progress file (progress.txt)
 // naming each completed experiment. SIGINT or SIGTERM stops the sweep at
@@ -68,33 +74,19 @@ func run() int {
 		values  = flag.Bool("values", false, "also print the named scalar values")
 		metrics = flag.Bool("metrics", false, "also print each experiment's telemetry metrics snapshot")
 		workers = flag.Int("workers", 0, "worker goroutines per experiment (0 = one per CPU; results identical for any value)")
-		broker  = flag.Bool("broker", false, "route evaluations through the fault-tolerant broker (results identical either way)")
-		brokerW = flag.Int("broker-workers", 0, "broker worker shards (0 = broker default; implies -broker)")
-		hedge   = flag.Duration("hedge-after", 0, "broker hedged re-dispatch delay for stragglers (0 disables; implies -broker)")
-		brokerR = flag.Bool("broker-remote", false, "serve evaluations to remote workers (cmd/brokerd) instead of in-process shards (requires -workers-addr)")
-		wrkAddr = flag.String("workers-addr", "", "listen address for remote workers: unix:/path or [tcp:]host:port (implies -broker-remote)")
+		wrkAddr = flag.String("workers-addr", "", "serve evaluations to remote workers (cmd/brokerd) listening on ADDR: unix:/path or [tcp:]host:port (results identical either way)")
+		hedge   = flag.Duration("hedge-after", 0, "hedged re-dispatch delay for straggling remote evaluations (0 disables; requires -workers-addr)")
 		resume  = flag.String("resume", "", "resume an interrupted sweep from DIR's progress file (implies -outdir DIR)")
 		mAddr   = flag.String("metrics-addr", "", "serve a live cross-experiment telemetry snapshot over HTTP on ADDR (/metrics and /healthz)")
 	)
 	flag.Parse()
 
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if explicit["broker-workers"] && *brokerW <= 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -broker-workers must be > 0, got %d\n", *brokerW)
-		return exitUsage
-	}
 	if *hedge < 0 {
 		fmt.Fprintf(os.Stderr, "experiments: -hedge-after must be >= 0, got %v\n", *hedge)
 		return exitUsage
 	}
-	remoteOn := *brokerR || *wrkAddr != ""
-	if remoteOn && *wrkAddr == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -broker-remote requires -workers-addr (where cmd/brokerd workers connect)")
-		return exitUsage
-	}
-	if remoteOn && (*broker || *brokerW > 0) {
-		fmt.Fprintln(os.Stderr, "experiments: -broker-remote and in-process broker shards (-broker/-broker-workers) are mutually exclusive")
+	if *hedge > 0 && *wrkAddr == "" {
+		fmt.Fprintln(os.Stderr, "experiments: -hedge-after requires -workers-addr (where cmd/brokerd workers connect)")
 		return exitUsage
 	}
 
@@ -111,21 +103,13 @@ func run() int {
 		cfg = experiments.Quick(*seed)
 	}
 	cfg.Workers = *workers
-	if remoteOn {
-		cfg.RemoteWorkersAddr = *wrkAddr
-		cfg.BrokerHedgeAfter = *hedge
-	} else if *broker || *brokerW > 0 || *hedge > 0 {
-		cfg.BrokerWorkers = *brokerW
-		if cfg.BrokerWorkers <= 0 {
-			cfg.BrokerWorkers = 4
-		}
-		cfg.BrokerHedgeAfter = *hedge
-	}
-	// -workers and the broker flags are deliberately absent from the
-	// configuration line: reports are workers- and broker-invariant
+	cfg.RemoteWorkersAddr = *wrkAddr
+	cfg.BrokerHedgeAfter = *hedge
+	// -workers and the remote-worker flags are deliberately absent from
+	// the configuration line: reports are workers- and broker-invariant
 	// (asserted by TestParallelMatchesSerial and TestBrokerMatchesDirect),
-	// so a sweep may be resumed under a different worker count or broker
-	// shape without forking the results.
+	// so a sweep may be resumed under a different worker count or with
+	// or without remote workers without forking the results.
 	cfgLine := fmt.Sprintf("# cfg seed=%d quick=%v nmax=%d pool=%d trees=%d",
 		*seed, *quick, *nmax, *pool, *trees)
 

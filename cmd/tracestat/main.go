@@ -338,7 +338,7 @@ type attemptSpan struct {
 	leaseWall    int64
 	evalWall     int64
 	resultWall   int64
-	worker       string // dispatch target (shard or remote worker label)
+	worker       string // dispatch target (remote worker label)
 	evalWorker   string // who actually ran it (worker-eval emitter)
 	evalDur      time.Duration
 	hedgeLoss    bool

@@ -185,7 +185,7 @@ func TestStitchDistributedTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.New(obs.Multi(coordSink, obs.NewMetricsSink(reg)))
 
-	b := broker.New(broker.Options{External: true, Retries: 100, Backoff: 100 * time.Microsecond})
+	b := broker.New(broker.Options{Retries: 100, Backoff: 100 * time.Microsecond})
 	defer b.Close()
 	pool := remote.NewPool(b, remote.PoolOptions{
 		LeaseTicks:     8,

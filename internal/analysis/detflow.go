@@ -32,7 +32,7 @@ import (
 //
 // Sanitizers: internal/obs and internal/rng are sanctioned packages —
 // obs owns every observability clock read (obs.Stopwatch, Tracer wall
-// stamps; DESIGN.md §10 proves tracing perturbs nothing) and rng owns
+// stamps; DESIGN.md §9 proves tracing perturbs nothing) and rng owns
 // the injected, named-substream generators that make randomness
 // deterministic by construction. Taint never propagates out of either,
 // and calls into them are not traversed.

@@ -14,7 +14,7 @@ import (
 // timestamps are stamped inside internal/obs itself (Tracer.Span), so
 // that every clock read serving observability lives in one auditable
 // package and the traced-equals-untraced bit-identity argument
-// (DESIGN.md §10) stays a local proof. internal/obs is exempt: it is
+// (DESIGN.md §9) stays a local proof. internal/obs is exempt: it is
 // the sanctioned location.
 var ObsTime = &Analyzer{
 	Name: "obstime",
@@ -68,7 +68,7 @@ func reportClockReads(pass *Pass, expr ast.Expr, where string) {
 		fn := calleeFunc(pass.Info, call)
 		if funcPkgPath(fn) == "time" && wallClockFuncs[fn.Name()] {
 			pass.Reportf(call.Pos(),
-				"wall clock captured in %s: time.%s re-implements timing at the emission site; measure with obs.Stopwatch (StartTimer/Elapsed) or let the tracer stamp the timestamp (DESIGN.md §10)",
+				"wall clock captured in %s: time.%s re-implements timing at the emission site; measure with obs.Stopwatch (StartTimer/Elapsed) or let the tracer stamp the timestamp (DESIGN.md §9)",
 				where, fn.Name())
 		}
 		return true

@@ -1,56 +1,52 @@
-// Package broker is the fault-tolerant evaluation broker: it turns
-// inline Evaluate calls into queued work items served by a pool of
-// in-process worker shards, with production-grade robustness semantics
-// layered between the search algorithms and the simulator.
+// Package broker is the evaluation queue that remote workers serve: it
+// turns inline Evaluate calls into queued tasks that an external
+// dispatcher (internal/broker/remote) pulls with NextTask, ships to
+// worker processes, and settles through the Task handle. It layers
+// these robustness semantics between the search algorithms and the
+// simulator:
 //
-//   - Bounded submission queue with backpressure: callers block (default)
-//     or shed to inline execution per policy; the queue never grows
-//     unboundedly.
-//   - Per-worker failure domains: injected faults (see Faults) crash,
-//     hang, or straggle one worker without touching the others; a crash
-//     is contained by a parallel.Group supervisor that respawns the
-//     worker's loop.
-//   - Deadline propagation, retry with capped backoff, and hedged
-//     re-dispatch for stragglers: the first completing copy wins and the
-//     loser's work is charged to telemetry (hedge-wasted), never to the
-//     result.
-//   - A per-worker circuit breaker quarantines repeatedly failing
-//     workers and re-admits them after a probation window measured in
-//     completed tasks — not wall clock — so breaker state transitions
-//     are a function of work done, not of scheduling speed.
-//   - Graceful degradation: when every worker is quarantined (or a
-//     task's retry budget is exhausted) the broker evaluates inline on
+//   - Bounded submission queue with backpressure: submitters block for
+//     queue space; the queue never grows unboundedly.
+//   - Deadline propagation, retry with capped backoff (Task.Fail), and
+//     hedged re-dispatch for stragglers: the first completing copy wins
+//     and the loser's work is charged to telemetry (hedge-wasted), never
+//     to the result.
+//   - Graceful degradation: while no dispatcher is attached, or once a
+//     task's retry budget is exhausted, the broker evaluates inline on
 //     the caller and marks Outcome.Degraded, so the search always
 //     terminates with a full result.
 //
-// The headline invariant is bit-identical results: because the broker
-// evaluates the underlying problem exactly once per submitted task (a
-// claim guard makes hedged copies race for the right to evaluate, not
-// evaluate twice) and searches submit sequentially, a brokered search
-// produces the same Records, Result, and deterministic telemetry as the
-// inline search — under worker faults, hedging, and quarantine
-// (TestBrokerMatchesInline). Worker faults fire before the underlying
-// problem is touched, so they can only move an evaluation between
-// workers, never change what it returns.
+// The headline invariant is bit-identical results: a claim guard
+// settles each submitted task exactly once no matter how many copies —
+// hedges, retries, inline fallbacks — race for it, and searches submit
+// sequentially, so a brokered search produces the same Records, Result,
+// and deterministic telemetry as the inline search
+// (TestBrokerMatchesInline, TestRemoteMatchesInline). Dispatch faults
+// can only move an evaluation between workers, never change what it
+// returns.
 //
-// Wall-clock use (hedge timers, retry backoff) is deliberately confined
-// to scheduling decisions whose observable effect is broker telemetry —
-// the same contract KindWorkerTask documents for the pool engine.
+// Wall-clock use (hedge timers, retry backoff, the liveness recheck) is
+// deliberately confined to scheduling decisions whose observable effect
+// is broker telemetry — the same contract KindWorkerTask documents for
+// the pool engine.
 package broker
 
 import (
 	"context"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/space"
 )
+
+// queueDepth bounds the submission queue. Searches submit one
+// evaluation at a time, so only concurrent searches sharing a broker
+// (the experiments grid) ever fill it.
+const queueDepth = 8
 
 // interruptedOutcome is the sentinel outcome for a cancelled submission:
 // Outcome.Interrupted() is true, so the search never records it.
@@ -58,33 +54,10 @@ func interruptedOutcome(err error) search.Outcome {
 	return search.Outcome{RunTime: math.Inf(1), Status: search.StatusFailed, Err: err}
 }
 
-// Policy selects the backpressure behavior when the submission queue is
-// full.
-type Policy int
-
-const (
-	// Block makes Evaluate wait for queue space (bounded-buffer
-	// backpressure; the default).
-	Block Policy = iota
-	// Shed makes Evaluate fall back to inline execution when the queue is
-	// full, trading latency isolation for immediate progress. Shed tasks
-	// are counted in broker.shed and are not marked Degraded — shedding
-	// is a policy choice, not a failure.
-	Shed
-)
-
-// Options configures a Broker. The zero value means: 4 workers, queue
-// depth 2×workers, Block policy, 2 re-dispatch retries with 1ms backoff
-// capped at 50ms, hedging disabled, breaker threshold 3 with a
-// probation window of 2×workers completed tasks, no injected faults.
+// Options configures a Broker. The zero value means: 2 re-dispatch
+// retries with 1ms backoff capped at 50ms, hedging disabled.
 type Options struct {
-	// Workers is the number of worker shards (<=0 → 4).
-	Workers int
-	// QueueDepth bounds the submission queue (<=0 → 2*Workers).
-	QueueDepth int
-	// Policy is the backpressure policy when the queue is full.
-	Policy Policy
-	// Retries bounds broker-level re-dispatches per task after worker
+	// Retries bounds broker-level re-dispatches per task after dispatch
 	// failures (0 → 2, negative → none). Exhausting the budget degrades
 	// the task to inline execution rather than failing it.
 	Retries int
@@ -93,38 +66,14 @@ type Options struct {
 	// paces recovery, it is never charged to the search clock.
 	Backoff    time.Duration
 	BackoffCap time.Duration
-	// HedgeAfter re-dispatches a task still running after this long, so a
+	// HedgeAfter re-enqueues a task still running after this long, so a
 	// straggling worker cannot stall the search. 0 disables hedging.
 	HedgeAfter time.Duration
-	// BreakerThreshold quarantines a worker after this many consecutive
-	// failures (<=0 → 3).
-	BreakerThreshold int
-	// Probation is the quarantine window in completed tasks (<=0 →
-	// 2*Workers): a quarantined worker is re-admitted half-open after the
-	// broker completes this many tasks without it.
-	Probation int
-	// Faults injects per-worker crash/stall decisions (nil → none).
-	Faults Faults
 	// Label names the broker in telemetry events (default "broker").
 	Label string
-	// External suppresses the in-process worker shards: queued tasks are
-	// served by an external dispatcher (internal/broker/remote) that
-	// pulls them with NextTask and settles them through the Task handle.
-	// Until a dispatcher attaches (AttachDispatcher), submissions degrade
-	// to inline execution so the search can never deadlock on an empty
-	// worker set. Workers/Faults/BreakerThreshold/Probation only shape
-	// the in-process shards and are ignored in external mode — the
-	// external dispatcher owns failure detection (heartbeats, leases).
-	External bool
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 2 * o.Workers
-	}
 	if o.Retries == 0 {
 		o.Retries = 2
 	} else if o.Retries < 0 {
@@ -136,91 +85,50 @@ func (o Options) withDefaults() Options {
 	if o.BackoffCap <= 0 {
 		o.BackoffCap = 50 * time.Millisecond
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 3
-	}
-	if o.Probation <= 0 {
-		o.Probation = 2 * o.Workers
-	}
 	if o.Label == "" {
 		o.Label = "broker"
 	}
 	return o
 }
 
-// workerState is one worker's breaker bookkeeping, guarded by Broker.mu.
-type workerState struct {
-	// fails counts consecutive failures; reset on a completed task.
-	fails int
-	// gate is non-nil while the worker is quarantined; the worker blocks
-	// on it and is released when the gate is closed at re-admission.
-	gate chan struct{}
-	// readmitAt is the completed-task count at which the worker leaves
-	// probation.
-	readmitAt int
-}
-
-// workerCrash is the panic payload workers throw on an injected crash;
-// the group supervisor recovers it and routes the task to re-dispatch.
-type workerCrash struct {
-	worker int
-	t      *task
-}
-
-// Broker is the evaluation broker. Create with New, evaluate through
-// Evaluate (or wrap a Problem with Problem), and Close when done.
+// Broker is the evaluation queue. Create with New, attach a dispatcher
+// (remote.NewPool), evaluate through Evaluate (or wrap a Problem with
+// Problem), and Close when done.
 type Broker struct {
 	opt    Options
 	queue  chan *task
 	closed chan struct{}
 	once   sync.Once
-	group  *parallel.Group
 
-	mu          sync.Mutex
-	seq         int // next task sequence number
-	completed   int // completed tasks (the breaker's probation clock)
-	workers     []workerState
-	quarantined int
+	mu  sync.Mutex
+	seq int // next task sequence number
 
-	// external-mode state: no shards run; health is "a dispatcher is
-	// attached" (the dispatcher guarantees the queue drains, degrading
-	// tasks inline itself when it has no live workers).
-	external     bool
+	// dispatcherUp is the broker's health: a dispatcher guarantees the
+	// queue drains (degrading tasks inline itself when it has no live
+	// workers); without one, submitters evaluate inline.
 	dispatcherUp atomic.Bool
 }
 
-// New starts a broker with opt's worker shards. The caller must Close it
-// to stop the workers.
+// New returns a broker with an empty queue and no dispatcher attached:
+// until one attaches, every submission evaluates inline.
 func New(opt Options) *Broker {
 	opt = opt.withDefaults()
-	b := &Broker{
-		opt:      opt,
-		queue:    make(chan *task, opt.QueueDepth),
-		closed:   make(chan struct{}),
-		workers:  make([]workerState, opt.Workers),
-		external: opt.External,
+	return &Broker{
+		opt:    opt,
+		queue:  make(chan *task, queueDepth),
+		closed: make(chan struct{}),
 	}
-	b.group = parallel.NewGroup(b.onWorkerPanic)
-	if !opt.External {
-		for w := 0; w < opt.Workers; w++ {
-			w := w
-			b.group.Spawn(w, func() { b.workerLoop(w) })
-		}
-	}
-	return b
 }
 
-// Close stops the workers and waits for them to retire. Tasks already
-// claimed finish; unclaimed queued tasks are completed inline by their
-// submitters. Close is idempotent.
+// Close stops serving the queue: the dispatcher's NextTask returns, and
+// submitters complete their unclaimed tasks inline. Idempotent.
 func (b *Broker) Close() {
 	b.once.Do(func() { close(b.closed) })
-	b.group.Wait()
 }
 
 // task is one brokered evaluation. The claim guard (mu/claimed) makes
-// the underlying problem run exactly once no matter how many copies —
-// hedges, retries, inline fallbacks — race to execute it.
+// the task settle exactly once no matter how many copies — hedges,
+// retries, inline fallbacks — race to execute it.
 type task struct {
 	seq   int
 	p     search.Problem
@@ -248,23 +156,15 @@ func (t *task) outcome() search.Outcome {
 	return t.out
 }
 
-// execute claims the task and runs the underlying evaluation exactly
-// once. Copies that lose the claim race return immediately — a losing
-// hedge copy is charged to telemetry as hedge-wasted. worker is -1 for
-// inline execution; degraded marks the outcome when the broker fell
-// back to inline execution through a failure path.
-func (t *task) execute(b *Broker, worker int, degraded bool) {
+// execute claims the task and evaluates it inline, on the calling
+// goroutine, exactly once; a copy that loses the claim race returns
+// immediately. degraded marks the outcome when the broker fell back to
+// inline execution through a failure path.
+func (t *task) execute(degraded bool) {
 	attempt := int(t.dispatches.Load())
 	t.mu.Lock()
 	if t.claimed {
-		hedgeLoser := t.finished && t.hedged.Load() && worker >= 0
 		t.mu.Unlock()
-		if hedgeLoser {
-			// The winning copy already completed; this copy's slot was the
-			// hedge's wasted work.
-			t.tr.Hedge(b.opt.Label, t.seq, true)
-			t.tr.Span(t.trace, "hedge-loss", t.seq, attempt, workerLabel(worker), 0)
-		}
 		return
 	}
 	t.claimed = true
@@ -278,7 +178,7 @@ func (t *task) execute(b *Broker, worker int, degraded bool) {
 	out := search.EvaluateFull(t.ctx, t.p, t.c)
 	out.Degraded = out.Degraded || degraded
 	if traced {
-		t.tr.Span(t.trace, "worker-eval", t.seq, attempt, workerLabel(worker), sw.Elapsed())
+		t.tr.Span(t.trace, "worker-eval", t.seq, attempt, "inline", sw.Elapsed())
 	}
 
 	t.mu.Lock()
@@ -286,21 +186,11 @@ func (t *task) execute(b *Broker, worker int, degraded bool) {
 	t.finished = true
 	t.mu.Unlock()
 	close(t.done)
-	t.tr.Span(t.trace, "result", t.seq, attempt, workerLabel(worker), 0)
-
-	if !out.Interrupted() {
-		b.taskCompleted(worker, t.tr)
-	}
+	t.tr.Span(t.trace, "result", t.seq, attempt, "inline", 0)
 }
 
-// workerLabel names an execution site for span events: an in-process
-// shard index, or "inline" for the caller's own goroutine.
-func workerLabel(w int) string {
-	if w < 0 {
-		return "inline"
-	}
-	return "shard-" + strconv.Itoa(w)
-}
+// noDispatcher explains an inline degradation for telemetry.
+const noDispatcher = "broker: no external dispatcher attached; evaluating inline"
 
 // Evaluate submits one evaluation of c on p and blocks until a result is
 // available. It implements the broker's full robustness pipeline; see
@@ -327,57 +217,43 @@ func (b *Broker) Evaluate(ctx context.Context, p search.Problem, c space.Config)
 	// this evaluation's causal chain hangs below it.
 	tr.SpanRoot(t.trace, t.seq, -1)
 
-	if b.allQuarantined() {
-		// Graceful degradation: no healthy worker exists, so evaluate
+	if !b.dispatcherUp.Load() {
+		// Graceful degradation: nobody serves the queue, so evaluate
 		// inline on the caller and mark the outcome.
-		tr.Degraded(b.degradedReason())
-		t.execute(b, -1, true)
+		tr.Degraded(noDispatcher)
+		t.execute(true)
 		return t.outcome()
 	}
 
-	// Liveness recheck: the quarantine check above races with stale
-	// copies of earlier tasks crashing the remaining workers AFTER this
-	// task is enqueued — leaving it in a queue nobody consumes, while
-	// re-admission waits for completed tasks that can never complete.
-	// The submitter therefore re-checks periodically and claims the
-	// task inline (degraded) the moment no healthy worker exists; the
-	// claim guard makes this safe against any copy that already took it.
+	// Liveness recheck: the dispatcher check above races with the
+	// dispatcher detaching AFTER this task is enqueued — leaving it in a
+	// queue nobody consumes. The submitter therefore re-checks
+	// periodically and claims the task inline (degraded) the moment no
+	// dispatcher is attached; the claim guard makes this safe against
+	// any copy that already took it.
 	recheck := time.NewTicker(5 * time.Millisecond)
 	defer recheck.Stop()
 
 	// Submission with backpressure.
 	depth := len(b.queue)
-	switch b.opt.Policy {
-	case Shed:
+enqueue:
+	for {
 		select {
 		case b.queue <- t:
-			tr.Enqueue(b.opt.Label, t.seq, depth, "")
+			tr.Enqueue(b.opt.Label, t.seq, depth)
 			tr.Span(t.trace, "enqueue", t.seq, 0, "", 0)
-		default:
-			tr.Enqueue(b.opt.Label, t.seq, depth, "shed")
-			t.execute(b, -1, false)
+			break enqueue
+		case <-ctx.Done():
+			t.cancelled.Store(true)
+			return interruptedOutcome(ctx.Err())
+		case <-b.closed:
+			t.execute(false)
 			return t.outcome()
-		}
-	default: // Block
-	enqueue:
-		for {
-			select {
-			case b.queue <- t:
-				tr.Enqueue(b.opt.Label, t.seq, depth, "")
-				tr.Span(t.trace, "enqueue", t.seq, 0, "", 0)
-				break enqueue
-			case <-ctx.Done():
-				t.cancelled.Store(true)
-				return interruptedOutcome(ctx.Err())
-			case <-b.closed:
-				t.execute(b, -1, false)
+		case <-recheck.C:
+			if !b.dispatcherUp.Load() {
+				tr.Degraded(noDispatcher)
+				t.execute(true)
 				return t.outcome()
-			case <-recheck.C:
-				if b.allQuarantined() {
-					tr.Degraded(b.degradedReason())
-					t.execute(b, -1, true)
-					return t.outcome()
-				}
 			}
 		}
 	}
@@ -397,9 +273,10 @@ func (b *Broker) Evaluate(ctx context.Context, p search.Problem, c space.Config)
 			t.cancelled.Store(true)
 			return interruptedOutcome(ctx.Err())
 		case <-b.closed:
-			// Workers are retiring; make sure the task completes. The claim
-			// guard makes this safe against a worker that already took it.
-			t.execute(b, -1, false)
+			// The queue is no longer served; make sure the task completes.
+			// The claim guard makes this safe against a copy that already
+			// took it.
+			t.execute(false)
 			select {
 			case <-t.done:
 				return t.outcome()
@@ -408,9 +285,9 @@ func (b *Broker) Evaluate(ctx context.Context, p search.Problem, c space.Config)
 				return interruptedOutcome(ctx.Err())
 			}
 		case <-recheck.C:
-			if b.allQuarantined() {
-				tr.Degraded(b.degradedReason())
-				t.execute(b, -1, true)
+			if !b.dispatcherUp.Load() {
+				tr.Degraded(noDispatcher)
+				t.execute(true)
 				// execute either claimed (done is closed) or lost the race to
 				// a copy that did — either way done closes; loop to collect.
 			}
@@ -418,9 +295,9 @@ func (b *Broker) Evaluate(ctx context.Context, p search.Problem, c space.Config)
 			hedge = nil
 			t.hedged.Store(true)
 			tr.Hedge(b.opt.Label, t.seq, false)
-			// Non-blocking re-enqueue: a full queue means every worker is
-			// busy, and a second copy queued behind them could not beat the
-			// original anyway.
+			// Non-blocking re-enqueue: a full queue means the dispatcher is
+			// behind, and a second copy queued behind the backlog could not
+			// beat the original anyway.
 			select {
 			case b.queue <- t:
 			default:
@@ -429,140 +306,27 @@ func (b *Broker) Evaluate(ctx context.Context, p search.Problem, c space.Config)
 	}
 }
 
-// allQuarantined reports whether no healthy consumer of the queue
-// remains: every in-process shard quarantined, or — in external mode —
-// no dispatcher attached yet. Either way the submitter degrades to
-// inline execution rather than queueing into the void.
-func (b *Broker) allQuarantined() bool {
-	if b.external {
-		return !b.dispatcherUp.Load()
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.quarantined >= len(b.workers)
-}
-
-// degradedReason explains an inline degradation for telemetry.
-func (b *Broker) degradedReason() string {
-	if b.external {
-		return "broker: no external dispatcher attached; evaluating inline"
-	}
-	return "broker: all workers quarantined; evaluating inline"
-}
-
-// AttachDispatcher marks an external dispatcher as serving the queue
-// (external mode only): submissions stop degrading inline and queue for
-// the dispatcher instead. DetachDispatcher reverses it.
+// AttachDispatcher marks a dispatcher as serving the queue: submissions
+// stop degrading inline and queue for the dispatcher instead.
+// DetachDispatcher reverses it.
 func (b *Broker) AttachDispatcher() { b.dispatcherUp.Store(true) }
 
-// DetachDispatcher marks the external dispatcher gone; later
-// submissions degrade to inline execution.
+// DetachDispatcher marks the dispatcher gone; later submissions degrade
+// to inline execution.
 func (b *Broker) DetachDispatcher() { b.dispatcherUp.Store(false) }
 
-// workerLoop is one worker shard's service loop: honor the quarantine
-// gate, then serve queued tasks until shutdown.
-func (b *Broker) workerLoop(w int) {
-	for {
-		if gate := b.gateFor(w); gate != nil {
-			select {
-			case <-gate:
-			case <-b.closed:
-				return
-			}
-			continue // re-check: the gate may have been replaced
-		}
-		select {
-		case <-b.closed:
-			return
-		case t := <-b.queue:
-			b.runTask(w, t)
-		}
-	}
-}
-
-// gateFor returns worker w's quarantine gate, or nil when admitted.
-func (b *Broker) gateFor(w int) chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.workers[w].gate
-}
-
-// runTask runs one dispatch of t on worker w, applying injected faults
-// before the underlying problem is touched: a stall pauses the worker
-// (making hedging observable), a crash panics out to the supervisor.
-// Fault decisions are pure functions of (worker, task, dispatch), so a
-// re-dispatched task rolls fresh faults on its new worker.
-func (b *Broker) runTask(w int, t *task) {
-	if t.cancelled.Load() {
-		return
-	}
-	d := int(t.dispatches.Add(1))
-	t.tr.SpanRoot(t.trace, t.seq, d)
-	t.tr.Span(t.trace, "dispatch", t.seq, d, workerLabel(w), 0)
-	if b.opt.Faults != nil {
-		if stall := b.opt.Faults.Stall(w, t.seq, d); stall > 0 {
-			timer := time.NewTimer(stall)
-			select {
-			case <-timer.C:
-			case <-t.ctx.Done():
-				timer.Stop()
-				return
-			case <-b.closed:
-				timer.Stop()
-				return
-			}
-		}
-		if b.opt.Faults.Crash(w, t.seq, d) {
-			panic(workerCrash{worker: w, t: t})
-		}
-	}
-	t.execute(b, w, false)
-}
-
-// onWorkerPanic is the group supervisor: an injected workerCrash trips
-// the worker's breaker, re-dispatches its task, and respawns the loop
-// (the worker re-checks its gate on the way back in). Any other panic is
-// a real bug and propagates.
-func (b *Broker) onWorkerPanic(id int, v any) bool {
-	wc, ok := v.(workerCrash)
-	if !ok {
-		panic(v)
-	}
-	b.workerFailed(wc.worker, wc.t.tr)
-	b.redispatch(wc.t, "worker crash")
-	return true
-}
-
-// workerFailed records one failure on worker w, quarantining it when the
-// consecutive-failure threshold is reached.
-func (b *Broker) workerFailed(w int, tr *obs.Tracer) {
-	b.mu.Lock()
-	ws := &b.workers[w]
-	ws.fails++
-	tripped := ws.fails >= b.opt.BreakerThreshold && ws.gate == nil
-	if tripped {
-		ws.gate = make(chan struct{})
-		ws.readmitAt = b.completed + b.opt.Probation
-		b.quarantined++
-	}
-	b.mu.Unlock()
-	if tripped {
-		tr.Breaker(b.opt.Label, w, "open")
-	}
-}
-
 // redispatch routes a failed dispatch of t: re-enqueue with capped
-// backoff while budget remains and healthy workers exist, else degrade
-// to inline execution right here (the supervisor's goroutine), which
-// guarantees termination.
+// backoff while budget remains and a dispatcher is attached, else
+// degrade to inline execution right here (the failing dispatch's
+// goroutine), which guarantees termination.
 func (b *Broker) redispatch(t *task, reason string) {
 	if t.cancelled.Load() {
 		return
 	}
 	attempt := int(t.retries.Add(1))
-	if attempt > b.opt.Retries || b.allQuarantined() {
+	if attempt > b.opt.Retries || !b.dispatcherUp.Load() {
 		t.tr.Degraded("broker: retries exhausted or no healthy worker; evaluating inline")
-		t.execute(b, -1, true)
+		t.execute(true)
 		return
 	}
 	backoff := b.opt.Backoff << (attempt - 1)
@@ -578,46 +342,16 @@ func (b *Broker) redispatch(t *task, reason string) {
 		return
 	case <-b.closed:
 		timer.Stop()
-		t.execute(b, -1, false)
+		t.execute(false)
 		return
 	}
-	// Non-blocking re-enqueue: with the queue full (or all consumers
-	// gone) blocking here could deadlock the supervisor, so fall back to
-	// inline-degraded execution instead.
+	// Non-blocking re-enqueue: with the queue full blocking here could
+	// deadlock the dispatcher, so fall back to inline-degraded execution
+	// instead.
 	select {
 	case b.queue <- t:
 	default:
 		t.tr.Degraded("broker: queue full on re-dispatch; evaluating inline")
-		t.execute(b, -1, true)
-	}
-}
-
-// taskCompleted advances the probation clock and re-admits quarantined
-// workers whose windows have elapsed. worker -1 (inline execution) still
-// advances the clock — probation counts broker-wide completed tasks, so
-// the breaker's state machine is a function of work done, not of
-// wall-clock time.
-func (b *Broker) taskCompleted(worker int, tr *obs.Tracer) {
-	var reopened []int
-	b.mu.Lock()
-	if worker >= 0 {
-		b.workers[worker].fails = 0
-	}
-	b.completed++
-	for w := range b.workers {
-		ws := &b.workers[w]
-		if ws.gate != nil && b.completed >= ws.readmitAt {
-			close(ws.gate)
-			ws.gate = nil
-			// Half-open re-admission: one more failure re-trips the breaker
-			// immediately.
-			ws.fails = b.opt.BreakerThreshold - 1
-			b.quarantined--
-			reopened = append(reopened, w)
-		}
-	}
-	b.mu.Unlock()
-	for _, w := range reopened {
-		tr.Breaker(b.opt.Label, w, "closed")
+		t.execute(true)
 	}
 }

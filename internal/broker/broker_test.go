@@ -2,10 +2,13 @@ package broker_test
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/broker"
+	"repro/internal/broker/remote"
 	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/journal/crashtest"
@@ -45,8 +48,7 @@ func (b *bowl) Evaluate(c space.Config) (float64, float64) {
 
 // newFaulty layers deterministic evaluation-fault injection and
 // retry/timeout budgets over the bowl, so brokered trials cover failed,
-// retried, and censored records on top of the broker's own worker
-// faults.
+// retried, and censored records on top of the dispatcher's own faults.
 func newFaulty(seed uint64) search.Problem {
 	rates := faults.Rates{CompileFail: 0.08, Crash: 0.1, Hang: 0.05}
 	return search.NewResilient(faults.Wrap(newBowl(), rates, seed),
@@ -67,8 +69,8 @@ func (quadModel) Predict(x []float64) float64 {
 
 // deterministicKinds are the event kinds whose emission must be
 // bit-identical between inline and brokered runs. The excluded kinds
-// (enqueue, broker-retry, hedge, breaker, degraded, pool events) are
-// the documented scheduling-dependent family.
+// (enqueue, broker-retry, hedge, degraded, pool events) are the
+// documented scheduling-dependent family.
 var deterministicKinds = map[obs.Kind]bool{
 	obs.KindSearchStart:  true,
 	obs.KindSearchFinish: true,
@@ -113,8 +115,7 @@ var deterministicGauges = []string{obs.MetricBestRunTime, obs.MetricSearchClock}
 type driveFunc func(ctx context.Context, p search.Problem) *search.Result
 
 // run executes drive over p with a memory sink and metrics registry
-// attached; wrap is applied to the problem after construction (identity
-// for inline, broker wrapping for brokered runs).
+// attached.
 func run(drive driveFunc, p search.Problem) (*search.Result, *obs.Registry, []obs.Event) {
 	reg := obs.NewRegistry()
 	mem := &obs.MemorySink{}
@@ -124,31 +125,107 @@ func run(drive driveFunc, p search.Problem) (*search.Result, *obs.Registry, []ob
 	return res, reg, mem.Events()
 }
 
-// chaosBroker is the standard fault-injected broker of the invariance
-// tests: worker crashes, stalls long enough to trigger hedging, and a
-// tight breaker, all deterministic per (worker, task, dispatch).
-func chaosBroker(seed int64) *broker.Broker {
+// plan decides, per dispatch, whether the test dispatcher fails it
+// (routing the task through Task.Fail) and how long it stalls first.
+// Decisions are pure functions of (task, dispatch), so a retried or
+// hedged copy rolls fresh ones.
+type plan func(seq, dispatch int) (fail bool, stall time.Duration)
+
+// serve attaches a test-local dispatcher to b, standing in for the
+// remote pool without a transport: it pulls tasks with NextTask and
+// serves each dispatch on its own goroutine, stalling and failing it
+// per pl (nil: neither), evaluating p through one exactly-once guard,
+// and settling through Complete. Dispatches that outlive the search
+// land on the guard's cached outcome and lose the claim, as a
+// straggling remote worker would. The returned stop detaches the
+// dispatcher and waits for every dispatch goroutine.
+func serve(b *broker.Broker, p search.Problem, pl plan) (stop func()) {
+	guard := remote.NewEvalGuard()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	b.AttachDispatcher()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			h, ok := b.NextTask(done)
+			if !ok {
+				return
+			}
+			if h.Cancelled() || h.Settled() {
+				continue
+			}
+			d := h.BeginDispatch()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var fail bool
+				var stall time.Duration
+				if pl != nil {
+					fail, stall = pl(h.Seq(), d)
+				}
+				if stall > 0 {
+					timer := time.NewTimer(stall)
+					defer timer.Stop()
+					select {
+					case <-timer.C:
+					case <-h.Context().Done():
+						return
+					case <-done:
+						return
+					}
+				}
+				if fail {
+					h.Fail("test: injected dispatch failure")
+					return
+				}
+				h.Complete(guard.Do(h.Seq(), func() search.Outcome {
+					return search.EvaluateFull(h.Context(), p, h.Config())
+				}))
+			}()
+		}
+	}()
+	return func() {
+		b.DetachDispatcher()
+		close(done)
+		wg.Wait()
+	}
+}
+
+// seededPlan fails and stalls dispatches at seeded rates, rolling each
+// decision from its own (seed, task, dispatch) rng stream.
+func seededPlan(seed int64, failRate, stallRate float64, stallFor time.Duration) plan {
+	roll := func(tag string, seq, d int) float64 {
+		key := fmt.Sprintf("dispatch|%d|%s|%d|%d", seed, tag, seq, d)
+		return rng.New(rng.Hash64(key)).Float64()
+	}
+	return func(seq, d int) (bool, time.Duration) {
+		var stall time.Duration
+		if roll("stall", seq, d) < stallRate {
+			stall = stallFor
+		}
+		return roll("fail", seq, d) < failRate, stall
+	}
+}
+
+// chaosBroker is the standard broker of the invariance tests: a deep
+// retry budget, so injected dispatch failures re-dispatch rather than
+// degrade inline past the guard, and hedging tight enough that the
+// plan's stalls trigger it.
+func chaosBroker() *broker.Broker {
 	return broker.New(broker.Options{
-		Workers:          3,
-		Retries:          2,
-		Backoff:          100 * time.Microsecond,
-		HedgeAfter:       2 * time.Millisecond,
-		BreakerThreshold: 3,
-		Probation:        4,
-		Faults: broker.SeededFaults{
-			Seed:      seed,
-			CrashRate: 0.2,
-			StallRate: 0.1,
-			StallFor:  5 * time.Millisecond,
-		},
+		Retries:    100,
+		Backoff:    100 * time.Microsecond,
+		HedgeAfter: 2 * time.Millisecond,
 	})
 }
 
-// TestBrokerMatchesInline is the headline invariant: a brokered search —
-// with evaluation faults, worker crashes, stalls, hedging, and breaker
-// trips all active — produces the same Result, the same deterministic
-// telemetry counters, and the same deterministic event stream as the
-// inline search, for every algorithm.
+// TestBrokerMatchesInline is the broker's headline invariant, free of
+// any transport: a brokered search — with evaluation faults, dispatch
+// failures and their retries, stalls, and hedging all active — produces
+// the same Result, the same deterministic telemetry counters, and the
+// same deterministic event stream as the inline search, for every
+// algorithm.
 func TestBrokerMatchesInline(t *testing.T) {
 	const seed, nmax = 31, 40
 	algos := []struct {
@@ -182,12 +259,20 @@ func TestBrokerMatchesInline(t *testing.T) {
 		t.Run(alg.name, func(t *testing.T) {
 			wantRes, wantReg, wantEvents := run(alg.drive, newFaulty(seed))
 
-			b := chaosBroker(7)
-			gotRes, gotReg, gotEvents := run(alg.drive, b.Problem(newFaulty(seed)))
-			b.Close() // retire workers so every pending telemetry event has landed
+			b := chaosBroker()
+			p := newFaulty(seed)
+			stop := serve(b, p, seededPlan(7, 0.2, 0.1, 5*time.Millisecond))
+			gotRes, gotReg, gotEvents := run(alg.drive, b.Problem(p))
+			stop() // join every dispatch so each pending telemetry event has landed
+			b.Close()
 
 			if err := crashtest.Compare(wantRes, gotRes); err != nil {
 				t.Fatalf("brokered result differs from inline: %v", err)
+			}
+			for _, name := range []string{obs.MetricBrokerSubmits, obs.MetricBrokerRetries, obs.MetricBrokerHedges} {
+				if gotReg.Counter(name).Value() == 0 {
+					t.Fatalf("%s = 0: the dispatch path was not exercised", name)
+				}
 			}
 			for _, name := range deterministicCounters {
 				if w, g := wantReg.Counter(name).Value(), gotReg.Counter(name).Value(); w != g {
@@ -212,33 +297,38 @@ func TestBrokerMatchesInline(t *testing.T) {
 	}
 }
 
-// stallFirstDispatch stalls only the first dispatch of every task, so
-// the hedge copy always wins and the stalled original always completes
-// afterwards — the double-completion scenario.
-type stallFirstDispatch struct{ d time.Duration }
-
-func (s stallFirstDispatch) Crash(worker, task, dispatch int) bool { return false }
-func (s stallFirstDispatch) Stall(worker, task, dispatch int) time.Duration {
-	if dispatch == 1 {
-		return s.d
+// waitFor polls cond until it holds or a generous deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	return 0
 }
 
 // TestHedgeDoubleCompletion pins the hedged double-completion contract:
 // when both copies of a hedged task finish, exactly one result is used
 // and the loser is charged to telemetry as one hedge-wasted event.
 func TestHedgeDoubleCompletion(t *testing.T) {
-	b := broker.New(broker.Options{
-		Workers:    2,
-		HedgeAfter: 3 * time.Millisecond,
-		Faults:     stallFirstDispatch{d: 60 * time.Millisecond},
+	b := broker.New(broker.Options{HedgeAfter: 3 * time.Millisecond})
+	defer b.Close()
+	p := newBowl()
+	// Stall only the first dispatch of every task, so the hedge copy
+	// always wins and the stalled original always completes afterwards.
+	stop := serve(b, p, func(seq, d int) (bool, time.Duration) {
+		if d == 1 {
+			return false, 60 * time.Millisecond
+		}
+		return false, 0
 	})
+	defer stop()
 	reg := obs.NewRegistry()
 	mem := &obs.MemorySink{}
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.Multi(mem, obs.NewMetricsSink(reg))))
 
-	p := newBowl()
 	c := space.Config{3, 7, 1, 5}
 	want := search.EvaluateFull(context.Background(), p, c)
 	got := b.Evaluate(ctx, p, c)
@@ -250,10 +340,10 @@ func TestHedgeDoubleCompletion(t *testing.T) {
 	}
 
 	// Let the stalled original wake up, lose the claim race, and record
-	// its wasted work; then retire the workers.
-	time.Sleep(150 * time.Millisecond)
-	b.Close()
-
+	// its wasted work.
+	waitFor(t, "the stalled copy to lose the claim", func() bool {
+		return reg.Counter(obs.MetricBrokerHedgeWasted).Value() > 0
+	})
 	hedges := mem.ByKind(obs.KindHedge)
 	var issued, wasted int
 	for _, e := range hedges {
@@ -271,125 +361,14 @@ func TestHedgeDoubleCompletion(t *testing.T) {
 	}
 }
 
-// crashAlways crashes every dispatch: with a single worker this drives
-// the full breaker cycle deterministically — open after the threshold,
-// inline degradation while quarantined, half-open re-admission after
-// the task-count probation window, immediate re-trip.
-type crashAlways struct{}
-
-func (crashAlways) Crash(worker, task, dispatch int) bool          { return true }
-func (crashAlways) Stall(worker, task, dispatch int) time.Duration { return 0 }
-
-func TestBreakerQuarantineAndProbation(t *testing.T) {
-	b := broker.New(broker.Options{
-		Workers:          1,
-		Retries:          2,
-		Backoff:          50 * time.Microsecond,
-		BreakerThreshold: 2,
-		Probation:        3,
-		Faults:           crashAlways{},
-	})
-	defer b.Close()
-	reg := obs.NewRegistry()
-	mem := &obs.MemorySink{}
-	ctx := obs.WithTracer(context.Background(), obs.New(obs.Multi(mem, obs.NewMetricsSink(reg))))
-
-	p := newBowl()
-	r := rng.New(5)
-	for i := 0; i < 8; i++ {
-		c := p.Space().Random(r)
-		want := search.EvaluateFull(context.Background(), p, c.Clone())
-		got := b.Evaluate(ctx, p, c)
-		if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Status != want.Status {
-			t.Fatalf("task %d: outcome differs: got %+v want %+v", i, got, want)
-		}
-		if !got.Degraded {
-			t.Fatalf("task %d: expected degraded outcome with every worker crashing, got %+v", i, got)
-		}
-	}
-	b.Close()
-
-	var opens, closes int
-	for _, e := range mem.ByKind(obs.KindBreaker) {
-		switch e.Detail {
-		case "open":
-			opens++
-		case "closed":
-			closes++
-		}
-	}
-	// Deterministic cycle with one worker, threshold 2, probation 3 over 8
-	// tasks: open at task 0, re-admit after 3 completions, re-open on the
-	// next queued task, re-admit again, re-open once more.
-	if opens != 3 || closes != 2 {
-		t.Fatalf("breaker transitions: %d opens, %d closes, want 3 and 2 (events: %+v)",
-			opens, closes, mem.ByKind(obs.KindBreaker))
-	}
-	if v := reg.Counter(obs.MetricBrokerBreakerOpen).Value(); v != 3 {
-		t.Fatalf("%s = %d, want 3", obs.MetricBrokerBreakerOpen, v)
-	}
-}
-
-// stallAll stalls every dispatch, keeping workers busy so backpressure
-// and deadline behavior are observable.
-type stallAll struct{ d time.Duration }
-
-func (s stallAll) Crash(worker, task, dispatch int) bool          { return false }
-func (s stallAll) Stall(worker, task, dispatch int) time.Duration { return s.d }
-
-// TestShedPolicy submits concurrently against a saturated one-worker
-// broker under the Shed policy: overflow tasks run inline (counted as
-// shed), and every submission still completes with a valid result.
-func TestShedPolicy(t *testing.T) {
-	b := broker.New(broker.Options{
-		Workers:    1,
-		QueueDepth: 1,
-		Policy:     broker.Shed,
-		Faults:     stallAll{d: 30 * time.Millisecond},
-	})
-	defer b.Close()
-	reg := obs.NewRegistry()
-	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
-
-	p := newBowl()
-	c := space.Config{1, 2, 3, 4}
-	want := search.EvaluateFull(context.Background(), p, c.Clone())
-
-	const n = 4
-	outs := make([]search.Outcome, n)
-	done := make(chan int, n)
-	for i := 0; i < n; i++ {
-		i := i
-		go func() {
-			outs[i] = b.Evaluate(ctx, p, c.Clone())
-			done <- i
-		}()
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for i, out := range outs {
-		if out.RunTime != want.RunTime || out.Cost != want.Cost {
-			t.Fatalf("submission %d: outcome differs: got %+v want %+v", i, out, want)
-		}
-		if out.Degraded {
-			t.Fatalf("submission %d: shed execution must not be marked degraded: %+v", i, out)
-		}
-	}
-	if v := reg.Counter(obs.MetricBrokerShed).Value(); v < 1 {
-		t.Fatalf("%s = %d, want >= 1 with a saturated queue", obs.MetricBrokerShed, v)
-	}
-}
-
 // TestDeadlinePropagation pins that a context deadline cuts a brokered
 // evaluation short with an Interrupted outcome — it never blocks on a
-// stalled worker and never fabricates a record.
+// stalled dispatch and never fabricates a record.
 func TestDeadlinePropagation(t *testing.T) {
-	b := broker.New(broker.Options{
-		Workers: 1,
-		Faults:  stallAll{d: 500 * time.Millisecond},
-	})
+	b := broker.New(broker.Options{})
 	defer b.Close()
+	stop := serve(b, newBowl(), func(int, int) (bool, time.Duration) { return false, 500 * time.Millisecond })
+	defer stop()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
@@ -403,16 +382,75 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
+// TestDetachWhileQueuedDegradesInline pins the liveness recheck: a
+// task queued while a dispatcher was attached, but never pulled, is
+// claimed inline by its submitter once the dispatcher detaches — marked
+// Degraded, with the inline outcome.
+func TestDetachWhileQueuedDegradesInline(t *testing.T) {
+	b := broker.New(broker.Options{})
+	defer b.Close()
+	p := newBowl()
+	c := space.Config{1, 2, 3, 4}
+	want := search.EvaluateFull(context.Background(), p, c.Clone())
+
+	b.AttachDispatcher() // nobody pulls: the task waits in the queue
+	time.AfterFunc(20*time.Millisecond, b.DetachDispatcher)
+	got := b.Evaluate(context.Background(), p, c.Clone())
+	if got.RunTime != want.RunTime || got.Cost != want.Cost || !got.Degraded {
+		t.Fatalf("got %+v, want the inline outcome %+v marked degraded", got, want)
+	}
+}
+
+// TestRetriesExhaustedDegradeInline drives the retry pipeline to its
+// end: every dispatch fails, each failure re-dispatches with backoff
+// until the budget is spent, and the task then evaluates inline,
+// marked Degraded, with the inline result.
+func TestRetriesExhaustedDegradeInline(t *testing.T) {
+	b := broker.New(broker.Options{Retries: 2, Backoff: 50 * time.Microsecond})
+	defer b.Close()
+	p := newBowl()
+	stop := serve(b, p, func(int, int) (bool, time.Duration) { return true, 0 })
+	defer stop()
+	reg := obs.NewRegistry()
+	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
+
+	r := rng.New(5)
+	const tasks = 4
+	for i := 0; i < tasks; i++ {
+		c := p.Space().Random(r)
+		want := search.EvaluateFull(context.Background(), p, c.Clone())
+		got := b.Evaluate(ctx, p, c)
+		if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Status != want.Status {
+			t.Fatalf("task %d: outcome differs: got %+v want %+v", i, got, want)
+		}
+		if !got.Degraded {
+			t.Fatalf("task %d: expected degraded outcome with every dispatch failing, got %+v", i, got)
+		}
+	}
+	if v := reg.Counter(obs.MetricBrokerRetries).Value(); v != 2*tasks {
+		t.Fatalf("%s = %d, want %d (two re-dispatches per task)", obs.MetricBrokerRetries, v, 2*tasks)
+	}
+}
+
 // TestBrokerJournalReplay proves the journal layer composes with the
 // broker: a journaled brokered run (with in-flight tracking) matches
 // the plain inline search, and interrupted brokered runs resume
 // bit-identically.
 func TestBrokerJournalReplay(t *testing.T) {
 	const seed, nmax = 67, 30
-	b := chaosBroker(11)
-	defer b.Close()
 	trial := crashtest.Trial{
-		NewProblem: func() search.Problem { return b.Problem(newFaulty(seed)) },
+		// Each run gets a fresh problem instance, so each gets its own
+		// broker and dispatcher serving that instance.
+		NewProblem: func() search.Problem {
+			b := chaosBroker()
+			p := newFaulty(seed)
+			stop := serve(b, p, seededPlan(11, 0.2, 0.1, 5*time.Millisecond))
+			t.Cleanup(func() {
+				stop()
+				b.Close()
+			})
+			return b.Problem(p)
+		},
 		Plain: func(ctx context.Context) *search.Result {
 			return search.RS(ctx, newFaulty(seed), nmax, rng.New(seed))
 		},
@@ -426,21 +464,4 @@ func TestBrokerJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("brokered RS: %d interruption points resumed bit-identical", n)
-}
-
-// BenchmarkBrokerThroughput measures brokered evaluation throughput
-// with healthy workers (no faults), the baseline for BENCH_PR7.json.
-func BenchmarkBrokerThroughput(bm *testing.B) {
-	b := broker.New(broker.Options{Workers: 4})
-	defer b.Close()
-	p := newBowl()
-	c := space.Config{3, 7, 1, 5}
-	ctx := context.Background()
-	bm.ResetTimer()
-	for i := 0; i < bm.N; i++ {
-		out := b.Evaluate(ctx, p, c)
-		if out.Status != search.StatusOK {
-			bm.Fatalf("unexpected outcome %+v", out)
-		}
-	}
 }

@@ -1,34 +1,25 @@
-// Package chaostest is the randomized chaos harness for the evaluation
-// broker: each trial draws a random broker shape (worker count, queue
-// depth, policy, hedging, breaker settings) and random worker-fault
-// intensities (crash and stall rates whose kill points land at
-// randomized (worker, task, dispatch) triples), runs a full search
-// through it, and asserts two properties:
+// Package chaostest is the randomized chaos harness for the remote
+// worker transport: each trial draws a random lease and failure-detector
+// shape and random network-fault intensities (drops, delays, duplicates,
+// reorders, partitions, connection kills), runs a full search through
+// remote worker sessions, and asserts two properties:
 //
-//   - termination: the search finishes despite crashed, stalled, and
-//     quarantined workers (a watchdog converts a hang into a failure);
+//   - termination: the search finishes despite lost frames, dead
+//     sessions, and reclaimed leases (a watchdog converts a hang into a
+//     failure);
 //   - determinism: the result is bit-identical to the inline run —
 //     records, statuses, best, best-so-far — reusing the crashtest
 //     comparator.
 //
 // Trials are reproducible: every knob derives from named rng streams of
 // the campaign seed, so a failing trial replays exactly.
-
-//lint:file-ignore ctxflow chaos harness: each trial roots its own context to model an independent process lifetime
 package chaostest
 
 import (
-	"context"
-	"fmt"
 	"os"
-	"strconv"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/faults"
-	"repro/internal/journal/crashtest"
-	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/space"
 )
@@ -62,62 +53,16 @@ func (b *bowl) Evaluate(c space.Config) (float64, float64) {
 }
 
 // newFaulty layers evaluation faults and retry budgets over the bowl,
-// so chaos trials stress the broker and the resilience layer together.
+// so chaos trials stress the transport and the resilience layer
+// together.
 func newFaulty(seed uint64) search.Problem {
 	rates := faults.Rates{CompileFail: 0.08, Crash: 0.1, Hang: 0.05}
 	return search.NewResilient(faults.Wrap(newBowl(), rates, seed),
 		search.ResilientOptions{Retries: 2, Timeout: 120})
 }
 
-// Trial is one chaos configuration. Zero values are valid (the broker
-// applies its own defaults); Run fills nothing in.
-type Trial struct {
-	// Seed seeds the search, the evaluation faults, and the worker
-	// faults.
-	Seed uint64
-	// NMax is the search budget.
-	NMax int
-	// Broker shape.
-	Workers    int
-	QueueDepth int
-	Policy     broker.Policy
-	Retries    int
-	HedgeAfter time.Duration
-	Breaker    int
-	Probation  int
-	// Worker-fault intensities.
-	CrashRate float64
-	StallRate float64
-	StallFor  time.Duration
-}
-
-// RandomTrial derives trial i of a campaign from named rng streams, so
-// every knob is reproducible from (campaignSeed, i).
-func RandomTrial(campaignSeed uint64, i int) Trial {
-	r := rng.New(rng.Hash64(fmt.Sprintf("chaos|%d|%d", campaignSeed, i)))
-	t := Trial{
-		Seed:       campaignSeed + uint64(i)*1000,
-		NMax:       20 + r.Intn(16),
-		Workers:    1 + r.Intn(4),
-		QueueDepth: 1 + r.Intn(8),
-		Retries:    1 + r.Intn(3),
-		Breaker:    1 + r.Intn(3),
-		Probation:  1 + r.Intn(6),
-		CrashRate:  r.Float64() * 0.5,
-		StallRate:  r.Float64() * 0.3,
-		StallFor:   time.Duration(1+r.Intn(4)) * time.Millisecond,
-	}
-	if r.Float64() < 0.5 {
-		t.Policy = broker.Shed
-	}
-	if r.Float64() < 0.5 {
-		t.HedgeAfter = time.Duration(1+r.Intn(3)) * time.Millisecond
-	}
-	return t
-}
-
-// watchdogDefault bounds a chaos trial: a broker bug that deadlocks the
-// search must fail the trial, not hang the suite.
+// watchdogDefault bounds a chaos trial: a transport bug that deadlocks
+// the search must fail the trial, not hang the suite.
 const watchdogDefault = 60 * time.Second
 
 // WatchdogEnv names the environment variable that overrides the trial
@@ -134,52 +79,4 @@ func watchdogTimeout() time.Duration {
 		}
 	}
 	return watchdogDefault
-}
-
-// Run executes the trial: inline reference first, then the brokered run
-// under injected worker faults, asserting termination and bit-identical
-// results. The returned error describes the first violated property.
-func (t Trial) Run() error {
-	ref := search.RS(context.Background(), newFaulty(t.Seed), t.NMax, rng.New(t.Seed))
-
-	// The flight recorder is always on for the chaos run: it buffers the
-	// last-N events (spans included) in memory and is only persisted when
-	// the trial fails, so a red run always carries its narrative.
-	rec := obs.NewRecorder(0)
-	flight := "chaos-" + strconv.FormatUint(t.Seed, 10)
-	ctx := obs.WithTracer(context.Background(), obs.New(rec))
-	ctx = obs.WithTrace(ctx, obs.TraceContext{TraceID: flight, SpanID: obs.RootSpanID})
-
-	b := broker.New(broker.Options{
-		Workers:          t.Workers,
-		QueueDepth:       t.QueueDepth,
-		Policy:           t.Policy,
-		Retries:          t.Retries,
-		Backoff:          100 * time.Microsecond,
-		HedgeAfter:       t.HedgeAfter,
-		BreakerThreshold: t.Breaker,
-		Probation:        t.Probation,
-		Faults: broker.SeededFaults{
-			Seed:      int64(t.Seed),
-			CrashRate: t.CrashRate,
-			StallRate: t.StallRate,
-			StallFor:  t.StallFor,
-		},
-	})
-	defer b.Close()
-
-	done := make(chan *search.Result, 1)
-	go func() {
-		done <- search.RS(ctx, b.Problem(newFaulty(t.Seed)), t.NMax, rng.New(t.Seed))
-	}()
-	select {
-	case res := <-done:
-		if err := crashtest.Compare(ref, res); err != nil {
-			return flightFail(rec, flight, fmt.Errorf("chaos trial %+v: %w", t, err))
-		}
-		return nil
-	case <-time.After(watchdogTimeout()):
-		return flightFail(rec, flight,
-			fmt.Errorf("chaos trial %+v: search did not terminate within %v", t, watchdogTimeout()))
-	}
 }

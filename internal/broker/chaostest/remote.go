@@ -21,9 +21,9 @@ import (
 // RemoteTrial is one network-chaos configuration for the remote worker
 // transport: a full search served over loopback connections whose frames
 // are dropped, delayed, duplicated, reordered, and partitioned, with
-// optional connection kills mid-task. The asserted properties are the
-// same as the in-process trials — termination under a watchdog and a
-// result bit-identical to the inline run — plus exactly-once evaluation:
+// optional connection kills mid-task. The asserted properties are
+// termination under a watchdog and a result bit-identical to the inline
+// run (see the package comment), plus exactly-once evaluation:
 // workers share one problem instance and one EvalGuard, so any double
 // evaluation would advance the stateful fault injector twice and show up
 // as a result divergence.
@@ -91,7 +91,6 @@ func (t RemoteTrial) Run() error {
 	ref := search.RS(context.Background(), newFaulty(t.Seed), t.NMax, rng.New(t.Seed))
 
 	b := broker.New(broker.Options{
-		External: true,
 		// A deep retry budget: lease reclaims, dead sessions, and
 		// no-session windows re-dispatch rather than degrade inline, so
 		// the shared problem instance is only ever advanced through the

@@ -138,7 +138,7 @@ func matchFaults(seed int64) SeededNetFaults {
 // EvalGuard and one problem instance, so the exactly-once guard spans
 // sessions and the stateful fault injector advances once per logical
 // evaluation in submission order — the property that preserves CRN
-// bit-identity (see DESIGN §9).
+// bit-identity (see DESIGN §8).
 func TestRemoteMatchesInline(t *testing.T) {
 	const seed, nmax = 31, 40
 	type driveFunc func(ctx context.Context, p search.Problem) *search.Result
@@ -151,6 +151,12 @@ func TestRemoteMatchesInline(t *testing.T) {
 		}},
 		{"SA", func(ctx context.Context, p search.Problem) *search.Result {
 			return search.Drive(ctx, p, search.NewAnneal(p.Space(), rng.NewNamed(seed, "sa"), 0.9), nmax)
+		}},
+		{"GA", func(ctx context.Context, p search.Problem) *search.Result {
+			return search.Drive(ctx, p, search.NewGenetic(p.Space(), rng.NewNamed(seed, "ga"), 8, 0.2), nmax)
+		}},
+		{"PS", func(ctx context.Context, p search.Problem) *search.Result {
+			return search.Drive(ctx, p, search.NewPattern(p.Space(), rng.NewNamed(seed, "ps"), 4), nmax)
 		}},
 		{"RSp", func(ctx context.Context, p search.Problem) *search.Result {
 			return search.RSp(ctx, p, quadSurrogate{},
@@ -181,9 +187,8 @@ func TestRemoteMatchesInline(t *testing.T) {
 			gotCtx := obs.WithTracer(context.Background(), tr)
 
 			b := broker.New(broker.Options{
-				External: true,
-				Retries:  100, // lease reclaims re-dispatch; never degrade inline
-				Backoff:  100 * time.Microsecond,
+				Retries: 100, // lease reclaims re-dispatch; never degrade inline
+				Backoff: 100 * time.Microsecond,
 			})
 			pool := NewPool(b, PoolOptions{
 				LeaseTicks:     4,

@@ -26,8 +26,8 @@ type Action struct {
 
 // NetFaults plans per-frame transport faults. Plan must be a pure
 // function of (conn, frame) — no shared mutable state — so the same
-// logical frame always rolls the same fault regardless of scheduling,
-// the same purity contract as broker.Faults. Faults move or suppress
+// logical frame always rolls the same fault regardless of scheduling.
+// Faults move or suppress
 // frames; they never alter payloads, which is why they can relocate an
 // evaluation between workers but never change what it returns.
 type NetFaults interface {
@@ -36,7 +36,7 @@ type NetFaults interface {
 
 // SeededNetFaults derives fault decisions from named rng streams keyed
 // by (seed, conn, frame), the same substream discipline as
-// broker.SeededFaults. Rates are independent probabilities per frame;
+// internal/faults. Rates are independent probabilities per frame;
 // a partition is modeled as a deterministic contiguous window: when
 // frame n rolls a partition start, frames n..n+PartitionLen-1 on that
 // connection are all dropped — Plan stays pure because membership in a

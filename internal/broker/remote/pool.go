@@ -103,9 +103,8 @@ type Pool struct {
 	wg   sync.WaitGroup
 }
 
-// NewPool attaches an external dispatcher to b (which must have been
-// created with Options.External) and starts its dispatch and monitor
-// loops. Connect workers with AddConn (pre-established connections,
+// NewPool attaches itself to b as the dispatcher and starts its
+// dispatch and monitor loops. Connect workers with AddConn (pre-established connections,
 // e.g. loopback pipes) or Serve (a listener). Close the pool when done.
 func NewPool(b *broker.Broker, opt PoolOptions) *Pool {
 	opt = opt.withDefaults()

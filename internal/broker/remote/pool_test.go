@@ -53,9 +53,8 @@ func (p *blockingProblem) Evaluate(c space.Config) (float64, float64) {
 // Note broker.Options treats 0 as "default" — pass -1 for no retries.
 func externalBroker(retries int) *broker.Broker {
 	return broker.New(broker.Options{
-		External: true,
-		Retries:  retries,
-		Backoff:  100 * time.Microsecond,
+		Retries: retries,
+		Backoff: 100 * time.Microsecond,
 	})
 }
 
@@ -314,9 +313,9 @@ func TestPoolCloseBeforeBroker(t *testing.T) {
 	}
 }
 
-// BenchmarkRemoteDispatch measures loopback-transport dispatch against
-// the in-process shard path (BenchmarkBrokerThroughput): the cost of
-// JSON framing, heartbeats, and lease accounting per evaluation.
+// BenchmarkRemoteDispatch measures loopback-transport dispatch: the
+// cost of JSON framing, heartbeats, and lease accounting per
+// evaluation.
 func BenchmarkRemoteDispatch(bm *testing.B) {
 	b := externalBroker(2)
 	defer b.Close()

@@ -21,9 +21,8 @@ import (
 func remoteRun(t *testing.T, ctx context.Context, seed uint64, nmax int, workerTracer *obs.Tracer) *search.Result {
 	t.Helper()
 	b := broker.New(broker.Options{
-		External: true,
-		Retries:  100,
-		Backoff:  100 * time.Microsecond,
+		Retries: 100,
+		Backoff: 100 * time.Microsecond,
 	})
 	defer b.Close()
 	pool := NewPool(b, PoolOptions{

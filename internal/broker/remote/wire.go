@@ -1,6 +1,5 @@
 // Package remote is the broker's transport layer: it serves queued
-// evaluation tasks to worker processes over a net.Conn instead of
-// in-process shards, surviving the failure modes real networks add —
+// evaluation tasks to worker processes over a net.Conn, surviving the failure modes real networks add —
 // dead workers, partitions, duplicated and reordered frames — without
 // changing a single evaluation result.
 //
@@ -29,16 +28,15 @@
 //
 // The headline invariant extends the broker's: with every worker
 // session sharing one problem instance and one EvalGuard (the loopback
-// topology), remote == brokered == inline bit-identical Result under
-// active network faults (TestRemoteMatchesInline). Network faults are
+// topology), remote == inline bit-identical Result under active
+// network faults (TestRemoteMatchesInline). Network faults are
 // injected at deterministic (conn, frame) points and only move or
-// suppress frames — they never alter a payload — so like broker worker
-// faults they can move an evaluation between workers, never change
-// what it returns. Separate worker processes (cmd/brokerd) necessarily
+// suppress frames — they never alter a payload — so they can move an
+// evaluation between workers, never change what it returns. Separate worker processes (cmd/brokerd) necessarily
 // hold their own problem instances; for stateful fault-injecting
 // problems the guard's exactly-once window is then per-process, and
 // bit-identity holds for searches that never revisit a configuration
-// (or for pure problems) — see DESIGN.md §9.
+// (or for pure problems) — see DESIGN.md §8.
 package remote
 
 import (
@@ -97,8 +95,8 @@ type TaskPayload struct {
 	Problem string `json:"problem"`
 	// Config is the candidate's level vector.
 	Config []int `json:"config"`
-	// Attempt is the dispatch ordinal (1-based), keying deterministic
-	// fault rolls exactly like the in-process shards' dispatch counter.
+	// Attempt is the dispatch ordinal (1-based, broker.Task.BeginDispatch),
+	// keying deterministic fault rolls.
 	Attempt int `json:"attempt"`
 	// RemainingNS propagates the submission context's deadline as a
 	// remaining duration — never an absolute time, so clock skew between

@@ -9,15 +9,13 @@ import (
 	"repro/internal/space"
 )
 
-// Task is the external dispatcher's handle on one queued evaluation
-// (external mode, see Options.External). The dispatcher pulls tasks
-// with NextTask, ships them to remote workers, and settles each one
-// through exactly one of Complete, Fail, or RunInline. The handle
-// shares the underlying claim guard with the broker's own inline
-// fallbacks, so duplicate deliveries, lease reclaims, and inline
-// degradation all race for a single claim: the underlying problem's
-// outcome is recorded exactly once per submission no matter how many
-// copies return.
+// Task is the dispatcher's handle on one queued evaluation. The
+// dispatcher pulls tasks with NextTask, ships them to remote workers,
+// and settles each one through Complete or Fail. The handle shares the
+// underlying claim guard with the broker's own inline fallbacks, so
+// duplicate deliveries, lease reclaims, and inline degradation all race
+// for a single claim: the underlying problem's outcome is recorded
+// exactly once per submission no matter how many copies return.
 type Task struct {
 	b *Broker
 	t *task
@@ -76,8 +74,7 @@ func (h *Task) Settled() bool {
 }
 
 // BeginDispatch records one dispatch attempt and returns its ordinal
-// (1-based). The ordinal keys deterministic fault rolls, exactly like
-// the in-process shards' (worker, task, dispatch) triples.
+// (1-based). The ordinal keys deterministic fault rolls.
 func (h *Task) BeginDispatch() int { return int(h.t.dispatches.Add(1)) }
 
 // Tracer is the submission's tracer; dispatcher events about this task
@@ -90,19 +87,21 @@ func (h *Task) Tracer() *obs.Tracer { return h.t.tr }
 // far side.
 func (h *Task) Trace() obs.TraceContext { return h.t.trace }
 
-// Attempt is the latest dispatch ordinal recorded by BeginDispatch.
-func (h *Task) Attempt() int { return int(h.t.dispatches.Load()) }
-
 // Complete settles the task with a remotely produced outcome. It
 // reports whether this outcome won the claim: false means another copy
 // (a duplicate delivery, a reclaimed lease's re-dispatch, or an inline
 // fallback) already settled the task and out was discarded — the
-// caller should charge the loss to telemetry, never to the result.
+// caller should charge the loss to telemetry, never to the result. A
+// losing copy of a hedged task is the hedge's wasted half, and is
+// charged here as one hedge-wasted event.
 func (h *Task) Complete(out search.Outcome) bool {
 	t := h.t
 	t.mu.Lock()
 	if t.claimed {
 		t.mu.Unlock()
+		if t.hedged.Load() {
+			t.tr.Hedge(h.b.opt.Label, t.seq, true)
+		}
 		return false
 	}
 	t.claimed = true
@@ -110,9 +109,6 @@ func (h *Task) Complete(out search.Outcome) bool {
 	t.finished = true
 	t.mu.Unlock()
 	close(t.done)
-	if !out.Interrupted() {
-		h.b.taskCompleted(-1, t.tr)
-	}
 	return true
 }
 
@@ -121,9 +117,3 @@ func (h *Task) Complete(out search.Outcome) bool {
 // budget remains, else degrade to inline execution. reason labels the
 // retry in telemetry.
 func (h *Task) Fail(reason string) { h.b.redispatch(h.t, reason) }
-
-// RunInline evaluates the task on the calling goroutine through the
-// claim guard — the dispatcher's own graceful-degradation path when no
-// healthy worker exists. degraded marks the outcome as a failure-path
-// fallback.
-func (h *Task) RunInline(degraded bool) { h.t.execute(h.b, -1, degraded) }

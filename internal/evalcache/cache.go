@@ -22,7 +22,7 @@
 // that shapes an outcome (problem identity plus the evaluator
 // settings: fault rates, injector seed, retry and timeout budgets), so
 // two evaluations with equal keys are bit-identical by construction
-// and serving one from memory cannot perturb a search. DESIGN.md §12
+// and serving one from memory cannot perturb a search. DESIGN.md §11
 // gives the full argument, including why the common-random-numbers
 // invariants survive.
 package evalcache

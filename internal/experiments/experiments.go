@@ -53,20 +53,17 @@ type Config struct {
 	// rng streams derived from its own seed, so parallel output is
 	// bit-identical to serial output (asserted by TestParallelMatchesSerial).
 	Workers int
-	// BrokerWorkers > 0 routes every evaluation through one shared
-	// fault-tolerant broker with that many worker shards. Reports are
-	// broker-invariant for the same reason they are workers-invariant:
-	// the broker moves evaluations between workers without changing what
-	// they return (asserted by TestBrokerMatchesDirect).
-	BrokerWorkers int
-	// BrokerHedgeAfter enables hedged re-dispatch of straggling
-	// evaluations after this delay (0 disables; needs BrokerWorkers > 0).
-	BrokerHedgeAfter time.Duration
-	// RemoteWorkersAddr, when non-empty, serves every evaluation to
-	// remote worker processes (cmd/brokerd) listening on this address
-	// (unix:/path or [tcp:]host:port) instead of in-process shards.
-	// Mutually exclusive with BrokerWorkers.
+	// RemoteWorkersAddr, when non-empty, serves every evaluation through
+	// one shared broker to remote worker processes (cmd/brokerd)
+	// connecting at this address (unix:/path or [tcp:]host:port). Reports
+	// are broker-invariant for the same reason they are
+	// workers-invariant: the broker moves evaluations between processes
+	// without changing what they return (asserted by
+	// TestBrokerMatchesDirect).
 	RemoteWorkersAddr string
+	// BrokerHedgeAfter enables hedged re-dispatch of straggling remote
+	// evaluations after this delay (0 disables; needs RemoteWorkersAddr).
+	BrokerHedgeAfter time.Duration
 }
 
 // WithDefaults fills unset fields with the paper's settings.
@@ -166,9 +163,8 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 	cfg = cfg.WithDefaults()
 	// One broker serves every cell of the experiment; problemFor wraps
 	// each problem it builds with whatever broker rides the context.
-	switch {
-	case cfg.RemoteWorkersAddr != "":
-		b := broker.New(broker.Options{External: true, HedgeAfter: cfg.BrokerHedgeAfter})
+	if cfg.RemoteWorkersAddr != "" {
+		b := broker.New(broker.Options{HedgeAfter: cfg.BrokerHedgeAfter})
 		defer b.Close()
 		ln, err := remote.Listen(cfg.RemoteWorkersAddr)
 		if err != nil {
@@ -177,10 +173,6 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 		pool := remote.NewPool(b, remote.PoolOptions{})
 		defer pool.Close()
 		pool.Serve(ln)
-		ctx = broker.Into(ctx, b)
-	case cfg.BrokerWorkers > 0:
-		b := broker.New(broker.Options{Workers: cfg.BrokerWorkers, HedgeAfter: cfg.BrokerHedgeAfter})
-		defer b.Close()
 		ctx = broker.Into(ctx, b)
 	}
 	rep, err := e.run(ctx, cfg)
@@ -200,8 +192,9 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 // problemFor builds the search problem for a named workload on a machine.
 // Kernels run under the given compiler and thread count; the mini-apps
 // (HPL, RT) are compiler-independent at this level, as in the paper's
-// OpenTuner setup. When a broker rides the context (Config.BrokerWorkers
-// > 0), the problem is wrapped so its evaluations run through it.
+// OpenTuner setup. When a broker rides the context
+// (Config.RemoteWorkersAddr), the problem is wrapped so its evaluations
+// run through it.
 func problemFor(ctx context.Context, name string, m machine.Machine, comp machine.Compiler, threads int) (search.Problem, error) {
 	// The OpenMP-based experiments (Figure 5, Table V) hold the pragmas
 	// fixed outside the search.

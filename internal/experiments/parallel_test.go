@@ -4,10 +4,18 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/broker/remote"
 	"repro/internal/obs"
+	"repro/internal/search"
+	"repro/internal/spec"
 )
 
 // stripWallTime reduces a metrics snapshot to its schedule-independent
@@ -137,14 +145,15 @@ func TestRunCellsReplaysEventsInInputOrder(t *testing.T) {
 	}
 }
 
-// stripBroker drops broker.* metric lines from a snapshot: the broker
-// adds its own queue/dispatch telemetry, which a direct run does not
-// have, and whose depth/retry statistics are scheduling-dependent.
-// Everything else must match a direct run exactly.
+// stripBroker drops the broker's own metric lines from a snapshot: the
+// broker.* queue/dispatch/lease telemetry, which a direct run does not
+// have, and the inline-degradation count (tasks submitted before a
+// worker connected run inline). Both are scheduling-dependent by
+// contract. Everything else must match a direct run exactly.
 func stripBroker(snapshot string) string {
 	var b strings.Builder
 	for _, line := range strings.Split(snapshot, "\n") {
-		if strings.Contains(line, "broker.") {
+		if strings.Contains(line, "broker.") || strings.Contains(line, obs.MetricDegraded) {
 			continue
 		}
 		b.WriteString(line)
@@ -153,30 +162,109 @@ func stripBroker(snapshot string) string {
 	return b.String()
 }
 
+// resolveByName is the test's remote-worker resolver: it rebuilds any
+// problem problemFor can build from its wire name
+// ("LU@Sandybridge/gnu-4.4.7/t1", "MM@XeonPhi/intel-15.0.1/t60+omp",
+// "HPL@Power7") and caches one instance per name.
+func resolveByName() remote.Resolver {
+	var mu sync.Mutex
+	cache := map[string]search.Problem{}
+	return func(name string) (search.Problem, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if p, ok := cache[name]; ok {
+			return p, nil
+		}
+		base, target, _ := strings.Cut(name, "@")
+		target, omp := strings.CutSuffix(target, "+omp")
+		s := spec.Spec{Problem: base, ForceOMP: omp}
+		parts := strings.Split(target, "/")
+		s.Machine = parts[0]
+		if len(parts) == 3 {
+			s.Compiler = parts[1]
+			if _, err := fmt.Sscanf(parts[2], "t%d", &s.Threads); err != nil {
+				return nil, fmt.Errorf("problem %q: threads: %w", name, err)
+			}
+		}
+		p, err := s.Base()
+		if err != nil {
+			return nil, err
+		}
+		if p.Name() != name {
+			return nil, fmt.Errorf("resolved %q as %q", name, p.Name())
+		}
+		cache[name] = p
+		return p, nil
+	}
+}
+
+// serveWorkers connects n remote worker sessions to the pool that will
+// listen at addr, redialing until it is up, and returns a stop function
+// that disconnects them and waits for them to exit.
+func serveWorkers(addr string, n int) (stop func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	resolve := resolveByName()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		w := &remote.Worker{
+			Resolve:     resolve,
+			Label:       fmt.Sprintf("w%d", i),
+			Backoff:     time.Millisecond,
+			BackoffCap:  5 * time.Millisecond,
+			MaxAttempts: 1 << 20, // the pool listens only once the experiment starts
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = w.Run(ctx, func(ctx context.Context) (net.Conn, error) { return remote.Dial(ctx, addr) })
+		}()
+	}
+	return func() {
+		cancel()
+		wg.Wait()
+	}
+}
+
 // TestBrokerMatchesDirect is the broker counterpart of
-// TestParallelMatchesSerial: for every experiment, routing evaluations
-// through the fault-tolerant broker produces output bit-identical to
-// evaluating inline — same report text, tables, named values, and the
-// same search telemetry (the broker contributes only its own broker.*
-// queue metrics on top).
+// TestParallelMatchesSerial: for every experiment, serving evaluations
+// to remote worker sessions (Config.RemoteWorkersAddr, a unix socket
+// with in-test workers) produces output bit-identical to evaluating
+// inline — same report text, tables, named values, and the same search
+// telemetry (the broker contributes only its own broker.* queue and
+// lease metrics on top).
 func TestBrokerMatchesDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	cfg := Config{Seed: 9, NMax: 12, PoolSize: 200, Trees: 10, CorrelationSamples: 30}
+	// Runs after every parallel subtest: the experiments that build
+	// their problems through problemFor must have reached the workers.
+	var leased atomic.Bool
+	t.Cleanup(func() {
+		if !leased.Load() {
+			t.Error("no remote lease granted in any experiment; the remote path was not exercised")
+		}
+	})
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
 			direct, brokered := cfg, cfg
-			brokered.BrokerWorkers = 3
+			brokered.RemoteWorkersAddr = "unix:" + filepath.Join(t.TempDir(), "w.sock")
 			want, err := Run(context.Background(), id, direct)
 			if err != nil {
 				t.Fatal(err)
 			}
+			stop := serveWorkers(brokered.RemoteWorkersAddr, 2)
 			got, err := Run(context.Background(), id, brokered)
+			stop()
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, line := range strings.Split(got.Metrics, "\n") {
+				if f := strings.Fields(line); len(f) == 2 && f[0] == obs.MetricRemoteLeases {
+					leased.Store(true)
+				}
 			}
 			if got.Text != want.Text {
 				t.Errorf("report text differs between brokered and direct:\n--- direct ---\n%s\n--- brokered ---\n%s",

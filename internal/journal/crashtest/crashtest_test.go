@@ -22,14 +22,12 @@ import (
 
 // TestMain doubles as the SIGKILL child: when re-exec'd with
 // CRASHTEST_CHILD_DIR set, it runs a deliberately slow journaled search
-// until the parent kills it. CRASHTEST_CHILD_BROKER=1 routes the
-// child's evaluations through the fault-injecting broker, exercising
-// the brokered journal path (in-flight markers included).
+// until the parent kills it. CRASHTEST_CHILD_REMOTE=1 serves the
+// child's evaluations to a loopback remote worker under network faults,
+// exercising the remote journal path (in-flight markers included).
 func TestMain(m *testing.M) {
 	if dir := os.Getenv("CRASHTEST_CHILD_DIR"); dir != "" {
 		switch {
-		case os.Getenv("CRASHTEST_CHILD_BROKER") == "1":
-			brokerChildMain(dir)
 		case os.Getenv("CRASHTEST_CHILD_REMOTE") == "1":
 			remoteChildMain(dir)
 		default:
@@ -189,30 +187,6 @@ func childMain(dir string) {
 	}
 }
 
-// brokerChildMain is the broker-path SIGKILL child: the same slow
-// journaled search, but every evaluation goes through a small broker
-// with crash/stall worker faults, and in-flight work is journaled.
-// The parent resumes the journal WITHOUT a broker, proving brokered
-// journal state is interchangeable with inline state.
-func brokerChildMain(dir string) {
-	b := broker.New(broker.Options{
-		Workers:          2,
-		Retries:          2,
-		Backoff:          100 * time.Microsecond,
-		BreakerThreshold: 2,
-		Probation:        4,
-		Faults:           broker.SeededFaults{Seed: sigkillSeed, CrashRate: 0.1, StallRate: 0.1, StallFor: time.Millisecond},
-	})
-	defer b.Close()
-	_, _, err := journal.RunRS(context.Background(), dir, b.Problem(slowBowl{newBowl()}),
-		sigkillNMax, sigkillSeed, nil,
-		journal.WrapOptions{CheckpointEvery: 3, TrackInFlight: true})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crashtest broker child:", err)
-		os.Exit(1)
-	}
-}
-
 // remoteChildMain is the remote-transport SIGKILL child: the same slow
 // journaled search, but every evaluation travels the wire to a loopback
 // remote worker session under injected network faults, with in-flight
@@ -221,9 +195,8 @@ func brokerChildMain(dir string) {
 // state.
 func remoteChildMain(dir string) {
 	b := broker.New(broker.Options{
-		External: true,
-		Retries:  100,
-		Backoff:  100 * time.Microsecond,
+		Retries: 100,
+		Backoff: 100 * time.Microsecond,
 	})
 	defer b.Close()
 	pool := remote.NewPool(b, remote.PoolOptions{
@@ -346,55 +319,6 @@ func TestSIGKILLRemoteResume(t *testing.T) {
 		s.Close()
 	}
 	t.Logf("remote child SIGKILLed with %d durable entries (in-flight marker: %v)", survivors, inflight)
-
-	ref := search.RS(context.Background(), newBowl(), sigkillNMax, rng.New(sigkillSeed))
-	got, info, err := journal.RunRS(context.Background(), dir, newBowl(),
-		sigkillNMax, sigkillSeed, nil, journal.WrapOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Done {
-		t.Fatalf("resume did not complete: %+v", info)
-	}
-	if err := Compare(ref, got); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSIGKILLBrokerResume kills -9 a child whose evaluations run
-// through the fault-injecting broker with in-flight journaling, then
-// resumes the journal inline (no broker). The resumed result must match
-// the plain reference exactly: brokered execution, worker crashes, and
-// the kill itself leave no trace in the recovered state.
-func TestSIGKILLBrokerResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-exec trial skipped in -short mode")
-	}
-	dir := filepath.Join(t.TempDir(), "journal")
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(),
-		"CRASHTEST_CHILD_DIR="+dir, "CRASHTEST_CHILD_BROKER=1")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(120 * time.Millisecond)
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	_ = cmd.Wait()
-
-	survivors, inflight := 0, false
-	if journal.Exists(dir) {
-		s, err := journal.Open(dir)
-		if err != nil {
-			t.Fatalf("journal unrecoverable after SIGKILL: %v", err)
-		}
-		survivors = s.Len()
-		_, inflight = s.InFlight()
-		s.Close()
-	}
-	t.Logf("broker child SIGKILLed with %d durable entries (in-flight marker: %v)", survivors, inflight)
 
 	ref := search.RS(context.Background(), newBowl(), sigkillNMax, rng.New(sigkillSeed))
 	got, info, err := journal.RunRS(context.Background(), dir, newBowl(),

@@ -248,8 +248,6 @@ const (
 	MetricBrokerRetries     = "broker.retries"
 	MetricBrokerHedges      = "broker.hedges"
 	MetricBrokerHedgeWasted = "broker.hedge-wasted"
-	MetricBrokerBreakerOpen = "broker.breaker-opens"
-	MetricBrokerShed        = "broker.shed"
 
 	// Remote-worker metrics (internal/broker/remote). Like the broker.*
 	// family these describe transport scheduling and failure recovery,
@@ -351,9 +349,6 @@ func (m *MetricsSink) Emit(e Event) {
 		m.reg.Counter(MetricBrokerSubmits).Inc()
 		m.reg.Histogram(MetricBrokerDepth,
 			[]float64{0, 1, 2, 4, 8, 16, 32, 64}).Observe(float64(e.N))
-		if e.Detail == "shed" {
-			m.reg.Counter(MetricBrokerShed).Inc()
-		}
 	case KindBrokerRetry:
 		m.reg.Counter(MetricBrokerRetries).Inc()
 	case KindHedge:
@@ -361,10 +356,6 @@ func (m *MetricsSink) Emit(e Event) {
 			m.reg.Counter(MetricBrokerHedgeWasted).Inc()
 		} else {
 			m.reg.Counter(MetricBrokerHedges).Inc()
-		}
-	case KindBreaker:
-		if e.Detail == "open" {
-			m.reg.Counter(MetricBrokerBreakerOpen).Inc()
 		}
 	case KindRemoteWorker:
 		switch e.Detail {

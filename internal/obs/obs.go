@@ -85,12 +85,11 @@ const (
 	// corrected (e.g. an out-of-range parameter replaced by its default).
 	KindWarning
 	// KindEnqueue is one task submitted to the evaluation broker: Seq is
-	// the task sequence number, N the queue depth observed at submission,
-	// Detail "shed" when the backpressure policy rejected the enqueue and
-	// the task ran inline instead. Queue depth is scheduling-dependent
-	// (like KindWorkerTask): it describes the harness, never the result.
+	// the task sequence number, N the queue depth observed at submission.
+	// Queue depth is scheduling-dependent (like KindWorkerTask): it
+	// describes the harness, never the result.
 	KindEnqueue
-	// KindBrokerRetry is one broker-level re-dispatch after a worker
+	// KindBrokerRetry is one broker-level re-dispatch after a dispatch
 	// failure: Seq is the task, N the dispatch attempt, Cost the backoff
 	// wall pause in seconds. Broker retries are worker-fault recovery —
 	// distinct from KindRetry, which charges the simulated search clock.
@@ -101,9 +100,9 @@ const (
 	// Hedge events depend on wall-clock straggler detection and are
 	// scheduling-dependent, like KindWorkerTask.
 	KindHedge
-	// KindBreaker is one circuit-breaker transition: N is the worker,
-	// Detail "open" (quarantined) or "closed" (re-admitted after its
-	// task-count probation window).
+	// KindBreaker was one in-process worker's circuit-breaker transition.
+	// No current code emits it; the kind keeps its name so traces
+	// written by earlier builds still parse.
 	KindBreaker
 	// KindRemoteWorker is one remote worker session transition: N is the
 	// session id, Detail "connected", "closed" (graceful bye), or "dead"
@@ -241,7 +240,8 @@ type Event struct {
 	Trace  string `json:"trace,omitempty"`
 	Span   uint64 `json:"span,omitempty"`
 	Parent uint64 `json:"parent,omitempty"`
-	// Worker labels the process/shard that executed the span's stage.
+	// Worker labels the process that executed the span's stage ("inline"
+	// for the coordinator itself).
 	Worker string `json:"worker,omitempty"`
 	// Wall is the event's wall-clock completion timestamp in unix
 	// nanoseconds, stamped inside Tracer.Span — never by callers — so
@@ -602,17 +602,15 @@ func (t *Tracer) Degraded(detail string) {
 
 // Enqueue records one task submitted to the evaluation broker: seq is
 // the task sequence, depth the queue depth observed at submission.
-// detail is "" for an accepted enqueue, "shed" when backpressure
-// rejected it and the task ran inline.
-func (t *Tracer) Enqueue(label string, seq, depth int, detail string) {
+func (t *Tracer) Enqueue(label string, seq, depth int) {
 	if !t.Enabled() {
 		return
 	}
-	t.sink.Emit(Event{Kind: KindEnqueue, Seq: seq, Algo: label, N: depth, Detail: detail})
+	t.sink.Emit(Event{Kind: KindEnqueue, Seq: seq, Algo: label, N: depth})
 }
 
 // BrokerRetry records one broker-level re-dispatch of task seq after a
-// worker failure: attempt is the dispatch attempt, backoff the wall
+// dispatch failure: attempt is the dispatch attempt, backoff the wall
 // pause (seconds) before re-enqueue.
 func (t *Tracer) BrokerRetry(label string, seq, attempt int, backoff float64, detail string) {
 	if !t.Enabled() {
@@ -635,15 +633,6 @@ func (t *Tracer) Hedge(label string, seq int, wasted bool) {
 		e.Detail = "wasted"
 	}
 	t.sink.Emit(e)
-}
-
-// Breaker records a circuit-breaker transition for the given worker:
-// state is "open" (quarantined) or "closed" (re-admitted).
-func (t *Tracer) Breaker(label string, worker int, state string) {
-	if !t.Enabled() {
-		return
-	}
-	t.sink.Emit(Event{Kind: KindBreaker, Seq: -1, Algo: label, N: worker, Detail: state})
 }
 
 // RemoteWorker records a remote worker session transition: state is

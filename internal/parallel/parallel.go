@@ -221,63 +221,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// ---------------------------------------------------------------------------
-// Supervised long-lived workers.
-//
-// ForEach/Map/Do run short-lived pools over a known item count. Group is
-// the complement for long-lived worker shards (the evaluation broker):
-// each worker runs an open-ended loop until its host shuts it down, and
-// a panic inside a worker is contained to that worker's failure domain —
-// the supervisor decides whether to respawn the loop or let the worker
-// die, instead of the panic tearing down the whole process.
-
-// Group supervises a set of long-lived worker goroutines. Each worker is
-// a loop function spawned with Spawn; if the loop panics, the group's
-// onPanic handler is consulted: returning true respawns the same loop
-// (the worker survives its own crash), returning false retires the
-// worker permanently. Panics with no handler propagate.
-type Group struct {
-	wg      sync.WaitGroup
-	onPanic func(id int, v any) bool
-}
-
-// NewGroup returns a supervisor whose panic handler decides, per crash,
-// whether the panicking worker's loop is respawned (true) or retired
-// (false). A nil handler re-panics, preserving ordinary crash semantics.
-func NewGroup(onPanic func(id int, v any) bool) *Group {
-	return &Group{onPanic: onPanic}
-}
-
-// Spawn starts worker id running loop on its own goroutine. loop is
-// expected to block until the host signals shutdown (e.g. by closing a
-// channel it selects on) and then return; returning retires the worker
-// normally.
-func (g *Group) Spawn(id int, loop func()) {
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		for g.runOne(id, loop) {
-		}
-	}()
-}
-
-// runOne runs one incarnation of the loop and reports whether it should
-// be respawned after a recovered panic.
-func (g *Group) runOne(id int, loop func()) (respawn bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			if g.onPanic == nil {
-				panic(v)
-			}
-			respawn = g.onPanic(id, v)
-		}
-	}()
-	loop()
-	return false
-}
-
-// Wait blocks until every spawned worker has retired (returned without a
-// respawn). The host must make the loops return — typically by closing
-// the shutdown channel they select on — before calling Wait.
-func (g *Group) Wait() { g.wg.Wait() }

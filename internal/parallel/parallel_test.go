@@ -222,67 +222,3 @@ func TestZeroItems(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestGroupRespawn: a supervised goroutine that panics is respawned as
-// long as the handler asks for it, and retires when the handler
-// declines — here after the third crash.
-func TestGroupRespawn(t *testing.T) {
-	var runs, panics atomic.Int32
-	g := NewGroup(func(id int, v any) bool {
-		if id != 7 {
-			t.Errorf("handler saw id %d, want 7", id)
-		}
-		if v != "boom" {
-			t.Errorf("handler saw panic value %v, want boom", v)
-		}
-		return panics.Add(1) < 3
-	})
-	g.Spawn(7, func() {
-		runs.Add(1)
-		panic("boom")
-	})
-	g.Wait()
-	if runs.Load() != 3 || panics.Load() != 3 {
-		t.Fatalf("got %d runs, %d panics; want 3, 3", runs.Load(), panics.Load())
-	}
-}
-
-// TestGroupNormalReturn: a loop that returns normally is not respawned,
-// and the panic handler never fires.
-func TestGroupNormalReturn(t *testing.T) {
-	var runs atomic.Int32
-	g := NewGroup(func(id int, v any) bool {
-		t.Errorf("handler fired for a normal return: id=%d v=%v", id, v)
-		return false
-	})
-	g.Spawn(0, func() { runs.Add(1) })
-	g.Wait()
-	if runs.Load() != 1 {
-		t.Fatalf("loop ran %d times, want 1", runs.Load())
-	}
-}
-
-// TestGroupManyWorkers: Wait joins every spawned worker, including ones
-// respawned mid-flight.
-func TestGroupManyWorkers(t *testing.T) {
-	var runs atomic.Int32
-	var once sync.Map
-	g := NewGroup(func(id int, v any) bool {
-		_, crashedBefore := once.LoadOrStore(id, true)
-		return !crashedBefore
-	})
-	for w := 0; w < 8; w++ {
-		w := w
-		g.Spawn(w, func() {
-			if runs.Add(1); w%2 == 0 {
-				panic(fmt.Sprintf("worker %d", w))
-			}
-		})
-	}
-	g.Wait()
-	// Odd workers run once; even workers crash, respawn once, crash
-	// again, and retire: 4 + 4*2 = 12 runs.
-	if runs.Load() != 12 {
-		t.Fatalf("got %d runs, want 12", runs.Load())
-	}
-}

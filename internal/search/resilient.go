@@ -84,7 +84,7 @@ type Outcome struct {
 	Err error
 	// Degraded marks an outcome produced through a graceful-degradation
 	// path (e.g. the evaluation broker falling back to inline execution
-	// after quarantining every worker). The measurement itself is
+	// when no remote worker can take the task). The measurement itself is
 	// untouched — degradation changes where the evaluation ran, never
 	// what it returned — so Records deliberately do not carry the flag
 	// and degraded runs stay bit-identical to healthy ones.

@@ -8,9 +8,9 @@
 // (internal/evalcache) keyed by evaluation scope, so identical work —
 // within a session, across sessions, or across restarts (journals are
 // ingested into the cache at startup) — is never re-evaluated. A
-// bounded runner pool (internal/parallel.Group) caps cross-session
-// concurrency, and internal/obs provides per-session traces plus a
-// shared metrics registry.
+// bounded pool of runner goroutines caps cross-session concurrency,
+// and internal/obs provides per-session traces plus a shared metrics
+// registry.
 package service
 
 import (
@@ -25,11 +25,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/evalcache"
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/search"
 	"repro/internal/spec"
 )
@@ -43,11 +41,6 @@ type Options struct {
 	// QueueDepth bounds how many accepted sessions can wait for a runner
 	// (default 64); past it, submissions are refused with ErrBusy.
 	QueueDepth int
-	// Broker, when true, routes every real evaluation through the
-	// fault-tolerant in-process broker (shared across sessions), with
-	// BrokerWorkers shards (0 = broker default). Results-invariant.
-	Broker        bool
-	BrokerWorkers int
 	// TraceSessions writes a per-session JSONL event trace to
 	// <session>/trace.jsonl.
 	TraceSessions bool
@@ -70,7 +63,6 @@ type Server struct {
 	ctx   context.Context
 	cache *evalcache.Cache
 	reg   *obs.Registry
-	b     *broker.Broker
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -78,8 +70,8 @@ type Server struct {
 	nextID   int
 	closed   bool
 
-	queue chan *session
-	group *parallel.Group
+	queue   chan *session
+	runners sync.WaitGroup
 }
 
 // New builds a Server rooted at opts.Root, recovers every persisted
@@ -115,19 +107,16 @@ func New(ctx context.Context, opts Options) (*Server, error) {
 		sessions: make(map[string]*session),
 		nextID:   1,
 		queue:    make(chan *session, opts.QueueDepth),
-		group:    parallel.NewGroup(nil),
-	}
-	if opts.Broker || opts.BrokerWorkers > 0 {
-		srv.b = broker.New(broker.Options{Workers: opts.BrokerWorkers})
 	}
 	if err := srv.recover(); err != nil {
-		if srv.b != nil {
-			srv.b.Close()
-		}
 		return nil, err
 	}
+	srv.runners.Add(opts.MaxSessions)
 	for i := 0; i < opts.MaxSessions; i++ {
-		srv.group.Spawn(i, srv.runLoop)
+		go func() {
+			defer srv.runners.Done()
+			srv.runLoop()
+		}()
 	}
 	return srv, nil
 }
@@ -443,10 +432,7 @@ func (srv *Server) Close() {
 	srv.closed = true
 	srv.mu.Unlock()
 	close(srv.queue)
-	srv.group.Wait()
-	if srv.b != nil {
-		srv.b.Close()
-	}
+	srv.runners.Wait()
 }
 
 // runLoop is one runner worker: it executes queued sessions until the
@@ -466,7 +452,7 @@ func (srv *Server) runLoop() {
 }
 
 // runSession drives one session through the full stack:
-// journal(cache(throttle(broker(resilient(faults(base)))))).
+// journal(cache(throttle(resilient(faults(base))))).
 func (srv *Server) runSession(s *session) {
 	s.mu.Lock()
 	if s.cancelled || s.state == StateCancelled {
@@ -484,10 +470,6 @@ func (srv *Server) runSession(s *session) {
 		s.errMsg = err.Error()
 		s.mu.Unlock()
 		return
-	}
-	brokered := srv.b != nil
-	if brokered {
-		p = srv.b.Problem(p)
 	}
 	if s.req.ThrottleMS > 0 {
 		p = spec.Throttled{Problem: p, Wait: time.Duration(s.req.ThrottleMS) * time.Millisecond}
@@ -520,7 +502,7 @@ func (srv *Server) runSession(s *session) {
 	})
 
 	srv.opts.Logf("session %s: running", s.id)
-	res, info, err := srv.runJournaled(ctx, s, cp, brokered)
+	res, info, err := srv.runJournaled(ctx, s, cp)
 	if traceSink != nil {
 		if cerr := traceSink.Close(); cerr != nil {
 			srv.opts.Logf("session %s: trace close: %v", s.id, cerr)
@@ -555,12 +537,11 @@ func (srv *Server) runSession(s *session) {
 
 // runJournaled runs the session's search through its crash-safe
 // journal, creating it or resuming bit-exactly from what it holds.
-func (srv *Server) runJournaled(ctx context.Context, s *session, p search.Problem, brokered bool) (
+func (srv *Server) runJournaled(ctx context.Context, s *session, p search.Problem) (
 	*search.Result, *journal.RunInfo, error) {
 
 	var pulls map[string]int
-	wopt := journal.WrapOptions{TrackInFlight: brokered}
-	res, info, err := s.req.Spec().RunJournaled(ctx, s.journalDir(), p, wopt, &pulls)
+	res, info, err := s.req.Spec().RunJournaled(ctx, s.journalDir(), p, journal.WrapOptions{}, &pulls)
 	if err == nil && pulls != nil {
 		s.mu.Lock()
 		s.pulls = pulls

@@ -199,7 +199,7 @@ func (s Spec) Build() (search.Problem, *faults.Injector, error) {
 // search algorithm, budget, or (when no faults are injected) seed share
 // a scope — their evaluations are interchangeable by construction,
 // which is what lets a cache warmed by one session serve another. See
-// DESIGN.md §12.
+// DESIGN.md §11.
 func (s Spec) Scope() (string, error) {
 	p, err := s.Base()
 	if err != nil {
