@@ -47,14 +47,14 @@
 //
 // -workers-addr ADDR serves evaluations to remote worker processes
 // (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port)
-// through the evaluation broker's queue: lease-based task claims with
-// heartbeat failure detection re-dispatch the work of dead or
-// partitioned workers, capped-backoff retries and optional hedged
-// re-dispatch (-hedge-after D) recover the rest, and evaluations
-// degrade inline while no worker is connected. Start workers with
+// through a worker pool in which each evaluation dispatches itself:
+// lease-based task claims with heartbeat failure detection re-dispatch
+// the work of dead or partitioned workers, capped-backoff retries and
+// optional hedged re-dispatch (-hedge-after D) recover the rest, and an
+// evaluation degrades inline once its retries find no worker. Start workers with
 // matching evaluation-stack flags (machine, faults, retries, timeout,
 // seed) so remote evaluations are bit-identical to local ones. Like
-// -workers it is results-invariant: the broker moves evaluations
+// -workers it is results-invariant: the pool moves evaluations
 // between processes but never changes what they return. With -journal,
 // remote runs also journal the evaluation in flight, and the journal
 // resumes with or without remote workers.
@@ -85,7 +85,6 @@ import (
 	"strconv"
 	"syscall"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/codegen"
 	"repro/internal/journal"
@@ -209,10 +208,10 @@ func run() int {
 		p = spec.Throttled{Problem: p, Wait: *throttle}
 	}
 
-	// The evaluation broker wraps outermost, so the full resilient stack
-	// travels to the remote workers. Like -workers it is
+	// The remote worker pool wraps outermost, so the full resilient
+	// stack travels to the workers. Like -workers it is
 	// results-invariant (and therefore absent from the journal meta): the
-	// broker only changes where evaluations execute, never what they
+	// pool only changes where evaluations execute, never what they
 	// return.
 	if *hedgeAfter < 0 {
 		warnf("-hedge-after must be >= 0, got %v", *hedgeAfter)
@@ -224,18 +223,16 @@ func run() int {
 		return exitUsage
 	}
 	if remoteOn {
-		b := broker.New(broker.Options{HedgeAfter: *hedgeAfter})
-		defer b.Close()
 		ln, err := remote.Listen(*workAddr)
 		if err != nil {
 			warnf("workers-addr: %v", err)
 			return exitError
 		}
-		pool := remote.NewPool(b, remote.PoolOptions{})
+		pool := remote.NewPool(remote.PoolOptions{HedgeAfter: *hedgeAfter})
 		defer pool.Close()
 		pool.Serve(ln)
 		warnf("serving evaluations to remote workers on %s (start cmd/brokerd with -connect %s)", *workAddr, *workAddr)
-		p = b.Problem(p)
+		p = pool.Problem(p)
 	}
 
 	if *cpuprofile != "" {
@@ -313,7 +310,7 @@ func run() int {
 	ctx = obs.WithTracer(ctx, obs.New(obs.Multi(sinks...)))
 	// The run's trace context: a deterministic id derived from the run
 	// coordinates, so coordinator and worker traces of one run stitch by
-	// the same key (cmd/tracestat). Spans are only emitted on broker
+	// the same key (cmd/tracestat). Spans are only emitted on remote-pool
 	// paths, and only when a sink is attached.
 	ctx = obs.WithTrace(ctx, obs.TraceContext{
 		TraceID: fmt.Sprintf("%s-%s-%d", sp.Algorithm, p.Name(), sp.Seed),

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/journal/crashtest"
 	"repro/internal/kernels"
@@ -92,25 +91,23 @@ func lu(t *testing.T) search.Problem {
 	return kernels.NewProblem(k, sim.Target{Machine: m, Compiler: comp, Threads: 1})
 }
 
-// servingPool is the driver side of the e2e tests: an external-mode
-// broker whose pool listens on a unix socket in dir.
-func servingPool(t *testing.T, dir string, retries int) (*broker.Broker, *remote.Pool, string) {
+// servingPool is the driver side of the e2e tests: a worker pool
+// listening on a unix socket in dir.
+func servingPool(t *testing.T, dir string, retries int) (*remote.Pool, string) {
 	t.Helper()
 	addr := "unix:" + filepath.Join(dir, "w.sock")
-	b := broker.New(broker.Options{
+	pool := remote.NewPool(remote.PoolOptions{
 		Retries: retries,
 		Backoff: 100 * time.Microsecond,
 	})
-	pool := remote.NewPool(b, remote.PoolOptions{})
 	ln, err := remote.Listen(addr)
 	if err != nil {
 		pool.Close()
-		b.Close()
 		t.Fatal(err)
 	}
 	pool.Serve(ln)
-	t.Cleanup(func() { pool.Close(); b.Close() })
-	return b, pool, addr
+	t.Cleanup(pool.Close)
+	return pool, addr
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -131,7 +128,7 @@ func TestServesEvaluations(t *testing.T) {
 	const seed, nmax = 71, 30
 	ref := search.RS(context.Background(), lu(t), nmax, rng.New(seed))
 
-	b, pool, addr := servingPool(t, t.TempDir(), 100)
+	pool, addr := servingPool(t, t.TempDir(), 100)
 	cmd := brokerdCmd("-connect", addr, "-label", "e2e-w1")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -144,7 +141,7 @@ func TestServesEvaluations(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
-	res := search.RS(ctx, b.Problem(lu(t)), nmax, rng.New(seed))
+	res := search.RS(ctx, pool.Problem(lu(t)), nmax, rng.New(seed))
 
 	if leases := reg.Counter(obs.MetricRemoteLeases).Value(); leases == 0 {
 		t.Fatal("no remote leases: evaluations never reached the worker")
@@ -163,7 +160,7 @@ func TestServesEvaluations(t *testing.T) {
 
 // TestWorkerKilledAndReplaced SIGKILLs the worker process mid-campaign
 // and starts a replacement: the pool's failure detector reclaims the
-// dead session's leases, the broker re-dispatches, and the second
+// dead session's leases, the submitter re-dispatches, and the second
 // search still matches inline. The problem is stateless, so a task that
 // died with the worker replays without divergence.
 func TestWorkerKilledAndReplaced(t *testing.T) {
@@ -171,7 +168,7 @@ func TestWorkerKilledAndReplaced(t *testing.T) {
 	ref := search.RS(context.Background(), lu(t), nmax, rng.New(seed))
 
 	dir := t.TempDir()
-	b, pool, addr := servingPool(t, dir, 100)
+	pool, addr := servingPool(t, dir, 100)
 
 	w1 := brokerdCmd("-connect", addr, "-label", "e2e-kill")
 	if err := w1.Start(); err != nil {
@@ -183,7 +180,7 @@ func TestWorkerKilledAndReplaced(t *testing.T) {
 	// SIGKILL leaves the pool with a corpse mid-heartbeat.
 	reg := obs.NewRegistry()
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
-	if err := crashtest.Compare(ref, search.RS(ctx, b.Problem(lu(t)), nmax, rng.New(seed))); err != nil {
+	if err := crashtest.Compare(ref, search.RS(ctx, pool.Problem(lu(t)), nmax, rng.New(seed))); err != nil {
 		t.Fatalf("before kill: %v", err)
 	}
 	if leases := reg.Counter(obs.MetricRemoteLeases).Value(); leases == 0 {
@@ -206,7 +203,7 @@ func TestWorkerKilledAndReplaced(t *testing.T) {
 	}()
 	waitFor(t, "replacement session", func() bool { return pool.Sessions() >= 1 })
 
-	res := search.RS(context.Background(), b.Problem(lu(t)), nmax, rng.New(seed))
+	res := search.RS(context.Background(), pool.Problem(lu(t)), nmax, rng.New(seed))
 	if err := crashtest.Compare(ref, res); err != nil {
 		t.Fatalf("after kill+replace: %v", err)
 	}
@@ -216,7 +213,7 @@ func TestWorkerKilledAndReplaced(t *testing.T) {
 // SIGTERM, and expects a clean exit 0: workers treat operator signals
 // as normal shutdown, not failure.
 func TestGracefulShutdownOnSignal(t *testing.T) {
-	_, pool, addr := servingPool(t, t.TempDir(), -1)
+	pool, addr := servingPool(t, t.TempDir(), -1)
 	cmd := brokerdCmd("-connect", addr, "-label", "e2e-term")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,11 @@
 // for every worker count — -workers trades wall time only.
 //
 // -workers-addr ADDR serves every evaluation to remote worker processes
-// (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port), with
-// optional hedged re-dispatch of stragglers (-hedge-after D). Reports
-// are bit-identical with or without remote workers.
+// (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port)
+// through one worker pool shared by the whole experiment; each
+// evaluation leases its own task, with optional hedged re-dispatch of
+// stragglers (-hedge-after D). Reports are bit-identical with or without
+// remote workers.
 //
 // With -outdir the command also keeps a progress file (progress.txt)
 // naming each completed experiment. SIGINT or SIGTERM stops the sweep at
@@ -106,7 +108,7 @@ func run() int {
 	cfg.RemoteWorkersAddr = *wrkAddr
 	cfg.BrokerHedgeAfter = *hedge
 	// -workers and the remote-worker flags are deliberately absent from
-	// the configuration line: reports are workers- and broker-invariant
+	// the configuration line: reports are workers- and pool-invariant
 	// (asserted by TestParallelMatchesSerial and TestBrokerMatchesDirect),
 	// so a sweep may be resumed under a different worker count or with
 	// or without remote workers without forking the results.

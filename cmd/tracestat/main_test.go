@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -185,9 +184,9 @@ func TestStitchDistributedTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := obs.New(obs.Multi(coordSink, obs.NewMetricsSink(reg)))
 
-	b := broker.New(broker.Options{Retries: 100, Backoff: 100 * time.Microsecond})
-	defer b.Close()
-	pool := remote.NewPool(b, remote.PoolOptions{
+	pool := remote.NewPool(remote.PoolOptions{
+		Retries:        100,
+		Backoff:        100 * time.Microsecond,
 		LeaseTicks:     8,
 		TickEvery:      5 * time.Millisecond,
 		MaxMissedBeats: 60,
@@ -195,7 +194,7 @@ func TestStitchDistributedTrace(t *testing.T) {
 	defer pool.Close()
 
 	// A few milliseconds of real work per evaluation keep several tasks
-	// outstanding at once, so the least-loaded dispatcher has a reason
+	// outstanding at once, so least-loaded dispatch has a reason
 	// to use both workers.
 	p := &slowToy{toy: newToy(), delay: 2 * time.Millisecond}
 	guard := remote.NewEvalGuard()
@@ -243,8 +242,8 @@ func TestStitchDistributedTrace(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Drive the broker with concurrent evaluations so the least-loaded
-	// dispatcher spreads tasks across both workers.
+	// Drive the pool with concurrent evaluations so least-loaded
+	// dispatch spreads tasks across both workers.
 	ctx := obs.WithTracer(context.Background(), tr)
 	ctx = obs.WithTrace(ctx, obs.TraceContext{TraceID: "stitch-test", SpanID: obs.RootSpanID})
 	var evalWG sync.WaitGroup
@@ -254,7 +253,7 @@ func TestStitchDistributedTrace(t *testing.T) {
 		evalWG.Add(1)
 		go func(i int) {
 			defer evalWG.Done()
-			out := b.Evaluate(ctx, p, space.Config{i % 10, i / 10})
+			out := pool.Evaluate(ctx, p, space.Config{i % 10, i / 10})
 			if out.Status == search.StatusOK {
 				okMu.Lock()
 				okCount++

@@ -84,13 +84,12 @@ var detflowRootRules = []detflowRootRule{
 	{Frag: "internal/search"},
 	{Frag: "internal/sim"},
 	{Frag: "internal/core"},
-	// The broker's dispatch/hedge pipeline: worker faults may move an
-	// evaluation, never change it (TestBrokerMatchesInline).
-	{Frag: "internal/broker", Names: []string{"Evaluate"}},
-	// The remote wire codec and serving paths: frames must encode the
-	// same bytes on every host (TestRemoteMatchesInline).
+	// The remote pool's dispatch/hedge/retry pipeline, wire codec, and
+	// serving paths: worker faults may move an evaluation, never change
+	// it, and frames must encode the same bytes on every host
+	// (TestRemoteMatchesInline).
 	{Frag: "internal/broker/remote", Names: []string{
-		"Serve", "AddConn", "Run", "write", "read",
+		"Evaluate", "Serve", "AddConn", "Run", "write", "read",
 		"encodeFrame", "outcomeToWire", "outcomeFromWire",
 	}},
 	// Journal replay must reproduce the original run exactly.

@@ -1,13 +1,19 @@
+// Package broker_test pins the submission contract of the remote worker
+// pool (internal/broker/remote) from the outside — hedging, deadlines,
+// the retry budget, cancellation, and journal replay — against pools
+// served by in-process workers over loopback pipes.
 package broker_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/faults"
 	"repro/internal/journal"
@@ -46,9 +52,32 @@ func (b *bowl) Evaluate(c space.Config) (float64, float64) {
 	return run, run + 0.5
 }
 
+// stalledBowl is the bowl behind a worker that stalls every evaluation
+// until Release — a straggling or wedged worker.
+type stalledBowl struct {
+	*bowl
+	release chan struct{}
+	once    sync.Once
+}
+
+func (s *stalledBowl) Evaluate(c space.Config) (float64, float64) {
+	<-s.release
+	return s.bowl.Evaluate(c)
+}
+
+// Release lets every stalled and later evaluation finish.
+func (s *stalledBowl) Release() { s.once.Do(func() { close(s.release) }) }
+
+// stall returns a stalled bowl released at test cleanup at the latest.
+func stall(t *testing.T) *stalledBowl {
+	s := &stalledBowl{bowl: newBowl(), release: make(chan struct{})}
+	t.Cleanup(s.Release)
+	return s
+}
+
 // newFaulty layers deterministic evaluation-fault injection and
-// retry/timeout budgets over the bowl, so brokered trials cover failed,
-// retried, and censored records on top of the dispatcher's own faults.
+// retry/timeout budgets over the bowl, so served trials cover failed,
+// retried, and censored records on top of the transport's own faults.
 func newFaulty(seed uint64) search.Problem {
 	rates := faults.Rates{CompileFail: 0.08, Crash: 0.1, Hang: 0.05}
 	return search.NewResilient(faults.Wrap(newBowl(), rates, seed),
@@ -68,9 +97,9 @@ func (quadModel) Predict(x []float64) float64 {
 }
 
 // deterministicKinds are the event kinds whose emission must be
-// bit-identical between inline and brokered runs. The excluded kinds
-// (enqueue, broker-retry, hedge, degraded, pool events) are the
-// documented scheduling-dependent family.
+// bit-identical between inline and served runs. The excluded kinds
+// (enqueue, broker-retry, hedge, degraded, lease and pool events) are
+// the documented scheduling-dependent family.
 var deterministicKinds = map[obs.Kind]bool{
 	obs.KindSearchStart:  true,
 	obs.KindSearchFinish: true,
@@ -95,8 +124,8 @@ func filterEvents(events []obs.Event) []obs.Event {
 }
 
 // deterministicCounters and deterministicGauges are the metric names
-// that must fold identically; broker.* and pool.* metrics are
-// scheduling-dependent by contract.
+// that must fold identically; broker.* metrics are scheduling-dependent
+// by contract.
 var deterministicCounters = []string{
 	obs.MetricEvals,
 	obs.MetricEvalsPrefix + "ok",
@@ -119,113 +148,98 @@ type driveFunc func(ctx context.Context, p search.Problem) *search.Result
 func run(drive driveFunc, p search.Problem) (*search.Result, *obs.Registry, []obs.Event) {
 	reg := obs.NewRegistry()
 	mem := &obs.MemorySink{}
-	tr := obs.New(obs.Multi(mem, obs.NewMetricsSink(reg)))
-	ctx := obs.WithTracer(context.Background(), tr)
+	ctx := obs.WithTracer(context.Background(), obs.New(obs.Multi(mem, obs.NewMetricsSink(reg))))
 	res := drive(ctx, p)
 	return res, reg, mem.Events()
 }
 
-// plan decides, per dispatch, whether the test dispatcher fails it
-// (routing the task through Task.Fail) and how long it stalls first.
-// Decisions are pure functions of (task, dispatch), so a retried or
-// hedged copy rolls fresh ones.
-type plan func(seq, dispatch int) (fail bool, stall time.Duration)
+// flaky returns a worker over p that stalls and fails dispatches before
+// they reach guard: its first dispatch stalls, its second fails, and
+// later ones stall and fail at seeded rates, each decision rolled from
+// its own (seed, label, dispatch) rng stream. A stalled dispatch sleeps
+// first, so the submitter hedges it; a failed one answers Interrupted,
+// so the submitter re-dispatches under its retry budget. Neither
+// touches what the evaluation returns.
+func flaky(p search.Problem, guard *remote.EvalGuard, label string, seed int64, failRate, stallRate float64, stallFor time.Duration) *remote.Worker {
+	w := worker(p)
+	w.Guard, w.Label = guard, label
+	var dispatches atomic.Int64
+	w.Resolve = func(string) (search.Problem, error) {
+		d := dispatches.Add(1)
+		roll := func(tag string) float64 {
+			key := fmt.Sprintf("dispatch|%d|%s|%s|%d", seed, label, tag, d)
+			return rng.New(rng.Hash64(key)).Float64()
+		}
+		if d == 1 || roll("stall") < stallRate {
+			time.Sleep(stallFor)
+		}
+		if d == 2 || roll("fail") < failRate {
+			return nil, errors.New("test: injected dispatch failure")
+		}
+		return p, nil
+	}
+	return w
+}
 
-// serve attaches a test-local dispatcher to b, standing in for the
-// remote pool without a transport: it pulls tasks with NextTask and
-// serves each dispatch on its own goroutine, stalling and failing it
-// per pl (nil: neither), evaluating p through one exactly-once guard,
-// and settling through Complete. Dispatches that outlive the search
-// land on the guard's cached outcome and lose the claim, as a
-// straggling remote worker would. The returned stop detaches the
-// dispatcher and waits for every dispatch goroutine.
-func serve(b *broker.Broker, p search.Problem, pl plan) (stop func()) {
-	guard := remote.NewEvalGuard()
+// newPool returns a pool closed at test cleanup.
+func newPool(t *testing.T, opt remote.PoolOptions) *remote.Pool {
+	pool := remote.NewPool(opt)
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// worker returns a worker that resolves every task to p.
+func worker(p search.Problem) *remote.Worker {
+	return &remote.Worker{
+		Resolve:   func(string) (search.Problem, error) { return p, nil },
+		BeatEvery: 2 * time.Millisecond,
+	}
+}
+
+// serve connects w to pool over a loopback pipe and returns once its
+// session is live. The worker stops at test cleanup.
+func serve(t *testing.T, pool *remote.Pool, w *remote.Worker) {
+	t.Helper()
+	want := pool.Sessions() + 1
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	var wg sync.WaitGroup
-	b.AttachDispatcher()
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		for {
-			h, ok := b.NextTask(done)
-			if !ok {
-				return
-			}
-			if h.Cancelled() || h.Settled() {
-				continue
-			}
-			d := h.BeginDispatch()
-			wg.Add(1)
+		defer close(done)
+		_ = w.Run(ctx, func(ctx context.Context) (net.Conn, error) {
+			client, server := net.Pipe()
 			go func() {
-				defer wg.Done()
-				var fail bool
-				var stall time.Duration
-				if pl != nil {
-					fail, stall = pl(h.Seq(), d)
+				if _, err := pool.AddConn(server); err != nil {
+					_ = server.Close() // pool closed: the worker's dial loop retries
 				}
-				if stall > 0 {
-					timer := time.NewTimer(stall)
-					defer timer.Stop()
-					select {
-					case <-timer.C:
-					case <-h.Context().Done():
-						return
-					case <-done:
-						return
-					}
-				}
-				if fail {
-					h.Fail("test: injected dispatch failure")
-					return
-				}
-				h.Complete(guard.Do(h.Seq(), func() search.Outcome {
-					return search.EvaluateFull(h.Context(), p, h.Config())
-				}))
 			}()
-		}
+			return client, nil
+		})
 	}()
-	return func() {
-		b.DetachDispatcher()
-		close(done)
-		wg.Wait()
-	}
-}
-
-// seededPlan fails and stalls dispatches at seeded rates, rolling each
-// decision from its own (seed, task, dispatch) rng stream.
-func seededPlan(seed int64, failRate, stallRate float64, stallFor time.Duration) plan {
-	roll := func(tag string, seq, d int) float64 {
-		key := fmt.Sprintf("dispatch|%d|%s|%d|%d", seed, tag, seq, d)
-		return rng.New(rng.Hash64(key)).Float64()
-	}
-	return func(seq, d int) (bool, time.Duration) {
-		var stall time.Duration
-		if roll("stall", seq, d) < stallRate {
-			stall = stallFor
-		}
-		return roll("fail", seq, d) < failRate, stall
-	}
-}
-
-// chaosBroker is the standard broker of the invariance tests: a deep
-// retry budget, so injected dispatch failures re-dispatch rather than
-// degrade inline past the guard, and hedging tight enough that the
-// plan's stalls trigger it.
-func chaosBroker() *broker.Broker {
-	return broker.New(broker.Options{
-		Retries:    100,
-		Backoff:    100 * time.Microsecond,
-		HedgeAfter: 2 * time.Millisecond,
+	t.Cleanup(func() {
+		cancel()
+		<-done
 	})
+	waitFor(t, "worker session", func() bool { return pool.Sessions() >= want })
 }
 
-// TestBrokerMatchesInline is the broker's headline invariant, free of
-// any transport: a brokered search — with evaluation faults, dispatch
-// failures and their retries, stalls, and hedging all active — produces
-// the same Result, the same deterministic telemetry counters, and the
-// same deterministic event stream as the inline search, for every
-// algorithm.
+// waitFor polls cond until it holds or a generous deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBrokerMatchesInline is the submission contract's headline
+// invariant, free of network faults: a served search — with evaluation
+// faults, failed dispatches and their retries, stalled workers, and
+// hedging all active — produces the same Result, the same deterministic
+// telemetry counters, and the same deterministic event stream as the
+// inline search, for every algorithm.
 func TestBrokerMatchesInline(t *testing.T) {
 	const seed, nmax = 31, 40
 	algos := []struct {
@@ -259,15 +273,51 @@ func TestBrokerMatchesInline(t *testing.T) {
 		t.Run(alg.name, func(t *testing.T) {
 			wantRes, wantReg, wantEvents := run(alg.drive, newFaulty(seed))
 
-			b := chaosBroker()
+			// The served run: two flaky workers sharing one problem
+			// instance and one exactly-once guard, carrying the
+			// submission tracer so Resilient-layer telemetry lands in
+			// the same sink it does inline. A deep retry budget keeps
+			// failed dispatches re-dispatching rather than degrading
+			// inline past the guard.
+			gotReg := obs.NewRegistry()
+			gotMem := &obs.MemorySink{}
+			tr := obs.New(obs.Multi(gotMem, obs.NewMetricsSink(gotReg)))
+			pool := remote.NewPool(remote.PoolOptions{
+				Retries:    100,
+				Backoff:    100 * time.Microsecond,
+				HedgeAfter: 2 * time.Millisecond,
+			})
 			p := newFaulty(seed)
-			stop := serve(b, p, seededPlan(7, 0.2, 0.1, 5*time.Millisecond))
-			gotRes, gotReg, gotEvents := run(alg.drive, b.Problem(p))
-			stop() // join every dispatch so each pending telemetry event has landed
-			b.Close()
+			guard := remote.NewEvalGuard()
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			for _, label := range []string{"w1", "w2"} {
+				w := flaky(p, guard, label, 7, 0.2, 0.1, 5*time.Millisecond)
+				w.Tracer = tr
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = w.Run(ctx, func(context.Context) (net.Conn, error) {
+						client, server := net.Pipe()
+						go func() {
+							if _, err := pool.AddConn(server); err != nil {
+								_ = server.Close()
+							}
+						}()
+						return client, nil
+					})
+				}()
+			}
+			waitFor(t, "two worker sessions", func() bool { return pool.Sessions() == 2 })
+			gotRes := alg.drive(obs.WithTracer(context.Background(), tr), pool.Problem(p))
+			// Join both workers so each pending telemetry event has landed.
+			cancel()
+			wg.Wait()
+			pool.Close()
+			gotEvents := gotMem.Events()
 
 			if err := crashtest.Compare(wantRes, gotRes); err != nil {
-				t.Fatalf("brokered result differs from inline: %v", err)
+				t.Fatalf("served result differs from inline: %v", err)
 			}
 			for _, name := range []string{obs.MetricBrokerSubmits, obs.MetricBrokerRetries, obs.MetricBrokerHedges} {
 				if gotReg.Counter(name).Value() == 0 {
@@ -276,36 +326,24 @@ func TestBrokerMatchesInline(t *testing.T) {
 			}
 			for _, name := range deterministicCounters {
 				if w, g := wantReg.Counter(name).Value(), gotReg.Counter(name).Value(); w != g {
-					t.Errorf("counter %s: inline %d, brokered %d", name, w, g)
+					t.Errorf("counter %s: inline %d, served %d", name, w, g)
 				}
 			}
 			for _, name := range deterministicGauges {
 				if w, g := wantReg.Gauge(name).Value(), gotReg.Gauge(name).Value(); w != g {
-					t.Errorf("gauge %s: inline %v, brokered %v", name, w, g)
+					t.Errorf("gauge %s: inline %v, served %v", name, w, g)
 				}
 			}
 			we, ge := filterEvents(wantEvents), filterEvents(gotEvents)
 			if len(we) != len(ge) {
-				t.Fatalf("deterministic event count: inline %d, brokered %d", len(we), len(ge))
+				t.Fatalf("deterministic event count: inline %d, served %d", len(we), len(ge))
 			}
 			for i := range we {
 				if we[i] != ge[i] {
-					t.Fatalf("event %d differs:\ninline:   %+v\nbrokered: %+v", i, we[i], ge[i])
+					t.Fatalf("event %d differs:\ninline: %+v\nserved: %+v", i, we[i], ge[i])
 				}
 			}
 		})
-	}
-}
-
-// waitFor polls cond until it holds or a generous deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -313,25 +351,21 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // when both copies of a hedged task finish, exactly one result is used
 // and the loser is charged to telemetry as one hedge-wasted event.
 func TestHedgeDoubleCompletion(t *testing.T) {
-	b := broker.New(broker.Options{HedgeAfter: 3 * time.Millisecond})
-	defer b.Close()
+	pool := newPool(t, remote.PoolOptions{HedgeAfter: 3 * time.Millisecond})
 	p := newBowl()
-	// Stall only the first dispatch of every task, so the hedge copy
-	// always wins and the stalled original always completes afterwards.
-	stop := serve(b, p, func(seq, d int) (bool, time.Duration) {
-		if d == 1 {
-			return false, 60 * time.Millisecond
-		}
-		return false, 0
-	})
-	defer stop()
+	// The straggler connects first, so it takes every original; the
+	// hedge copy always goes to the fast worker and wins, and the
+	// straggler completes afterwards.
+	straggler := stall(t)
+	serve(t, pool, worker(straggler))
+	serve(t, pool, worker(p))
 	reg := obs.NewRegistry()
 	mem := &obs.MemorySink{}
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.Multi(mem, obs.NewMetricsSink(reg))))
 
 	c := space.Config{3, 7, 1, 5}
 	want := search.EvaluateFull(context.Background(), p, c)
-	got := b.Evaluate(ctx, p, c)
+	got := pool.Evaluate(ctx, p, c)
 	if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Status != want.Status {
 		t.Fatalf("hedged outcome differs: got %+v want %+v", got, want)
 	}
@@ -339,8 +373,9 @@ func TestHedgeDoubleCompletion(t *testing.T) {
 		t.Fatalf("hedged outcome marked degraded: %+v", got)
 	}
 
-	// Let the stalled original wake up, lose the claim race, and record
-	// its wasted work.
+	// Let the straggler finish, lose the claim race, and record its
+	// wasted work.
+	straggler.Release()
 	waitFor(t, "the stalled copy to lose the claim", func() bool {
 		return reg.Counter(obs.MetricBrokerHedgeWasted).Value() > 0
 	})
@@ -361,19 +396,17 @@ func TestHedgeDoubleCompletion(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation pins that a context deadline cuts a brokered
+// TestDeadlinePropagation pins that a context deadline cuts an
 // evaluation short with an Interrupted outcome — it never blocks on a
-// stalled dispatch and never fabricates a record.
+// stalled worker and never fabricates a record.
 func TestDeadlinePropagation(t *testing.T) {
-	b := broker.New(broker.Options{})
-	defer b.Close()
-	stop := serve(b, newBowl(), func(int, int) (bool, time.Duration) { return false, 500 * time.Millisecond })
-	defer stop()
+	pool := newPool(t, remote.PoolOptions{})
+	serve(t, pool, worker(stall(t)))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	out := b.Evaluate(ctx, newBowl(), space.Config{0, 0, 0, 0})
+	out := pool.Evaluate(ctx, newBowl(), space.Config{0, 0, 0, 0})
 	if !out.Interrupted() {
 		t.Fatalf("expected interrupted outcome, got %+v", out)
 	}
@@ -382,35 +415,49 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 }
 
-// TestDetachWhileQueuedDegradesInline pins the liveness recheck: a
-// task queued while a dispatcher was attached, but never pulled, is
-// claimed inline by its submitter once the dispatcher detaches — marked
-// Degraded, with the inline outcome.
+// TestDetachWhileQueuedDegradesInline pins that losing the last way to
+// a worker never strands a waiting submission: a submitter still
+// waiting for a worker when the pool closes is claimed inline — marked
+// Degraded, with the inline outcome and a degraded event.
 func TestDetachWhileQueuedDegradesInline(t *testing.T) {
-	b := broker.New(broker.Options{})
-	defer b.Close()
+	// No worker ever connects and the retry budget outlasts the test, so
+	// the submitter waits in its re-dispatch loop until Close.
+	pool := newPool(t, remote.PoolOptions{Retries: 1 << 20, Backoff: time.Millisecond})
+	reg := obs.NewRegistry()
+	mem := &obs.MemorySink{}
+	ctx := obs.WithTracer(context.Background(), obs.New(obs.Multi(mem, obs.NewMetricsSink(reg))))
 	p := newBowl()
 	c := space.Config{1, 2, 3, 4}
 	want := search.EvaluateFull(context.Background(), p, c.Clone())
 
-	b.AttachDispatcher() // nobody pulls: the task waits in the queue
-	time.AfterFunc(20*time.Millisecond, b.DetachDispatcher)
-	got := b.Evaluate(context.Background(), p, c.Clone())
+	waiting := make(chan search.Outcome, 1)
+	go func() { waiting <- pool.Evaluate(ctx, p, c.Clone()) }()
+	waitFor(t, "the submitter to retry", func() bool {
+		return reg.Counter(obs.MetricBrokerRetries).Value() > 0
+	})
+	pool.Close()
+
+	got := <-waiting
 	if got.RunTime != want.RunTime || got.Cost != want.Cost || !got.Degraded {
 		t.Fatalf("got %+v, want the inline outcome %+v marked degraded", got, want)
 	}
+	if n := len(mem.ByKind(obs.KindDegraded)); n != 1 {
+		t.Fatalf("degraded events = %d, want 1: %+v", n, mem.ByKind(obs.KindDegraded))
+	}
 }
 
-// TestRetriesExhaustedDegradeInline drives the retry pipeline to its
-// end: every dispatch fails, each failure re-dispatches with backoff
-// until the budget is spent, and the task then evaluates inline,
-// marked Degraded, with the inline result.
+// TestRetriesExhaustedDegradeInline drives the retry budget to its
+// end: every dispatch fails (the worker cannot resolve the problem), each
+// failure re-dispatches with backoff until the budget is spent, and the
+// task then evaluates inline, marked Degraded, with the inline result.
 func TestRetriesExhaustedDegradeInline(t *testing.T) {
-	b := broker.New(broker.Options{Retries: 2, Backoff: 50 * time.Microsecond})
-	defer b.Close()
+	pool := newPool(t, remote.PoolOptions{Retries: 2, Backoff: 50 * time.Microsecond})
 	p := newBowl()
-	stop := serve(b, p, func(int, int) (bool, time.Duration) { return true, 0 })
-	defer stop()
+	unresolvable := worker(p)
+	unresolvable.Resolve = func(string) (search.Problem, error) {
+		return nil, errors.New("test: problem unknown to this worker")
+	}
+	serve(t, pool, unresolvable)
 	reg := obs.NewRegistry()
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
 
@@ -419,7 +466,7 @@ func TestRetriesExhaustedDegradeInline(t *testing.T) {
 	for i := 0; i < tasks; i++ {
 		c := p.Space().Random(r)
 		want := search.EvaluateFull(context.Background(), p, c.Clone())
-		got := b.Evaluate(ctx, p, c)
+		got := pool.Evaluate(ctx, p, c)
 		if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Status != want.Status {
 			t.Fatalf("task %d: outcome differs: got %+v want %+v", i, got, want)
 		}
@@ -433,23 +480,36 @@ func TestRetriesExhaustedDegradeInline(t *testing.T) {
 }
 
 // TestBrokerJournalReplay proves the journal layer composes with the
-// broker: a journaled brokered run (with in-flight tracking) matches
-// the plain inline search, and interrupted brokered runs resume
-// bit-identically.
+// pool: a journaled served run (with in-flight tracking, network
+// faults, and hedging) matches the plain inline search, and interrupted
+// served runs resume bit-identically.
 func TestBrokerJournalReplay(t *testing.T) {
 	const seed, nmax = 67, 30
+	netFaults := remote.SeededNetFaults{
+		Seed: 11, DropRate: 0.05, DelayRate: 0.1, DelayFor: 500 * time.Microsecond,
+		DupRate: 0.08, ReorderRate: 0.08,
+	}
 	trial := crashtest.Trial{
 		// Each run gets a fresh problem instance, so each gets its own
-		// broker and dispatcher serving that instance.
+		// pool and two workers sharing that instance and one guard.
 		NewProblem: func() search.Problem {
-			b := chaosBroker()
-			p := newFaulty(seed)
-			stop := serve(b, p, seededPlan(11, 0.2, 0.1, 5*time.Millisecond))
-			t.Cleanup(func() {
-				stop()
-				b.Close()
+			pool := newPool(t, remote.PoolOptions{
+				Retries:        100, // re-dispatch; never degrade past the guard
+				Backoff:        100 * time.Microsecond,
+				HedgeAfter:     2 * time.Millisecond,
+				LeaseTicks:     4,
+				TickEvery:      5 * time.Millisecond,
+				MaxMissedBeats: 60,
+				Faults:         netFaults,
 			})
-			return b.Problem(p)
+			p := newFaulty(seed)
+			guard := remote.NewEvalGuard()
+			for _, label := range []string{"w1", "w2"} {
+				w := worker(p)
+				w.Guard, w.Label, w.Faults = guard, label, netFaults
+				serve(t, pool, w)
+			}
+			return pool.Problem(p)
 		},
 		Plain: func(ctx context.Context) *search.Result {
 			return search.RS(ctx, newFaulty(seed), nmax, rng.New(seed))
@@ -463,5 +523,5 @@ func TestBrokerJournalReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("brokered RS: %d interruption points resumed bit-identical", n)
+	t.Logf("served RS: %d interruption points resumed bit-identical", n)
 }

@@ -7,41 +7,42 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
+	"repro/internal/broker/remote"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/space"
 )
 
 // countingBowl counts evaluations, so cancellation tests can assert
-// that an interrupted submission never reached the problem.
+// that an interrupted submission never reached the problem. Each
+// evaluation takes at least stall.
 type countingBowl struct {
 	*bowl
+	stall time.Duration
 	evals atomic.Int64
 }
 
 func (c *countingBowl) Evaluate(cfg space.Config) (float64, float64) {
 	c.evals.Add(1)
+	time.Sleep(c.stall)
 	return c.bowl.Evaluate(cfg)
 }
 
 // TestCancelledBeforeSubmit pins the deterministic half of the
 // cancellation race: a context cancelled before Evaluate is called
-// returns Interrupted without enqueueing — the problem is never
-// evaluated and no enqueue is traced — even with a dispatcher attached
+// returns Interrupted without submitting — the problem is never
+// evaluated and no enqueue is traced — even with a worker connected
 // that would have served the task.
 func TestCancelledBeforeSubmit(t *testing.T) {
-	b := broker.New(broker.Options{})
-	defer b.Close()
+	pool := newPool(t, remote.PoolOptions{})
 	p := &countingBowl{bowl: newBowl()}
-	stop := serve(b, p, nil)
-	defer stop()
+	serve(t, pool, worker(p))
 	reg := obs.NewRegistry()
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
 
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	out := b.Evaluate(cctx, p, space.Config{1, 1, 1, 1})
+	out := pool.Evaluate(cctx, p, space.Config{1, 1, 1, 1})
 	if !out.Interrupted() {
 		t.Fatalf("cancelled submission returned %+v, want Interrupted", out)
 	}
@@ -49,24 +50,21 @@ func TestCancelledBeforeSubmit(t *testing.T) {
 		t.Fatalf("cancelled submission reached the problem: %d evaluations", got)
 	}
 	if v := reg.Counter(obs.MetricBrokerSubmits).Value(); v != 0 {
-		t.Fatalf("%s = %d, want 0: a pre-cancelled submission must not be enqueued", obs.MetricBrokerSubmits, v)
+		t.Fatalf("%s = %d, want 0: a pre-cancelled submission must not be submitted", obs.MetricBrokerSubmits, v)
 	}
 }
 
 // TestCancelRace hammers the nondeterministic half: many concurrent
-// submissions against a stalling dispatcher while half their contexts
-// are cancelled concurrently. Whatever interleaving the scheduler
-// picks, every submission must settle to exactly one of two pinned
-// outcomes — Interrupted, or the bit-identical inline result — with no
-// hangs, and the broker still serving afterwards. Run under -race this
-// doubles as the memory-model check for the claim guard and the
-// cancellation flag.
+// submissions against a stalling worker while half their contexts are
+// cancelled concurrently. Whatever interleaving the scheduler picks,
+// every submission must settle to exactly one of two pinned outcomes —
+// Interrupted, or the bit-identical inline result — with no hangs, and
+// the pool still serving afterwards. Run under -race this doubles as
+// the memory-model check for the claim guard and the cancellation flag.
 func TestCancelRace(t *testing.T) {
-	b := broker.New(broker.Options{})
-	defer b.Close()
-	p := &countingBowl{bowl: newBowl()}
-	stop := serve(b, p, func(int, int) (bool, time.Duration) { return false, 5 * time.Millisecond })
-	defer stop()
+	pool := newPool(t, remote.PoolOptions{})
+	p := &countingBowl{bowl: newBowl(), stall: 5 * time.Millisecond}
+	serve(t, pool, worker(p))
 
 	c := space.Config{1, 2, 3, 4}
 	want := search.EvaluateFull(context.Background(), newBowl(), c.Clone())
@@ -84,14 +82,14 @@ func TestCancelRace(t *testing.T) {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithCancel(ctx)
 				// Cancel concurrently with submission: sometimes before the
-				// pre-check, sometimes mid-enqueue, sometimes mid-wait.
+				// pre-check, sometimes mid-dispatch, sometimes mid-wait.
 				go func() {
 					time.Sleep(time.Duration(i%5) * time.Millisecond)
 					cancel()
 				}()
 				defer cancel()
 			}
-			outs[i] = b.Evaluate(ctx, p, c.Clone())
+			outs[i] = pool.Evaluate(ctx, p, c.Clone())
 		}()
 	}
 	wg.Wait()
@@ -119,8 +117,8 @@ func TestCancelRace(t *testing.T) {
 		t.Fatalf("%d evaluations for %d submissions: some task ran twice", evals, n)
 	}
 
-	// The broker survives the storm: a fresh submission still completes.
-	out := b.Evaluate(context.Background(), p, c.Clone())
+	// The pool survives the storm: a fresh submission still completes.
+	out := pool.Evaluate(context.Background(), p, c.Clone())
 	if out.RunTime != want.RunTime || out.Cost != want.Cost {
 		t.Fatalf("post-race submission: got %+v want %+v", out, want)
 	}

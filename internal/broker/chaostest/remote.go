@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/journal/crashtest"
 	"repro/internal/obs"
@@ -90,16 +89,13 @@ func RandomRemoteTrial(campaignSeed uint64, i int) RemoteTrial {
 func (t RemoteTrial) Run() error {
 	ref := search.RS(context.Background(), newFaulty(t.Seed), t.NMax, rng.New(t.Seed))
 
-	b := broker.New(broker.Options{
+	pool := remote.NewPool(remote.PoolOptions{
 		// A deep retry budget: lease reclaims, dead sessions, and
 		// no-session windows re-dispatch rather than degrade inline, so
 		// the shared problem instance is only ever advanced through the
 		// exactly-once guard.
-		Retries: 100,
-		Backoff: 100 * time.Microsecond,
-	})
-	defer b.Close()
-	pool := remote.NewPool(b, remote.PoolOptions{
+		Retries:        100,
+		Backoff:        100 * time.Microsecond,
 		LeaseTicks:     t.LeaseTicks,
 		TickEvery:      t.TickEvery,
 		MaxMissedBeats: t.MaxMissedBeats,
@@ -166,7 +162,7 @@ func (t RemoteTrial) Run() error {
 	ctx = obs.WithTrace(ctx, obs.TraceContext{TraceID: flight, SpanID: obs.RootSpanID})
 	done := make(chan *search.Result, 1)
 	go func() {
-		done <- search.RS(ctx, b.Problem(p), t.NMax, rng.New(t.Seed))
+		done <- search.RS(ctx, pool.Problem(p), t.NMax, rng.New(t.Seed))
 	}()
 
 	// The connection killer: after every KillEvery completed evaluations,

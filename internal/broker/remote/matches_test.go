@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/faults"
 	"repro/internal/journal/crashtest"
 	"repro/internal/obs"
@@ -14,7 +13,8 @@ import (
 	"repro/internal/space"
 )
 
-// bowl4 mirrors the broker invariance tests' 4-dimensional problem.
+// bowl4 is the 4-dimensional deterministic problem of the invariance
+// tests.
 type bowl4 struct {
 	spc    *space.Space
 	target []int
@@ -43,9 +43,9 @@ func (b *bowl4) Evaluate(c space.Config) (float64, float64) {
 }
 
 // newFaulty4 layers deterministic evaluation-fault injection and
-// retry/timeout budgets over the bowl, exactly as the broker invariance
-// tests do, so remote trials cover failed, retried, and censored
-// records on top of the transport's own network faults.
+// retry/timeout budgets over the bowl, so remote trials cover failed,
+// retried, and censored records on top of the transport's own network
+// faults.
 func newFaulty4(seed uint64) search.Problem {
 	rates := faults.Rates{CompileFail: 0.08, Crash: 0.1, Hang: 0.05}
 	return search.NewResilient(faults.Wrap(newBowl4(), rates, seed),
@@ -129,8 +129,8 @@ func matchFaults(seed int64) SeededNetFaults {
 // TestRemoteMatchesInline is the headline invariant of the remote
 // transport: a search whose evaluations are served by remote workers
 // over fault-injected connections — frames dropped, delayed,
-// duplicated, reordered, and partitioned; leases expiring and tasks
-// re-dispatched — produces the same Result, the same deterministic
+// duplicated, reordered, and partitioned; leases expiring, tasks
+// re-dispatched, and stragglers hedged — produces the same Result, the same deterministic
 // telemetry counters, and the same deterministic event stream as the
 // inline search, for every algorithm.
 //
@@ -168,6 +168,7 @@ func TestRemoteMatchesInline(t *testing.T) {
 				search.RSbOptions{NMax: nmax, PoolSize: 300}, rng.NewNamed(seed, "pool"))
 		}},
 	}
+	var hedges int64
 	for _, alg := range algos {
 		alg := alg
 		t.Run(alg.name, func(t *testing.T) {
@@ -186,11 +187,10 @@ func TestRemoteMatchesInline(t *testing.T) {
 			tr := obs.New(obs.Multi(gotMem, obs.NewMetricsSink(gotReg)))
 			gotCtx := obs.WithTracer(context.Background(), tr)
 
-			b := broker.New(broker.Options{
-				Retries: 100, // lease reclaims re-dispatch; never degrade inline
-				Backoff: 100 * time.Microsecond,
-			})
-			pool := NewPool(b, PoolOptions{
+			pool := NewPool(PoolOptions{
+				Retries:        100, // lease reclaims re-dispatch; never degrade inline
+				Backoff:        100 * time.Microsecond,
+				HedgeAfter:     2 * time.Millisecond,
 				LeaseTicks:     4,
 				TickEvery:      5 * time.Millisecond,
 				MaxMissedBeats: 60, // partitions drop frames; sessions must survive
@@ -212,13 +212,13 @@ func TestRemoteMatchesInline(t *testing.T) {
 			}
 			waitUntil(t, "two worker sessions", func() bool { return pool.Sessions() == 2 })
 
-			gotRes := alg.drive(gotCtx, b.Problem(p))
+			gotRes := alg.drive(gotCtx, pool.Problem(p))
 
 			for _, stop := range stops {
 				stop()
 			}
 			pool.Close()
-			b.Close()
+			hedges += gotReg.Counter(obs.MetricBrokerHedges).Value()
 
 			if v := gotReg.Counter(obs.MetricRemoteLeases).Value(); v == 0 {
 				t.Fatal("no remote leases granted; the remote path was not exercised")
@@ -246,5 +246,8 @@ func TestRemoteMatchesInline(t *testing.T) {
 				}
 			}
 		})
+	}
+	if hedges == 0 {
+		t.Fatal("no hedge issued in any row; the hedging path was not exercised")
 	}
 }

@@ -1,25 +1,50 @@
 package remote
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/obs"
+	"repro/internal/search"
+	"repro/internal/space"
 )
 
-// PoolOptions configures a Pool. The zero value means: label "remote",
-// leases of 20 monitor ticks, death after 4 consecutive silent ticks,
-// a 25ms internal monitor tick, no transport faults, no tracing.
+// Telemetry labels and the re-dispatch backoff cap. Submission-side
+// events (enqueue, broker-retry, hedge) carry brokerLabel; session-side
+// events (lease, remote-worker, heartbeat-miss, warnings) carry
+// poolLabel.
+const (
+	brokerLabel = "broker"
+	poolLabel   = "remote"
+	backoffCap  = 50 * time.Millisecond
+)
+
+// PoolOptions configures a Pool. The zero value means: 2 re-dispatch
+// retries with 1ms backoff, hedging disabled, leases of 20 monitor
+// ticks, death after 4 consecutive silent ticks, a 25ms internal monitor
+// tick, no transport faults, no tracing.
 type PoolOptions struct {
-	// Label names the pool in telemetry events.
-	Label string
-	// LeaseTicks is a dispatched task's lease, counted in monitor ticks;
-	// when it reaches zero without a result the task is reclaimed and
-	// re-dispatched through the broker's retry pipeline.
+	// Retries bounds re-dispatches per task after a lost lease (0 → 2,
+	// negative → none). Exhausting the budget degrades the task to
+	// inline execution rather than failing it.
+	Retries int
+	// Backoff is the base re-dispatch pause, growing as Backoff*2^k and
+	// capped at 50ms (default 1ms). Wall-clock only: it paces recovery,
+	// it is never charged to the search clock.
+	Backoff time.Duration
+	// HedgeAfter dispatches one extra copy of a task still running after
+	// this long, so a straggling worker cannot stall the search. 0
+	// disables hedging.
+	HedgeAfter time.Duration
+	// LeaseTicks is a dispatched copy's lease, counted in monitor ticks;
+	// when it reaches zero without a result the lease is reclaimed and
+	// the submitter re-dispatches.
 	LeaseTicks int
 	// MaxMissedBeats is the failure detector's threshold: a session
 	// silent for this many consecutive monitor ticks is declared dead,
@@ -35,14 +60,19 @@ type PoolOptions struct {
 	// (nil → none). Conn ids are "p:s<session>".
 	Faults NetFaults
 	// Tracer receives session-level events: remote-worker transitions,
-	// heartbeat misses, dup-results. Task-level lease events go to each
-	// task's own tracer. nil → disabled.
+	// heartbeat misses, dup-results. Task-level events go to each
+	// submission's own tracer. nil → disabled.
 	Tracer *obs.Tracer
 }
 
 func (o PoolOptions) withDefaults() PoolOptions {
-	if o.Label == "" {
-		o.Label = "remote"
+	if o.Retries == 0 {
+		o.Retries = 2
+	} else if o.Retries < 0 {
+		o.Retries = 0
+	}
+	if o.Backoff <= 0 {
+		o.Backoff = time.Millisecond
 	}
 	if o.LeaseTicks <= 0 {
 		o.LeaseTicks = 20
@@ -65,70 +95,151 @@ type session struct {
 	// guarded by Pool.mu
 	missed      int  // consecutive silent monitor ticks
 	seen        bool // frame received since the last tick
-	outstanding int  // leased tasks
+	outstanding int  // leased copies
 	gone        bool // dead or closed; never dispatch to it again
 }
 
-// lease is one dispatched task awaiting its result.
+// leaseKey names one dispatched copy of a task. A hedge or a
+// re-dispatch holds its own lease beside the copies before it, and the
+// worker echoes the attempt in its result.
+type leaseKey struct{ seq, attempt int }
+
+// lease is one dispatched copy awaiting its result.
 type lease struct {
-	h       *broker.Task
+	t       *task
 	session int
 	ticks   int
-	attempt int // dispatch ordinal the lease was granted for
 }
 
-// Pool is the broker's external dispatcher: it pulls queued tasks with
-// Broker.NextTask, serves them to connected worker sessions with
-// lease-based exactly-once accounting, detects dead workers by missed
-// heartbeats, and degrades tasks inline when no live session exists —
-// so the search always terminates, worker processes or not.
-//
-// Close order is flexible: closing the broker first drains the
-// dispatch loop naturally; closing the pool first detaches it, and the
-// broker's liveness recheck degrades still-queued tasks inline.
+// task is one submitted evaluation. The claim guard (mu/claimed) makes
+// it settle exactly once no matter how many copies — hedges,
+// re-dispatches, the inline fallback — race to execute it.
+type task struct {
+	seq   int
+	p     search.Problem
+	c     space.Config
+	ctx   context.Context
+	tr    *obs.Tracer
+	trace obs.TraceContext
+	done  chan struct{} // closed once a remote copy settles the task
+	// reclaimed wakes the submitter when a copy's lease is lost. One
+	// slot: a pending wake-up already triggers a re-dispatch, so later
+	// ones are dropped rather than blocking the monitor or a read loop.
+	reclaimed chan string
+
+	mu      sync.Mutex
+	claimed bool
+	out     search.Outcome
+
+	dispatches int         // dispatch attempts; touched by the submitter only
+	cancelled  atomic.Bool // submitter gave up (ctx done)
+	hedged     atomic.Bool // a hedge copy was issued
+}
+
+// interruptedOutcome is the sentinel outcome for a cancelled submission:
+// Outcome.Interrupted() is true, so the search never records it.
+func interruptedOutcome(err error) search.Outcome {
+	return search.Outcome{RunTime: math.Inf(1), Status: search.StatusFailed, Err: err}
+}
+
+// settle records a remote outcome unless another copy already claimed
+// the task, and reports whether it won.
+func (t *task) settle(out search.Outcome) bool {
+	t.mu.Lock()
+	if t.claimed {
+		t.mu.Unlock()
+		return false
+	}
+	t.claimed = true
+	t.out = out
+	t.mu.Unlock()
+	close(t.done)
+	return true
+}
+
+// wake tells the submitter that one of its copies lost its lease.
+func (t *task) wake(reason string) {
+	select {
+	case t.reclaimed <- reason:
+	default:
+	}
+}
+
+// inline claims the task and evaluates it on the submitting goroutine,
+// marking the outcome Degraded; reason explains the fallback in
+// telemetry. A remote copy that already settled the task wins instead.
+func (t *task) inline(reason string) search.Outcome {
+	t.mu.Lock()
+	if t.claimed {
+		out := t.out
+		t.mu.Unlock()
+		return out
+	}
+	t.claimed = true
+	t.mu.Unlock()
+	t.tr.Degraded(reason)
+
+	traced := t.tr.Enabled() && t.trace.Valid()
+	var sw obs.Stopwatch
+	if traced {
+		sw = obs.StartTimer()
+	}
+	out := search.EvaluateFull(t.ctx, t.p, t.c)
+	out.Degraded = true
+	if traced {
+		t.tr.Span(t.trace, "worker-eval", t.seq, t.dispatches, "inline", sw.Elapsed())
+	}
+	t.tr.Span(t.trace, "result", t.seq, t.dispatches, "inline", 0)
+	return out
+}
+
+// Pool serves evaluations to connected worker sessions. Each submitter
+// dispatches its own task (Evaluate): the pool holds the claim guard,
+// lease-based exactly-once accounting, hedging, capped-backoff
+// re-dispatch, and inline degradation, detects dead workers by missed
+// heartbeats, and degrades to inline evaluation when no worker can
+// serve — so the search always terminates, worker processes or not.
 type Pool struct {
-	b   *broker.Broker
 	opt PoolOptions
 	tr  *obs.Tracer
 
 	mu       sync.Mutex
+	seq      int // next task sequence number
 	nextID   int
 	sessions map[int]*session
-	leases   map[int]*lease
+	leases   map[leaseKey]*lease
 	closed   bool
 	ln       net.Listener
 
-	stop chan struct{}
+	stop chan struct{} // closed by Close; waiting submitters go inline
 	once sync.Once
 	wg   sync.WaitGroup
 }
 
-// NewPool attaches itself to b as the dispatcher and starts its
-// dispatch and monitor loops. Connect workers with AddConn (pre-established connections,
-// e.g. loopback pipes) or Serve (a listener). Close the pool when done.
-func NewPool(b *broker.Broker, opt PoolOptions) *Pool {
+// NewPool starts a pool's monitor loop. Connect workers with AddConn
+// (pre-established connections, e.g. loopback pipes) or Serve (a
+// listener), evaluate through Evaluate (or wrap a Problem with Problem),
+// and Close the pool when done.
+func NewPool(opt PoolOptions) *Pool {
 	opt = opt.withDefaults()
 	p := &Pool{
-		b:        b,
 		opt:      opt,
 		tr:       opt.Tracer,
 		sessions: map[int]*session{},
-		leases:   map[int]*lease{},
+		leases:   map[leaseKey]*lease{},
 		stop:     make(chan struct{}),
 	}
-	b.AttachDispatcher()
-	p.wg.Add(2)
-	go p.dispatchLoop()
+	p.wg.Add(1)
 	go p.monitorLoop()
 	return p
 }
 
-// Close detaches the dispatcher, stops the loops, and closes every
-// session (best-effort bye) and the listener, then waits for the
-// goroutines to retire. Idempotent.
+// Close stops the pool: waiting and later submitters evaluate inline
+// (degraded), every session is closed (best-effort bye) with the
+// listener, and Close waits for the pool's goroutines to retire.
+// Idempotent.
 func (p *Pool) Close() {
 	p.once.Do(func() {
-		p.b.DetachDispatcher()
 		close(p.stop)
 
 		p.mu.Lock()
@@ -148,7 +259,7 @@ func (p *Pool) Close() {
 		for _, s := range sessions {
 			_ = s.fc.write(Frame{Type: MsgBye})
 			if err := s.fc.close(); err != nil {
-				p.tr.Warn(p.opt.Label, fmt.Sprintf("close session %d: %v", s.id, err))
+				p.tr.Warn(poolLabel, fmt.Sprintf("close session %d: %v", s.id, err))
 			}
 		}
 	})
@@ -177,10 +288,19 @@ func (p *Pool) Serve(ln net.Listener) {
 				return // listener closed (pool shutdown) or fatal
 			}
 			if _, err := p.AddConn(conn); err != nil {
-				p.tr.Warn(p.opt.Label, "handshake: "+err.Error())
+				p.tr.Warn(poolLabel, "handshake: "+err.Error())
 			}
 		}
 	}()
+}
+
+// wallNow is the pool's one wall-clock read. Both uses are liveness
+// bounds: the hello handshake deadline, and the remaining time a task
+// frame carries so a worker abandons an evaluation its submitter has
+// given up on. Neither reaches a task outcome.
+func wallNow() time.Time {
+	//lint:ignore detflow liveness-only: bounds the hello handshake and the remaining deadline a task frame carries; never reaches a task outcome
+	return time.Now()
 }
 
 // AddConn registers one worker connection: it performs the hello
@@ -201,8 +321,7 @@ func (p *Pool) AddConn(conn net.Conn) (int, error) {
 	fc := newFrameConn(conn, fmt.Sprintf("p:s%d", id), p.opt.Faults)
 	// Bound the handshake so a stalled dialer cannot wedge an accept
 	// loop; the deadline is cleared once the session is live.
-	//lint:ignore detflow liveness-only: the handshake deadline bounds a stalled dialer and never reaches task outcomes or wire payload bytes
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+	if err := conn.SetReadDeadline(wallNow().Add(5 * time.Second)); err != nil {
 		_ = fc.close()
 		return 0, fmt.Errorf("remote: handshake deadline: %w", err)
 	}
@@ -230,7 +349,7 @@ func (p *Pool) AddConn(conn net.Conn) (int, error) {
 	p.sessions[id] = s
 	p.wg.Add(1) // under mu, see Serve
 	p.mu.Unlock()
-	p.tr.RemoteWorker(p.opt.Label, id, "connected")
+	p.tr.RemoteWorker(poolLabel, id, "connected")
 
 	// Ack the hello: the worker's reconnect ladder resets once it reads
 	// a frame back. Best effort — a send fault here costs nothing.
@@ -256,28 +375,104 @@ func (p *Pool) Sessions() int {
 	return n
 }
 
-// dispatchLoop pulls queued tasks and serves them to sessions, inline
-// when none is live.
-func (p *Pool) dispatchLoop() {
-	defer p.wg.Done()
+// poolClosed explains an inline degradation after Close.
+const poolClosed = "broker: pool closed; evaluating inline"
+
+// Evaluate submits one evaluation of c on prob and blocks until it has
+// an outcome. The submitting goroutine dispatches its own task:
+//
+//   - it leases the task to the least-loaded live session and waits;
+//   - a lost lease (expiry, dead session, failed send, interrupted
+//     result), or no live session at all, re-dispatches after a capped
+//     backoff while the retry budget lasts, then evaluates inline;
+//   - a task still running after HedgeAfter gets one extra copy, and the
+//     first copy to settle wins;
+//   - once the pool is closed the task evaluates inline.
+//
+// Inline fallbacks mark the outcome Degraded. Context cancellation
+// returns an Interrupted outcome at once, and the monitor cancels the
+// task's outstanding copies on its next tick.
+func (p *Pool) Evaluate(ctx context.Context, prob search.Problem, c space.Config) search.Outcome {
+	if err := ctx.Err(); err != nil {
+		return interruptedOutcome(err)
+	}
+	t := &task{
+		p: prob, c: c, ctx: ctx,
+		tr:        obs.FromContext(ctx),
+		trace:     obs.TraceFrom(ctx),
+		done:      make(chan struct{}),
+		reclaimed: make(chan string, 1),
+	}
+	p.mu.Lock()
+	t.seq = p.seq
+	p.seq++
+	closed := p.closed
+	p.mu.Unlock()
+
+	// The task's anchor span (parent: the run root); every later stage of
+	// this evaluation's causal chain hangs below it.
+	t.tr.SpanRoot(t.trace, t.seq, -1)
+	if closed {
+		return t.inline(poolClosed)
+	}
+	t.tr.Enqueue(brokerLabel, t.seq)
+	t.tr.Span(t.trace, "enqueue", t.seq, 0, "", 0)
+
+	var hedge <-chan time.Time
+	if p.opt.HedgeAfter > 0 {
+		timer := time.NewTimer(p.opt.HedgeAfter)
+		defer timer.Stop()
+		hedge = timer.C
+	}
+	var redispatch <-chan time.Time // non-nil while a re-dispatch is pending
+	retries := 0
+
+	p.dispatch(t)
 	for {
-		h, ok := p.b.NextTask(p.stop)
-		if !ok {
-			return
+		select {
+		case <-t.done:
+			return t.out
+		case <-ctx.Done():
+			t.cancelled.Store(true)
+			return interruptedOutcome(ctx.Err())
+		case <-p.stop:
+			return t.inline(poolClosed)
+		case <-hedge:
+			hedge = nil
+			t.hedged.Store(true)
+			t.tr.Hedge(brokerLabel, t.seq, false)
+			p.dispatch(t)
+		case reason := <-t.reclaimed:
+			if redispatch != nil {
+				continue // the pending re-dispatch replaces this copy too
+			}
+			retries++
+			if retries > p.opt.Retries {
+				return t.inline("broker: retries exhausted or no healthy worker; evaluating inline")
+			}
+			backoff := min(p.opt.Backoff<<(retries-1), backoffCap)
+			t.tr.BrokerRetry(brokerLabel, t.seq, retries, backoff.Seconds(), reason)
+			redispatch = time.After(backoff) // at most 50ms: no Stop needed
+		case <-redispatch:
+			redispatch = nil
+			p.dispatch(t)
 		}
-		p.dispatch(h)
 	}
 }
 
-// dispatch serves one task: lease it to the live session with the
-// fewest outstanding tasks (ties to the lowest id, so placement is a
-// deterministic function of lease state), or run it inline degraded
-// when no session is live.
-func (p *Pool) dispatch(h *broker.Task) {
-	if h.Cancelled() || h.Settled() {
-		return
+// dispatch leases one copy of t to the live session with the fewest
+// outstanding leases (ties to the lowest id, so placement is a
+// deterministic function of lease state) and writes its task frame.
+// With no live session, or a failed send, it wakes the submitter to
+// re-dispatch instead.
+func (p *Pool) dispatch(t *task) {
+	var remaining int64
+	if dl, ok := t.ctx.Deadline(); ok {
+		remaining = int64(dl.Sub(wallNow()))
+		if remaining <= 0 {
+			return // the submitter's own ctx.Done case fires next
+		}
 	}
-	seq := h.Seq()
 
 	p.mu.Lock()
 	var best *session
@@ -292,82 +487,64 @@ func (p *Pool) dispatch(h *broker.Task) {
 	}
 	if best == nil {
 		p.mu.Unlock()
-		// No live session: route through the broker's retry pipeline
-		// (capped backoff, bounded budget) rather than degrading inline
-		// immediately — a worker may be mid-reconnect, and an inline
-		// evaluation racing a worker's replayed one would advance a
-		// stateful problem twice. Budget exhaustion remains the inline
-		// last resort. On a fresh goroutine: the retry path sleeps its
-		// backoff, and the dispatch loop must not stall on it.
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			h.Fail("remote: no live worker session")
-		}()
+		// Back off and retry rather than degrade inline at once: a worker
+		// may be mid-reconnect, and an inline evaluation racing a worker's
+		// replayed one would advance a stateful problem twice. Budget
+		// exhaustion remains the inline last resort.
+		t.wake("remote: no live worker session")
 		return
 	}
-	attempt := h.BeginDispatch()
-	remaining := int64(0)
-	if dl, ok := h.Deadline(); ok {
-		remaining = int64(time.Until(dl))
-		if remaining <= 0 {
-			// Already past deadline; the submitter is about to bail via its
-			// own context. Drop the dispatch.
-			p.mu.Unlock()
-			return
-		}
-	}
+	t.dispatches++
+	key := leaseKey{seq: t.seq, attempt: t.dispatches}
 	best.outstanding++
-	p.leases[seq] = &lease{h: h, session: best.id, ticks: p.opt.LeaseTicks, attempt: attempt}
-	sid := best.id
-	slabel := best.label
-	fc := best.fc
+	p.leases[key] = &lease{t: t, session: best.id, ticks: p.opt.LeaseTicks}
+	sid, slabel, fc := best.id, best.label, best.fc
 	p.mu.Unlock()
 
-	h.Tracer().Lease(p.opt.Label, seq, sid, "grant")
-	tc := h.Trace()
-	h.Tracer().SpanRoot(tc, seq, attempt)
-	h.Tracer().Span(tc, "dispatch", seq, attempt, slabel, 0)
-	h.Tracer().Span(tc, "lease", seq, attempt, slabel, 0)
+	t.tr.Lease(poolLabel, t.seq, sid, "grant")
+	t.tr.SpanRoot(t.trace, t.seq, key.attempt)
+	t.tr.Span(t.trace, "dispatch", t.seq, key.attempt, slabel, 0)
+	t.tr.Span(t.trace, "lease", t.seq, key.attempt, slabel, 0)
 	task := &TaskPayload{
-		Seq:         seq,
-		Problem:     h.ProblemName(),
-		Config:      h.Config(),
-		Attempt:     attempt,
+		Seq:         t.seq,
+		Problem:     t.p.Name(),
+		Config:      t.c,
+		Attempt:     key.attempt,
 		RemainingNS: remaining,
-		Trace:       tc.TraceID,
+		Trace:       t.trace.TraceID,
 	}
 	if err := fc.write(Frame{Type: MsgTask, Task: task}); err != nil {
 		// The connection is going down; the read loop will reap the
-		// session. Reclaim this lease immediately rather than waiting
-		// out its ticks.
-		p.reclaim(seq, "dispatch send failed")
+		// session. Reclaim this lease now rather than waiting out its
+		// ticks.
+		p.reclaim(key, "dispatch send failed")
 	}
 }
 
-// reclaim expires one lease (if still outstanding) and routes its task
-// back through the broker's retry pipeline on a fresh goroutine — the
-// retry path sleeps its backoff, and neither the monitor nor the
-// dispatch loop may stall on it.
-func (p *Pool) reclaim(seq int, reason string) {
+// release removes one outstanding lease and returns it; ok is false when
+// the lease was already settled, reclaimed, or cancelled.
+func (p *Pool) release(key leaseKey) (l *lease, ok bool) {
 	p.mu.Lock()
-	l, ok := p.leases[seq]
+	defer p.mu.Unlock()
+	l, ok = p.leases[key]
 	if ok {
-		delete(p.leases, seq)
+		delete(p.leases, key)
 		if s := p.sessions[l.session]; s != nil {
 			s.outstanding--
 		}
 	}
-	p.mu.Unlock()
+	return l, ok
+}
+
+// reclaim expires one lease, if still outstanding, and wakes its
+// submitter to re-dispatch.
+func (p *Pool) reclaim(key leaseKey, reason string) {
+	l, ok := p.release(key)
 	if !ok {
 		return
 	}
-	l.h.Tracer().Lease(p.opt.Label, seq, l.session, "expire")
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		l.h.Fail(reason)
-	}()
+	l.t.tr.Lease(poolLabel, key.seq, l.session, "expire")
+	l.t.wake(reason)
 }
 
 // readLoop serves one session's inbound frames until the connection
@@ -394,30 +571,16 @@ func (p *Pool) readLoop(s *session) {
 }
 
 // handleResult settles one inbound result against its lease and the
-// broker's claim guard.
+// task's claim guard.
 func (p *Pool) handleResult(s *session, r *ResultPayload) {
-	p.mu.Lock()
-	l, ok := p.leases[r.Seq]
-	if ok {
-		delete(p.leases, r.Seq)
-		if held := p.sessions[l.session]; held != nil {
-			held.outstanding--
-		}
-	}
-	p.mu.Unlock()
-
+	l, ok := p.release(leaseKey{seq: r.Seq, attempt: r.Attempt})
 	if !ok {
-		// Late (post-expiry) or duplicated result: the task was already
-		// re-dispatched or settled. Charged to telemetry, never to the
-		// search.
-		p.tr.Lease(p.opt.Label, r.Seq, s.id, "dup-result")
+		// Late (post-expiry) or duplicated result: the copy was already
+		// reclaimed or settled. Charged to telemetry, never to the search.
+		p.tr.Lease(poolLabel, r.Seq, s.id, "dup-result")
 		return
 	}
-	tc := l.h.Trace()
-	attempt := r.Attempt
-	if attempt == 0 {
-		attempt = l.attempt
-	}
+	t := l.t
 	if r.Interrupted {
 		// The worker could not complete the evaluation (cancelled
 		// mid-flight, or it could not resolve the problem). Never settle
@@ -426,21 +589,31 @@ func (p *Pool) handleResult(s *session, r *ResultPayload) {
 		if detail == "" {
 			detail = "worker interrupted"
 		}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			l.h.Fail("remote: " + detail)
-		}()
+		t.wake("remote: " + detail)
 		return
 	}
-	if !l.h.Complete(outcomeFromWire(r)) {
-		p.tr.Lease(p.opt.Label, r.Seq, s.id, "dup-result")
-		// The claim was already taken: this copy's work was the hedge's
-		// (or a reclaimed lease's) wasted half.
-		l.h.Tracer().Span(tc, "hedge-loss", r.Seq, attempt, s.label, 0)
+	if !t.settle(outcomeFromWire(r)) {
+		p.tr.Lease(poolLabel, r.Seq, s.id, "dup-result")
+		// Another copy already won the claim: this copy's work was the
+		// hedge's wasted half.
+		if t.hedged.Load() {
+			t.tr.Hedge(brokerLabel, t.seq, true)
+		}
+		t.tr.Span(t.trace, "hedge-loss", r.Seq, r.Attempt, s.label, 0)
 		return
 	}
-	l.h.Tracer().Span(tc, "result", r.Seq, attempt, s.label, 0)
+	t.tr.Span(t.trace, "result", r.Seq, r.Attempt, s.label, 0)
+}
+
+// sortKeys orders lease keys by (seq, attempt), so reclaims replay in a
+// deterministic order.
+func sortKeys(keys []leaseKey) {
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].seq != keys[j].seq {
+			return keys[i].seq < keys[j].seq
+		}
+		return keys[i].attempt < keys[j].attempt
+	})
 }
 
 // reapSession removes a finished session and reclaims its leases.
@@ -453,13 +626,13 @@ func (p *Pool) reapSession(s *session, graceful bool) {
 	s.gone = true
 	delete(p.sessions, s.id)
 	closed := p.closed
-	var orphans []int
-	for seq, l := range p.leases {
+	var orphans []leaseKey
+	for key, l := range p.leases {
 		if l.session == s.id {
-			orphans = append(orphans, seq)
+			orphans = append(orphans, key)
 		}
 	}
-	sort.Ints(orphans)
+	sortKeys(orphans)
 	p.mu.Unlock()
 
 	_ = s.fc.close()
@@ -468,10 +641,10 @@ func (p *Pool) reapSession(s *session, graceful bool) {
 		if graceful {
 			state = "closed"
 		}
-		p.tr.RemoteWorker(p.opt.Label, s.id, state)
+		p.tr.RemoteWorker(poolLabel, s.id, state)
 	}
-	for _, seq := range orphans {
-		p.reclaim(seq, "worker connection lost")
+	for _, key := range orphans {
+		p.reclaim(key, "worker connection lost")
 	}
 }
 
@@ -517,41 +690,45 @@ func (p *Pool) tick() {
 			dead = append(dead, s)
 		}
 	}
-	var cancelled, expired []int
-	for seq, l := range p.leases {
-		if l.h.Cancelled() {
-			cancelled = append(cancelled, seq)
+	var cancelled, expired []leaseKey
+	for key, l := range p.leases {
+		if l.t.cancelled.Load() {
+			cancelled = append(cancelled, key)
 			continue
 		}
 		l.ticks--
 		if l.ticks <= 0 {
-			expired = append(expired, seq)
+			expired = append(expired, key)
 		}
 	}
-	sort.Ints(cancelled)
-	sort.Ints(expired)
+	sortKeys(cancelled)
+	sortKeys(expired)
 	sort.Slice(missed, func(i, j int) bool { return missed[i][0] < missed[j][0] })
 	sort.Slice(dead, func(i, j int) bool { return dead[i].id < dead[j].id })
-	cancels := make(map[int]*frameConn)
-	for _, seq := range cancelled {
-		l := p.leases[seq]
-		delete(p.leases, seq)
+	type cancel struct {
+		seq int
+		fc  *frameConn
+	}
+	var cancels []cancel
+	for _, key := range cancelled {
+		l := p.leases[key]
+		delete(p.leases, key)
 		if s := p.sessions[l.session]; s != nil {
-			cancels[seq] = s.fc
+			cancels = append(cancels, cancel{key.seq, s.fc})
 			s.outstanding--
 		}
 	}
 	p.mu.Unlock()
 
 	for _, m := range missed {
-		p.tr.HeartbeatMiss(p.opt.Label, m[0], m[1])
+		p.tr.HeartbeatMiss(poolLabel, m[0], m[1])
 	}
-	for seq, fc := range cancels {
+	for _, c := range cancels {
 		// Best effort: the submitter is gone either way.
-		_ = fc.write(Frame{Type: MsgCancel, Seq: seq})
+		_ = c.fc.write(Frame{Type: MsgCancel, Seq: c.seq})
 	}
-	for _, seq := range expired {
-		p.reclaim(seq, "lease expired")
+	for _, key := range expired {
+		p.reclaim(key, "lease expired")
 	}
 	for _, s := range dead {
 		// reapSession reclaims the session's remaining leases; the read

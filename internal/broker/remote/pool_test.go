@@ -7,13 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/space"
 )
 
-// testBowl mirrors the broker tests' deterministic problem.
+// testBowl is a 2-dimensional deterministic problem.
 type testBowl struct{ spc *space.Space }
 
 func newTestBowl() *testBowl {
@@ -46,16 +45,6 @@ func (p *blockingProblem) Space() *space.Space { return p.spc }
 func (p *blockingProblem) Evaluate(c space.Config) (float64, float64) {
 	<-p.release
 	return 999, 999
-}
-
-// externalBroker builds an external-mode broker with a tight retry
-// budget so a reclaimed lease degrades inline immediately when asked.
-// Note broker.Options treats 0 as "default" — pass -1 for no retries.
-func externalBroker(retries int) *broker.Broker {
-	return broker.New(broker.Options{
-		Retries: retries,
-		Backoff: 100 * time.Microsecond,
-	})
 }
 
 // tracedCtx returns a context carrying a tracer over a memory sink and
@@ -124,10 +113,13 @@ func countKindDetail(mem *obs.MemorySink, k obs.Kind, detail string) int {
 // a correct inline evaluation — the evaluation is never lost and never
 // double-counted.
 func TestLeaseExpiryReclaim(t *testing.T) {
-	b := externalBroker(-1) // first reclaim degrades inline
-	defer b.Close()
 	ticks := make(chan time.Time)
-	pool := NewPool(b, PoolOptions{LeaseTicks: 2, MaxMissedBeats: 1 << 30, Ticks: ticks})
+	pool := NewPool(PoolOptions{
+		Retries:        -1, // first reclaim degrades inline
+		LeaseTicks:     2,
+		MaxMissedBeats: 1 << 30,
+		Ticks:          ticks,
+	})
 	defer pool.Close()
 
 	wedged := &blockingProblem{spc: newTestBowl().Space(), release: make(chan struct{})}
@@ -147,7 +139,7 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 	want := search.EvaluateFull(context.Background(), p, c.Clone())
 
 	done := make(chan search.Outcome, 1)
-	go func() { done <- b.Evaluate(ctx, p, c) }()
+	go func() { done <- pool.Evaluate(ctx, p, c) }()
 	waitUntil(t, "lease grant", func() bool {
 		return countKindDetail(mem, obs.KindLease, "grant") >= 1
 	})
@@ -177,12 +169,11 @@ func TestLeaseExpiryReclaim(t *testing.T) {
 // evaluation completes inline — deterministically, because death is a
 // function of delivered ticks, not elapsed time.
 func TestHeartbeatDeathReclaim(t *testing.T) {
-	b := externalBroker(-1)
-	defer b.Close()
 	poolMem := &obs.MemorySink{}
 	poolReg := obs.NewRegistry()
 	ticks := make(chan time.Time)
-	pool := NewPool(b, PoolOptions{
+	pool := NewPool(PoolOptions{
+		Retries:        -1,
 		LeaseTicks:     1 << 30, // isolate the death path from lease expiry
 		MaxMissedBeats: 3,
 		Ticks:          ticks,
@@ -217,7 +208,7 @@ func TestHeartbeatDeathReclaim(t *testing.T) {
 	want := search.EvaluateFull(context.Background(), p, c.Clone())
 
 	done := make(chan search.Outcome, 1)
-	go func() { done <- b.Evaluate(ctx, p, c) }()
+	go func() { done <- pool.Evaluate(ctx, p, c) }()
 	waitUntil(t, "lease grant", func() bool {
 		return countKindDetail(mem, obs.KindLease, "grant") >= 1
 	})
@@ -253,10 +244,8 @@ func (dupEverything) Plan(conn string, frame int) Action { return Action{Duplica
 // duplicated in both directions: results stay correct and exactly one
 // copy settles each task; surplus copies are charged as dup-results.
 func TestDuplicateResultStorm(t *testing.T) {
-	b := externalBroker(2)
-	defer b.Close()
 	poolReg := obs.NewRegistry()
-	pool := NewPool(b, PoolOptions{
+	pool := NewPool(PoolOptions{
 		Faults: dupEverything{},
 		Tracer: obs.New(obs.NewMetricsSink(poolReg)),
 	})
@@ -278,7 +267,7 @@ func TestDuplicateResultStorm(t *testing.T) {
 	for i := 0; i < n; i++ {
 		c := space.Config{i % 10, (3 * i) % 10}
 		want := search.EvaluateFull(context.Background(), p, c.Clone())
-		got := b.Evaluate(ctx, p, c)
+		got := pool.Evaluate(ctx, p, c)
 		if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Status != want.Status {
 			t.Fatalf("eval %d under duplicate storm: got %+v want %+v", i, got, want)
 		}
@@ -292,24 +281,86 @@ func TestDuplicateResultStorm(t *testing.T) {
 	})
 }
 
-// TestPoolCloseBeforeBroker pins the flexible close order: closing the
-// pool first detaches the dispatcher and later submissions degrade
-// inline instead of deadlocking.
+// TestPoolCloseBeforeBroker pins that a submission made after Close
+// never deadlocks on a closed pool: it evaluates inline — marked
+// Degraded, with the inline outcome and a pool-closed degraded event.
+// (A submitter already waiting when the pool closes is pinned by
+// TestDetachWhileQueuedDegradesInline in package broker_test.)
 func TestPoolCloseBeforeBroker(t *testing.T) {
-	b := externalBroker(2)
-	defer b.Close()
-	pool := NewPool(b, PoolOptions{})
+	pool := NewPool(PoolOptions{})
 	pool.Close()
 
 	ctx, _, mem := tracedCtx()
 	p := newTestBowl()
 	want := search.EvaluateFull(context.Background(), p, space.Config{3, 7})
-	got := b.Evaluate(ctx, p, space.Config{3, 7})
-	if got.RunTime != want.RunTime || !got.Degraded {
+	got := pool.Evaluate(ctx, p, space.Config{3, 7})
+	if got.RunTime != want.RunTime || got.Cost != want.Cost || !got.Degraded {
 		t.Fatalf("post-close evaluation: got %+v want run %v degraded", got, want.RunTime)
 	}
-	if countKindDetail(mem, obs.KindDegraded, "") == 0 {
-		t.Fatal("no degraded event for a detached dispatcher")
+	if n := countKindDetail(mem, obs.KindDegraded, poolClosed); n != 1 {
+		t.Fatalf("degraded events for a closed pool = %d, want 1: %+v", n, mem.ByKind(obs.KindDegraded))
+	}
+}
+
+// TestHedgeLeaseAccounting pins that a hedge copy holds its own lease.
+// The original is wedged on one worker and the hedge answered by
+// another; once the wedged copy answers too, both leases are settled —
+// every session's outstanding count is back to zero, so least-loaded
+// placement stays honest — and the late original is charged as exactly
+// one hedge-wasted event.
+func TestHedgeLeaseAccounting(t *testing.T) {
+	pool := NewPool(PoolOptions{
+		HedgeAfter:     5 * time.Millisecond,
+		MaxMissedBeats: 1 << 30,
+		Ticks:          make(chan time.Time), // never ticks: no lease expires
+	})
+	defer pool.Close()
+
+	p := newTestBowl()
+	wedged := &blockingProblem{spc: p.Space(), release: make(chan struct{})}
+	var release sync.Once
+	defer release.Do(func() { close(wedged.release) })
+	// The wedged worker connects first: session 0 takes the original.
+	defer startWorker(t, pool, &Worker{
+		Resolve:   func(string) (search.Problem, error) { return wedged, nil },
+		Label:     "wedged",
+		BeatEvery: time.Millisecond,
+	})()
+	waitUntil(t, "wedged session", func() bool { return pool.Sessions() == 1 })
+	defer startWorker(t, pool, &Worker{
+		Resolve:   func(string) (search.Problem, error) { return p, nil },
+		Label:     "fast",
+		BeatEvery: time.Millisecond,
+	})()
+	waitUntil(t, "fast session", func() bool { return pool.Sessions() == 2 })
+
+	ctx, reg, _ := tracedCtx()
+	c := space.Config{3, 7}
+	want := search.EvaluateFull(context.Background(), p, c.Clone())
+	got := pool.Evaluate(ctx, p, c)
+	if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Degraded {
+		t.Fatalf("hedged outcome: got %+v want %+v, not degraded", got, want)
+	}
+
+	release.Do(func() { close(wedged.release) })
+	waitUntil(t, "both copies to settle their leases", func() bool {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		for _, s := range pool.sessions {
+			if s.outstanding != 0 {
+				return false
+			}
+		}
+		return len(pool.leases) == 0
+	})
+	waitUntil(t, "the wedged copy to be charged", func() bool {
+		return reg.Counter(obs.MetricBrokerHedgeWasted).Value() > 0
+	})
+	if v := reg.Counter(obs.MetricBrokerHedges).Value(); v != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MetricBrokerHedges, v)
+	}
+	if v := reg.Counter(obs.MetricBrokerHedgeWasted).Value(); v != 1 {
+		t.Fatalf("%s = %d, want 1", obs.MetricBrokerHedgeWasted, v)
 	}
 }
 
@@ -317,9 +368,7 @@ func TestPoolCloseBeforeBroker(t *testing.T) {
 // cost of JSON framing, heartbeats, and lease accounting per
 // evaluation.
 func BenchmarkRemoteDispatch(bm *testing.B) {
-	b := externalBroker(2)
-	defer b.Close()
-	pool := NewPool(b, PoolOptions{})
+	pool := NewPool(PoolOptions{})
 	defer pool.Close()
 	p := newTestBowl()
 	w := &Worker{
@@ -346,7 +395,7 @@ func BenchmarkRemoteDispatch(bm *testing.B) {
 	bctx := context.Background()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		out := b.Evaluate(bctx, p, c)
+		out := pool.Evaluate(bctx, p, c)
 		if out.Status != search.StatusOK {
 			bm.Fatalf("unexpected outcome %+v", out)
 		}

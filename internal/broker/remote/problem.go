@@ -1,4 +1,4 @@
-package broker
+package remote
 
 import (
 	"context"
@@ -8,18 +8,18 @@ import (
 )
 
 // BrokeredProblem adapts a search.Problem so every evaluation routes
-// through a Broker. It implements both Problem and FullEvaluator, so
+// through a Pool. It implements both Problem and FullEvaluator, so
 // RS/RSp/RSb/SA, the opentuner ensemble, and journal wrapping all
-// compose unchanged — the broker slots in as the outermost evaluation
+// compose unchanged — the pool slots in as the outermost evaluation
 // layer, exactly like Resilient slots in as the failure layer.
 type BrokeredProblem struct {
-	b *Broker
-	p search.Problem
+	pool *Pool
+	p    search.Problem
 }
 
-// Problem wraps p so its evaluations are served by the broker.
-func (b *Broker) Problem(p search.Problem) *BrokeredProblem {
-	return &BrokeredProblem{b: b, p: p}
+// Problem wraps prob so its evaluations are served by the pool.
+func (p *Pool) Problem(prob search.Problem) *BrokeredProblem {
+	return &BrokeredProblem{pool: p, p: prob}
 }
 
 // Name implements search.Problem.
@@ -40,33 +40,33 @@ func (bp *BrokeredProblem) Evaluate(c space.Config) (runTime, cost float64) {
 }
 
 // EvaluateFull implements search.FullEvaluator by submitting to the
-// broker and blocking for the result.
+// pool and blocking for the result.
 func (bp *BrokeredProblem) EvaluateFull(ctx context.Context, c space.Config) search.Outcome {
-	return bp.b.Evaluate(ctx, bp.p, c)
+	return bp.pool.Evaluate(ctx, bp.p, c)
 }
 
-// ctxKey keys a shared broker in a context.
+// ctxKey keys a shared pool in a context.
 type ctxKey struct{}
 
-// Into returns a context carrying b, so layers that build problems deep
-// inside a run (the experiments grid) can share one broker without new
-// plumbing parameters.
-func Into(ctx context.Context, b *Broker) context.Context {
-	return context.WithValue(ctx, ctxKey{}, b)
+// Into returns a context carrying pool, so layers that build problems
+// deep inside a run (the experiments grid) can share one pool without
+// new plumbing parameters.
+func Into(ctx context.Context, pool *Pool) context.Context {
+	return context.WithValue(ctx, ctxKey{}, pool)
 }
 
-// From returns the context's broker, or nil when none was attached.
-func From(ctx context.Context) *Broker {
-	b, _ := ctx.Value(ctxKey{}).(*Broker)
-	return b
+// From returns the context's pool, or nil when none was attached.
+func From(ctx context.Context) *Pool {
+	pool, _ := ctx.Value(ctxKey{}).(*Pool)
+	return pool
 }
 
-// Wrap routes p through the context's broker when one is attached and
+// Wrap routes p through the context's pool when one is attached and
 // returns p unchanged otherwise — the one-line integration point for
 // problem factories.
 func Wrap(ctx context.Context, p search.Problem) search.Problem {
-	if b := From(ctx); b != nil {
-		return b.Problem(p)
+	if pool := From(ctx); pool != nil {
+		return pool.Problem(p)
 	}
 	return p
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/journal/crashtest"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -20,12 +19,9 @@ import (
 // topology of TestRemoteMatchesInline — under the given context.
 func remoteRun(t *testing.T, ctx context.Context, seed uint64, nmax int, workerTracer *obs.Tracer) *search.Result {
 	t.Helper()
-	b := broker.New(broker.Options{
-		Retries: 100,
-		Backoff: 100 * time.Microsecond,
-	})
-	defer b.Close()
-	pool := NewPool(b, PoolOptions{
+	pool := NewPool(PoolOptions{
+		Retries:        100,
+		Backoff:        100 * time.Microsecond,
 		LeaseTicks:     4,
 		TickEvery:      5 * time.Millisecond,
 		MaxMissedBeats: 60,
@@ -54,7 +50,7 @@ func remoteRun(t *testing.T, ctx context.Context, seed uint64, nmax int, workerT
 	}()
 	waitUntil(t, "two worker sessions", func() bool { return pool.Sessions() == 2 })
 
-	return search.RS(ctx, b.Problem(p), nmax, rng.New(seed))
+	return search.RS(ctx, pool.Problem(p), nmax, rng.New(seed))
 }
 
 // TestDistributedTraceDoesNotPerturb is the PR's headline invariant
@@ -145,9 +141,7 @@ func TestDistributedTraceDoesNotPerturb(t *testing.T) {
 // always-on production configuration.
 func BenchmarkDistributedTrace(bm *testing.B) {
 	run := func(bm *testing.B, ctx context.Context, workerTracer *obs.Tracer) {
-		b := externalBroker(2)
-		defer b.Close()
-		pool := NewPool(b, PoolOptions{})
+		pool := NewPool(PoolOptions{})
 		defer pool.Close()
 		p := newTestBowl()
 		w := &Worker{
@@ -173,7 +167,7 @@ func BenchmarkDistributedTrace(bm *testing.B) {
 		c := space.Config{3, 7}
 		bm.ResetTimer()
 		for i := 0; i < bm.N; i++ {
-			out := b.Evaluate(ctx, p, c)
+			out := pool.Evaluate(ctx, p, c)
 			if out.Status != search.StatusOK {
 				bm.Fatalf("unexpected outcome %+v", out)
 			}

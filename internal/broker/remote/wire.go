@@ -1,8 +1,16 @@
-// Package remote is the broker's transport layer: it serves queued
-// evaluation tasks to worker processes over a net.Conn, surviving the failure modes real networks add —
-// dead workers, partitions, duplicated and reordered frames — without
+// Package remote serves evaluations to worker processes over a
+// net.Conn, surviving the failure modes real networks add — dead
+// workers, partitions, duplicated and reordered frames — without
 // changing a single evaluation result.
 //
+//   - One dispatcher: Pool.Evaluate (or a Problem wrapped with
+//     Pool.Problem) runs on the submitting goroutine and dispatches its
+//     own task. It leases the task to the least-loaded live session and
+//     waits; a lost lease re-dispatches after a capped backoff while the
+//     retry budget lasts; a straggler gets one hedged copy after
+//     HedgeAfter; and once the budget is spent, or the pool is closed,
+//     the submitter evaluates inline and marks the outcome Degraded, so
+//     the search always terminates with a full result.
 //   - Wire format: length-prefixed JSON frames (4-byte big-endian
 //     length, then one JSON object), zero dependencies. An in-memory
 //     loopback (net.Pipe) serves deterministic tests; unix and tcp
@@ -12,31 +20,37 @@
 //     dead after MaxMissedBeats consecutive misses. The detector counts
 //     monitor ticks, never measures wall time, so with an injected tick
 //     source its transitions are deterministic.
-//   - Leases: every dispatched task carries a lease measured in monitor
-//     ticks. A dead or silent worker's leases expire and the tasks are
-//     re-dispatched through the broker's retry pipeline; the broker's
-//     claim guard (broker.Task.Complete) settles each submission
+//   - Leases: every dispatched copy of a task holds its own lease,
+//     keyed by (seq, attempt) and measured in monitor ticks. A dead or
+//     silent worker's leases expire and wake the submitter to
+//     re-dispatch; the task's claim guard settles each submission
 //     exactly once no matter how many copies eventually answer, and
 //     late or duplicated results are charged to telemetry as
-//     dup-results, never to the search.
+//     dup-results (a hedge's losing copy also as hedge-wasted), never to
+//     the search.
 //   - Exactly-once evaluation: the worker-side EvalGuard collapses
 //     duplicate deliveries of the same task sequence into one
 //     evaluation and replays the cached outcome, so retransmits and
 //     duplicate-delivery storms cannot touch a stateful problem twice.
-//   - Reconnect: Worker.Run redials a lost broker connection with
-//     capped exponential backoff.
+//   - Reconnect: Worker.Run redials a lost pool connection with capped
+//     exponential backoff.
 //
-// The headline invariant extends the broker's: with every worker
-// session sharing one problem instance and one EvalGuard (the loopback
-// topology), remote == inline bit-identical Result under active
-// network faults (TestRemoteMatchesInline). Network faults are
-// injected at deterministic (conn, frame) points and only move or
-// suppress frames — they never alter a payload — so they can move an
-// evaluation between workers, never change what it returns. Separate worker processes (cmd/brokerd) necessarily
-// hold their own problem instances; for stateful fault-injecting
-// problems the guard's exactly-once window is then per-process, and
-// bit-identity holds for searches that never revisit a configuration
-// (or for pure problems) — see DESIGN.md §8.
+// The headline invariant: with every worker session sharing one
+// problem instance and one EvalGuard (the loopback topology), remote ==
+// inline bit-identical Result under active network faults and hedging
+// (TestRemoteMatchesInline). Network faults are injected at
+// deterministic (conn, frame) points and only move or suppress frames —
+// they never alter a payload — so they can move an evaluation between
+// workers, never change what it returns. Separate worker processes
+// (cmd/brokerd) necessarily hold their own problem instances; for
+// stateful fault-injecting problems the guard's exactly-once window is
+// then per-process, and bit-identity holds for searches that never
+// revisit a configuration (or for pure problems) — see DESIGN.md §8.
+//
+// Wall-clock use (hedge and backoff timers, the default monitor tick,
+// the handshake and remaining-deadline bounds) is confined to
+// scheduling decisions whose observable effect is telemetry — the same
+// contract KindWorkerTask documents for the pool engine.
 package remote
 
 import (
@@ -87,7 +101,7 @@ type Frame struct {
 
 // TaskPayload ships one evaluation to a worker.
 type TaskPayload struct {
-	// Seq is the broker-wide task sequence number; results, duplicates,
+	// Seq is the pool-wide task sequence number; results, duplicates,
 	// and cancels are correlated by it.
 	Seq int `json:"seq"`
 	// Problem names the problem; the worker resolves it to its local
@@ -95,8 +109,8 @@ type TaskPayload struct {
 	Problem string `json:"problem"`
 	// Config is the candidate's level vector.
 	Config []int `json:"config"`
-	// Attempt is the dispatch ordinal (1-based, broker.Task.BeginDispatch),
-	// keying deterministic fault rolls.
+	// Attempt is the task's dispatch ordinal (1-based); with Seq it
+	// names the lease the worker's result settles.
 	Attempt int `json:"attempt"`
 	// RemainingNS propagates the submission context's deadline as a
 	// remaining duration — never an absolute time, so clock skew between
@@ -120,13 +134,15 @@ type ResultPayload struct {
 	Retries  int       `json:"retries"`
 	Degraded bool      `json:"degraded,omitempty"`
 	Err      string    `json:"err,omitempty"`
-	// Attempt echoes the dispatch ordinal the task arrived with, so the
-	// pool's result span lands on the attempt that actually produced it
-	// (a late frame from a reclaimed lease carries its old ordinal).
+	// Attempt echoes the dispatch ordinal the task arrived with. With Seq
+	// it names the lease the result settles, so each hedged or
+	// re-dispatched copy answers for its own lease and the result span
+	// lands on the attempt that actually produced it.
 	Attempt int `json:"attempt,omitempty"`
 	// Interrupted marks an evaluation the worker could not complete
-	// (its context was cancelled mid-flight). Interrupted results never
-	// settle a task — the pool lets the lease expire and re-dispatches.
+	// (its context was cancelled mid-flight, or it could not resolve the
+	// problem). Interrupted results never settle a task — the pool
+	// releases the lease and the submitter re-dispatches.
 	Interrupted bool `json:"interrupted,omitempty"`
 }
 

@@ -94,7 +94,7 @@ func (g *EvalGuard) prune(seq int) {
 	}
 }
 
-// Worker serves broker tasks over a connection. Zero values get
+// Worker serves pool tasks over a connection. Zero values get
 // defaults from normalize; Resolve is required.
 type Worker struct {
 	// Resolve maps wire problem names to local instances (required).
@@ -239,7 +239,7 @@ func (w *Worker) serve(ctx context.Context, conn net.Conn) (established bool, _ 
 					cancel()
 				}()
 				res := w.evaluate(tctx, t)
-				// A write error means the session is ending; the broker's
+				// A write error means the session is ending; the pool's
 				// lease will expire and re-dispatch.
 				_ = fc.write(Frame{Type: MsgResult, Result: res})
 			}()
@@ -260,12 +260,12 @@ func (w *Worker) serve(ctx context.Context, conn net.Conn) (established bool, _ 
 
 // evaluate resolves and runs one task through the exactly-once guard.
 // Unresolvable problems come back Interrupted (never settling the
-// task) so the broker re-dispatches or degrades inline, where the real
+// task) so the submitter re-dispatches or degrades inline, where the real
 // problem instance lives.
 func (w *Worker) evaluate(ctx context.Context, t *TaskPayload) *ResultPayload {
 	p, err := w.Resolve(t.Problem)
 	if err != nil {
-		return &ResultPayload{Seq: t.Seq, Interrupted: true, Err: err.Error()}
+		return &ResultPayload{Seq: t.Seq, Attempt: t.Attempt, Interrupted: true, Err: err.Error()}
 	}
 	if w.Tracer != nil {
 		ctx = obs.WithTracer(ctx, w.Tracer)

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/core"
 	"repro/internal/forest"
@@ -54,10 +53,10 @@ type Config struct {
 	// bit-identical to serial output (asserted by TestParallelMatchesSerial).
 	Workers int
 	// RemoteWorkersAddr, when non-empty, serves every evaluation through
-	// one shared broker to remote worker processes (cmd/brokerd)
+	// one shared worker pool to remote worker processes (cmd/brokerd)
 	// connecting at this address (unix:/path or [tcp:]host:port). Reports
-	// are broker-invariant for the same reason they are
-	// workers-invariant: the broker moves evaluations between processes
+	// are pool-invariant for the same reason they are
+	// workers-invariant: the pool moves evaluations between processes
 	// without changing what they return (asserted by
 	// TestBrokerMatchesDirect).
 	RemoteWorkersAddr string
@@ -161,19 +160,17 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 	sink := obs.Multi(obs.NewMetricsSink(reg), obs.FromContext(ctx).Sink())
 	ctx = obs.WithTracer(ctx, obs.New(sink))
 	cfg = cfg.WithDefaults()
-	// One broker serves every cell of the experiment; problemFor wraps
-	// each problem it builds with whatever broker rides the context.
+	// One worker pool serves every cell of the experiment; problemFor
+	// wraps each problem it builds with whatever pool rides the context.
 	if cfg.RemoteWorkersAddr != "" {
-		b := broker.New(broker.Options{HedgeAfter: cfg.BrokerHedgeAfter})
-		defer b.Close()
 		ln, err := remote.Listen(cfg.RemoteWorkersAddr)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: workers-addr: %w", id, err)
 		}
-		pool := remote.NewPool(b, remote.PoolOptions{})
+		pool := remote.NewPool(remote.PoolOptions{HedgeAfter: cfg.BrokerHedgeAfter})
 		defer pool.Close()
 		pool.Serve(ln)
-		ctx = broker.Into(ctx, b)
+		ctx = remote.Into(ctx, pool)
 	}
 	rep, err := e.run(ctx, cfg)
 	if cerr := ctx.Err(); cerr != nil {
@@ -192,7 +189,7 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 // problemFor builds the search problem for a named workload on a machine.
 // Kernels run under the given compiler and thread count; the mini-apps
 // (HPL, RT) are compiler-independent at this level, as in the paper's
-// OpenTuner setup. When a broker rides the context
+// OpenTuner setup. When a worker pool rides the context
 // (Config.RemoteWorkersAddr), the problem is wrapped so its evaluations
 // run through it.
 func problemFor(ctx context.Context, name string, m machine.Machine, comp machine.Compiler, threads int) (search.Problem, error) {
@@ -204,7 +201,7 @@ func problemFor(ctx context.Context, name string, m machine.Machine, comp machin
 	if err != nil {
 		return nil, err
 	}
-	return broker.Wrap(ctx, p), nil
+	return remote.Wrap(ctx, p), nil
 }
 
 // transferOpts converts a Config into core options.

@@ -145,9 +145,9 @@ func TestRunCellsReplaysEventsInInputOrder(t *testing.T) {
 	}
 }
 
-// stripBroker drops the broker's own metric lines from a snapshot: the
-// broker.* queue/dispatch/lease telemetry, which a direct run does not
-// have, and the inline-degradation count (tasks submitted before a
+// stripBroker drops the worker pool's own metric lines from a snapshot:
+// the broker.* submit/dispatch/lease telemetry, which a direct run does
+// not have, and the inline-degradation count (tasks submitted before a
 // worker connected run inline). Both are scheduling-dependent by
 // contract. Everything else must match a direct run exactly.
 func stripBroker(snapshot string) string {
@@ -225,12 +225,12 @@ func serveWorkers(addr string, n int) (stop func()) {
 	}
 }
 
-// TestBrokerMatchesDirect is the broker counterpart of
+// TestBrokerMatchesDirect is the worker-pool counterpart of
 // TestParallelMatchesSerial: for every experiment, serving evaluations
 // to remote worker sessions (Config.RemoteWorkersAddr, a unix socket
 // with in-test workers) produces output bit-identical to evaluating
 // inline — same report text, tables, named values, and the same search
-// telemetry (the broker contributes only its own broker.* queue and
+// telemetry (the pool contributes only its own broker.* submit and
 // lease metrics on top).
 func TestBrokerMatchesDirect(t *testing.T) {
 	if testing.Short() {

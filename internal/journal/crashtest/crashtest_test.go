@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/broker"
 	"repro/internal/broker/remote"
 	"repro/internal/faults"
 	"repro/internal/journal"
@@ -194,12 +193,9 @@ func childMain(dir string) {
 // worker, proving remote journal state is interchangeable with inline
 // state.
 func remoteChildMain(dir string) {
-	b := broker.New(broker.Options{
-		Retries: 100,
-		Backoff: 100 * time.Microsecond,
-	})
-	defer b.Close()
-	pool := remote.NewPool(b, remote.PoolOptions{
+	pool := remote.NewPool(remote.PoolOptions{
+		Retries:    100,
+		Backoff:    100 * time.Microsecond,
 		LeaseTicks: 4, TickEvery: 5 * time.Millisecond, MaxMissedBeats: 20,
 		Faults: remote.SeededNetFaults{Seed: sigkillSeed, DropRate: 0.05, DupRate: 0.1, ReorderRate: 0.1},
 	})
@@ -232,7 +228,7 @@ func remoteChildMain(dir string) {
 		})
 	}()
 
-	_, _, err := journal.RunRS(context.Background(), dir, b.Problem(p),
+	_, _, err := journal.RunRS(context.Background(), dir, pool.Problem(p),
 		sigkillNMax, sigkillSeed, nil,
 		journal.WrapOptions{CheckpointEvery: 3, TrackInFlight: true})
 	if err != nil {

@@ -33,6 +33,14 @@ func ServeMetrics(addr string, reg *Registry) (*MetricsServer, error) {
 	if err != nil {
 		return nil, err
 	}
+	s := &MetricsServer{ln: ln, srv: &http.Server{Handler: Handler(reg)}, grace: closeGrace}
+	go func() { _ = s.srv.Serve(ln) }()
+	return s, nil
+}
+
+// Handler serves reg's text snapshot at /metrics and a liveness probe
+// at /healthz; ServeMetrics and the tuning service both mount it.
+func Handler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -42,9 +50,7 @@ func ServeMetrics(addr string, reg *Registry) (*MetricsServer, error) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
-	s := &MetricsServer{ln: ln, srv: &http.Server{Handler: mux}, grace: closeGrace}
-	go func() { _ = s.srv.Serve(ln) }()
-	return s, nil
+	return mux
 }
 
 // Addr returns the bound address, useful with ":0".

@@ -244,7 +244,6 @@ const (
 	// fault recovery — they are expected to differ between runs of the
 	// same seed, unlike the evals.* family.
 	MetricBrokerSubmits     = "broker.submits"
-	MetricBrokerDepth       = "broker.queue-depth"
 	MetricBrokerRetries     = "broker.retries"
 	MetricBrokerHedges      = "broker.hedges"
 	MetricBrokerHedgeWasted = "broker.hedge-wasted"
@@ -347,8 +346,6 @@ func (m *MetricsSink) Emit(e Event) {
 		m.reg.Counter(MetricWarnings).Inc()
 	case KindEnqueue:
 		m.reg.Counter(MetricBrokerSubmits).Inc()
-		m.reg.Histogram(MetricBrokerDepth,
-			[]float64{0, 1, 2, 4, 8, 16, 32, 64}).Observe(float64(e.N))
 	case KindBrokerRetry:
 		m.reg.Counter(MetricBrokerRetries).Inc()
 	case KindHedge:

@@ -84,10 +84,9 @@ const (
 	// KindWarning is a non-fatal configuration or usage problem the system
 	// corrected (e.g. an out-of-range parameter replaced by its default).
 	KindWarning
-	// KindEnqueue is one task submitted to the evaluation broker: Seq is
-	// the task sequence number, N the queue depth observed at submission.
-	// Queue depth is scheduling-dependent (like KindWorkerTask): it
-	// describes the harness, never the result.
+	// KindEnqueue is one task submitted to the remote worker pool: Seq is
+	// the task sequence number. Like KindWorkerTask it describes the
+	// harness, never the result.
 	KindEnqueue
 	// KindBrokerRetry is one broker-level re-dispatch after a dispatch
 	// failure: Seq is the task, N the dispatch attempt, Cost the backoff
@@ -600,18 +599,18 @@ func (t *Tracer) Degraded(detail string) {
 	t.sink.Emit(Event{Kind: KindDegraded, Seq: -1, Detail: detail})
 }
 
-// Enqueue records one task submitted to the evaluation broker: seq is
-// the task sequence, depth the queue depth observed at submission.
-func (t *Tracer) Enqueue(label string, seq, depth int) {
+// Enqueue records one task submitted to the remote worker pool: seq is
+// the task sequence.
+func (t *Tracer) Enqueue(label string, seq int) {
 	if !t.Enabled() {
 		return
 	}
-	t.sink.Emit(Event{Kind: KindEnqueue, Seq: seq, Algo: label, N: depth})
+	t.sink.Emit(Event{Kind: KindEnqueue, Seq: seq, Algo: label})
 }
 
 // BrokerRetry records one broker-level re-dispatch of task seq after a
 // dispatch failure: attempt is the dispatch attempt, backoff the wall
-// pause (seconds) before re-enqueue.
+// pause (seconds) before re-dispatch.
 func (t *Tracer) BrokerRetry(label string, seq, attempt int, backoff float64, detail string) {
 	if !t.Enabled() {
 		return

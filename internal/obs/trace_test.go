@@ -283,7 +283,7 @@ func TestConcurrentFanIn(t *testing.T) {
 				case 2:
 					tr.Skip("RS", "bowl", seq, []int{1, 2}, 0.5, 0.4)
 				case 3:
-					tr.Enqueue("b", seq, 0)
+					tr.Enqueue("b", seq)
 				}
 			}
 		}()

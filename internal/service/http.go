@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // maxBodyBytes caps request bodies (submissions and cache imports).
@@ -40,14 +42,9 @@ func (srv *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /cache", srv.handleCacheExport)
 	mux.HandleFunc("PUT /cache", srv.handleCacheImport)
 	mux.HandleFunc("GET /cache/stats", srv.handleCacheStats)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, srv.reg.Snapshot())
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
+	probes := obs.Handler(srv.reg)
+	mux.Handle("GET /metrics", probes)
+	mux.Handle("GET /healthz", probes)
 	return mux
 }
 
