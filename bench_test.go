@@ -22,10 +22,12 @@ import (
 	"repro/internal/forest"
 	"repro/internal/kernels"
 	"repro/internal/machine"
+	"repro/internal/miniapps"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/sim"
+	"repro/internal/space"
 	"repro/internal/stats"
 )
 
@@ -411,7 +413,7 @@ func BenchmarkEndToEndRSp(b *testing.B) {
 // through the surrogate's batched path, take the cutoff quantile —
 // which RSp/RSb both pay before their first evaluation. The end-to-end
 // benchmarks above fold this into total search time; this one gives the
-// ROADMAP speed campaign (allocation-free pool scoring, contiguous tree
+// ROADMAP speed campaign (allocation-light pool scoring, contiguous tree
 // layout) a number to move on its own.
 func BenchmarkPoolScoring(b *testing.B) {
 	tgt, sur := benchSurrogate(b)
@@ -419,12 +421,32 @@ func BenchmarkPoolScoring(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool := spc.SamplePool(2000, rng.NewNamed(2016, "pool"))
-		X := make([][]float64, len(pool))
-		for j, c := range pool {
-			X[j] = spc.Encode(c)
-		}
+		X := spc.EncodeAll(pool)
 		preds := sur.PredictAll(X)
 		stats.Quantile(preds, 0.2)
+	}
+}
+
+// BenchmarkSamplePool draws the paper-scale pool (N = 10 000) on a kernel
+// space (LU's transformation parameters) and on RT's 247 flags and
+// parameters, where each draw's Config.Key is longest.
+func BenchmarkSamplePool(b *testing.B) {
+	lu, err := kernels.ByName("LU")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		spc  *space.Space
+	}{
+		{"LU", lu.Space()},
+		{"RT", miniapps.RT().Space()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tc.spc.SamplePool(10000, rng.NewNamed(2016, "pool"))
+			}
+		})
 	}
 }
 

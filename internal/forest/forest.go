@@ -107,6 +107,7 @@ func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
 			return nil, o.err
 		}
 	}
+	f.pack()
 
 	// Out-of-bag bookkeeping: per-row prediction sum and count from trees
 	// whose bootstrap missed the row (sequential, deterministic order).
@@ -115,7 +116,7 @@ func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
 	for t, tree := range f.trees {
 		for j := 0; j < n; j++ {
 			if !outs[t].inBag[j] {
-				oobSum[j] += tree.Predict(X[j])
+				oobSum[j] += walk(tree.nodes, X[j])
 				oobCount[j]++
 			}
 		}
@@ -138,6 +139,22 @@ func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
 	return f, nil
 }
 
+// pack moves every tree's nodes into one contiguous slice and leaves
+// each Tree a window onto it, so the OOB loop, Predict and PredictAll all
+// walk one array. Fit and Load call it once the trees are final.
+func (f *Forest) pack() {
+	total := 0
+	for _, t := range f.trees {
+		total += len(t.nodes)
+	}
+	all := make([]node, 0, total)
+	for _, t := range f.trees {
+		lo := len(all)
+		all = append(all, t.nodes...)
+		t.nodes = all[lo:len(all):len(all)]
+	}
+}
+
 // FitStats reports how the forest was trained: the number of training
 // rows and the wall-clock time Fit took. The duration is observational
 // only — it never influences predictions or any seeded stream — and
@@ -147,24 +164,38 @@ func (f *Forest) FitStats() (rows int, dur time.Duration) { return f.fitRows, f.
 // Predict returns the forest prediction (mean over trees) for x.
 //
 // Predict is safe for concurrent use: a fitted forest is immutable, and
-// prediction walks the flat tree arrays without any shared scratch.
+// prediction walks the contiguous node array without any shared scratch.
+// The sum runs over trees 0..T-1 from 0.0, an order every prediction
+// path keeps so results are bit-identical across them.
 func (f *Forest) Predict(x []float64) float64 {
-	if len(x) != f.nf {
-		panic(fmt.Sprintf("forest: predict with %d features, trained on %d", len(x), f.nf))
-	}
+	f.checkWidth(x)
 	sum := 0.0
 	for _, t := range f.trees {
-		sum += t.Predict(x)
+		sum += walk(t.nodes, x)
 	}
 	return sum / float64(len(f.trees))
 }
 
+func (f *Forest) checkWidth(x []float64) {
+	if len(x) != f.nf {
+		panic(fmt.Sprintf("forest: predict with %d features, trained on %d", len(x), f.nf))
+	}
+}
+
+// predictBlock is how many rows PredictAll scores one tree at a time, so
+// a tree's nodes stay in cache across the block.
+const predictBlock = 64
+
 // PredictAll predicts every row of X, sharding the rows over
 // Params.Workers goroutines. Each shard writes disjoint indices of the
-// output and every row is an independent Predict, so the result is
-// bit-identical to a serial loop for any worker count. Like Predict,
-// PredictAll is safe to call concurrently from multiple goroutines.
+// output, and within a shard blocks of rows are scored tree by tree; every
+// row still sums trees 0..T-1 from 0.0, so the result is bit-identical to
+// a serial Predict loop for any worker count. Like Predict, PredictAll is
+// safe to call concurrently from multiple goroutines.
 func (f *Forest) PredictAll(X [][]float64) []float64 {
+	for _, x := range X {
+		f.checkWidth(x)
+	}
 	out := make([]float64, len(X))
 	workers := parallel.Workers(f.params.Workers)
 	if workers > len(X) {
@@ -174,8 +205,17 @@ func (f *Forest) PredictAll(X [][]float64) []float64 {
 	// overhead negligible next to a single tree walk.
 	parallel.Do(workers, workers, func(s int) {
 		lo, hi := parallel.Shard(len(X), workers, s)
-		for i := lo; i < hi; i++ {
-			out[i] = f.Predict(X[i])
+		for b := lo; b < hi; b += predictBlock {
+			e := min(b+predictBlock, hi)
+			rows, sums := X[b:e], out[b:e]
+			for _, t := range f.trees {
+				for i, x := range rows {
+					sums[i] += walk(t.nodes, x)
+				}
+			}
+			for i := range sums {
+				sums[i] /= float64(len(f.trees))
+			}
 		}
 	})
 	return out

@@ -93,9 +93,9 @@ func TestTreeMinLeafRespected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range tr.nodes {
-		if n.feature < 0 && n.count < 10 {
-			t.Fatalf("leaf with %d < 10 samples", n.count)
+	for i, n := range tr.nodes {
+		if n.feature < 0 && tr.stats[i].count < 10 {
+			t.Fatalf("leaf with %d < 10 samples", tr.stats[i].count)
 		}
 	}
 }

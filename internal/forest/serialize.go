@@ -75,11 +75,12 @@ func (f *Forest) Save(w io.Writer) error {
 	for _, t := range f.trees {
 		jt := jsonTree{Nodes: make([]jsonNode, len(t.nodes))}
 		for i, n := range t.nodes {
-			jt.Nodes[i] = jsonNode{
-				Feature: n.feature, Threshold: n.threshold,
-				Left: n.left, Right: n.right,
-				Value: n.value, Count: n.count, Gain: n.gain,
+			st := t.stats[i]
+			jn := jsonNode{Feature: int(n.feature), Value: st.mean, Count: st.count, Gain: st.gain}
+			if n.feature >= 0 {
+				jn.Threshold, jn.Left, jn.Right = n.val, int(n.left), int(n.right)
 			}
+			jt.Nodes[i] = jn
 		}
 		doc.Trees = append(doc.Trees, jt)
 	}
@@ -97,7 +98,7 @@ func Load(r io.Reader) (*Forest, error) {
 	if doc.Version != wireVersion {
 		return nil, fmt.Errorf("forest: unsupported version %d", doc.Version)
 	}
-	if doc.Features <= 0 || len(doc.Trees) == 0 {
+	if doc.Features <= 0 || doc.Features > math.MaxInt32 || len(doc.Trees) == 0 {
 		return nil, fmt.Errorf("forest: empty or invalid document")
 	}
 	f := &Forest{nf: doc.Features, oobError: doc.OOBError, oobValid: doc.OOBValid}
@@ -105,7 +106,10 @@ func Load(r io.Reader) (*Forest, error) {
 		if len(jt.Nodes) == 0 {
 			return nil, corrupt(ti, -1, "tree is empty")
 		}
-		t := &Tree{nodes: make([]node, len(jt.Nodes))}
+		if len(jt.Nodes) > math.MaxInt32 {
+			return nil, corrupt(ti, -1, "%d nodes overflow the int32 child index", len(jt.Nodes))
+		}
+		t := &Tree{nodes: make([]node, len(jt.Nodes)), stats: make([]nodeStats, len(jt.Nodes))}
 		for i, jn := range jt.Nodes {
 			if jn.Feature >= doc.Features {
 				return nil, corrupt(ti, i, "references feature %d of %d", jn.Feature, doc.Features)
@@ -128,17 +132,21 @@ func Load(r io.Reader) (*Forest, error) {
 					return nil, corrupt(ti, i, "children collide (both %d)", jn.Left)
 				}
 			}
-			t.nodes[i] = node{
-				feature: jn.Feature, threshold: jn.Threshold,
-				left: jn.Left, right: jn.Right,
-				value: jn.Value, count: jn.Count, gain: jn.Gain,
+			// Leaves carry their prediction in val and drop the split
+			// fields, so Save writes them canonically.
+			n := node{val: jn.Value, feature: -1}
+			if jn.Feature >= 0 {
+				n = node{val: jn.Threshold, feature: int32(jn.Feature), left: int32(jn.Left), right: int32(jn.Right)}
 			}
+			t.nodes[i] = n
+			t.stats[i] = nodeStats{mean: jn.Value, count: jn.Count, gain: jn.Gain}
 		}
 		if err := validateShape(ti, t.nodes); err != nil {
 			return nil, err
 		}
 		f.trees = append(f.trees, t)
 	}
+	f.pack()
 	return f, nil
 }
 
@@ -162,13 +170,13 @@ func validateShape(ti int, nodes []node) error {
 		if n.feature < 0 {
 			continue
 		}
-		for _, c := range [2]int{n.left, n.right} {
+		for _, c := range [2]int32{n.left, n.right} {
 			indeg[c]++
 			if c == 0 {
 				return corrupt(ti, i, "cycle: root is a child of node %d", i)
 			}
 			if indeg[c] > 1 {
-				return corrupt(ti, c, "cycle or shared subtree: node has %d parents", indeg[c])
+				return corrupt(ti, int(c), "cycle or shared subtree: node has %d parents", indeg[c])
 			}
 		}
 	}
@@ -185,11 +193,11 @@ func validateShape(ti int, nodes []node) error {
 		}
 		// indeg <= 1 everywhere makes revisits impossible here; children
 		// are marked before pushing purely to keep the count exact.
-		for _, c := range [2]int{n.left, n.right} {
+		for _, c := range [2]int32{n.left, n.right} {
 			if !seen[c] {
 				seen[c] = true
 				visited++
-				stack = append(stack, c)
+				stack = append(stack, int(c))
 			}
 		}
 	}

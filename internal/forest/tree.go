@@ -16,21 +16,32 @@ import (
 	"repro/internal/rng"
 )
 
-// node is one node of a regression tree, stored in a flat slice.
+// node is the part of a regression-tree node that prediction reads: 24
+// bytes (a float64, three int32s and padding), so a descent touches as
+// few cache lines as possible. A forest keeps every tree's nodes in one
+// contiguous slice (see Forest.pack); children are tree-local indices.
 type node struct {
-	// feature < 0 marks a leaf; value then holds the prediction.
-	feature   int
-	threshold float64
-	left      int
-	right     int
-	value     float64
-	count     int     // training rows in this node
-	gain      float64 // variance reduction achieved by this split
+	// val is the split threshold of an internal node and the prediction
+	// of a leaf.
+	val float64
+	// feature < 0 marks a leaf.
+	feature int32
+	left    int32
+	right   int32
+}
+
+// nodeStats is the part of a node prediction never reads, kept beside
+// the hot nodes (same index) for rendering, importance and Save.
+type nodeStats struct {
+	mean  float64 // mean training target in this node
+	count int     // training rows in this node
+	gain  float64 // variance reduction achieved by this split
 }
 
 // Tree is a fitted CART regression tree.
 type Tree struct {
 	nodes []node
+	stats []nodeStats
 }
 
 // TreeParams configures tree induction.
@@ -78,7 +89,8 @@ func FitTree(X [][]float64, y []float64, p TreeParams, r *rng.RNG) (*Tree, error
 func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.RNG, depth int) int {
 	mean, sse := meanSSE(y, idx)
 	pos := len(t.nodes)
-	t.nodes = append(t.nodes, node{feature: -1, value: mean, count: len(idx)})
+	t.nodes = append(t.nodes, node{val: mean, feature: -1})
+	t.stats = append(t.stats, nodeStats{mean: mean, count: len(idx)})
 
 	if sse <= 1e-24 || len(idx) < 2*p.minLeaf() || (p.MaxDepth > 0 && depth >= p.MaxDepth) {
 		return pos
@@ -101,13 +113,13 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.
 		return pos
 	}
 
-	t.nodes[pos].feature = feat
-	t.nodes[pos].threshold = thr
-	t.nodes[pos].gain = gain
+	t.nodes[pos].feature = int32(feat)
+	t.nodes[pos].val = thr
+	t.stats[pos].gain = gain
 	l := t.grow(X, y, left, p, r, depth+1)
 	rt := t.grow(X, y, right, p, r, depth+1)
-	t.nodes[pos].left = l
-	t.nodes[pos].right = rt
+	t.nodes[pos].left = int32(l)
+	t.nodes[pos].right = int32(rt)
 	return pos
 }
 
@@ -192,14 +204,17 @@ func meanSSE(y []float64, idx []int) (mean, sse float64) {
 }
 
 // Predict returns the tree's prediction for one feature vector.
-func (t *Tree) Predict(x []float64) float64 {
-	pos := 0
+func (t *Tree) Predict(x []float64) float64 { return walk(t.nodes, x) }
+
+// walk descends one tree's nodes from its root (index 0) to a leaf.
+func walk(nodes []node, x []float64) float64 {
+	var pos int32
 	for {
-		n := t.nodes[pos]
+		n := &nodes[pos]
 		if n.feature < 0 {
-			return n.value
+			return n.val
 		}
-		if x[n.feature] <= n.threshold {
+		if x[n.feature] <= n.val {
 			pos = n.left
 		} else {
 			pos = n.right
@@ -215,8 +230,8 @@ func (t *Tree) depth(pos int) int {
 	if n.feature < 0 {
 		return 0
 	}
-	l := t.depth(n.left)
-	r := t.depth(n.right)
+	l := t.depth(int(n.left))
+	r := t.depth(int(n.right))
 	return 1 + int(math.Max(float64(l), float64(r)))
 }
 
@@ -243,25 +258,25 @@ func (t *Tree) render(b *strings.Builder, pos, indent int, names []string) {
 	pad := strings.Repeat("  ", indent)
 	n := t.nodes[pos]
 	if n.feature < 0 {
-		fmt.Fprintf(b, "%s-> %.4g  (n=%d)\n", pad, n.value, n.count)
+		fmt.Fprintf(b, "%s-> %.4g  (n=%d)\n", pad, n.val, t.stats[pos].count)
 		return
 	}
 	name := fmt.Sprintf("x%d", n.feature)
-	if names != nil && n.feature < len(names) {
+	if names != nil && int(n.feature) < len(names) {
 		name = names[n.feature]
 	}
-	fmt.Fprintf(b, "%sif %s <= %.4g:\n", pad, name, n.threshold)
-	t.render(b, n.left, indent+1, names)
-	fmt.Fprintf(b, "%selse:  # %s > %.4g\n", pad, name, n.threshold)
-	t.render(b, n.right, indent+1, names)
+	fmt.Fprintf(b, "%sif %s <= %.4g:\n", pad, name, n.val)
+	t.render(b, int(n.left), indent+1, names)
+	fmt.Fprintf(b, "%selse:  # %s > %.4g\n", pad, name, n.val)
+	t.render(b, int(n.right), indent+1, names)
 }
 
 // featureImportance accumulates, per feature, the total variance
 // reduction its splits achieved (the standard impurity-based importance).
 func (t *Tree) featureImportance(acc []float64) {
-	for _, n := range t.nodes {
-		if n.feature >= 0 && n.feature < len(acc) {
-			acc[n.feature] += n.gain
+	for i, n := range t.nodes {
+		if n.feature >= 0 && int(n.feature) < len(acc) {
+			acc[n.feature] += t.stats[i].gain
 		}
 	}
 }

@@ -50,6 +50,15 @@ func predictAll(m Model, X [][]float64) []float64 {
 	return out
 }
 
+// scorePool is the prelude RSp, RSb and RSbA share: draw the
+// configuration pool X_p of Algorithms 1 and 2 from poolR, encode it, and
+// score every row with m.
+func scorePool(spc *space.Space, m Model, n int, poolR *rng.RNG) (pool []space.Config, X [][]float64, preds []float64) {
+	pool = spc.SamplePool(n, poolR)
+	X = spc.EncodeAll(pool)
+	return pool, X, predictAll(m, X)
+}
+
 // DefaultDeltaPct is the paper's pruning-cutoff quantile percentage.
 const DefaultDeltaPct = 20
 
@@ -176,12 +185,7 @@ func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.
 	}
 	scorer, tm := timed(run.tr, m)
 
-	pool := spc.SamplePool(opt.PoolSize, poolR)
-	X := make([][]float64, len(pool))
-	for i, c := range pool {
-		X[i] = spc.Encode(c)
-	}
-	preds := predictAll(scorer, X)
+	_, _, preds := scorePool(spc, scorer, opt.PoolSize, poolR)
 	cutoff := stats.Quantile(preds, opt.DeltaPct/100)
 	if tm != nil {
 		tm.flush(run.tr, "RSp", "pool-score")
@@ -238,16 +242,11 @@ func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG
 	defer run.finish()
 	scorer, tm := timed(run.tr, m)
 
-	pool := spc.SamplePool(opt.PoolSize, poolR)
+	pool, _, preds := scorePool(spc, scorer, opt.PoolSize, poolR)
 	type scored struct {
 		c    space.Config
 		pred float64
 	}
-	X := make([][]float64, len(pool))
-	for i, c := range pool {
-		X[i] = spc.Encode(c)
-	}
-	preds := predictAll(scorer, X)
 	scoredPool := make([]scored, len(pool))
 	for i, c := range pool {
 		scoredPool[i] = scored{c: c, pred: preds[i]}
@@ -359,16 +358,6 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 	run.start(ctx)
 	defer run.finish()
 
-	pool := spc.SamplePool(opt.PoolSize, poolR)
-	remaining := make([]space.Config, len(pool))
-	copy(remaining, pool)
-	// Encodings travel with the pool entries so each refit generation can
-	// re-score the remaining configurations in one batch.
-	enc := make([][]float64, len(remaining))
-	for i, c := range remaining {
-		enc[i] = spc.Encode(c)
-	}
-
 	model := initial
 	observed := append(Dataset{}, ta...)
 
@@ -379,11 +368,16 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 		defer tm.flush(run.tr, "RSbA", "scan")
 	}
 
-	for len(run.res.Records) < opt.NMax && len(remaining) > 0 && ctx.Err() == nil {
+	// Encodings travel with the pool entries so each refit generation can
+	// re-score the remaining configurations in one batch.
+	remaining, enc, preds := scorePool(spc, scorer, opt.PoolSize, poolR)
+	for gen := 0; len(run.res.Records) < opt.NMax && len(remaining) > 0 && ctx.Err() == nil; gen++ {
 		// Pick the argmin-predicted configuration from the remaining pool.
 		// Batched scoring plus a strict-< scan reproduces the serial
 		// Predict loop's choice exactly (first minimum wins in both).
-		preds := predictAll(scorer, enc)
+		if gen > 0 {
+			preds = predictAll(scorer, enc)
+		}
 		best := 0
 		bestPred := preds[0]
 		for i := 1; i < len(preds); i++ {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/rng"
@@ -147,6 +148,9 @@ func (p Param) Label(level int) string {
 type Space struct {
 	params []Param
 	byName map[string]int
+	// size caches Size: the parameters never change after New, and the
+	// sampler consults the count on every draw.
+	size float64
 }
 
 // New constructs a Space from parameters. Parameter names must be unique.
@@ -160,6 +164,10 @@ func New(params ...Param) *Space {
 			panic("space: duplicate parameter name " + p.Name)
 		}
 		s.byName[p.Name] = i
+	}
+	s.size = 1.0
+	for _, p := range s.params {
+		s.size *= float64(p.Levels())
 	}
 	return s
 }
@@ -191,13 +199,7 @@ func (s *Space) Index(name string) int {
 // Size returns the number of configurations in the space as a float64
 // (spaces like ATAX's 2.57e12 overflow int on 32-bit platforms and are
 // reported in scientific notation in the paper).
-func (s *Space) Size() float64 {
-	size := 1.0
-	for _, p := range s.params {
-		size *= float64(p.Levels())
-	}
-	return size
-}
+func (s *Space) Size() float64 { return s.size }
 
 // Config is a point in a Space: one level index per parameter.
 type Config []int
@@ -206,16 +208,43 @@ type Config []int
 func (c Config) Clone() Config { return append(Config(nil), c...) }
 
 // Key returns a compact string key identifying the configuration, usable
-// as a map key for sampling without replacement.
+// as a map key for sampling without replacement: the decimal levels joined
+// by commas ("3,0,12"). The bytes are a persisted format — evalcache
+// entries are keyed by them, fault rolls hash them, and journal replay
+// matches configurations by them — so the rendering must never change.
 func (c Config) Key() string {
 	var b strings.Builder
+	b.Grow(keyLen(c))
+	var digits [20]byte
 	for i, v := range c {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		if 0 <= v && v < 10 {
+			b.WriteByte(byte('0' + v))
+		} else {
+			b.Write(strconv.AppendInt(digits[:0], int64(v), 10))
+		}
 	}
 	return b.String()
+}
+
+// keyLen returns the length of c.Key(), so Key allocates exactly once.
+func keyLen(c Config) int {
+	n := len(c) - 1
+	if n < 0 {
+		return 0
+	}
+	for _, v := range c {
+		if v < 0 {
+			n++
+			v = -v
+		}
+		for n++; v >= 10; v /= 10 {
+			n++
+		}
+	}
+	return n
 }
 
 // Hash returns a stable 64-bit hash of the configuration under a tag.
@@ -281,17 +310,47 @@ func (s *Space) String(c Config) string {
 // tree-based model can split on without assuming order.
 func (s *Space) Encode(c Config) []float64 {
 	f := make([]float64, len(c))
-	for i, p := range s.params {
+	s.encodeInto(f, c)
+	return f
+}
+
+// encodeInto writes Encode(c) into dst, which must hold NumParams
+// values, so EncodeAll can fill rows of a shared backing.
+func (s *Space) encodeInto(dst []float64, c Config) {
+	dst = dst[:len(s.params)]
+	for i := range s.params {
+		p := &s.params[i]
 		switch p.Kind {
 		case PowerOfTwo:
-			f[i] = math.Log2(float64(p.Value(c[i])))
+			dst[i] = math.Log2(float64(p.Value(c[i])))
 		case Categorical:
-			f[i] = float64(c[i])
+			dst[i] = float64(c[i])
 		default:
-			f[i] = float64(p.Value(c[i]))
+			dst[i] = float64(p.Value(c[i]))
 		}
 	}
-	return f
+}
+
+// encodeChunk is the most float64s EncodeAll carves from one backing
+// allocation: 32 KB, the largest small-object size class. One backing per
+// pool (20 MB for RT at N = 10 000) lands on the large-object heap and
+// raised the transfer benchmark's peak RSS by about 18 %.
+const encodeChunk = 4096
+
+// EncodeAll encodes every configuration, one row each. The rows are views
+// into a few shared backing arrays instead of one allocation per row.
+func (s *Space) EncodeAll(cs []Config) [][]float64 {
+	nf := len(s.params)
+	rows := make([][]float64, len(cs))
+	var flat []float64
+	for i, c := range cs {
+		if len(flat) < nf {
+			flat = make([]float64, min(max(1, encodeChunk/nf), len(cs)-i)*nf)
+		}
+		rows[i], flat = flat[:nf:nf], flat[nf:]
+		s.encodeInto(rows[i], c)
+	}
+	return rows
 }
 
 // FeatureNames returns the feature names corresponding to Encode's output.
@@ -315,8 +374,8 @@ func (s *Space) Default() Config { return make(Config, len(s.params)) }
 // Random returns a uniform random configuration.
 func (s *Space) Random(r *rng.RNG) Config {
 	c := make(Config, len(s.params))
-	for i, p := range s.params {
-		c[i] = r.Intn(p.Levels())
+	for i := range s.params {
+		c[i] = r.Intn(len(s.params[i].levels))
 	}
 	return c
 }
@@ -344,6 +403,18 @@ func (sm *Sampler) Seen(c Config) bool {
 	return ok
 }
 
+// claim marks c as used unless it already was, reporting whether it was
+// fresh. It computes the key once where Seen followed by Exclude would
+// compute it twice.
+func (sm *Sampler) claim(c Config) bool {
+	k := c.Key()
+	if _, dup := sm.seen[k]; dup {
+		return false
+	}
+	sm.seen[k] = struct{}{}
+	return true
+}
+
 // Drawn returns how many distinct configurations have been drawn/excluded.
 func (sm *Sampler) Drawn() int { return len(sm.seen) }
 
@@ -357,9 +428,7 @@ func (sm *Sampler) Next() (Config, bool) {
 	// collisions are essentially nonexistent. For tiny test spaces the
 	// fallback below guarantees termination.
 	for attempt := 0; attempt < 64; attempt++ {
-		c := sm.space.Random(sm.r)
-		if !sm.Seen(c) {
-			sm.Exclude(c)
+		if c := sm.space.Random(sm.r); sm.claim(c) {
 			return c, true
 		}
 	}

@@ -1,6 +1,7 @@
 package space
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -374,4 +375,33 @@ func TestExplicitParamPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	NewExplicit("x")
+}
+
+// TestEncodeAllMatchesEncode: batch rows equal Encode row for row, on a
+// small space and on one wide enough to span several backing chunks with
+// a ragged last chunk, and no row can grow into its neighbour.
+func TestEncodeAllMatchesEncode(t *testing.T) {
+	wide := make([]Param, 300)
+	for i := range wide {
+		wide[i] = NewPowerOfTwo(fmt.Sprintf("p%03d", i), 0, 5)
+	}
+	r := rng.New(17)
+	for name, s := range map[string]*Space{"small": smallSpace(), "wide": New(wide...), "empty": New()} {
+		pool := s.SamplePool(97, r)
+		rows := s.EncodeAll(pool)
+		if len(rows) != len(pool) {
+			t.Fatalf("%s: %d rows for %d configs", name, len(rows), len(pool))
+		}
+		for i, c := range pool {
+			want := s.Encode(c)
+			if len(rows[i]) != len(want) || cap(rows[i]) != len(want) {
+				t.Fatalf("%s: row %d has len %d cap %d, want %d", name, i, len(rows[i]), cap(rows[i]), len(want))
+			}
+			for j := range want {
+				if rows[i][j] != want[j] {
+					t.Fatalf("%s: row %d feature %d = %v, Encode gives %v", name, i, j, rows[i][j], want[j])
+				}
+			}
+		}
+	}
 }
