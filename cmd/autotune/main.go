@@ -38,12 +38,15 @@
 // under DIR: each record is checksummed and fsync'd before the search
 // observes it, so a crash, power loss, or signal at any instant leaves a
 // journal that resumes bit-exactly. SIGINT or SIGTERM drains the current
-// evaluation, writes a final checkpoint, and exits with code 3; running
-// again with -resume DIR (remaining settings are adopted from the
-// journal) continues the search to the same final result an
-// uninterrupted run would have produced. -throttle D pauses D of wall
-// time per evaluation — it changes nothing about the result, only makes
-// fast simulated runs interruptible (demos, tests).
+// evaluation and exits with code 3, leaving the log as the resumable
+// state; running again with -resume DIR (remaining settings are adopted
+// from the journal) replays the search from its seed against the
+// journaled outcomes, verifying each replayed request, and continues it
+// to the same final result an uninterrupted run would have produced. A
+// completed run also writes a checkpoint.json completion marker, so
+// resuming it returns its result without replaying. -throttle D pauses
+// D of wall time per evaluation — it changes nothing about the result,
+// only makes fast simulated runs interruptible (demos, tests).
 //
 // -workers-addr ADDR serves evaluations to remote worker processes
 // (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port)
@@ -271,7 +274,7 @@ func run() int {
 
 	// SIGINT/SIGTERM cancel the context; searches drain the evaluation in
 	// flight and stop at the next boundary, so a journaled run always
-	// exits through its final checkpoint.
+	// exits with every completed evaluation durable in its log.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -384,11 +387,7 @@ func run() int {
 	}
 
 	if info != nil && info.Resumed {
-		path := "replay"
-		if info.FastPath {
-			path = "checkpoint fast path"
-		}
-		fmt.Printf("resumed:     %d journaled evaluations (%s)\n", info.Prior, path)
+		fmt.Printf("resumed:     %d journaled evaluations\n", info.Prior)
 	}
 	if pulls != nil {
 		fmt.Printf("technique pulls: %v\n", pulls)

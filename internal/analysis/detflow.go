@@ -93,7 +93,7 @@ var detflowRootRules = []detflowRootRule{
 		"encodeFrame", "outcomeToWire", "outcomeFromWire",
 	}},
 	// Journal replay must reproduce the original run exactly.
-	{Frag: "internal/journal", Names: []string{"Run", "RunRS", "EvaluateFull", "Records"}},
+	{Frag: "internal/journal", Names: []string{"Run", "EvaluateFull", "Records"}},
 	// The one evaluation-stack builder: every CLI, worker, and daemon
 	// session runs the stack and driver it builds, so a nondeterministic
 	// layer here would break every bit-identity invariant at once.

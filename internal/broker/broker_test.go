@@ -153,27 +153,39 @@ func run(drive driveFunc, p search.Problem) (*search.Result, *obs.Registry, []ob
 	return res, reg, mem.Events()
 }
 
-// flaky returns a worker over p that stalls and fails dispatches before
-// they reach guard: its first dispatch stalls, its second fails, and
-// later ones stall and fail at seeded rates, each decision rolled from
-// its own (seed, label, dispatch) rng stream. A stalled dispatch sleeps
-// first, so the submitter hedges it; a failed one answers Interrupted,
-// so the submitter re-dispatches under its retry budget. Neither
-// touches what the evaluation returns.
-func flaky(p search.Problem, guard *remote.EvalGuard, label string, seed int64, failRate, stallRate float64, stallFor time.Duration) *remote.Worker {
+// flaky returns a worker over p that fails and stalls dispatches before
+// they reach guard. Its first dispatch fails. A search's first dispatch
+// is the primary of task 0, so one worker's failure always lands on a
+// primary dispatch of a task that has not settled. Every later dispatch
+// is held until reg has counted a retry and a hedge, so task 0 cannot
+// settle before the failure is retried and its hedge timer has fired.
+// After that, dispatches stall and fail at seeded rates, each decision
+// rolled from its own (seed, label, dispatch) rng stream. A failed
+// dispatch answers Interrupted, so the submitter re-dispatches under its
+// retry budget; a stalled one sleeps first, so the submitter may hedge
+// it. Neither touches what the evaluation returns.
+func flaky(p search.Problem, guard *remote.EvalGuard, label string, reg *obs.Registry,
+	seed int64, failRate, stallRate float64, stallFor time.Duration) *remote.Worker {
+
 	w := worker(p)
 	w.Guard, w.Label = guard, label
 	var dispatches atomic.Int64
 	w.Resolve = func(string) (search.Problem, error) {
 		d := dispatches.Add(1)
+		if d == 1 {
+			return nil, errors.New("test: injected dispatch failure")
+		}
+		for reg.Counter(obs.MetricBrokerRetries).Value() == 0 || reg.Counter(obs.MetricBrokerHedges).Value() == 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
 		roll := func(tag string) float64 {
 			key := fmt.Sprintf("dispatch|%d|%s|%s|%d", seed, label, tag, d)
 			return rng.New(rng.Hash64(key)).Float64()
 		}
-		if d == 1 || roll("stall") < stallRate {
+		if roll("stall") < stallRate {
 			time.Sleep(stallFor)
 		}
-		if d == 2 || roll("fail") < failRate {
+		if roll("fail") < failRate {
 			return nil, errors.New("test: injected dispatch failure")
 		}
 		return p, nil
@@ -292,7 +304,7 @@ func TestBrokerMatchesInline(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var wg sync.WaitGroup
 			for _, label := range []string{"w1", "w2"} {
-				w := flaky(p, guard, label, 7, 0.2, 0.1, 5*time.Millisecond)
+				w := flaky(p, guard, label, gotReg, 7, 0.2, 0.1, 5*time.Millisecond)
 				w.Tracer = tr
 				wg.Add(1)
 				go func() {
@@ -515,11 +527,10 @@ func TestBrokerJournalReplay(t *testing.T) {
 			return search.RS(ctx, newFaulty(seed), nmax, rng.New(seed))
 		},
 		Journaled: func(ctx context.Context, dir string, p search.Problem) (*search.Result, *journal.RunInfo, error) {
-			return journal.RunRS(ctx, dir, p, nmax, seed, nil,
-				journal.WrapOptions{CheckpointEvery: 4, TrackInFlight: true})
+			return crashtest.JournaledRS(ctx, dir, p, nmax, seed, journal.WrapOptions{TrackInFlight: true})
 		},
 	}
-	n, err := trial.Cancellations(t.TempDir(), 6, 25, 19, true)
+	n, err := trial.Cancellations(t.TempDir(), 6, 25, 19)
 	if err != nil {
 		t.Fatal(err)
 	}

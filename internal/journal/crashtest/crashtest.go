@@ -12,8 +12,8 @@
 //     truncated log — exercising the guard that ignores checkpoints
 //     ahead of the durable entries.
 //   - Graceful cancellation: cancel the context after a random number of
-//     evaluations and resume, exercising the checkpoint fast path for
-//     random search.
+//     evaluations and resume by replay, which serves and verifies the
+//     journaled prefix.
 //
 // The in-process SIGKILL trial lives in the package's tests (it re-execs
 // the test binary).
@@ -24,7 +24,9 @@ package crashtest
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -43,6 +45,18 @@ type Trial struct {
 	Journaled func(ctx context.Context, dir string, p search.Problem) (*search.Result, *journal.RunInfo, error)
 	// NewProblem returns a fresh, deterministic problem instance.
 	NewProblem func() search.Problem
+}
+
+// JournaledRS runs (or resumes) random search over p through the
+// journal in dir: the journaled form of
+// search.RS(ctx, p, nmax, rng.New(seed)).
+func JournaledRS(ctx context.Context, dir string, p search.Problem, nmax int, seed uint64,
+	opts journal.WrapOptions) (*search.Result, *journal.RunInfo, error) {
+
+	meta := journal.Meta{Problem: p.Name(), Algorithm: "RS", Seed: seed, NMax: nmax}
+	return journal.Run(ctx, dir, meta, p, opts, func(ctx context.Context, p search.Problem) *search.Result {
+		return search.RS(ctx, p, nmax, rng.New(seed))
+	})
 }
 
 // Compare checks that two results are byte-identical in every field a
@@ -207,10 +221,8 @@ func (c *canceller) EvaluateFull(ctx context.Context, cfg space.Config) search.O
 }
 
 // Cancellations runs the graceful-interruption campaign: cancel after a
-// random number of evaluations, resume, and compare. When wantFastPath
-// is set (random search), every resume with a non-empty journal must
-// take the checkpoint fast path rather than replaying.
-func (tr Trial) Cancellations(scratch string, points, maxEvals int, seed uint64, wantFastPath bool) (int, error) {
+// random number of evaluations, resume, and compare.
+func (tr Trial) Cancellations(scratch string, points, maxEvals int, seed uint64) (int, error) {
 	ref := tr.Plain(context.Background())
 	r := rng.New(seed)
 	for i := 0; i < points; i++ {
@@ -225,6 +237,11 @@ func (tr Trial) Cancellations(scratch string, points, maxEvals int, seed uint64,
 		if info.Done {
 			return i, fmt.Errorf("cancel after %d evals: interrupted run claims completion", n)
 		}
+		// The checkpoint is a completion marker: an interrupted run must
+		// leave only its log behind.
+		if _, err := os.Stat(filepath.Join(dir, journal.CheckpointFileName)); !errors.Is(err, fs.ErrNotExist) {
+			return i, fmt.Errorf("cancel after %d evals: interrupted run left a checkpoint (stat: %v)", n, err)
+		}
 		for j := range partial.Records {
 			if partial.Records[j].Config.Key() != ref.Records[j].Config.Key() {
 				return i, fmt.Errorf("cancel after %d evals: partial record %d diverges before resume", n, j)
@@ -236,9 +253,6 @@ func (tr Trial) Cancellations(scratch string, points, maxEvals int, seed uint64,
 		}
 		if !rinfo.Done {
 			return i, fmt.Errorf("cancel after %d evals: resume did not complete: %+v", n, rinfo)
-		}
-		if wantFastPath && rinfo.Prior > 0 && !rinfo.FastPath {
-			return i, fmt.Errorf("cancel after %d evals: resume with %d prior entries took the replay path, want fast path", n, rinfo.Prior)
 		}
 		if err := Compare(ref, res); err != nil {
 			return i, fmt.Errorf("cancel after %d evals (prior=%d): %w", n, rinfo.Prior, err)

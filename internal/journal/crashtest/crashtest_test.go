@@ -74,7 +74,7 @@ func newFaulty(seed uint64) search.Problem {
 		search.ResilientOptions{Retries: 2, Timeout: 120})
 }
 
-// rsTrial is the random-search trial (fast-path capable).
+// rsTrial is the random-search trial.
 func rsTrial(seed uint64, nmax int) Trial {
 	return Trial{
 		NewProblem: func() search.Problem { return newFaulty(seed) },
@@ -82,7 +82,7 @@ func rsTrial(seed uint64, nmax int) Trial {
 			return search.RS(ctx, newFaulty(seed), nmax, rng.New(seed))
 		},
 		Journaled: func(ctx context.Context, dir string, p search.Problem) (*search.Result, *journal.RunInfo, error) {
-			return journal.RunRS(ctx, dir, p, nmax, seed, nil, journal.WrapOptions{CheckpointEvery: 4})
+			return JournaledRS(ctx, dir, p, nmax, seed, journal.WrapOptions{})
 		},
 	}
 }
@@ -116,7 +116,7 @@ func rspTrial(seed uint64, nmax int) Trial {
 			return drive(ctx, newFaulty(seed))
 		},
 		Journaled: func(ctx context.Context, dir string, p search.Problem) (*search.Result, *journal.RunInfo, error) {
-			return journal.Run(ctx, dir, meta, p, journal.WrapOptions{CheckpointEvery: 4}, drive)
+			return journal.Run(ctx, dir, meta, p, journal.WrapOptions{}, drive)
 		},
 	}
 }
@@ -143,16 +143,16 @@ func TestRSpTruncationKillPoints(t *testing.T) {
 	t.Logf("RSp: %d truncation kill points resumed byte-identical", n)
 }
 
-func TestRSGracefulCancelFastPath(t *testing.T) {
-	n, err := rsTrial(107, 35).Cancellations(t.TempDir(), 20, 30, 13, true)
+func TestRSGracefulCancelReplay(t *testing.T) {
+	n, err := rsTrial(107, 35).Cancellations(t.TempDir(), 20, 30, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("RS: %d graceful-cancel points resumed via the fast path", n)
+	t.Logf("RS: %d graceful-cancel points resumed via replay", n)
 }
 
 func TestRSpGracefulCancelReplay(t *testing.T) {
-	n, err := rspTrial(109, 30).Cancellations(t.TempDir(), 10, 25, 17, false)
+	n, err := rspTrial(109, 30).Cancellations(t.TempDir(), 10, 25, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,8 @@ func (s slowBowl) Evaluate(c space.Config) (float64, float64) {
 }
 
 func childMain(dir string) {
-	_, _, err := journal.RunRS(context.Background(), dir, slowBowl{newBowl()},
-		sigkillNMax, sigkillSeed, nil, journal.WrapOptions{CheckpointEvery: 3})
+	_, _, err := JournaledRS(context.Background(), dir, slowBowl{newBowl()},
+		sigkillNMax, sigkillSeed, journal.WrapOptions{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crashtest child:", err)
 		os.Exit(1)
@@ -228,9 +228,8 @@ func remoteChildMain(dir string) {
 		})
 	}()
 
-	_, _, err := journal.RunRS(context.Background(), dir, pool.Problem(p),
-		sigkillNMax, sigkillSeed, nil,
-		journal.WrapOptions{CheckpointEvery: 3, TrackInFlight: true})
+	_, _, err := JournaledRS(context.Background(), dir, pool.Problem(p),
+		sigkillNMax, sigkillSeed, journal.WrapOptions{TrackInFlight: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crashtest remote child:", err)
 		os.Exit(1)
@@ -267,8 +266,8 @@ func TestSIGKILLResume(t *testing.T) {
 	t.Logf("child SIGKILLed with %d durable entries", survivors)
 
 	ref := search.RS(context.Background(), newBowl(), sigkillNMax, rng.New(sigkillSeed))
-	got, info, err := journal.RunRS(context.Background(), dir, newBowl(),
-		sigkillNMax, sigkillSeed, nil, journal.WrapOptions{})
+	got, info, err := JournaledRS(context.Background(), dir, newBowl(),
+		sigkillNMax, sigkillSeed, journal.WrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +316,8 @@ func TestSIGKILLRemoteResume(t *testing.T) {
 	t.Logf("remote child SIGKILLed with %d durable entries (in-flight marker: %v)", survivors, inflight)
 
 	ref := search.RS(context.Background(), newBowl(), sigkillNMax, rng.New(sigkillSeed))
-	got, info, err := journal.RunRS(context.Background(), dir, newBowl(),
-		sigkillNMax, sigkillSeed, nil, journal.WrapOptions{})
+	got, info, err := JournaledRS(context.Background(), dir, newBowl(),
+		sigkillNMax, sigkillSeed, journal.WrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

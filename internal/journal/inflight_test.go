@@ -94,7 +94,7 @@ func TestInFlightProblemMismatchAborts(t *testing.T) {
 	}
 	s.Close()
 
-	_, _, err = RunRS(context.Background(), dir, p, 6, 9, nil, WrapOptions{TrackInFlight: true})
+	_, _, err = runRS(context.Background(), dir, p, 6, 9, WrapOptions{TrackInFlight: true})
 	if err == nil {
 		t.Fatal("resume with a foreign in-flight marker succeeded, want abort")
 	}

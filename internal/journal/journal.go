@@ -9,23 +9,23 @@
 //     evaluation, each frame checksummed and fsync'd before the search
 //     may observe the outcome. A torn final frame (the crash hit
 //     mid-write) is detected by its checksum and dropped on open.
-//   - checkpoint.json: a small snapshot {cursor, done, named RNG states}
-//     replaced atomically (temp file + fsync + rename). It is advisory:
-//     the log is the source of truth, and a checkpoint whose cursor
-//     disagrees with the log is ignored.
+//   - checkpoint.json: the completion marker {cursor, done, skipped},
+//     written once via atomic rename when the run ends naturally. An
+//     interrupted run has none; a marker whose cursor disagrees with the
+//     log is ignored.
 //
 // Recovery never trusts partial writes: the log is scanned frame by
 // frame and truncated at the first invalid frame, so after any crash the
 // journal holds exactly the evaluations whose outcomes were durable.
 //
-// Resumption has two paths. The general path replays: the search
-// algorithm is re-run from its seed with the journaled outcomes served
-// in place of real evaluations, which reproduces every random draw and
-// model decision bit-exactly and works for every algorithm in
-// internal/search. The fast path (random search only) skips the replay
-// when the checkpoint is fresh: the sampler's RNG is restored from its
-// serialized state and the search continues directly after the journaled
-// prefix. Both paths yield byte-identical Results; see DESIGN.md.
+// There is one resume path, replay: the search algorithm is re-run from
+// its seed with the journaled outcomes served in place of real
+// evaluations, and every configuration it requests is checked against
+// the journaled one. That reproduces every random draw and model
+// decision bit-exactly for every algorithm in internal/search, and
+// refuses a journal recorded under different semantics at the first
+// diverging request. A completed journal short-circuits: Run returns its
+// records without replaying. See DESIGN.md.
 package journal
 
 import (

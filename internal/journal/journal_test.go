@@ -3,6 +3,7 @@ package journal
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,6 +51,27 @@ func newFaulty(seed uint64) search.Problem {
 	rates := faults.Rates{CompileFail: 0.1, Crash: 0.1, Hang: 0.05}
 	return search.NewResilient(faults.Wrap(newBowl(), rates, seed),
 		search.ResilientOptions{Retries: 2, Timeout: 120})
+}
+
+// runRS runs (or resumes) random search through the journal in dir:
+// the journaled form of search.RS(ctx, p, nmax, rng.New(seed)).
+func runRS(ctx context.Context, dir string, p search.Problem, nmax int, seed uint64,
+	opts WrapOptions) (*search.Result, *RunInfo, error) {
+
+	meta := Meta{Problem: p.Name(), Algorithm: "RS", Seed: seed, NMax: nmax}
+	return Run(ctx, dir, meta, p, opts, func(ctx context.Context, p search.Problem) *search.Result {
+		return search.RS(ctx, p, nmax, rng.New(seed))
+	})
+}
+
+// hasCheckpoint reports whether dir holds a checkpoint file.
+func hasCheckpoint(t *testing.T, dir string) bool {
+	t.Helper()
+	_, err := os.Stat(filepath.Join(dir, CheckpointFileName))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return err == nil
 }
 
 func sameResults(t *testing.T, want, got *search.Result) {
@@ -199,7 +221,7 @@ func TestSessionRoundTripWithFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.WriteCheckpoint(true, ref.Skipped, nil); err != nil {
+	if err := s.markDone(ref.Skipped); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -212,7 +234,7 @@ func TestSessionRoundTripWithFailures(t *testing.T) {
 	if !s2.Done() {
 		t.Fatal("completed journal not recognized as done")
 	}
-	got, err := s2.result()
+	got, err := s2.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +272,7 @@ func TestMetaCheck(t *testing.T) {
 func TestRunRSFreshMatchesPlainRS(t *testing.T) {
 	p1, p2 := newFaulty(11), newFaulty(11)
 	ref := search.RS(context.Background(), p1, 30, rng.New(11))
-	got, info, err := RunRS(context.Background(), t.TempDir(), p2, 30, 11, nil, WrapOptions{})
+	got, info, err := runRS(context.Background(), t.TempDir(), p2, 30, 11, WrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +285,14 @@ func TestRunRSFreshMatchesPlainRS(t *testing.T) {
 func TestRunRSCompletedJournalShortCircuits(t *testing.T) {
 	dir := t.TempDir()
 	p := newFaulty(13)
-	ref, _, err := RunRS(context.Background(), dir, p, 25, 13, nil, WrapOptions{})
+	ref, _, err := runRS(context.Background(), dir, p, 25, 13, WrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Second invocation must not evaluate anything.
 	counter := newBowl()
 	wrapped := search.NewResilient(faults.Wrap(counter, faults.Rates{}, 13), search.ResilientOptions{})
-	got, info, err := RunRS(context.Background(), dir, wrapped, 25, 13, nil, WrapOptions{})
+	got, info, err := runRS(context.Background(), dir, wrapped, 25, 13, WrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,13 +308,13 @@ func TestRunRSCompletedJournalShortCircuits(t *testing.T) {
 func TestRunRSRefusesMismatchedMeta(t *testing.T) {
 	dir := t.TempDir()
 	p := newFaulty(17)
-	if _, _, err := RunRS(context.Background(), dir, p, 20, 17, nil, WrapOptions{}); err != nil {
+	if _, _, err := runRS(context.Background(), dir, p, 20, 17, WrapOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunRS(context.Background(), dir, p, 20, 18, nil, WrapOptions{}); !errors.Is(err, ErrMetaMismatch) {
+	if _, _, err := runRS(context.Background(), dir, p, 20, 18, WrapOptions{}); !errors.Is(err, ErrMetaMismatch) {
 		t.Fatalf("seed change accepted: %v", err)
 	}
-	if _, _, err := RunRS(context.Background(), dir, p, 21, 17, nil, WrapOptions{}); !errors.Is(err, ErrMetaMismatch) {
+	if _, _, err := runRS(context.Background(), dir, p, 21, 17, WrapOptions{}); !errors.Is(err, ErrMetaMismatch) {
 		t.Fatalf("nmax change accepted: %v", err)
 	}
 }
@@ -323,65 +345,113 @@ func (c *cancelAfter) EvaluateFull(ctx context.Context, cfg space.Config) search
 	return search.EvaluateFull(ctx, c.Problem, cfg)
 }
 
-func TestRunRSGracefulInterruptAndFastPathResume(t *testing.T) {
-	ref := search.RS(context.Background(), newBowl(), 30, rng.New(23))
+// TestRunRSGracefulInterruptResume interrupts a journaled random search,
+// optionally interrupts its resumes before they evaluate anything new,
+// and resumes to completion: the result must equal the uninterrupted
+// run's bit for bit, and only completion may write the checkpoint.
+func TestRunRSGracefulInterruptResume(t *testing.T) {
+	const nmax, seed = 30, 23
+	ref := search.RS(context.Background(), newFaulty(seed), nmax, rng.New(seed))
+	cases := []struct {
+		name  string
+		after int // evaluations before the first interrupt
+		idle  int // resumes cancelled before their first new evaluation
+	}{
+		{"resume to completion", 11, 0},
+		{"resume cancelled before its first new evaluation", 10, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			interruptible := &cancelAfter{Problem: newFaulty(seed), n: tc.after, cancel: cancel}
+			partial, info, err := runRS(ctx, dir, interruptible, nmax, seed, WrapOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Done {
+				t.Fatal("interrupted run reported done")
+			}
+			if n := len(partial.Records); n == 0 || n >= nmax {
+				t.Fatalf("partial run has %d records", n)
+			}
+			for i, rec := range partial.Records {
+				if rec.Config.Key() != ref.Records[i].Config.Key() || rec.RunTime != ref.Records[i].RunTime {
+					t.Fatalf("partial record %d diverges from uninterrupted run", i)
+				}
+			}
+			if hasCheckpoint(t, dir) {
+				t.Fatal("interrupted run wrote a checkpoint")
+			}
 
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	interruptible := &cancelAfter{Problem: newBowl(), n: 11, cancel: cancel}
-	partial, info, err := RunRS(ctx, dir, interruptible, 30, 23, nil, WrapOptions{CheckpointEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Done {
-		t.Fatal("interrupted run reported done")
-	}
-	if n := len(partial.Records); n == 0 || n >= 30 {
-		t.Fatalf("partial run has %d records", n)
-	}
-	for i, rec := range partial.Records {
-		if rec.Config.Key() != ref.Records[i].Config.Key() || rec.RunTime != ref.Records[i].RunTime {
-			t.Fatalf("partial record %d diverges from uninterrupted run", i)
-		}
-	}
+			// Each idle resume replays the whole journal and is cancelled
+			// by its first new evaluation: nothing may be journaled.
+			for i := 0; i < tc.idle; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				idle := &cancelAfter{Problem: newFaulty(seed), n: 0, cancel: cancel}
+				res, info, err := runRS(ctx, dir, idle, nmax, seed, WrapOptions{})
+				cancel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.Resumed || info.Done || info.Prior != len(partial.Records) {
+					t.Fatalf("idle resume %d info = %+v, want resumed, not done, prior %d", i, info, len(partial.Records))
+				}
+				if len(res.Records) != len(partial.Records) {
+					t.Fatalf("idle resume %d returned %d records, want %d", i, len(res.Records), len(partial.Records))
+				}
+				if hasCheckpoint(t, dir) {
+					t.Fatalf("idle resume %d wrote a checkpoint", i)
+				}
+			}
 
-	got, info2, err := RunRS(context.Background(), dir, newBowl(), 30, 23, nil, WrapOptions{})
-	if err != nil {
-		t.Fatal(err)
+			got, info, err := runRS(context.Background(), dir, newFaulty(seed), nmax, seed, WrapOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.Resumed || !info.Done || info.Prior != len(partial.Records) {
+				t.Fatalf("resume info = %+v, want resumed, done, prior %d", info, len(partial.Records))
+			}
+			sameResults(t, ref, got)
+			if !hasCheckpoint(t, dir) {
+				t.Fatal("completed resume wrote no checkpoint")
+			}
+		})
 	}
-	if !info2.Resumed || !info2.FastPath || !info2.Done {
-		t.Fatalf("resume info = %+v", info2)
-	}
-	if info2.Prior != len(partial.Records) {
-		t.Fatalf("resume saw %d prior entries, want %d", info2.Prior, len(partial.Records))
-	}
-	sameResults(t, ref, got)
 }
 
 func TestRunRSReplayResumeAfterCrash(t *testing.T) {
 	// Reference: uninterrupted faulty run.
 	ref := search.RS(context.Background(), newFaulty(29), 30, rng.New(29))
 
-	// Interrupted run, then simulate a crash that also lost the
-	// checkpoint: the fast path must be refused and replay used.
+	// Interrupted run, then simulate a crash mid-append: a torn frame
+	// header at the end of the log, which recovery must drop.
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interruptible := &cancelAfter{Problem: newFaulty(29), n: 9, cancel: cancel}
-	if _, _, err := RunRS(ctx, dir, interruptible, 30, 29, nil, WrapOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, CheckpointFileName)); err != nil {
-		t.Fatal(err)
-	}
-
-	got, info, err := RunRS(context.Background(), dir, newFaulty(29), 30, 29, nil, WrapOptions{})
+	partial, _, err := runRS(ctx, dir, interruptible, 30, 29, WrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Resumed || info.FastPath {
-		t.Fatalf("resume info = %+v (want replay path)", info)
+	f, err := os.OpenFile(filepath.Join(dir, LogFileName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0x40, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, info, err := runRS(context.Background(), dir, newFaulty(29), 30, 29, WrapOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Resumed || info.Prior != len(partial.Records) {
+		t.Fatalf("resume info = %+v, want resumed with prior %d", info, len(partial.Records))
 	}
 	sameResults(t, ref, got)
 }
@@ -391,10 +461,9 @@ func TestReplayDivergenceAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	interruptible := &cancelAfter{Problem: newBowl(), n: 6, cancel: cancel}
-	if _, _, err := RunRS(ctx, dir, interruptible, 20, 31, nil, WrapOptions{}); err != nil {
+	if _, _, err := runRS(ctx, dir, interruptible, 20, 31, WrapOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, CheckpointFileName))
 
 	// Same meta on disk, but the search is driven with a different seed's
 	// draw sequence via a tampered meta file. Rewrite meta seed so Check
@@ -409,7 +478,7 @@ func TestReplayDivergenceAborts(t *testing.T) {
 	if err := os.WriteFile(metaPath, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := RunRS(context.Background(), dir, newBowl(), 20, 32, nil, WrapOptions{})
+	_, _, err := runRS(context.Background(), dir, newBowl(), 20, 32, WrapOptions{})
 	if err == nil || !errors.Is(err, search.ErrAborted) {
 		t.Fatalf("diverging replay not aborted: %v", err)
 	}

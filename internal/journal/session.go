@@ -98,20 +98,20 @@ func (e Entry) record(elapsed float64) (search.Record, error) {
 	}, nil
 }
 
-// Checkpoint is the advisory snapshot written alongside the log. Cursor
-// is the number of journaled entries it covers; States holds named
-// serialized RNG states (e.g. the RS sampler stream) captured at the
-// moment entry Cursor-1 was appended. Because the log is fsync'd before
-// the checkpoint is written, Cursor can never legitimately exceed the
-// number of durable entries; a checkpoint that does is ignored.
-type Checkpoint struct {
+// checkpoint is the completion marker, written once when a run ends
+// naturally. Cursor is the number of journaled entries the finished run
+// holds. Because the log is fsync'd before the marker is written, Cursor
+// can never legitimately exceed the number of durable entries; a
+// checkpoint that does is ignored. Older journals may also hold a
+// done=false checkpoint, with fields this type does not read; it marks
+// nothing and is ignored too.
+type checkpoint struct {
 	Cursor int  `json:"cursor"`
 	Done   bool `json:"done"`
-	// Skipped preserves the Result's skipped-candidate count for
-	// completed runs (pruning searches), which a replay-free load could
-	// not otherwise reconstruct.
-	Skipped int               `json:"skipped,omitempty"`
-	States  map[string][]byte `json:"states,omitempty"`
+	// Skipped preserves the Result's skipped-candidate count (pruning
+	// searches), which a replay-free load could not otherwise
+	// reconstruct.
+	Skipped int `json:"skipped,omitempty"`
 }
 
 // Session is an open journal directory.
@@ -120,7 +120,7 @@ type Session struct {
 	log      *logFile
 	meta     Meta
 	entries  []Entry
-	cp       *Checkpoint
+	cp       *checkpoint
 	inflight *InFlight
 }
 
@@ -210,20 +210,22 @@ func Open(dir string) (*Session, error) {
 	return s, nil
 }
 
-// loadCheckpoint reads checkpoint.json, returning nil when it is absent,
-// unreadable, or inconsistent with the recovered log (cursor beyond the
-// durable entries — possible only through corruption, since entries are
-// fsync'd before the checkpoint that covers them).
-func (s *Session) loadCheckpoint() *Checkpoint {
+// loadCheckpoint reads the completion marker, returning nil when it is
+// absent, unreadable, not a completion marker (a done=false checkpoint
+// left by older journals), or inconsistent with the recovered log
+// (cursor beyond the durable entries — possible only through
+// corruption, since entries are fsync'd before the marker that covers
+// them).
+func (s *Session) loadCheckpoint() *checkpoint {
 	data, err := os.ReadFile(filepath.Join(s.dir, CheckpointFileName))
 	if err != nil {
 		return nil
 	}
-	var cp Checkpoint
+	var cp checkpoint
 	if err := json.Unmarshal(data, &cp); err != nil {
 		return nil
 	}
-	if cp.Cursor < 0 || cp.Cursor > len(s.entries) {
+	if !cp.Done || cp.Cursor < 0 || cp.Cursor > len(s.entries) {
 		return nil
 	}
 	return &cp
@@ -232,27 +234,13 @@ func (s *Session) loadCheckpoint() *Checkpoint {
 // Meta returns the journal's pinned run description.
 func (s *Session) Meta() Meta { return s.meta }
 
-// Dir returns the journal directory.
-func (s *Session) Dir() string { return s.dir }
-
 // Len returns the number of recovered entries.
 func (s *Session) Len() int { return len(s.entries) }
 
-// Entries returns the recovered entries (callers must not mutate).
-func (s *Session) Entries() []Entry { return s.entries }
-
-// Checkpoint returns the recovered checkpoint, if any was valid.
-func (s *Session) Checkpoint() (Checkpoint, bool) {
-	if s.cp == nil {
-		return Checkpoint{}, false
-	}
-	return *s.cp, true
-}
-
-// Done reports whether the journal's run completed (final checkpoint
-// with done=true covering every entry).
+// Done reports whether the journal's run completed (a completion marker
+// covering every entry).
 func (s *Session) Done() bool {
-	return s.cp != nil && s.cp.Done && s.cp.Cursor == len(s.entries)
+	return s.cp != nil && s.cp.Cursor == len(s.entries)
 }
 
 // Records converts the recovered entries back into search records, with
@@ -271,6 +259,21 @@ func (s *Session) Records() ([]search.Record, error) {
 	return recs, nil
 }
 
+// Result assembles the Result the journal holds without re-running
+// anything: its records under the meta's identity, with the skipped
+// count of a completed run.
+func (s *Session) Result() (*search.Result, error) {
+	recs, err := s.Records()
+	if err != nil {
+		return nil, err
+	}
+	res := &search.Result{Algorithm: s.meta.Algorithm, Problem: s.meta.Problem, Records: recs}
+	if s.cp != nil {
+		res.Skipped = s.cp.Skipped
+	}
+	return res, nil
+}
+
 // Append journals one completed evaluation record. It returns only after
 // the frame is on disk.
 func (s *Session) Append(rec search.Record) error {
@@ -286,11 +289,10 @@ func (s *Session) Append(rec search.Record) error {
 	return nil
 }
 
-// WriteCheckpoint atomically replaces the checkpoint snapshot. The
-// cursor is pinned to the current entry count: a checkpoint only ever
-// describes fully journaled state.
-func (s *Session) WriteCheckpoint(done bool, skipped int, states map[string][]byte) error {
-	cp := Checkpoint{Cursor: len(s.entries), Done: done, Skipped: skipped, States: states}
+// markDone atomically writes the completion marker covering every
+// journaled entry, with the finished Result's skipped count.
+func (s *Session) markDone(skipped int) error {
+	cp := checkpoint{Cursor: len(s.entries), Done: true, Skipped: skipped}
 	data, err := json.Marshal(cp)
 	if err != nil {
 		return err

@@ -6,30 +6,12 @@ import (
 	"math"
 
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/space"
 )
 
 // WrapOptions configures the journaling evaluation layer.
 type WrapOptions struct {
-	// CheckpointEvery writes an advisory checkpoint after every k-th
-	// journaled evaluation (default 10; the final checkpoint at the end
-	// of a run is always written).
-	CheckpointEvery int
-	// State, when set, captures named serialized RNG states. It is
-	// invoked immediately after each evaluation is journaled — the only
-	// moment the states are consistent with the log cursor — and the
-	// snapshot is what checkpoints carry. Capturing at checkpoint-write
-	// time instead would race with the draw of the next candidate: an
-	// interrupted run's final checkpoint would then describe an RNG that
-	// has already consumed a configuration the journal never saw.
-	State func() map[string][]byte
-	// Cursor marks how many journaled entries the wrapped search will
-	// NOT re-request (fast-path resume continues after them). Zero means
-	// the search replays from the beginning and the wrapper serves the
-	// whole journaled prefix.
-	Cursor int
 	// TrackInFlight durably marks each live evaluation before it is
 	// dispatched (see Session.MarkInFlight), so a crash mid-evaluation
 	// leaves a marker the resume verifies against its deterministic
@@ -38,44 +20,18 @@ type WrapOptions struct {
 	TrackInFlight bool
 }
 
-func (o WrapOptions) withDefaults() WrapOptions {
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 10
-	}
-	return o
-}
-
 // Recorder is the journaling evaluation layer around a Problem. The
-// first len(journal)-Cursor evaluations are served from the journal
-// (verifying the replayed search requests the identical configurations);
-// every later evaluation runs for real and is journaled — durably —
-// before the search observes its outcome.
+// first len(journal) evaluations are served from the journal (verifying
+// the replayed search requests the identical configurations); every
+// later evaluation runs for real and is journaled — durably — before
+// the search observes its outcome.
 type Recorder struct {
-	p          search.Problem
-	s          *Session
-	opts       WrapOptions
-	idx        int // next journal entry to serve
-	elapsed    float64
-	err        error
-	sinceCp    int
-	lastStates map[string][]byte
-}
-
-// Wrap builds the journaling layer over p. opts.Cursor entries are
-// treated as already consumed by the (fast-path) caller.
-func (s *Session) Wrap(p search.Problem, opts WrapOptions) (*Recorder, error) {
-	opts = opts.withDefaults()
-	if opts.Cursor < 0 || opts.Cursor > len(s.entries) {
-		return nil, fmt.Errorf("journal: wrap cursor %d out of range [0,%d]", opts.Cursor, len(s.entries))
-	}
-	w := &Recorder{p: p, s: s, opts: opts, idx: opts.Cursor}
-	for _, e := range s.entries[:opts.Cursor] {
-		w.elapsed += e.Cost
-	}
-	if opts.State != nil {
-		w.lastStates = opts.State()
-	}
-	return w, nil
+	p       search.Problem
+	s       *Session
+	opts    WrapOptions
+	idx     int // next journal entry to serve
+	elapsed float64
+	err     error
 }
 
 // Name implements search.Problem.
@@ -96,10 +52,6 @@ func (w *Recorder) Evaluate(c space.Config) (float64, float64) {
 // checkpoint, or replay divergence). Once set, every further evaluation
 // aborts the search.
 func (w *Recorder) Err() error { return w.err }
-
-// Served returns how many journaled entries have been served (including
-// the wrap cursor).
-func (w *Recorder) Served() int { return w.idx }
 
 // abort records err as fatal and returns the outcome that stops the
 // search without recording anything.
@@ -179,22 +131,6 @@ func (w *Recorder) EvaluateFull(ctx context.Context, c space.Config) search.Outc
 	}
 	w.idx++
 	w.elapsed += out.Cost
-	if w.opts.State != nil {
-		w.lastStates = w.opts.State()
-	}
-	w.sinceCp++
-	if w.sinceCp >= w.opts.CheckpointEvery {
-		w.sinceCp = 0
-		if tr.Enabled() {
-			sw = obs.StartTimer()
-		}
-		if err := w.s.WriteCheckpoint(false, 0, w.lastStates); err != nil {
-			return w.abort(fmt.Errorf("%v: %w", err, search.ErrAborted))
-		}
-		if tr.Enabled() {
-			tr.Checkpoint(w.idx, false, sw.Elapsed())
-		}
-	}
 	return out
 }
 
@@ -204,9 +140,6 @@ type RunInfo struct {
 	Resumed bool
 	// Prior is the number of journaled entries at start.
 	Prior int
-	// FastPath is true when a fresh checkpoint let RS continue directly
-	// from restored RNG state instead of replaying the prefix.
-	FastPath bool
 	// InFlight is true when the resumed journal carried a live in-flight
 	// marker: the prior process died while an evaluation was dispatched.
 	InFlight bool
@@ -218,9 +151,10 @@ type RunInfo struct {
 // Run executes (or resumes) a journaled search. drive re-runs the search
 // algorithm deterministically from its seed over the wrapped problem;
 // journaled outcomes are served for the prefix, so the drive reproduces
-// the interrupted run bit-exactly and continues it. On a context
-// interruption the partial result is returned with info.Done=false and a
-// final checkpoint is left so the journal is immediately resumable.
+// the interrupted run bit-exactly and continues it, while the Recorder
+// verifies every replayed request against the journal. On a context
+// interruption the partial result is returned with info.Done=false; the
+// log alone makes the journal resumable.
 func Run(ctx context.Context, dir string, meta Meta, p search.Problem, opts WrapOptions,
 	drive func(ctx context.Context, p search.Problem) *search.Result) (res *search.Result, info *RunInfo, err error) {
 
@@ -236,103 +170,16 @@ func Run(ctx context.Context, dir string, meta Meta, p search.Problem, opts Wrap
 		}
 	}()
 	if s.Done() {
-		res, err := s.result()
+		res, err := s.Result()
 		if err != nil {
 			return nil, nil, err
 		}
 		info.Done = true
 		return res, info, nil
 	}
-	w, err := s.Wrap(p, opts)
-	if err != nil {
-		return nil, nil, err
-	}
+	w := &Recorder{p: p, s: s, opts: opts}
 	res = drive(ctx, w)
 	return finalize(ctx, s, w, res, info)
-}
-
-// RunRS executes (or resumes) a journaled random search. When the
-// recovered checkpoint covers every journaled entry and carries the
-// sampler's RNG state, the search continues directly from that state
-// (no replay); otherwise it falls back to the general replay path.
-// Either way the result is byte-identical to an uninterrupted
-// search.RS(ctx, p, nmax, rng.New(seed)).
-func RunRS(ctx context.Context, dir string, p search.Problem, nmax int, seed uint64,
-	extra map[string]string, opts WrapOptions) (res *search.Result, info *RunInfo, err error) {
-
-	meta := Meta{Problem: p.Name(), Algorithm: "RS", Seed: seed, NMax: nmax, Extra: extra}
-	s, info, err := openOrCreate(dir, meta)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		if cerr := s.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("journal: closing session: %w", cerr)
-		}
-	}()
-	if s.Done() {
-		res, err := s.result()
-		if err != nil {
-			return nil, nil, err
-		}
-		info.Done = true
-		return res, info, nil
-	}
-
-	// Fast path: the checkpoint is fresh (covers every durable entry)
-	// and carries the sampler stream captured when the last entry was
-	// journaled. Restore it, exclude the journaled configurations, and
-	// continue: the next draw is exactly the draw the uninterrupted run
-	// would have made.
-	if cp, ok := s.Checkpoint(); ok && cp.Cursor == s.Len() && s.Len() > 0 {
-		if state, ok := cp.States[rsSamplerState]; ok {
-			r := rng.New(0)
-			if err := r.UnmarshalBinary(state); err == nil {
-				sampler := space.NewSampler(p.Space(), r)
-				prior, err := s.Records()
-				if err != nil {
-					return nil, nil, err
-				}
-				for _, rec := range prior {
-					sampler.Exclude(rec.Config)
-				}
-				opts.Cursor = s.Len()
-				opts.State = rsState(r)
-				w, err := s.Wrap(p, opts)
-				if err != nil {
-					return nil, nil, err
-				}
-				info.FastPath = true
-				res := search.ResumeRS(ctx, w, nmax, sampler, prior)
-				return finalize(ctx, s, w, res, info)
-			}
-		}
-	}
-
-	// Replay path: re-run RS from the seed; the wrapper serves the
-	// journaled outcomes for the prefix and verifies the draws match.
-	r := rng.New(seed)
-	opts.Cursor = 0
-	opts.State = rsState(r)
-	w, err := s.Wrap(p, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	res = search.RS(ctx, w, nmax, r)
-	return finalize(ctx, s, w, res, info)
-}
-
-// rsSamplerState names the RS sampler stream in checkpoint state maps.
-const rsSamplerState = "rs-sampler"
-
-func rsState(r *rng.RNG) func() map[string][]byte {
-	return func() map[string][]byte {
-		state, err := r.MarshalBinary()
-		if err != nil {
-			return nil
-		}
-		return map[string][]byte{rsSamplerState: state}
-	}
 }
 
 func openOrCreate(dir string, meta Meta) (*Session, *RunInfo, error) {
@@ -360,9 +207,9 @@ func openOrCreate(dir string, meta Meta) (*Session, *RunInfo, error) {
 	return s, &RunInfo{}, nil
 }
 
-// finalize writes the closing checkpoint: done=true when the search ran
-// to its natural end, done=false (but covering every journaled entry,
-// enabling the fast path) when it was interrupted.
+// finalize clears the in-flight marker and, when the search ran to its
+// natural end, writes the completion marker. An interrupted run writes
+// nothing more: its log is already everything a resume needs.
 func finalize(ctx context.Context, s *Session, w *Recorder, res *search.Result, info *RunInfo) (*search.Result, *RunInfo, error) {
 	if err := w.Err(); err != nil {
 		return nil, info, err
@@ -373,30 +220,19 @@ func finalize(ctx context.Context, s *Session, w *Recorder, res *search.Result, 
 		return nil, info, err
 	}
 	info.Done = ctx.Err() == nil
+	if !info.Done {
+		return res, info, nil
+	}
 	tr := obs.FromContext(ctx)
 	var sw obs.Stopwatch
 	if tr.Enabled() {
 		sw = obs.StartTimer()
 	}
-	if err := s.WriteCheckpoint(info.Done, res.Skipped, w.lastStates); err != nil {
+	if err := s.markDone(res.Skipped); err != nil {
 		return nil, info, err
 	}
 	if tr.Enabled() {
-		tr.Checkpoint(s.Len(), info.Done, sw.Elapsed())
+		tr.Checkpoint(s.Len(), true, sw.Elapsed())
 	}
 	return res, info, nil
-}
-
-// result assembles the final Result of a completed journal without
-// re-running anything.
-func (s *Session) result() (*search.Result, error) {
-	recs, err := s.Records()
-	if err != nil {
-		return nil, err
-	}
-	res := &search.Result{Algorithm: s.meta.Algorithm, Problem: s.meta.Problem, Records: recs}
-	if s.cp != nil {
-		res.Skipped = s.cp.Skipped
-	}
-	return res, nil
 }

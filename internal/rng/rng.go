@@ -10,7 +10,6 @@ package rng
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"math"
 )
@@ -67,50 +66,6 @@ func (r *RNG) Uint64() uint64 {
 	r.s[2] ^= t
 	r.s[3] = rotl(r.s[3], 45)
 	return result
-}
-
-// marshalVersion tags the binary layout of a serialized generator so the
-// format can evolve without silently misreading old checkpoints.
-const marshalVersion = 1
-
-// MarshaledSize is the length of MarshalBinary's output: a version byte
-// followed by the four 64-bit state words, little-endian.
-const MarshaledSize = 1 + 4*8
-
-// MarshalBinary implements encoding.BinaryMarshaler. The serialized
-// state restores the exact point of the stream: a generator unmarshaled
-// from it produces the same sequence the original would have produced,
-// which is what checkpoint/resume needs to keep common-random-numbers
-// comparisons intact across process restarts.
-func (r *RNG) MarshalBinary() ([]byte, error) {
-	out := make([]byte, MarshaledSize)
-	out[0] = marshalVersion
-	for i, s := range r.s {
-		binary.LittleEndian.PutUint64(out[1+8*i:], s)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, restoring state
-// saved by MarshalBinary. It rejects wrong sizes, unknown versions, and
-// the all-zero state (the absorbing state of xoshiro, which New never
-// produces).
-func (r *RNG) UnmarshalBinary(data []byte) error {
-	if len(data) != MarshaledSize {
-		return fmt.Errorf("rng: serialized state is %d bytes, want %d", len(data), MarshaledSize)
-	}
-	if data[0] != marshalVersion {
-		return fmt.Errorf("rng: unknown serialization version %d", data[0])
-	}
-	var s [4]uint64
-	for i := range s {
-		s[i] = binary.LittleEndian.Uint64(data[1+8*i:])
-	}
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		return fmt.Errorf("rng: serialized state is all zero")
-	}
-	r.s = s
-	return nil
 }
 
 // Split derives a new generator that is statistically independent of the

@@ -16,60 +16,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	r := New(99)
-	// Advance to an arbitrary mid-stream point before snapshotting.
-	for i := 0; i < 137; i++ {
-		r.Uint64()
-	}
-	state, err := r.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(state) != MarshaledSize {
-		t.Fatalf("serialized state is %d bytes, want %d", len(state), MarshaledSize)
-	}
-	// The reference continues from the snapshot point; the restored
-	// generator must produce the identical continuation.
-	want := make([]uint64, 500)
-	for i := range want {
-		want[i] = r.Uint64()
-	}
-	restored := New(0)
-	if err := restored.UnmarshalBinary(state); err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range want {
-		if got := restored.Uint64(); got != w {
-			t.Fatalf("restored stream diverged at step %d: got %d, want %d", i, got, w)
-		}
-	}
-}
-
-func TestUnmarshalRejectsBadState(t *testing.T) {
-	r := New(1)
-	if err := r.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short state accepted")
-	}
-	good, _ := New(1).MarshalBinary()
-	bad := append([]byte(nil), good...)
-	bad[0] = 99
-	if err := r.UnmarshalBinary(bad); err == nil {
-		t.Fatal("unknown version accepted")
-	}
-	zero := make([]byte, MarshaledSize)
-	zero[0] = 1
-	if err := r.UnmarshalBinary(zero); err == nil {
-		t.Fatal("all-zero state accepted")
-	}
-	// A failed unmarshal must not clobber the generator.
-	before := New(1)
-	a, b := before.Uint64(), r.Uint64()
-	if a != b {
-		t.Fatalf("failed unmarshal corrupted generator state: %d != %d", a, b)
-	}
-}
-
 func TestSeedSensitivity(t *testing.T) {
 	a := New(1)
 	b := New(2)

@@ -309,15 +309,6 @@ func (r *runner) skip(seq int, c space.Config, pred, cutoff float64) {
 	r.tr.Skip(r.res.Algorithm, r.res.Problem, seq, c, pred, cutoff)
 }
 
-// newRunnerWith seeds a runner with already-completed records (a journal
-// prefix from a resumed run). The prior records' Elapsed values are
-// trusted as the search clock baseline.
-func newRunnerWith(p Problem, algorithm string, prior []Record) *runner {
-	run := newRunner(p, algorithm)
-	run.res.Records = append(run.res.Records, prior...)
-	return run
-}
-
 // evaluate runs one configuration and appends its record. ok is false
 // when the evaluation was interrupted by context cancellation: nothing
 // is recorded (a half-finished attempt sequence must not enter the
@@ -358,20 +349,8 @@ func (r *runner) elapsed() float64 {
 // evaluations — the partial result is a bit-exact prefix of the
 // uninterrupted run, which is what journal-based resumption depends on.
 func RS(ctx context.Context, p Problem, nmax int, r *rng.RNG) *Result {
-	return rsLoop(ctx, newRunner(p, "RS"), nmax, space.NewSampler(p.Space(), r))
-}
-
-// ResumeRS continues a partially-completed RS run from a checkpoint:
-// prior holds the records already evaluated (typically recovered from a
-// journal) and sampler must already exclude their configurations and
-// carry the RNG state captured when the last prior record was drawn.
-// The continuation draws exactly the configurations the uninterrupted
-// run would have drawn next.
-func ResumeRS(ctx context.Context, p Problem, nmax int, sampler *space.Sampler, prior []Record) *Result {
-	return rsLoop(ctx, newRunnerWith(p, "RS", prior), nmax, sampler)
-}
-
-func rsLoop(ctx context.Context, run *runner, nmax int, sampler *space.Sampler) *Result {
+	run := newRunner(p, "RS")
+	sampler := space.NewSampler(p.Space(), r)
 	run.start(ctx)
 	defer run.finish()
 	for len(run.res.Records) < nmax && ctx.Err() == nil {

@@ -361,7 +361,7 @@ func (srv *Server) Cancel(id string) (Status, error) {
 	}
 	st := Status{
 		ID: s.id, State: s.state, Request: s.req,
-		Resumed: s.resumed, FastPath: s.fastPath, Error: s.errMsg,
+		Resumed: s.resumed, Error: s.errMsg,
 	}
 	return st, nil
 }
@@ -520,7 +520,7 @@ func (srv *Server) runSession(s *session) {
 	case info.Done:
 		s.state = StateDone
 		s.res = res
-		s.resumed, s.fastPath, s.prior = info.Resumed, info.FastPath, info.Prior
+		s.resumed, s.prior = info.Resumed, info.Prior
 		srv.opts.Logf("session %s: done (%d evaluations)", s.id, len(res.Records))
 	case s.cancelled:
 		if err := s.markCancelledLocked(); err != nil {

@@ -53,7 +53,6 @@ type session struct {
 	mu        sync.Mutex
 	state     State
 	resumed   bool
-	fastPath  bool
 	prior     int // journaled evaluations recovered at (re)start
 	cp        *evalcache.CachedProblem
 	res       *search.Result
@@ -83,9 +82,9 @@ type Status struct {
 	// a fully warmed resubmission completes with zero misses.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
-	// Resumed/FastPath describe how a restart picked the session up.
-	Resumed  bool `json:"resumed,omitempty"`
-	FastPath bool `json:"fast_path,omitempty"`
+	// Resumed reports that a restart picked the session up from its
+	// journal.
+	Resumed bool `json:"resumed,omitempty"`
 	// TechniquePulls reports the ensemble's per-technique budget spend.
 	TechniquePulls map[string]int `json:"technique_pulls,omitempty"`
 	Error          string         `json:"error,omitempty"`
@@ -97,7 +96,7 @@ func (s *session) status() Status {
 	defer s.mu.Unlock()
 	st := Status{
 		ID: s.id, State: s.state, Request: s.req,
-		Resumed: s.resumed, FastPath: s.fastPath,
+		Resumed:        s.resumed,
 		TechniquePulls: s.pulls, Error: s.errMsg,
 	}
 	switch {
@@ -188,17 +187,9 @@ func (s *session) loadResult() (*search.Result, error) {
 		return nil, err
 	}
 	defer func() { _ = js.Close() }()
-	recs, err := js.Records()
+	res, err := js.Result()
 	if err != nil {
 		return nil, err
-	}
-	res := &search.Result{
-		Algorithm: js.Meta().Algorithm,
-		Problem:   js.Meta().Problem,
-		Records:   recs,
-	}
-	if cp, ok := js.Checkpoint(); ok {
-		res.Skipped = cp.Skipped
 	}
 	s.res = res
 	return res, nil

@@ -223,25 +223,6 @@ func (s Spec) Scope() (string, error) {
 	return evalcache.Scope(p.Name(), settings...), nil
 }
 
-// MetaExtra pins every setting that shapes evaluation semantics into
-// the journal meta, so a resume under different settings is refused
-// instead of silently mixing two runs. The keys are cmd/autotune's flag
-// names, so any journal resumes under `autotune -resume`. ForceOMP is
-// absent: it is pinned by the problem name.
-func (s Spec) MetaExtra() map[string]string {
-	return map[string]string{
-		"problem":    s.Problem,
-		"annotation": s.Annotation,
-		"machine":    s.Machine,
-		"compiler":   s.Compiler,
-		"threads":    strconv.Itoa(s.Threads),
-		"algo":       s.Algorithm,
-		"faults":     strconv.FormatFloat(s.Faults, 'g', -1, 64),
-		"retries":    strconv.Itoa(s.Retries),
-		"timeout":    strconv.FormatFloat(s.Timeout, 'g', -1, 64),
-	}
-}
-
 // Driver returns the deterministic driver for the Spec's algorithm: the
 // same closure serves fresh runs and journal replays, so both draw the
 // same random streams. The ensemble stores its technique pulls in
@@ -279,22 +260,44 @@ func (s Spec) Driver(pulls *map[string]int) (func(context.Context, search.Proble
 	return nil, fmt.Errorf("unknown algorithm %q (known: %s)", s.Algorithm, strings.Join(algorithms, ", "))
 }
 
+// journalMeta is the journal meta of the Spec's run over the problem
+// named problem. Extra pins every setting that shapes evaluation
+// semantics, so a resume under different settings is refused instead of
+// silently mixing two runs; its keys are cmd/autotune's flag names, so
+// any journal resumes under `autotune -resume`. ForceOMP is absent: the
+// problem name pins it. Random search keeps the algorithm name "RS" it
+// has always been journaled under, so existing journals still resume.
+func (s Spec) journalMeta(problem string) journal.Meta {
+	algo := s.Algorithm
+	if algo == "rs" {
+		algo = "RS"
+	}
+	return journal.Meta{Problem: problem, Algorithm: algo, Seed: s.Seed, NMax: s.Budget, Extra: map[string]string{
+		"problem":    s.Problem,
+		"annotation": s.Annotation,
+		"machine":    s.Machine,
+		"compiler":   s.Compiler,
+		"threads":    strconv.Itoa(s.Threads),
+		"algo":       s.Algorithm,
+		"faults":     strconv.FormatFloat(s.Faults, 'g', -1, 64),
+		"retries":    strconv.Itoa(s.Retries),
+		"timeout":    strconv.FormatFloat(s.Timeout, 'g', -1, 64),
+	}}
+}
+
 // RunJournaled runs the Spec's search over p through the crash-safe
 // journal in dir, creating it or resuming bit-exactly from what it
-// holds. Random search gets the checkpoint fast path: resume continues
-// directly from the restored sampler stream, no replay.
+// holds. Every algorithm resumes the same way: Driver's closure re-runs
+// from the seed while the journal serves, and verifies, the recorded
+// prefix.
 func (s Spec) RunJournaled(ctx context.Context, dir string, p search.Problem, wopt journal.WrapOptions,
 	pulls *map[string]int) (*search.Result, *journal.RunInfo, error) {
 
-	if s.Algorithm == "rs" {
-		return journal.RunRS(ctx, dir, p, s.Budget, s.Seed, s.MetaExtra(), wopt)
-	}
 	drive, err := s.Driver(pulls)
 	if err != nil {
 		return nil, nil, err
 	}
-	meta := journal.Meta{Problem: p.Name(), Algorithm: s.Algorithm, Seed: s.Seed, NMax: s.Budget, Extra: s.MetaExtra()}
-	return journal.Run(ctx, dir, meta, p, wopt, drive)
+	return journal.Run(ctx, dir, s.journalMeta(p.Name()), p, wopt, drive)
 }
 
 // Throttled pauses a fixed wall-clock duration before each evaluation.

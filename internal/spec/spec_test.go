@@ -7,11 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/kernels"
 	"repro/internal/search"
 )
 
-// extra is the journal meta of a spec, spelled out so a pinned row
+// extra is the journal meta's Extra map of a spec, spelled out so a pinned row
 // reads as the map it must equal.
 func extra(problem, annotation, machine, compiler, threads, algo, faults, retries, timeout string) map[string]string {
 	return map[string]string{
@@ -23,44 +24,49 @@ func extra(problem, annotation, machine, compiler, threads, algo, faults, retrie
 
 // TestFormatPins pins every persisted string a spec derives — the
 // problem name (journal meta, wire names, trace ids), the evaluation-
-// cache scope, and the journal's Extra map — to literals produced by
-// the resolvers this package replaced. A change here invalidates
-// existing journals and cache artifacts.
+// cache scope, and the whole journal meta — to literals produced by
+// the resolvers this package replaced. Random search is journaled as
+// "RS", the name its journals have always carried. A change here
+// invalidates existing journals and cache artifacts.
 func TestFormatPins(t *testing.T) {
 	cases := []struct {
 		name  string
 		spec  Spec
 		base  string
 		scope string
-		extra map[string]string
+		meta  journal.Meta
 	}{
 		{
 			name:  "bare kernel",
 			spec:  Spec{Problem: "LU", Machine: "Sandybridge", Retries: 2, Seed: 42, Budget: 100},
 			base:  "LU@Sandybridge/gnu-4.4.7/t1",
 			scope: "LU@Sandybridge/gnu-4.4.7/t1",
-			extra: extra("LU", "", "Sandybridge", "gnu-4.4.7", "1", "rs", "0", "2", "0"),
+			meta: journal.Meta{Problem: "LU@Sandybridge/gnu-4.4.7/t1", Algorithm: "RS", Seed: 42, NMax: 100,
+				Extra: extra("LU", "", "Sandybridge", "gnu-4.4.7", "1", "rs", "0", "2", "0")},
 		},
 		{
 			name:  "mini-app",
 			spec:  Spec{Problem: "HPL", Machine: "Power7", Algorithm: "ensemble", Retries: 2, Seed: 7, Budget: 50},
 			base:  "HPL@Power7",
 			scope: "HPL@Power7",
-			extra: extra("HPL", "", "Power7", "gnu-4.4.7", "1", "ensemble", "0", "2", "0"),
+			meta: journal.Meta{Problem: "HPL@Power7", Algorithm: "ensemble", Seed: 7, NMax: 50,
+				Extra: extra("HPL", "", "Power7", "gnu-4.4.7", "1", "ensemble", "0", "2", "0")},
 		},
 		{
 			name:  "faulted",
 			spec:  Spec{Problem: "ATAX", Machine: "Sandybridge", Faults: 0.3, Retries: 2, Timeout: 50, Seed: 11, Budget: 30},
 			base:  "ATAX@Sandybridge/gnu-4.4.7/t1",
 			scope: "ATAX@Sandybridge/gnu-4.4.7/t1|faults=0.3|retries=2|timeout=50|seed=11",
-			extra: extra("ATAX", "", "Sandybridge", "gnu-4.4.7", "1", "rs", "0.3", "2", "50"),
+			meta: journal.Meta{Problem: "ATAX@Sandybridge/gnu-4.4.7/t1", Algorithm: "RS", Seed: 11, NMax: 30,
+				Extra: extra("ATAX", "", "Sandybridge", "gnu-4.4.7", "1", "rs", "0.3", "2", "50")},
 		},
 		{
 			name:  "timeout only",
 			spec:  Spec{Problem: "MM", Machine: "Westmere", Algorithm: "sa", Retries: 3, Timeout: 30, Seed: 5, Budget: 40},
 			base:  "MM@Westmere/gnu-4.4.7/t1",
 			scope: "MM@Westmere/gnu-4.4.7/t1|faults=0|retries=3|timeout=30",
-			extra: extra("MM", "", "Westmere", "gnu-4.4.7", "1", "sa", "0", "3", "30"),
+			meta: journal.Meta{Problem: "MM@Westmere/gnu-4.4.7/t1", Algorithm: "sa", Seed: 5, NMax: 40,
+				Extra: extra("MM", "", "Westmere", "gnu-4.4.7", "1", "sa", "0", "3", "30")},
 		},
 		{
 			name: "threads",
@@ -68,7 +74,8 @@ func TestFormatPins(t *testing.T) {
 				Algorithm: "ga", Retries: 2, Seed: 9, Budget: 20},
 			base:  "COR@XeonPhi/intel-15.0.1/t60",
 			scope: "COR@XeonPhi/intel-15.0.1/t60",
-			extra: extra("COR", "", "XeonPhi", "intel-15.0.1", "60", "ga", "0", "2", "0"),
+			meta: journal.Meta{Problem: "COR@XeonPhi/intel-15.0.1/t60", Algorithm: "ga", Seed: 9, NMax: 20,
+				Extra: extra("COR", "", "XeonPhi", "intel-15.0.1", "60", "ga", "0", "2", "0")},
 		},
 		{
 			// Forced OpenMP evaluates differently, so its name differs from
@@ -78,7 +85,8 @@ func TestFormatPins(t *testing.T) {
 				Algorithm: "ga", Retries: 2, Seed: 9, Budget: 20},
 			base:  "COR@XeonPhi/intel-15.0.1/t60+omp",
 			scope: "COR@XeonPhi/intel-15.0.1/t60+omp",
-			extra: extra("COR", "", "XeonPhi", "intel-15.0.1", "60", "ga", "0", "2", "0"),
+			meta: journal.Meta{Problem: "COR@XeonPhi/intel-15.0.1/t60+omp", Algorithm: "ga", Seed: 9, NMax: 20,
+				Extra: extra("COR", "", "XeonPhi", "intel-15.0.1", "60", "ga", "0", "2", "0")},
 		},
 		{
 			// The annotation overrides Problem, which the meta still
@@ -88,7 +96,8 @@ func TestFormatPins(t *testing.T) {
 				Algorithm: "ps", Faults: 0.1, Retries: 1, Seed: 3, Budget: 10},
 			base:  "tiny@Westmere/gnu-4.4.7/t1",
 			scope: "tiny@Westmere/gnu-4.4.7/t1|faults=0.1|retries=1|timeout=0|seed=3",
-			extra: extra("LU", "testdata/tiny.orio", "Westmere", "gnu-4.4.7", "1", "ps", "0.1", "1", "0"),
+			meta: journal.Meta{Problem: "tiny@Westmere/gnu-4.4.7/t1", Algorithm: "ps", Seed: 3, NMax: 10,
+				Extra: extra("LU", "testdata/tiny.orio", "Westmere", "gnu-4.4.7", "1", "ps", "0.1", "1", "0")},
 		},
 	}
 	for _, tc := range cases {
@@ -112,9 +121,6 @@ func TestFormatPins(t *testing.T) {
 			if scope != tc.scope {
 				t.Errorf("Scope() = %q, want %q", scope, tc.scope)
 			}
-			if got := s.MetaExtra(); !reflect.DeepEqual(got, tc.extra) {
-				t.Errorf("MetaExtra() = %v, want %v", got, tc.extra)
-			}
 			// The stack above the base keeps its name: wire names, trace
 			// ids, and the journal meta all read it through the wrappers.
 			p, _, err := s.Build()
@@ -123,6 +129,9 @@ func TestFormatPins(t *testing.T) {
 			}
 			if p.Name() != tc.base {
 				t.Errorf("Build().Name() = %q, want %q", p.Name(), tc.base)
+			}
+			if got := s.journalMeta(p.Name()); !reflect.DeepEqual(got, tc.meta) {
+				t.Errorf("journalMeta() = %+v, want %+v", got, tc.meta)
 			}
 		})
 	}
