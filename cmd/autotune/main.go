@@ -194,19 +194,15 @@ func run() int {
 		Faults: *faultRate, Retries: *retries, Timeout: *timeout,
 		Seed: *seed, Algorithm: *algo, Budget: *nmax,
 	}
-	sp.Normalize()
-	if err := sp.Validate(); err != nil {
+	base, err := sp.Resolve()
+	if err != nil {
 		warnf("%v", err)
 		return exitUsage
 	}
 	// The fault-aware evaluation layer: inject failures (if asked) and
 	// wrap with retry/timeout budgets. With neither faults nor budgets
 	// requested the problem runs bare.
-	p, inj, err := sp.Build()
-	if err != nil {
-		warnf("%v", err)
-		return exitUsage
-	}
+	p, inj := sp.Build(base)
 	if *throttle > 0 {
 		p = spec.Throttled{Problem: p, Wait: *throttle}
 	}
@@ -431,11 +427,7 @@ func run() int {
 	}
 
 	if *emit {
-		base, err := sp.Base()
-		if err == nil {
-			err = emitBest(base, best.Config)
-		}
-		if err != nil {
+		if err := emitBest(base, best.Config); err != nil {
 			warnf("emit: %v", err)
 			return exitError
 		}

@@ -203,16 +203,12 @@ func run() int {
 // against the same injector state, and the cache is goroutine-safe
 // because the worker evaluates tasks on separate goroutines.
 func newResolver(s spec.Spec) (remote.Resolver, error) {
-	s.Normalize()
-	if err := s.Validate(); err != nil {
+	p, err := s.Resolve()
+	if err != nil {
 		return nil, err
 	}
 	annotated := ""
 	if s.Annotation != "" {
-		p, err := s.Base()
-		if err != nil {
-			return nil, err
-		}
 		annotated, _, _ = strings.Cut(p.Name(), "@")
 	}
 
@@ -223,10 +219,11 @@ func newResolver(s spec.Spec) (remote.Resolver, error) {
 		if base != annotated {
 			task.Annotation = ""
 		}
-		p, _, err := task.Build()
+		p, err := task.Base()
 		if err != nil {
 			return nil, err
 		}
+		p, _ = task.Build(p)
 		if qualified && p.Name() != name {
 			return nil, fmt.Errorf("target mismatch: driver tunes %s, this worker builds %s (align -machine/-compiler/-threads)", name, p.Name())
 		}

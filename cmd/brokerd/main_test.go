@@ -288,6 +288,31 @@ func TestResolverRefusesForcedOpenMP(t *testing.T) {
 	}
 }
 
+// TestResolverRefusesOffSizeKernel: an off-size kernel (ext-inputsize's
+// MM at N=1000) carries its size in its name, and no worker can build
+// it, so a task for it is refused, not evaluated at the paper size.
+func TestResolverRefusesOffSizeKernel(t *testing.T) {
+	resolve, err := newResolver(spec.Spec{Machine: "Sandybridge"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := spec.Spec{Machine: "Sandybridge"}
+	s.Normalize()
+	off, err := s.BaseFor(kernels.MM(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Name() == "MM@Sandybridge/gnu-4.4.7/t1" {
+		t.Fatalf("off-size MM carries the paper-size name %q", off.Name())
+	}
+	if _, err := resolve(off.Name()); err == nil {
+		t.Fatalf("resolve(%s): want error", off.Name())
+	}
+	if _, err := resolve("MM@Sandybridge/gnu-4.4.7/t1"); err != nil {
+		t.Fatalf("paper-size MM: %v", err)
+	}
+}
+
 // TestResolverChecksAnnotatedCompiler: the annotated kernel gets the
 // same compiler-availability check as the built-in ones, at start-up.
 func TestResolverChecksAnnotatedCompiler(t *testing.T) {

@@ -31,12 +31,13 @@ func main() {
 	)
 	flag.Parse()
 
-	pa, err := build(*problem, *aName)
+	// Both machines run the default target: GNU compiler, one thread.
+	pa, err := (&spec.Spec{Problem: *problem, Machine: *aName}).Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "correlate:", err)
 		os.Exit(2)
 	}
-	pb, err := build(*problem, *bName)
+	pb, err := (&spec.Spec{Problem: *problem, Machine: *bName}).Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "correlate:", err)
 		os.Exit(2)
@@ -58,15 +59,4 @@ func main() {
 	fmt.Printf("pearson=%.3f  spearman=%.3f  kendall=%.3f\n\n", rp, rs, tau)
 	fmt.Print(tabulate.Scatter("run-time correlation",
 		*aName+" [s]", *bName+" [s]", xs, ys, 64, 18))
-}
-
-// build validates and builds the bare problem on one machine under the
-// default target (GNU compiler, one thread).
-func build(name, machineN string) (search.Problem, error) {
-	sp := spec.Spec{Problem: name, Machine: machineN}
-	sp.Normalize()
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return sp.Base()
 }

@@ -18,10 +18,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/forest"
-	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/space"
 	"repro/internal/spec"
@@ -45,13 +45,15 @@ func main() {
 	)
 	flag.Parse()
 
-	sp := spec.Spec{Problem: *problem, Compiler: *compilerN, Threads: *threads, Budget: *nmax}
-	src, err := buildProblem(sp, *source)
+	srcSpec := spec.Spec{Problem: *problem, Machine: *source, Compiler: *compilerN, Threads: *threads, Budget: *nmax}
+	tgtSpec := srcSpec
+	tgtSpec.Machine = *target
+	src, err := srcSpec.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "transfer:", err)
 		os.Exit(2)
 	}
-	tgt, err := buildProblem(sp, *target)
+	tgt, err := tgtSpec.Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "transfer:", err)
 		os.Exit(2)
@@ -103,17 +105,17 @@ func main() {
 		fmt.Printf("wrote T_a (%d samples) to %s\n", len(out.Ta), *saveTa)
 	}
 	if *saveModel != "" {
-		sur, err := core.FitSurrogate(out.Ta, src.Space(), out.Source,
-			forest.Params{Trees: *trees}, rng.NewNamed(*seed, "forest"))
-		if err != nil {
+		// The surrogate core.Run fitted and searched with; a degraded run
+		// has none, and its warning carries the fit error.
+		if out.Surrogate == nil {
+			fmt.Fprintln(os.Stderr, "transfer:", strings.Join(out.Warnings, "; "))
+			os.Exit(1)
+		}
+		if err := writeModel(*saveModel, out.Surrogate); err != nil {
 			fmt.Fprintln(os.Stderr, "transfer:", err)
 			os.Exit(1)
 		}
-		if err := writeModel(*saveModel, sur); err != nil {
-			fmt.Fprintln(os.Stderr, "transfer:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote surrogate (%d trees) to %s\n", sur.Forest.NumTrees(), *saveModel)
+		fmt.Printf("wrote surrogate (%d trees) to %s\n", out.Surrogate.Forest.NumTrees(), *saveModel)
 	}
 }
 
@@ -139,15 +141,4 @@ func writeModel(path string, sur *core.Surrogate) error {
 		return err
 	}
 	return f.Close()
-}
-
-// buildProblem validates the spec on one machine and builds its bare
-// problem.
-func buildProblem(sp spec.Spec, machineN string) (search.Problem, error) {
-	sp.Machine = machineN
-	sp.Normalize()
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return sp.Base()
 }

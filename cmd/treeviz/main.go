@@ -1,6 +1,7 @@
 // Command treeviz reproduces Figure 2: fit a decision tree to autotuning
 // data collected on one machine and print it as if/else rules over the
-// kernel parameters (unrolls, cache tiles, register tiles).
+// kernel parameters (unrolls, cache tiles, register tiles). The data
+// comes from the machine's default target: GNU compiler, one thread.
 //
 // Usage:
 //
@@ -10,22 +11,19 @@ package main
 
 import (
 	"context"
-
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/forest"
-	"repro/internal/kernels"
-	"repro/internal/machine"
 	"repro/internal/rng"
-	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func main() {
 	var (
-		problem  = flag.String("problem", "MM", "kernel to sample")
+		problem  = flag.String("problem", "MM", "MM|ATAX|COR|LU|HPL|RT")
 		machineN = flag.String("machine", "Sandybridge", "machine providing the data")
 		n        = flag.Int("n", 100, "training evaluations")
 		depth    = flag.Int("depth", 3, "maximum tree depth")
@@ -34,19 +32,13 @@ func main() {
 	)
 	flag.Parse()
 
-	k, err := kernels.ByName(*problem)
+	p, err := (&spec.Spec{Problem: *problem, Machine: *machineN}).Resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "treeviz:", err)
 		os.Exit(1)
 	}
-	m, err := machine.ByName(*machineN)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "treeviz:", err)
-		os.Exit(1)
-	}
-	p := kernels.NewProblem(k, sim.Target{Machine: m, Compiler: machine.GNU, Threads: 1})
 	_, ta := core.Collect(context.Background(), p, *n, rng.NewNamed(*seed, "treeviz"))
-	X, y := ta.Encode(k.Space())
+	X, y := ta.Encode(p.Space())
 
 	if *asForest {
 		f, err := forest.Fit(X, y, forest.Params{}, rng.New(*seed))
@@ -58,7 +50,7 @@ func main() {
 		fmt.Printf("random forest on %d %s evaluations from %s: %d trees, OOB RMSE %.4f s\n\n",
 			len(ta), *problem, *machineN, f.NumTrees(), oob)
 		fmt.Println("feature importances:")
-		names := k.Space().FeatureNames()
+		names := p.Space().FeatureNames()
 		for i, imp := range f.Importance() {
 			fmt.Printf("  %-12s %6.1f%%\n", names[i], 100*imp)
 		}
@@ -74,5 +66,5 @@ func main() {
 	}
 	fmt.Printf("decision tree on %d %s evaluations from %s (leaf values: mean run time, s)\n\n",
 		len(ta), *problem, *machineN)
-	fmt.Print(tree.String(k.Space().FeatureNames()))
+	fmt.Print(tree.String(p.Space().FeatureNames()))
 }

@@ -97,7 +97,7 @@ var detflowRootRules = []detflowRootRule{
 	// The one evaluation-stack builder: every CLI, worker, and daemon
 	// session runs the stack and driver it builds, so a nondeterministic
 	// layer here would break every bit-identity invariant at once.
-	{Frag: "internal/spec", Names: []string{"Base", "Build", "Driver"}},
+	{Frag: "internal/spec", Names: []string{"Resolve", "Base", "Build", "Driver"}},
 }
 
 // detflowSanitizedPkg reports whether path hosts sanctioned

@@ -1,6 +1,7 @@
 // Package spec mirrors internal/spec's root rule: only the named
-// stack builders (Base, Build, Driver) are deterministic roots, so the
-// same source in any other function of the package is no finding.
+// stack builders (Resolve, Base, Build, Driver) are deterministic
+// roots, so the same source in any other function of the package is
+// no finding.
 package spec
 
 import (

@@ -168,6 +168,10 @@ type Outcome struct {
 	SourceRuns, TargetRuns []float64
 	Pearson, Spearman      float64
 
+	// Surrogate is M_a, the model the model-based variants searched
+	// with; nil when Degraded.
+	Surrogate *Surrogate
+
 	// Surrogate quality on the target: rank correlation between M_a's
 	// predictions and the target's measured times over Ta's configs.
 	SurrogateSpearman float64
@@ -225,6 +229,7 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 		rows, dur := sur.Forest.FitStats()
 		tr.ModelFit(src.Name(), rows, dur)
 	}
+	out.Surrogate = sur
 
 	// Phase 3: target runs.
 	// RS on the target evaluates the same configurations in the same

@@ -25,8 +25,10 @@ import (
 	"repro/internal/broker/remote"
 	"repro/internal/core"
 	"repro/internal/forest"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/spec"
 	"repro/internal/tabulate"
@@ -54,11 +56,14 @@ type Config struct {
 	Workers int
 	// RemoteWorkersAddr, when non-empty, serves every evaluation through
 	// one shared worker pool to remote worker processes (cmd/brokerd)
-	// connecting at this address (unix:/path or [tcp:]host:port). Reports
-	// are pool-invariant for the same reason they are
+	// connecting at this address (unix:/path or [tcp:]host:port): every
+	// problem problemFor builds, which is all of them but ext-inputsize's
+	// off-size targets (no worker can name those; they run inline).
+	// Reports are pool-invariant for the same reason they are
 	// workers-invariant: the pool moves evaluations between processes
 	// without changing what they return (asserted by
-	// TestBrokerMatchesDirect).
+	// TestBrokerMatchesDirect, which also requires every experiment that
+	// evaluates anything to lease work to the workers).
 	RemoteWorkersAddr string
 	// BrokerHedgeAfter enables hedged re-dispatch of straggling remote
 	// evaluations after this delay (0 disables; needs RemoteWorkersAddr).
@@ -186,22 +191,62 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// problemFor builds the search problem for a named workload on a machine.
-// Kernels run under the given compiler and thread count; the mini-apps
-// (HPL, RT) are compiler-independent at this level, as in the paper's
-// OpenTuner setup. When a worker pool rides the context
-// (Config.RemoteWorkersAddr), the problem is wrapped so its evaluations
-// run through it.
-func problemFor(ctx context.Context, name string, m machine.Machine, comp machine.Compiler, threads int) (search.Problem, error) {
-	// The OpenMP-based experiments (Figure 5, Table V) hold the pragmas
-	// fixed outside the search.
-	p, err := spec.Spec{
-		Problem: name, Machine: m.Name, Compiler: comp.Name, Threads: threads, ForceOMP: threads > 1,
-	}.Base()
+// The serial targets most experiments run on: one thread under the GNU
+// compiler, Spec's defaults.
+var (
+	westmere    = spec.Spec{Machine: machine.Westmere.Name}
+	sandybridge = spec.Spec{Machine: machine.Sandybridge.Name}
+)
+
+// problemFor is the experiments' one problem builder: workload name (a
+// kernel or a mini-app) on the target s describes, built by spec. A
+// multi-threaded target holds the OpenMP pragmas fixed outside the
+// search, as the paper's OpenMP experiments do (Figure 5, Table V).
+// When a worker pool rides the context (Config.RemoteWorkersAddr), the
+// problem's evaluations run through it.
+func problemFor(ctx context.Context, name string, s spec.Spec) (search.Problem, error) {
+	s.Problem, s.ForceOMP = name, s.Threads > 1
+	p, err := s.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	return remote.Wrap(ctx, p), nil
+}
+
+// pair builds workload wl on the src and tgt targets through problemFor.
+func pair(ctx context.Context, wl string, src, tgt spec.Spec) (sp, tp search.Problem, err error) {
+	if sp, err = problemFor(ctx, wl, src); err != nil {
+		return nil, nil, err
+	}
+	tp, err = problemFor(ctx, wl, tgt)
+	return sp, tp, err
+}
+
+// transfer runs one transfer cell: workload wl built by problemFor on
+// the src and tgt targets, then core.Run under cfg with the cell's own
+// seed, cfg.Seed ^ Hash64(tag). A non-nil tgtKernel (ext-inputsize's
+// off-size MM) replaces wl on the target: Spec.BaseFor builds it bare,
+// and it evaluates inline, because no worker can name it.
+func transfer(ctx context.Context, cfg Config, tag, wl string, src, tgt spec.Spec,
+	tgtKernel *kernels.Kernel) (*core.Outcome, error) {
+
+	sp, err := problemFor(ctx, wl, src)
+	if err != nil {
+		return nil, err
+	}
+	var tp search.Problem
+	if tgtKernel != nil {
+		tgt.Normalize()
+		tp, err = tgt.BaseFor(tgtKernel)
+	} else {
+		tp, err = problemFor(ctx, wl, tgt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	opts := transferOpts(cfg)
+	opts.Seed = cfg.Seed ^ rng.Hash64(tag)
+	return core.Run(ctx, sp, tp, opts)
 }
 
 // transferOpts converts a Config into core options.

@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tabulate"
 )
@@ -41,19 +39,17 @@ func runExtInputSize(ctx context.Context, cfg Config) (*Report, error) {
 	var b strings.Builder
 
 	// One cell per target input size; each cell builds its own problem
-	// instances (the source is always the 2000x2000 problem).
-	sizes := []int{1000, 1500, 2000, 3000}
+	// instances (the source is always the paper's 2000x2000 problem).
+	sizes := []int{1000, 1500, kernels.DefaultMMSize, 3000}
 	outs := make([]*core.Outcome, len(sizes))
 	err := runCells(ctx, cfg, "ext-inputsize-cells", len(sizes), func(ctx context.Context, i int) error {
 		n := sizes[i]
-		srcProb := kernels.NewProblem(kernels.MM(2000),
-			sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})
-		tgtProb := kernels.NewProblem(kernels.MM(n),
-			sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
-		opts := transferOpts(cfg)
-		opts.Seed = cfg.Seed ^ rng.Hash64(fmt.Sprintf("ext-size-%d", n))
+		var offSize *kernels.Kernel
+		if n != kernels.DefaultMMSize {
+			offSize = kernels.MM(n)
+		}
 		var err error
-		outs[i], err = core.Run(ctx, srcProb, tgtProb, opts)
+		outs[i], err = transfer(ctx, cfg, fmt.Sprintf("ext-size-%d", n), "MM", westmere, sandybridge, offSize)
 		return err
 	})
 	if err != nil {
@@ -81,15 +77,15 @@ func runExtInputSize(ctx context.Context, cfg Config) (*Report, error) {
 // approach with other sophisticated search algorithms in order to
 // achieve performance improvements."
 func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
-	lu, err := kernels.ByName("LU")
+	src, err := problemFor(ctx, "LU", westmere)
 	if err != nil {
 		return nil, err
 	}
-	src := kernels.NewProblem(lu, sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})
+	spc := src.Space()
 
 	seed := cfg.Seed ^ rng.Hash64("ext-algos")
 	_, ta := core.Collect(ctx, src, cfg.NMax, rng.NewNamed(seed, "collect"))
-	sur, err := core.FitSurrogate(ta, lu.Space(), src.Name(), transferOpts(cfg).Forest,
+	sur, err := core.FitSurrogate(ta, spc, src.Name(), transferOpts(cfg).Forest,
 		rng.NewNamed(seed, "forest"))
 	if err != nil {
 		return nil, err
@@ -98,12 +94,8 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 	// The surrogate's predicted-best pool configuration warm-starts the
 	// sophisticated searches. Scoring the pool goes through the batched
 	// (sharded) prediction path.
-	pool := lu.Space().SamplePool(cfg.PoolSize, rng.NewNamed(seed, "pool"))
-	X := make([][]float64, len(pool))
-	for i, c := range pool {
-		X[i] = lu.Space().Encode(c)
-	}
-	preds := sur.PredictAll(X)
+	pool := spc.SamplePool(cfg.PoolSize, rng.NewNamed(seed, "pool"))
+	preds := sur.PredictAll(spc.EncodeAll(pool))
 	warm := pool[0]
 	best := preds[0]
 	for i, p := range preds[1:] {
@@ -117,11 +109,8 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 	// for Predict; see search.Model), but each builds its own target
 	// problem and rng streams, so runs are independent and their results
 	// identical to the serial ones.
-	newTgt := func() search.Problem {
-		return kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
-	}
 	refit := func(d search.Dataset) (search.Model, error) {
-		return core.FitSurrogate(d, lu.Space(), "refit", transferOpts(cfg).Forest,
+		return core.FitSurrogate(d, spc, "refit", transferOpts(cfg).Forest,
 			rng.NewNamed(seed, "refit"))
 	}
 	algos := []struct {
@@ -136,18 +125,18 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 				rng.NewNamed(seed, "pool")), nil
 		}},
 		{"SA", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
-			return search.Drive(ctx, tgt, search.NewAnneal(lu.Space(), rng.NewNamed(seed, "sa"), 0.95), cfg.NMax), nil
+			return search.Drive(ctx, tgt, search.NewAnneal(spc, rng.NewNamed(seed, "sa"), 0.95), cfg.NMax), nil
 		}},
 		{"SA+model", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
-			warmSA := search.NewAnneal(lu.Space(), rng.NewNamed(seed, "sa+model"), 0.95)
+			warmSA := search.NewAnneal(spc, rng.NewNamed(seed, "sa+model"), 0.95)
 			warmSA.SetStart(warm)
 			return search.Drive(ctx, tgt, warmSA, cfg.NMax), nil
 		}},
 		{"GA", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
-			return search.Drive(ctx, tgt, search.NewGenetic(lu.Space(), rng.NewNamed(seed, "ga"), 16, 0.15), cfg.NMax), nil
+			return search.Drive(ctx, tgt, search.NewGenetic(spc, rng.NewNamed(seed, "ga"), 16, 0.15), cfg.NMax), nil
 		}},
 		{"PS", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
-			return search.Drive(ctx, tgt, search.NewPattern(lu.Space(), rng.NewNamed(seed, "ps"), 4), cfg.NMax), nil
+			return search.Drive(ctx, tgt, search.NewPattern(spc, rng.NewNamed(seed, "ps"), 4), cfg.NMax), nil
 		}},
 		// Active learning: RSb that refits the surrogate on source+target
 		// observations every 10 evaluations.
@@ -159,8 +148,11 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	results := make([]*search.Result, len(algos))
 	if err := runCells(ctx, cfg, "ext-algos-cells", len(algos), func(ctx context.Context, i int) error {
-		res, err := algos[i].run(ctx, newTgt())
-		results[i] = res
+		tgt, err := problemFor(ctx, "LU", sandybridge)
+		if err != nil {
+			return err
+		}
+		results[i], err = algos[i].run(ctx, tgt)
 		return err
 	}); err != nil {
 		return nil, err
@@ -190,12 +182,10 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 
 // runExtSurrogates ablates the supervised-learning family behind M_a.
 func runExtSurrogates(ctx context.Context, cfg Config) (*Report, error) {
-	lu, err := kernels.ByName("LU")
+	src, tgt, err := pair(ctx, "LU", westmere, sandybridge)
 	if err != nil {
 		return nil, err
 	}
-	src := kernels.NewProblem(lu, sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})
-	tgt := kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
 
 	seed := cfg.Seed ^ rng.Hash64("ext-surrogates")
 	_, ta := core.Collect(ctx, src, cfg.NMax, rng.NewNamed(seed, "collect"))
@@ -212,11 +202,14 @@ func runExtSurrogates(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	famResults := make([]*search.Result, len(families))
 	if err := runCells(ctx, cfg, "ext-surrogates-cells", len(families), func(ctx context.Context, i int) error {
-		m, err := core.FitFamily(families[i], ta, lu.Space(), seed)
+		m, err := core.FitFamily(families[i], ta, src.Space(), seed)
 		if err != nil {
 			return err
 		}
-		cellTgt := kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
+		cellTgt, err := problemFor(ctx, "LU", sandybridge)
+		if err != nil {
+			return err
+		}
 		famResults[i] = search.RSb(ctx, cellTgt, m, search.RSbOptions{NMax: cfg.NMax, PoolSize: cfg.PoolSize},
 			rng.NewNamed(seed, "pool"))
 		return nil
@@ -240,10 +233,6 @@ func runExtSurrogates(ctx context.Context, cfg Config) (*Report, error) {
 // signed-rank test of the variants' best-found run times against RS —
 // the statistical treatment the paper's single-run protocol leaves out.
 func runExtReplicates(ctx context.Context, cfg Config) (*Report, error) {
-	lu, err := kernels.ByName("LU")
-	if err != nil {
-		return nil, err
-	}
 	const replicates = 12
 	variants := []string{"RSp", "RSb", "RSpf", "RSbf"}
 	rsBest := make([]float64, 0, replicates)
@@ -254,13 +243,9 @@ func runExtReplicates(ctx context.Context, cfg Config) (*Report, error) {
 	// One cell per replicate, each with its own problem instances and its
 	// own derived seed; aggregation below stays in replicate order.
 	outs := make([]*core.Outcome, replicates)
-	err = runCells(ctx, cfg, "ext-replicates-cells", replicates, func(ctx context.Context, rep int) error {
-		src := kernels.NewProblem(lu, sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})
-		tgt := kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
-		opts := transferOpts(cfg)
-		opts.Seed = cfg.Seed ^ rng.Hash64(fmt.Sprintf("replicate-%d", rep))
+	err := runCells(ctx, cfg, "ext-replicates-cells", replicates, func(ctx context.Context, rep int) error {
 		var err error
-		outs[rep], err = core.Run(ctx, src, tgt, opts)
+		outs[rep], err = transfer(ctx, cfg, fmt.Sprintf("replicate-%d", rep), "LU", westmere, sandybridge, nil)
 		return err
 	})
 	if err != nil {

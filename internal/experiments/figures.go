@@ -8,11 +8,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forest"
-	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/tabulate"
 )
@@ -20,22 +19,20 @@ import (
 // runFig1 reproduces Figure 1: the run times of random LU configurations
 // on Westmere and Sandybridge, with Pearson and Spearman coefficients.
 func runFig1(ctx context.Context, cfg Config) (*Report, error) {
-	lu, err := kernels.ByName("LU")
+	west, sandy, err := pair(ctx, "LU", westmere, sandybridge)
 	if err != nil {
 		return nil, err
 	}
-	west := kernels.NewProblem(lu, sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})
-	sandy := kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
 
-	seq := search.Sequence(lu.Space(), cfg.CorrelationSamples, rng.NewNamed(cfg.Seed, "fig1"))
-	// Each sample is an independent pair of evaluations (Problem.Evaluate
-	// is stateless), so they fan out over the pool engine; the result
-	// slices are indexed by sample, keeping them in sequence order.
+	seq := search.Sequence(west.Space(), cfg.CorrelationSamples, rng.NewNamed(cfg.Seed, "fig1"))
+	// Each sample is an independent pair of evaluations, so they fan out
+	// over the pool engine; the result slices are indexed by sample,
+	// keeping them in sequence order.
 	w := make([]float64, len(seq))
 	s := make([]float64, len(seq))
 	if err := runCells(ctx, cfg, "fig1-samples", len(seq), func(ctx context.Context, i int) error {
-		w[i], _ = west.Evaluate(seq[i])
-		s[i], _ = sandy.Evaluate(seq[i])
+		w[i] = search.EvaluateFull(ctx, west, seq[i]).RunTime
+		s[i] = search.EvaluateFull(ctx, sandy, seq[i]).RunTime
 		return nil
 	}); err != nil {
 		return nil, err
@@ -67,18 +64,17 @@ func runFig1(ctx context.Context, cfg Config) (*Report, error) {
 // runFig2 reproduces Figure 2: a decision tree fit to MM data collected
 // on Sandybridge, rendered as if/else rules over the kernel's parameters.
 func runFig2(ctx context.Context, cfg Config) (*Report, error) {
-	mm, err := kernels.ByName("MM")
+	sandy, err := problemFor(ctx, "MM", sandybridge)
 	if err != nil {
 		return nil, err
 	}
-	sandy := kernels.NewProblem(mm, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
 	_, ta := core.Collect(ctx, sandy, cfg.NMax, rng.NewNamed(cfg.Seed, "fig2"))
-	X, y := ta.Encode(mm.Space())
+	X, y := ta.Encode(sandy.Space())
 	tree, err := forest.FitTree(X, y, forest.TreeParams{MaxDepth: 3, MinLeaf: 5}, nil)
 	if err != nil {
 		return nil, err
 	}
-	rendered := tree.String(mm.Space().FeatureNames())
+	rendered := tree.String(sandy.Space().FeatureNames())
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "CART regression tree on %d MM evaluations from Sandybridge\n", len(ta))
@@ -99,30 +95,18 @@ func runFig2(ctx context.Context, cfg Config) (*Report, error) {
 // source -> target figure and renders the three panel columns of
 // Figures 3-5: model-based trajectories, model-free trajectories, and
 // the correlation scatter.
-func transferFigure(ctx context.Context, cfg Config, workloads []string,
-	srcM, tgtM machine.Machine, comp machine.Compiler, srcThreads, tgtThreads int) (*Report, error) {
-
+func transferFigure(ctx context.Context, cfg Config, workloads []string, src, tgt spec.Spec) (*Report, error) {
 	var b strings.Builder
 	values := map[string]float64{}
 	var tables []*tabulate.Table
 
-	// One transfer per workload, fanned out over the pool engine;
-	// rendering below stays serial in workload order.
+	// One transfer per workload, each with its own source RS stream as in
+	// the paper's setup, fanned out over the pool engine; rendering below
+	// stays serial in workload order.
 	outs := make([]*core.Outcome, len(workloads))
 	err := runCells(ctx, cfg, "transfer-figure", len(workloads), func(ctx context.Context, i int) error {
-		wl := workloads[i]
-		src, err := problemFor(ctx, wl, srcM, comp, srcThreads)
-		if err != nil {
-			return err
-		}
-		tgt, err := problemFor(ctx, wl, tgtM, comp, tgtThreads)
-		if err != nil {
-			return err
-		}
-		opts := transferOpts(cfg)
-		// One source RS stream per workload, as in the paper's setup.
-		opts.Seed = cfg.Seed ^ rng.Hash64("wl-"+wl)
-		outs[i], err = core.Run(ctx, src, tgt, opts)
+		var err error
+		outs[i], err = transfer(ctx, cfg, "wl-"+workloads[i], workloads[i], src, tgt, nil)
 		return err
 	})
 	if err != nil {
@@ -136,7 +120,7 @@ func transferFigure(ctx context.Context, cfg Config, workloads []string,
 		// elapsed search time; sample every algorithm on a common clock
 		// grid spanning the RS baseline's full search.
 		grid := timeGrid(out.RS.Elapsed(), 56)
-		fmt.Fprintf(&b, "--- %s: %s -> %s ---\n\n", wl, srcM.Name, tgtM.Name)
+		fmt.Fprintf(&b, "--- %s: %s -> %s ---\n\n", wl, src.Machine, tgt.Machine)
 		b.WriteString(tabulate.LinesX(
 			fmt.Sprintf("%s model-based variants (best run time [s] vs search time, 0..%.0f s)",
 				wl, out.RS.Elapsed()),
@@ -163,7 +147,7 @@ func transferFigure(ctx context.Context, cfg Config, workloads []string,
 		b.WriteString("\n")
 		b.WriteString(tabulate.Scatter(
 			fmt.Sprintf("%s correlation (rho_p=%.2f rho_s=%.2f)", wl, out.Pearson, out.Spearman),
-			srcM.Name+" [s]", tgtM.Name+" [s]",
+			src.Machine+" [s]", tgt.Machine+" [s]",
 			out.SourceRuns, out.TargetRuns, 56, 14))
 		b.WriteString("\n")
 
@@ -208,18 +192,18 @@ func finiteOnly(xs []float64) []float64 {
 }
 
 func runFig3(ctx context.Context, cfg Config) (*Report, error) {
-	return transferFigure(ctx, cfg, []string{"ATAX", "LU", "HPL", "RT"},
-		machine.Westmere, machine.Sandybridge, machine.GNU, 1, 1)
+	return transferFigure(ctx, cfg, []string{"ATAX", "LU", "HPL", "RT"}, westmere, sandybridge)
 }
 
 func runFig4(ctx context.Context, cfg Config) (*Report, error) {
 	return transferFigure(ctx, cfg, []string{"ATAX", "LU", "HPL", "RT"},
-		machine.Sandybridge, machine.Power7, machine.GNU, 1, 1)
+		sandybridge, spec.Spec{Machine: machine.Power7.Name})
 }
 
 func runFig5(ctx context.Context, cfg Config) (*Report, error) {
 	// Xeon Phi experiments: Intel compiler, OpenMP with 8 threads on the
 	// big cores and 60 on the Phi (Section V).
 	return transferFigure(ctx, cfg, []string{"MM", "LU", "COR"},
-		machine.Sandybridge, machine.XeonPhi, machine.Intel, 8, 60)
+		spec.Spec{Machine: machine.Sandybridge.Name, Compiler: machine.Intel.Name, Threads: 8},
+		spec.Spec{Machine: machine.XeonPhi.Name, Compiler: machine.Intel.Name, Threads: 60})
 }

@@ -8,11 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/broker/remote"
+	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/spec"
@@ -231,20 +231,16 @@ func serveWorkers(addr string, n int) (stop func()) {
 // with in-test workers) produces output bit-identical to evaluating
 // inline — same report text, tables, named values, and the same search
 // telemetry (the pool contributes only its own broker.* submit and
-// lease metrics on top).
+// lease metrics on top). Every experiment that evaluates anything, all
+// but the static Tables I-III, must lease work to the workers: a
+// problem built outside problemFor would run inline and pass the
+// comparison without ever reaching them.
 func TestBrokerMatchesDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	cfg := Config{Seed: 9, NMax: 12, PoolSize: 200, Trees: 10, CorrelationSamples: 30}
-	// Runs after every parallel subtest: the experiments that build
-	// their problems through problemFor must have reached the workers.
-	var leased atomic.Bool
-	t.Cleanup(func() {
-		if !leased.Load() {
-			t.Error("no remote lease granted in any experiment; the remote path was not exercised")
-		}
-	})
+	static := map[string]bool{"table1": true, "table2": true, "table3": true}
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
@@ -261,10 +257,17 @@ func TestBrokerMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			leases := "0"
 			for _, line := range strings.Split(got.Metrics, "\n") {
 				if f := strings.Fields(line); len(f) == 2 && f[0] == obs.MetricRemoteLeases {
-					leased.Store(true)
+					leases = f[1]
 				}
+			}
+			switch leased := leases != "0"; {
+			case static[id] && leased:
+				t.Errorf("%s evaluates nothing but leased %s evaluations", id, leases)
+			case !static[id] && !leased:
+				t.Errorf("%s leased no evaluation to the remote workers: its problems bypassed the pool", id)
 			}
 			if got.Text != want.Text {
 				t.Errorf("report text differs between brokered and direct:\n--- direct ---\n%s\n--- brokered ---\n%s",
@@ -282,5 +285,58 @@ func TestBrokerMatchesDirect(t *testing.T) {
 				t.Errorf("telemetry counters differ:\n--- direct ---\n%s\n--- brokered ---\n%s", w, g)
 			}
 		})
+	}
+}
+
+// TestOffSizeProblemStaysInline: ext-inputsize's off-size targets carry
+// their size in their name, so a worker's resolver refuses them instead
+// of evaluating the paper-size kernel under that name. Routed to the
+// pool by mistake, such a problem is refused by every worker and
+// evaluated inline by the pool's fallback, with the bare outcome.
+func TestOffSizeProblemStaysInline(t *testing.T) {
+	s := sandybridge
+	s.Normalize()
+	off, err := s.BaseFor(kernels.MM(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := problemFor(context.Background(), "MM", sandybridge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Name() == paper.Name() {
+		t.Fatalf("off-size MM shares the paper-size name %q", off.Name())
+	}
+	resolve := resolveByName()
+	if _, err := resolve(off.Name()); err == nil {
+		t.Fatalf("resolver accepted the off-size name %q", off.Name())
+	}
+	if _, err := resolve(paper.Name()); err != nil {
+		t.Fatalf("resolver refused the paper-size name: %v", err)
+	}
+
+	addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
+	ln, err := remote.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := remote.NewPool(remote.PoolOptions{})
+	defer pool.Close()
+	pool.Serve(ln)
+	stop := serveWorkers(addr, 1)
+	defer stop()
+	for deadline := time.Now().Add(10 * time.Second); pool.Sessions() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no worker connected")
+		}
+	}
+	ctx := context.Background()
+	c := off.Space().Default()
+	if out := pool.Evaluate(ctx, paper, c); out.Degraded {
+		t.Fatal("paper-size MM was not served by the worker")
+	}
+	got, want := pool.Evaluate(ctx, off, c), search.EvaluateFull(ctx, off, c)
+	if !got.Degraded || got.RunTime != want.RunTime || got.Cost != want.Cost {
+		t.Fatalf("off-size MM through the pool: %+v, want the inline fallback's %+v", got, want)
 	}
 }

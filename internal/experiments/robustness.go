@@ -7,11 +7,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/kernels"
-	"repro/internal/machine"
 	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/sim"
 	"repro/internal/tabulate"
 )
 
@@ -29,14 +26,14 @@ func init() {
 // faulty wraps a problem in a fault injector scaled to the given total
 // failure rate and a resilient evaluator whose timeout cap censors
 // hangs. rate 0 returns the problem untouched.
-func faulty(p search.Problem, machineName string, rate float64, seed uint64) search.Problem {
+func faulty(ctx context.Context, p search.Problem, machineName string, rate float64, seed uint64) search.Problem {
 	if rate <= 0 {
 		return p
 	}
 	// Cap the run time at a generous multiple of the default
 	// configuration's: slow-but-honest variants survive, hangs (50x) do
 	// not.
-	defRun, _ := p.Evaluate(p.Space().Default())
+	defRun := search.EvaluateFull(ctx, p, p.Space().Default()).RunTime
 	inj := faults.Wrap(p, faults.Profile(machineName).ScaledTo(rate), seed)
 	return search.NewResilient(inj, search.ResilientOptions{
 		Retries: 2,
@@ -46,17 +43,6 @@ func faulty(p search.Problem, machineName string, rate float64, seed uint64) sea
 }
 
 func runExtRobustness(ctx context.Context, cfg Config) (*Report, error) {
-	lu, err := kernels.ByName("LU")
-	if err != nil {
-		return nil, err
-	}
-	newSrc := func() search.Problem {
-		return kernels.NewProblem(lu, sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})
-	}
-	newTgt := func() search.Problem {
-		return kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
-	}
-
 	counts := tabulate.NewTable("LU Westmere -> Sandybridge: evaluation statuses per run",
 		"Fail rate", "Run", "Evals", "OK", "Censored", "Failed", "Retried")
 	speed := tabulate.NewTable("Speedups over RS under failure injection",
@@ -68,17 +54,20 @@ func runExtRobustness(ctx context.Context, cfg Config) (*Report, error) {
 	// instances, so the cells share nothing mutable.
 	rates := []float64{0, 0.10, 0.30}
 	outs := make([]*core.Outcome, len(rates))
-	err = runCells(ctx, cfg, "ext-robustness-cells", len(rates), func(ctx context.Context, i int) error {
+	err := runCells(ctx, cfg, "ext-robustness-cells", len(rates), func(ctx context.Context, i int) error {
 		rate := rates[i]
 		tag := fmt.Sprintf("r%02.0f", rate*100)
 		seed := cfg.Seed ^ rng.Hash64("ext-robustness/"+tag)
-		src := faulty(newSrc(), "Westmere", rate, seed)
-		tgt := faulty(newTgt(), "Sandybridge", rate, seed+1)
-
-		opts := transferOpts(cfg)
-		opts.Seed = cfg.Seed // same candidate streams at every rate: only the faults differ
-		var err error
-		outs[i], err = core.Run(ctx, src, tgt, opts)
+		// The fault and resilience layers go on top of the pool, so workers
+		// evaluate the bare problems and every fault is rolled here.
+		src, tgt, err := pair(ctx, "LU", westmere, sandybridge)
+		if err != nil {
+			return err
+		}
+		// Same candidate streams at every rate (transferOpts' seed is
+		// cfg.Seed): only the faults differ.
+		outs[i], err = core.Run(ctx, faulty(ctx, src, "Westmere", rate, seed),
+			faulty(ctx, tgt, "Sandybridge", rate, seed+1), transferOpts(cfg))
 		return err
 	})
 	if err != nil {
@@ -117,12 +106,14 @@ func runExtRobustness(ctx context.Context, cfg Config) (*Report, error) {
 	// Graceful-degradation scenario: a source machine whose toolchain
 	// rejects nearly every configuration. Transfer must not error — it
 	// falls back to plain RS on the target and says so.
-	src := search.NewResilient(
-		faults.Wrap(newSrc(), faults.Rates{CompileFail: 0.97}, cfg.Seed^rng.Hash64("ext-robustness/fallback")),
+	src, tgt, err := pair(ctx, "LU", westmere, sandybridge)
+	if err != nil {
+		return nil, err
+	}
+	src = search.NewResilient(
+		faults.Wrap(src, faults.Rates{CompileFail: 0.97}, cfg.Seed^rng.Hash64("ext-robustness/fallback")),
 		search.ResilientOptions{Retries: 1, Backoff: 0.5})
-	opts := transferOpts(cfg)
-	opts.Seed = cfg.Seed
-	out, err := core.Run(ctx, src, newTgt(), opts)
+	out, err := core.Run(ctx, src, tgt, transferOpts(cfg))
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/rng"
+	"repro/internal/spec"
 	"repro/internal/tabulate"
 )
 
@@ -106,22 +106,14 @@ func speedupGrid(ctx context.Context, cfg Config, workloads []string, sources, t
 			}
 		}
 	}
+	on := func(name string) spec.Spec {
+		m, _ := machine.ByName(name)
+		return spec.Spec{Machine: name, Compiler: comp.Name, Threads: threadsFor(m)}
+	}
 	results := make([]core.Speedups, len(jobs))
 	err := runCells(ctx, cfg, "speedup-grid", len(jobs), func(ctx context.Context, i int) error {
 		job := jobs[i]
-		srcM, _ := machine.ByName(job.src)
-		tgtM, _ := machine.ByName(job.tgt)
-		src, err := problemFor(ctx, job.wl, srcM, comp, threadsFor(srcM))
-		if err != nil {
-			return err
-		}
-		tgt, err := problemFor(ctx, job.wl, tgtM, comp, threadsFor(tgtM))
-		if err != nil {
-			return err
-		}
-		opts := transferOpts(cfg)
-		opts.Seed = cfg.Seed ^ rng.Hash64("wl-"+job.wl)
-		out, err := core.Run(ctx, src, tgt, opts)
+		out, err := transfer(ctx, cfg, "wl-"+job.wl, job.wl, on(job.src), on(job.tgt), nil)
 		if err != nil {
 			return err
 		}

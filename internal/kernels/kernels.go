@@ -156,7 +156,7 @@ func MM(n int) *Kernel {
 		Sizes: map[string]float64{"N": float64(n)},
 	}
 	k := &Kernel{
-		Name:      "MM",
+		Name:      sizedName("MM", n, DefaultMMSize),
 		InputSize: fmt.Sprintf("%dx%d", n, n),
 		Nests:     []*ir.Nest{nest},
 		bindings: []loopBinding{
@@ -224,7 +224,7 @@ func ATAX(n int) *Kernel {
 		Sizes: map[string]float64{"N": float64(n)},
 	}
 	k := &Kernel{
-		Name:      "ATAX",
+		Name:      sizedName("ATAX", n, DefaultATAXSize),
 		InputSize: fmt.Sprintf("%d", n),
 		Nests:     []*ir.Nest{nest1, nest2},
 		bindings: []loopBinding{
@@ -276,7 +276,7 @@ func COR(n int) *Kernel {
 		Sizes: map[string]float64{"N": float64(n)},
 	}
 	k := &Kernel{
-		Name:      "COR",
+		Name:      sizedName("COR", n, DefaultCORSize),
 		InputSize: fmt.Sprintf("%dx%d", n, n),
 		Nests:     []*ir.Nest{nest},
 		bindings: []loopBinding{
@@ -325,7 +325,7 @@ func LU(n int) *Kernel {
 		Sizes:  map[string]float64{"N": float64(n)},
 	}
 	k := &Kernel{
-		Name:      "LU",
+		Name:      sizedName("LU", n, DefaultLUSize),
 		InputSize: fmt.Sprintf("%dx%d", n, n),
 		Nests:     []*ir.Nest{nest},
 		bindings: []loopBinding{
@@ -353,6 +353,17 @@ const (
 	DefaultCORSize  = 2000
 	DefaultLUSize   = 2000
 )
+
+// sizedName names a kernel built at size n: the bare name at the paper
+// size, name_n<n> at any other. An off-size kernel thus never shares a
+// problem name, and with it an evaluation-cache scope, a journal meta,
+// or a wire name, with the paper-size one, and ByName refuses it.
+func sizedName(name string, n, paper int) string {
+	if n == paper {
+		return name
+	}
+	return fmt.Sprintf("%s_n%d", name, n)
+}
 
 // ByName returns the named kernel at its paper input size.
 func ByName(name string) (*Kernel, error) {

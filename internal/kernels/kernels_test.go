@@ -82,6 +82,39 @@ func TestByNameErrors(t *testing.T) {
 	}
 }
 
+// TestOffSizeKernelNames: at the paper size each kernel keeps its bare
+// name; at any other size the name carries the size, so the off-size
+// problem never shares a name (cache scope, journal meta, wire name)
+// with the paper-size one, and ByName refuses it.
+func TestOffSizeKernelNames(t *testing.T) {
+	tgt := sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1}
+	for _, tc := range []struct {
+		build       func(int) *Kernel
+		paper, off  int
+		name, sized string
+	}{
+		{MM, DefaultMMSize, 1000, "MM", "MM_n1000"},
+		{ATAX, DefaultATAXSize, 5000, "ATAX", "ATAX_n5000"},
+		{COR, DefaultCORSize, 3000, "COR", "COR_n3000"},
+		{LU, DefaultLUSize, 1500, "LU", "LU_n1500"},
+	} {
+		if got := tc.build(tc.paper).Name; got != tc.name {
+			t.Errorf("%s at its paper size is named %q", tc.name, got)
+		}
+		off := tc.build(tc.off)
+		if off.Name != tc.sized {
+			t.Errorf("%s at size %d is named %q, want %q", tc.name, tc.off, off.Name, tc.sized)
+		}
+		paperProblem, offProblem := NewProblem(tc.build(tc.paper), tgt), NewProblem(off, tgt)
+		if paperProblem.Name() == offProblem.Name() {
+			t.Errorf("%s: off-size problem shares the paper-size name %q", tc.name, offProblem.Name())
+		}
+		if _, err := ByName(off.Name); err == nil {
+			t.Errorf("ByName(%q) resolved an off-size name", off.Name)
+		}
+	}
+}
+
 func TestAllKernelsValid(t *testing.T) {
 	ks := All()
 	if len(ks) != 4 {

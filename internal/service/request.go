@@ -77,5 +77,7 @@ func (r Request) Validate() error {
 	if r.ThrottleMS < 0 || r.ThrottleMS > maxThrottleMS {
 		return fmt.Errorf("throttle_ms must be in [0,%d], got %d", maxThrottleMS, r.ThrottleMS)
 	}
-	return r.Spec().Validate()
+	s := r.Spec()
+	_, err := s.Resolve()
+	return err
 }

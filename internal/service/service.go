@@ -464,13 +464,15 @@ func (srv *Server) runSession(s *session) {
 		s.mu.Unlock()
 		return
 	}
-	p, _, err := s.req.Spec().Build()
+	sp := s.req.Spec()
+	p, err := sp.Base()
 	if err != nil {
 		s.state = StateFailed
 		s.errMsg = err.Error()
 		s.mu.Unlock()
 		return
 	}
+	p, _ = sp.Build(p)
 	if s.req.ThrottleMS > 0 {
 		p = spec.Throttled{Problem: p, Wait: time.Duration(s.req.ThrottleMS) * time.Millisecond}
 	}

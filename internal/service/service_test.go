@@ -85,12 +85,14 @@ func waitState(t *testing.T, base, id string, want State) Status {
 func controlRun(t *testing.T, req Request) *search.Result {
 	t.Helper()
 	req.Normalize()
-	p, _, err := req.Spec().Build()
+	sp := req.Spec()
+	base, err := sp.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	p, _ := sp.Build(base)
 	var pulls map[string]int
-	drive, err := req.Spec().Driver(&pulls)
+	drive, err := sp.Driver(&pulls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,32 +80,34 @@ func (s *Spec) Normalize() {
 	}
 }
 
-// Validate checks every field, resolves the machine and compiler names
-// (for the mini-apps too, which ignore the compiler), and builds the
-// problem once to verify the combination exists. A Spec that names no
-// problem describes only a target — a remote worker learns its problems
-// from the tasks it serves — and Validate then checks the target alone.
-func (s Spec) Validate() error {
+// Resolve is the one call that turns a Spec into a problem: it fills the
+// defaulted fields in place (Normalize), checks every field, resolves
+// the machine and compiler names (for the mini-apps too, which ignore
+// the compiler), and returns the bare problem, built once. A Spec that
+// names no problem describes only a target — a remote worker learns its
+// problems from the tasks it serves — and Resolve then checks the target
+// alone and returns a nil problem.
+func (s *Spec) Resolve() (search.Problem, error) {
+	s.Normalize()
 	if _, err := s.Driver(nil); err != nil {
-		return err
+		return nil, err
 	}
 	switch {
 	case s.Budget < 0:
-		return fmt.Errorf("budget must be >= 0, got %d", s.Budget)
+		return nil, fmt.Errorf("budget must be >= 0, got %d", s.Budget)
 	case s.Threads < 1:
-		return fmt.Errorf("threads must be >= 1, got %d", s.Threads)
+		return nil, fmt.Errorf("threads must be >= 1, got %d", s.Threads)
 	case s.Faults < 0 || s.Faults >= 1:
-		return fmt.Errorf("faults must be in [0,1), got %v", s.Faults)
+		return nil, fmt.Errorf("faults must be in [0,1), got %v", s.Faults)
 	case s.Retries < 0:
-		return fmt.Errorf("retries must be >= 0, got %d", s.Retries)
+		return nil, fmt.Errorf("retries must be >= 0, got %d", s.Retries)
 	case s.Timeout < 0:
-		return fmt.Errorf("timeout must be >= 0, got %v", s.Timeout)
+		return nil, fmt.Errorf("timeout must be >= 0, got %v", s.Timeout)
 	}
 	if _, _, err := s.target(); err != nil || (s.Problem == "" && s.Annotation == "") {
-		return err
+		return nil, err
 	}
-	_, err := s.Base()
-	return err
+	return s.Base()
 }
 
 // target resolves the machine and compiler names.
@@ -118,7 +120,8 @@ func (s Spec) target() (machine.Machine, machine.Compiler, error) {
 	return m, comp, err
 }
 
-// Base builds the bare problem: no fault or resilience layers.
+// Base builds the bare problem: no fault or resilience layers, and no
+// checks beyond resolving the names (Resolve checks every field).
 func (s Spec) Base() (search.Problem, error) {
 	if s.Annotation != "" {
 		text, err := os.ReadFile(s.Annotation)
@@ -176,22 +179,22 @@ func unknownProblem(name string) error {
 	return fmt.Errorf("unknown problem %q (known: %s)", name, strings.Join(names, ", "))
 }
 
-// Build constructs the evaluation stack: the base problem, plus the
-// fault injector (when Faults > 0) under the resilient retry/timeout
-// budgets (when Faults or Timeout is set). The injector is returned so
-// the caller can surface its warnings; it is nil without faults.
-func (s Spec) Build() (search.Problem, *faults.Injector, error) {
-	p, err := s.Base()
-	if err != nil || (s.Faults == 0 && s.Timeout == 0) {
-		return p, nil, err
+// Build layers the evaluation stack over base, the bare problem Resolve
+// or Base built: the fault injector (when Faults > 0) under the
+// resilient retry/timeout budgets (when Faults or Timeout is set). The
+// injector is returned so the caller can surface its warnings; it is nil
+// without faults.
+func (s Spec) Build(base search.Problem) (search.Problem, *faults.Injector) {
+	if s.Faults == 0 && s.Timeout == 0 {
+		return base, nil
 	}
-	fp := search.Fallible(p)
+	fp := search.Fallible(base)
 	var inj *faults.Injector
 	if s.Faults > 0 {
-		inj = faults.Wrap(p, faults.Profile(s.Machine).ScaledTo(s.Faults), s.Seed)
+		inj = faults.Wrap(base, faults.Profile(s.Machine).ScaledTo(s.Faults), s.Seed)
 		fp = inj
 	}
-	return search.NewResilient(fp, search.ResilientOptions{Retries: s.Retries, Timeout: s.Timeout}), inj, nil
+	return search.NewResilient(fp, search.ResilientOptions{Retries: s.Retries, Timeout: s.Timeout}), inj
 }
 
 // Scope derives the evaluation-cache scope: the problem name plus every

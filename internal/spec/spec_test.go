@@ -103,16 +103,12 @@ func TestFormatPins(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.spec
-			s.Normalize()
-			if err := s.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			base, err := s.Base()
+			base, err := s.Resolve()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := base.Name(); got != tc.base {
-				t.Errorf("Base().Name() = %q, want %q", got, tc.base)
+				t.Errorf("Resolve().Name() = %q, want %q", got, tc.base)
 			}
 			scope, err := s.Scope()
 			if err != nil {
@@ -123,10 +119,7 @@ func TestFormatPins(t *testing.T) {
 			}
 			// The stack above the base keeps its name: wire names, trace
 			// ids, and the journal meta all read it through the wrappers.
-			p, _, err := s.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			p, _ := s.Build(base)
 			if p.Name() != tc.base {
 				t.Errorf("Build().Name() = %q, want %q", p.Name(), tc.base)
 			}
@@ -167,8 +160,8 @@ func TestBaseResolvesEveryProblem(t *testing.T) {
 	}
 }
 
-// TestValidateRefuses pins every input the shared validation refuses,
-// with the message each refusal carries.
+// TestValidateRefuses pins every input Resolve's shared validation
+// refuses, with the message each refusal carries.
 func TestValidateRefuses(t *testing.T) {
 	ok := Spec{Problem: "LU", Machine: "Sandybridge", Retries: 2, Budget: 10}
 	cases := []struct {
@@ -201,19 +194,41 @@ func TestValidateRefuses(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := ok
 			tc.edit(&s)
-			s.Normalize()
-			err := s.Validate()
+			p, err := s.Resolve()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+				t.Fatalf("Resolve() = %v, want an error containing %q", err, tc.want)
+			}
+			if p != nil {
+				t.Fatalf("Resolve() refused the spec but returned the problem %s", p.Name())
 			}
 		})
 	}
 	// A spec naming no problem describes a worker's target: valid on
 	// its own, even where no kernel could be built on it.
 	target := Spec{Machine: "Power7", Compiler: "intel-15.0.1"}
-	target.Normalize()
-	if err := target.Validate(); err != nil {
-		t.Fatalf("target-only spec: %v", err)
+	if p, err := target.Resolve(); err != nil || p != nil {
+		t.Fatalf("target-only spec: Resolve() = %v, %v; want no problem and no error", p, err)
+	}
+}
+
+// TestResolveNormalizesAndBuildsOnce: Resolve fills the defaults into the
+// caller's Spec, so later Scope, Driver and journal-meta calls see them,
+// and its problem is the one Base builds.
+func TestResolveNormalizesAndBuildsOnce(t *testing.T) {
+	s := Spec{Problem: "LU", Machine: "Westmere"}
+	p, err := s.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Compiler != "gnu-4.4.7" || s.Threads != 1 || s.Algorithm != "rs" {
+		t.Fatalf("Resolve left the spec unnormalized: %+v", s)
+	}
+	base, err := s.Base()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name() != base.Name() || !reflect.DeepEqual(p, base) {
+		t.Fatalf("Resolve built %s, Base builds %s", p.Name(), base.Name())
 	}
 }
 
@@ -231,11 +246,11 @@ func TestBuildLayers(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s := Spec{Problem: "ATAX", Machine: "Sandybridge", Faults: tc.faults, Timeout: tc.timeout, Retries: 2, Seed: 1}
-		s.Normalize()
-		p, inj, err := s.Build()
+		base, err := s.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
+		p, inj := s.Build(base)
 		if _, ok := p.(*search.Resilient); ok != tc.resilient {
 			t.Errorf("faults=%v timeout=%v: resilient layer %v, want %v", tc.faults, tc.timeout, ok, tc.resilient)
 		}
@@ -251,8 +266,7 @@ func TestBuildLayers(t *testing.T) {
 func TestDriverMatchesDirectSearch(t *testing.T) {
 	for _, algo := range algorithms {
 		s := Spec{Problem: "ATAX", Machine: "Sandybridge", Algorithm: algo, Budget: 12, Seed: 5}
-		s.Normalize()
-		p, _, err := s.Build()
+		p, err := s.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
