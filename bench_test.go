@@ -460,3 +460,18 @@ func BenchmarkEndToEndRSb(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkTransferRun is one paper-scale transfer experiment, LU from
+// Sandybridge to Westmere: the source RS, the forest fit, the pool drawn
+// and scored once, and the five target runs (budget 100, N = 10 000,
+// 100 trees).
+func BenchmarkTransferRun(b *testing.B) {
+	tgt, src := transferPieces(b)
+	opts := core.Options{NMax: 100, PoolSize: 10000, DeltaPct: 20, Seed: 2016}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Run(context.Background(), src, tgt, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

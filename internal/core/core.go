@@ -187,70 +187,133 @@ type Outcome struct {
 	FailureCounts map[string]search.Counts
 }
 
-// Run executes the transfer experiment: collect Ta on the source, fit
-// M_a, then run RS and all four variants on the target under common
-// random numbers, and compute the paper's metrics. Cancelling ctx
-// drains whichever search phase is running between evaluations; the
-// partial outcome is still internally consistent, but callers should
-// treat it as incomplete (check ctx.Err after Run returns).
-func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, error) {
-	origDelta := opt.DeltaPct
-	if _, adjusted := search.NormalizeDeltaPct(origDelta); adjusted {
-		obs.FromContext(ctx).Warn("core.Run",
-			fmt.Sprintf("DeltaPct %g outside (0,100); using default %g", origDelta, float64(search.DefaultDeltaPct)))
+// Prelude is the target-independent half of a transfer experiment, the
+// work the paper does once on the source machine γ_a and reuses on every
+// target γ_b: the source RS run, T_a, the surrogate M_a fitted on it, and
+// the configuration pool RSp and RSb share, drawn once and scored once.
+// A Prelude is immutable after Prepare; Run only reads it, so one
+// Prelude may serve any number of targets, concurrently too.
+type Prelude struct {
+	Source string
+	// SourceRS is the RS run on the source machine that produced Ta.
+	SourceRS *search.Result
+	Ta       search.Dataset
+	// Surrogate is M_a; nil when the fit degraded (Warnings says why).
+	Surrogate *Surrogate
+	// Pool is the pool of Algorithms 1 and 2 scored with Surrogate; empty
+	// when degraded.
+	Pool     search.ScoredPool
+	Warnings []string
+
+	space *space.Space
+	opt   Options
+}
+
+// Prepare runs the source half of the transfer experiment: collect Ta on
+// src, fit M_a, and draw and score the shared pool. When too few source
+// evaluations succeed to fit a surrogate, the prelude is degraded rather
+// than an error: its Run falls back to plain RS for RSp and RSb.
+func Prepare(ctx context.Context, src search.Problem, opt Options) (*Prelude, error) {
+	tr := obs.FromContext(ctx)
+	if _, adjusted := search.NormalizeDeltaPct(opt.DeltaPct); adjusted {
+		tr.Warn("core.Run",
+			fmt.Sprintf("DeltaPct %g outside (0,100); using default %g", opt.DeltaPct, float64(search.DefaultDeltaPct)))
 	}
 	opt = opt.withDefaults()
-	if src.Space().NumParams() != tgt.Space().NumParams() {
-		return nil, fmt.Errorf("core: source and target must share the configuration space (paper assumption D(α) fixed)")
-	}
+	p := &Prelude{Source: src.Name(), space: src.Space(), opt: opt}
 
-	out := &Outcome{Source: src.Name(), Target: tgt.Name(), Speedups: map[string]Speedups{}}
+	// Collect Ta on the source machine with the shared stream.
+	p.SourceRS, p.Ta = Collect(ctx, src, opt.NMax, rng.NewNamed(opt.Seed, "crn-stream"))
 
-	// Phase 1: collect Ta on the source machine with the shared stream.
-	streamSeed := rng.NewNamed(opt.Seed, "crn-stream")
-	out.SourceRS, out.Ta = Collect(ctx, src, opt.NMax, streamSeed)
-
-	// Phase 2: fit the surrogate. When the source search lost too many
-	// evaluations to failures, the surrogate cannot be trusted; instead
-	// of erroring, degrade gracefully to model-free search.
-	tr := obs.FromContext(ctx)
-	sur, err := FitSurrogate(out.Ta, src.Space(), src.Name(), opt.Forest, rng.NewNamed(opt.Seed, "forest"))
+	// Fit the surrogate. When the source search lost too many evaluations
+	// to failures, the surrogate cannot be trusted; instead of erroring,
+	// degrade gracefully to model-free search.
+	sur, err := FitSurrogate(p.Ta, src.Space(), src.Name(), opt.Forest, rng.NewNamed(opt.Seed, "forest"))
 	if err != nil {
 		if !errors.Is(err, ErrTooFewValid) {
 			return nil, err
 		}
-		out.Degraded = true
 		warning := fmt.Sprintf(
 			"surrogate unavailable (%v); RSp and RSb fall back to plain RS", err)
-		out.Warnings = append(out.Warnings, warning)
+		p.Warnings = append(p.Warnings, warning)
 		tr.Degraded(warning)
-		sur = nil
-	} else if tr.Enabled() {
+		return p, nil
+	}
+	if tr.Enabled() {
 		rows, dur := sur.Forest.FitStats()
 		tr.ModelFit(src.Name(), rows, dur)
 	}
-	out.Surrogate = sur
+	p.Surrogate = sur
 
-	// Phase 3: target runs.
+	// The pool is drawn from the source space: Run accepts only targets
+	// whose space Equals it, and sampling and encoding read nothing else,
+	// so this is the pool RSp and RSb would each draw on the target.
+	sw := obs.StartTimer()
+	p.Pool = search.ScorePool(p.space, sur, opt.PoolSize, rng.NewNamed(opt.Seed, "pool"))
+	tr.ModelPredict(src.Name(), "pool-score", len(p.Pool.Pool), sw.Elapsed())
+	return p, nil
+}
+
+// sameSpace refuses a target whose space differs from the source's
+// (the paper's assumption that D(α) is fixed across machines).
+func sameSpace(src, tgt *space.Space) error {
+	if !src.Equal(tgt) {
+		return fmt.Errorf("core: source and target must share the configuration space (paper assumption D(α) fixed)")
+	}
+	return nil
+}
+
+// Run executes the transfer experiment: collect Ta on the source, fit
+// M_a, then run RS and all four variants on the target under common
+// random numbers, and compute the paper's metrics. It is Prepare on src
+// followed by the prelude's Run on tgt. Cancelling ctx drains whichever
+// search phase is running between evaluations; the partial outcome is
+// still internally consistent, but callers should treat it as incomplete
+// (check ctx.Err after Run returns).
+func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, error) {
+	if err := sameSpace(src.Space(), tgt.Space()); err != nil {
+		return nil, err
+	}
+	p, err := Prepare(ctx, src, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(ctx, tgt)
+}
+
+// Run executes the target half of the transfer experiment on tgt: RS
+// replaying the source run, RSp and RSb over the shared scored pool (or
+// plain RS when degraded), the model-free controls, and the paper's
+// metrics. It refuses a target whose space differs from the source's.
+func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error) {
+	if err := sameSpace(p.space, tgt.Space()); err != nil {
+		return nil, err
+	}
+	opt := p.opt
+	out := &Outcome{
+		Source: p.Source, Target: tgt.Name(),
+		SourceRS: p.SourceRS, Ta: p.Ta, Surrogate: p.Surrogate,
+		Degraded: p.Surrogate == nil, Warnings: append([]string(nil), p.Warnings...),
+		Speedups: map[string]Speedups{},
+	}
+
 	// RS on the target evaluates the same configurations in the same
 	// order as RS on the source (method of common random numbers).
-	srcSeq := make([]space.Config, len(out.SourceRS.Records))
-	for i, rec := range out.SourceRS.Records {
+	srcSeq := make([]space.Config, len(p.SourceRS.Records))
+	for i, rec := range p.SourceRS.Records {
 		srcSeq[i] = rec.Config
 	}
 	out.RS = search.Replay(ctx, tgt, srcSeq, "RS")
 
-	if sur != nil {
+	if sur := p.Surrogate; sur != nil {
 		// RSp walks the same candidate stream as RS (fresh
 		// identically-seeded stream) and prunes with the surrogate.
-		out.RSp = search.RSp(ctx, tgt, sur,
-			search.RSpOptions{NMax: opt.NMax, PoolSize: opt.PoolSize, DeltaPct: opt.DeltaPct},
-			rng.NewNamed(opt.Seed, "crn-stream"), rng.NewNamed(opt.Seed, "pool"))
+		out.RSp = search.RSpScored(ctx, tgt, sur, p.Pool,
+			search.RSpOptions{NMax: opt.NMax, DeltaPct: opt.DeltaPct},
+			rng.NewNamed(opt.Seed, "crn-stream"))
 
 		// RSb greedily evaluates the pool in ascending predicted order.
-		out.RSb = search.RSb(ctx, tgt, sur,
-			search.RSbOptions{NMax: opt.NMax, PoolSize: opt.PoolSize},
-			rng.NewNamed(opt.Seed, "pool"))
+		out.RSb = search.RSbScored(ctx, tgt, p.Pool, search.RSbOptions{NMax: opt.NMax})
 	} else {
 		// Fallback: plain RS on the variants' own streams, so the
 		// experiment still yields five complete runs (the variants just
@@ -262,8 +325,8 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 	}
 
 	// Model-free controls restricted to Ta (empty Ta yields empty runs).
-	out.RSpf = search.RSpf(ctx, tgt, out.Ta, opt.DeltaPct)
-	out.RSbf = search.RSbf(ctx, tgt, out.Ta)
+	out.RSpf = search.RSpf(ctx, tgt, p.Ta, opt.DeltaPct)
+	out.RSbf = search.RSbf(ctx, tgt, p.Ta)
 
 	for name, res := range map[string]*search.Result{
 		"RSp": out.RSp, "RSb": out.RSb, "RSpf": out.RSpf, "RSbf": out.RSbf,
@@ -271,15 +334,17 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 		out.Speedups[name] = ComputeSpeedups(out.RS, res)
 	}
 	out.FailureCounts = map[string]search.Counts{
-		"SourceRS": out.SourceRS.Counts(), "RS": out.RS.Counts(),
+		"SourceRS": p.SourceRS.Counts(), "RS": out.RS.Counts(),
 		"RSp": out.RSp.Counts(), "RSb": out.RSb.Counts(),
 		"RSpf": out.RSpf.Counts(), "RSbf": out.RSbf.Counts(),
 	}
 
 	// Correlation panel: the RS replay re-evaluated every source
 	// configuration on the target, giving exact pairs; pairs where
-	// either side failed to measure are dropped.
-	for i, srcRec := range out.SourceRS.Records {
+	// either side failed to measure are dropped. The same pairs rate the
+	// surrogate on the target.
+	var paired []space.Config
+	for i, srcRec := range p.SourceRS.Records {
 		if i >= len(out.RS.Records) {
 			break // replay drained early by cancellation
 		}
@@ -289,27 +354,17 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 		}
 		out.SourceRuns = append(out.SourceRuns, srcRec.RunTime)
 		out.TargetRuns = append(out.TargetRuns, tgtRec.RunTime)
+		paired = append(paired, srcRec.Config)
 	}
-	if p, err := stats.Pearson(out.SourceRuns, out.TargetRuns); err == nil {
-		out.Pearson = p
+	if r, err := stats.Pearson(out.SourceRuns, out.TargetRuns); err == nil {
+		out.Pearson = r
 	}
 	if s, err := stats.Spearman(out.SourceRuns, out.TargetRuns); err == nil {
 		out.Spearman = s
 	}
-	if sur != nil {
-		var preds, tgtRuns []float64
-		for i, srcRec := range out.SourceRS.Records {
-			if i >= len(out.RS.Records) {
-				break
-			}
-			tgtRec := out.RS.Records[i]
-			if !srcRec.Measured() || !tgtRec.Measured() {
-				continue
-			}
-			preds = append(preds, sur.Predict(tgt.Space().Encode(srcRec.Config)))
-			tgtRuns = append(tgtRuns, tgtRec.RunTime)
-		}
-		if s, err := stats.Spearman(preds, tgtRuns); err == nil {
+	if sur := p.Surrogate; sur != nil {
+		preds := sur.PredictAll(sur.Space.EncodeAll(paired))
+		if s, err := stats.Spearman(preds, out.TargetRuns); err == nil {
 			out.SurrogateSpearman = s
 		}
 	}

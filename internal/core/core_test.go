@@ -251,11 +251,44 @@ func TestFitSurrogateErrors(t *testing.T) {
 	}
 }
 
+// shiftedSpace is a problem whose space differs from the wrapped one
+// only in the first parameter's level values: same width, same kinds.
+type shiftedSpace struct{ search.Problem }
+
+func (p shiftedSpace) Space() *space.Space {
+	s := p.Problem.Space()
+	params := make([]space.Param, s.NumParams())
+	for i := range params {
+		params[i] = s.Param(i)
+	}
+	first := params[0]
+	params[0] = space.NewIntRange(first.Name, first.Value(0)+1, first.Value(0)+first.Levels())
+	return space.New(params...)
+}
+
 func TestMismatchedSpacesRejected(t *testing.T) {
+	ctx := context.Background()
 	mm := problem(t, "MM", machine.Westmere)
 	lu := problem(t, "LU", machine.Sandybridge)
-	if _, err := Run(context.Background(), mm, lu, smallOpts(7)); err == nil {
+	if _, err := Run(ctx, mm, lu, smallOpts(7)); err == nil {
 		t.Fatal("cross-kernel transfer with different spaces accepted")
+	}
+	// Same width, different levels: encoding the target's configurations
+	// in the source space would silently mean other values.
+	src := problem(t, "LU", machine.Westmere)
+	shifted := shiftedSpace{lu}
+	if shifted.Space().NumParams() != lu.Space().NumParams() {
+		t.Fatal("shifted space changed width")
+	}
+	if _, err := Run(ctx, src, shifted, smallOpts(7)); err == nil {
+		t.Fatal("transfer between spaces differing in levels accepted")
+	}
+	pre, err := Prepare(ctx, src, smallOpts(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pre.Run(ctx, shifted); err == nil {
+		t.Fatal("prelude ran on a target whose space differs in levels")
 	}
 }
 

@@ -222,15 +222,28 @@ func pair(ctx context.Context, wl string, src, tgt spec.Spec) (sp, tp search.Pro
 	return sp, tp, err
 }
 
-// transfer runs one transfer cell: workload wl built by problemFor on
-// the src and tgt targets, then core.Run under cfg with the cell's own
-// seed, cfg.Seed ^ Hash64(tag). A non-nil tgtKernel (ext-inputsize's
-// off-size MM) replaces wl on the target: Spec.BaseFor builds it bare,
-// and it evaluates inline, because no worker can name it.
+// prepare runs the source half of a transfer cell: workload wl built by
+// problemFor on the src target, then core.Prepare under cfg with the
+// cell's own seed, cfg.Seed ^ Hash64(tag).
+func prepare(ctx context.Context, cfg Config, tag, wl string, src spec.Spec) (*core.Prelude, error) {
+	sp, err := problemFor(ctx, wl, src)
+	if err != nil {
+		return nil, err
+	}
+	opts := transferOpts(cfg)
+	opts.Seed = cfg.Seed ^ rng.Hash64(tag)
+	return core.Prepare(ctx, sp, opts)
+}
+
+// transfer runs one transfer cell: the prelude prepare builds on src,
+// run on workload wl built by problemFor on the tgt target. A non-nil
+// tgtKernel (ext-inputsize's off-size MM) replaces wl on the target:
+// Spec.BaseFor builds it bare, and it evaluates inline, because no
+// worker can name it.
 func transfer(ctx context.Context, cfg Config, tag, wl string, src, tgt spec.Spec,
 	tgtKernel *kernels.Kernel) (*core.Outcome, error) {
 
-	sp, err := problemFor(ctx, wl, src)
+	pre, err := prepare(ctx, cfg, tag, wl, src)
 	if err != nil {
 		return nil, err
 	}
@@ -244,9 +257,7 @@ func transfer(ctx context.Context, cfg Config, tag, wl string, src, tgt spec.Spe
 	if err != nil {
 		return nil, err
 	}
-	opts := transferOpts(cfg)
-	opts.Seed = cfg.Seed ^ rng.Hash64(tag)
-	return core.Run(ctx, sp, tp, opts)
+	return pre.Run(ctx, tp)
 }
 
 // transferOpts converts a Config into core options.

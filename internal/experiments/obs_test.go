@@ -22,3 +22,19 @@ func TestReportCarriesMetricsSnapshot(t *testing.T) {
 		t.Fatal("metrics leaked into the deterministic report text")
 	}
 }
+
+// TestTable4FitsOncePerSource: every target of a (workload, source) pair
+// reuses one prelude, so table4 fits one surrogate per pair — 6
+// workloads × 3 sources — rather than one per grid cell.
+func TestTable4FitsOncePerSource(t *testing.T) {
+	rep := run(t, "table4", Quick(31))
+	for _, line := range strings.Split(rep.Metrics, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "model.fits" {
+			if f[1] != "18" {
+				t.Fatalf("table4 fitted %s surrogates, want 18", f[1])
+			}
+			return
+		}
+	}
+	t.Fatalf("metrics snapshot has no model.fits counter:\n%s", rep.Metrics)
+}

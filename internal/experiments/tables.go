@@ -110,10 +110,37 @@ func speedupGrid(ctx context.Context, cfg Config, workloads []string, sources, t
 		m, _ := machine.ByName(name)
 		return spec.Spec{Machine: name, Compiler: comp.Name, Threads: threadsFor(m)}
 	}
+	// Every target of a (workload, source) pair shares the cell seed
+	// "wl-"+workload, so the source RS, the surrogate and the scored pool
+	// are the same for all of them: phase one builds each such prelude
+	// once, in input order, and phase two runs the target cells on them.
+	type preludeKey struct{ wl, src string }
+	var keys []preludeKey
+	preludeOf := map[preludeKey]int{}
+	for _, job := range jobs {
+		k := preludeKey{job.wl, job.src}
+		if _, ok := preludeOf[k]; !ok {
+			preludeOf[k] = len(keys)
+			keys = append(keys, k)
+		}
+	}
+	preludes := make([]*core.Prelude, len(keys))
+	err := runCells(ctx, cfg, "speedup-grid-preludes", len(keys), func(ctx context.Context, i int) error {
+		var err error
+		preludes[i], err = prepare(ctx, cfg, "wl-"+keys[i].wl, keys[i].wl, on(keys[i].src))
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	results := make([]core.Speedups, len(jobs))
-	err := runCells(ctx, cfg, "speedup-grid", len(jobs), func(ctx context.Context, i int) error {
+	err = runCells(ctx, cfg, "speedup-grid", len(jobs), func(ctx context.Context, i int) error {
 		job := jobs[i]
-		out, err := transfer(ctx, cfg, "wl-"+job.wl, job.wl, on(job.src), on(job.tgt), nil)
+		tp, err := problemFor(ctx, job.wl, on(job.tgt))
+		if err != nil {
+			return err
+		}
+		out, err := preludes[preludeOf[preludeKey{job.wl, job.src}]].Run(ctx, tp)
 		if err != nil {
 			return err
 		}

@@ -63,6 +63,13 @@ type Forest struct {
 // substream, so the result is independent of scheduling and identical to
 // a sequential fit).
 func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
+	return fit(X, y, p, r, FitTree)
+}
+
+// fit is Fit with the tree fitter as a parameter, so the tests can pin
+// FitTree against a reference fitter forest by forest.
+func fit(X [][]float64, y []float64, p Params, r *rng.RNG,
+	fitTree func([][]float64, []float64, TreeParams, *rng.RNG) (*Tree, error)) (*Forest, error) {
 	fitSW := obs.StartTimer()
 	if len(X) == 0 || len(X) != len(y) {
 		return nil, fmt.Errorf("forest: need non-empty, equal-length X and y (%d, %d)", len(X), len(y))
@@ -95,7 +102,7 @@ func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
 			idxX[i] = X[j]
 			idxY[i] = y[j]
 		}
-		tree, err := FitTree(idxX, idxY, TreeParams{
+		tree, err := fitTree(idxX, idxY, TreeParams{
 			MaxDepth: p.MaxDepth, MinLeaf: p.MinLeaf, MTry: p.MTry,
 		}, tr)
 		f.trees[t] = tree

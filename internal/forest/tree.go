@@ -10,7 +10,7 @@ package forest
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/rng"
@@ -75,19 +75,59 @@ func FitTree(X [][]float64, y []float64, p TreeParams, r *rng.RNG) (*Tree, error
 			return nil, fmt.Errorf("forest: ragged feature matrix")
 		}
 	}
-	t := &Tree{}
+	g := &grower{
+		t: &Tree{}, X: X, y: y, p: p, r: r,
+		pairs: make([]xy, len(y)), spill: make([]int, len(y)), all: make([]int, nf),
+	}
+	for i := range g.all {
+		g.all[i] = i
+	}
 	idx := make([]int, len(y))
 	for i := range idx {
 		idx[i] = i
 	}
-	t.grow(X, y, idx, p, r, 0)
-	return t, nil
+	g.grow(idx, 0)
+	return g.t, nil
+}
+
+// xy is one training row as a node's split search sees it for one
+// feature: the feature value and the target.
+type xy struct{ x, y float64 }
+
+// byX orders pairs by feature value; encoded feature values are finite
+// by construction (space.Encode yields finite floats). The sort reads
+// only whether the result is negative, which is x < x', the predicate
+// the search has always sorted with.
+func byX(a, b xy) int {
+	if a.x < b.x {
+		return -1
+	}
+	if a.x > b.x {
+		return 1
+	}
+	return 0
+}
+
+// grower grows one tree. Its buffers are sized for the root and reused
+// at every node, so the split search allocates nothing per node beyond
+// the rng's feature sample.
+type grower struct {
+	t     *Tree
+	X     [][]float64
+	y     []float64
+	p     TreeParams
+	r     *rng.RNG
+	pairs []xy  // one node's rows sorted by the candidate feature
+	spill []int // right-hand rows while a node partitions idx in place
+	all   []int // every feature index, the candidates without MTry
 }
 
 // grow recursively builds the subtree over the sample indices and returns
-// its node position.
-func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.RNG, depth int) int {
-	mean, sse := meanSSE(y, idx)
+// its node position. It partitions idx in place, keeping each side in
+// its original order.
+func (g *grower) grow(idx []int, depth int) int {
+	t, p := g.t, g.p
+	mean, sse := meanSSE(g.y, idx)
 	pos := len(t.nodes)
 	t.nodes = append(t.nodes, node{val: mean, feature: -1})
 	t.stats = append(t.stats, nodeStats{mean: mean, count: len(idx)})
@@ -96,28 +136,30 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.
 		return pos
 	}
 
-	feat, thr, gain := t.bestSplit(X, y, idx, p, r)
+	feat, thr, gain := g.bestSplit(idx)
 	if feat < 0 || gain <= 0 {
 		return pos
 	}
 
-	var left, right []int
+	nl, right := 0, g.spill[:0]
 	for _, i := range idx {
-		if X[i][feat] <= thr {
-			left = append(left, i)
+		if g.X[i][feat] <= thr {
+			idx[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) < p.minLeaf() || len(right) < p.minLeaf() {
+	copy(idx[nl:], right)
+	if nl < p.minLeaf() || len(right) < p.minLeaf() {
 		return pos
 	}
 
 	t.nodes[pos].feature = int32(feat)
 	t.nodes[pos].val = thr
 	t.stats[pos].gain = gain
-	l := t.grow(X, y, left, p, r, depth+1)
-	rt := t.grow(X, y, right, p, r, depth+1)
+	l := g.grow(idx[:nl], depth+1)
+	rt := g.grow(idx[nl:], depth+1)
 	t.nodes[pos].left = int32(l)
 	t.nodes[pos].right = int32(rt)
 	return pos
@@ -125,48 +167,45 @@ func (t *Tree) grow(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.
 
 // bestSplit searches candidate features for the variance-minimizing
 // threshold split.
-func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, p TreeParams, r *rng.RNG) (feat int, thr, gain float64) {
-	nf := len(X[0])
-	candidates := make([]int, nf)
-	for i := range candidates {
-		candidates[i] = i
-	}
-	if p.MTry > 0 && p.MTry < nf && r != nil {
-		sel := r.SampleWithoutReplacement(nf, p.MTry)
-		candidates = sel
+func (g *grower) bestSplit(idx []int) (feat int, thr, gain float64) {
+	p := g.p
+	nf := len(g.all)
+	candidates := g.all
+	if p.MTry > 0 && p.MTry < nf && g.r != nil {
+		candidates = g.r.SampleWithoutReplacement(nf, p.MTry)
 	}
 
-	_, parentSSE := meanSSE(y, idx)
+	_, parentSSE := meanSSE(g.y, idx)
 	feat, gain = -1, 0
 
-	vals := make([]float64, 0, len(idx))
-	order := make([]int, len(idx))
+	n := len(idx)
+	pairs := g.pairs[:n]
+	minLeaf := p.minLeaf()
 	for _, f := range candidates {
-		copy(order, idx)
-		//lint:ignore floatcmp encoded feature values are finite by construction (space.Encode yields finite floats)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-
-		vals = vals[:0]
-		for _, i := range order {
-			vals = append(vals, y[i])
+		for k, i := range idx {
+			pairs[k] = xy{g.X[i][f], g.y[i]}
 		}
+		// slices.SortFunc and sort.Slice are the same generated pdqsort,
+		// and byX is negative exactly when x < x', so the rows land in the
+		// permutation sort.Slice gave them: ties, and with them the
+		// floating-point sums below, come out bit for bit the same.
+		slices.SortFunc(pairs, byX)
+
 		// Prefix sums over the sorted targets let us evaluate every
 		// threshold in O(n).
-		n := len(vals)
 		var sumL, sqL float64
 		sumT, sqT := 0.0, 0.0
-		for _, v := range vals {
-			sumT += v
-			sqT += v * v
+		for _, q := range pairs {
+			sumT += q.y
+			sqT += q.y * q.y
 		}
-		minLeaf := p.minLeaf()
 		for i := 0; i < n-1; i++ {
-			v := vals[i]
+			v := pairs[i].y
 			sumL += v
 			sqL += v * v
 			// Cannot split between identical feature values.
 			//lint:ignore floatcmp exact tie detection: a split threshold between bit-identical feature values would send equal inputs to different children
-			if X[order[i]][f] == X[order[i+1]][f] {
+			if pairs[i].x == pairs[i+1].x {
 				continue
 			}
 			nl := i + 1
@@ -177,11 +216,11 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, p TreeParams, r 
 			sseL := sqL - sumL*sumL/float64(nl)
 			sumR := sumT - sumL
 			sseR := (sqT - sqL) - sumR*sumR/float64(nr)
-			g := parentSSE - sseL - sseR
-			if g > gain {
-				gain = g
+			d := parentSSE - sseL - sseR
+			if d > gain {
+				gain = d
 				feat = f
-				thr = (X[order[i]][f] + X[order[i+1]][f]) / 2
+				thr = (pairs[i].x + pairs[i+1].x) / 2
 			}
 		}
 	}

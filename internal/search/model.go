@@ -50,13 +50,20 @@ func predictAll(m Model, X [][]float64) []float64 {
 	return out
 }
 
-// scorePool is the prelude RSp, RSb and RSbA share: draw the
-// configuration pool X_p of Algorithms 1 and 2 from poolR, encode it, and
-// score every row with m.
-func scorePool(spc *space.Space, m Model, n int, poolR *rng.RNG) (pool []space.Config, X [][]float64, preds []float64) {
-	pool = spc.SamplePool(n, poolR)
-	X = spc.EncodeAll(pool)
-	return pool, X, predictAll(m, X)
+// ScoredPool is the prelude RSp and RSb share: the configuration pool
+// X_p of Algorithms 1 and 2 and the model's prediction for each entry
+// (Preds[i] scores Pool[i]). The searches only read it, so one scored
+// pool may serve any number of runs, concurrently too.
+type ScoredPool struct {
+	Pool  []space.Config
+	Preds []float64
+}
+
+// ScorePool draws n configurations of spc from poolR (SamplePool), encodes
+// them and scores every row with m.
+func ScorePool(spc *space.Space, m Model, n int, poolR *rng.RNG) ScoredPool {
+	pool := spc.SamplePool(n, poolR)
+	return ScoredPool{Pool: pool, Preds: predictAll(m, spc.EncodeAll(pool))}
 }
 
 // DefaultDeltaPct is the paper's pruning-cutoff quantile percentage.
@@ -173,6 +180,20 @@ func (o RSpOptions) withDefaults() RSpOptions {
 // order and merely skip some — the paper's common-random-numbers setup.
 // The pool is drawn from poolR.
 func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.RNG) *Result {
+	return rsp(ctx, p, m, nil, opt, r, poolR)
+}
+
+// RSpScored is RSp over a pool drawn and scored beforehand (ScorePool):
+// the cutoff is the DeltaPct quantile of sp.Preds and opt.PoolSize is
+// unused. Given the pool RSp would draw from poolR with the same model,
+// it returns exactly what RSp returns.
+func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOptions, r *rng.RNG) *Result {
+	return rsp(ctx, p, m, &sp, opt, r, nil)
+}
+
+// rsp runs RSp over sp, or over a pool it draws from poolR and scores
+// itself when sp is nil.
+func rsp(ctx context.Context, p Problem, m Model, sp *ScoredPool, opt RSpOptions, r, poolR *rng.RNG) *Result {
 	origDelta := opt.DeltaPct
 	_, adjusted := NormalizeDeltaPct(origDelta)
 	opt = opt.withDefaults()
@@ -185,10 +206,15 @@ func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.
 	}
 	scorer, tm := timed(run.tr, m)
 
-	_, _, preds := scorePool(spc, scorer, opt.PoolSize, poolR)
-	cutoff := stats.Quantile(preds, opt.DeltaPct/100)
+	if sp == nil {
+		drawn := ScorePool(spc, scorer, opt.PoolSize, poolR)
+		sp = &drawn
+		if tm != nil {
+			tm.flush(run.tr, "RSp", "pool-score")
+		}
+	}
+	cutoff := stats.Quantile(sp.Preds, opt.DeltaPct/100)
 	if tm != nil {
-		tm.flush(run.tr, "RSp", "pool-score")
 		defer tm.flush(run.tr, "RSp", "scan")
 	}
 
@@ -235,27 +261,43 @@ func (o RSbOptions) withDefaults() RSbOptions {
 // pool configuration with the smallest predicted run time, removing it
 // from the pool.
 func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG) *Result {
+	return rsb(ctx, p, m, nil, opt, poolR)
+}
+
+// RSbScored is RSb over a pool drawn and scored beforehand (ScorePool);
+// opt.PoolSize is unused. Given the pool RSb would draw from poolR with
+// the same model, it returns exactly what RSb returns.
+func RSbScored(ctx context.Context, p Problem, sp ScoredPool, opt RSbOptions) *Result {
+	return rsb(ctx, p, nil, &sp, opt, nil)
+}
+
+// rsb runs RSb over sp, or over a pool it draws from poolR and scores
+// with m when sp is nil.
+func rsb(ctx context.Context, p Problem, m Model, sp *ScoredPool, opt RSbOptions, poolR *rng.RNG) *Result {
 	opt = opt.withDefaults()
-	spc := p.Space()
 	run := newRunner(p, "RSb")
 	run.start(ctx)
 	defer run.finish()
-	scorer, tm := timed(run.tr, m)
+	if sp == nil {
+		scorer, tm := timed(run.tr, m)
+		drawn := ScorePool(p.Space(), scorer, opt.PoolSize, poolR)
+		sp = &drawn
+		if tm != nil {
+			tm.flush(run.tr, "RSb", "pool-score")
+		}
+	}
 
-	pool, _, preds := scorePool(spc, scorer, opt.PoolSize, poolR)
 	type scored struct {
 		c    space.Config
 		pred float64
 	}
-	scoredPool := make([]scored, len(pool))
-	for i, c := range pool {
-		scoredPool[i] = scored{c: c, pred: preds[i]}
-	}
-	if tm != nil {
-		tm.flush(run.tr, "RSb", "pool-score")
+	scoredPool := make([]scored, len(sp.Pool))
+	for i, c := range sp.Pool {
+		scoredPool[i] = scored{c: c, pred: sp.Preds[i]}
 	}
 	// Evaluating in ascending predicted order is equivalent to repeatedly
-	// taking the argmin and removing it (the model is fixed).
+	// taking the argmin and removing it (the model is fixed). The sort
+	// runs on this copy, so a shared pool stays untouched.
 	sort.SliceStable(scoredPool, func(a, b int) bool {
 		//lint:ignore floatcmp predictions are means of finite training targets (forest fits on Dataset.Valid rows), so the pool is NaN-free
 		return scoredPool[a].pred < scoredPool[b].pred
@@ -370,7 +412,9 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 
 	// Encodings travel with the pool entries so each refit generation can
 	// re-score the remaining configurations in one batch.
-	remaining, enc, preds := scorePool(spc, scorer, opt.PoolSize, poolR)
+	remaining := spc.SamplePool(opt.PoolSize, poolR)
+	enc := spc.EncodeAll(remaining)
+	preds := predictAll(scorer, enc)
 	for gen := 0; len(run.res.Records) < opt.NMax && len(remaining) > 0 && ctx.Err() == nil; gen++ {
 		// Pick the argmin-predicted configuration from the remaining pool.
 		// Batched scoring plus a strict-< scan reproduces the serial

@@ -11,6 +11,7 @@ package space
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,6 +171,25 @@ func New(params ...Param) *Space {
 		s.size *= float64(p.Levels())
 	}
 	return s
+}
+
+// Equal reports whether s and o hold the same parameters in the same
+// order: names, kinds, level values and labels. Sampling and encoding
+// read only each parameter's kind and level values, so equal spaces draw
+// identical pools from identical streams and encode every configuration
+// identically.
+func (s *Space) Equal(o *Space) bool {
+	if len(s.params) != len(o.params) {
+		return false
+	}
+	for i := range s.params {
+		a, b := &s.params[i], &o.params[i]
+		if a.Name != b.Name || a.Kind != b.Kind ||
+			!slices.Equal(a.levels, b.levels) || !slices.Equal(a.Labels, b.Labels) {
+			return false
+		}
+	}
+	return true
 }
 
 // NumParams returns the number of tunable parameters.

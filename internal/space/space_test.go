@@ -405,3 +405,24 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 		}
 	}
 }
+
+func TestSpaceEqual(t *testing.T) {
+	if !smallSpace().Equal(smallSpace()) {
+		t.Fatal("identically built spaces unequal")
+	}
+	for name, o := range map[string]*Space{
+		"levels": New(NewIntRange("u", 1, 4), NewPowerOfTwo("t", 1, 4),
+			NewBoolean("omp"), NewCategorical("bcast", "ring", "tree", "2ring")),
+		"kind": New(NewIntRange("u", 1, 4), NewExplicit("t", 1, 2, 4, 8),
+			NewBoolean("omp"), NewCategorical("bcast", "ring", "tree", "2ring")),
+		"name": New(NewIntRange("v", 1, 4), NewPowerOfTwo("t", 0, 3),
+			NewBoolean("omp"), NewCategorical("bcast", "ring", "tree", "2ring")),
+		"labels": New(NewIntRange("u", 1, 4), NewPowerOfTwo("t", 0, 3),
+			NewBoolean("omp"), NewCategorical("bcast", "ring", "tree", "3ring")),
+		"width": New(NewIntRange("u", 1, 4), NewPowerOfTwo("t", 0, 3), NewBoolean("omp")),
+	} {
+		if smallSpace().Equal(o) || o.Equal(smallSpace()) {
+			t.Errorf("spaces differing in %s compare equal", name)
+		}
+	}
+}
