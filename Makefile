@@ -87,10 +87,20 @@ daemon-smoke:
 	AUTOTUNED_E2E_LOGDIR=$(CURDIR)/daemon-logs $(GO) test -count=1 -v ./cmd/autotuned/
 
 # trace-smoke runs a small traced, faulted, journaled search and checks
-# that tracestat can parse and summarize the trace. The trace lands in
-# trace-smoke/ (CI uploads it as an artifact).
+# that tracestat can parse and summarize the trace. It then drives the
+# failure path: a run whose every evaluation fails must exit 1 and dump
+# a non-empty flight recording that tracestat also reads. (The binary is
+# built rather than run with go run, which reports every non-zero exit
+# as 1.) The trace and the flight dump land in trace-smoke/ (CI uploads
+# both as artifacts).
 trace-smoke:
 	rm -rf trace-smoke && mkdir -p trace-smoke
 	$(GO) run ./cmd/autotune -problem ATAX -nmax 60 -seed 7 -faults 0.2 -timeout 50 \
 		-journal trace-smoke/journal -trace trace-smoke/trace.jsonl -metrics
 	$(GO) run ./cmd/tracestat trace-smoke/trace.jsonl
+	$(GO) build -o trace-smoke/autotune ./cmd/autotune
+	trace-smoke/autotune -problem MM -faults 0.99 -retries 0 -nmax 1 -seed 1 \
+		-flight trace-smoke/flight.jsonl; code=$$?; if [ $$code -ne 1 ]; then \
+		echo "flight run exited $$code, want 1"; exit 1; fi
+	test -s trace-smoke/flight.jsonl
+	$(GO) run ./cmd/tracestat trace-smoke/flight.jsonl

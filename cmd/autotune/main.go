@@ -27,9 +27,9 @@
 // over HTTP (/metrics, with /healthz for probes). Remote-worker runs
 // carry a deterministic trace id (algo-problem-seed) on every
 // dispatched task, so cmd/tracestat can stitch the coordinator's trace
-// with the workers' (brokerd -trace) into one causal timeline; they
-// also keep a fixed-size in-memory flight recorder, dumped to the
-// -flight FILE when the run fails. -cpuprofile/-memprofile write
+// with the workers' (brokerd -trace) into one causal timeline. -flight
+// FILE keeps a fixed-size in-memory flight recorder of the last events
+// and dumps it to FILE when the run fails. -cpuprofile/-memprofile write
 // standard pprof profiles. Telemetry is observational only: it draws no
 // randomness, so a traced run returns bit-identical results to an
 // untraced one.
@@ -207,32 +207,31 @@ func run() int {
 		p = spec.Throttled{Problem: p, Wait: *throttle}
 	}
 
+	// SIGINT/SIGTERM cancel the context; searches drain the evaluation in
+	// flight and stop at the next boundary, so a journaled run always
+	// exits with every completed evaluation durable in its log.
+	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stopSignals()
+
 	// The remote worker pool wraps outermost, so the full resilient
 	// stack travels to the workers. Like -workers it is
 	// results-invariant (and therefore absent from the journal meta): the
 	// pool only changes where evaluations execute, never what they
 	// return.
-	if *hedgeAfter < 0 {
-		warnf("-hedge-after must be >= 0, got %v", *hedgeAfter)
-		return exitUsage
-	}
-	remoteOn := *workAddr != ""
-	if *hedgeAfter > 0 && !remoteOn {
-		warnf("-hedge-after requires -workers-addr (where cmd/brokerd workers connect)")
-		return exitUsage
-	}
-	if remoteOn {
-		ln, err := remote.Listen(*workAddr)
-		if err != nil {
-			warnf("workers-addr: %v", err)
-			return exitError
+	pool, err := remote.OpenPool(*workAddr, *hedgeAfter)
+	if err != nil {
+		warnf("%v", err)
+		if errors.As(err, new(remote.SettingError)) {
+			return exitUsage
 		}
-		pool := remote.NewPool(remote.PoolOptions{HedgeAfter: *hedgeAfter})
-		defer pool.Close()
-		pool.Serve(ln)
-		warnf("serving evaluations to remote workers on %s (start cmd/brokerd with -connect %s)", *workAddr, *workAddr)
-		p = pool.Problem(p)
+		return exitError
 	}
+	if pool != nil {
+		defer pool.Close()
+		warnf("serving evaluations to remote workers on %s (start cmd/brokerd with -connect %s)", *workAddr, *workAddr)
+	}
+	ctx = remote.Into(ctx, pool)
+	p = remote.Wrap(ctx, p)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -268,45 +267,20 @@ func run() int {
 		}()
 	}
 
-	// SIGINT/SIGTERM cancel the context; searches drain the evaluation in
-	// flight and stop at the next boundary, so a journaled run always
-	// exits with every completed evaluation durable in its log.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	// Telemetry: compose the requested sinks and put the tracer on the
-	// context every search layer reads it from. No sinks -> nil tracer ->
+	// Telemetry: the requested sinks composed into the tracer every
+	// search layer reads from the context. No outputs -> nil tracer ->
 	// zero overhead on the hot path.
-	var sinks []obs.Sink
-	var traceSink *obs.JSONLSink
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			warnf("%v", err)
-			return exitError
-		}
-		traceSink = obs.NewJSONLSink(f)
-		sinks = append(sinks, traceSink)
+	ctx, tel, err := obs.Open(ctx, obs.Outputs{
+		Trace: *traceFile, Metrics: *metrics, MetricsAddr: *metricsAddr,
+		Flight: *flightFile, Progress: *progress,
+	})
+	if err != nil {
+		warnf("%v", err)
+		return exitError
 	}
-	var reg *obs.Registry
-	if *metrics || *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		sinks = append(sinks, obs.NewMetricsSink(reg))
+	if *metricsAddr != "" {
+		warnf("metrics at http://%s/metrics", tel.MetricsAddr())
 	}
-	var prog *obs.ProgressSink
-	if *progress {
-		prog = obs.NewProgressSink(os.Stderr, 0)
-		sinks = append(sinks, prog)
-	}
-	// The flight recorder is always on for remote-worker runs: a
-	// fixed-size in-memory ring of the last events, persisted only when
-	// the run fails and -flight names a destination.
-	var rec *obs.Recorder
-	if *flightFile != "" || remoteOn {
-		rec = obs.NewRecorder(0)
-		sinks = append(sinks, rec)
-	}
-	ctx = obs.WithTracer(ctx, obs.New(obs.Multi(sinks...)))
 	// The run's trace context: a deterministic id derived from the run
 	// coordinates, so coordinator and worker traces of one run stitch by
 	// the same key (cmd/tracestat). Spans are only emitted on remote-pool
@@ -315,16 +289,6 @@ func run() int {
 		TraceID: fmt.Sprintf("%s-%s-%d", sp.Algorithm, p.Name(), sp.Seed),
 		SpanID:  obs.RootSpanID,
 	})
-	if *metricsAddr != "" {
-		srv, serr := obs.ServeMetrics(*metricsAddr, reg)
-		if serr != nil {
-			warnf("metrics-addr: %v", serr)
-			return exitError
-		}
-		warnf("metrics at http://%s/metrics", srv.Addr())
-		// Best-effort teardown: the process is exiting either way.
-		defer func() { _ = srv.Close() }()
-	}
 	if inj != nil {
 		for _, w := range inj.Warnings() {
 			warnf("faults: %s", w)
@@ -341,7 +305,7 @@ func run() int {
 		// Remote runs journal in-flight work, so a SIGKILL mid-
 		// evaluation still resumes cleanly (and the resume may drop the
 		// remote workers entirely).
-		wopt := journal.WrapOptions{TrackInFlight: remoteOn}
+		wopt := journal.WrapOptions{TrackInFlight: pool != nil}
 		res, info, err = sp.RunJournaled(ctx, *journalDir, p, wopt, &pulls)
 	} else {
 		var drive func(context.Context, search.Problem) *search.Result
@@ -353,28 +317,20 @@ func run() int {
 	// cancels the context itself, which must not read as a signal.
 	interrupted := ctx.Err() != nil && (info == nil || !info.Done)
 	stopSignals()
-	if prog != nil {
-		prog.Finish()
+	// A failed run (an error, or no successful evaluation) persists its
+	// flight recording: the last events (spans included) leading up to
+	// the failure.
+	failed := err != nil
+	if !failed && !interrupted {
+		_, _, ok := res.Best()
+		failed = !ok
 	}
-	if traceSink != nil {
-		if cerr := traceSink.Close(); cerr != nil {
-			warnf("trace: %v", cerr)
-		}
-	}
-	// A failed run persists its flight recording: the last events
-	// (spans included) leading up to the failure.
-	dumpFlight := func() {
-		if rec == nil || *flightFile == "" {
-			return
-		}
-		if derr := rec.Dump(*flightFile); derr != nil {
-			warnf("flight: %v", derr)
-		} else {
-			warnf("flight recording dumped to %s", *flightFile)
-		}
+	if cerr := tel.Close(failed); cerr != nil {
+		warnf("%v", cerr)
+	} else if failed && *flightFile != "" {
+		warnf("flight recording dumped to %s", *flightFile)
 	}
 	if err != nil {
-		dumpFlight()
 		warnf("%v", err)
 		if errors.Is(err, journal.ErrMetaMismatch) {
 			return exitUsage
@@ -408,7 +364,7 @@ func run() int {
 			best.RunTime, idx+1, res.Records[idx].Elapsed)
 		fmt.Printf("search time: %.1f s total\n", res.Elapsed())
 	}
-	if reg != nil {
+	if reg := tel.Registry(); reg != nil {
 		fmt.Println()
 		fmt.Print(reg.Snapshot())
 	}
@@ -421,7 +377,6 @@ func run() int {
 		return exitInterrupted
 	}
 	if !ok {
-		dumpFlight()
 		warnf("no successful evaluations (every configuration failed)")
 		return exitError
 	}

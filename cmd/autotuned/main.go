@@ -44,10 +44,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -73,7 +73,7 @@ func run() int {
 		queue       = flag.Int("queue", 64, "max sessions waiting for a runner slot")
 		traceSess   = flag.Bool("trace-sessions", false, "write a JSONL event trace per session (<session>/trace.jsonl)")
 		cacheFile   = flag.String("cache", "", "cache artifact FILE: imported at startup if present, exported on clean shutdown")
-		metricsAddr = flag.String("metrics-addr", "", "also serve /metrics and /healthz on a separate ADDR (obs.ServeMetrics)")
+		metricsAddr = flag.String("metrics-addr", "", "also serve /metrics and /healthz on a separate ADDR")
 	)
 	flag.Parse()
 
@@ -97,13 +97,28 @@ func run() int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	reg := obs.NewRegistry()
+	// Each session composes its own tracer over the service's registry,
+	// so the daemon takes only the registry and server -metrics-addr
+	// asks for; without it the service makes its own registry.
+	_, tel, err := obs.Open(ctx, obs.Outputs{MetricsAddr: *metricsAddr})
+	if err != nil {
+		warnf("%v", err)
+		return exitError
+	}
+	defer func() {
+		if cerr := tel.Close(false); cerr != nil {
+			warnf("%v", cerr)
+		}
+	}()
+	if *metricsAddr != "" {
+		warnf("metrics at http://%s/metrics", tel.MetricsAddr())
+	}
 	srv, err := service.New(ctx, service.Options{
 		Root:          *root,
 		MaxSessions:   *sessions,
 		QueueDepth:    *queue,
 		TraceSessions: *traceSess,
-		Registry:      reg,
+		Registry:      tel.Registry(),
 		Logf:          warnf,
 	})
 	if err != nil {
@@ -128,21 +143,6 @@ func run() int {
 			srv.Close()
 			return exitError
 		}
-	}
-
-	if *metricsAddr != "" {
-		ms, merr := obs.ServeMetrics(*metricsAddr, reg)
-		if merr != nil {
-			warnf("metrics-addr: %v", merr)
-			srv.Close()
-			return exitError
-		}
-		warnf("metrics at http://%s/metrics", ms.Addr())
-		defer func() {
-			if cerr := ms.Close(); cerr != nil {
-				warnf("metrics server: %v", cerr)
-			}
-		}()
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -179,7 +179,7 @@ func run() int {
 	srv.Close()
 
 	if *cacheFile != "" {
-		if err := exportCache(srv, *cacheFile); err != nil {
+		if err := durable.WriteFile(*cacheFile, srv.Cache().Export); err != nil {
 			warnf("cache export %s: %v", *cacheFile, err)
 			code = exitError
 		} else {
@@ -188,30 +188,4 @@ func run() int {
 	}
 	warnf("bye")
 	return code
-}
-
-// exportCache writes the cache artifact atomically: temp file, fsync,
-// rename.
-func exportCache(srv *service.Server, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".autotuned-cache-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	werr := srv.Cache().Export(tmp)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(name)
-		return werr
-	}
-	if err := os.Rename(name, path); err != nil {
-		_ = os.Remove(name)
-		return err
-	}
-	return nil
 }

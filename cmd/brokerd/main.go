@@ -110,68 +110,45 @@ func run() int {
 		return exitUsage
 	}
 
-	// Worker-side telemetry: the resilient layer's fault/retry/censor
-	// events and the worker-eval spans land here, local to this process
-	// (DESIGN.md §8/§9). Sinks compose: metrics aggregation, the JSONL
-	// trace tracestat stitches with the driver's by trace id, and the
-	// flight recorder dumped on abnormal exit.
-	var sinks []obs.Sink
-	var reg *obs.Registry
-	if *metrics || *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		sinks = append(sinks, obs.NewMetricsSink(reg))
-	}
-	var jsonl *obs.JSONLSink
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			warnf("-trace: %v", err)
-			return exitError
-		}
-		jsonl = obs.NewJSONLSink(f)
-		sinks = append(sinks, jsonl)
-	}
-	var rec *obs.Recorder
-	if *flightFile != "" {
-		rec = obs.NewRecorder(0)
-		sinks = append(sinks, rec)
-	}
-	var tracer *obs.Tracer
-	if len(sinks) > 0 {
-		tracer = obs.New(obs.Multi(sinks...))
-	}
-
-	if *metricsAddr != "" {
-		srv, err := obs.ServeMetrics(*metricsAddr, reg)
-		if err != nil {
-			warnf("-metrics-addr: %v", err)
-			return exitError
-		}
-		warnf("metrics at http://%s/metrics", srv.Addr())
-		// Best-effort teardown: the process is exiting either way.
-		defer func() { _ = srv.Close() }()
-	}
-
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+
+	// Worker-side telemetry: the resilient layer's fault/retry/censor
+	// events and the worker-eval spans land here, local to this process
+	// (DESIGN.md §8/§9): metrics aggregation, the JSONL trace tracestat
+	// stitches with the driver's by trace id, and the flight recorder
+	// dumped on abnormal exit.
+	ctx, tel, err := obs.Open(ctx, obs.Outputs{
+		Trace: *traceFile, Metrics: *metrics, MetricsAddr: *metricsAddr, Flight: *flightFile,
+	})
+	if err != nil {
+		warnf("%v", err)
+		return exitError
+	}
+	if *metricsAddr != "" {
+		warnf("metrics at http://%s/metrics", tel.MetricsAddr())
+	}
 
 	w := &remote.Worker{
 		Resolve:   resolve,
 		Label:     *label,
 		BeatEvery: *heartbeat,
-		Tracer:    tracer,
+		Tracer:    tel.Tracer(),
 	}
 	warnf("connecting to %s as %s", *connect, *label)
 	err = w.Run(ctx, func(ctx context.Context) (net.Conn, error) {
 		return remote.Dial(ctx, *connect)
 	})
-	if jsonl != nil {
-		if ferr := jsonl.Close(); ferr != nil {
-			warnf("-trace: %v", ferr)
-		}
+	// Only an abnormal exit persists the flight recorder, so the last
+	// events before the failure survive the process.
+	failed := err != nil && !errors.Is(err, context.Canceled)
+	if cerr := tel.Close(failed); cerr != nil {
+		warnf("%v", cerr)
+	} else if failed && *flightFile != "" {
+		warnf("flight recording dumped to %s", *flightFile)
 	}
-	if reg != nil && *metrics {
-		fmt.Print(reg.Snapshot())
+	if *metrics {
+		fmt.Print(tel.Registry().Snapshot())
 	}
 	switch {
 	case err == nil:
@@ -181,15 +158,6 @@ func run() int {
 		warnf("interrupted, shutting down")
 		return exitOK
 	default:
-		// Abnormal exit: persist the flight recorder so the last events
-		// before the failure survive the process.
-		if rec != nil {
-			if derr := rec.Dump(*flightFile); derr != nil {
-				warnf("-flight: %v", derr)
-			} else {
-				warnf("flight recording dumped to %s", *flightFile)
-			}
-		}
 		warnf("%v", err)
 		return exitError
 	}

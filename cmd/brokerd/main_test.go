@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -100,7 +101,7 @@ func servingPool(t *testing.T, dir string, retries int) (*remote.Pool, string) {
 		Retries: retries,
 		Backoff: 100 * time.Microsecond,
 	})
-	ln, err := remote.Listen(addr)
+	ln, err := net.Listen(remote.SplitAddr(addr))
 	if err != nil {
 		pool.Close()
 		t.Fatal(err)

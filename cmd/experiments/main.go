@@ -11,7 +11,7 @@
 // are additionally written as CSV, the named values as <id>-values.txt,
 // and each experiment's telemetry metrics snapshot (evaluation counts by
 // status, prune skips, model latency) as <id>-metrics.txt; every file is
-// written to a temporary name and atomically renamed, so a crash never
+// replaced atomically and durably (internal/durable), so a crash never
 // leaves a half-written report. -metrics also prints the snapshot to
 // stdout after each report. -metrics-addr serves a live cross-
 // experiment aggregate of the same counters over HTTP (/metrics, with
@@ -24,7 +24,8 @@
 //
 // -workers-addr ADDR serves every evaluation to remote worker processes
 // (cmd/brokerd) connecting at ADDR (unix:/path or [tcp:]host:port)
-// through one worker pool shared by the whole experiment; each
+// through one worker pool that lives for the whole sweep, so workers
+// stay connected from the first experiment to the last; each
 // evaluation leases its own task, with optional hedged re-dispatch of
 // stragglers (-hedge-after D). Every experiment builds its problems
 // through the evaluation spec, so every evaluation reaches the workers,
@@ -43,8 +44,8 @@
 package main
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,6 +55,8 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/broker/remote"
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -86,15 +89,6 @@ func run() int {
 	)
 	flag.Parse()
 
-	if *hedge < 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -hedge-after must be >= 0, got %v\n", *hedge)
-		return exitUsage
-	}
-	if *hedge > 0 && *wrkAddr == "" {
-		fmt.Fprintln(os.Stderr, "experiments: -hedge-after requires -workers-addr (where cmd/brokerd workers connect)")
-		return exitUsage
-	}
-
 	if *resume != "" {
 		if *outdir != "" && *outdir != *resume {
 			fmt.Fprintln(os.Stderr, "experiments: -outdir and -resume name different directories")
@@ -108,8 +102,6 @@ func run() int {
 		cfg = experiments.Quick(*seed)
 	}
 	cfg.Workers = *workers
-	cfg.RemoteWorkersAddr = *wrkAddr
-	cfg.BrokerHedgeAfter = *hedge
 	// -workers and the remote-worker flags are deliberately absent from
 	// the configuration line: reports are workers- and pool-invariant
 	// (asserted by TestParallelMatchesSerial and TestBrokerMatchesDirect),
@@ -132,20 +124,37 @@ func run() int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
+	// One worker pool serves the whole sweep, so remote workers stay
+	// connected from the first experiment to the last; closing it at exit
+	// tells them goodbye.
+	workerPool, err := remote.OpenPool(*wrkAddr, *hedge)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		if errors.As(err, new(remote.SettingError)) {
+			return exitUsage
+		}
+		return exitError
+	}
+	if workerPool != nil {
+		defer workerPool.Close()
+	}
+	ctx = remote.Into(ctx, workerPool)
+
 	// The live metrics endpoint aggregates across the whole sweep: each
 	// experiment composes the context tracer's sink into its own, so the
 	// served registry sums every experiment run so far.
-	if *mAddr != "" {
-		reg := obs.NewRegistry()
-		srv, err := obs.ServeMetrics(*mAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: metrics-addr: %v\n", err)
-			return exitError
+	ctx, tel, err := obs.Open(ctx, obs.Outputs{MetricsAddr: *mAddr})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return exitError
+	}
+	defer func() {
+		if err := tel.Close(false); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		}
-		fmt.Fprintf(os.Stderr, "experiments: metrics at http://%s/metrics\n", srv.Addr())
-		// Best-effort teardown: the process is exiting either way.
-		defer func() { _ = srv.Close() }()
-		ctx = obs.WithTracer(ctx, obs.New(obs.NewMetricsSink(reg)))
+	}()
+	if *mAddr != "" {
+		fmt.Fprintf(os.Stderr, "experiments: metrics at http://%s/metrics\n", tel.MetricsAddr())
 	}
 
 	interrupted := false
@@ -244,61 +253,33 @@ func writeProgress(dir, cfgLine string, ids []string, completed map[string]bool)
 			b.WriteByte('\n')
 		}
 	}
-	return writeFileAtomic(filepath.Join(dir, progressFile), []byte(b.String()))
+	return durable.WriteFile(filepath.Join(dir, progressFile), durable.Bytes([]byte(b.String())))
 }
 
 func export(dir string, rep *experiments.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, rep.ID+".txt"), []byte(rep.Text)); err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, rep.ID+".txt"), durable.Bytes([]byte(rep.Text))); err != nil {
 		return err
 	}
 	if len(rep.Values) > 0 {
 		path := filepath.Join(dir, rep.ID+"-values.txt")
-		if err := writeFileAtomic(path, []byte(experiments.Summary(rep))); err != nil {
+		if err := durable.WriteFile(path, durable.Bytes([]byte(experiments.Summary(rep)))); err != nil {
 			return err
 		}
 	}
 	if rep.Metrics != "" {
 		path := filepath.Join(dir, rep.ID+"-metrics.txt")
-		if err := writeFileAtomic(path, []byte(rep.Metrics)); err != nil {
+		if err := durable.WriteFile(path, durable.Bytes([]byte(rep.Metrics))); err != nil {
 			return err
 		}
 	}
 	for i, tb := range rep.Tables {
-		var buf bytes.Buffer
-		if err := tb.WriteCSV(&buf); err != nil {
-			return err
-		}
 		path := filepath.Join(dir, fmt.Sprintf("%s-table%d.csv", rep.ID, i))
-		if err := writeFileAtomic(path, buf.Bytes()); err != nil {
+		if err := durable.WriteFile(path, tb.WriteCSV); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeFileAtomic writes data to a temporary file in path's directory,
-// fsyncs it, and renames it over path: readers see the old report or the
-// new one, never a torn mix.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -3,13 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/broker/remote"
 	"repro/internal/experiments"
+	"repro/internal/obs"
+	"repro/internal/search"
+	"repro/internal/spec"
 )
 
 func TestExportWritesArtifacts(t *testing.T) {
@@ -67,20 +76,6 @@ func TestProgressRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteFileAtomicReplaces(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "report.txt")
-	if err := writeFileAtomic(path, []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFileAtomic(path, []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "new" {
-		t.Fatalf("got %q, %v", data, err)
-	}
-}
-
 // TestMain lets the test binary stand in for the experiments command:
 // when re-exec'd with EXPERIMENTS_E2E_MAIN=1 it runs the real main
 // path, so the flag-validation tests exercise the production parsing.
@@ -134,5 +129,90 @@ func TestBrokerFlagValidation(t *testing.T) {
 				t.Fatalf("output missing %q:\n%s", tc.want, out)
 			}
 		})
+	}
+}
+
+// TestSweepKeepsWorkers: one worker pool serves the whole sweep, so a
+// worker that connects once serves every experiment in it. Each
+// experiment must lease work to that worker, and no experiment after
+// the first may degrade to inline evaluation for want of one. The
+// first may: its opening evaluations race the worker's first connect
+// and run inline once the pool's short retry budget is spent, which
+// is scheduling-dependent by contract (see stripBroker in
+// internal/experiments).
+func TestSweepKeepsWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec sweep skipped in -short mode")
+	}
+	addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
+	cmd, stdout := experimentsCmd("-exp", "fig1,fig2", "-quick", "-workers-addr", addr, "-metrics")
+	stderr := new(bytes.Buffer)
+	cmd.Stderr = stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+
+	var dialed atomic.Bool
+	w := &remote.Worker{
+		// fig1 and fig2 tune GNU-compiled serial kernels, named like
+		// "LU@Westmere/gnu-4.4.7/t1".
+		Resolve: func(name string) (search.Problem, error) {
+			base, target, _ := strings.Cut(name, "@")
+			machine, _, _ := strings.Cut(target, "/")
+			s := spec.Spec{Problem: base, Machine: machine}
+			return s.Resolve()
+		},
+		Backoff:     time.Millisecond,
+		BackoffCap:  5 * time.Millisecond,
+		MaxAttempts: 1 << 20, // the sweep listens only once it starts
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = w.Run(ctx, func(ctx context.Context) (net.Conn, error) {
+			if dialed.Load() {
+				return nil, errors.New("this worker connects only once")
+			}
+			conn, err := remote.Dial(ctx, addr)
+			if err == nil {
+				dialed.Store(true)
+			}
+			return conn, err
+		})
+	}()
+	err := cmd.Wait()
+	cancel()
+	<-done
+	if err != nil {
+		t.Fatalf("sweep failed: %v\nstderr:\n%s", err, stderr)
+	}
+
+	// Each experiment's metrics block precedes its "[id completed in"
+	// line.
+	leases, degraded := map[string]string{}, map[string]string{}
+	var lease, degrade string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		switch f := strings.Fields(line); {
+		case len(f) == 2 && f[0] == obs.MetricRemoteLeases:
+			lease = f[1]
+		case len(f) == 2 && f[0] == obs.MetricDegraded:
+			degrade = f[1]
+		case len(f) > 2 && f[1] == "completed" && strings.HasPrefix(f[0], "["):
+			id := strings.TrimPrefix(f[0], "[")
+			leases[id], degraded[id] = lease, degrade
+			lease, degrade = "", ""
+		}
+	}
+	for i, id := range []string{"fig1", "fig2"} {
+		if n, err := strconv.Atoi(leases[id]); err != nil || n == 0 {
+			t.Errorf("%s leased %q evaluations to the worker, want > 0", id, leases[id])
+		}
+		if i > 0 && degraded[id] != "" {
+			t.Errorf("%s degraded %s evaluations to inline", id, degraded[id])
+		}
+	}
+	if t.Failed() {
+		t.Logf("stdout:\n%s\nstderr:\n%s", stdout, stderr)
 	}
 }

@@ -28,9 +28,6 @@ func (bp *BrokeredProblem) Name() string { return bp.p.Name() }
 // Space implements search.Problem.
 func (bp *BrokeredProblem) Space() *space.Space { return bp.p.Space() }
 
-// Unwrap exposes the underlying problem for layer-peeling diagnostics.
-func (bp *BrokeredProblem) Unwrap() search.Problem { return bp.p }
-
 // Evaluate implements search.Problem for consumers that predate the
 // context path; failures surface as a +Inf run time.
 func (bp *BrokeredProblem) Evaluate(c space.Config) (runTime, cost float64) {

@@ -195,9 +195,6 @@ func (cp *CachedProblem) Name() string { return cp.p.Name() }
 // Space implements search.Problem.
 func (cp *CachedProblem) Space() *space.Space { return cp.p.Space() }
 
-// Unwrap exposes the wrapped problem for layer-peeling diagnostics.
-func (cp *CachedProblem) Unwrap() search.Problem { return cp.p }
-
 // Scope returns the wrapper's evaluation scope.
 func (cp *CachedProblem) Scope() string { return cp.scope }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/broker/remote"
 	"repro/internal/core"
@@ -54,20 +53,6 @@ type Config struct {
 	// rng streams derived from its own seed, so parallel output is
 	// bit-identical to serial output (asserted by TestParallelMatchesSerial).
 	Workers int
-	// RemoteWorkersAddr, when non-empty, serves every evaluation through
-	// one shared worker pool to remote worker processes (cmd/brokerd)
-	// connecting at this address (unix:/path or [tcp:]host:port): every
-	// problem problemFor builds, which is all of them but ext-inputsize's
-	// off-size targets (no worker can name those; they run inline).
-	// Reports are pool-invariant for the same reason they are
-	// workers-invariant: the pool moves evaluations between processes
-	// without changing what they return (asserted by
-	// TestBrokerMatchesDirect, which also requires every experiment that
-	// evaluates anything to lease work to the workers).
-	RemoteWorkersAddr string
-	// BrokerHedgeAfter enables hedged re-dispatch of straggling remote
-	// evaluations after this delay (0 disables; needs RemoteWorkersAddr).
-	BrokerHedgeAfter time.Duration
 }
 
 // WithDefaults fills unset fields with the paper's settings.
@@ -152,6 +137,16 @@ func IDs() []string {
 // experiment's searches between evaluations and surfaces the context
 // error instead of a partial report (a half-run experiment's numbers
 // must never be mistaken for results).
+//
+// When a worker pool rides ctx (remote.Into), every problem problemFor
+// builds evaluates through it: all of them but ext-inputsize's off-size
+// targets, which no worker can name and which run inline. The caller
+// owns the pool, so one pool and its workers serve a whole sweep.
+// Reports are pool-invariant for the same reason they are
+// workers-invariant: the pool moves evaluations between processes
+// without changing what they return (asserted by TestBrokerMatchesDirect,
+// which also requires every experiment that evaluates anything to lease
+// work to the workers).
 func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 	e, ok := registry[id]
 	if !ok {
@@ -165,18 +160,6 @@ func Run(ctx context.Context, id string, cfg Config) (*Report, error) {
 	sink := obs.Multi(obs.NewMetricsSink(reg), obs.FromContext(ctx).Sink())
 	ctx = obs.WithTracer(ctx, obs.New(sink))
 	cfg = cfg.WithDefaults()
-	// One worker pool serves every cell of the experiment; problemFor
-	// wraps each problem it builds with whatever pool rides the context.
-	if cfg.RemoteWorkersAddr != "" {
-		ln, err := remote.Listen(cfg.RemoteWorkersAddr)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: workers-addr: %w", id, err)
-		}
-		pool := remote.NewPool(remote.PoolOptions{HedgeAfter: cfg.BrokerHedgeAfter})
-		defer pool.Close()
-		pool.Serve(ln)
-		ctx = remote.Into(ctx, pool)
-	}
 	rep, err := e.run(ctx, cfg)
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, fmt.Errorf("experiments: %s interrupted: %w", id, cerr)
@@ -202,8 +185,8 @@ var (
 // kernel or a mini-app) on the target s describes, built by spec. A
 // multi-threaded target holds the OpenMP pragmas fixed outside the
 // search, as the paper's OpenMP experiments do (Figure 5, Table V).
-// When a worker pool rides the context (Config.RemoteWorkersAddr), the
-// problem's evaluations run through it.
+// When a worker pool rides the context (remote.Into), the problem's
+// evaluations run through it.
 func problemFor(ctx context.Context, name string, s spec.Spec) (search.Problem, error) {
 	s.Problem, s.ForceOMP = name, s.Threads > 1
 	p, err := s.Resolve()

@@ -227,8 +227,8 @@ func serveWorkers(addr string, n int) (stop func()) {
 
 // TestBrokerMatchesDirect is the worker-pool counterpart of
 // TestParallelMatchesSerial: for every experiment, serving evaluations
-// to remote worker sessions (Config.RemoteWorkersAddr, a unix socket
-// with in-test workers) produces output bit-identical to evaluating
+// to remote worker sessions (a pool on the context, listening on a unix
+// socket for in-test workers) produces output bit-identical to evaluating
 // inline — same report text, tables, named values, and the same search
 // telemetry (the pool contributes only its own broker.* submit and
 // lease metrics on top). Every experiment that evaluates anything, all
@@ -245,14 +245,18 @@ func TestBrokerMatchesDirect(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			direct, brokered := cfg, cfg
-			brokered.RemoteWorkersAddr = "unix:" + filepath.Join(t.TempDir(), "w.sock")
-			want, err := Run(context.Background(), id, direct)
+			want, err := Run(context.Background(), id, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stop := serveWorkers(brokered.RemoteWorkersAddr, 2)
-			got, err := Run(context.Background(), id, brokered)
+			addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
+			pool, err := remote.OpenPool(addr, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop := serveWorkers(addr, 2)
+			got, err := Run(remote.Into(context.Background(), pool), id, cfg)
+			pool.Close()
 			stop()
 			if err != nil {
 				t.Fatal(err)
@@ -316,7 +320,7 @@ func TestOffSizeProblemStaysInline(t *testing.T) {
 	}
 
 	addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
-	ln, err := remote.Listen(addr)
+	ln, err := net.Listen(remote.SplitAddr(addr))
 	if err != nil {
 		t.Fatal(err)
 	}

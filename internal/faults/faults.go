@@ -237,9 +237,6 @@ func (in *Injector) Space() *space.Space { return in.p.Space() }
 // Rates returns the injector's (defaulted) rates.
 func (in *Injector) Rates() Rates { return in.rates }
 
-// Unwrap returns the wrapped problem.
-func (in *Injector) Unwrap() search.Problem { return in.p }
-
 // Injected returns how many faults of each kind the injector has
 // produced so far, keyed by "compile", "crash", "hang", "tail".
 func (in *Injector) Injected() map[string]int {

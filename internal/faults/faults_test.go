@@ -194,16 +194,13 @@ func TestProfilesDistinctPerMachine(t *testing.T) {
 	}
 }
 
-func TestInjectedCountsAndUnwrap(t *testing.T) {
+func TestInjectedCounts(t *testing.T) {
 	inj := Wrap(newFake(), Rates{CompileFail: 1}, 2)
 	if _, _, err := inj.TryEvaluate(space.Config{1, 1}); err == nil {
 		t.Fatal("expected failure")
 	}
 	if inj.Injected()["compile"] != 1 {
 		t.Fatalf("counts = %v", inj.Injected())
-	}
-	if _, ok := inj.Unwrap().(*fakeProblem); !ok {
-		t.Fatal("Unwrap lost the wrapped problem")
 	}
 	if inj.Name() != "fake@test" || inj.Space().NumParams() != 2 {
 		t.Fatal("injector does not preserve problem identity")

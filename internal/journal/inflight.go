@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/space"
 )
 
@@ -47,7 +48,7 @@ func (s *Session) MarkInFlight(idx int, c space.Config, problem string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, InFlightFileName), data); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, InFlightFileName), durable.Bytes(data)); err != nil {
 		return err
 	}
 	inf.Config = append([]int(nil), c...)

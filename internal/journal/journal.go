@@ -34,7 +34,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 )
 
 // Frame layout: 4-byte little-endian payload length, 4-byte little-endian
@@ -143,46 +142,3 @@ func (l *logFile) Append(payload []byte) error {
 }
 
 func (l *logFile) Close() error { return l.f.Close() }
-
-// writeFileAtomic writes data to path via a temp file in the same
-// directory, fsyncs it, and renames it into place, so readers only ever
-// see the old or the new complete contents. The directory is fsync'd too
-// so the rename itself is durable.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		_ = tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	// Read-only directory handle: nothing buffered can be lost on close.
-	defer func() { _ = d.Close() }()
-	// Some filesystems reject fsync on directories; the rename is still
-	// atomic there, just not durability-ordered, which is the best
-	// available.
-	_ = d.Sync()
-	return nil
-}

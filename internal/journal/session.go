@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/search"
 	"repro/internal/space"
 )
@@ -151,7 +152,7 @@ func Create(dir string, meta Meta) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, MetaFileName), data); err != nil {
+	if err := durable.WriteFile(filepath.Join(dir, MetaFileName), durable.Bytes(data)); err != nil {
 		return nil, err
 	}
 	log, payloads, err := openLog(filepath.Join(dir, LogFileName))
@@ -297,7 +298,7 @@ func (s *Session) markDone(skipped int) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, CheckpointFileName), data); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, CheckpointFileName), durable.Bytes(data)); err != nil {
 		return err
 	}
 	s.cp = &cp

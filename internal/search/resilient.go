@@ -55,7 +55,6 @@ type fallibleShim struct{ p Problem }
 
 func (s *fallibleShim) Name() string        { return s.p.Name() }
 func (s *fallibleShim) Space() *space.Space { return s.p.Space() }
-func (s *fallibleShim) Unwrap() Problem     { return s.p }
 func (s *fallibleShim) TryEvaluate(c space.Config) (float64, float64, error) {
 	run, cost := s.p.Evaluate(c)
 	return run, cost, nil

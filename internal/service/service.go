@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/evalcache"
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -277,7 +278,7 @@ func (srv *Server) Submit(req Request) (Status, error) {
 		srv.dropSession(id)
 		return Status{}, err
 	}
-	if err := writeFileAtomic(filepath.Join(s.dir, requestFile), raw); err != nil {
+	if err := durable.WriteFile(filepath.Join(s.dir, requestFile), durable.Bytes(raw)); err != nil {
 		srv.dropSession(id)
 		return Status{}, err
 	}

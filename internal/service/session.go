@@ -3,10 +3,10 @@ package service
 import (
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/evalcache"
 	"repro/internal/journal"
 	"repro/internal/search"
@@ -195,45 +195,10 @@ func (s *session) loadResult() (*search.Result, error) {
 	return res, nil
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file,
-// fsync, and rename, so a crash never leaves a half-written file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = os.Remove(name)
-		return werr
-	}
-	if err := os.Rename(name, path); err != nil {
-		_ = os.Remove(name)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
-}
-
 // markCancelledLocked writes the durable tombstone and flips the state.
 // Caller holds s.mu.
 func (s *session) markCancelledLocked() error {
-	if err := writeFileAtomic(s.tombstone(), []byte("cancelled\n")); err != nil {
+	if err := durable.WriteFile(s.tombstone(), durable.Bytes([]byte("cancelled\n"))); err != nil {
 		return fmt.Errorf("service: writing tombstone for %s: %w", s.id, err)
 	}
 	s.state = StateCancelled
