@@ -16,7 +16,6 @@ import (
 	"repro/internal/broker/remote"
 	"repro/internal/journal"
 	"repro/internal/kernels"
-	"repro/internal/search"
 	"repro/internal/spec"
 )
 
@@ -254,9 +253,11 @@ func TestRemoteWorkersServeAutotune(t *testing.T) {
 	if err := remoteCmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	w := &remote.Worker{Resolve: func(name string) (search.Problem, error) {
-		return spec.Spec{Problem: "ATAX", Machine: "Sandybridge", Compiler: "gnu-4.4.7", Threads: 1}.Base()
-	}}
+	resolve, err := spec.Spec{}.Resolver()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &remote.Worker{Resolve: resolve}
 	wctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	defer wg.Wait()

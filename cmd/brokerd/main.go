@@ -6,25 +6,23 @@
 // Usage:
 //
 //	brokerd -connect unix:/tmp/tune.sock [-label w1] [-heartbeat 25ms]
-//	        [-machine Sandybridge] [-compiler gnu-4.4.7] [-threads 1]
 //	        [-faults 0.3] [-retries 2] [-timeout 30] [-seed 42]
 //	        [-annotation FILE] [-metrics] [-trace FILE] [-flight FILE]
 //	        [-metrics-addr ADDR]
 //
-// The evaluation-stack flags (-machine, -compiler, -threads,
-// -annotation, -faults, -retries, -timeout, -seed) fill an evaluation
-// spec (internal/spec) — the same one cmd/autotune, cmd/autotuned, and
-// cmd/experiments build their stacks from. Each task names its problem,
-// and the worker sets that name on its spec and builds the stack the
-// driver would have built inline: the simulated kernel or mini-app, plus
-// the fault injector and resilient retry/timeout budgets when
-// -faults/-timeout are set. Task names are qualified by target
-// ("LU@Sandybridge/gnu-4.4.7/t1", "MM@XeonPhi/intel-15.0.1/t60+omp"),
-// so a worker whose spec builds a different problem under that name
-// refuses the task loudly instead of computing on the wrong simulated
-// target. The fault settings are not in the name: -faults, -retries,
-// -timeout, and -seed must match the driver's for remote results to be
-// bit-identical to inline ones.
+// One worker serves every target of a sweep. Each task names its
+// problem qualified by target ("LU@Power7/gnu-4.4.7/t1",
+// "MM@XeonPhi/intel-15.0.1/t60+omp", "HPL@Power7",
+// "MM_n1000@Sandybridge/gnu-4.4.7/t1"), and the worker builds exactly
+// the named problem through the evaluation spec (internal/spec) that
+// cmd/autotune, cmd/autotuned, and cmd/experiments build their stacks
+// from, refusing any name that is not the name of the problem it would
+// build. The evaluation-stack flags fill the rest of that spec: the
+// fault injector and resilient retry/timeout budgets when
+// -faults/-timeout are set, and -annotation's kernel, served under its
+// parsed name. The fault settings are not in the name: -faults,
+// -retries, -timeout, and -seed must match the driver's for remote
+// results to be bit-identical to inline ones.
 //
 // brokerd reconnects with capped exponential backoff when the driver
 // restarts or the network drops, and exits cleanly when the driver
@@ -50,13 +48,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 
 	"repro/internal/broker/remote"
 	"repro/internal/obs"
-	"repro/internal/search"
 	"repro/internal/spec"
 )
 
@@ -77,9 +72,6 @@ func run() int {
 		connect     = flag.String("connect", "", "driver address to connect to: unix:/path or [tcp:]host:port (required)")
 		label       = flag.String("label", "", "worker name in telemetry and driver logs (default: brokerd-<pid>)")
 		heartbeat   = flag.Duration("heartbeat", 0, "heartbeat period (0 = transport default)")
-		machineN    = flag.String("machine", "Sandybridge", "target machine (must match the driver)")
-		compilerN   = flag.String("compiler", "gnu-4.4.7", "compiler (must match the driver)")
-		threads     = flag.Int("threads", 1, "OpenMP threads (must match the driver)")
 		annotation  = flag.String("annotation", "", "path to an annotated kernel file, served under its parsed name")
 		faultRate   = flag.Float64("faults", 0, "total injected failure rate in [0,1) (must match the driver)")
 		retries     = flag.Int("retries", 2, "max retries per transient evaluation failure (must match the driver)")
@@ -100,11 +92,9 @@ func run() int {
 		*label = fmt.Sprintf("brokerd-%d", os.Getpid())
 	}
 
-	resolve, err := newResolver(spec.Spec{
-		Annotation: *annotation,
-		Machine:    *machineN, Compiler: *compilerN, Threads: *threads,
-		Faults: *faultRate, Retries: *retries, Timeout: *timeout, Seed: *seed,
-	})
+	resolve, err := spec.Spec{
+		Annotation: *annotation, Faults: *faultRate, Retries: *retries, Timeout: *timeout, Seed: *seed,
+	}.Resolver()
 	if err != nil {
 		warnf("%v", err)
 		return exitUsage
@@ -161,56 +151,4 @@ func run() int {
 		warnf("%v", err)
 		return exitError
 	}
-}
-
-// newResolver validates the worker's spec and builds the wire-name ->
-// problem resolver: every problem the driver can tune (SPAPT kernels,
-// mini-apps, and the spec's annotated kernel under its parsed name),
-// each built as the full evaluation stack the spec describes.
-// Instances are cached per name so a re-dispatched task evaluates
-// against the same injector state, and the cache is goroutine-safe
-// because the worker evaluates tasks on separate goroutines.
-func newResolver(s spec.Spec) (remote.Resolver, error) {
-	p, err := s.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	annotated := ""
-	if s.Annotation != "" {
-		annotated, _, _ = strings.Cut(p.Name(), "@")
-	}
-
-	build := func(name string) (search.Problem, error) {
-		base, _, qualified := strings.Cut(name, "@")
-		task := s
-		task.Problem = base
-		if base != annotated {
-			task.Annotation = ""
-		}
-		p, err := task.Base()
-		if err != nil {
-			return nil, err
-		}
-		p, _ = task.Build(p)
-		if qualified && p.Name() != name {
-			return nil, fmt.Errorf("target mismatch: driver tunes %s, this worker builds %s (align -machine/-compiler/-threads)", name, p.Name())
-		}
-		return p, nil
-	}
-
-	var mu sync.Mutex
-	cache := map[string]search.Problem{}
-	return func(name string) (search.Problem, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p, ok := cache[name]; ok {
-			return p, nil
-		}
-		p, err := build(name)
-		if err != nil {
-			return nil, err
-		}
-		cache[name] = p
-		return p, nil
-	}, nil
 }

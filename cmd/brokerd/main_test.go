@@ -60,11 +60,13 @@ func TestUsageErrors(t *testing.T) {
 		{},                                       // -connect missing
 		{"-connect", "x", "-faults", "1.5"},      // rate out of range
 		{"-connect", "x", "-faults", "-0.1"},     // negative rate
-		{"-connect", "x", "-machine", "NoSuch"},  // unknown machine
-		{"-connect", "x", "-compiler", "NoSuch"}, // unknown compiler
-		{"-connect", "x", "-threads", "-1"},      // negative thread count
 		{"-connect", "x", "-retries", "-1"},      // negative retry budget
 		{"-connect", "x", "-timeout", "-1"},      // negative timeout
+		{"-connect", "x", "-annotation", "none"}, // missing annotation file
+		// Tasks name their targets; a worker has no target flags.
+		{"-connect", "x", "-machine", "Sandybridge"},
+		{"-connect", "x", "-compiler", "gnu-4.4.7"},
+		{"-connect", "x", "-threads", "1"},
 	}
 	for _, args := range cases {
 		if code := exitCode(t, brokerdCmd(args...)); code != exitUsage {
@@ -229,93 +231,82 @@ func TestGracefulShutdownOnSignal(t *testing.T) {
 	}
 }
 
-// TestResolverContract pins the resolver used by the worker: known
-// names build cached instances, unknown names error, and the cache
-// returns the same instance for re-dispatched tasks (the stateful
-// fault injector must not be rebuilt mid-run).
-func TestResolverContract(t *testing.T) {
-	resolve, err := newResolver(spec.Spec{
-		Machine: "Sandybridge", Compiler: "gnu-4.4.7", Threads: 1,
-		Faults: 0.3, Retries: 2, Timeout: 30, Seed: 7,
+// renamed serves a problem under another wire name.
+type renamed struct {
+	search.Problem
+	name string
+}
+
+func (r renamed) Name() string { return r.name }
+
+// served runs a random search over p through the pool and returns it
+// with the evaluations the pool degraded inline.
+func served(pool *remote.Pool, p search.Problem, seed uint64) (*search.Result, int64) {
+	reg := obs.NewRegistry()
+	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
+	res := search.RS(ctx, pool.Problem(p), 12, rng.New(seed))
+	return res, reg.Counter(obs.MetricDegraded).Value()
+}
+
+// startWorker starts a brokerd child process connected to the pool.
+func startWorker(t *testing.T, pool *remote.Pool, addr string, flags ...string) {
+	t.Helper()
+	cmd := brokerdCmd(append([]string{"-connect", addr}, flags...)...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const luWire = "LU@Sandybridge/gnu-4.4.7/t1"
-	p1, err := resolve(luWire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := resolve(luWire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Fatal("resolver rebuilt LU: re-dispatch would reset the fault injector")
-	}
-	for _, name := range []string{"HPL@Sandybridge", "RT@Sandybridge", "MM@Sandybridge/gnu-4.4.7/t1", "LU"} {
-		if _, err := resolve(name); err != nil {
-			t.Errorf("resolve(%s): %v", name, err)
+	waitFor(t, "worker session", func() bool { return pool.Sessions() == 1 })
+}
+
+// TestResolverContract: one brokerd, given only the fault settings,
+// serves every target a sweep names — other machines and compilers,
+// forced OpenMP, the mini-apps, off-size kernels — as the stack the
+// driver builds inline under the same settings, so every search is
+// served remotely and bit-identical to inline. A name that is not the
+// name of the problem it builds is refused, and its evaluations run
+// inline.
+func TestResolverContract(t *testing.T) {
+	pool, addr := servingPool(t, t.TempDir(), 2)
+	startWorker(t, pool, addr, "-faults", "0.3", "-retries", "2", "-timeout", "30", "-seed", "7")
+	for i, s := range []spec.Spec{
+		{Problem: "LU", Machine: "Power7"},
+		{Problem: "MM", Machine: "XeonPhi", Compiler: "intel-15.0.1", Threads: 60, ForceOMP: true},
+		{Problem: "HPL", Machine: "Power7"},
+		{Problem: "MM_n1000", Machine: "Sandybridge"},
+	} {
+		s.Faults, s.Retries, s.Timeout, s.Seed = 0.3, 2, 30, 7
+		stack := func() search.Problem {
+			base, err := s.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := s.Build(base)
+			return p
+		}
+		seed := uint64(40 + i)
+		ref := search.RS(context.Background(), stack(), 12, rng.New(seed))
+		res, degraded := served(pool, stack(), seed)
+		if degraded != 0 {
+			t.Errorf("%s: %d evaluations degraded inline; the worker refused its target", ref.Problem, degraded)
+		}
+		if err := crashtest.Compare(ref, res); err != nil {
+			t.Errorf("%s: %v", ref.Problem, err)
 		}
 	}
-	if _, err := resolve("NoSuchKernel@Sandybridge/gnu-4.4.7/t1"); err == nil {
-		t.Error("resolve(NoSuchKernel@...): want error")
-	}
-	// A qualified name for a different target must be refused, not
-	// silently computed on the wrong simulated machine.
-	if _, err := resolve("LU@Power7/gnu-4.4.7/t1"); err == nil {
-		t.Error("resolve(LU@Power7/...): want target-mismatch error")
-	}
-	if _, err = newResolver(spec.Spec{Machine: "NoSuch"}); err == nil {
-		t.Error("newResolver with unknown machine: want error")
+	res, degraded := served(pool, renamed{lu(t), "LU"}, 3)
+	if degraded == 0 {
+		t.Errorf("the worker served %d evaluations of an unqualified name", len(res.Records))
 	}
 }
 
-// TestResolverRefusesForcedOpenMP: the experiments' OpenMP cells force
-// the pragmas on, which changes every evaluation. Their wire names say
-// so, and a worker (which has no such flag) must refuse them rather
-// than return unforced numbers under the forced name.
-func TestResolverRefusesForcedOpenMP(t *testing.T) {
-	resolve, err := newResolver(spec.Spec{Machine: "XeonPhi", Compiler: "intel-15.0.1", Threads: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := resolve("MM@XeonPhi/intel-15.0.1/t60"); err != nil {
-		t.Fatalf("unforced name: %v", err)
-	}
-	_, err = resolve("MM@XeonPhi/intel-15.0.1/t60+omp")
-	if err == nil || !strings.Contains(err.Error(), "target mismatch") {
-		t.Fatalf("forced-OpenMP name: got %v, want a target-mismatch error", err)
-	}
-}
-
-// TestResolverRefusesOffSizeKernel: an off-size kernel (ext-inputsize's
-// MM at N=1000) carries its size in its name, and no worker can build
-// it, so a task for it is refused, not evaluated at the paper size.
-func TestResolverRefusesOffSizeKernel(t *testing.T) {
-	resolve, err := newResolver(spec.Spec{Machine: "Sandybridge"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := spec.Spec{Machine: "Sandybridge"}
-	s.Normalize()
-	off, err := s.BaseFor(kernels.MM(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Name() == "MM@Sandybridge/gnu-4.4.7/t1" {
-		t.Fatalf("off-size MM carries the paper-size name %q", off.Name())
-	}
-	if _, err := resolve(off.Name()); err == nil {
-		t.Fatalf("resolve(%s): want error", off.Name())
-	}
-	if _, err := resolve("MM@Sandybridge/gnu-4.4.7/t1"); err != nil {
-		t.Fatalf("paper-size MM: %v", err)
-	}
-}
-
-// TestResolverChecksAnnotatedCompiler: the annotated kernel gets the
-// same compiler-availability check as the built-in ones, at start-up.
+// TestResolverChecksAnnotatedCompiler: the worker serves its annotated
+// kernel under the kernel's parsed name on a target that has the
+// compiler, and refuses it, with the same check the driver's spec
+// makes, on one that does not.
 func TestResolverChecksAnnotatedCompiler(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tiny.orio")
 	text := `
@@ -332,17 +323,28 @@ param RT_I on i regtile pow2 0..1
 	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	resolve, err := newResolver(spec.Spec{Annotation: path, Machine: "Westmere"})
+	pool, addr := servingPool(t, t.TempDir(), 2)
+	startWorker(t, pool, addr, "-annotation", path)
+
+	tiny, err := (&spec.Spec{Annotation: path, Machine: "Westmere"}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"tiny@Westmere/gnu-4.4.7/t1", "LU@Westmere/gnu-4.4.7/t1"} {
-		if _, err := resolve(name); err != nil {
-			t.Errorf("resolve(%s): %v", name, err)
-		}
+	ref := search.RS(context.Background(), tiny, 12, rng.New(5))
+	res, degraded := served(pool, tiny, 5)
+	if degraded != 0 {
+		t.Errorf("%s: %d evaluations degraded inline; the worker refused its annotated kernel", tiny.Name(), degraded)
 	}
-	_, err = newResolver(spec.Spec{Annotation: path, Machine: "Power7", Compiler: "intel-15.0.1"})
+	if err := crashtest.Compare(ref, res); err != nil {
+		t.Fatal(err)
+	}
+
+	const icc = "tiny@Power7/intel-15.0.1/t1"
+	_, err = (&spec.Spec{Annotation: path, Machine: "Power7", Compiler: "intel-15.0.1"}).Resolve()
 	if err == nil || !strings.Contains(err.Error(), "not available on Power7") {
 		t.Fatalf("annotated kernel with icc on Power7: got %v, want a compiler error", err)
+	}
+	if _, degraded := served(pool, renamed{tiny, icc}, 5); degraded == 0 {
+		t.Errorf("the worker served %s, which its spec refuses", icc)
 	}
 }

@@ -29,9 +29,8 @@
 // evaluation leases its own task, with optional hedged re-dispatch of
 // stragglers (-hedge-after D). Every experiment builds its problems
 // through the evaluation spec, so every evaluation reaches the workers,
-// except ext-inputsize's off-size MM targets: no worker can name them,
-// and they run inline. Reports are bit-identical with or without remote
-// workers.
+// and one worker serves every target of the sweep. Reports are
+// bit-identical with or without remote workers.
 //
 // With -outdir the command also keeps a progress file (progress.txt)
 // naming each completed experiment. SIGINT or SIGTERM stops the sweep at

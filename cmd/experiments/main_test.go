@@ -17,7 +17,6 @@ import (
 	"repro/internal/broker/remote"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/search"
 	"repro/internal/spec"
 )
 
@@ -152,16 +151,13 @@ func TestSweepKeepsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	resolve, err := spec.Spec{}.Resolver()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dialed atomic.Bool
 	w := &remote.Worker{
-		// fig1 and fig2 tune GNU-compiled serial kernels, named like
-		// "LU@Westmere/gnu-4.4.7/t1".
-		Resolve: func(name string) (search.Problem, error) {
-			base, target, _ := strings.Cut(name, "@")
-			machine, _, _ := strings.Cut(target, "/")
-			s := spec.Spec{Problem: base, Machine: machine}
-			return s.Resolve()
-		},
+		Resolve:     resolve,
 		Backoff:     time.Millisecond,
 		BackoffCap:  5 * time.Millisecond,
 		MaxAttempts: 1 << 20, // the sweep listens only once it starts
@@ -181,7 +177,7 @@ func TestSweepKeepsWorkers(t *testing.T) {
 			return conn, err
 		})
 	}()
-	err := cmd.Wait()
+	err = cmd.Wait()
 	cancel()
 	<-done
 	if err != nil {

@@ -25,7 +25,7 @@ import (
 //  2. No bare float32/float64 fields: failed evaluations legitimately
 //     carry ±Inf and NaN, which encoding/json rejects outright. Float
 //     fields must use a named wrapper with MarshalJSON/UnmarshalJSON
-//     methods (the wireFloat convention).
+//     methods (the obs.JSONFloat convention).
 //  3. No unkeyed struct literals of wire types, anywhere in the
 //     module: adding a wire field must be a compile-visible protocol
 //     change, not a silent positional reshuffle.
@@ -188,7 +188,7 @@ func checkWireFieldType(mp *ModulePass, owner *types.Named, field *types.Var, t 
 		}
 		if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsFloat != 0 {
 			mp.Reportf(pos,
-				"wire field %s.%s has float type %s without MarshalJSON/UnmarshalJSON: ±Inf and NaN (legitimate failed-evaluation values) do not survive encoding/json; use the non-finite-safe wrapper convention (wireFloat)",
+				"wire field %s.%s has float type %s without MarshalJSON/UnmarshalJSON: ±Inf and NaN (legitimate failed-evaluation values) do not survive encoding/json; use the non-finite-safe wrapper convention (obs.JSONFloat)",
 				owner.Obj().Name(), field.Name(), t.Obj().Name())
 		}
 		// Named struct types in the closure are checked as their own
@@ -196,7 +196,7 @@ func checkWireFieldType(mp *ModulePass, owner *types.Named, field *types.Var, t 
 	case *types.Basic:
 		if t.Info()&types.IsFloat != 0 {
 			mp.Reportf(pos,
-				"wire field %s.%s is a bare %s: ±Inf and NaN (legitimate failed-evaluation values) do not survive encoding/json; use the non-finite-safe wrapper convention (wireFloat)",
+				"wire field %s.%s is a bare %s: ±Inf and NaN (legitimate failed-evaluation values) do not survive encoding/json; use the non-finite-safe wrapper convention (obs.JSONFloat)",
 				owner.Obj().Name(), field.Name(), t.Name())
 		}
 	case *types.Map:

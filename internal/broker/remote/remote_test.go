@@ -42,11 +42,11 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 			RemainingNS: int64(90 * time.Second),
 		}},
 		{Type: MsgResult, Result: &ResultPayload{
-			Seq: 7, RunTime: wireFloat(math.Inf(1)), Cost: 12.5,
+			Seq: 7, RunTime: obs.JSONFloat(math.Inf(1)), Cost: 12.5,
 			Status: uint8(search.StatusFailed), Retries: 2, Err: "compile failed",
 		}},
 		{Type: MsgResult, Result: &ResultPayload{
-			Seq: 8, RunTime: wireFloat(math.NaN()), Cost: wireFloat(math.Inf(-1)),
+			Seq: 8, RunTime: obs.JSONFloat(math.NaN()), Cost: obs.JSONFloat(math.Inf(-1)),
 		}},
 		{Type: MsgBeat},
 		{Type: MsgCancel, Seq: 9},

@@ -59,12 +59,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/search"
 )
 
@@ -124,16 +123,16 @@ type TaskPayload struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// ResultPayload ships one outcome back. Float fields use wireFloat
+// ResultPayload ships one outcome back. Float fields use obs.JSONFloat
 // because failed evaluations legitimately carry +Inf run times.
 type ResultPayload struct {
-	Seq      int       `json:"seq"`
-	RunTime  wireFloat `json:"run_time"`
-	Cost     wireFloat `json:"cost"`
-	Status   uint8     `json:"status"`
-	Retries  int       `json:"retries"`
-	Degraded bool      `json:"degraded,omitempty"`
-	Err      string    `json:"err,omitempty"`
+	Seq      int           `json:"seq"`
+	RunTime  obs.JSONFloat `json:"run_time"`
+	Cost     obs.JSONFloat `json:"cost"`
+	Status   uint8         `json:"status"`
+	Retries  int           `json:"retries"`
+	Degraded bool          `json:"degraded,omitempty"`
+	Err      string        `json:"err,omitempty"`
 	// Attempt echoes the dispatch ordinal the task arrived with. With Seq
 	// it names the lease the result settles, so each hedged or
 	// re-dispatched copy answers for its own lease and the result span
@@ -144,51 +143,6 @@ type ResultPayload struct {
 	// problem). Interrupted results never settle a task — the pool
 	// releases the lease and the submitter re-dispatches.
 	Interrupted bool `json:"interrupted,omitempty"`
-}
-
-// wireFloat mirrors obs's non-finite-safe float encoding: "+Inf",
-// "-Inf", and "NaN" travel as strings, finite values as numbers.
-type wireFloat float64
-
-// MarshalJSON implements json.Marshaler.
-func (f wireFloat) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *wireFloat) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		s, err := strconv.Unquote(string(data))
-		if err != nil {
-			return err
-		}
-		switch s {
-		case "+Inf", "Inf":
-			*f = wireFloat(math.Inf(1))
-		case "-Inf":
-			*f = wireFloat(math.Inf(-1))
-		case "NaN":
-			*f = wireFloat(math.NaN())
-		default:
-			return fmt.Errorf("remote: bad float %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(data, &v); err != nil {
-		return err
-	}
-	*f = wireFloat(v)
-	return nil
 }
 
 // maxFrame bounds a frame's encoded size: a config is a few hundred
@@ -341,8 +295,8 @@ func faultable(t MsgType) bool {
 func outcomeToWire(seq int, out search.Outcome) *ResultPayload {
 	r := &ResultPayload{
 		Seq:         seq,
-		RunTime:     wireFloat(out.RunTime),
-		Cost:        wireFloat(out.Cost),
+		RunTime:     obs.JSONFloat(out.RunTime),
+		Cost:        obs.JSONFloat(out.Cost),
 		Status:      uint8(out.Status),
 		Retries:     out.Retries,
 		Degraded:    out.Degraded,

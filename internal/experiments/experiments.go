@@ -24,7 +24,6 @@ import (
 	"repro/internal/broker/remote"
 	"repro/internal/core"
 	"repro/internal/forest"
-	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -139,9 +138,8 @@ func IDs() []string {
 // must never be mistaken for results).
 //
 // When a worker pool rides ctx (remote.Into), every problem problemFor
-// builds evaluates through it: all of them but ext-inputsize's off-size
-// targets, which no worker can name and which run inline. The caller
-// owns the pool, so one pool and its workers serve a whole sweep.
+// builds evaluates through it. The caller owns the pool, so one pool and
+// its workers serve a whole sweep.
 // Reports are pool-invariant for the same reason they are
 // workers-invariant: the pool moves evaluations between processes
 // without changing what they return (asserted by TestBrokerMatchesDirect,
@@ -219,24 +217,13 @@ func prepare(ctx context.Context, cfg Config, tag, wl string, src spec.Spec) (*c
 }
 
 // transfer runs one transfer cell: the prelude prepare builds on src,
-// run on workload wl built by problemFor on the tgt target. A non-nil
-// tgtKernel (ext-inputsize's off-size MM) replaces wl on the target:
-// Spec.BaseFor builds it bare, and it evaluates inline, because no
-// worker can name it.
-func transfer(ctx context.Context, cfg Config, tag, wl string, src, tgt spec.Spec,
-	tgtKernel *kernels.Kernel) (*core.Outcome, error) {
-
+// run on workload wl built by problemFor on the tgt target.
+func transfer(ctx context.Context, cfg Config, tag, wl string, src, tgt spec.Spec) (*core.Outcome, error) {
 	pre, err := prepare(ctx, cfg, tag, wl, src)
 	if err != nil {
 		return nil, err
 	}
-	var tp search.Problem
-	if tgtKernel != nil {
-		tgt.Normalize()
-		tp, err = tgt.BaseFor(tgtKernel)
-	} else {
-		tp, err = problemFor(ctx, wl, tgt)
-	}
+	tp, err := problemFor(ctx, wl, tgt)
 	if err != nil {
 		return nil, err
 	}

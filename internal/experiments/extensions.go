@@ -39,17 +39,21 @@ func runExtInputSize(ctx context.Context, cfg Config) (*Report, error) {
 	var b strings.Builder
 
 	// One cell per target input size; each cell builds its own problem
-	// instances (the source is always the paper's 2000x2000 problem).
+	// instances (the source is always the paper's 2000x2000 problem, the
+	// target MM at size N, named "MM_n<N>" off the paper size).
 	sizes := []int{1000, 1500, kernels.DefaultMMSize, 3000}
 	outs := make([]*core.Outcome, len(sizes))
 	err := runCells(ctx, cfg, "ext-inputsize-cells", len(sizes), func(ctx context.Context, i int) error {
 		n := sizes[i]
-		var offSize *kernels.Kernel
-		if n != kernels.DefaultMMSize {
-			offSize = kernels.MM(n)
+		pre, err := prepare(ctx, cfg, fmt.Sprintf("ext-size-%d", n), "MM", westmere)
+		if err != nil {
+			return err
 		}
-		var err error
-		outs[i], err = transfer(ctx, cfg, fmt.Sprintf("ext-size-%d", n), "MM", westmere, sandybridge, offSize)
+		tp, err := problemFor(ctx, kernels.MM(n).Name, sandybridge)
+		if err != nil {
+			return err
+		}
+		outs[i], err = pre.Run(ctx, tp)
 		return err
 	})
 	if err != nil {
@@ -92,15 +96,13 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	// The surrogate's predicted-best pool configuration warm-starts the
-	// sophisticated searches. Scoring the pool goes through the batched
-	// (sharded) prediction path.
-	pool := spc.SamplePool(cfg.PoolSize, rng.NewNamed(seed, "pool"))
-	preds := sur.PredictAll(spc.EncodeAll(pool))
-	warm := pool[0]
-	best := preds[0]
-	for i, p := range preds[1:] {
+	// sophisticated searches.
+	scored := search.ScorePool(spc, sur, cfg.PoolSize, rng.NewNamed(seed, "pool"))
+	warm := scored.Pool[0]
+	best := scored.Preds[0]
+	for i, p := range scored.Preds[1:] {
 		if p < best {
-			best, warm = p, pool[i+1]
+			best, warm = p, scored.Pool[i+1]
 		}
 	}
 
@@ -245,7 +247,7 @@ func runExtReplicates(ctx context.Context, cfg Config) (*Report, error) {
 	outs := make([]*core.Outcome, replicates)
 	err := runCells(ctx, cfg, "ext-replicates-cells", replicates, func(ctx context.Context, rep int) error {
 		var err error
-		outs[rep], err = transfer(ctx, cfg, fmt.Sprintf("replicate-%d", rep), "LU", westmere, sandybridge, nil)
+		outs[rep], err = transfer(ctx, cfg, fmt.Sprintf("replicate-%d", rep), "LU", westmere, sandybridge)
 		return err
 	})
 	if err != nil {

@@ -106,7 +106,7 @@ func transferFigure(ctx context.Context, cfg Config, workloads []string, src, tg
 	outs := make([]*core.Outcome, len(workloads))
 	err := runCells(ctx, cfg, "transfer-figure", len(workloads), func(ctx context.Context, i int) error {
 		var err error
-		outs[i], err = transfer(ctx, cfg, "wl-"+workloads[i], workloads[i], src, tgt, nil)
+		outs[i], err = transfer(ctx, cfg, "wl-"+workloads[i], workloads[i], src, tgt)
 		return err
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/broker/remote"
-	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/spec"
@@ -162,48 +161,25 @@ func stripBroker(snapshot string) string {
 	return b.String()
 }
 
-// resolveByName is the test's remote-worker resolver: it rebuilds any
-// problem problemFor can build from its wire name
-// ("LU@Sandybridge/gnu-4.4.7/t1", "MM@XeonPhi/intel-15.0.1/t60+omp",
-// "HPL@Power7") and caches one instance per name.
-func resolveByName() remote.Resolver {
-	var mu sync.Mutex
-	cache := map[string]search.Problem{}
-	return func(name string) (search.Problem, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p, ok := cache[name]; ok {
-			return p, nil
-		}
-		base, target, _ := strings.Cut(name, "@")
-		target, omp := strings.CutSuffix(target, "+omp")
-		s := spec.Spec{Problem: base, ForceOMP: omp}
-		parts := strings.Split(target, "/")
-		s.Machine = parts[0]
-		if len(parts) == 3 {
-			s.Compiler = parts[1]
-			if _, err := fmt.Sscanf(parts[2], "t%d", &s.Threads); err != nil {
-				return nil, fmt.Errorf("problem %q: threads: %w", name, err)
-			}
-		}
-		p, err := s.Base()
-		if err != nil {
-			return nil, err
-		}
-		if p.Name() != name {
-			return nil, fmt.Errorf("resolved %q as %q", name, p.Name())
-		}
-		cache[name] = p
-		return p, nil
+// serveWorkers connects n remote worker sessions, resolving names as
+// brokerd does, to the pool that will listen at addr, redialing until it
+// is up. It returns a stop function that disconnects them and waits for
+// them to exit, and the set of problem names they served.
+func serveWorkers(t *testing.T, addr string, n int) (stop func(), served *sync.Map) {
+	t.Helper()
+	resolver, err := spec.Spec{}.Resolver()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// serveWorkers connects n remote worker sessions to the pool that will
-// listen at addr, redialing until it is up, and returns a stop function
-// that disconnects them and waits for them to exit.
-func serveWorkers(addr string, n int) (stop func()) {
+	served = new(sync.Map)
+	resolve := func(name string) (search.Problem, error) {
+		p, err := resolver(name)
+		if err == nil {
+			served.Store(name, true)
+		}
+		return p, err
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	resolve := resolveByName()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := &remote.Worker{
@@ -222,7 +198,7 @@ func serveWorkers(addr string, n int) (stop func()) {
 	return func() {
 		cancel()
 		wg.Wait()
-	}
+	}, served
 }
 
 // TestBrokerMatchesDirect is the worker-pool counterpart of
@@ -254,7 +230,7 @@ func TestBrokerMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stop := serveWorkers(addr, 2)
+			stop, served := serveWorkers(t, addr, 2)
 			got, err := Run(remote.Into(context.Background(), pool), id, cfg)
 			pool.Close()
 			stop()
@@ -273,6 +249,15 @@ func TestBrokerMatchesDirect(t *testing.T) {
 			case !static[id] && !leased:
 				t.Errorf("%s leased no evaluation to the remote workers: its problems bypassed the pool", id)
 			}
+			if id == "ext-inputsize" {
+				// The off-size targets reach the workers like every other cell.
+				for _, n := range []int{1000, 1500, 3000} {
+					name := fmt.Sprintf("MM_n%d@Sandybridge/gnu-4.4.7/t1", n)
+					if _, ok := served.Load(name); !ok {
+						t.Errorf("no worker served %s", name)
+					}
+				}
+			}
 			if got.Text != want.Text {
 				t.Errorf("report text differs between brokered and direct:\n--- direct ---\n%s\n--- brokered ---\n%s",
 					want.Text, got.Text)
@@ -289,58 +274,5 @@ func TestBrokerMatchesDirect(t *testing.T) {
 				t.Errorf("telemetry counters differ:\n--- direct ---\n%s\n--- brokered ---\n%s", w, g)
 			}
 		})
-	}
-}
-
-// TestOffSizeProblemStaysInline: ext-inputsize's off-size targets carry
-// their size in their name, so a worker's resolver refuses them instead
-// of evaluating the paper-size kernel under that name. Routed to the
-// pool by mistake, such a problem is refused by every worker and
-// evaluated inline by the pool's fallback, with the bare outcome.
-func TestOffSizeProblemStaysInline(t *testing.T) {
-	s := sandybridge
-	s.Normalize()
-	off, err := s.BaseFor(kernels.MM(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	paper, err := problemFor(context.Background(), "MM", sandybridge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Name() == paper.Name() {
-		t.Fatalf("off-size MM shares the paper-size name %q", off.Name())
-	}
-	resolve := resolveByName()
-	if _, err := resolve(off.Name()); err == nil {
-		t.Fatalf("resolver accepted the off-size name %q", off.Name())
-	}
-	if _, err := resolve(paper.Name()); err != nil {
-		t.Fatalf("resolver refused the paper-size name: %v", err)
-	}
-
-	addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
-	ln, err := net.Listen(remote.SplitAddr(addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := remote.NewPool(remote.PoolOptions{})
-	defer pool.Close()
-	pool.Serve(ln)
-	stop := serveWorkers(addr, 1)
-	defer stop()
-	for deadline := time.Now().Add(10 * time.Second); pool.Sessions() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("no worker connected")
-		}
-	}
-	ctx := context.Background()
-	c := off.Space().Default()
-	if out := pool.Evaluate(ctx, paper, c); out.Degraded {
-		t.Fatal("paper-size MM was not served by the worker")
-	}
-	got, want := pool.Evaluate(ctx, off, c), search.EvaluateFull(ctx, off, c)
-	if !got.Degraded || got.RunTime != want.RunTime || got.Cost != want.Cost {
-		t.Fatalf("off-size MM through the pool: %+v, want the inline fallback's %+v", got, want)
 	}
 }

@@ -12,6 +12,7 @@ package kernels
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ir"
@@ -357,7 +358,8 @@ const (
 // sizedName names a kernel built at size n: the bare name at the paper
 // size, name_n<n> at any other. An off-size kernel thus never shares a
 // problem name, and with it an evaluation-cache scope, a journal meta,
-// or a wire name, with the paper-size one, and ByName refuses it.
+// or a wire name, with the paper-size one; ByName resolves either name
+// back to the kernel at its own size.
 func sizedName(name string, n, paper int) string {
 	if n == paper {
 		return name
@@ -365,20 +367,38 @@ func sizedName(name string, n, paper int) string {
 	return fmt.Sprintf("%s_n%d", name, n)
 }
 
-// ByName returns the named kernel at its paper input size.
+// ByName returns the named kernel (case-insensitively): MM, ATAX, COR or
+// LU at its paper input size, or, under the name sizedName gives an
+// off-size kernel ("MM_n1000", N >= 1), at that size. Any other size
+// suffix ("MM_n2000", "MM_n01") is refused.
 func ByName(name string) (*Kernel, error) {
-	switch strings.ToUpper(name) {
+	base, size, sized := strings.Cut(strings.ToUpper(name), "_N")
+	var build func(int) *Kernel
+	var n int
+	switch base {
 	case "MM":
-		return MM(DefaultMMSize), nil
+		build, n = MM, DefaultMMSize
 	case "ATAX":
-		return ATAX(DefaultATAXSize), nil
+		build, n = ATAX, DefaultATAXSize
 	case "COR":
-		return COR(DefaultCORSize), nil
+		build, n = COR, DefaultCORSize
 	case "LU":
-		return LU(DefaultLUSize), nil
+		build, n = LU, DefaultLUSize
 	default:
 		return nil, fmt.Errorf("kernels: unknown kernel %q (known: MM, ATAX, COR, LU)", name)
 	}
+	if sized {
+		var err error
+		if n, err = strconv.Atoi(size); err != nil {
+			n = 0
+		}
+	}
+	if n >= 1 {
+		if k := build(n); strings.EqualFold(k.Name, name) {
+			return k, nil
+		}
+	}
+	return nil, fmt.Errorf("kernels: %q is not a kernel name (want %s or %s_n<N>, N >= 1, not the paper size)", name, base, base)
 }
 
 // All returns the four kernels at their paper input sizes, in Table III

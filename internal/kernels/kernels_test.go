@@ -80,12 +80,18 @@ func TestByNameErrors(t *testing.T) {
 	if k, err := ByName("lu"); err != nil || k.Name != "LU" {
 		t.Fatal("case-insensitive lookup failed")
 	}
+	// Only the size suffixes sizedName writes resolve.
+	for _, name := range []string{"MM_n2000", "MM_n0", "MM_n-5", "MM_n01", "MM_n+5", "MM_n", "MM_nx", "FFT_n10"} {
+		if k, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) resolved %s", name, k.Name)
+		}
+	}
 }
 
 // TestOffSizeKernelNames: at the paper size each kernel keeps its bare
 // name; at any other size the name carries the size, so the off-size
 // problem never shares a name (cache scope, journal meta, wire name)
-// with the paper-size one, and ByName refuses it.
+// with the paper-size one, and ByName resolves it at its own size.
 func TestOffSizeKernelNames(t *testing.T) {
 	tgt := sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1}
 	for _, tc := range []struct {
@@ -109,8 +115,8 @@ func TestOffSizeKernelNames(t *testing.T) {
 		if paperProblem.Name() == offProblem.Name() {
 			t.Errorf("%s: off-size problem shares the paper-size name %q", tc.name, offProblem.Name())
 		}
-		if _, err := ByName(off.Name); err == nil {
-			t.Errorf("ByName(%q) resolved an off-size name", off.Name)
+		if k, err := ByName(off.Name); err != nil || k.Name != off.Name || k.InputSize != off.InputSize {
+			t.Errorf("ByName(%q) (err %v) is not %s at size %d", off.Name, err, tc.name, tc.off)
 		}
 	}
 }

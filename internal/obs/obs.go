@@ -248,13 +248,15 @@ type Event struct {
 	Wall int64 `json:"wall,omitempty"`
 }
 
-// jsonFloat encodes a float64 for traces, representing the non-finite
-// values encoding/json rejects ("+Inf", "-Inf", "NaN") as strings.
-// Failed evaluations legitimately carry +Inf run times, and a trace
-// writer must never lose events over them.
-type jsonFloat float64
+// JSONFloat is the one non-finite-safe JSON float, used by traces and by
+// the remote wire protocol: the values encoding/json rejects ("+Inf",
+// "-Inf", "NaN") travel as strings, finite values as numbers. Failed
+// evaluations legitimately carry +Inf run times, and neither a trace
+// writer nor a worker may lose them.
+type JSONFloat float64
 
-func (f jsonFloat) MarshalJSON() ([]byte, error) {
+// MarshalJSON implements json.Marshaler.
+func (f JSONFloat) MarshalJSON() ([]byte, error) {
 	v := float64(f)
 	switch {
 	case math.IsInf(v, 1):
@@ -267,7 +269,8 @@ func (f jsonFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(v)
 }
 
-func (f *jsonFloat) UnmarshalJSON(data []byte) error {
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *JSONFloat) UnmarshalJSON(data []byte) error {
 	if len(data) > 0 && data[0] == '"' {
 		s, err := strconv.Unquote(string(data))
 		if err != nil {
@@ -275,11 +278,11 @@ func (f *jsonFloat) UnmarshalJSON(data []byte) error {
 		}
 		switch s {
 		case "+Inf", "Inf":
-			*f = jsonFloat(math.Inf(1))
+			*f = JSONFloat(math.Inf(1))
 		case "-Inf":
-			*f = jsonFloat(math.Inf(-1))
+			*f = JSONFloat(math.Inf(-1))
 		case "NaN":
-			*f = jsonFloat(math.NaN())
+			*f = JSONFloat(math.NaN())
 		default:
 			return fmt.Errorf("obs: bad float %q", s)
 		}
@@ -289,21 +292,21 @@ func (f *jsonFloat) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &v); err != nil {
 		return err
 	}
-	*f = jsonFloat(v)
+	*f = JSONFloat(v)
 	return nil
 }
 
 // eventJSON is Event's wire form: identical layout, with the float
-// fields swapped for the non-finite-safe jsonFloat.
+// fields swapped for the non-finite-safe JSONFloat.
 type eventJSON struct {
 	Kind    Kind          `json:"kind"`
 	Seq     int           `json:"seq,omitempty"`
 	Algo    string        `json:"algo,omitempty"`
 	Problem string        `json:"problem,omitempty"`
 	Config  string        `json:"config,omitempty"`
-	Value   jsonFloat     `json:"value,omitempty"`
-	Cost    jsonFloat     `json:"cost,omitempty"`
-	Elapsed jsonFloat     `json:"elapsed,omitempty"`
+	Value   JSONFloat     `json:"value,omitempty"`
+	Cost    JSONFloat     `json:"cost,omitempty"`
+	Elapsed JSONFloat     `json:"elapsed,omitempty"`
 	Status  string        `json:"status,omitempty"`
 	Detail  string        `json:"detail,omitempty"`
 	N       int           `json:"n,omitempty"`
@@ -320,8 +323,8 @@ type eventJSON struct {
 func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal(eventJSON{
 		Kind: e.Kind, Seq: e.Seq, Algo: e.Algo, Problem: e.Problem,
-		Config: e.Config, Value: jsonFloat(e.Value), Cost: jsonFloat(e.Cost),
-		Elapsed: jsonFloat(e.Elapsed), Status: e.Status, Detail: e.Detail,
+		Config: e.Config, Value: JSONFloat(e.Value), Cost: JSONFloat(e.Cost),
+		Elapsed: JSONFloat(e.Elapsed), Status: e.Status, Detail: e.Detail,
 		N: e.N, Dur: e.Dur,
 		Trace: e.Trace, Span: e.Span, Parent: e.Parent, Worker: e.Worker, Wall: e.Wall,
 	})

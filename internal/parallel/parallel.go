@@ -1,6 +1,6 @@
 // Package parallel is the repository's bounded worker-pool engine: it
-// fans independent work items out over a fixed number of goroutines and
-// merges their results back in deterministic input order.
+// fans independent work items out over a fixed number of goroutines,
+// each item writing its result at its own input index.
 //
 // The engine exists because the experiment grids and model-scoring loops
 // are embarrassingly parallel under the paper's common-random-numbers
@@ -145,24 +145,6 @@ dispatch:
 		}
 	}
 	return ctx.Err()
-}
-
-// Map runs fn over every index in [0, n) with ForEach's semantics and
-// returns the results in input order. On error the slice is nil.
-func Map[T any](ctx context.Context, opt Options, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, opt, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Do runs fn(i) for every i in [0, n) on at most workers goroutines and

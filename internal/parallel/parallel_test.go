@@ -11,24 +11,6 @@ import (
 	"repro/internal/obs"
 )
 
-// TestMapOrder: results come back in input order regardless of worker
-// count or completion order.
-func TestMapOrder(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(context.Background(), Options{Workers: workers}, 100, func(i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
 // TestLowestIndexError: with several failing items, the reported error
 // is always the one with the lowest index — the same error a serial
 // loop would return — no matter how items are scheduled.

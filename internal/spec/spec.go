@@ -15,6 +15,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/annotate"
@@ -83,31 +84,36 @@ func (s *Spec) Normalize() {
 // Resolve is the one call that turns a Spec into a problem: it fills the
 // defaulted fields in place (Normalize), checks every field, resolves
 // the machine and compiler names (for the mini-apps too, which ignore
-// the compiler), and returns the bare problem, built once. A Spec that
-// names no problem describes only a target — a remote worker learns its
-// problems from the tasks it serves — and Resolve then checks the target
-// alone and returns a nil problem.
+// the compiler), and returns the bare problem, built once.
 func (s *Spec) Resolve() (search.Problem, error) {
 	s.Normalize()
-	if _, err := s.Driver(nil); err != nil {
+	if err := s.check(); err != nil {
 		return nil, err
 	}
-	switch {
-	case s.Budget < 0:
-		return nil, fmt.Errorf("budget must be >= 0, got %d", s.Budget)
-	case s.Threads < 1:
-		return nil, fmt.Errorf("threads must be >= 1, got %d", s.Threads)
-	case s.Faults < 0 || s.Faults >= 1:
-		return nil, fmt.Errorf("faults must be in [0,1), got %v", s.Faults)
-	case s.Retries < 0:
-		return nil, fmt.Errorf("retries must be >= 0, got %d", s.Retries)
-	case s.Timeout < 0:
-		return nil, fmt.Errorf("timeout must be >= 0, got %v", s.Timeout)
-	}
-	if _, _, err := s.target(); err != nil || (s.Problem == "" && s.Annotation == "") {
+	if _, _, err := s.target(); err != nil {
 		return nil, err
 	}
 	return s.Base()
+}
+
+// check validates every field but the problem and target names.
+func (s Spec) check() error {
+	if _, err := s.Driver(nil); err != nil {
+		return err
+	}
+	switch {
+	case s.Budget < 0:
+		return fmt.Errorf("budget must be >= 0, got %d", s.Budget)
+	case s.Threads < 1:
+		return fmt.Errorf("threads must be >= 1, got %d", s.Threads)
+	case s.Faults < 0 || s.Faults >= 1:
+		return fmt.Errorf("faults must be in [0,1), got %v", s.Faults)
+	case s.Retries < 0:
+		return fmt.Errorf("retries must be >= 0, got %d", s.Retries)
+	case s.Timeout < 0:
+		return fmt.Errorf("timeout must be >= 0, got %v", s.Timeout)
+	}
+	return nil
 }
 
 // target resolves the machine and compiler names.
@@ -124,11 +130,7 @@ func (s Spec) target() (machine.Machine, machine.Compiler, error) {
 // checks beyond resolving the names (Resolve checks every field).
 func (s Spec) Base() (search.Problem, error) {
 	if s.Annotation != "" {
-		text, err := os.ReadFile(s.Annotation)
-		if err != nil {
-			return nil, err
-		}
-		k, err := annotate.Parse(string(text))
+		k, err := s.annotated()
 		if err != nil {
 			return nil, err
 		}
@@ -150,6 +152,91 @@ func (s Spec) Base() (search.Problem, error) {
 		return nil, unknownProblem(s.Problem)
 	}
 	return s.BaseFor(k)
+}
+
+// annotated parses the Spec's annotated kernel file.
+func (s Spec) annotated() (*kernels.Kernel, error) {
+	text, err := os.ReadFile(s.Annotation)
+	if err != nil {
+		return nil, err
+	}
+	return annotate.Parse(string(text))
+}
+
+// Named is the one inverse of Problem.Name(): it returns the Spec that
+// builds the problem called name — "LU@Power7/gnu-4.4.7/t1",
+// "MM@XeonPhi/intel-15.0.1/t60+omp", "HPL@Power7", an off-size
+// "MM_n1000@Sandybridge/gnu-4.4.7/t1", or s's annotated kernel under its
+// parsed name — together with that bare problem. The returned Spec keeps
+// s's evaluator settings (faults, retries, timeout, seed); it keeps s's
+// annotation only for the annotated kernel's own name. A name whose
+// rebuilt problem carries a different name (an unqualified "LU",
+// "MM_n2000@…", "…/t0") is refused, as is one naming an unknown
+// problem, machine or compiler, or a compiler the machine lacks.
+func (s Spec) Named(name string) (Spec, search.Problem, error) {
+	problem, target, ok := strings.Cut(name, "@")
+	if !ok {
+		return Spec{}, nil, fmt.Errorf("problem name %q names no target", name)
+	}
+	target, omp := strings.CutSuffix(target, "+omp")
+	m, target, _ := strings.Cut(target, "/")
+	comp, threads, _ := strings.Cut(target, "/")
+	// A malformed count parses as 0; the name check below refuses it.
+	n, _ := strconv.Atoi(strings.TrimPrefix(threads, "t"))
+	s.Problem, s.Machine, s.Compiler, s.Threads, s.ForceOMP = problem, m, comp, n, omp
+	s.Normalize()
+	if s.Annotation != "" {
+		k, err := s.annotated()
+		if err != nil {
+			return Spec{}, nil, err
+		}
+		if k.Name != problem {
+			s.Annotation = ""
+		}
+	}
+	p, err := s.Base()
+	if err != nil {
+		return Spec{}, nil, err
+	}
+	if p.Name() != name {
+		return Spec{}, nil, fmt.Errorf("problem name %q is not the name of the problem it builds, %q", name, p.Name())
+	}
+	return s, p, nil
+}
+
+// Resolver returns the one wire-name resolver: it serves every problem
+// Named accepts, each built as the full evaluation stack s's evaluator
+// settings describe (Build). Only those settings and the annotation
+// matter; the names carry the rest. They are checked once, up front.
+// Problems are cached per name, so a re-dispatched task evaluates
+// against the same fault injector, and the cache is goroutine-safe for
+// workers that evaluate tasks concurrently.
+func (s Spec) Resolver() (func(name string) (search.Problem, error), error) {
+	s.Normalize()
+	if err := s.check(); err != nil {
+		return nil, err
+	}
+	if s.Annotation != "" {
+		if _, err := s.annotated(); err != nil {
+			return nil, err
+		}
+	}
+	var mu sync.Mutex
+	cache := map[string]search.Problem{}
+	return func(name string) (search.Problem, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if p, ok := cache[name]; ok {
+			return p, nil
+		}
+		t, p, err := s.Named(name)
+		if err != nil {
+			return nil, err
+		}
+		p, _ = t.Build(p)
+		cache[name] = p
+		return p, nil
+	}, nil
 }
 
 // BaseFor builds the bare problem for an already-built kernel (one

@@ -189,6 +189,7 @@ func TestValidateRefuses(t *testing.T) {
 		{"negative retries", func(s *Spec) { s.Retries = -1 }, "retries must be >= 0"},
 		{"negative timeout", func(s *Spec) { s.Timeout = -1 }, "timeout must be >= 0"},
 		{"target-only spec, unknown machine", func(s *Spec) { s.Problem, s.Machine = "", "C64" }, "C64"},
+		{"target-only spec", func(s *Spec) { s.Problem = "" }, `unknown problem ""`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -202,12 +203,6 @@ func TestValidateRefuses(t *testing.T) {
 				t.Fatalf("Resolve() refused the spec but returned the problem %s", p.Name())
 			}
 		})
-	}
-	// A spec naming no problem describes a worker's target: valid on
-	// its own, even where no kernel could be built on it.
-	target := Spec{Machine: "Power7", Compiler: "intel-15.0.1"}
-	if p, err := target.Resolve(); err != nil || p != nil {
-		t.Fatalf("target-only spec: Resolve() = %v, %v; want no problem and no error", p, err)
 	}
 }
 
