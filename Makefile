@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race lint crashtest trace-smoke bench-parallel bench-json broker-chaos daemon-smoke
+.PHONY: check build vet test race lint fma-check crashtest trace-smoke bench-parallel bench-json broker-chaos daemon-smoke
 
 # check is the full local CI gate: build everything, run the static
 # analyzers, and run the test suite under the race detector.
@@ -30,6 +30,23 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fma-check keeps the cost model bit-identical on every GOARCH. arm64
+# and ppc64le compilers fuse a product feeding an add or subtract into
+# one FMA instruction, which skips the product's rounding; amd64 never
+# fuses. The cost-model packages round every such product explicitly
+# (float64(x*y)), and this target cross-compiles them for both
+# architectures and fails on any fused instruction in the listing. No
+# emulator is needed. (go build replays a cached package's listing.)
+FMA_PKGS = ./internal/ir ./internal/cache ./internal/transform ./internal/sim
+fma-check:
+	@set -e; for spec in 'arm64 FMADDD|FMSUBD|FNMADDD|FNMSUBD' 'ppc64le FMADDS?|FMSUBS?|FNMADDS?|FNMSUBS?'; do \
+		arch=$${spec%% *}; ops=$${spec#* }; \
+		listing=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$listing"; exit 1; }; \
+		fused=$$(echo "$$listing" | grep -E "[[:space:]]($$ops)[[:space:]]" || true); \
+		if [ -n "$$fused" ]; then echo "fused multiply-add on $$arch:"; echo "$$fused"; exit 1; fi; \
+		echo "fma-check: $$arch clean"; \
+	done
 
 # crashtest runs the crash-recovery campaigns verbosely: randomized
 # torn-write kill points, graceful-cancel resume, a real SIGKILL'd

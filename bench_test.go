@@ -251,18 +251,90 @@ func BenchmarkAblationSurrogate(b *testing.B) {
 	}
 }
 
-// BenchmarkEvaluate times one simulator evaluation (the per-configuration
-// cost every search pays).
-func BenchmarkEvaluate(b *testing.B) {
-	lu, err := kernels.ByName("LU")
-	if err != nil {
-		b.Fatal(err)
+// evalTargets are the BenchmarkEvaluate targets: every kernel on the
+// serial gcc Sandybridge target and on the 60-thread icc Xeon Phi target
+// with OpenMP forced on (where the compiler's automatic variant competes
+// with every manual one).
+var evalTargets = []struct {
+	name   string
+	target sim.Target
+	omp    bool
+}{
+	{"Sandybridge-gnu", sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1}, false},
+	{"XeonPhi-intel-t60omp", sim.Target{Machine: machine.XeonPhi, Compiler: machine.Intel, Threads: 60}, true},
+}
+
+// evalCase is one BenchmarkEvaluate sub-benchmark: a problem and the
+// pre-drawn configurations it cycles over.
+type evalCase struct {
+	name    string
+	problem *kernels.Problem
+	configs []space.Config
+}
+
+// evalCases returns the BenchmarkEvaluate sub-benchmarks. Each cycles
+// over 16 configurations drawn from its own named stream, except
+// LU/Sandybridge-gnu, which keeps the single rng.New(1) configuration the
+// benchmark has always timed, so its numbers stay comparable.
+func evalCases(tb testing.TB) []evalCase {
+	var out []evalCase
+	for _, k := range kernels.All() {
+		for _, t := range evalTargets {
+			p := kernels.NewProblem(k, t.target)
+			p.ForceOMP = t.omp
+			name := k.Name + "/" + t.name
+			var cs []space.Config
+			if name == "LU/Sandybridge-gnu" {
+				cs = []space.Config{k.Space().Random(rng.New(1))}
+			} else {
+				r := rng.NewNamed(1, name)
+				for i := 0; i < 16; i++ {
+					cs = append(cs, k.Space().Random(r))
+				}
+			}
+			out = append(out, evalCase{name, p, cs})
+		}
 	}
-	p := kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
-	c := lu.Space().Random(rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Evaluate(c)
+	if len(out) == 0 {
+		tb.Fatal("no evaluation cases")
+	}
+	return out
+}
+
+// BenchmarkEvaluate times one simulator evaluation (the per-configuration
+// cost every search pays), per kernel and target.
+func BenchmarkEvaluate(b *testing.B) {
+	for _, c := range evalCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.problem.Evaluate(c.configs[i%len(c.configs)])
+			}
+		})
+	}
+}
+
+// maxEvaluateAllocs bounds the heap allocations of one kernel evaluation.
+const maxEvaluateAllocs = 63
+
+// TestEvaluateAllocs holds every BenchmarkEvaluate target to
+// maxEvaluateAllocs allocations per kernels.Problem.Evaluate call.
+func TestEvaluateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	for _, c := range evalCases(t) {
+		for _, cfg := range c.configs {
+			c.problem.Evaluate(cfg) // first use computes the per-target state
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(c.configs)*4, func() {
+			c.problem.Evaluate(c.configs[i%len(c.configs)])
+			i++
+		})
+		if allocs > maxEvaluateAllocs {
+			t.Errorf("%s: %.1f allocs per evaluation, want <= %d", c.name, allocs, maxEvaluateAllocs)
+		}
 	}
 }
 

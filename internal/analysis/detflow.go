@@ -28,7 +28,12 @@ import (
 //   - map-range order: ranging over a map and appending to a slice the
 //     function returns (iteration order is randomized per run). The
 //     append is considered sanitized when the slice is passed to a
-//     sort.* / slices.Sort* call in the same function.
+//     sort.* / slices.Sort* call in the same function;
+//   - map-range float accumulation: inside a range over a map, a
+//     floating-point variable declared outside the loop accumulated
+//     with +=, -=, *= or /= (or v = v op x). Float arithmetic is not
+//     associative, so the result's last bits follow the randomized
+//     iteration order.
 //
 // Sanitizers: internal/obs and internal/rng are sanctioned packages —
 // obs owns every observability clock read (obs.Stopwatch, Tracer wall
@@ -47,7 +52,7 @@ import (
 // a time.Now three packages away breaks TestParallelMatchesSerial.
 var DetFlow = &Analyzer{
 	Name:      "detflow",
-	Doc:       "trace ambient nondeterminism (wall clock, global rand, process state, map order) through the call graph into the declared deterministic roots",
+	Doc:       "trace ambient nondeterminism (wall clock, global rand, process state, map order, map-order float sums) through the call graph into the declared deterministic roots",
 	RunModule: runDetFlow,
 }
 
@@ -301,6 +306,7 @@ func detflowIntrinsic(n *CallNode) []taintSource {
 			if src, ok := detflowMapOrderLeak(n, node); ok {
 				out = append(out, src)
 			}
+			out = append(out, detflowMapFloatAccum(n, node)...)
 		}
 		return true
 	})
@@ -420,6 +426,84 @@ func detflowMapOrderLeak(n *CallNode, rs *ast.RangeStmt) (taintSource, bool) {
 		return taintSource{kind: "map order", what: "map range (order reaches return value)", pos: hit}, true
 	}
 	return taintSource{}, false
+}
+
+// detflowMapFloatAccum reports float accumulation inside a range over a
+// map: an assignment that folds a value into a floating-point variable
+// (or a field or element of one) declared outside the range statement.
+// Accumulators local to one iteration are order-independent and pass.
+func detflowMapFloatAccum(n *CallNode, rs *ast.RangeStmt) []taintSource {
+	info := n.Pkg.Info
+	tv, ok := info.Types[rs.X]
+	if !ok {
+		return nil
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return nil
+	}
+	var out []taintSource
+	ast.Inspect(rs.Body, func(node ast.Node) bool {
+		asg, ok := node.(*ast.AssignStmt)
+		if !ok || len(asg.Lhs) != 1 || len(asg.Rhs) != 1 {
+			return true
+		}
+		lhs := ast.Unparen(asg.Lhs[0])
+		switch asg.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		case token.ASSIGN:
+			// v = v op x
+			bin, ok := ast.Unparen(asg.Rhs[0]).(*ast.BinaryExpr)
+			if !ok || !sameObjExpr(info, bin.X, lhs) {
+				return true
+			}
+		default:
+			return true
+		}
+		t, ok := info.Types[lhs]
+		if !ok {
+			return true
+		}
+		if b, ok := t.Type.Underlying().(*types.Basic); !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+			return true
+		}
+		root := rootIdent(lhs)
+		if root == nil {
+			return true
+		}
+		obj := info.ObjectOf(root)
+		if obj == nil || (obj.Pos() >= rs.Pos() && obj.Pos() < rs.End()) {
+			return true
+		}
+		out = append(out, taintSource{kind: "map order", what: "float accumulation over map range", pos: asg.Pos()})
+		return true
+	})
+	return out
+}
+
+// rootIdent returns the variable an lvalue such as v, v.f or v[i].f
+// ultimately writes into, or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// sameObjExpr reports whether a and b are the same plain variable.
+func sameObjExpr(info *types.Info, a, b ast.Expr) bool {
+	ia, ok1 := ast.Unparen(a).(*ast.Ident)
+	ib, ok2 := ast.Unparen(b).(*ast.Ident)
+	return ok1 && ok2 && info.ObjectOf(ia) != nil && info.ObjectOf(ia) == info.ObjectOf(ib)
 }
 
 // walkIdentObjs calls f for every identifier object inside expr.

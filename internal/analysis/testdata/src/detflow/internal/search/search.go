@@ -82,3 +82,57 @@ func Capture() int64 {
 func Seeded() float64 {
 	return rngfix.Jitter()
 }
+
+// Weigh folds float products into a total in map order: float addition
+// is not associative, so the total's last bits follow the randomized
+// iteration order.
+func Weigh(w, x map[string]float64) float64 {
+	total := 0.0
+	for k, c := range w {
+		total += c * x[k] // want "detflow: float accumulation over map range \(map order\) reaches deterministic root search\.Weigh"
+	}
+	return total
+}
+
+// span is an accumulator reached through a field.
+type span struct{ lo, hi float64 }
+
+// Bounds accumulates into a field of a variable declared outside the
+// loop, and into a plain variable in the v = v + x form.
+func Bounds(w map[string]float64) (span, float64) {
+	var out span
+	sum := 0.0
+	for _, c := range w {
+		out.lo -= c   // want "detflow: float accumulation over map range"
+		sum = sum + c // want "detflow: float accumulation over map range"
+	}
+	return out, sum
+}
+
+// WeighSorted is the sanctioned shape: ranging over sorted keys fixes
+// the summation order.
+func WeighSorted(w, x map[string]float64) float64 {
+	keys := make([]string, 0, len(w))
+	for k := range w {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	total := 0.0
+	for _, k := range keys {
+		total += w[k] * x[k]
+	}
+	return total
+}
+
+// Count accumulates integers, which are exact in any order, and a float
+// local to one iteration: neither is a finding.
+func Count(m map[string]int) (int, float64) {
+	n, last := 0, 0.0
+	for _, v := range m {
+		n += v
+		f := 0.0
+		f += float64(v)
+		last = f
+	}
+	return n, last
+}

@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cache"
 	"repro/internal/ir"
 	"repro/internal/kernels"
 	"repro/internal/space"
@@ -412,6 +413,10 @@ func (p *parser) finish() (*kernels.Kernel, error) {
 		}
 	}
 
+	if err := checkDerivedNames(p.nests, bindings); err != nil {
+		return nil, err
+	}
+
 	spc := space.New(params...)
 	inputSize := p.inputSize
 	if inputSize == "" {
@@ -419,6 +424,35 @@ func (p *parser) finish() (*kernels.Kernel, error) {
 	}
 	return kernels.Custom(p.name, inputSize, p.nests, spc, bindings,
 		p.switches["SCR"], p.switches["VEC"], p.switches["OMP"])
+}
+
+// checkDerivedNames refuses nests the transformations cannot apply to.
+// Cache tiling loop v adds a loop v+v and register tiling adds v+"_b",
+// so no loop may already carry a name a tunable loop derives, and no two
+// derived names may coincide. Each tunable loop can add two loops, and
+// the cost model analyzes at most cache.MaxLoops.
+func checkDerivedNames(nests []*ir.Nest, bindings []kernels.Binding) error {
+	for ni, n := range nests {
+		derivedBy := map[string]string{}
+		for _, b := range bindings {
+			if b.Nest != ni {
+				continue
+			}
+			for _, d := range []string{b.Var + b.Var, b.Var + "_b"} {
+				if n.LoopIndex(d) >= 0 {
+					return fmt.Errorf("annotate: nest %s: loop %q collides with the loop tiling %q derives; rename it", n.Name, d, b.Var)
+				}
+				if v, dup := derivedBy[d]; dup {
+					return fmt.Errorf("annotate: nest %s: tiling loops %q and %q both derive a loop %q; rename one", n.Name, v, b.Var, d)
+				}
+				derivedBy[d] = b.Var
+			}
+		}
+		if most := len(n.Loops) + len(derivedBy); most > cache.MaxLoops {
+			return fmt.Errorf("annotate: nest %s: %d loops after tiling, at most %d supported", n.Name, most, cache.MaxLoops)
+		}
+	}
+	return nil
 }
 
 // parseIndices parses "[e1][e2]..." into expressions.
@@ -476,7 +510,7 @@ func parseExpr(s string) (ir.Expr, error) {
 			}
 			sign = 1
 		case '-':
-			if term.Len() == 0 && expr.Const == 0 && len(expr.Coeff) == 0 {
+			if term.Len() == 0 && expr.Const == 0 && len(expr.Terms) == 0 {
 				// Leading minus.
 				sign = -1
 				continue

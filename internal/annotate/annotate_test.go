@@ -161,10 +161,10 @@ param RT_J2 on j regtile pow2 0..3
 	c := k.Space().Default()
 	c[k.Space().Index("U_J2")] = 3 // unroll 4
 	specs := k.SpecsFor(c)
-	if specs[1].Unrolls["j"] != 4 {
+	if specs[1].Unrolls.Get("j") != 4 {
 		t.Fatalf("param did not bind to second nest: %v", specs[1].Unrolls)
 	}
-	if specs[0].Unrolls["j"] != 0 && specs[0].Unrolls["j"] > 1 {
+	if specs[0].Unrolls.Get("j") != 0 && specs[0].Unrolls.Get("j") > 1 {
 		t.Fatalf("param leaked into first nest: %v", specs[0].Unrolls)
 	}
 }
@@ -278,5 +278,43 @@ param RT_I on i regtile pow2 0..2
 	}
 	if tc := k.Nests[0].TripCount(0); tc != 32 {
 		t.Fatalf("strided trip = %v", tc)
+	}
+}
+
+// TestDerivedLoopNameCollisionRefused: tiling loop i derives loops ii
+// (cache tile) and i_b (register tile), so an annotation that already
+// names a loop that way cannot be transformed. Parse must refuse it;
+// a kernel that got through would panic on the first tiled evaluation.
+func TestDerivedLoopNameCollisionRefused(t *testing.T) {
+	for _, tc := range []struct{ name, clash, param string }{
+		{"cache tile", "ii", "T_I"},
+		{"register tile", "i_b", "RT_I"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			text := `
+kernel clash
+size N = 2000
+array A[N][N] elem 8
+nest clash
+loop i = 0 .. N
+loop ` + tc.clash + ` = 0 .. N
+stmt A[i][` + tc.clash + `] += A[` + tc.clash + `][i] flops 1
+param U_I on i unroll 1..4
+param T_I on i tile pow2 0..6
+param RT_I on i regtile pow2 0..3
+`
+			k, err := Parse(text)
+			if err == nil {
+				p := kernels.NewProblem(k, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})
+				c := k.Space().Default()
+				i := k.Space().Index(tc.param)
+				c[i] = k.Space().Param(i).Levels() - 1
+				p.Evaluate(c)
+				t.Fatalf("loop %q accepted next to tunable loop i", tc.clash)
+			}
+			if !strings.Contains(err.Error(), `"`+tc.clash+`"`) {
+				t.Fatalf("error does not name the colliding loop: %v", err)
+			}
+		})
 	}
 }

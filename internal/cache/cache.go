@@ -14,7 +14,7 @@ package cache
 import (
 	"fmt"
 	"math"
-	"strings"
+	"sync"
 
 	"repro/internal/ir"
 )
@@ -63,36 +63,79 @@ type Result struct {
 	FootprintBytes float64
 }
 
-// distinctRef is a deduplicated array reference with read/write flags.
+// MaxLoops is the deepest nest the analysis accepts: loop sets are
+// bit masks over loop positions.
+const MaxLoops = 64
+
+// distinctRef is a deduplicated array reference with read/write flags and
+// its slot-resolved index forms.
 type distinctRef struct {
 	ref    ir.Ref
 	read   bool
 	write  bool
 	copies int // how many body statements reference it
+
+	idx   []form // Index, resolved
+	array int    // position in analysis.arrays
+	// uses and usesButLast are the loops whose variables any index
+	// (any index but the last) uses; varies adds every loop their bounds
+	// depend on, so the reference varies when loop v advances iff bit v
+	// of varies is set.
+	uses, usesButLast, varies uint64
 }
 
-func refSignature(r ir.Ref) string {
-	var b strings.Builder
-	b.WriteString(r.Array)
-	for _, e := range r.Index {
-		b.WriteByte('[')
-		b.WriteString(e.String())
-		b.WriteByte(']')
+// sameExpr reports whether two expressions render the same String, which
+// is how references were once told apart: same symbols with coefficients
+// of the same rendering, and the same constant where it is rendered.
+func sameExpr(a, b ir.Expr) bool {
+	if len(a.Terms) != len(b.Terms) {
+		return false
 	}
-	return b.String()
+	for i, t := range a.Terms {
+		if t.Sym != b.Terms[i].Sym || !sameFloat(t.Coeff, b.Terms[i].Coeff) {
+			return false
+		}
+	}
+	if len(a.Terms) > 0 && math.Float64bits(a.Const)<<1 == 0 && math.Float64bits(b.Const)<<1 == 0 {
+		return true // a zero constant (of either sign) is not rendered after terms
+	}
+	return sameFloat(a.Const, b.Const)
 }
 
-func distinctRefs(n *ir.Nest) []distinctRef {
-	order := make([]string, 0, 8)
-	m := map[string]*distinctRef{}
+// sameFloat reports whether x and y format alike under %g: the same bits
+// (so the same value and sign), or both NaN.
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+func sameRef(a, b ir.Ref) bool {
+	if a.Array != b.Array || len(a.Index) != len(b.Index) {
+		return false
+	}
+	for i := range a.Index {
+		if !sameExpr(a.Index[i], b.Index[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// distinctRefs appends the nest's distinct references to out, in order
+// of first appearance.
+func distinctRefs(out []distinctRef, n *ir.Nest) []distinctRef {
+	start := len(out)
 	for _, s := range n.Body {
 		for _, r := range s.Refs {
-			sig := refSignature(r)
-			d, ok := m[sig]
-			if !ok {
-				d = &distinctRef{ref: r}
-				m[sig] = d
-				order = append(order, sig)
+			var d *distinctRef
+			for i := start; i < len(out); i++ {
+				if sameRef(out[i].ref, r) {
+					d = &out[i]
+					break
+				}
+			}
+			if d == nil {
+				out = append(out, distinctRef{ref: r})
+				d = &out[len(out)-1]
 			}
 			d.copies++
 			if r.Write {
@@ -102,66 +145,69 @@ func distinctRefs(n *ir.Nest) []distinctRef {
 			}
 		}
 	}
-	out := make([]distinctRef, len(order))
-	for i, sig := range order {
-		out[i] = *m[sig]
-	}
 	return out
 }
 
-// varies reports whether the reference uses the loop variable in any index.
-func varies(r ir.Ref, loopVar string) bool {
-	for _, e := range r.Index {
-		if e.Uses(loopVar) {
-			return true
-		}
-	}
-	return false
-}
-
-// BoundDeps returns, for each loop variable, the transitive set of loop
-// variables its bounds depend on. A reference that uses a tile point loop
-// (i in [ii, ii+T)) therefore also varies when the tile loop ii advances.
-func BoundDeps(n *ir.Nest) map[string]map[string]bool {
-	loopVars := make(map[string]bool, len(n.Loops))
-	for _, l := range n.Loops {
-		loopVars[l.Var] = true
-	}
-	deps := make(map[string]map[string]bool, len(n.Loops))
+// BoundDeps fills deps[i], for each loop i of n, with the loops whose
+// variables loop i's bounds depend on, transitively, as a mask over loop
+// positions. A reference that uses a tile point loop (i in [ii, ii+T))
+// therefore also varies when the tile loop ii advances. deps must have
+// one entry per loop, and n at most MaxLoops loops.
+func BoundDeps(n *ir.Nest, deps []uint64) {
 	// Loops are ordered outermost first, so a loop's bounds can only
 	// reference already-processed outer loops; one pass suffices for the
 	// transitive closure.
-	for _, l := range n.Loops {
-		set := map[string]bool{}
-		for _, e := range []ir.Expr{l.Lower, l.Upper} {
-			for v := range e.Coeff {
-				if !loopVars[v] {
+	for i, l := range n.Loops {
+		var set uint64
+		for _, e := range [2]ir.Expr{l.Lower, l.Upper} {
+			for _, t := range e.Terms {
+				j := n.LoopIndex(t.Sym)
+				if j < 0 {
 					continue
 				}
-				set[v] = true
-				for w := range deps[v] {
-					set[w] = true
+				set |= 1 << j
+				if j < i {
+					set |= deps[j]
 				}
 			}
 		}
-		deps[l.Var] = set
+		deps[i] = set
 	}
-	return deps
 }
 
-// VariesVia reports whether the reference varies when loop variable v
-// advances, either by using v directly or by using a variable whose
-// bounds (transitively) depend on v.
-func VariesVia(r ir.Ref, v string, deps map[string]map[string]bool) bool {
-	if varies(r, v) {
-		return true
+// Uses returns the loops whose variables the reference's indices use,
+// as a mask over loop positions.
+func Uses(n *ir.Nest, r ir.Ref) uint64 {
+	var set uint64
+	for _, e := range r.Index {
+		set |= exprUses(n, e)
 	}
-	for w, set := range deps {
-		if set[v] && varies(r, w) {
-			return true
+	return set
+}
+
+func exprUses(n *ir.Nest, e ir.Expr) uint64 {
+	var set uint64
+	for _, t := range e.Terms {
+		if t.Coeff != 0 {
+			if j := n.LoopIndex(t.Sym); j >= 0 {
+				set |= 1 << j
+			}
 		}
 	}
-	return false
+	return set
+}
+
+// Varies returns the loops along which a reference with the given uses
+// varies: those it uses directly and those whose advance moves a loop it
+// uses through that loop's bounds (deps from BoundDeps).
+func Varies(uses uint64, deps []uint64) uint64 {
+	set := uses
+	for w, d := range deps {
+		if uses&(1<<w) != 0 {
+			set |= d
+		}
+	}
+	return set
 }
 
 // loopInfo precomputes per-loop quantities for the analysis.
@@ -177,6 +223,229 @@ type loopInfo struct {
 	remaining float64
 }
 
+// slotTerm is one resolved term of an affine form: a coefficient times
+// the value of an environment slot.
+type slotTerm struct {
+	slot  int
+	coeff float64
+}
+
+// form is an ir.Expr resolved against an analysis's slots. Its terms
+// keep the expression's symbol order, so it sums in the same order.
+type form struct {
+	terms []slotTerm
+	c     float64
+}
+
+func (f form) eval(env []float64) float64 {
+	v := f.c
+	for _, t := range f.terms {
+		v += float64(t.coeff * env[t.slot])
+	}
+	return v
+}
+
+// coeffOfLoop returns the coefficient of loop slot j (0 if absent).
+func (f form) coeffOfLoop(j int) float64 {
+	for _, t := range f.terms {
+		if t.slot == j {
+			return t.coeff
+		}
+	}
+	return 0
+}
+
+// interval is a closed numeric range used for footprint analysis.
+type interval struct{ lo, hi float64 }
+
+// evalInterval evaluates an affine form over slot intervals.
+func (f form) evalInterval(env []interval) interval {
+	out := interval{f.c, f.c}
+	for _, t := range f.terms {
+		iv := env[t.slot]
+		if t.coeff >= 0 {
+			out.lo += float64(t.coeff * iv.lo)
+			out.hi += float64(t.coeff * iv.hi)
+		} else {
+			out.lo += float64(t.coeff * iv.hi)
+			out.hi += float64(t.coeff * iv.lo)
+		}
+	}
+	return out
+}
+
+// arrayInfo is one array the distinct references touch, in order of
+// first appearance, with its per-depth footprint accumulators.
+type arrayInfo struct {
+	name     string
+	elem     float64
+	dims     []float64 // dimension extents under the problem sizes
+	capBytes float64
+	bytes    float64
+	lines    float64
+}
+
+// analysis is the scratch state of one Analyze call. Every symbol of the
+// nest resolves once to a slot: slot j < len(Loops) is loop j's
+// variable, later slots the other symbols in order of first use. The
+// environments are then plain slices indexed by slot. Analyze draws an
+// analysis from a pool, so a steady stream of calls allocates only the
+// results.
+type analysis struct {
+	n      *ir.Nest
+	extra  []string  // symbol of slot len(Loops)+i
+	init   []float64 // value of every slot before its loop binds
+	terms  []slotTerm
+	bounds []form // loop j's lower bound at 2j, upper at 2j+1
+	idx    []form
+	dims   []float64
+	refs   []distinctRef
+	arrays []arrayInfo
+	deps   []uint64
+	infos  []loopInfo
+	env    []float64
+	ienv   []interval
+	depth  []float64 // fpBytes, fpLines, outerIters: one per depth each
+}
+
+var analyses = sync.Pool{New: func() any { return new(analysis) }}
+
+// slot returns sym's slot, assigning a new one on first use.
+func (a *analysis) slot(sym string) int {
+	if j := a.n.LoopIndex(sym); j >= 0 {
+		return j
+	}
+	for i, s := range a.extra {
+		if s == sym {
+			return len(a.n.Loops) + i
+		}
+	}
+	a.extra = append(a.extra, sym)
+	a.init = append(a.init, a.n.Sizes[sym])
+	return len(a.n.Loops) + len(a.extra) - 1
+}
+
+// resolve returns e with its symbols resolved to slots.
+func (a *analysis) resolve(e ir.Expr) form {
+	start := len(a.terms)
+	for _, t := range e.Terms {
+		a.terms = append(a.terms, slotTerm{slot: a.slot(t.Sym), coeff: t.Coeff})
+	}
+	return form{terms: a.terms[start:len(a.terms):len(a.terms)], c: e.Const}
+}
+
+// prepare resolves n: its loop bounds, its distinct references and their
+// arrays, and the loop dependency masks.
+func (a *analysis) prepare(n *ir.Nest) {
+	L := len(n.Loops)
+	a.n = n
+	a.extra = a.extra[:0]
+	a.init = a.init[:0]
+	for _, l := range n.Loops {
+		// A loop variable that shadows a problem size reads as the size
+		// until its loop binds it.
+		a.init = append(a.init, n.Sizes[l.Var])
+	}
+	a.terms = a.terms[:0]
+	a.bounds = a.bounds[:0]
+	for _, l := range n.Loops {
+		a.bounds = append(a.bounds, a.resolve(l.Lower), a.resolve(l.Upper))
+	}
+	a.deps = grow(a.deps, L)
+	BoundDeps(n, a.deps)
+
+	a.refs = distinctRefs(a.refs[:0], n)
+	a.idx = a.idx[:0]
+	a.arrays = a.arrays[:0]
+	a.dims = a.dims[:0]
+	for i := range a.refs {
+		d := &a.refs[i]
+		start := len(a.idx)
+		for _, e := range d.ref.Index {
+			a.idx = append(a.idx, a.resolve(e))
+		}
+		d.idx = a.idx[start:len(a.idx):len(a.idx)]
+		last := len(d.ref.Index) - 1
+		d.uses, d.usesButLast = 0, 0
+		for di, e := range d.ref.Index {
+			u := exprUses(n, e)
+			d.uses |= u
+			if di != last {
+				d.usesButLast |= u
+			}
+		}
+		d.varies = Varies(d.uses, a.deps)
+		d.array = -1
+		for k := range a.arrays {
+			if a.arrays[k].name == d.ref.Array {
+				d.array = k
+				break
+			}
+		}
+		if d.array < 0 {
+			d.array = len(a.arrays)
+			a.arrays = append(a.arrays, a.arrayInfo(d.ref.Array))
+		}
+	}
+}
+
+// arrayInfo resolves one declared array: element size, extents, and
+// the capacity that overlapping references cannot exceed.
+func (a *analysis) arrayInfo(name string) arrayInfo {
+	arr := a.n.Arrays[name]
+	info := arrayInfo{name: name, elem: float64(arr.ElemSize)}
+	start := len(a.dims)
+	capElems := 1.0
+	for _, dim := range arr.Dims {
+		size := dim.Eval(a.n.Sizes)
+		a.dims = append(a.dims, size)
+		capElems *= math.Max(1, size)
+	}
+	info.dims = a.dims[start:len(a.dims):len(a.dims)]
+	info.capBytes = capElems * info.elem
+	return info
+}
+
+// grow returns s resized to n elements, reusing its storage.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// trips fills the loop infos' trip counts: every loop variable is bound
+// to the midpoint of its range (outer variables first), then each loop's
+// bounds are evaluated in that full environment.
+func (a *analysis) trips() {
+	L := len(a.n.Loops)
+	env := grow(a.env, len(a.init))
+	copy(env, a.init)
+	for j := 0; j < L; j++ {
+		lo := a.bounds[2*j].eval(env)
+		hi := a.bounds[2*j+1].eval(env)
+		if hi < lo {
+			hi = lo
+		}
+		env[j] = (lo + hi) / 2
+	}
+	a.env = env
+	a.infos = grow(a.infos, L)
+	for j, l := range a.n.Loops {
+		trip := 0.0
+		lo := a.bounds[2*j].eval(env)
+		hi := a.bounds[2*j+1].eval(env)
+		if hi > lo {
+			step := l.Step
+			if step <= 0 {
+				step = 1
+			}
+			trip = math.Max(1, (hi-lo)/step)
+		}
+		a.infos[j] = loopInfo{loop: l, trip: trip}
+	}
+}
+
 // Analyze computes the locality result for the nest under the parameters.
 func Analyze(n *ir.Nest, p Params) (Result, error) {
 	if err := n.Validate(); err != nil {
@@ -185,16 +454,33 @@ func Analyze(n *ir.Nest, p Params) (Result, error) {
 	if p.LineBytes <= 0 {
 		return Result{}, fmt.Errorf("cache: line size must be positive")
 	}
+	if len(n.Loops) > MaxLoops {
+		return Result{}, fmt.Errorf("cache: %s has %d loops, at most %d supported", n.Name, len(n.Loops), MaxLoops)
+	}
 	capFrac := p.CapacityFraction
 	if capFrac <= 0 || capFrac > 1 {
 		capFrac = 0.75
 	}
 
-	res := Result{
-		BodyExecs: n.BodyExecutions(),
-		Flops:     n.TotalFlops(),
+	a := analyses.Get().(*analysis)
+	defer func() {
+		a.n = nil
+		analyses.Put(a)
+	}()
+	a.prepare(n)
+	a.trips()
+	infos := a.infos
+
+	res := Result{BodyExecs: 1}
+	for _, li := range infos {
+		res.BodyExecs *= li.trip
 	}
-	refs := distinctRefs(n)
+	perBody := 0.0
+	for _, s := range n.Body {
+		perBody += s.Flops
+	}
+	res.Flops = perBody * res.BodyExecs
+	refs := a.refs
 	if res.BodyExecs == 0 {
 		res.Traffic = make([]float64, len(p.Levels))
 		return res, nil
@@ -211,23 +497,23 @@ func Analyze(n *ir.Nest, p Params) (Result, error) {
 		}
 	}
 
-	infos := make([]loopInfo, len(n.Loops))
 	unrollProduct := 1.0
-	for i, l := range n.Loops {
-		trip := n.TripCount(i)
-		if trip < 1 {
-			trip = 1
+	for i := range infos {
+		li := &infos[i]
+		if li.trip < 1 {
+			li.trip = 1
 		}
 		block := 1.0
-		u := float64(l.Unroll)
+		u := float64(li.loop.Unroll)
 		if u < 1 {
 			u = 1
 		}
 		unrollProduct *= u
-		if l.Register || (u > 1 && i != innermost) {
-			block = math.Min(u, trip)
+		if li.loop.Register || (u > 1 && i != innermost) {
+			block = math.Min(u, li.trip)
 		}
-		infos[i] = loopInfo{loop: l, trip: trip, block: block, remaining: math.Max(1, trip/block)}
+		li.block = block
+		li.remaining = math.Max(1, li.trip/block)
 	}
 	res.UnrollProduct = unrollProduct
 
@@ -238,12 +524,11 @@ func Analyze(n *ir.Nest, p Params) (Result, error) {
 	res.BlockIters = res.BodyExecs / blockSize
 
 	// Register-level loads/stores and pressure.
-	deps := BoundDeps(n)
 	pressure := 0.0
 	for _, d := range refs {
 		nr := 1.0 // elements of this ref live in the block
-		for _, li := range infos {
-			if li.block > 1 && VariesVia(d.ref, li.loop.Var, deps) {
+		for i, li := range infos {
+			if li.block > 1 && d.varies&(1<<i) != 0 {
 				nr *= li.block
 			}
 		}
@@ -255,35 +540,34 @@ func Analyze(n *ir.Nest, p Params) (Result, error) {
 			if li.remaining <= 1+1e-9 {
 				continue // fully inside the block
 			}
-			if VariesVia(d.ref, li.loop.Var, deps) {
+			if d.varies&(1<<i) != 0 {
 				break
 			}
 			s *= li.remaining
 		}
 		residencies := res.BlockIters / s
 		if d.read || d.write {
-			res.RegLoads += residencies * nr
+			res.RegLoads += float64(residencies * nr)
 		}
 		if d.write {
-			res.RegStores += residencies * nr
+			res.RegStores += float64(residencies * nr)
 		}
-		res.NaiveLoads += res.BodyExecs * float64(d.copies)
+		res.NaiveLoads += float64(res.BodyExecs * float64(d.copies))
 		pressure += nr
 	}
 	// Induction variables and statement temporaries occupy registers too;
 	// unrolled bodies replicate the temporaries.
-	pressure += float64(len(n.Loops)) + float64(len(n.Body))*blockSize*0.5
+	pressure += float64(len(n.Loops)) + float64(float64(len(n.Body))*blockSize*0.5)
 	res.RegPressure = pressure
 
 	// Cache traffic per level via the capacity-fit footprint model.
 	depths := len(n.Loops) + 1
-	fpBytes := make([]float64, depths)    // footprint of loops[l:]
-	fpLines := make([]float64, depths)    // same footprint in cache lines
-	outerIters := make([]float64, depths) // executions of the loops outside depth l
+	a.depth = grow(a.depth, 3*depths)
+	fpBytes := a.depth[:depths]           // footprint of loops[l:]
+	fpLines := a.depth[depths : 2*depths] // same footprint in cache lines
+	outerIters := a.depth[2*depths:]      // executions of the loops outside depth l
 	for l := 0; l < depths; l++ {
-		b, lines := footprintAt(n, refs, l, p.LineBytes)
-		fpBytes[l] = b
-		fpLines[l] = lines
+		fpBytes[l], fpLines[l] = a.footprintAt(l, p.LineBytes)
 		it := 1.0
 		for j := 0; j < l; j++ {
 			it *= infos[j].trip
@@ -321,7 +605,7 @@ func Analyze(n *ir.Nest, p Params) (Result, error) {
 			res.Traffic[li] = ts
 			continue
 		}
-		res.Traffic[li] = math.Exp((1-t)*math.Log(tb) + t*math.Log(ts))
+		res.Traffic[li] = math.Exp(float64((1-t)*math.Log(tb)) + float64(t*math.Log(ts)))
 	}
 	// Monotonicity: an inner level cannot see less traffic than an outer
 	// one (everything that misses L2 also missed L1).
@@ -334,11 +618,11 @@ func Analyze(n *ir.Nest, p Params) (Result, error) {
 	// Loop overhead: each loop header executes trip/unroll times per entry.
 	for i := range infos {
 		overheadPerHeader := 2.0
-		res.LoopOverheadOps += headerExecs(infos, i) * overheadPerHeader
+		res.LoopOverheadOps += float64(headerExecs(infos, i) * overheadPerHeader)
 	}
 
 	// Vectorization analysis over the innermost remaining loop.
-	res.VecFraction, res.InnermostTrip = vectorizability(n, refs, infos)
+	res.VecFraction, res.InnermostTrip = vectorizability(refs, infos)
 
 	return res, nil
 }
@@ -357,78 +641,60 @@ func headerExecs(infos []loopInfo, i int) float64 {
 	return execs * infos[i].trip / u
 }
 
-// interval is a closed numeric range used for footprint analysis.
-type interval struct{ lo, hi float64 }
-
-// evalInterval evaluates an affine expression over variable intervals.
-// Unbound symbols evaluate to [0, 0].
-func evalInterval(e ir.Expr, env map[string]interval) interval {
-	out := interval{e.Const, e.Const}
-	for v, c := range e.Coeff {
-		iv := env[v]
-		if c >= 0 {
-			out.lo += c * iv.lo
-			out.hi += c * iv.hi
-		} else {
-			out.lo += c * iv.hi
-			out.hi += c * iv.lo
-		}
+// varIntervals sets the interval environment to the value range of every
+// loop variable when the loops at depth >= l iterate freely and the
+// outer loops are held at their midpoints. Bounds are resolved
+// outermost-first so tile point loops (i in [ii, ii+T)) inherit the tile
+// loop's full sweep; a symbol no loop binds keeps its problem size (or 0).
+func (a *analysis) varIntervals(l int) []interval {
+	env := grow(a.ienv, len(a.init))
+	for s, v := range a.init {
+		env[s] = interval{v, v}
 	}
-	return out
-}
-
-// varIntervals returns the value range of every loop variable when the
-// loops at depth >= l iterate freely and the outer loops are held at their
-// midpoints. Bounds are resolved outermost-first so tile point loops
-// (i in [ii, ii+T)) inherit the tile loop's full sweep.
-func varIntervals(n *ir.Nest, l int) map[string]interval {
-	env := make(map[string]interval, len(n.Sizes)+len(n.Loops))
-	for k, v := range n.Sizes {
-		env[k] = interval{v, v}
-	}
-	for j, loop := range n.Loops {
-		lo := evalInterval(loop.Lower, env)
-		hi := evalInterval(loop.Upper, env)
+	for j, loop := range a.n.Loops {
+		lo := a.bounds[2*j].evalInterval(env)
+		hi := a.bounds[2*j+1].evalInterval(env)
 		if hi.hi < lo.lo {
 			hi.hi = lo.lo
 		}
 		if j < l {
 			// Held fixed: collapse to the midpoint of the average range.
 			mid := (lo.lo + lo.hi + hi.lo + hi.hi) / 4
-			env[loop.Var] = interval{mid, mid}
+			env[j] = interval{mid, mid}
 		} else {
 			upper := hi.hi - loop.Step
 			if upper < lo.lo {
 				upper = lo.lo
 			}
-			env[loop.Var] = interval{lo.lo, upper}
+			env[j] = interval{lo.lo, upper}
 		}
 	}
+	a.ienv = env
 	return env
 }
 
 // footprintAt returns the footprint in bytes and cache lines of the data
 // accessed by the loops at depth >= l (outer loop variables held fixed).
-func footprintAt(n *ir.Nest, refs []distinctRef, l int, lineBytes float64) (bytes, lines float64) {
-	inner := n.Loops[l:]
-	env := varIntervals(n, l)
+func (a *analysis) footprintAt(l int, lineBytes float64) (bytes, lines float64) {
+	L := len(a.n.Loops)
+	env := a.varIntervals(l)
 	// Per-array accumulation so multiple references into the same array
 	// (LU accesses A three ways) are capped at the array's size.
-	type arrAcc struct{ bytes, lines, capBytes float64 }
-	accs := map[string]*arrAcc{}
-	order := []string{}
+	for k := range a.arrays {
+		a.arrays[k].bytes, a.arrays[k].lines = 0, 0
+	}
 
-	for _, d := range refs {
-		arr := n.Arrays[d.ref.Array]
-		elem := float64(arr.ElemSize)
+	for _, d := range a.refs {
+		arr := &a.arrays[d.array]
+		elem := arr.elem
 
 		elements := 1.0
 		lastTouched := 1.0
 		dense := false
-		for di, idx := range d.ref.Index {
-			iv := evalInterval(idx, env)
+		for di, idx := range d.idx {
+			iv := idx.evalInterval(env)
 			touched := iv.hi - iv.lo + 1
-			dimSize := arr.Dims[di].Eval(n.Sizes)
+			dimSize := arr.dims[di]
 			if dimSize > 0 && touched > dimSize {
 				touched = dimSize
 			}
@@ -436,22 +702,22 @@ func footprintAt(n *ir.Nest, refs []distinctRef, l int, lineBytes float64) (byte
 				touched = 1
 			}
 			elements *= touched
-			if di == len(d.ref.Index)-1 {
+			if di == len(d.idx)-1 {
 				lastTouched = touched
-				for _, loop := range inner {
-					if math.Abs(idx.CoeffOf(loop.Var)) == 1 {
+				for _, t := range idx.terms {
+					if t.slot >= l && t.slot < L && math.Abs(t.coeff) == 1 {
 						dense = true
 					}
 				}
 			}
 		}
 
-		b := elements * elem
+		b := float64(elements * elem)
 		var ln float64
 		if dense && lastTouched > 1 {
 			// Rows of lastTouched contiguous elements.
 			rows := elements / lastTouched
-			ln = rows * math.Ceil(lastTouched*elem/lineBytes)
+			ln = float64(rows * math.Ceil(lastTouched*elem/lineBytes))
 		} else {
 			// Strided or fixed last dimension: one line per element,
 			// bounded below by the dense packing.
@@ -462,29 +728,17 @@ func footprintAt(n *ir.Nest, refs []distinctRef, l int, lineBytes float64) (byte
 			// twice across each boundary it crosses.
 			ln *= 2
 		}
-
-		acc, ok := accs[d.ref.Array]
-		if !ok {
-			capElems := 1.0
-			for _, dim := range arr.Dims {
-				capElems *= math.Max(1, dim.Eval(n.Sizes))
-			}
-			acc = &arrAcc{capBytes: capElems * elem}
-			accs[d.ref.Array] = acc
-			order = append(order, d.ref.Array)
-		}
-		acc.bytes += b
-		acc.lines += ln
+		arr.bytes += b
+		arr.lines += ln
 	}
 
-	for _, name := range order {
-		a := accs[name]
-		b := a.bytes
-		ln := a.lines
-		if b > a.capBytes {
+	for _, acc := range a.arrays {
+		b := acc.bytes
+		ln := acc.lines
+		if b > acc.capBytes {
 			// Overlapping references cannot exceed the array itself.
-			scale := a.capBytes / b
-			b = a.capBytes
+			scale := acc.capBytes / b
+			b = acc.capBytes
 			ln *= scale
 		}
 		bytes += b
@@ -496,7 +750,7 @@ func footprintAt(n *ir.Nest, refs []distinctRef, l int, lineBytes float64) (byte
 // vectorizability classifies references against the innermost loop that
 // still iterates (remaining trip > 1): a reference supports SIMD if it is
 // invariant in that loop or accesses the last dimension with stride one.
-func vectorizability(n *ir.Nest, refs []distinctRef, infos []loopInfo) (frac, trip float64) {
+func vectorizability(refs []distinctRef, infos []loopInfo) (frac, trip float64) {
 	vi := -1
 	for i := len(infos) - 1; i >= 0; i-- {
 		if infos[i].remaining > 1+1e-9 {
@@ -507,28 +761,17 @@ func vectorizability(n *ir.Nest, refs []distinctRef, infos []loopInfo) (frac, tr
 	if vi < 0 || len(refs) == 0 {
 		return 0, 1
 	}
-	v := infos[vi].loop.Var
+	bit := uint64(1) << vi
 	good := 0.0
 	for _, d := range refs {
-		if !varies(d.ref, v) {
+		if d.uses&bit == 0 {
 			good++
 			continue
 		}
-		last := d.ref.Index[len(d.ref.Index)-1]
-		if math.Abs(last.CoeffOf(v)) == 1 && onlyLastDimUses(d.ref, v) {
+		last := d.idx[len(d.idx)-1]
+		if math.Abs(last.coeffOfLoop(vi)) == 1 && d.usesButLast&bit == 0 {
 			good++
 		}
 	}
 	return good / float64(len(refs)), infos[vi].remaining
-}
-
-// onlyLastDimUses reports whether loop variable v appears only in the last
-// index dimension of the reference (a row access rather than a diagonal).
-func onlyLastDimUses(r ir.Ref, v string) bool {
-	for i, e := range r.Index {
-		if i != len(r.Index)-1 && e.Uses(v) {
-			return false
-		}
-	}
-	return true
 }

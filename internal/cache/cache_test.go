@@ -90,7 +90,7 @@ func TestRegisterTilingReducesLoads(t *testing.T) {
 	base := mmNest(n)
 	spec := transform.Spec{
 		Order:    []string{"i", "j", "k"},
-		RegTiles: map[string]int{"i": 4, "j": 2},
+		RegTiles: transform.Factors{{Var: "i", N: 4}, {Var: "j", N: 2}},
 	}
 	tiled, err := transform.Apply(base, spec)
 	if err != nil {
@@ -149,7 +149,7 @@ func TestCacheTilingReducesDRAMTraffic(t *testing.T) {
 
 	spec := transform.Spec{
 		Order:      []string{"i", "j", "k"},
-		CacheTiles: map[string]int{"i": 32, "j": 32, "k": 32},
+		CacheTiles: transform.Factors{{Var: "i", N: 32}, {Var: "j", N: 32}, {Var: "k", N: 32}},
 	}
 	tiled, err := transform.Apply(mmNest(n), spec)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestTrafficMonotoneAcrossLevels(t *testing.T) {
 	for _, tile := range []int{1, 8, 64, 512} {
 		spec := transform.Spec{
 			Order:      []string{"i", "j", "k"},
-			CacheTiles: map[string]int{"i": tile, "j": tile, "k": tile},
+			CacheTiles: transform.Factors{{Var: "i", N: tile}, {Var: "j", N: tile}, {Var: "k", N: tile}},
 		}
 		nest, err := transform.Apply(mmNest(2000), spec)
 		if err != nil {
@@ -278,7 +278,7 @@ func TestTilePointLoopFootprintCouplesToTileLoop(t *testing.T) {
 	// whole arrays (the tile loops sweep everything), not a single tile.
 	spec := transform.Spec{
 		Order:      []string{"i", "j", "k"},
-		CacheTiles: map[string]int{"i": 16, "j": 16, "k": 16},
+		CacheTiles: transform.Factors{{Var: "i", N: 16}, {Var: "j", N: 16}, {Var: "k", N: 16}},
 	}
 	nest, err := transform.Apply(mmNest(1000), spec)
 	if err != nil {
@@ -306,7 +306,7 @@ func TestLargerCacheNeverIncreasesTraffic(t *testing.T) {
 	for _, tile := range []int{1, 4, 16, 64, 256} {
 		spec := transform.Spec{
 			Order:      []string{"i", "j", "k"},
-			CacheTiles: map[string]int{"i": tile, "j": tile, "k": tile},
+			CacheTiles: transform.Factors{{Var: "i", N: tile}, {Var: "j", N: tile}, {Var: "k", N: tile}},
 		}
 		nest, err := transform.Apply(mmNest(1200), spec)
 		if err != nil {
@@ -332,7 +332,7 @@ func TestRegisterPressureGrowsWithBlock(t *testing.T) {
 	for _, rt := range []int{1, 2, 4, 8} {
 		spec := transform.Spec{
 			Order:    []string{"i", "j", "k"},
-			RegTiles: map[string]int{"i": rt, "j": rt},
+			RegTiles: transform.Factors{{Var: "i", N: rt}, {Var: "j", N: rt}},
 		}
 		nest, err := transform.Apply(mmNest(512), spec)
 		if err != nil {
@@ -367,7 +367,7 @@ func TestDistinctRefDedup(t *testing.T) {
 		Refs:  []ir.Ref{{Array: "A", Index: []ir.Expr{ir.Sym("i", 1), ir.Sym("k", 1)}}},
 		Flops: 1,
 	})
-	refs := distinctRefs(n)
+	refs := distinctRefs(nil, n)
 	if len(refs) != 3 {
 		t.Fatalf("dedup failed: %d distinct refs", len(refs))
 	}
@@ -379,16 +379,10 @@ func TestDistinctRefDedup(t *testing.T) {
 func TestAnalyzePropertyNonNegativeDeterministic(t *testing.T) {
 	f := func(u1, u2, u3, t1, t2, t3, r1, r2, r3 uint8) bool {
 		spec := transform.Spec{
-			Order: []string{"i", "j", "k"},
-			Unrolls: map[string]int{
-				"i": int(u1%32) + 1, "j": int(u2%32) + 1, "k": int(u3%32) + 1,
-			},
-			CacheTiles: map[string]int{
-				"i": 1 << (t1 % 12), "j": 1 << (t2 % 12), "k": 1 << (t3 % 12),
-			},
-			RegTiles: map[string]int{
-				"i": 1 << (r1 % 6), "j": 1 << (r2 % 6), "k": 1 << (r3 % 6),
-			},
+			Order:      []string{"i", "j", "k"},
+			Unrolls:    transform.Factors{{Var: "i", N: int(u1%32) + 1}, {Var: "j", N: int(u2%32) + 1}, {Var: "k", N: int(u3%32) + 1}},
+			CacheTiles: transform.Factors{{Var: "i", N: 1 << (t1 % 12)}, {Var: "j", N: 1 << (t2 % 12)}, {Var: "k", N: 1 << (t3 % 12)}},
+			RegTiles:   transform.Factors{{Var: "i", N: 1 << (r1 % 6)}, {Var: "j", N: 1 << (r2 % 6)}, {Var: "k", N: 1 << (r3 % 6)}},
 		}
 		nest, err := transform.Apply(mmNest(500), spec)
 		if err != nil {

@@ -161,7 +161,7 @@ func TestTilingReducesSimulatedMisses(t *testing.T) {
 
 	tiled, err := transform.Apply(base, transform.Spec{
 		Order:      []string{"i", "j", "k"},
-		CacheTiles: map[string]int{"i": 16, "j": 16, "k": 16},
+		CacheTiles: transform.Factors{{Var: "i", N: 16}, {Var: "j", N: 16}, {Var: "k", N: 16}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,11 +191,11 @@ func TestAnalyticModelTracksSimulation(t *testing.T) {
 	base := kernels.MM(96).Nests[0]
 	specs := []transform.Spec{
 		{Order: []string{"i", "j", "k"}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"i": 8, "j": 8, "k": 8}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"i": 16, "j": 16, "k": 16}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"i": 32, "j": 32, "k": 32}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"i": 16, "j": 64, "k": 4}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"k": 16}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "i", N: 8}, {Var: "j", N: 8}, {Var: "k", N: 8}}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "i", N: 16}, {Var: "j", N: 16}, {Var: "k", N: 16}}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "i", N: 32}, {Var: "j", N: 32}, {Var: "k", N: 32}}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "i", N: 16}, {Var: "j", N: 64}, {Var: "k", N: 4}}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "k", N: 16}}},
 	}
 
 	params := cache.Params{

@@ -179,9 +179,9 @@ func (g *generator) clampBound(l ir.Loop) string {
 	// A point loop's upper bound is lower + tile (both reference the
 	// tile variable). The tile loop's own upper bound is the original
 	// extent; clamp against it.
-	for v := range l.Upper.Coeff {
+	for _, t := range l.Upper.Terms {
 		for _, outer := range g.nest.Loops {
-			if outer.Var == v {
+			if outer.Var == t.Sym {
 				return cExpr(outer.Upper)
 			}
 		}
@@ -340,14 +340,9 @@ func cExprOffset(e ir.Expr, env *bodyEnv) string {
 			e = e.Substitute(v, repl)
 		}
 	}
-	vars := make([]string, 0, len(e.Coeff))
-	for v := range e.Coeff {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
 	var parts []string
-	for _, v := range vars {
-		switch c := e.Coeff[v]; c {
+	for _, t := range e.Terms {
+		switch v, c := t.Sym, t.Coeff; c {
 		case 1:
 			parts = append(parts, v)
 		case -1:

@@ -186,9 +186,9 @@ func TestTriangularBoundsRendered(t *testing.T) {
 func TestFullSpecEmits(t *testing.T) {
 	spec := transform.Spec{
 		Order:      []string{"i", "j", "k"},
-		Unrolls:    map[string]int{"k": 2},
-		CacheTiles: map[string]int{"i": 8, "j": 8, "k": 8},
-		RegTiles:   map[string]int{"i": 2, "j": 2},
+		Unrolls:    transform.Factors{{Var: "k", N: 2}},
+		CacheTiles: transform.Factors{{Var: "i", N: 8}, {Var: "j", N: 8}, {Var: "k", N: 8}},
+		RegTiles:   transform.Factors{{Var: "i", N: 2}, {Var: "j", N: 2}},
 	}
 	n, err := transform.Apply(mmNest(), spec)
 	if err != nil {

@@ -13,16 +13,25 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Expr is an affine expression over named symbols: sum of Coeff[v]*v plus
-// Const. Symbols are loop variables (e.g. "i", "ii") or problem-size
-// symbols (e.g. "N").
+// Expr is an affine expression over named symbols: the sum of
+// Coeff*Sym over its terms plus Const. Symbols are loop variables (e.g.
+// "i", "ii") or problem-size symbols (e.g. "N").
+//
+// Terms are sorted by symbol name, one per symbol, so every operation
+// visits them in one fixed order. Expressions share their term slices
+// freely: no operation modifies a term slice after building it.
 type Expr struct {
-	Coeff map[string]float64
+	Terms []Term
 	Const float64
+}
+
+// Term is one Coeff*Sym summand of an Expr.
+type Term struct {
+	Sym   string
+	Coeff float64
 }
 
 // Const returns a constant expression.
@@ -30,22 +39,38 @@ func Constant(c float64) Expr { return Expr{Const: c} }
 
 // Sym returns the expression coeff*name.
 func Sym(name string, coeff float64) Expr {
-	return Expr{Coeff: map[string]float64{name: coeff}}
+	return Expr{Terms: []Term{{Sym: name, Coeff: coeff}}}
 }
 
-// Add returns e + f as a new expression.
+// Add returns e + f as a new expression. Coefficients that cancel to
+// zero are dropped.
 func (e Expr) Add(f Expr) Expr {
-	out := Expr{Coeff: map[string]float64{}, Const: e.Const + f.Const}
-	for v, c := range e.Coeff {
-		out.Coeff[v] += c
+	out := Expr{Const: e.Const + f.Const}
+	if len(e.Terms)+len(f.Terms) == 0 {
+		return out
 	}
-	for v, c := range f.Coeff {
-		out.Coeff[v] += c
-	}
-	for v, c := range out.Coeff {
-		if c == 0 {
-			delete(out.Coeff, v)
+	terms := make([]Term, 0, len(e.Terms)+len(f.Terms))
+	i, j := 0, 0
+	for i < len(e.Terms) || j < len(f.Terms) {
+		var t Term
+		switch {
+		case j == len(f.Terms) || (i < len(e.Terms) && e.Terms[i].Sym < f.Terms[j].Sym):
+			t = e.Terms[i]
+			i++
+		case i == len(e.Terms) || f.Terms[j].Sym < e.Terms[i].Sym:
+			t = f.Terms[j]
+			j++
+		default:
+			t = Term{Sym: e.Terms[i].Sym, Coeff: e.Terms[i].Coeff + f.Terms[j].Coeff}
+			i++
+			j++
 		}
+		if t.Coeff != 0 {
+			terms = append(terms, t)
+		}
+	}
+	if len(terms) > 0 {
+		out.Terms = terms
 	}
 	return out
 }
@@ -53,33 +78,40 @@ func (e Expr) Add(f Expr) Expr {
 // AddConst returns e + c.
 func (e Expr) AddConst(c float64) Expr { return e.Add(Constant(c)) }
 
-// Scale returns k*e.
+// Scale returns k*e. Terms whose scaled coefficient is zero are dropped.
 func (e Expr) Scale(k float64) Expr {
-	out := Expr{Coeff: map[string]float64{}, Const: e.Const * k}
-	for v, c := range e.Coeff {
-		if c*k != 0 {
-			out.Coeff[v] = c * k
+	out := Expr{Const: e.Const * k}
+	var terms []Term
+	for _, t := range e.Terms {
+		if c := t.Coeff * k; c != 0 {
+			if terms == nil {
+				terms = make([]Term, 0, len(e.Terms))
+			}
+			terms = append(terms, Term{Sym: t.Sym, Coeff: c})
 		}
 	}
+	out.Terms = terms
 	return out
 }
 
 // Eval evaluates the expression under the given symbol bindings. Unbound
-// symbols evaluate to 0.
+// symbols evaluate to 0. Terms are summed in symbol order.
 func (e Expr) Eval(env map[string]float64) float64 {
 	v := e.Const
-	for name, c := range e.Coeff {
-		v += c * env[name]
+	for _, t := range e.Terms {
+		v += float64(t.Coeff * env[t.Sym])
 	}
 	return v
 }
 
 // CoeffOf returns the coefficient of the named symbol (0 if absent).
 func (e Expr) CoeffOf(name string) float64 {
-	if e.Coeff == nil {
-		return 0
+	for _, t := range e.Terms {
+		if t.Sym == name {
+			return t.Coeff
+		}
 	}
-	return e.Coeff[name]
+	return 0
 }
 
 // Uses reports whether the expression mentions the symbol.
@@ -91,10 +123,10 @@ func (e Expr) Substitute(name string, repl Expr) Expr {
 	if c == 0 {
 		return e
 	}
-	out := Expr{Coeff: map[string]float64{}, Const: e.Const}
-	for v, cc := range e.Coeff {
-		if v != name {
-			out.Coeff[v] = cc
+	out := Expr{Const: e.Const}
+	for _, t := range e.Terms {
+		if t.Sym != name {
+			out.Terms = append(out.Terms, t)
 		}
 	}
 	return out.Add(repl.Scale(c))
@@ -102,17 +134,12 @@ func (e Expr) Substitute(name string, repl Expr) Expr {
 
 // String renders the expression deterministically.
 func (e Expr) String() string {
-	if len(e.Coeff) == 0 {
+	if len(e.Terms) == 0 {
 		return fmt.Sprintf("%g", e.Const)
 	}
-	vars := make([]string, 0, len(e.Coeff))
-	for v := range e.Coeff {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
 	var b strings.Builder
-	for i, v := range vars {
-		c := e.Coeff[v]
+	for i, t := range e.Terms {
+		c := t.Coeff
 		if i > 0 {
 			if c >= 0 {
 				b.WriteString(" + ")
@@ -125,9 +152,9 @@ func (e Expr) String() string {
 			c = -c
 		}
 		if c == 1 {
-			b.WriteString(v)
+			b.WriteString(t.Sym)
 		} else {
-			fmt.Fprintf(&b, "%g*%s", c, v)
+			fmt.Fprintf(&b, "%g*%s", c, t.Sym)
 		}
 	}
 	if e.Const != 0 {
@@ -232,34 +259,58 @@ func (n *Nest) LoopIndex(v string) int {
 	return -1
 }
 
-// env returns the symbol environment with problem sizes bound and every
-// loop variable bound to the midpoint of its range (used to evaluate
-// bounds of triangular loops on average).
-func (n *Nest) env() map[string]float64 {
-	env := make(map[string]float64, len(n.Sizes)+len(n.Loops))
-	for k, v := range n.Sizes {
-		env[k] = v
+// maxStackLoops is the nest depth up to which the trip-count helpers
+// keep their environment on the stack.
+const maxStackLoops = 16
+
+// lookup returns the value of sym in an environment that binds problem
+// sizes and the first len(mids) loop variables (to mids): the latest such
+// loop with that variable wins over a problem size, and an unbound symbol
+// is 0.
+func (n *Nest) lookup(sym string, mids []float64) float64 {
+	for j := len(mids) - 1; j >= 0; j-- {
+		if n.Loops[j].Var == sym {
+			return mids[j]
+		}
+	}
+	return n.Sizes[sym]
+}
+
+// evalIn evaluates e in the environment lookup describes.
+func (n *Nest) evalIn(e Expr, mids []float64) float64 {
+	v := e.Const
+	for _, t := range e.Terms {
+		v += float64(t.Coeff * n.lookup(t.Sym, mids))
+	}
+	return v
+}
+
+// env binds problem sizes and every loop variable to the midpoint of its
+// range (used to evaluate bounds of triangular loops on average): each
+// loop's bounds see the sizes and the loops outside it. It returns the
+// midpoints, one per loop, in buf when it is long enough.
+func (n *Nest) env(buf []float64) []float64 {
+	mids := buf[:0]
+	if cap(mids) < len(n.Loops) {
+		mids = make([]float64, 0, len(n.Loops))
 	}
 	for _, l := range n.Loops {
-		lo := l.Lower.Eval(env)
-		hi := l.Upper.Eval(env)
+		lo := n.evalIn(l.Lower, mids)
+		hi := n.evalIn(l.Upper, mids)
 		if hi < lo {
 			hi = lo
 		}
-		env[l.Var] = (lo + hi) / 2
+		mids = append(mids, (lo+hi)/2)
 	}
-	return env
+	return mids
 }
 
-// TripCount returns the average trip count of loop i, accounting for
-// triangular bounds by evaluating outer loop variables at their midpoints,
-// and for unrolling (an unrolled loop executes Trip/Unroll iterations of a
-// body replicated Unroll times).
-func (n *Nest) TripCount(i int) float64 {
-	env := n.env()
+// tripIn returns loop i's average trip count under the full environment
+// mids.
+func (n *Nest) tripIn(i int, mids []float64) float64 {
 	l := n.Loops[i]
-	lo := l.Lower.Eval(env)
-	hi := l.Upper.Eval(env)
+	lo := n.evalIn(l.Lower, mids)
+	hi := n.evalIn(l.Upper, mids)
 	if hi <= lo {
 		return 0
 	}
@@ -274,17 +325,40 @@ func (n *Nest) TripCount(i int) float64 {
 	return trips
 }
 
+// TripCount returns the average trip count of loop i, accounting for
+// triangular bounds by evaluating outer loop variables at their midpoints,
+// and for unrolling (an unrolled loop executes Trip/Unroll iterations of a
+// body replicated Unroll times).
+func (n *Nest) TripCount(i int) float64 {
+	var buf [maxStackLoops]float64
+	return n.tripIn(i, n.env(buf[:]))
+}
+
+// Trips returns the average trip count of every loop, outermost first:
+// TripCount of each position, with the environment built once.
+func (n *Nest) Trips() []float64 {
+	var buf [maxStackLoops]float64
+	mids := n.env(buf[:])
+	trips := make([]float64, len(n.Loops))
+	for i := range trips {
+		trips[i] = n.tripIn(i, mids)
+	}
+	return trips
+}
+
 // IterCount returns the number of times loop i's header executes, i.e. the
 // product of trip counts of loops 0..i-1 (divided by their unroll factors)
 // times loop i's own trip count divided by its unroll factor.
 func (n *Nest) IterCount(i int) float64 {
+	var buf [maxStackLoops]float64
+	mids := n.env(buf[:])
 	count := 1.0
 	for j := 0; j <= i; j++ {
 		u := float64(n.Loops[j].Unroll)
 		if u < 1 {
 			u = 1
 		}
-		count *= n.TripCount(j) / u
+		count *= n.tripIn(j, mids) / u
 	}
 	return count
 }
@@ -293,9 +367,11 @@ func (n *Nest) IterCount(i int) float64 {
 // (unrolling does not change this: each header iteration runs Unroll
 // copies of the body).
 func (n *Nest) BodyExecutions() float64 {
+	var buf [maxStackLoops]float64
+	mids := n.env(buf[:])
 	count := 1.0
 	for i := range n.Loops {
-		count *= n.TripCount(i)
+		count *= n.tripIn(i, mids)
 	}
 	return count
 }
@@ -322,28 +398,21 @@ func (n *Nest) Refs() []Ref {
 // only to declared arrays with matching dimensionality, positive steps and
 // unrolls, and index expressions using only loop variables or sizes.
 func (n *Nest) Validate() error {
-	seen := map[string]bool{}
-	for _, l := range n.Loops {
+	for i, l := range n.Loops {
 		if l.Var == "" {
 			return fmt.Errorf("ir: loop with empty variable in %s", n.Name)
 		}
-		if seen[l.Var] {
-			return fmt.Errorf("ir: duplicate loop variable %q in %s", l.Var, n.Name)
+		for _, outer := range n.Loops[:i] {
+			if outer.Var == l.Var {
+				return fmt.Errorf("ir: duplicate loop variable %q in %s", l.Var, n.Name)
+			}
 		}
-		seen[l.Var] = true
 		if l.Step <= 0 {
 			return fmt.Errorf("ir: loop %q has non-positive step %g", l.Var, l.Step)
 		}
 		if l.Unroll < 1 {
 			return fmt.Errorf("ir: loop %q has unroll %d < 1", l.Var, l.Unroll)
 		}
-	}
-	known := func(sym string) bool {
-		if seen[sym] {
-			return true
-		}
-		_, ok := n.Sizes[sym]
-		return ok
 	}
 	for si, s := range n.Body {
 		if len(s.Refs) == 0 {
@@ -359,9 +428,9 @@ func (n *Nest) Validate() error {
 					r.Array, len(r.Index), len(a.Dims))
 			}
 			for _, idx := range r.Index {
-				for sym := range idx.Coeff {
-					if !known(sym) {
-						return fmt.Errorf("ir: index of %q uses unknown symbol %q", r.Array, sym)
+				for _, t := range idx.Terms {
+					if _, size := n.Sizes[t.Sym]; !size && n.LoopIndex(t.Sym) < 0 {
+						return fmt.Errorf("ir: index of %q uses unknown symbol %q", r.Array, t.Sym)
 					}
 				}
 			}
@@ -372,9 +441,9 @@ func (n *Nest) Validate() error {
 			return fmt.Errorf("ir: array %q has element size %d", a.Name, a.ElemSize)
 		}
 		for _, d := range a.Dims {
-			for sym := range d.Coeff {
-				if _, ok := n.Sizes[sym]; !ok {
-					return fmt.Errorf("ir: dimension of %q uses unbound symbol %q", a.Name, sym)
+			for _, t := range d.Terms {
+				if _, ok := n.Sizes[t.Sym]; !ok {
+					return fmt.Errorf("ir: dimension of %q uses unbound symbol %q", a.Name, t.Sym)
 				}
 			}
 		}
@@ -428,10 +497,11 @@ func (n *Nest) VarExtent(v string) float64 {
 	if i < 0 {
 		return 0
 	}
-	env := n.env()
+	var buf [maxStackLoops]float64
+	mids := n.env(buf[:])
 	l := n.Loops[i]
-	lo := l.Lower.Eval(env)
-	hi := l.Upper.Eval(env)
+	lo := n.evalIn(l.Lower, mids)
+	hi := n.evalIn(l.Upper, mids)
 	if hi <= lo {
 		return 0
 	}

@@ -292,3 +292,57 @@ func TestEmptyLoopTripCountZero(t *testing.T) {
 		t.Fatalf("empty loop trip = %v, want 0", tc)
 	}
 }
+
+// TestExprTermsSortedAndUnique: every operation keeps one term per
+// symbol, sorted by name, so sums run in one fixed order.
+func TestExprTermsSortedAndUnique(t *testing.T) {
+	e := Sym("k", 1).Add(Sym("b", 2)).Add(Sym("i", 3)).Add(Sym("b", 1)).AddConst(4)
+	got := e.Substitute("i", Sym("a", 1).Add(Sym("z", -1))).Scale(2)
+	want := []Term{{"a", 6}, {"b", 6}, {"k", 2}, {"z", -6}}
+	if len(got.Terms) != len(want) || got.Const != 8 {
+		t.Fatalf("terms %v const %v, want %v const 8", got.Terms, got.Const, want)
+	}
+	for i, w := range want {
+		if got.Terms[i] != w {
+			t.Fatalf("term %d = %v, want %v (all: %v)", i, got.Terms[i], w, got.Terms)
+		}
+	}
+}
+
+// TestTripsMatchTripCount: Trips builds the environment once and
+// returns exactly TripCount of every loop, triangular bounds included.
+func TestTripsMatchTripCount(t *testing.T) {
+	for _, n := range []*Nest{matmulNest(100), triangularNest(101)} {
+		trips := n.Trips()
+		if len(trips) != len(n.Loops) {
+			t.Fatalf("%s: %d trips for %d loops", n.Name, len(trips), len(n.Loops))
+		}
+		for i, tc := range trips {
+			if want := n.TripCount(i); tc != want {
+				t.Errorf("%s: Trips()[%d] = %v, TripCount = %v", n.Name, i, tc, want)
+			}
+		}
+	}
+}
+
+// TestEnvShadowing: a loop variable that shares a problem size's name
+// reads as the size until its own loop binds it, as a map environment
+// with sizes bound first and loops bound outermost-first would.
+func TestEnvShadowing(t *testing.T) {
+	n := &Nest{
+		Loops: []Loop{
+			{Var: "a", Lower: Constant(0), Upper: Sym("M", 1), Step: 1, Unroll: 1},
+			{Var: "M", Lower: Constant(0), Upper: Sym("M", 1).AddConst(2), Step: 1, Unroll: 1},
+			{Var: "b", Lower: Constant(0), Upper: Sym("M", 1), Step: 1, Unroll: 1},
+		},
+		Sizes: map[string]float64{"M": 10},
+	}
+	// Build pass: a = 5, M = (0+12)/2 = 6, b = 3. Trip counts see the
+	// full environment: M's upper bound reads M's own midpoint.
+	want := []float64{6, 8, 6}
+	for i, w := range want {
+		if tc := n.TripCount(i); tc != w {
+			t.Errorf("TripCount(%d) = %v, want %v", i, tc, w)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/sim"
@@ -27,6 +28,8 @@ type loopBinding struct {
 	nest   int
 	vr     string
 	suffix string
+	// u, t, rt are the space positions of U_, T_ and RT_<suffix>.
+	u, t, rt int
 }
 
 // Kernel is one SPAPT search problem: loop nests plus the tunable space.
@@ -40,35 +43,79 @@ type Kernel struct {
 	hasSCR   bool
 	hasVEC   bool
 	hasOMP   bool
+	// scr, vec, omp are the space positions of the switches (-1 when
+	// the kernel has none).
+	scr, vec, omp int
+	loops         int // loops over all nests
 }
 
 // Space returns the kernel's configuration space.
 func (k *Kernel) Space() *space.Space { return k.spc }
 
-// SpecsFor maps a configuration to one transformation spec per nest.
+// index resolves the bindings' and switches' parameter positions in the
+// kernel's space, once, when the kernel is built.
+func (k *Kernel) index() *Kernel {
+	for i := range k.bindings {
+		b := &k.bindings[i]
+		b.u, b.t, b.rt = k.spc.Index("U_"+b.suffix), k.spc.Index("T_"+b.suffix), k.spc.Index("RT_"+b.suffix)
+	}
+	k.scr, k.vec, k.omp = -1, -1, -1
+	if k.hasSCR {
+		k.scr = k.spc.Index("SCR")
+	}
+	if k.hasVEC {
+		k.vec = k.spc.Index("VEC")
+	}
+	if k.hasOMP {
+		k.omp = k.spc.Index("OMP")
+	}
+	k.loops = 0
+	for _, n := range k.Nests {
+		k.loops += len(n.Loops)
+	}
+	return k
+}
+
+// value returns the concrete value of parameter i in c.
+func (k *Kernel) value(c space.Config, i int) int { return k.spc.Param(i).Value(c[i]) }
+
+// SpecsFor maps a configuration to one transformation spec per nest. Each
+// spec lists its nest's factors in binding order.
 func (k *Kernel) SpecsFor(c space.Config) []transform.Spec {
 	specs := make([]transform.Spec, len(k.Nests))
+	order := make([]string, 0, k.loops)
+	factors := make(transform.Factors, 3*len(k.bindings))
+	off := 0
 	for ni, n := range k.Nests {
-		spec := transform.Spec{
-			Unrolls:    map[string]int{},
-			CacheTiles: map[string]int{},
-			RegTiles:   map[string]int{},
-		}
+		start := len(order)
 		for _, l := range n.Loops {
-			spec.Order = append(spec.Order, l.Var)
+			order = append(order, l.Var)
 		}
+		spec := transform.Spec{Order: order[start:len(order):len(order)]}
 		if k.hasSCR {
-			spec.ScalarReplace = k.spc.MustValue(c, "SCR") == 1
+			spec.ScalarReplace = k.value(c, k.scr) == 1
 		}
 		if k.hasVEC {
-			spec.VectorHint = k.spc.MustValue(c, "VEC") == 1
+			spec.VectorHint = k.value(c, k.vec) == 1
 		}
+		m := 0
+		for _, b := range k.bindings {
+			if b.nest == ni {
+				m++
+			}
+		}
+		u, t, rt := factors[off:off:off+m], factors[off+m:off+m:off+2*m], factors[off+2*m:off+2*m:off+3*m]
+		off += 3 * m
+		for _, b := range k.bindings {
+			if b.nest != ni {
+				continue
+			}
+			u = append(u, transform.Factor{Var: b.vr, N: k.value(c, b.u)})
+			t = append(t, transform.Factor{Var: b.vr, N: k.value(c, b.t)})
+			rt = append(rt, transform.Factor{Var: b.vr, N: k.value(c, b.rt)})
+		}
+		spec.Unrolls, spec.CacheTiles, spec.RegTiles = u, t, rt
 		specs[ni] = spec
-	}
-	for _, b := range k.bindings {
-		specs[b.nest].Unrolls[b.vr] = k.spc.MustValue(c, "U_"+b.suffix)
-		specs[b.nest].CacheTiles[b.vr] = k.spc.MustValue(c, "T_"+b.suffix)
-		specs[b.nest].RegTiles[b.vr] = k.spc.MustValue(c, "RT_"+b.suffix)
 	}
 	return specs
 }
@@ -79,7 +126,7 @@ func (k *Kernel) OMPEnabled(c space.Config) bool {
 	if !k.hasOMP {
 		return true
 	}
-	return k.spc.MustValue(c, "OMP") == 1
+	return k.value(c, k.omp) == 1
 }
 
 // Binding associates one loop of one nest with its parameter suffix;
@@ -124,7 +171,7 @@ func Custom(name, inputSize string, nests []*ir.Nest, spc *space.Space, bindings
 			return nil, fmt.Errorf("kernels: %w", err)
 		}
 	}
-	return k, nil
+	return k.index(), nil
 }
 
 // dense is a helper for 8-byte array declarations.
@@ -161,7 +208,7 @@ func MM(n int) *Kernel {
 		InputSize: fmt.Sprintf("%dx%d", n, n),
 		Nests:     []*ir.Nest{nest},
 		bindings: []loopBinding{
-			{0, "i", "I"}, {0, "j", "J"}, {0, "k", "K"},
+			{nest: 0, vr: "i", suffix: "I"}, {nest: 0, vr: "j", suffix: "J"}, {nest: 0, vr: "k", suffix: "K"},
 		},
 		hasSCR: true, hasVEC: true, hasOMP: true,
 	}
@@ -179,7 +226,7 @@ func MM(n int) *Kernel {
 		space.NewBoolean("VEC"),
 		space.NewBoolean("OMP"),
 	)
-	return k
+	return k.index()
 }
 
 // ATAX returns the A^T*(A*x) kernel with vector length n (paper: 10000).
@@ -229,8 +276,8 @@ func ATAX(n int) *Kernel {
 		InputSize: fmt.Sprintf("%d", n),
 		Nests:     []*ir.Nest{nest1, nest2},
 		bindings: []loopBinding{
-			{0, "i", "I1"}, {0, "j", "J1"},
-			{1, "i", "I2"}, {1, "j", "J2"},
+			{nest: 0, vr: "i", suffix: "I1"}, {nest: 0, vr: "j", suffix: "J1"},
+			{nest: 1, vr: "i", suffix: "I2"}, {nest: 1, vr: "j", suffix: "J2"},
 		},
 		hasOMP: true,
 	}
@@ -249,7 +296,7 @@ func ATAX(n int) *Kernel {
 		space.NewPowerOfTwo("RT_J2", 0, 4),
 		space.NewBoolean("OMP"),
 	)
-	return k
+	return k.index()
 }
 
 // COR returns the correlation kernel: the upper triangle of the
@@ -281,7 +328,7 @@ func COR(n int) *Kernel {
 		InputSize: fmt.Sprintf("%dx%d", n, n),
 		Nests:     []*ir.Nest{nest},
 		bindings: []loopBinding{
-			{0, "j1", "J1"}, {0, "j2", "J2"}, {0, "i", "I"},
+			{nest: 0, vr: "j1", suffix: "J1"}, {nest: 0, vr: "j2", suffix: "J2"}, {nest: 0, vr: "i", suffix: "I"},
 		},
 		hasSCR: true, hasVEC: true, hasOMP: true,
 	}
@@ -299,7 +346,7 @@ func COR(n int) *Kernel {
 		space.NewBoolean("VEC"),
 		space.NewBoolean("OMP"),
 	)
-	return k
+	return k.index()
 }
 
 // LU returns the LU decomposition kernel's triangular update nest
@@ -330,7 +377,7 @@ func LU(n int) *Kernel {
 		InputSize: fmt.Sprintf("%dx%d", n, n),
 		Nests:     []*ir.Nest{nest},
 		bindings: []loopBinding{
-			{0, "k", "K"}, {0, "i", "I"}, {0, "j", "J"},
+			{nest: 0, vr: "k", suffix: "K"}, {nest: 0, vr: "i", suffix: "I"}, {nest: 0, vr: "j", suffix: "J"},
 		},
 	}
 	k.spc = space.New(
@@ -344,7 +391,7 @@ func LU(n int) *Kernel {
 		space.NewPowerOfTwo("RT_I", 0, 5),
 		space.NewPowerOfTwo("RT_J", 0, 5),
 	)
-	return k
+	return k.index()
 }
 
 // Default paper input sizes (Table III).
@@ -424,11 +471,37 @@ type Problem struct {
 	// added OpenMP pragmas to the kernels outside the search (a beta
 	// hyperparameter held fixed), which this reproduces.
 	ForceOMP bool
+
+	// models holds one sim.Model per nest for the kernel and target the
+	// first evaluation saw; it is rebuilt if either changes.
+	models atomic.Pointer[nestModels]
 }
 
-// NewProblem constructs a Problem.
+// nestModels is the per-(nest, target) simulator state of one Problem.
+type nestModels struct {
+	kernel *Kernel
+	target sim.Target // machine and compiler; threads vary per evaluation
+	nests  []*sim.Model
+}
+
+// NewProblem constructs a Problem. It computes nothing: the simulator
+// state of each nest is built by the first evaluation.
 func NewProblem(k *Kernel, tgt sim.Target) *Problem {
 	return &Problem{Kernel: k, Target: tgt}
+}
+
+// nestModels returns the problem's per-nest simulator models.
+func (p *Problem) nestModels() *nestModels {
+	md := p.models.Load()
+	if md != nil && md.kernel == p.Kernel && md.target.Machine == p.Target.Machine && md.target.Compiler == p.Target.Compiler {
+		return md
+	}
+	md = &nestModels{kernel: p.Kernel, target: p.Target, nests: make([]*sim.Model, len(p.Kernel.Nests))}
+	for i, n := range p.Kernel.Nests {
+		md.nests[i] = sim.NewModel(n, p.Target.Machine, p.Target.Compiler)
+	}
+	p.models.Store(md)
+	return md
 }
 
 // Name identifies the problem, e.g. "MM@Sandybridge/gnu-4.4.7/t1". A
@@ -451,21 +524,23 @@ func (p *Problem) Evaluate(c space.Config) (runTime, cost float64) {
 		panic(fmt.Sprintf("kernels: %v", err))
 	}
 	specs := p.Kernel.SpecsFor(c)
-	tgt := p.Target
+	threads := p.Target.Threads
 	if !p.ForceOMP && !p.Kernel.OMPEnabled(c) {
-		tgt.Threads = 1
+		threads = 1
 	}
+	models := p.nestModels()
+	m := p.Target.Machine
 	run := 0.0
-	compile := tgt.Machine.CompileBaseS
+	compile := m.CompileBaseS
 	for ni, spec := range specs {
-		cost, err := sim.Evaluate(p.Kernel.Nests[ni], spec, tgt)
+		cost, err := models.nests[ni].Evaluate(spec, threads)
 		if err != nil {
 			panic(fmt.Sprintf("kernels: evaluating %s nest %d: %v", p.Kernel.Name, ni, err))
 		}
 		run += cost.RunSeconds
 		// The nests compile into one binary: count the base once and the
 		// per-nest code-growth components once each.
-		compile += cost.CompileSeconds - tgt.Machine.CompileBaseS
+		compile += cost.CompileSeconds - m.CompileBaseS
 	}
 	return run, run + compile
 }

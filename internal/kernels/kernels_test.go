@@ -139,14 +139,14 @@ func TestSpecsForDefaultIsIdentity(t *testing.T) {
 	for _, k := range All() {
 		specs := k.SpecsFor(k.Space().Default())
 		for _, s := range specs {
-			for v, u := range s.Unrolls {
-				if u != 1 {
-					t.Errorf("%s: default unroll %s=%d", k.Name, v, u)
+			for _, f := range s.Unrolls {
+				if f.N != 1 {
+					t.Errorf("%s: default unroll %s=%d", k.Name, f.Var, f.N)
 				}
 			}
-			for v, tl := range s.CacheTiles {
-				if tl != 1 {
-					t.Errorf("%s: default tile %s=%d", k.Name, v, tl)
+			for _, f := range s.CacheTiles {
+				if f.N != 1 {
+					t.Errorf("%s: default tile %s=%d", k.Name, f.Var, f.N)
 				}
 			}
 			if s.ScalarReplace || s.VectorHint {
@@ -165,13 +165,13 @@ func TestSpecsForBindsParameters(t *testing.T) {
 	c[s.Index("RT_I")] = 2 // 2^2 = 4
 	c[s.Index("SCR")] = 1
 	spec := k.SpecsFor(c)[0]
-	if spec.Unrolls["k"] != 8 {
+	if spec.Unrolls.Get("k") != 8 {
 		t.Fatalf("U_K not bound: %v", spec.Unrolls)
 	}
-	if spec.CacheTiles["j"] != 32 {
+	if spec.CacheTiles.Get("j") != 32 {
 		t.Fatalf("T_J not bound: %v", spec.CacheTiles)
 	}
-	if spec.RegTiles["i"] != 4 {
+	if spec.RegTiles.Get("i") != 4 {
 		t.Fatalf("RT_I not bound: %v", spec.RegTiles)
 	}
 	if !spec.ScalarReplace {
@@ -189,7 +189,7 @@ func TestATAXBindsBothNests(t *testing.T) {
 	if len(specs) != 2 {
 		t.Fatalf("ATAX has %d specs", len(specs))
 	}
-	if specs[0].Unrolls["j"] != 4 || specs[1].Unrolls["j"] != 8 {
+	if specs[0].Unrolls.Get("j") != 4 || specs[1].Unrolls.Get("j") != 8 {
 		t.Fatalf("per-nest binding wrong: %v / %v", specs[0].Unrolls, specs[1].Unrolls)
 	}
 }
@@ -425,7 +425,7 @@ func TestCustomConstructorValidation(t *testing.T) {
 	}
 	c := k.Space().Default()
 	c[k.Space().Index("U_X")] = 3
-	if k.SpecsFor(c)[0].Unrolls["i"] != 4 {
+	if k.SpecsFor(c)[0].Unrolls.Get("i") != 4 {
 		t.Fatal("custom binding not applied")
 	}
 

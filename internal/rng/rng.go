@@ -220,10 +220,42 @@ func (r *RNG) Choose(w []float64) int {
 
 // Hash64 returns a stable 64-bit hash of s, additionally scrambled through
 // SplitMix64 so similar strings map to well-separated values.
-func Hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	v := h.Sum64()
+func Hash64(s string) uint64 { return NewHasher().String(s).Sum64() }
+
+// Hasher computes Hash64 of a string written in pieces, without building
+// the string: Hash64(a+b) == NewHasher().String(a).String(b).Sum64().
+type Hasher struct{ h uint64 }
+
+// FNV-1a 64-bit parameters (hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// NewHasher returns a Hasher over the empty string.
+func NewHasher() Hasher { return Hasher{fnvOffset64} }
+
+// String appends s to the hashed string.
+func (h Hasher) String(s string) Hasher {
+	for i := 0; i < len(s); i++ {
+		h.h ^= uint64(s[i])
+		h.h *= fnvPrime64
+	}
+	return h
+}
+
+// Bytes appends b to the hashed string.
+func (h Hasher) Bytes(b []byte) Hasher {
+	for _, c := range b {
+		h.h ^= uint64(c)
+		h.h *= fnvPrime64
+	}
+	return h
+}
+
+// Sum64 returns Hash64 of everything written so far.
+func (h Hasher) Sum64() uint64 {
+	v := h.h
 	return splitMix64(&v)
 }
 

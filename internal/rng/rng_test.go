@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +313,32 @@ func BenchmarkSampleWithoutReplacement(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		r.SampleWithoutReplacement(100000, 100)
+	}
+}
+
+// TestHasherMatchesHash64 pins the streaming hasher to hash/fnv's
+// FNV-1a and to Hash64 of the concatenated pieces.
+func TestHasherMatchesHash64(t *testing.T) {
+	for _, parts := range [][]string{
+		{},
+		{""},
+		{"codegen|", "Sandybridge", "|gnu-4.4.7|", "mm|", "U:k=4,;T:;R:;scr=false;vec=false"},
+		{"XeonPhi/intel-15.0.1/t60", "|", "atax_t", "|", ""},
+	} {
+		whole := strings.Join(parts, "")
+		h := NewHasher()
+		for i, p := range parts {
+			if i%2 == 0 {
+				h = h.String(p)
+			} else {
+				h = h.Bytes([]byte(p))
+			}
+		}
+		f := fnv.New64a()
+		f.Write([]byte(whole))
+		v := f.Sum64()
+		if got, want := h.Sum64(), splitMix64(&v); got != want || got != Hash64(whole) {
+			t.Errorf("%q: hasher %x, fnv %x, Hash64 %x", whole, got, want, Hash64(whole))
+		}
 	}
 }

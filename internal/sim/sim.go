@@ -29,8 +29,9 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
+	"math/bits"
+	"strconv"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/ir"
@@ -49,7 +50,7 @@ type Target struct {
 
 // Key returns a stable identity string for the target.
 func (t Target) Key() string {
-	return fmt.Sprintf("%s/%s/t%d", t.Machine.Name, t.Compiler.Name, t.threads())
+	return t.Machine.Name + "/" + t.Compiler.Name + "/t" + strconv.Itoa(t.threads())
 }
 
 func (t Target) threads() int {
@@ -81,33 +82,89 @@ type structural struct {
 	parTriangular        bool
 }
 
+// Model is one base nest bound to a machine and a compiler: the state
+// every evaluation of the nest on that target shares. Whether the nest
+// is rectangular, its efficiency floor, its cache levels and the
+// compiler's own variant of it are computed once, by the first
+// evaluation that needs them. A Model is safe for concurrent use.
+type Model struct {
+	base *ir.Nest
+	m    machine.Machine
+	comp machine.Compiler
+
+	once   sync.Once
+	rect   bool
+	floor  float64
+	order  []string // base loop variables, outermost first
+	levels []cache.Level
+
+	autoOnce sync.Once
+	auto     structural
+	autoErr  error
+}
+
+// NewModel binds base to a machine and compiler. It computes nothing;
+// the first evaluation does.
+func NewModel(base *ir.Nest, m machine.Machine, comp machine.Compiler) *Model {
+	return &Model{base: base, m: m, comp: comp}
+}
+
+// Target returns the model's target at the given thread count.
+func (md *Model) Target(threads int) Target {
+	return Target{Machine: md.m, Compiler: md.comp, Threads: threads}
+}
+
+func (md *Model) init() {
+	md.once.Do(func() {
+		m := md.m
+		md.rect = isRectangular(md.base)
+		if m.FloorEfficiency > 0 {
+			// The floor is computed from the base nest's work so that
+			// every variant of the same kernel shares one crisp ceiling.
+			md.floor = md.base.TotalFlops() / (m.FloorEfficiency * m.FlopsPerCy * (m.ClockGHz * 1e9))
+		}
+		for _, l := range md.base.Loops {
+			md.order = append(md.order, l.Var)
+		}
+		md.levels = []cache.Level{
+			{Name: "L1", CapacityBytes: m.L1Bytes()},
+			{Name: "L2", CapacityBytes: m.L2Bytes()},
+		}
+		if l3 := m.L3BytesPerCore(); l3 > 0 {
+			md.levels = append(md.levels, cache.Level{Name: "L3", CapacityBytes: l3})
+		}
+		// The TLB is modeled as one more capacity-fit level whose
+		// "traffic" counts bytes that require fresh page translations.
+		md.levels = append(md.levels, cache.Level{
+			Name:          "TLB",
+			CapacityBytes: float64(m.TLBEntries) * 4096,
+		})
+	})
+}
+
+// autoVariant returns the structural time of the compiler's own variant
+// (the untransformed source), computed once.
+func (md *Model) autoVariant() (structural, error) {
+	md.autoOnce.Do(func() {
+		md.auto, md.autoErr = md.structuralTime(transform.Spec{}, 0)
+	})
+	return md.auto, md.autoErr
+}
+
 // structuralTime models the variant's serial execution time without the
 // code-generation lottery, efficiency floor, parallelization, or
-// measurement noise.
-func structuralTime(base *ir.Nest, spec transform.Spec, tgt Target) (structural, error) {
-	eff := effectiveSpec(base, spec, tgt.Compiler)
-	nest, err := transform.Apply(base, eff)
+// measurement noise. manual is manualMagnitude(spec).
+func (md *Model) structuralTime(spec transform.Spec, manual float64) (structural, error) {
+	eff, own := md.effectiveSpec(spec)
+	nest, err := transform.Apply(md.base, eff)
 	if err != nil {
 		return structural{}, err
 	}
 
-	m := tgt.Machine
-	levels := []cache.Level{
-		{Name: "L1", CapacityBytes: m.L1Bytes()},
-		{Name: "L2", CapacityBytes: m.L2Bytes()},
-	}
-	if l3 := m.L3BytesPerCore(); l3 > 0 {
-		levels = append(levels, cache.Level{Name: "L3", CapacityBytes: l3})
-	}
-	// The TLB is modeled as one more capacity-fit level whose "traffic"
-	// counts bytes that require fresh page translations.
-	levels = append(levels, cache.Level{
-		Name:          "TLB",
-		CapacityBytes: float64(m.TLBEntries) * 4096,
-	})
+	m := md.m
 	an, err := cache.Analyze(nest, cache.Params{
 		LineBytes:        64,
-		Levels:           levels,
+		Levels:           md.levels,
 		CapacityFraction: 0.75,
 	})
 	if err != nil {
@@ -123,7 +180,6 @@ func structuralTime(base *ir.Nest, spec transform.Spec, tgt Target) (structural,
 	// the vectorizable references; manual source-level transformations
 	// interfere with aggressive vectorizers in proportion to their
 	// magnitude and to how much the machine relies on vectors.
-	manual := manualMagnitude(spec)
 	vecReliance := float64(m.VectorWidth) / 4.0
 	// Interference saturates quickly: once the source has been rewritten
 	// at all, the vectorizer's loop recognition is already broken, so
@@ -131,45 +187,45 @@ func structuralTime(base *ir.Nest, spec transform.Spec, tgt Target) (structural,
 	// is why the paper's Phi MM experiments found the untransformed
 	// default alone at the top, with the manual variants roughly flat).
 	saturation := 1 - math.Exp(-manual*16)
-	interference := math.Min(0.95, tgt.Compiler.Interference*vecReliance*4*saturation)
-	autoVec := tgt.Compiler.AutoVec
+	interference := math.Min(0.95, md.comp.Interference*vecReliance*4*saturation)
+	autoVec := md.comp.AutoVec
 	if spec.VectorHint {
 		// ivdep/simd pragmas rescue vectorization a weak compiler misses;
 		// for an aggressive vectorizer they are nearly a no-op.
-		autoVec += (1 - autoVec) * (1 - autoVec) * 0.5
+		autoVec += float64((1 - autoVec) * (1 - autoVec) * 0.5)
 		interference *= 0.85
 	}
 	vecEff := autoVec * (1 - interference)
 	trim := an.InnermostTrip / (an.InnermostTrip + float64(m.VectorWidth))
-	vecSpeedup := 1 + float64(m.VectorWidth-1)*vecEff*an.VecFraction*trim
+	vecSpeedup := 1 + float64(float64(m.VectorWidth-1)*vecEff*an.VecFraction*trim)
 
 	// ILP: out-of-order machines extract parallelism on their own;
 	// in-order-leaning machines (Xeon Phi, X-Gene) need unrolling.
 	ilpBase := float64(m.OoOWindow) / (float64(m.OoOWindow) + 24)
-	ilp := math.Min(1, ilpBase+0.12*math.Log2(math.Min(an.UnrollProduct, 64)))
+	ilp := math.Min(1, ilpBase+float64(0.12*math.Log2(math.Min(an.UnrollProduct, 64))))
 
 	// Register spill: the physical SIMD register file holds
 	// FPRegisters*VectorWidth elements regardless of how well the compiler
 	// vectorizes (renaming gives scalar code similar headroom).
-	regCap := float64(m.FPRegisters) * float64(m.VectorWidth) * 0.75
+	regCap := float64(float64(m.FPRegisters) * float64(m.VectorWidth) * 0.75)
 	spillElems := math.Max(0, an.RegPressure-regCap)
-	spillOps := spillElems * 2 * an.BlockIters
+	spillOps := float64(spillElems * 2 * an.BlockIters)
 
 	// Instruction-cache/branch pressure from code growth.
 	excess := math.Max(0, math.Log2(an.UnrollProduct)-4)
-	icachePenalty := 1 + m.UnrollPenalty*excess*excess
+	icachePenalty := 1 + float64(m.UnrollPenalty*excess*excess)
 
 	// Unscheduled register-block stalls: in-order cores with weak
 	// compilers stall on the dependency chains of large jam blocks.
 	blockSize := an.BodyExecs / math.Max(1, an.BlockIters)
-	blockPenalty := 1 + m.BlockSchedPenalty*math.Max(0, blockSize-1)
+	blockPenalty := 1 + float64(m.BlockSchedPenalty*math.Max(0, blockSize-1))
 
 	// Scalar replacement: with the SCR knob the analyzed register reuse is
 	// fully realized; without it the compiler still catches most but not
 	// all of the reuse, so loads drift toward the no-reuse count.
 	regLoads := an.RegLoads
 	if !spec.ScalarReplace {
-		regLoads = 0.85*an.RegLoads + 0.15*an.NaiveLoads
+		regLoads = float64(0.85*an.RegLoads) + float64(0.15*an.NaiveLoads)
 	}
 
 	flopOps := an.Flops / vecSpeedup
@@ -181,18 +237,20 @@ func structuralTime(base *ir.Nest, spec transform.Spec, tgt Target) (structural,
 	// --- Memory component ---------------------------------------------------
 	// Per-link cost: latency (overlapped by memory-level parallelism) plus
 	// bandwidth occupancy.
-	mlp := 4 + float64(m.OoOWindow)/16
-	linkLat := []float64{m.L2LatCy, m.L3LatCy, m.MemLatNs * m.ClockGHz}
-	linkBW := []float64{clock * 32, clock * 16, m.MemBWGBs * 1e9}
+	mlp := 4 + float64(float64(m.OoOWindow)/16) // x/16 compiles to a multiply
+	linkLat := [3]float64{m.L2LatCy, m.L3LatCy, m.MemLatNs * m.ClockGHz}
+	linkBW := [3]float64{clock * 32, clock * 16, m.MemBWGBs * 1e9}
+	links := 3
 	if m.L3BytesPerCore() == 0 {
 		// No L3: L2 misses go straight to memory.
-		linkLat = []float64{m.L2LatCy, m.MemLatNs * m.ClockGHz}
-		linkBW = []float64{clock * 32, m.MemBWGBs * 1e9}
+		linkLat = [3]float64{m.L2LatCy, m.MemLatNs * m.ClockGHz}
+		linkBW = [3]float64{clock * 32, m.MemBWGBs * 1e9}
+		links = 2
 	}
 	memSec := 0.0
 	for i, traffic := range memTraffic {
-		lat, bw := linkLat[len(linkLat)-1], linkBW[len(linkBW)-1]
-		if i < len(linkLat) {
+		lat, bw := linkLat[links-1], linkBW[links-1]
+		if i < links {
 			lat, bw = linkLat[i], linkBW[i]
 		}
 		lines := traffic / 64
@@ -203,23 +261,23 @@ func structuralTime(base *ir.Nest, spec transform.Spec, tgt Target) (structural,
 	// L1 hits: cheap but not free.
 	memSec += (regLoads + an.RegStores) * 8 / (clock * 64)
 
-	serial := math.Max(computeSec, memSec) + 0.3*math.Min(computeSec, memSec)
+	serial := math.Max(computeSec, memSec) + float64(0.3*math.Min(computeSec, memSec))
 	// The OpenMP pragma lands on the outermost loop of the user-written
 	// (Orio-generated) code: manual cache tiling hoists a tile loop to
 	// that position and coarsens the parallel chunks. The compiler's own
 	// automatic tiling stays inside the parallel loop, so it is excluded
-	// here.
-	userSpec := spec
-	if len(userSpec.Order) == 0 {
-		for _, l := range base.Loops {
-			userSpec.Order = append(userSpec.Order, l.Var)
+	// here. Without automatic additions the user's variant is the one
+	// just analyzed.
+	userNest := nest
+	if !own {
+		if userNest, err = transform.Apply(md.base, spec); err != nil {
+			return structural{}, err
 		}
 	}
-	userNest, err := transform.Apply(base, userSpec)
+	parTrip, parTri, err := parallelLoop(userNest)
 	if err != nil {
 		return structural{}, err
 	}
-	parTrip, parTri := parallelLoop(userNest)
 	return structural{
 		serial: serial, compute: computeSec, mem: memSec,
 		interference: interference, flops: an.Flops,
@@ -233,52 +291,58 @@ func structuralTime(base *ir.Nest, spec transform.Spec, tgt Target) (structural,
 // not index the written data carry dependences, like LU's k) — and
 // returns its trip count plus whether inner bounds depend on it (a
 // triangular nest whose chunks have unequal work).
-func parallelLoop(n *ir.Nest) (trip float64, triangular bool) {
-	deps := cache.BoundDeps(n)
-	pl := -1
-	for i, l := range n.Loops {
-		for _, s := range n.Body {
-			for _, r := range s.Refs {
-				if r.Write && cache.VariesVia(r, l.Var, deps) {
-					pl = i
-					break
-				}
-			}
-			if pl >= 0 {
-				break
+func parallelLoop(n *ir.Nest) (trip float64, triangular bool, err error) {
+	if len(n.Loops) > cache.MaxLoops {
+		return 0, false, fmt.Errorf("sim: %s has %d loops, at most %d supported", n.Name, len(n.Loops), cache.MaxLoops)
+	}
+	var buf [cache.MaxLoops]uint64
+	deps := buf[:len(n.Loops)]
+	cache.BoundDeps(n, deps)
+	var writes uint64 // loops some write reference varies along
+	for _, s := range n.Body {
+		for _, r := range s.Refs {
+			if r.Write {
+				writes |= cache.Varies(cache.Uses(n, r), deps)
 			}
 		}
-		if pl >= 0 {
-			break
-		}
 	}
-	if pl < 0 {
-		return 1, false
+	if writes == 0 {
+		return 1, false, nil
 	}
-	v := n.Loops[pl].Var
+	pl := bits.TrailingZeros64(writes)
 	for j := pl + 1; j < len(n.Loops); j++ {
-		for _, e := range []ir.Expr{n.Loops[j].Lower, n.Loops[j].Upper} {
-			for sym := range e.Coeff {
-				if sym == v || deps[sym][v] {
+		for _, e := range [2]ir.Expr{n.Loops[j].Lower, n.Loops[j].Upper} {
+			for _, t := range e.Terms {
+				if k := n.LoopIndex(t.Sym); k >= 0 && (k == pl || deps[k]&(1<<pl) != 0) {
 					triangular = true
 				}
 			}
 		}
 	}
-	return n.TripCount(pl), triangular
+	return n.TripCount(pl), triangular, nil
 }
 
 // Evaluate transforms base according to spec and models its execution on
 // the target. The result is deterministic in all arguments.
 func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
-	if !tgt.Machine.SupportsCompiler(tgt.Compiler) {
-		return Cost{}, fmt.Errorf("sim: compiler %s not available on %s",
-			tgt.Compiler.Name, tgt.Machine.Name)
-	}
-	m := tgt.Machine
-	clock := m.ClockGHz * 1e9
+	return NewModel(base, tgt.Machine, tgt.Compiler).Evaluate(spec, tgt.Threads)
+}
 
-	st, err := structuralTime(base, spec, tgt)
+// Evaluate transforms the model's nest according to spec and models its
+// execution on the model's target with the given OpenMP thread count.
+// The result is deterministic in all arguments.
+func (md *Model) Evaluate(spec transform.Spec, threads int) (Cost, error) {
+	tgt := md.Target(threads)
+	if !md.m.SupportsCompiler(md.comp) {
+		return Cost{}, fmt.Errorf("sim: compiler %s not available on %s",
+			md.comp.Name, md.m.Name)
+	}
+	md.init()
+	m := md.m
+	base := md.base
+
+	manual := manualMagnitude(spec)
+	st, err := md.structuralTime(spec, manual)
 	if err != nil {
 		return Cost{}, err
 	}
@@ -292,10 +356,10 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 	// landscape — on the Xeon Phi MM experiments every manual variant
 	// lands slightly above the untransformed default, none below it,
 	// exactly as the paper reports.
-	if tgt.Compiler.AutoTile > 1 && isRectangular(base) && manualMagnitude(spec) > 0 {
-		auto, aerr := structuralTime(base, transform.Spec{}, tgt)
+	if md.comp.AutoTile > 1 && md.rect && manual > 0 {
+		auto, aerr := md.autoVariant()
 		if aerr == nil {
-			net := auto.serial * (1.02 + 0.5*st.interference)
+			net := auto.serial * (1.02 + float64(0.5*st.interference))
 			if serial > net {
 				serial = net
 				// The variant effectively runs the compiler's own code;
@@ -307,6 +371,10 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 		}
 	}
 
+	// The configuration's canonical key feeds both deterministic draws.
+	var keyBuf [256]byte
+	key := appendSpecKey(keyBuf[:0], spec)
+
 	// Per-variant code-generation quality lottery: deterministic in the
 	// configuration (a property of the generated code, not of a run). On
 	// machines with mature compiler backends this is a small wobble; on
@@ -315,16 +383,15 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 	// stream and how well memory accesses pipeline — which is why
 	// knowledge transfer to ARM fails in the paper.
 	if m.CodeGenSigma > 0 {
-		cgKey := rng.Hash64("codegen|" + m.Name + "|" + tgt.Compiler.Name + "|" + base.Name + "|" + SpecKey(spec))
+		cgKey := rng.NewHasher().String("codegen|").String(m.Name).String("|").
+			String(md.comp.Name).String("|").String(base.Name).String("|").Bytes(key).Sum64()
 		serial *= rng.New(cgKey).LogNormal(0, m.CodeGenSigma)
 	}
 	// Physical efficiency ceiling: no variant can beat the pipeline's
 	// sustainable fraction of peak (applies after the code-generation
 	// lottery — it is a hardware limit, not a compiler property).
 	if m.FloorEfficiency > 0 {
-		// The floor is computed from the base nest's work so that every
-		// variant of the same kernel shares one crisp ceiling.
-		floor := base.TotalFlops() / (m.FloorEfficiency * m.FlopsPerCy * clock)
+		floor := md.floor
 		if serial < floor {
 			serial = floor
 		}
@@ -333,17 +400,17 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 		}
 	}
 
-	threads := float64(tgt.threads())
+	threadsF := float64(tgt.threads())
 	maxPar := float64(m.Cores * m.SMTPerCore)
-	effThreads := math.Min(threads, maxPar)
-	compSpeedup := 1 + (effThreads-1)*m.ParallelEff
+	effThreads := math.Min(threadsF, maxPar)
+	compSpeedup := 1 + float64((effThreads-1)*m.ParallelEff)
 	// Memory bandwidth saturates well below full thread count.
-	memSpeedup := math.Min(compSpeedup, 1+3*m.ParallelEff)
+	memSpeedup := math.Min(compSpeedup, 1+float64(3*m.ParallelEff))
 	frac := 0.0
 	if computeSec+memSec > 0 {
 		frac = computeSec / (computeSec + memSec)
 	}
-	parSpeedup := frac*compSpeedup + (1-frac)*memSpeedup
+	parSpeedup := float64(frac*compSpeedup) + float64((1-frac)*memSpeedup)
 	if effThreads > 1 {
 		// Static-schedule load imbalance: with few chunks per thread the
 		// slowest thread dominates; triangular nests additionally give
@@ -356,18 +423,22 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 		if st.parTriangular {
 			coeff = 1.6
 		}
-		parSpeedup /= 1 + coeff*granularity
+		parSpeedup /= 1 + float64(coeff*granularity)
 	}
 	run := serial / parSpeedup
 
-	noiseKey := rng.Hash64(tgt.Key() + "|" + base.Name + "|" + SpecKey(spec))
+	// The noise key hashes tgt.Key() + "|" + base.Name + "|" + SpecKey.
+	var threadBuf [20]byte
+	noiseKey := rng.NewHasher().String(m.Name).String("/").String(md.comp.Name).String("/t").
+		Bytes(strconv.AppendInt(threadBuf[:0], int64(tgt.threads()), 10)).
+		String("|").String(base.Name).String("|").Bytes(key).Sum64()
 	noise := rng.New(noiseKey).LogNormal(0, m.NoiseSigma)
 	run *= noise
 
 	// Compile time grows with generated code size; compilers cap their
 	// own unrolling, so the growth saturates.
 	codeUnits := math.Min(st.unrollProduct, 4096) * float64(len(base.Body))
-	compile := m.CompileBaseS + m.CompileSizeS*math.Sqrt(codeUnits)
+	compile := m.CompileBaseS + float64(m.CompileSizeS*math.Sqrt(codeUnits))
 
 	// A non-finite model output would silently poison every downstream
 	// minimum and surrogate fit; surface it as an evaluation error so the
@@ -387,21 +458,21 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 
 // manualMagnitude scores how much manual transformation a spec requests,
 // in "doublings": log2 of unroll and register-tile products plus one unit
-// per tiled loop.
+// per tiled loop. It sums in the spec's entry order.
 func manualMagnitude(spec transform.Spec) float64 {
 	mag := 0.0
-	for _, u := range spec.Unrolls {
-		if u > 1 {
-			mag += math.Log2(float64(u))
+	for _, f := range spec.Unrolls {
+		if f.N > 1 {
+			mag += math.Log2(float64(f.N))
 		}
 	}
-	for _, rt := range spec.RegTiles {
-		if rt > 1 {
-			mag += math.Log2(float64(rt))
+	for _, f := range spec.RegTiles {
+		if f.N > 1 {
+			mag += math.Log2(float64(f.N))
 		}
 	}
-	for _, t := range spec.CacheTiles {
-		if t > 1 {
+	for _, f := range spec.CacheTiles {
+		if f.N > 1 {
 			mag++
 		}
 	}
@@ -419,14 +490,10 @@ func manualMagnitude(spec transform.Spec) float64 {
 // isRectangular reports whether no loop bound references another loop
 // variable (compilers generally only auto-transform rectangular nests).
 func isRectangular(n *ir.Nest) bool {
-	loopVars := map[string]bool{}
 	for _, l := range n.Loops {
-		loopVars[l.Var] = true
-	}
-	for _, l := range n.Loops {
-		for _, e := range []ir.Expr{l.Lower, l.Upper} {
-			for v := range e.Coeff {
-				if loopVars[v] {
+		for _, e := range [2]ir.Expr{l.Lower, l.Upper} {
+			for _, t := range e.Terms {
+				if n.LoopIndex(t.Sym) >= 0 {
 					return false
 				}
 			}
@@ -438,91 +505,95 @@ func isRectangular(n *ir.Nest) bool {
 // effectiveSpec merges the user's spec with the compiler's automatic
 // transformations: where the user leaves knobs at identity on a
 // rectangular nest, the compiler supplies its own unrolling and register
-// blocking.
-func effectiveSpec(base *ir.Nest, spec transform.Spec, comp machine.Compiler) transform.Spec {
-	out := transform.Spec{
-		Order:      append([]string(nil), spec.Order...),
-		Unrolls:    copyMap(spec.Unrolls),
-		CacheTiles: copyMap(spec.CacheTiles),
-		RegTiles:   copyMap(spec.RegTiles),
+// blocking. own reports that the compiler added nothing, so the result
+// transforms the nest exactly as spec does. The result shares spec's
+// factors; only automatic ones are new.
+func (md *Model) effectiveSpec(spec transform.Spec) (out transform.Spec, own bool) {
+	comp := md.comp
+	out = transform.Spec{
+		Order:      spec.Order,
+		Unrolls:    spec.Unrolls,
+		CacheTiles: spec.CacheTiles,
+		RegTiles:   spec.RegTiles,
 	}
 	if len(out.Order) == 0 {
-		for _, l := range base.Loops {
-			out.Order = append(out.Order, l.Var)
-		}
+		out.Order = md.order
 	}
-	if comp.RectOnly && !isRectangular(base) {
-		return out
+	if comp.RectOnly && !md.rect {
+		return out, true
 	}
-	anyUnroll := anyAboveOne(out.Unrolls)
-	anyReg := anyAboveOne(out.RegTiles)
-	anyTile := anyAboveOne(out.CacheTiles)
-	if !anyTile && comp.AutoTile > 1 {
-		if out.CacheTiles == nil {
-			out.CacheTiles = map[string]int{}
+	// Automatic factors replace the user's (all identity) ones: entries
+	// for variables outside Order are never read, and the user's entries
+	// for Order variables are at most 1, which applies nothing.
+	own = true
+	if !anyAboveOne(out.CacheTiles) && comp.AutoTile > 1 {
+		tiles := make(transform.Factors, len(out.Order))
+		for i, v := range out.Order {
+			tiles[i] = transform.Factor{Var: v, N: comp.AutoTile}
 		}
-		for _, v := range out.Order {
-			out.CacheTiles[v] = comp.AutoTile
-		}
+		out.CacheTiles, own = tiles, false
 	}
-	if !anyUnroll && comp.AutoUnroll > 1 && len(out.Order) > 0 {
+	if !anyAboveOne(out.Unrolls) && comp.AutoUnroll > 1 && len(out.Order) > 0 {
 		innermost := out.Order[len(out.Order)-1]
-		if out.Unrolls == nil {
-			out.Unrolls = map[string]int{}
-		}
-		out.Unrolls[innermost] = comp.AutoUnroll
+		out.Unrolls, own = transform.Factors{{Var: innermost, N: comp.AutoUnroll}}, false
 	}
-	if !anyReg && comp.AutoRegTile > 1 && len(out.Order) >= 2 {
-		if out.RegTiles == nil {
-			out.RegTiles = map[string]int{}
-		}
+	if !anyAboveOne(out.RegTiles) && comp.AutoRegTile > 1 && len(out.Order) >= 2 {
 		// Block the two outermost loops, the standard jam choice.
-		out.RegTiles[out.Order[0]] = comp.AutoRegTile
-		out.RegTiles[out.Order[1]] = comp.AutoRegTile
+		out.RegTiles, own = transform.Factors{
+			{Var: out.Order[0], N: comp.AutoRegTile},
+			{Var: out.Order[1], N: comp.AutoRegTile},
+		}, false
 	}
-	return out
+	return out, own
 }
 
-func anyAboveOne(m map[string]int) bool {
-	for _, v := range m {
-		if v > 1 {
+func anyAboveOne(fs transform.Factors) bool {
+	for _, f := range fs {
+		if f.N > 1 {
 			return true
 		}
 	}
 	return false
 }
 
-func copyMap(m map[string]int) map[string]int {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// SpecKey renders a transformation spec canonically (variables sorted,
+// identity factors omitted), for use in noise hashing and caching.
+func SpecKey(spec transform.Spec) string { return string(appendSpecKey(nil, spec)) }
+
+// appendSpecKey appends SpecKey(spec) to b:
+// "U:k=4,;T:i=64,j=64,;R:i=2,;scr=false;vec=true".
+func appendSpecKey(b []byte, spec transform.Spec) []byte {
+	b = appendFactors(b, "U:", spec.Unrolls)
+	b = appendFactors(b, ";T:", spec.CacheTiles)
+	b = appendFactors(b, ";R:", spec.RegTiles)
+	b = append(b, ";scr="...)
+	b = strconv.AppendBool(b, spec.ScalarReplace)
+	b = append(b, ";vec="...)
+	return strconv.AppendBool(b, spec.VectorHint)
 }
 
-// SpecKey renders a transformation spec canonically (sorted keys), for
-// use in noise hashing and caching.
-func SpecKey(spec transform.Spec) string {
-	var b strings.Builder
-	writeMap := func(tag string, m map[string]int) {
-		keys := make([]string, 0, len(m))
-		for k, v := range m {
-			if v != 1 {
-				keys = append(keys, k)
+// appendFactors appends tag and "var=n," for every variable whose factor
+// is not 1, in variable order. It selects the next variable by scanning
+// (the lists are a handful of entries), so it needs no sort buffer.
+func appendFactors(b []byte, tag string, fs transform.Factors) []byte {
+	b = append(b, tag...)
+	last, started := "", false
+	for {
+		next, found := "", false
+		for _, f := range fs {
+			if (!started || f.Var > last) && (!found || f.Var < next) {
+				next, found = f.Var, true
 			}
 		}
-		sort.Strings(keys)
-		b.WriteString(tag)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s=%d,", k, m[k])
+		if !found {
+			return b
 		}
+		if n := fs.Get(next); n != 1 {
+			b = append(b, next...)
+			b = append(b, '=')
+			b = strconv.AppendInt(b, int64(n), 10)
+			b = append(b, ',')
+		}
+		last, started = next, true
 	}
-	writeMap("U:", spec.Unrolls)
-	writeMap(";T:", spec.CacheTiles)
-	writeMap(";R:", spec.RegTiles)
-	fmt.Fprintf(&b, ";scr=%v;vec=%v", spec.ScalarReplace, spec.VectorHint)
-	return b.String()
 }

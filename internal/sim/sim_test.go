@@ -66,9 +66,9 @@ func gnuOn(m machine.Machine) Target {
 func goodSpec() transform.Spec {
 	return transform.Spec{
 		Order:      []string{"i", "j", "k"},
-		Unrolls:    map[string]int{"k": 4},
-		CacheTiles: map[string]int{"i": 64, "j": 64, "k": 64},
-		RegTiles:   map[string]int{"i": 4, "j": 2},
+		Unrolls:    transform.Factors{{Var: "k", N: 4}},
+		CacheTiles: transform.Factors{{Var: "i", N: 64}, {Var: "j", N: 64}, {Var: "k", N: 64}},
+		RegTiles:   transform.Factors{{Var: "i", N: 4}, {Var: "j", N: 2}},
 	}
 }
 
@@ -95,7 +95,7 @@ func TestDeterminism(t *testing.T) {
 func TestNoiseVariesByConfig(t *testing.T) {
 	s1 := goodSpec()
 	s2 := goodSpec()
-	s2.Unrolls["k"] = 5
+	s2.Unrolls = transform.Factors{{Var: "k", N: 5}}
 	a := mustEval(t, mmNest(2000), s1, gnuOn(machine.Sandybridge))
 	b := mustEval(t, mmNest(2000), s2, gnuOn(machine.Sandybridge))
 	if a.RunSeconds == b.RunSeconds {
@@ -128,9 +128,9 @@ func TestPhiMMDefaultBestUnderIntel(t *testing.T) {
 	def := mustEval(t, mmNest(2000), transform.Spec{Order: []string{"i", "j", "k"}}, tgt)
 	for _, spec := range []transform.Spec{
 		goodSpec(),
-		{Order: []string{"i", "j", "k"}, Unrolls: map[string]int{"i": 16, "j": 16, "k": 16}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"i": 128, "j": 128, "k": 128},
-			RegTiles: map[string]int{"i": 8, "j": 8}},
+		{Order: []string{"i", "j", "k"}, Unrolls: transform.Factors{{Var: "i", N: 16}, {Var: "j", N: 16}, {Var: "k", N: 16}}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "i", N: 128}, {Var: "j", N: 128}, {Var: "k", N: 128}},
+			RegTiles: transform.Factors{{Var: "i", N: 8}, {Var: "j", N: 8}}},
 	} {
 		manual := mustEval(t, mmNest(2000), spec, tgt)
 		if manual.RunSeconds <= def.RunSeconds {
@@ -148,8 +148,8 @@ func TestPhiLUManualTransformsStillHelp(t *testing.T) {
 	def := mustEval(t, luNest(2000), transform.Spec{Order: []string{"k", "i", "j"}}, tgt)
 	tuned := mustEval(t, luNest(2000), transform.Spec{
 		Order:      []string{"k", "i", "j"},
-		CacheTiles: map[string]int{"i": 64, "j": 64},
-		Unrolls:    map[string]int{"j": 4},
+		CacheTiles: transform.Factors{{Var: "i", N: 64}, {Var: "j", N: 64}},
+		Unrolls:    transform.Factors{{Var: "j", N: 4}},
 	}, tgt)
 	if tuned.RunSeconds >= def.RunSeconds {
 		t.Errorf("Phi/icc LU: tuned (%.4f) not faster than default (%.4f)",
@@ -162,10 +162,10 @@ func TestExcessiveUnrollHurts(t *testing.T) {
 	// unrolling on every machine, dramatically so on X-Gene.
 	for _, m := range []machine.Machine{machine.Sandybridge, machine.XGene} {
 		moderate := mustEval(t, mmNest(2000), transform.Spec{
-			Order: []string{"i", "j", "k"}, Unrolls: map[string]int{"k": 4},
+			Order: []string{"i", "j", "k"}, Unrolls: transform.Factors{{Var: "k", N: 4}},
 		}, gnuOn(m))
 		extreme := mustEval(t, mmNest(2000), transform.Spec{
-			Order: []string{"i", "j", "k"}, Unrolls: map[string]int{"i": 32, "j": 32, "k": 32},
+			Order: []string{"i", "j", "k"}, Unrolls: transform.Factors{{Var: "i", N: 32}, {Var: "j", N: 32}, {Var: "k", N: 32}},
 		}, gnuOn(m))
 		// Compare the structural components (X-Gene's per-variant
 		// code-generation lottery intentionally scrambles RunSeconds).
@@ -180,7 +180,7 @@ func TestExcessiveUnrollHurts(t *testing.T) {
 func TestCompileTimeGrowsWithUnroll(t *testing.T) {
 	small := mustEval(t, mmNest(500), transform.Spec{Order: []string{"i", "j", "k"}}, gnuOn(machine.Sandybridge))
 	big := mustEval(t, mmNest(500), transform.Spec{
-		Order: []string{"i", "j", "k"}, Unrolls: map[string]int{"i": 32, "j": 32, "k": 32},
+		Order: []string{"i", "j", "k"}, Unrolls: transform.Factors{{Var: "i", N: 32}, {Var: "j", N: 32}, {Var: "k", N: 32}},
 	}, gnuOn(machine.Sandybridge))
 	if big.CompileSeconds <= small.CompileSeconds*2 {
 		t.Fatalf("compile time insensitive to code growth: %.2f vs %.2f",
@@ -237,10 +237,10 @@ func TestCrossIntelCorrelationOfLandscape(t *testing.T) {
 	// experiment lives in internal/experiments; this is the smoke check.)
 	specs := []transform.Spec{
 		{Order: []string{"i", "j", "k"}},
-		{Order: []string{"i", "j", "k"}, Unrolls: map[string]int{"k": 4}},
-		{Order: []string{"i", "j", "k"}, CacheTiles: map[string]int{"i": 64, "j": 64, "k": 64}},
+		{Order: []string{"i", "j", "k"}, Unrolls: transform.Factors{{Var: "k", N: 4}}},
+		{Order: []string{"i", "j", "k"}, CacheTiles: transform.Factors{{Var: "i", N: 64}, {Var: "j", N: 64}, {Var: "k", N: 64}}},
 		goodSpec(),
-		{Order: []string{"i", "j", "k"}, Unrolls: map[string]int{"i": 32, "j": 32, "k": 32}},
+		{Order: []string{"i", "j", "k"}, Unrolls: transform.Factors{{Var: "i", N: 32}, {Var: "j", N: 32}, {Var: "k", N: 32}}},
 	}
 	var w, s []float64
 	for _, sp := range specs {
@@ -274,17 +274,17 @@ func TestCrossIntelCorrelationOfLandscape(t *testing.T) {
 }
 
 func TestSpecKeyCanonical(t *testing.T) {
-	a := transform.Spec{Unrolls: map[string]int{"i": 2, "j": 3}}
-	b := transform.Spec{Unrolls: map[string]int{"j": 3, "i": 2}}
+	a := transform.Spec{Unrolls: transform.Factors{{Var: "i", N: 2}, {Var: "j", N: 3}}}
+	b := transform.Spec{Unrolls: transform.Factors{{Var: "j", N: 3}, {Var: "i", N: 2}}}
 	if SpecKey(a) != SpecKey(b) {
 		t.Fatal("SpecKey depends on map order")
 	}
-	c := transform.Spec{Unrolls: map[string]int{"i": 2, "j": 4}}
+	c := transform.Spec{Unrolls: transform.Factors{{Var: "i", N: 2}, {Var: "j", N: 4}}}
 	if SpecKey(a) == SpecKey(c) {
 		t.Fatal("SpecKey ignores values")
 	}
 	// Identity entries do not affect the key.
-	d := transform.Spec{Unrolls: map[string]int{"i": 2, "j": 3, "k": 1}}
+	d := transform.Spec{Unrolls: transform.Factors{{Var: "i", N: 2}, {Var: "j", N: 3}, {Var: "k", N: 1}}}
 	if SpecKey(a) != SpecKey(d) {
 		t.Fatal("identity entries change SpecKey")
 	}

@@ -11,6 +11,7 @@ package transform
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
@@ -34,11 +35,51 @@ func Unroll(n *ir.Nest, v string, factor int) error {
 	return nil
 }
 
+// derivedKey names a loop variable strip-mining derives from v: v+v for
+// a cache-tile loop, v+"_b" for a register-tile loop.
+type derivedKey struct {
+	v   string
+	reg bool
+}
+
+// derived interns each derived loop variable as its unit expression
+// (Sym(name, 1)), so strip-mining allocates neither the name nor the
+// bound terms. It grows with the distinct loop variables ever tiled.
+var derived struct {
+	sync.RWMutex
+	m map[derivedKey]ir.Expr
+}
+
+// derivedLoop returns the unit expression of the loop variable derived
+// from v; its one term names the variable.
+func derivedLoop(v string, reg bool) ir.Expr {
+	k := derivedKey{v, reg}
+	derived.RLock()
+	e, ok := derived.m[k]
+	derived.RUnlock()
+	if ok {
+		return e
+	}
+	name := v + v
+	if reg {
+		name = v + "_b"
+	}
+	e = ir.Sym(name, 1)
+	derived.Lock()
+	if derived.m == nil {
+		derived.m = map[derivedKey]ir.Expr{}
+	}
+	derived.m[k] = e
+	derived.Unlock()
+	return e
+}
+
 // stripMine splits the loop with variable v into an outer tile loop
-// (named outerVar, step = tile) and the original point loop confined to
-// one tile. It returns the index of the new outer loop. tile must be >= 2; a
-// tile of 1 should be treated as identity by the caller.
-func stripMine(n *ir.Nest, v, outerVar string, tile int) (int, error) {
+// (the variable derived from v, step = tile) and the original point loop
+// confined to one tile. It returns the index of the new outer loop. tile
+// must be >= 2; a tile of 1 should be treated as identity by the caller.
+// The new loop goes into n.Loops in place when its capacity allows.
+func stripMine(n *ir.Nest, v string, reg bool, tile int) (int, error) {
 	if tile < 2 {
 		return -1, fmt.Errorf("transform: strip-mine tile %d < 2 for loop %s", tile, v)
 	}
@@ -46,6 +87,8 @@ func stripMine(n *ir.Nest, v, outerVar string, tile int) (int, error) {
 	if i < 0 {
 		return -1, fmt.Errorf("transform: no loop %q to strip-mine in %s", v, n.Name)
 	}
+	unit := derivedLoop(v, reg)
+	outerVar := unit.Terms[0].Sym
 	if n.LoopIndex(outerVar) >= 0 {
 		return -1, fmt.Errorf("transform: derived loop %q already exists when strip-mining %q", outerVar, v)
 	}
@@ -59,16 +102,14 @@ func stripMine(n *ir.Nest, v, outerVar string, tile int) (int, error) {
 	}
 	inner := ir.Loop{
 		Var:    v,
-		Lower:  ir.Sym(outerVar, 1),
-		Upper:  ir.Sym(outerVar, 1).AddConst(l.Step * float64(tile)),
+		Lower:  unit,
+		Upper:  ir.Expr{Terms: unit.Terms, Const: l.Step * float64(tile)},
 		Step:   l.Step,
 		Unroll: l.Unroll,
 	}
-	loops := make([]ir.Loop, 0, len(n.Loops)+1)
-	loops = append(loops, n.Loops[:i]...)
-	loops = append(loops, outer, inner)
-	loops = append(loops, n.Loops[i+1:]...)
-	n.Loops = loops
+	n.Loops = append(n.Loops, ir.Loop{})
+	copy(n.Loops[i+2:], n.Loops[i+1:])
+	n.Loops[i], n.Loops[i+1] = outer, inner
 	return i, nil
 }
 
@@ -80,7 +121,13 @@ func CacheTile(n *ir.Nest, vars []string, tiles []int) error {
 	if len(vars) != len(tiles) {
 		return fmt.Errorf("transform: %d loop names but %d tile sizes", len(vars), len(tiles))
 	}
-	tiled := make([]string, 0, len(vars))
+	var buf [16]bool
+	tiled := buf[:0]
+	if len(vars) > len(buf) {
+		tiled = make([]bool, 0, len(vars))
+	}
+	tiled = tiled[:len(vars)]
+	hoisted := 0
 	for idx, v := range vars {
 		t := tiles[idx]
 		if t < 1 {
@@ -98,35 +145,29 @@ func CacheTile(n *ir.Nest, vars []string, tiles []int) error {
 		if float64(t) >= n.TripCount(li) {
 			continue
 		}
-		if _, err := stripMine(n, v, v+v, t); err != nil {
+		if _, err := stripMine(n, v, false, t); err != nil {
 			return err
 		}
-		tiled = append(tiled, v+v)
+		tiled[idx] = true
+		hoisted++
 	}
-	if len(tiled) == 0 {
+	if hoisted == 0 {
 		return nil
 	}
-	hoistOutermost(n, tiled)
-	return nil
-}
-
-// hoistOutermost reorders loops so those named in order appear first,
-// followed by the remaining loops in their existing relative order.
-func hoistOutermost(n *ir.Nest, order []string) {
-	want := make(map[string]int, len(order))
-	for i, v := range order {
-		want[v] = i
-	}
-	head := make([]ir.Loop, len(order))
-	var tail []ir.Loop
-	for _, l := range n.Loops {
-		if pos, ok := want[l.Var]; ok {
-			head[pos] = l
-		} else {
-			tail = append(tail, l)
+	// Hoist the tile loops to the outermost positions in tiling order,
+	// keeping the other loops in their relative order.
+	pos := 0
+	for idx, v := range vars {
+		if !tiled[idx] {
+			continue
 		}
+		p := n.LoopIndex(derivedLoop(v, false).Terms[0].Sym)
+		l := n.Loops[p]
+		copy(n.Loops[pos+1:p+1], n.Loops[pos:p])
+		n.Loops[pos] = l
+		pos++
 	}
-	n.Loops = append(head, tail...)
+	return nil
 }
 
 // RegisterTile applies unroll-and-jam with register-block size rt to the
@@ -148,7 +189,7 @@ func RegisterTile(n *ir.Nest, v string, rt int) error {
 	if float64(rt) >= n.TripCount(li) {
 		return nil // block covers whole loop; treat as identity
 	}
-	if _, err := stripMine(n, v, v+"_b", rt); err != nil {
+	if _, err := stripMine(n, v, true, rt); err != nil {
 		return err
 	}
 	// The point loop (still named v) becomes the innermost loop, fully
@@ -157,9 +198,8 @@ func RegisterTile(n *ir.Nest, v string, rt int) error {
 	point := n.Loops[pi]
 	point.Unroll = rt
 	point.Register = true
-	loops := append([]ir.Loop{}, n.Loops[:pi]...)
-	loops = append(loops, n.Loops[pi+1:]...)
-	n.Loops = append(loops, point)
+	copy(n.Loops[pi:], n.Loops[pi+1:])
+	n.Loops[len(n.Loops)-1] = point
 	return nil
 }
 
@@ -173,17 +213,38 @@ func Interchange(n *ir.Nest, a, b int) error {
 	return nil
 }
 
+// Factor binds one loop variable to a factor or size.
+type Factor struct {
+	Var string
+	N   int
+}
+
+// Factors assigns factors to loop variables in a fixed order. A variable
+// without an entry has factor 1; a variable should appear at most once
+// (Get reads the last entry).
+type Factors []Factor
+
+// Get returns the factor of loop variable v, defaulting to 1.
+func (fs Factors) Get(v string) int {
+	for i := len(fs) - 1; i >= 0; i-- {
+		if fs[i].Var == v {
+			return fs[i].N
+		}
+	}
+	return 1
+}
+
 // Spec is a complete transformation recipe for a kernel: per-loop unroll
 // factors, cache tiles, and register tiles, keyed by the original loop
 // variables. It corresponds to one point of the SPAPT search space.
 type Spec struct {
 	// Order lists the original loop variables, outermost first.
 	Order []string
-	// Unrolls, CacheTiles, RegTiles map loop variable to factor/size.
-	// Missing entries mean 1 (identity).
-	Unrolls    map[string]int
-	CacheTiles map[string]int
-	RegTiles   map[string]int
+	// Unrolls, CacheTiles, RegTiles assign loop variables their
+	// factor/size. Missing entries mean 1 (identity).
+	Unrolls    Factors
+	CacheTiles Factors
+	RegTiles   Factors
 	// ScalarReplace requests source-level scalar replacement of
 	// loop-invariant references (SPAPT's SCR knob). It does not change
 	// the loop structure; the cost model reads it.
@@ -193,42 +254,35 @@ type Spec struct {
 	VectorHint bool
 }
 
-// factor returns m[v], defaulting to 1.
-func factor(m map[string]int, v string) int {
-	if m == nil {
-		return 1
-	}
-	f, ok := m[v]
-	if !ok {
-		return 1
-	}
-	return f
-}
-
-// Apply transforms a clone of base according to the spec and returns it.
+// Apply transforms a copy of base according to the spec and returns it.
 // The application order is the one Orio uses: cache tiling first (creating
 // the tile loop structure), then register tiling on the point loops, then
-// unrolling of whatever point loops remain un-jammed.
+// unrolling of whatever point loops remain un-jammed. The result has its
+// own Loops and shares Body, Arrays and Sizes with base: no transformation
+// writes those.
 func Apply(base *ir.Nest, spec Spec) (*ir.Nest, error) {
-	n := base.Clone()
-
 	vars := spec.Order
 	if len(vars) == 0 {
 		for _, l := range base.Loops {
 			vars = append(vars, l.Var)
 		}
 	}
+	// Each variable strip-mines at most twice (cache and register tile).
+	loops := make([]ir.Loop, len(base.Loops), len(base.Loops)+2*len(vars))
+	copy(loops, base.Loops)
+	n := &ir.Nest{Name: base.Name, Loops: loops, Body: base.Body, Arrays: base.Arrays, Sizes: base.Sizes}
 
-	tiles := make([]int, len(vars))
-	for i, v := range vars {
-		tiles[i] = factor(spec.CacheTiles, v)
+	var buf [16]int
+	tiles := buf[:0]
+	for _, v := range vars {
+		tiles = append(tiles, spec.CacheTiles.Get(v))
 	}
 	if err := CacheTile(n, vars, tiles); err != nil {
 		return nil, err
 	}
 
 	for _, v := range vars {
-		if rt := factor(spec.RegTiles, v); rt > 1 {
+		if rt := spec.RegTiles.Get(v); rt > 1 {
 			if err := RegisterTile(n, v, rt); err != nil {
 				return nil, err
 			}
@@ -236,7 +290,7 @@ func Apply(base *ir.Nest, spec Spec) (*ir.Nest, error) {
 	}
 
 	for _, v := range vars {
-		if u := factor(spec.Unrolls, v); u > 1 {
+		if u := spec.Unrolls.Get(v); u > 1 {
 			li := n.LoopIndex(v)
 			if li >= 0 && n.Loops[li].Register {
 				continue // already fully unrolled by unroll-and-jam

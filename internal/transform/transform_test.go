@@ -163,10 +163,10 @@ func TestCacheTileErrors(t *testing.T) {
 
 func TestDoubleStripMineRejected(t *testing.T) {
 	n := mm(1000)
-	if _, err := stripMine(n, "i", "ii", 16); err != nil {
+	if _, err := stripMine(n, "i", false, 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stripMine(n, "i", "ii", 16); err == nil {
+	if _, err := stripMine(n, "i", false, 16); err == nil {
 		t.Fatal("double strip-mine of same loop accepted")
 	}
 }
@@ -226,9 +226,9 @@ func TestInterchange(t *testing.T) {
 func TestApplyFullSpec(t *testing.T) {
 	spec := Spec{
 		Order:      []string{"i", "j", "k"},
-		Unrolls:    map[string]int{"k": 4},
-		CacheTiles: map[string]int{"i": 64, "j": 64, "k": 64},
-		RegTiles:   map[string]int{"i": 2, "j": 2},
+		Unrolls:    Factors{{Var: "k", N: 4}},
+		CacheTiles: Factors{{Var: "i", N: 64}, {Var: "j", N: 64}, {Var: "k", N: 64}},
+		RegTiles:   Factors{{Var: "i", N: 2}, {Var: "j", N: 2}},
 	}
 	out, err := Apply(mm(2000), spec)
 	if err != nil {
@@ -268,7 +268,7 @@ func TestApplyIdentitySpec(t *testing.T) {
 		t.Fatal("identity spec changed the nest")
 	}
 	// Apply must not mutate its input.
-	if _, err := Apply(base, Spec{Unrolls: map[string]int{"i": 8}}); err != nil {
+	if _, err := Apply(base, Spec{Unrolls: Factors{{Var: "i", N: 8}}}); err != nil {
 		t.Fatal(err)
 	}
 	if base.Loops[0].Unroll != 1 {
@@ -278,8 +278,8 @@ func TestApplyIdentitySpec(t *testing.T) {
 
 func TestApplyDoesNotDoubleUnrollRegisterLoops(t *testing.T) {
 	spec := Spec{
-		Unrolls:  map[string]int{"i": 16},
-		RegTiles: map[string]int{"i": 4},
+		Unrolls:  Factors{{Var: "i", N: 16}},
+		RegTiles: Factors{{Var: "i", N: 4}},
 	}
 	out, err := Apply(mm(2000), spec)
 	if err != nil {
@@ -294,16 +294,10 @@ func TestApplyDoesNotDoubleUnrollRegisterLoops(t *testing.T) {
 func TestApplyPropertyAlwaysValidAndWorkPreserving(t *testing.T) {
 	f := func(u1, u2, u3, t1, t2, t3, r1, r2 uint8) bool {
 		spec := Spec{
-			Order: []string{"i", "j", "k"},
-			Unrolls: map[string]int{
-				"i": int(u1%32) + 1, "j": int(u2%32) + 1, "k": int(u3%32) + 1,
-			},
-			CacheTiles: map[string]int{
-				"i": 1 << (t1 % 12), "j": 1 << (t2 % 12), "k": 1 << (t3 % 12),
-			},
-			RegTiles: map[string]int{
-				"i": 1 << (r1 % 6), "j": 1 << (r2 % 6),
-			},
+			Order:      []string{"i", "j", "k"},
+			Unrolls:    Factors{{Var: "i", N: int(u1%32) + 1}, {Var: "j", N: int(u2%32) + 1}, {Var: "k", N: int(u3%32) + 1}},
+			CacheTiles: Factors{{Var: "i", N: 1 << (t1 % 12)}, {Var: "j", N: 1 << (t2 % 12)}, {Var: "k", N: 1 << (t3 % 12)}},
+			RegTiles:   Factors{{Var: "i", N: 1 << (r1 % 6)}, {Var: "j", N: 1 << (r2 % 6)}},
 		}
 		base := mm(2000)
 		out, err := Apply(base, spec)
