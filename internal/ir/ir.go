@@ -350,15 +350,14 @@ func (n *Nest) Trips() []float64 {
 // product of trip counts of loops 0..i-1 (divided by their unroll factors)
 // times loop i's own trip count divided by its unroll factor.
 func (n *Nest) IterCount(i int) float64 {
-	var buf [maxStackLoops]float64
-	mids := n.env(buf[:])
+	trips := n.Trips()
 	count := 1.0
 	for j := 0; j <= i; j++ {
 		u := float64(n.Loops[j].Unroll)
 		if u < 1 {
 			u = 1
 		}
-		count *= n.tripIn(j, mids) / u
+		count *= trips[j] / u
 	}
 	return count
 }
@@ -367,11 +366,9 @@ func (n *Nest) IterCount(i int) float64 {
 // (unrolling does not change this: each header iteration runs Unroll
 // copies of the body).
 func (n *Nest) BodyExecutions() float64 {
-	var buf [maxStackLoops]float64
-	mids := n.env(buf[:])
 	count := 1.0
-	for i := range n.Loops {
-		count *= n.tripIn(i, mids)
+	for _, t := range n.Trips() {
+		count *= t
 	}
 	return count
 }

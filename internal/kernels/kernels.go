@@ -46,7 +46,6 @@ type Kernel struct {
 	// scr, vec, omp are the space positions of the switches (-1 when
 	// the kernel has none).
 	scr, vec, omp int
-	loops         int // loops over all nests
 }
 
 // Space returns the kernel's configuration space.
@@ -69,10 +68,6 @@ func (k *Kernel) index() *Kernel {
 	if k.hasOMP {
 		k.omp = k.spc.Index("OMP")
 	}
-	k.loops = 0
-	for _, n := range k.Nests {
-		k.loops += len(n.Loops)
-	}
 	return k
 }
 
@@ -83,7 +78,11 @@ func (k *Kernel) value(c space.Config, i int) int { return k.spc.Param(i).Value(
 // spec lists its nest's factors in binding order.
 func (k *Kernel) SpecsFor(c space.Config) []transform.Spec {
 	specs := make([]transform.Spec, len(k.Nests))
-	order := make([]string, 0, k.loops)
+	loops := 0
+	for _, n := range k.Nests {
+		loops += len(n.Loops)
+	}
+	order := make([]string, 0, loops)
 	factors := make(transform.Factors, 3*len(k.bindings))
 	off := 0
 	for ni, n := range k.Nests {

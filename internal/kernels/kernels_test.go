@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -450,5 +451,43 @@ func TestCustomConstructorValidation(t *testing.T) {
 	if _, err := Custom("x", "s", []*ir.Nest{bad}, goodSpace,
 		[]Binding{{Nest: 0, Var: "i", Suffix: "X"}}, false, false, false); err == nil {
 		t.Fatal("invalid nest accepted")
+	}
+}
+
+// TestConcurrentEvaluateMatchesSerial: a Problem builds its per-nest
+// simulator state on first use; goroutines racing into that first use
+// and evaluating concurrently must see the serial results bit for bit.
+func TestConcurrentEvaluateMatchesSerial(t *testing.T) {
+	for _, tgt := range []sim.Target{
+		{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 8},
+		{Machine: machine.XeonPhi, Compiler: machine.Intel, Threads: 60},
+	} {
+		k := ATAX(DefaultATAXSize)
+		r := rng.New(5)
+		cs := make([]space.Config, 24)
+		for i := range cs {
+			cs[i] = k.Space().Random(r)
+		}
+		serial := NewProblem(k, tgt)
+		want := make([][2]float64, len(cs))
+		for i, c := range cs {
+			want[i][0], want[i][1] = serial.Evaluate(c)
+		}
+		shared := NewProblem(k, tgt)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for j := range cs {
+					i := (j + 7*w) % len(cs)
+					run, cost := shared.Evaluate(cs[i])
+					if math.Float64bits(run) != math.Float64bits(want[i][0]) || math.Float64bits(cost) != math.Float64bits(want[i][1]) {
+						t.Errorf("%s config %d: concurrent (%v, %v), serial (%v, %v)", shared.Name(), i, run, cost, want[i][0], want[i][1])
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
 	}
 }

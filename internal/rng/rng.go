@@ -10,7 +10,6 @@ package rng
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 )
 
@@ -260,24 +259,17 @@ func (h Hasher) Sum64() uint64 {
 }
 
 // HashBytes64 is Hash64 over raw bytes.
-func HashBytes64(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	v := h.Sum64()
-	return splitMix64(&v)
-}
+func HashBytes64(b []byte) uint64 { return NewHasher().Bytes(b).Sum64() }
 
 // HashInts64 hashes a sequence of ints together with a string tag. It is
 // the stable noise key used by the machine model: the noise applied to a
 // configuration depends only on (tag, values).
 func HashInts64(tag string, vals []int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(tag))
+	h := NewHasher().String(tag)
 	var buf [8]byte
 	for _, v := range vals {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		h = h.Bytes(buf[:])
 	}
-	v := h.Sum64()
-	return splitMix64(&v)
+	return h.Sum64()
 }

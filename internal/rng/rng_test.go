@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"strings"
@@ -340,5 +341,28 @@ func TestHasherMatchesHash64(t *testing.T) {
 		if got, want := h.Sum64(), splitMix64(&v); got != want || got != Hash64(whole) {
 			t.Errorf("%q: hasher %x, fnv %x, Hash64 %x", whole, got, want, Hash64(whole))
 		}
+	}
+}
+
+// TestHashIntsMatchesFNV pins HashInts64 and HashBytes64 to hash/fnv's
+// FNV-1a over the tag and the values' little-endian bytes.
+func TestHashIntsMatchesFNV(t *testing.T) {
+	vals := []int{0, 3, -1, 1 << 40}
+	f := fnv.New64a()
+	f.Write([]byte("miniapp|HPL|Power7"))
+	for _, v := range vals {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		f.Write(b[:])
+	}
+	sum := f.Sum64()
+	if got, want := HashInts64("miniapp|HPL|Power7", vals), splitMix64(&sum); got != want {
+		t.Errorf("HashInts64 = %x, want %x", got, want)
+	}
+	g := fnv.New64a()
+	g.Write([]byte{1, 2, 3})
+	sum = g.Sum64()
+	if got, want := HashBytes64([]byte{1, 2, 3}), splitMix64(&sum); got != want {
+		t.Errorf("HashBytes64 = %x, want %x", got, want)
 	}
 }

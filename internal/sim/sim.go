@@ -109,11 +109,6 @@ func NewModel(base *ir.Nest, m machine.Machine, comp machine.Compiler) *Model {
 	return &Model{base: base, m: m, comp: comp}
 }
 
-// Target returns the model's target at the given thread count.
-func (md *Model) Target(threads int) Target {
-	return Target{Machine: md.m, Compiler: md.comp, Threads: threads}
-}
-
 func (md *Model) init() {
 	md.once.Do(func() {
 		m := md.m
@@ -332,7 +327,7 @@ func Evaluate(base *ir.Nest, spec transform.Spec, tgt Target) (Cost, error) {
 // execution on the model's target with the given OpenMP thread count.
 // The result is deterministic in all arguments.
 func (md *Model) Evaluate(spec transform.Spec, threads int) (Cost, error) {
-	tgt := md.Target(threads)
+	tgt := Target{Machine: md.m, Compiler: md.comp, Threads: threads}
 	if !md.m.SupportsCompiler(md.comp) {
 		return Cost{}, fmt.Errorf("sim: compiler %s not available on %s",
 			md.comp.Name, md.m.Name)

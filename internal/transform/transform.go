@@ -11,7 +11,6 @@ package transform
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/ir"
 )
@@ -35,51 +34,12 @@ func Unroll(n *ir.Nest, v string, factor int) error {
 	return nil
 }
 
-// derivedKey names a loop variable strip-mining derives from v: v+v for
-// a cache-tile loop, v+"_b" for a register-tile loop.
-type derivedKey struct {
-	v   string
-	reg bool
-}
-
-// derived interns each derived loop variable as its unit expression
-// (Sym(name, 1)), so strip-mining allocates neither the name nor the
-// bound terms. It grows with the distinct loop variables ever tiled.
-var derived struct {
-	sync.RWMutex
-	m map[derivedKey]ir.Expr
-}
-
-// derivedLoop returns the unit expression of the loop variable derived
-// from v; its one term names the variable.
-func derivedLoop(v string, reg bool) ir.Expr {
-	k := derivedKey{v, reg}
-	derived.RLock()
-	e, ok := derived.m[k]
-	derived.RUnlock()
-	if ok {
-		return e
-	}
-	name := v + v
-	if reg {
-		name = v + "_b"
-	}
-	e = ir.Sym(name, 1)
-	derived.Lock()
-	if derived.m == nil {
-		derived.m = map[derivedKey]ir.Expr{}
-	}
-	derived.m[k] = e
-	derived.Unlock()
-	return e
-}
-
 // stripMine splits the loop with variable v into an outer tile loop
-// (the variable derived from v, step = tile) and the original point loop
-// confined to one tile. It returns the index of the new outer loop. tile
-// must be >= 2; a tile of 1 should be treated as identity by the caller.
-// The new loop goes into n.Loops in place when its capacity allows.
-func stripMine(n *ir.Nest, v string, reg bool, tile int) (int, error) {
+// (named outerVar, step = tile) and the original point loop confined to
+// one tile. It returns the index of the new outer loop. tile must be >= 2; a
+// tile of 1 should be treated as identity by the caller. The new loop goes
+// into n.Loops in place when its capacity allows.
+func stripMine(n *ir.Nest, v, outerVar string, tile int) (int, error) {
 	if tile < 2 {
 		return -1, fmt.Errorf("transform: strip-mine tile %d < 2 for loop %s", tile, v)
 	}
@@ -87,12 +47,11 @@ func stripMine(n *ir.Nest, v string, reg bool, tile int) (int, error) {
 	if i < 0 {
 		return -1, fmt.Errorf("transform: no loop %q to strip-mine in %s", v, n.Name)
 	}
-	unit := derivedLoop(v, reg)
-	outerVar := unit.Terms[0].Sym
 	if n.LoopIndex(outerVar) >= 0 {
 		return -1, fmt.Errorf("transform: derived loop %q already exists when strip-mining %q", outerVar, v)
 	}
 	l := n.Loops[i]
+	unit := ir.Sym(outerVar, 1)
 	outer := ir.Loop{
 		Var:    outerVar,
 		Lower:  l.Lower,
@@ -121,13 +80,7 @@ func CacheTile(n *ir.Nest, vars []string, tiles []int) error {
 	if len(vars) != len(tiles) {
 		return fmt.Errorf("transform: %d loop names but %d tile sizes", len(vars), len(tiles))
 	}
-	var buf [16]bool
-	tiled := buf[:0]
-	if len(vars) > len(buf) {
-		tiled = make([]bool, 0, len(vars))
-	}
-	tiled = tiled[:len(vars)]
-	hoisted := 0
+	tiled := make([]string, 0, len(vars))
 	for idx, v := range vars {
 		t := tiles[idx]
 		if t < 1 {
@@ -145,29 +98,28 @@ func CacheTile(n *ir.Nest, vars []string, tiles []int) error {
 		if float64(t) >= n.TripCount(li) {
 			continue
 		}
-		if _, err := stripMine(n, v, false, t); err != nil {
+		outer, err := stripMine(n, v, v+v, t)
+		if err != nil {
 			return err
 		}
-		tiled[idx] = true
-		hoisted++
+		tiled = append(tiled, n.Loops[outer].Var)
 	}
-	if hoisted == 0 {
+	if len(tiled) == 0 {
 		return nil
 	}
-	// Hoist the tile loops to the outermost positions in tiling order,
-	// keeping the other loops in their relative order.
-	pos := 0
-	for idx, v := range vars {
-		if !tiled[idx] {
-			continue
-		}
-		p := n.LoopIndex(derivedLoop(v, false).Terms[0].Sym)
+	hoistOutermost(n, tiled)
+	return nil
+}
+
+// hoistOutermost reorders loops in place so those named in order appear
+// first, followed by the remaining loops in their existing relative order.
+func hoistOutermost(n *ir.Nest, order []string) {
+	for pos, v := range order {
+		p := n.LoopIndex(v)
 		l := n.Loops[p]
 		copy(n.Loops[pos+1:p+1], n.Loops[pos:p])
 		n.Loops[pos] = l
-		pos++
 	}
-	return nil
 }
 
 // RegisterTile applies unroll-and-jam with register-block size rt to the
@@ -189,7 +141,7 @@ func RegisterTile(n *ir.Nest, v string, rt int) error {
 	if float64(rt) >= n.TripCount(li) {
 		return nil // block covers whole loop; treat as identity
 	}
-	if _, err := stripMine(n, v, true, rt); err != nil {
+	if _, err := stripMine(n, v, v+"_b", rt); err != nil {
 		return err
 	}
 	// The point loop (still named v) becomes the innermost loop, fully
@@ -272,10 +224,9 @@ func Apply(base *ir.Nest, spec Spec) (*ir.Nest, error) {
 	copy(loops, base.Loops)
 	n := &ir.Nest{Name: base.Name, Loops: loops, Body: base.Body, Arrays: base.Arrays, Sizes: base.Sizes}
 
-	var buf [16]int
-	tiles := buf[:0]
-	for _, v := range vars {
-		tiles = append(tiles, spec.CacheTiles.Get(v))
+	tiles := make([]int, len(vars))
+	for i, v := range vars {
+		tiles[i] = spec.CacheTiles.Get(v)
 	}
 	if err := CacheTile(n, vars, tiles); err != nil {
 		return nil, err

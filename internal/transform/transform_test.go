@@ -163,10 +163,10 @@ func TestCacheTileErrors(t *testing.T) {
 
 func TestDoubleStripMineRejected(t *testing.T) {
 	n := mm(1000)
-	if _, err := stripMine(n, "i", false, 16); err != nil {
+	if _, err := stripMine(n, "i", "ii", 16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stripMine(n, "i", false, 16); err == nil {
+	if _, err := stripMine(n, "i", "ii", 16); err == nil {
 		t.Fatal("double strip-mine of same loop accepted")
 	}
 }
