@@ -100,16 +100,16 @@ type (
 	// ForestParams configures the random-forest surrogate.
 	ForestParams = forest.Params
 
-	// FallibleProblem is a Problem whose evaluations can fail; EvalStatus
-	// classifies how each evaluation ended, EvalCounts tallies a run.
-	FallibleProblem = search.FallibleProblem
-	EvalStatus      = search.Status
-	EvalCounts      = search.Counts
+	// EvalStatus classifies how each evaluation ended, EvalCounts
+	// tallies a run.
+	EvalStatus = search.Status
+	EvalCounts = search.Counts
 	// EvalOutcome is the reduced result of one resilient evaluation.
 	EvalOutcome = search.Outcome
 
 	// FaultRates configures the deterministic fault injector;
-	// ResilientOptions sets retry/timeout budgets for fallible problems.
+	// ResilientOptions sets the retry/timeout budgets of WithFaults and
+	// WithResilience.
 	FaultRates       = faults.Rates
 	ResilientOptions = search.ResilientOptions
 )
@@ -215,11 +215,11 @@ func WithFaults(p Problem, rates FaultRates, seed uint64, opt ResilientOptions) 
 	return search.NewResilient(faults.Wrap(p, rates, seed), opt)
 }
 
-// WithResilience wraps a problem (fallible or not) with retry and
-// timeout budgets; retries and their exponential backoff are charged to
-// the search clock.
+// WithResilience wraps any problem with retry and timeout budgets;
+// retries and their exponential backoff are charged to the search
+// clock.
 func WithResilience(p Problem, opt ResilientOptions) Problem {
-	return search.NewResilient(search.Fallible(p), opt)
+	return search.NewResilient(p, opt)
 }
 
 // EnsembleTune runs the OpenTuner-style technique ensemble (simulated

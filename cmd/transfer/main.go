@@ -17,13 +17,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/forest"
 	"repro/internal/search"
-	"repro/internal/space"
 	"repro/internal/spec"
 	"repro/internal/tabulate"
 )
@@ -98,7 +99,9 @@ func main() {
 	fmt.Println(tb.String())
 
 	if *saveTa != "" {
-		if err := writeTa(*saveTa, out.Ta, src.Space()); err != nil {
+		if err := durable.WriteFile(*saveTa, func(w io.Writer) error {
+			return out.Ta.SaveCSV(w, src.Space())
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "transfer:", err)
 			os.Exit(1)
 		}
@@ -111,34 +114,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "transfer:", strings.Join(out.Warnings, "; "))
 			os.Exit(1)
 		}
-		if err := writeModel(*saveModel, out.Surrogate); err != nil {
+		if err := durable.WriteFile(*saveModel, out.Surrogate.Forest.Save); err != nil {
 			fmt.Fprintln(os.Stderr, "transfer:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote surrogate (%d trees) to %s\n", out.Surrogate.Forest.NumTrees(), *saveModel)
 	}
-}
-
-func writeTa(path string, ta search.Dataset, spc *space.Space) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ta.SaveCSV(f, spc); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeModel(path string, sur *core.Surrogate) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sur.Forest.Save(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,45 +112,38 @@ func TestSaveModelWritesRunSurrogate(t *testing.T) {
 	}
 }
 
-func TestWriteArtifacts(t *testing.T) {
+// TestSaveTaRoundTrip: -save-ta writes the run's T_a, and reading the
+// file back with search.LoadCSV gives exactly the dataset core.Run
+// collected with the same options.
+func TestSaveTaRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ta.csv")
+	if out, code := transfer(t, "-nmax", "12", "-pool", "50", "-trees", "5", "-seed", "3", "-save-ta", path); code != 0 {
+		t.Fatalf("transfer -save-ta: exit %d, output:\n%s", code, out)
+	}
 	src, err := (&spec.Spec{Problem: "LU", Machine: "Westmere"}).Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ta := core.Collect(context.Background(), src, 15, rng.New(1))
-	dir := t.TempDir()
-
-	taPath := filepath.Join(dir, "ta.csv")
-	if err := writeTa(taPath, ta, src.Space()); err != nil {
+	tgt, err := (&spec.Spec{Problem: "LU", Machine: "Sandybridge"}).Resolve()
+	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(taPath)
+	want, err := core.Run(context.Background(), src, tgt, core.Options{
+		NMax: 12, PoolSize: 50, DeltaPct: 20, Forest: forest.Params{Trees: 5}, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	loaded, err := search.LoadCSV(f, src.Space())
+	got, err := search.LoadCSV(f, src.Space())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) != len(ta) {
-		t.Fatalf("roundtrip rows %d vs %d", len(loaded), len(ta))
-	}
-
-	sur, err := core.FitSurrogate(ta, src.Space(), "test", forest.Params{Trees: 10}, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelPath := filepath.Join(dir, "model.json")
-	if err := writeModel(modelPath, sur); err != nil {
-		t.Fatal(err)
-	}
-	mf, err := os.Open(modelPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mf.Close()
-	if _, err := forest.Load(mf); err != nil {
-		t.Fatalf("saved model unreadable: %v", err)
+	if len(want.Ta) == 0 || !reflect.DeepEqual(got, want.Ta) {
+		t.Fatalf("saved T_a differs from the run's:\n got %v\nwant %v", got, want.Ta)
 	}
 }

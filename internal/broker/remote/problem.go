@@ -28,12 +28,10 @@ func (bp *BrokeredProblem) Name() string { return bp.p.Name() }
 // Space implements search.Problem.
 func (bp *BrokeredProblem) Space() *space.Space { return bp.p.Space() }
 
-// Evaluate implements search.Problem for consumers that predate the
-// context path; failures surface as a +Inf run time.
+// Evaluate implements search.Problem through search.EvaluateBackground;
+// failures surface as a +Inf run time.
 func (bp *BrokeredProblem) Evaluate(c space.Config) (runTime, cost float64) {
-	//lint:ignore ctxflow legacy Problem bridge: the interface has no ctx to thread; the context path is EvaluateFull
-	out := bp.EvaluateFull(context.Background(), c)
-	return out.RunTime, out.Cost
+	return search.EvaluateBackground(bp, c)
 }
 
 // EvaluateFull implements search.FullEvaluator by submitting to the

@@ -208,22 +208,10 @@ func (cp *CachedProblem) Counts() (hits, misses int) {
 	return cp.hits, cp.misses
 }
 
-// Evaluate implements search.Problem for consumers that predate the
-// context path. Hits are served from the cache; misses run the wrapped
-// problem's plain Evaluate but are NOT memoized — the legacy signature
-// cannot carry status or retries, and caching a lossy reduction would
-// replay wrong records into full-evaluator consumers.
+// Evaluate implements search.Problem through search.EvaluateBackground:
+// a hit is served and a miss is memoized, exactly as under EvaluateFull.
 func (cp *CachedProblem) Evaluate(c space.Config) (runTime, cost float64) {
-	if o, ok := cp.cache.Get(cp.scope, c); ok {
-		cp.mu.Lock()
-		cp.hits++
-		cp.mu.Unlock()
-		return o.RunTime, o.Cost
-	}
-	cp.mu.Lock()
-	cp.misses++
-	cp.mu.Unlock()
-	return cp.p.Evaluate(c)
+	return search.EvaluateBackground(cp, c)
 }
 
 // EvaluateFull implements search.FullEvaluator: serve the memo on a

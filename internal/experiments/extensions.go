@@ -123,8 +123,9 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 			return search.RS(ctx, tgt, cfg.NMax, rng.NewNamed(seed, "rs")), nil
 		}},
 		{"RSb", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
-			return search.RSb(ctx, tgt, sur, search.RSbOptions{NMax: cfg.NMax, PoolSize: cfg.PoolSize},
-				rng.NewNamed(seed, "pool")), nil
+			// The warm-start pool is the pool RSb would draw: same seed,
+			// same surrogate, equal spaces.
+			return search.RSbScored(ctx, tgt, scored, search.RSbOptions{NMax: cfg.NMax}), nil
 		}},
 		{"SA", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
 			return search.Drive(ctx, tgt, search.NewAnneal(spc, rng.NewNamed(seed, "sa"), 0.95), cfg.NMax), nil

@@ -1,7 +1,9 @@
 // Package faults provides a deterministic, seeded fault injector for
-// autotuning problems. Wrapping a search.Problem in an Injector turns it
-// into a search.FallibleProblem whose evaluations exhibit the failure
-// modes of a real measurement harness:
+// autotuning problems. An Injector is an evaluation layer: it reaches
+// the problem below through search.EvaluateFull, passing the caller's
+// context down, and returns each failed attempt as an Outcome whose Err
+// is a *Fault. Its evaluations exhibit the failure modes of a real
+// measurement harness:
 //
 //   - compile failures: a deterministic property of the configuration —
 //     a variant that does not build never builds, however often it is
@@ -18,11 +20,14 @@
 // attempt), so experiments remain bit-reproducible: two searches over
 // identically-seeded injectors see identical fault sequences, extending
 // the repository's common-random-numbers methodology to the failure
-// path. Like the rng streams, an Injector is not safe for concurrent
-// use.
+// path. An interrupted evaluation below (a cancelled context) is passed
+// up untouched and does not count as an attempt, so a drained search
+// resumes onto the same rolls. Like the rng streams, an Injector is not
+// safe for concurrent use.
 package faults
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -194,9 +199,9 @@ func (f *Fault) Error() string {
 		f.Kind, f.Problem, f.Config, f.Attempt+1)
 }
 
-// Injector wraps a Problem with deterministic fault injection. It
-// implements search.FallibleProblem; pair it with search.NewResilient to
-// obtain a Problem every search algorithm accepts.
+// Injector wraps a Problem with deterministic fault injection. It is a
+// search.Problem and a search.FullEvaluator; pair it with
+// search.NewResilient to retry crashes and censor hangs.
 type Injector struct {
 	p     search.Problem
 	rates Rates
@@ -226,12 +231,12 @@ func (in *Injector) Warnings() []string {
 	return append([]string(nil), in.warnings...)
 }
 
-// Name implements search.FallibleProblem. The injector keeps the wrapped
+// Name implements search.Problem. The injector keeps the wrapped
 // problem's identity: faults are a property of the harness, not a new
 // problem.
 func (in *Injector) Name() string { return in.p.Name() }
 
-// Space implements search.FallibleProblem.
+// Space implements search.Problem.
 func (in *Injector) Space() *space.Space { return in.p.Space() }
 
 // Rates returns the injector's (defaulted) rates.
@@ -253,34 +258,56 @@ func (in *Injector) roll(tag, key string, attempt int) float64 {
 	return rng.New(h).Float64()
 }
 
-// TryEvaluate implements search.FallibleProblem. The cost returned with
-// an error is the time the failed attempt actually burned (the full
-// compile for a build failure; compile plus a partial run for a crash),
-// which a resilient evaluator charges to the search clock.
-func (in *Injector) TryEvaluate(c space.Config) (float64, float64, error) {
-	run, cost := in.p.Evaluate(c)
-	compile := cost - run
-	if compile < 0 {
-		compile = 0
+// failed is the outcome of an attempt a fault stopped: no measurement,
+// and the burned time charged to the search clock.
+func failed(burned float64, err error) search.Outcome {
+	return search.Outcome{RunTime: math.Inf(1), Cost: burned, Status: search.StatusFailed, Err: err}
+}
+
+// Evaluate implements search.Problem through search.EvaluateBackground.
+func (in *Injector) Evaluate(c space.Config) (runTime, cost float64) {
+	return search.EvaluateBackground(in, c)
+}
+
+// EvaluateFull implements search.FullEvaluator. A failed attempt
+// returns a failed Outcome whose Err is the *Fault and whose Cost is the
+// time the attempt actually burned (the full compile for a build
+// failure; compile plus a partial run for a crash), which a resilient
+// evaluator charges to the search clock. An interrupted or failed
+// evaluation below is returned as it is; only the interrupted one does
+// not count as an attempt.
+func (in *Injector) EvaluateFull(ctx context.Context, c space.Config) search.Outcome {
+	out := search.EvaluateFull(ctx, in.p, c)
+	if out.Interrupted() {
+		return out
 	}
 	key := c.Key()
 	attempt := in.attempts[key]
 	in.attempts[key]++
+	if out.Err != nil {
+		return out
+	}
+	run, cost := out.RunTime, out.Cost
+	compile := cost - run
+	if compile < 0 {
+		compile = 0
+	}
 
 	if in.roll("compile", key, 0) < in.rates.CompileFail {
 		in.counts["compile"]++
-		return 0, compile, &Fault{Kind: KindCompile, Problem: in.p.Name(), Config: key, Attempt: attempt}
+		return failed(compile, &Fault{Kind: KindCompile, Problem: in.p.Name(), Config: key, Attempt: attempt})
 	}
 	if in.roll("crash", key, attempt) < in.rates.Crash {
 		in.counts["crash"]++
 		burned := compile + in.roll("crashfrac", key, attempt)*run
-		return 0, burned, search.Transient(
-			&Fault{Kind: KindCrash, Problem: in.p.Name(), Config: key, Attempt: attempt})
+		return failed(burned, search.Transient(
+			&Fault{Kind: KindCrash, Problem: in.p.Name(), Config: key, Attempt: attempt}))
 	}
 	if in.roll("hang", key, attempt) < in.rates.Hang {
 		in.counts["hang"]++
-		run *= in.rates.HangFactor
-		return run, compile + run, nil
+		out.RunTime = run * in.rates.HangFactor
+		out.Cost = compile + out.RunTime
+		return out
 	}
 	if in.roll("tail", key, attempt) < in.rates.NoiseTail {
 		in.counts["tail"]++
@@ -289,8 +316,9 @@ func (in *Injector) TryEvaluate(c space.Config) (float64, float64, error) {
 		if z < 0 {
 			z = -z
 		}
-		run *= math.Exp(z * in.rates.NoiseSigma)
-		return run, compile + run, nil
+		out.RunTime = run * math.Exp(z*in.rates.NoiseSigma)
+		out.Cost = compile + out.RunTime
+		return out
 	}
-	return run, cost, nil
+	return out
 }

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -30,6 +31,13 @@ func (f *fakeProblem) Evaluate(c space.Config) (float64, float64) {
 	return run, run + 0.5 // 0.5s compile
 }
 
+// try runs one attempt through the injector's layer contract and splits
+// the outcome into run time, charged cost and fault.
+func try(inj *Injector, c space.Config) (float64, float64, error) {
+	out := inj.EvaluateFull(context.Background(), c)
+	return out.RunTime, out.Cost, out.Err
+}
+
 func TestInjectorDeterminism(t *testing.T) {
 	rates := Rates{CompileFail: 0.2, Crash: 0.2, Hang: 0.1, NoiseTail: 0.1}
 	r := rng.New(7)
@@ -42,7 +50,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		out := make([]float64, 0, 3*len(configs))
 		for _, c := range configs {
 			for attempt := 0; attempt < 3; attempt++ {
-				rt, cost, err := inj.TryEvaluate(c)
+				rt, cost, err := try(inj, c)
 				code := 0.0
 				if err != nil {
 					code = 1
@@ -69,7 +77,7 @@ func TestCompileFailureIsPermanent(t *testing.T) {
 	inj := Wrap(newFake(), Rates{CompileFail: 1}, 1)
 	c := space.Config{3, 4}
 	for attempt := 0; attempt < 4; attempt++ {
-		rt, cost, err := inj.TryEvaluate(c)
+		rt, cost, err := try(inj, c)
 		if err == nil {
 			t.Fatalf("attempt %d: compile failure not injected", attempt)
 		}
@@ -80,8 +88,8 @@ func TestCompileFailureIsPermanent(t *testing.T) {
 		if !errors.As(err, &f) || f.Kind != KindCompile {
 			t.Fatalf("wrong error: %v", err)
 		}
-		if rt != 0 || cost <= 0 || cost >= 1 {
-			t.Fatalf("compile failure charged run=%v cost=%v, want 0 and ~0.5", rt, cost)
+		if !math.IsInf(rt, 1) || cost <= 0 || cost >= 1 {
+			t.Fatalf("compile failure charged run=%v cost=%v, want +Inf and ~0.5", rt, cost)
 		}
 	}
 }
@@ -95,7 +103,7 @@ func TestCrashIsTransientAndPerAttempt(t *testing.T) {
 	crashes := 0
 	for i := 0; i < 200; i++ {
 		c := newFake().Space().Random(r)
-		_, _, err := inj.TryEvaluate(c)
+		_, _, err := try(inj, c)
 		if err == nil {
 			continue
 		}
@@ -104,7 +112,7 @@ func TestCrashIsTransientAndPerAttempt(t *testing.T) {
 			t.Fatalf("crash not transient: %v", err)
 		}
 		for attempt := 0; attempt < 6; attempt++ {
-			if _, _, err2 := inj.TryEvaluate(c); err2 == nil {
+			if _, _, err2 := try(inj, c); err2 == nil {
 				recovered = true
 				break
 			}
@@ -122,7 +130,7 @@ func TestHangInflatesRunTime(t *testing.T) {
 	inj := Wrap(newFake(), Rates{Hang: 1, HangFactor: 50}, 3)
 	c := space.Config{0, 0}
 	clean, _ := newFake().Evaluate(c)
-	rt, cost, err := inj.TryEvaluate(c)
+	rt, cost, err := try(inj, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +149,7 @@ func TestNoiseTailOnlyInflates(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c := newFake().Space().Random(r)
 		clean, _ := newFake().Evaluate(c)
-		rt, _, err := inj.TryEvaluate(c)
+		rt, _, err := try(inj, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +204,7 @@ func TestProfilesDistinctPerMachine(t *testing.T) {
 
 func TestInjectedCounts(t *testing.T) {
 	inj := Wrap(newFake(), Rates{CompileFail: 1}, 2)
-	if _, _, err := inj.TryEvaluate(space.Config{1, 1}); err == nil {
+	if _, _, err := try(inj, space.Config{1, 1}); err == nil {
 		t.Fatal("expected failure")
 	}
 	if inj.Injected()["compile"] != 1 {

@@ -209,8 +209,7 @@ type canceller struct {
 func (c *canceller) Name() string        { return c.p.Name() }
 func (c *canceller) Space() *space.Space { return c.p.Space() }
 func (c *canceller) Evaluate(cfg space.Config) (float64, float64) {
-	out := c.EvaluateFull(context.Background(), cfg)
-	return out.RunTime, out.Cost
+	return search.EvaluateBackground(c, cfg)
 }
 func (c *canceller) EvaluateFull(ctx context.Context, cfg space.Config) search.Outcome {
 	if c.seen >= c.n {

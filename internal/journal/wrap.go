@@ -40,12 +40,9 @@ func (w *Recorder) Name() string { return w.p.Name() }
 // Space implements search.Problem.
 func (w *Recorder) Space() *space.Space { return w.p.Space() }
 
-// Evaluate implements search.Problem for consumers outside the context
-// path.
+// Evaluate implements search.Problem through search.EvaluateBackground.
 func (w *Recorder) Evaluate(c space.Config) (float64, float64) {
-	//lint:ignore ctxflow legacy Problem bridge: the interface has no ctx to thread; the context path is EvaluateFull
-	out := w.EvaluateFull(context.Background(), c)
-	return out.RunTime, out.Cost
+	return search.EvaluateBackground(w, c)
 }
 
 // Err returns the first fatal journaling error (failed append, failed

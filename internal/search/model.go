@@ -138,6 +138,18 @@ func timed(tr *obs.Tracer, m Model) (Model, *timedModel) {
 	return tm, tm
 }
 
+// tracedScorePool is ScorePool reporting the scoring as algo's one
+// "pool-score" model-predict event of n rows when ctx carries a tracer.
+func tracedScorePool(ctx context.Context, algo string, spc *space.Space, m Model, n int, poolR *rng.RNG) ScoredPool {
+	tr := obs.FromContext(ctx)
+	scorer, tm := timed(tr, m)
+	sp := ScorePool(spc, scorer, n, poolR)
+	if tm != nil {
+		tm.flush(tr, algo, "pool-score")
+	}
+	return sp
+}
+
 // RSpOptions configures random search with the pruning strategy
 // (Algorithm 1).
 type RSpOptions struct {
@@ -149,10 +161,6 @@ type RSpOptions struct {
 	// DeltaPct is the cutoff quantile percentage 0 < delta < 100
 	// (paper: 20).
 	DeltaPct float64
-	// MaxConsidered bounds how many candidates may be examined in total,
-	// evaluated or skipped (default 100*NMax), so an over-aggressive
-	// cutoff cannot loop forever.
-	MaxConsidered int
 }
 
 func (o RSpOptions) withDefaults() RSpOptions {
@@ -163,9 +171,6 @@ func (o RSpOptions) withDefaults() RSpOptions {
 		o.PoolSize = 10000
 	}
 	o.DeltaPct, _ = NormalizeDeltaPct(o.DeltaPct)
-	if o.MaxConsidered <= 0 {
-		o.MaxConsidered = 100 * o.NMax
-	}
 	return o
 }
 
@@ -178,9 +183,10 @@ func (o RSpOptions) withDefaults() RSpOptions {
 // The candidate stream is drawn from r, so seeding r identically to a
 // plain RS run makes RSp consider the same configurations in the same
 // order and merely skip some — the paper's common-random-numbers setup.
-// The pool is drawn from poolR.
+// The pool is drawn from poolR and scored with m (ScorePool).
 func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.RNG) *Result {
-	return rsp(ctx, p, m, nil, opt, r, poolR)
+	sp := tracedScorePool(ctx, "RSp", p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	return RSpScored(ctx, p, m, sp, opt, r)
 }
 
 // RSpScored is RSp over a pool drawn and scored beforehand (ScorePool):
@@ -188,12 +194,6 @@ func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.
 // unused. Given the pool RSp would draw from poolR with the same model,
 // it returns exactly what RSp returns.
 func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOptions, r *rng.RNG) *Result {
-	return rsp(ctx, p, m, &sp, opt, r, nil)
-}
-
-// rsp runs RSp over sp, or over a pool it draws from poolR and scores
-// itself when sp is nil.
-func rsp(ctx context.Context, p Problem, m Model, sp *ScoredPool, opt RSpOptions, r, poolR *rng.RNG) *Result {
 	origDelta := opt.DeltaPct
 	_, adjusted := NormalizeDeltaPct(origDelta)
 	opt = opt.withDefaults()
@@ -205,22 +205,16 @@ func rsp(ctx context.Context, p Problem, m Model, sp *ScoredPool, opt RSpOptions
 		run.tr.Warn("RSp", fmt.Sprintf("deltaPct %g outside (0,100); using default %g", origDelta, opt.DeltaPct))
 	}
 	scorer, tm := timed(run.tr, m)
-
-	if sp == nil {
-		drawn := ScorePool(spc, scorer, opt.PoolSize, poolR)
-		sp = &drawn
-		if tm != nil {
-			tm.flush(run.tr, "RSp", "pool-score")
-		}
-	}
 	cutoff := stats.Quantile(sp.Preds, opt.DeltaPct/100)
 	if tm != nil {
 		defer tm.flush(run.tr, "RSp", "scan")
 	}
 
+	// At most 100*NMax candidates are examined, evaluated or skipped, so
+	// an over-aggressive cutoff cannot loop forever.
 	sampler := space.NewSampler(spc, r)
 	considered := 0
-	for len(run.res.Records) < opt.NMax && considered < opt.MaxConsidered && ctx.Err() == nil {
+	for len(run.res.Records) < opt.NMax && considered < 100*opt.NMax && ctx.Err() == nil {
 		c, ok := sampler.Next()
 		if !ok {
 			break
@@ -261,31 +255,18 @@ func (o RSbOptions) withDefaults() RSbOptions {
 // pool configuration with the smallest predicted run time, removing it
 // from the pool.
 func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG) *Result {
-	return rsb(ctx, p, m, nil, opt, poolR)
+	sp := tracedScorePool(ctx, "RSb", p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	return RSbScored(ctx, p, sp, opt)
 }
 
 // RSbScored is RSb over a pool drawn and scored beforehand (ScorePool);
 // opt.PoolSize is unused. Given the pool RSb would draw from poolR with
 // the same model, it returns exactly what RSb returns.
 func RSbScored(ctx context.Context, p Problem, sp ScoredPool, opt RSbOptions) *Result {
-	return rsb(ctx, p, nil, &sp, opt, nil)
-}
-
-// rsb runs RSb over sp, or over a pool it draws from poolR and scores
-// with m when sp is nil.
-func rsb(ctx context.Context, p Problem, m Model, sp *ScoredPool, opt RSbOptions, poolR *rng.RNG) *Result {
 	opt = opt.withDefaults()
 	run := newRunner(p, "RSb")
 	run.start(ctx)
 	defer run.finish()
-	if sp == nil {
-		scorer, tm := timed(run.tr, m)
-		drawn := ScorePool(p.Space(), scorer, opt.PoolSize, poolR)
-		sp = &drawn
-		if tm != nil {
-			tm.flush(run.tr, "RSb", "pool-score")
-		}
-	}
 
 	type scored struct {
 		c    space.Config

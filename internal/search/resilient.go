@@ -12,21 +12,15 @@ import (
 
 // Failure semantics. Real autotuning evaluations fail: configurations
 // that do not compile, runs that crash, runs that exceed a time cap.
-// FallibleProblem is the failure-aware evaluation interface; Resilient
-// wraps one with retry and timeout budgets (charged to the search clock)
-// and reduces every attempt sequence to a single Outcome the search
-// runner records. Infallible Problems adapt via Fallible, so every search
-// algorithm runs unchanged on both kinds.
-
-// FallibleProblem is an autotuning problem whose evaluations can fail.
-// TryEvaluate returns a non-nil error when the configuration produced no
-// measurement; the cost returned alongside an error is still charged to
-// the search clock (the time burned compiling or crashing is real).
-type FallibleProblem interface {
-	Name() string
-	Space() *space.Space
-	TryEvaluate(c space.Config) (runTime, cost float64, err error)
-}
+// The evaluation stack has two contracts. A bare Problem (a kernel, a
+// mini-app, a test problem) only measures. A layer is a Problem that
+// also implements FullEvaluator and reaches the layer below only
+// through EvaluateFull(ctx, inner, c), so cancellation, the tracer and
+// the trace id ride the context from the search down to the simulator,
+// and a failed attempt travels up as an Outcome whose Err says what
+// went wrong. A layer's context-free Evaluate is the one shared bridge,
+// EvaluateBackground. Resilient is the layer that turns failed attempts
+// into retries, censored runs and failed records.
 
 // transientError marks an evaluation error as worth retrying (a crash or
 // flaky measurement, as opposed to a deterministic compile failure).
@@ -48,25 +42,6 @@ func Transient(err error) error {
 func IsTransient(err error) bool {
 	var te *transientError
 	return errors.As(err, &te)
-}
-
-// fallibleShim adapts an infallible Problem to FallibleProblem.
-type fallibleShim struct{ p Problem }
-
-func (s *fallibleShim) Name() string        { return s.p.Name() }
-func (s *fallibleShim) Space() *space.Space { return s.p.Space() }
-func (s *fallibleShim) TryEvaluate(c space.Config) (float64, float64, error) {
-	run, cost := s.p.Evaluate(c)
-	return run, cost, nil
-}
-
-// Fallible adapts a Problem to the fallible interface. Problems that
-// already implement FallibleProblem are returned unchanged.
-func Fallible(p Problem) FallibleProblem {
-	if fp, ok := p.(FallibleProblem); ok {
-		return fp
-	}
-	return &fallibleShim{p: p}
 }
 
 // Outcome is the reduced result of one (possibly retried) evaluation.
@@ -115,8 +90,9 @@ func interrupted(err error, cost float64) Outcome {
 }
 
 // FullEvaluator exposes complete evaluation outcomes including failure
-// status. The search runner uses it when a Problem implements it;
-// Resilient is the canonical implementation.
+// status. A Problem that implements it is an evaluation layer: the
+// search runner calls it with the search's context, and it reaches the
+// problem below only through EvaluateFull.
 type FullEvaluator interface {
 	EvaluateFull(ctx context.Context, c space.Config) Outcome
 }
@@ -139,6 +115,16 @@ func EvaluateFull(ctx context.Context, p Problem, c space.Config) Outcome {
 		return Outcome{RunTime: math.Inf(1), Cost: cost, Status: StatusFailed, Err: err}
 	}
 	return Outcome{RunTime: run, Cost: cost, Status: StatusOK}
+}
+
+// EvaluateBackground is the context-free Evaluate of every evaluation
+// layer: EvaluateFull under context.Background, reduced to the run time
+// (+Inf for a failed evaluation) and the search-clock cost. It exists
+// for callers outside the context path; searches call EvaluateFull.
+func EvaluateBackground(p Problem, c space.Config) (runTime, cost float64) {
+	//lint:ignore ctxflow legacy Problem bridge: the interface has no ctx to thread; the context path is EvaluateFull
+	out := EvaluateFull(context.Background(), p, c)
+	return out.RunTime, out.Cost
 }
 
 // ResilientOptions are the retry and timeout budgets of a Resilient
@@ -170,17 +156,19 @@ func (o ResilientOptions) withDefaults() ResilientOptions {
 	return o
 }
 
-// Resilient evaluates a fallible problem under bounded retries and a
-// timeout cap. It implements both Problem and FullEvaluator, so every
-// search algorithm in this package (and the opentuner ensemble) can run
-// on it unchanged while their Results carry per-record status.
+// Resilient is the retry and timeout layer over any Problem. A
+// failed attempt is an inner outcome with a non-nil Err; IsTransient
+// errors are retried. Resilient implements both Problem and
+// FullEvaluator, so every search algorithm in this package (and the
+// opentuner ensemble) runs on it unchanged while their Results carry
+// per-record status.
 type Resilient struct {
-	P   FallibleProblem
+	P   Problem
 	Opt ResilientOptions
 }
 
 // NewResilient wraps p with the given budgets (zero value = defaults).
-func NewResilient(p FallibleProblem, opt ResilientOptions) *Resilient {
+func NewResilient(p Problem, opt ResilientOptions) *Resilient {
 	return &Resilient{P: p, Opt: opt.withDefaults()}
 }
 
@@ -190,12 +178,9 @@ func (r *Resilient) Name() string { return r.P.Name() }
 // Space implements Problem.
 func (r *Resilient) Space() *space.Space { return r.P.Space() }
 
-// Evaluate implements Problem for consumers that predate the failure
-// path: failed evaluations surface as a +Inf run time.
+// Evaluate implements Problem through EvaluateBackground.
 func (r *Resilient) Evaluate(c space.Config) (runTime, cost float64) {
-	//lint:ignore ctxflow legacy Problem bridge: the interface has no ctx to thread; the context path is EvaluateFull
-	out := r.EvaluateFull(context.Background(), c)
-	return out.RunTime, out.Cost
+	return EvaluateBackground(r, c)
 }
 
 // EvaluateFull implements FullEvaluator: attempt the evaluation, retry
@@ -209,31 +194,30 @@ func (r *Resilient) EvaluateFull(ctx context.Context, c space.Config) Outcome {
 	tr := obs.FromContext(ctx)
 	total := 0.0
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			tr.Timeout(r.P.Name(), err)
-			return interrupted(err, total)
+		out := EvaluateFull(ctx, r.P, c)
+		switch {
+		case out.Interrupted():
+			tr.Timeout(r.P.Name(), out.Err)
+			return interrupted(out.Err, total+out.Cost)
+		case out.Err == nil && opt.Timeout > 0 && out.RunTime > opt.Timeout:
+			// The run is killed at the cap: charge only the time actually
+			// spent (compile + capped run), record the cap.
+			tr.Censor(r.P.Name(), c, out.RunTime, opt.Timeout)
+			total += out.Cost - (out.RunTime - opt.Timeout)
+			return Outcome{RunTime: opt.Timeout, Cost: total,
+				Status: StatusCensored, Retries: attempt}
+		case out.Err == nil:
+			total += out.Cost
+			return Outcome{RunTime: out.RunTime, Cost: total, Status: StatusOK, Retries: attempt}
 		}
-		run, cost, err := r.P.TryEvaluate(c)
-		if err == nil {
-			if opt.Timeout > 0 && run > opt.Timeout {
-				// The run is killed at the cap: charge only the time
-				// actually spent (compile + capped run), record the cap.
-				tr.Censor(r.P.Name(), c, run, opt.Timeout)
-				total += cost - (run - opt.Timeout)
-				return Outcome{RunTime: opt.Timeout, Cost: total,
-					Status: StatusCensored, Retries: attempt}
-			}
-			total += cost
-			return Outcome{RunTime: run, Cost: total, Status: StatusOK, Retries: attempt}
-		}
-		total += cost
-		tr.Fault(r.P.Name(), c, attempt, err)
-		if !IsTransient(err) || attempt >= opt.Retries {
+		total += out.Cost
+		tr.Fault(r.P.Name(), c, attempt, out.Err)
+		if !IsTransient(out.Err) || attempt >= opt.Retries {
 			return Outcome{RunTime: math.Inf(1), Cost: total,
-				Status: StatusFailed, Retries: attempt, Err: err}
+				Status: StatusFailed, Retries: attempt, Err: out.Err}
 		}
 		backoff := opt.Backoff * math.Pow(2, float64(attempt))
-		tr.Retry(r.P.Name(), c, attempt, backoff, err)
+		tr.Retry(r.P.Name(), c, attempt, backoff, out.Err)
 		total += backoff
 	}
 }

@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-
 	"errors"
 	"fmt"
 	"math"
@@ -12,9 +11,19 @@ import (
 	"repro/internal/space"
 )
 
-// scriptedProblem replays a per-config script of evaluation outcomes:
-// each entry is a run time, or a negative code (-1 permanent failure,
-// -2 transient failure).
+// attempt builds the outcome of one evaluation attempt the way an
+// evaluation layer reports it: a measurement, or a failure carrying the
+// cost the attempt burned and its error.
+func attempt(run, cost float64, err error) Outcome {
+	if err != nil {
+		return Outcome{RunTime: math.Inf(1), Cost: cost, Status: StatusFailed, Err: err}
+	}
+	return Outcome{RunTime: run, Cost: cost, Status: StatusOK}
+}
+
+// scriptedProblem is an evaluation layer that replays a per-config
+// script of attempt outcomes: each entry is a run time, or a negative
+// code (-1 permanent failure, -2 transient failure).
 type scriptedProblem struct {
 	spc    *space.Space
 	script map[string][]float64
@@ -32,7 +41,11 @@ func newScripted() *scriptedProblem {
 func (s *scriptedProblem) Name() string        { return "scripted@test" }
 func (s *scriptedProblem) Space() *space.Space { return s.spc }
 
-func (s *scriptedProblem) TryEvaluate(c space.Config) (float64, float64, error) {
+func (s *scriptedProblem) Evaluate(c space.Config) (float64, float64) {
+	return EvaluateBackground(s, c)
+}
+
+func (s *scriptedProblem) EvaluateFull(_ context.Context, c space.Config) Outcome {
 	key := c.Key()
 	i := s.calls[key]
 	s.calls[key]++
@@ -43,11 +56,11 @@ func (s *scriptedProblem) TryEvaluate(c space.Config) (float64, float64, error) 
 	}
 	switch {
 	case v == -1:
-		return 0, 0.5, errors.New("permanent")
+		return attempt(0, 0.5, errors.New("permanent"))
 	case v == -2:
-		return 0, 0.5, Transient(errors.New("transient"))
+		return attempt(0, 0.5, Transient(errors.New("transient")))
 	default:
-		return v, v + 0.5, nil
+		return attempt(v, v+0.5, nil)
 	}
 }
 
@@ -128,17 +141,12 @@ func TestResilientImplementsProblem(t *testing.T) {
 	}
 }
 
-func TestFallibleShimRoundTrip(t *testing.T) {
-	base := problemStub{}
-	fp := Fallible(base)
-	run, cost, err := fp.TryEvaluate(cfg(1))
-	if err != nil || run != 2 || cost != 3 {
-		t.Fatalf("shim returned %v %v %v", run, cost, err)
-	}
-	// Already-fallible problems pass through unchanged.
-	ip := interfaceProblem{newScripted()}
-	if got := Fallible(ip); got != FallibleProblem(ip) {
-		t.Fatal("already-fallible problem was re-wrapped")
+// TestResilientWrapsBareProblem: a bare Problem is a valid inner
+// problem; its measurement passes through as a clean outcome.
+func TestResilientWrapsBareProblem(t *testing.T) {
+	out := NewResilient(problemStub{}, ResilientOptions{}).EvaluateFull(context.Background(), cfg(1))
+	if out.Status != StatusOK || out.RunTime != 2 || out.Cost != 3 || out.Retries != 0 || out.Err != nil {
+		t.Fatalf("outcome = %+v, want ok run 2 cost 3", out)
 	}
 }
 
@@ -150,19 +158,36 @@ func (problemStub) Evaluate(space.Config) (float64, float64) {
 	return 2, 3
 }
 
-// interfaceProblem is both a Problem and a FallibleProblem.
-type interfaceProblem struct{ *scriptedProblem }
+// TestResilientFailsNonFiniteRun pins how Resilient treats a bare
+// problem's non-finite run time: EvaluateFull flags it as a failed,
+// non-transient attempt, so it becomes one failed record with its cost
+// charged — exactly what it is without Resilient
+// (TestEvaluateFullFlagsNonFinite). It is neither retried nor censored
+// at the timeout cap, and no NaN reaches a record.
+func TestResilientFailsNonFiniteRun(t *testing.T) {
+	for _, run := range []float64{math.NaN(), math.Inf(1)} {
+		r := NewResilient(constProblem{run: run}, ResilientOptions{Retries: 2, Timeout: 10})
+		out := r.EvaluateFull(context.Background(), cfg(1))
+		if out.Status != StatusFailed || !math.IsInf(out.RunTime, 1) || out.Cost != 1 ||
+			out.Retries != 0 || out.Err == nil || IsTransient(out.Err) {
+			t.Fatalf("run %v: outcome = %+v, want one failed non-transient attempt costing 1", run, out)
+		}
+	}
+}
 
-func (ip interfaceProblem) Evaluate(c space.Config) (float64, float64) {
-	run, cost, _ := ip.TryEvaluate(c)
-	return run, cost
+type constProblem struct{ run float64 }
+
+func (constProblem) Name() string        { return "const" }
+func (constProblem) Space() *space.Space { return space.New(space.NewIntRange("x", 0, 9)) }
+func (p constProblem) Evaluate(space.Config) (float64, float64) {
+	return p.run, 1
 }
 
 func TestSearchesCompleteUnderFailures(t *testing.T) {
-	// A fallible problem where a third of the space permanently fails:
+	// A layer under which a third of the space permanently fails:
 	// every search driver must run to completion and report counts.
 	spc := space.New(space.NewIntRange("x", 0, 29), space.NewIntRange("y", 0, 9))
-	fp := &funcFallible{spc: spc, fn: func(c space.Config) (float64, float64, error) {
+	fp := &funcLayer{spc: spc, fn: func(c space.Config) (float64, float64, error) {
 		if c[0]%3 == 0 {
 			return 0, 0.2, errors.New("no build")
 		}
@@ -200,15 +225,19 @@ func TestSearchesCompleteUnderFailures(t *testing.T) {
 	}
 }
 
-type funcFallible struct {
+// funcLayer is an evaluation layer whose attempts fn computes.
+type funcLayer struct {
 	spc *space.Space
 	fn  func(space.Config) (float64, float64, error)
 }
 
-func (f *funcFallible) Name() string        { return "func@test" }
-func (f *funcFallible) Space() *space.Space { return f.spc }
-func (f *funcFallible) TryEvaluate(c space.Config) (float64, float64, error) {
-	return f.fn(c)
+func (f *funcLayer) Name() string        { return "func@test" }
+func (f *funcLayer) Space() *space.Space { return f.spc }
+func (f *funcLayer) Evaluate(c space.Config) (float64, float64) {
+	return EvaluateBackground(f, c)
+}
+func (f *funcLayer) EvaluateFull(_ context.Context, c space.Config) Outcome {
+	return attempt(f.fn(c))
 }
 
 func TestEvaluateFullFlagsNonFinite(t *testing.T) {
@@ -259,24 +288,27 @@ func TestStatusRoundTrip(t *testing.T) {
 	}
 }
 
-// cancellingFallible fails transiently on every attempt and cancels the
+// cancellingLayer fails transiently on every attempt and cancels the
 // context from inside attempt number `after` — modelling a shutdown that
 // lands while the evaluator is mid-retry.
-type cancellingFallible struct {
+type cancellingLayer struct {
 	spc    *space.Space
 	cancel context.CancelFunc
 	after  int
 	calls  int
 }
 
-func (p *cancellingFallible) Name() string        { return "cancelling@test" }
-func (p *cancellingFallible) Space() *space.Space { return p.spc }
-func (p *cancellingFallible) TryEvaluate(c space.Config) (float64, float64, error) {
+func (p *cancellingLayer) Name() string        { return "cancelling@test" }
+func (p *cancellingLayer) Space() *space.Space { return p.spc }
+func (p *cancellingLayer) Evaluate(c space.Config) (float64, float64) {
+	return EvaluateBackground(p, c)
+}
+func (p *cancellingLayer) EvaluateFull(_ context.Context, c space.Config) Outcome {
 	p.calls++
 	if p.calls >= p.after {
 		p.cancel()
 	}
-	return 0, 0.5, Transient(errors.New("transient"))
+	return attempt(0, 0.5, Transient(errors.New("transient")))
 }
 
 // TestResilientCancellationMidRetryAccounting pins the backoff
@@ -287,7 +319,7 @@ func (p *cancellingFallible) TryEvaluate(c space.Config) (float64, float64, erro
 func TestResilientCancellationMidRetryAccounting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p := &cancellingFallible{
+	p := &cancellingLayer{
 		spc:    space.New(space.NewIntRange("x", 0, 9)),
 		cancel: cancel,
 		after:  2,
@@ -317,7 +349,7 @@ func TestResilientCancellationMidRetryAccounting(t *testing.T) {
 func TestResilientCancellationBeforeFirstAttempt(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	p := &cancellingFallible{spc: space.New(space.NewIntRange("x", 0, 9)), cancel: func() {}, after: 99}
+	p := &cancellingLayer{spc: space.New(space.NewIntRange("x", 0, 9)), cancel: func() {}, after: 99}
 	r := NewResilient(p, ResilientOptions{Retries: 2, Backoff: 1})
 	out := r.EvaluateFull(ctx, cfg(1))
 	if !out.Interrupted() || out.Cost != 0 {

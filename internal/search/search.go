@@ -10,6 +10,14 @@
 // afterwards. Randomness comes exclusively from injected rng streams: two
 // algorithms given samplers with the same seed draw identical candidate
 // sequences, which implements the paper's common-random-numbers setup.
+//
+// Between a search and the bare Problem sit evaluation layers (fault
+// injection, retries and timeouts, the evaluation cache, the journal,
+// remote dispatch). A layer is a Problem that also implements
+// FullEvaluator and reaches the layer below only through EvaluateFull,
+// so the search's context — cancellation, tracer, trace id — reaches
+// the simulator and every outcome, failed attempts included, travels
+// back up whole. Each layer's context-free Evaluate is EvaluateBackground.
 package search
 
 import (

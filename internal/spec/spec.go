@@ -275,13 +275,12 @@ func (s Spec) Build(base search.Problem) (search.Problem, *faults.Injector) {
 	if s.Faults == 0 && s.Timeout == 0 {
 		return base, nil
 	}
-	fp := search.Fallible(base)
 	var inj *faults.Injector
 	if s.Faults > 0 {
 		inj = faults.Wrap(base, faults.Profile(s.Machine).ScaledTo(s.Faults), s.Seed)
-		fp = inj
+		base = inj
 	}
-	return search.NewResilient(fp, search.ResilientOptions{Retries: s.Retries, Timeout: s.Timeout}), inj
+	return search.NewResilient(base, search.ResilientOptions{Retries: s.Retries, Timeout: s.Timeout}), inj
 }
 
 // Scope derives the evaluation-cache scope: the problem name plus every
@@ -397,6 +396,12 @@ func (s Spec) RunJournaled(ctx context.Context, dir string, p search.Problem, wo
 type Throttled struct {
 	search.Problem
 	Wait time.Duration
+}
+
+// Evaluate implements search.Problem through search.EvaluateBackground,
+// so the context-free path waits too.
+func (t Throttled) Evaluate(c space.Config) (runTime, cost float64) {
+	return search.EvaluateBackground(t, c)
 }
 
 // EvaluateFull waits, then evaluates through the wrapped problem.

@@ -285,8 +285,8 @@ func TestDriverMatchesDirectSearch(t *testing.T) {
 }
 
 // TestThrottledChangesNothing: the pause wrapper returns the wrapped
-// problem's outcome untouched, and a cancelled context cuts the pause
-// short instead of waiting it out.
+// problem's outcome untouched, the context-free Evaluate pauses too, and
+// a cancelled context cuts the pause short instead of waiting it out.
 func TestThrottledChangesNothing(t *testing.T) {
 	s := Spec{Problem: "MM", Machine: "Sandybridge"}
 	s.Normalize()
@@ -299,6 +299,13 @@ func TestThrottledChangesNothing(t *testing.T) {
 	got := search.EvaluateFull(context.Background(), Throttled{Problem: p, Wait: time.Millisecond}, c)
 	if got != want {
 		t.Fatalf("throttled outcome %+v, want %+v", got, want)
+	}
+	start := time.Now()
+	if run, cost := (Throttled{Problem: p, Wait: 5 * time.Millisecond}).Evaluate(c); run != want.RunTime || cost != want.Cost {
+		t.Fatalf("throttled Evaluate = (%v, %v), want (%v, %v)", run, cost, want.RunTime, want.Cost)
+	}
+	if waited := time.Since(start); waited < 5*time.Millisecond {
+		t.Fatalf("throttled Evaluate returned after %v, before its 5ms pause", waited)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
