@@ -112,13 +112,15 @@ func TestSaveModelWritesRunSurrogate(t *testing.T) {
 	}
 }
 
-// TestSaveTaRoundTrip: -save-ta writes the run's T_a, and reading the
-// file back with search.LoadCSV gives exactly the dataset core.Run
-// collected with the same options.
-func TestSaveTaRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ta.csv")
-	if out, code := transfer(t, "-nmax", "12", "-pool", "50", "-trees", "5", "-seed", "3", "-save-ta", path); code != 0 {
-		t.Fatalf("transfer -save-ta: exit %d, output:\n%s", code, out)
+// TestWriteArtifacts: one run writes both artifacts. Reading the -save-ta
+// file back with search.LoadCSV gives exactly the T_a core.Run collected
+// with the same options, and the -save-model file loads as a forest.
+func TestWriteArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ta.csv")
+	modelPath := filepath.Join(dir, "model.json")
+	if out, code := transfer(t, "-nmax", "12", "-pool", "50", "-trees", "5", "-seed", "3", "-save-ta", path, "-save-model", modelPath); code != 0 {
+		t.Fatalf("transfer -save-ta -save-model: exit %d, output:\n%s", code, out)
 	}
 	src, err := (&spec.Spec{Problem: "LU", Machine: "Westmere"}).Resolve()
 	if err != nil {
@@ -145,5 +147,13 @@ func TestSaveTaRoundTrip(t *testing.T) {
 	}
 	if len(want.Ta) == 0 || !reflect.DeepEqual(got, want.Ta) {
 		t.Fatalf("saved T_a differs from the run's:\n got %v\nwant %v", got, want.Ta)
+	}
+	mf, err := os.Open(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mf.Close()
+	if _, err := forest.Load(mf); err != nil {
+		t.Fatalf("saved model unreadable: %v", err)
 	}
 }

@@ -150,6 +150,24 @@ func TestResilientWrapsBareProblem(t *testing.T) {
 	}
 }
 
+// TestEvaluateBackgroundRoundTrip: the context-free bridge returns a
+// bare problem's run time and cost unchanged, and reaches a layer
+// through its own EvaluateFull rather than re-wrapping it.
+func TestEvaluateBackgroundRoundTrip(t *testing.T) {
+	if run, cost := EvaluateBackground(problemStub{}, cfg(1)); run != 2 || cost != 3 {
+		t.Fatalf("bare problem: run %v cost %v, want 2 3", run, cost)
+	}
+	p := newScripted()
+	p.script[cfg(1).Key()] = []float64{4}
+	if run, cost := EvaluateBackground(p, cfg(1)); run != 4 || cost != 4.5 || p.calls[cfg(1).Key()] != 1 {
+		t.Fatalf("layer: run %v cost %v after %d calls, want 4 4.5 after 1", run, cost, p.calls[cfg(1).Key()])
+	}
+	p.script[cfg(2).Key()] = []float64{-1}
+	if run, cost := EvaluateBackground(p, cfg(2)); !math.IsInf(run, 1) || cost != 0.5 {
+		t.Fatalf("failed layer outcome: run %v cost %v, want +Inf 0.5", run, cost)
+	}
+}
+
 type problemStub struct{}
 
 func (problemStub) Name() string        { return "stub" }
