@@ -250,11 +250,12 @@ func LoadDataset(r io.Reader, spc *Space) (Dataset, error) { return search.LoadC
 func SaveSurrogate(w io.Writer, s *Surrogate) error { return s.Forest.Save(w) }
 
 // LoadSurrogate reads a forest saved by SaveSurrogate and rebinds it to
-// a space (which must have the same encoded feature count).
+// a space, which must encode to the forest's feature count; a mismatch
+// is an error.
 func LoadSurrogate(r io.Reader, spc *Space, source string) (*Surrogate, error) {
 	f, err := forest.Load(r)
 	if err != nil {
 		return nil, err
 	}
-	return &Surrogate{Forest: f, Space: spc, Source: source}, nil
+	return core.NewSurrogate(f, spc, source)
 }

@@ -195,6 +195,17 @@ func TestDatasetAndSurrogatePersistence(t *testing.T) {
 	if sur.Predict(probe) != sur2.Predict(probe) {
 		t.Fatal("loaded surrogate predicts differently")
 	}
+
+	// A space of another width is refused at load time; it used to load
+	// and panic at the first prediction.
+	hpl, err := NewHPLProblem("Westmere")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSurrogate(strings.NewReader(js.String()), hpl.Space(), "saved"); err == nil {
+		t.Fatalf("LoadSurrogate bound a %d-feature forest to a %d-parameter space",
+			sur.Forest.NumFeatures(), hpl.Space().NumParams())
+	}
 }
 
 func TestWithFaultsFacade(t *testing.T) {

@@ -480,22 +480,47 @@ func BenchmarkEndToEndRSp(b *testing.B) {
 	})
 }
 
-// BenchmarkPoolScoring isolates the model-guided searches' hot prelude
-// — draw the candidate pool, encode every configuration, score it
-// through the surrogate's batched path, take the cutoff quantile —
-// which RSp/RSb both pay before their first evaluation. The end-to-end
-// benchmarks above fold this into total search time; this one gives the
-// ROADMAP speed campaign (allocation-light pool scoring, contiguous tree
-// layout) a number to move on its own.
+// walkModel hides a surrogate's config scorer, so search.ScorePool
+// takes its fallback: encode the pool, then walk the forest.
+type walkModel struct{ search.BatchModel }
+
+// BenchmarkPoolScoring isolates the prelude RSp and RSb pay before their
+// first evaluation: draw the paper-scale pool (N = 10 000) and score it
+// with search.ScorePool, on LU and on RT (247 parameters). "compiled" is
+// what core.Run does, scoring level indices through the surrogate's
+// compiled forest; "walk" is the encode-and-walk fallback other models
+// take, kept beside it so one run shows what the compiled path saves.
+// The surrogates have the transfer experiment's 100 trees.
 func BenchmarkPoolScoring(b *testing.B) {
-	tgt, sur := benchSurrogate(b)
-	spc := tgt.Space()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool := spc.SamplePool(2000, rng.NewNamed(2016, "pool"))
-		X := spc.EncodeAll(pool)
-		preds := sur.PredictAll(X)
-		stats.Quantile(preds, 0.2)
+	lu, err := kernels.ByName("LU")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  search.Problem
+	}{
+		{"LU", kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})},
+		{"RT", miniapps.NewProblem(miniapps.RT(), machine.Sandybridge)},
+	} {
+		_, ta := core.Collect(context.Background(), tc.src, 100, rng.NewNamed(2016, "crn-stream"))
+		sur, err := core.FitSurrogate(ta, tc.src.Space(), tc.src.Name(), forest.Params{}, rng.NewNamed(2016, "forest"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		spc := tc.src.Space()
+		for _, m := range []struct {
+			name  string
+			model search.Model
+		}{{"compiled", sur}, {"walk", walkModel{sur}}} {
+			b.Run(tc.name+"/"+m.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sp := search.ScorePool(spc, m.model, 10000, rng.NewNamed(2016, "pool"))
+					stats.Quantile(sp.Preds, 0.2)
+				}
+			})
+		}
 	}
 }
 

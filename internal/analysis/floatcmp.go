@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/constant"
 	"go/token"
+	"go/types"
 	"math"
 )
 
@@ -16,10 +17,13 @@ import (
 // justification; comparisons against exact integral constants (x == 0
 // sentinels) stay allowed. (2) Any comparison whose operand is
 // math.NaN() is flagged: it is always false, the author wanted
-// math.IsNaN. (3) A sort.Slice/sort.SliceStable less function ordering
-// raw floats without a math.IsNaN guard is flagged — NaN breaks the
+// math.IsNaN. (3) A comparator handed to sort.Slice, sort.SliceStable,
+// slices.SortFunc or slices.SortStableFunc that orders raw floats with
+// <, <=, > or >= and no math.IsNaN guard is flagged — NaN breaks the
 // comparator's transitivity and derails sort entirely, which is why
 // run-time datasets pass through Dataset.Valid before any ordering.
+// The comparator may be a function literal or a function declared in
+// the same package; cmp.Compare orders NaN consistently and passes.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
 	Doc:  "flag exact float equality, comparisons with math.NaN(), and NaN-unsafe float sort comparators",
@@ -27,13 +31,15 @@ var FloatCmp = &Analyzer{
 }
 
 func runFloatCmp(pass *Pass) {
+	// A named comparator passed to several sorts is reported once.
+	reported := map[token.Pos]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.BinaryExpr:
 				checkFloatEq(pass, n)
 			case *ast.CallExpr:
-				checkSortComparator(pass, n)
+				checkSortComparator(pass, n, reported)
 			}
 			return true
 		})
@@ -90,23 +96,30 @@ func constVal(pass *Pass, e ast.Expr) constant.Value {
 	return tv.Value
 }
 
-// checkSortComparator flags float-ordering less functions handed to
-// sort.Slice and sort.SliceStable that never consult math.IsNaN.
-func checkSortComparator(pass *Pass, call *ast.CallExpr) {
+// sortFuncs are the sorts whose second argument is a comparator.
+var sortFuncs = [...]struct{ pkg, name string }{
+	{"sort", "Slice"}, {"sort", "SliceStable"},
+	{"slices", "SortFunc"}, {"slices", "SortStableFunc"},
+}
+
+// checkSortComparator flags float-ordering comparators handed to the
+// sortFuncs that never consult math.IsNaN.
+func checkSortComparator(pass *Pass, call *ast.CallExpr, reported map[token.Pos]bool) {
 	fn := calleeFunc(pass.Info, call)
-	if !isPkgFunc(fn, "sort", "Slice") && !isPkgFunc(fn, "sort", "SliceStable") {
+	isSort := false
+	for _, sf := range sortFuncs {
+		isSort = isSort || isPkgFunc(fn, sf.pkg, sf.name)
+	}
+	if !isSort || len(call.Args) < 2 {
 		return
 	}
-	if len(call.Args) < 2 {
-		return
-	}
-	less, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit)
-	if !ok {
+	body := comparatorBody(pass, call.Args[1])
+	if body == nil {
 		return
 	}
 	guarded := false
 	var firstCmp ast.Node
-	ast.Inspect(less.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			inner := calleeFunc(pass.Info, n)
@@ -124,8 +137,39 @@ func checkSortComparator(pass *Pass, call *ast.CallExpr) {
 		}
 		return true
 	})
-	if firstCmp != nil && !guarded {
+	if firstCmp != nil && !guarded && !reported[firstCmp.Pos()] {
+		reported[firstCmp.Pos()] = true
 		pass.Reportf(firstCmp.Pos(),
 			"float ordering in a sort comparator without a math.IsNaN guard: a NaN violates transitivity and corrupts the whole sort; filter with Dataset.Valid (or guard), or //lint:ignore floatcmp with the reason the input is NaN-free")
 	}
+}
+
+// comparatorBody returns the body of a comparator argument: a function
+// literal, or a function declared in the package under analysis. Other
+// comparators (another package's functions, func-typed values) have no
+// body here and return nil.
+func comparatorBody(pass *Pass, arg ast.Expr) *ast.BlockStmt {
+	var id *ast.Ident
+	switch e := ast.Unparen(arg).(type) {
+	case *ast.FuncLit:
+		return e.Body
+	case *ast.Ident:
+		id = e
+	case *ast.SelectorExpr:
+		id = e.Sel
+	default:
+		return nil
+	}
+	fn, ok := pass.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() != pass.Pkg {
+		return nil
+	}
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && pass.Info.Defs[fd.Name] == fn {
+				return fd.Body
+			}
+		}
+	}
+	return nil
 }

@@ -4,7 +4,9 @@
 package floatcmp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,6 +40,64 @@ func guardedSort(xs []float64) {
 			return !math.IsNaN(xs[i])
 		}
 		return xs[i] < xs[j]
+	})
+}
+
+func unguardedSortFunc(xs []float64) {
+	slices.SortFunc(xs, func(a, b float64) int {
+		if a < b { // want "floatcmp: float ordering in a sort comparator"
+			return -1
+		}
+		return 0
+	})
+}
+
+func unguardedSortStableFunc(xs []float64) {
+	slices.SortStableFunc(xs, byValue)
+	// A second sort with the same comparator adds no second finding.
+	slices.SortFunc(xs, byValue)
+}
+
+// byValue is a named comparator; its finding lands in its body.
+func byValue(a, b float64) int {
+	if a > b { // want "floatcmp: float ordering in a sort comparator"
+		return 1
+	}
+	return 0
+}
+
+func cmpCompareSort(xs []float64) {
+	slices.SortFunc(xs, func(a, b float64) int { return cmp.Compare(a, b) })
+}
+
+func guardedSortFunc(xs []float64) {
+	slices.SortFunc(xs, func(a, b float64) int {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return cmp.Compare(a, b)
+		}
+		if a < b {
+			return -1
+		}
+		return 0
+	})
+}
+
+func suppressedSortFunc(xs []float64) {
+	slices.SortFunc(xs, func(a, b float64) int {
+		//lint:ignore floatcmp fixture: the caller filtered every NaN
+		if a < b {
+			return -1
+		}
+		return 0
+	})
+}
+
+func intSortFunc(xs []int) {
+	slices.SortFunc(xs, func(a, b int) int {
+		if a < b {
+			return -1
+		}
+		return 0
 	})
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/forest"
 	"repro/internal/rng"
 	"repro/internal/search"
+	"repro/internal/space"
 )
 
 // hammer calls m.Predict on every probe from many goroutines and checks
@@ -93,6 +94,44 @@ func TestModelsConcurrentPredict(t *testing.T) {
 				}
 			}
 		}()
+	}
+	wg.Wait()
+}
+
+// TestSurrogateConcurrentConfigScoring hammers one shared Surrogate's
+// compiled config scorer from many goroutines, each scoring the whole
+// pool (sharded over the forest's workers) and single configurations
+// (RSp's per-candidate path), against the walk over encoded rows.
+func TestSurrogateConcurrentConfigScoring(t *testing.T) {
+	spc := ablSpace()
+	ds := linearDataset(spc, 80, 3)
+	sur, err := FitSurrogate(ds, spc, "test", forest.Params{Trees: 15, Workers: 4}, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := spc.SamplePool(500, rng.New(78))
+	want := sur.PredictAll(spc.EncodeAll(pool))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; iter < 5; iter++ {
+				got := search.ScoreConfigs(sur, spc, pool)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Errorf("goroutine %d: pool row %d scored %v, walk %v", g, i, got[i], want[i])
+						return
+					}
+				}
+				for i := g; i < len(pool); i += 8 {
+					if v := search.ScoreConfigs(sur, spc, []space.Config{pool[i]})[0]; v != want[i] {
+						t.Errorf("goroutine %d: config %d scored %v alone, walk %v", g, i, v, want[i])
+						return
+					}
+				}
+			}
+		}(g)
 	}
 	wg.Wait()
 }

@@ -39,12 +39,31 @@ var ErrTooFewValid = errors.New("core: too few valid training samples")
 
 // Surrogate is a performance model fitted to one machine's data and used
 // to guide search on another, together with the space encoding it was
-// trained under.
+// trained under. Build one with NewSurrogate (FitSurrogate does), which
+// also compiles the forest against the space so configurations are
+// scored straight from their level indices.
 type Surrogate struct {
 	Forest *forest.Forest
 	Space  *space.Space
 	// Source names the machine/problem the training data came from.
 	Source string
+
+	compiled *forest.Compiled
+}
+
+// NewSurrogate binds a fitted forest to the space whose encoding it was
+// trained under and compiles it against that space. It fails when the
+// space does not encode to the forest's feature count.
+func NewSurrogate(f *forest.Forest, spc *space.Space, source string) (*Surrogate, error) {
+	if f.NumFeatures() != spc.NumParams() {
+		return nil, fmt.Errorf("core: surrogate %s: forest has %d features, space encodes %d",
+			source, f.NumFeatures(), spc.NumParams())
+	}
+	c, err := f.Compile(spc)
+	if err != nil {
+		return nil, err
+	}
+	return &Surrogate{Forest: f, Space: spc, Source: source, compiled: c}, nil
 }
 
 // Predict implements search.Model. Like the forest it wraps, a fitted
@@ -52,9 +71,20 @@ type Surrogate struct {
 func (s *Surrogate) Predict(x []float64) float64 { return s.Forest.Predict(x) }
 
 // PredictAll implements search.BatchModel by forwarding to the forest's
-// sharded batch path, so the pool-scoring loops of RSp/RSb/RSbA engage
-// worker-parallel prediction through the surrogate wrapper too.
+// sharded batch path.
 func (s *Surrogate) PredictAll(X [][]float64) []float64 { return s.Forest.PredictAll(X) }
+
+// PredictConfigs implements search.ConfigModel: it returns
+// Predict(spc.Encode(c)) for every c of cs, bit for bit. When spc encodes
+// like the surrogate's own space (the same pointer, or Equal) the
+// compiled forest scores the level indices directly; otherwise it
+// encodes under spc and walks the forest.
+func (s *Surrogate) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
+	if s.compiled == nil || (spc != s.Space && !spc.Equal(s.Space)) {
+		return s.Forest.PredictAll(spc.EncodeAll(cs))
+	}
+	return s.compiled.PredictConfigs(cs)
+}
 
 // FitSurrogate trains the random-forest surrogate M_a on T_a. Failed and
 // non-finite rows are dropped first; censored rows are kept (the cap is
@@ -71,7 +101,7 @@ func FitSurrogate(ta search.Dataset, spc *space.Space, source string, p forest.P
 	if err != nil {
 		return nil, err
 	}
-	return &Surrogate{Forest: f, Space: spc, Source: source}, nil
+	return NewSurrogate(f, spc, source)
 }
 
 // Collect runs plain RS on the source problem and returns both the full
@@ -363,7 +393,7 @@ func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error)
 		out.Spearman = s
 	}
 	if sur := p.Surrogate; sur != nil {
-		preds := sur.PredictAll(sur.Space.EncodeAll(paired))
+		preds := search.ScoreConfigs(sur, sur.Space, paired)
 		if s, err := stats.Spearman(preds, out.TargetRuns); err == nil {
 			out.SurrogateSpearman = s
 		}

@@ -292,6 +292,32 @@ func TestMismatchedSpacesRejected(t *testing.T) {
 	}
 }
 
+// TestNewSurrogate: the constructor refuses a space of another width,
+// and config scoring under a space that encodes differently (same width,
+// other level values) falls back to encoding under that space, so it
+// still equals the walk over the caller's encoding.
+func TestNewSurrogate(t *testing.T) {
+	lu := problem(t, "LU", machine.Westmere)
+	_, ta := Collect(context.Background(), lu, 30, rng.New(5))
+	sur, err := FitSurrogate(ta, lu.Space(), "src", forest.Params{Trees: 10}, rng.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewSurrogate(sur.Forest, problem(t, "MM", machine.Westmere).Space(), "mm"); err == nil {
+		t.Fatal("NewSurrogate bound an LU forest to MM's space")
+	}
+	for _, spc := range []*space.Space{lu.Space(), problem(t, "LU", machine.Sandybridge).Space(), shiftedSpace{lu}.Space()} {
+		pool := spc.SamplePool(300, rng.New(7))
+		want := sur.Forest.PredictAll(spc.EncodeAll(pool))
+		got := sur.PredictConfigs(spc, pool)
+		for i := range pool {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("row %d: PredictConfigs %v, walk %v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestSurrogateTracksTarget(t *testing.T) {
 	out, err := Run(context.Background(), problem(t, "LU", machine.Westmere), problem(t, "LU", machine.Sandybridge), smallOpts(8))
 	if err != nil {

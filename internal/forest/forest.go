@@ -228,6 +228,10 @@ func (f *Forest) PredictAll(X [][]float64) []float64 {
 	return out
 }
 
+// NumFeatures returns the width of the feature vectors the forest was
+// trained on, the width Predict and PredictAll accept.
+func (f *Forest) NumFeatures() int { return f.nf }
+
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
 

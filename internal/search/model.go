@@ -1,9 +1,11 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,6 +38,16 @@ type BatchModel interface {
 	PredictAll(X [][]float64) []float64
 }
 
+// ConfigModel is the optional extension of Model that scores
+// configurations straight from their level indices. PredictConfigs must
+// return exactly what Predict returns on spc.Encode(c) for every c of
+// cs: like BatchModel, it is a performance path (core.Surrogate scores
+// through a forest compiled against its space), never a semantic one.
+type ConfigModel interface {
+	Model
+	PredictConfigs(spc *space.Space, cs []space.Config) []float64
+}
+
 // predictAll scores every row of X with m, through the batched path
 // when the model provides one and row-by-row otherwise. Either way the
 // result is bit-identical to a serial Predict loop.
@@ -50,6 +62,17 @@ func predictAll(m Model, X [][]float64) []float64 {
 	return out
 }
 
+// ScoreConfigs returns m's prediction for every configuration of cs
+// under spc's encoding: through PredictConfigs when m is a ConfigModel,
+// and by encoding cs and scoring the rows otherwise. Either way
+// out[i] == m.Predict(spc.Encode(cs[i])), bit for bit.
+func ScoreConfigs(m Model, spc *space.Space, cs []space.Config) []float64 {
+	if cm, ok := m.(ConfigModel); ok {
+		return cm.PredictConfigs(spc, cs)
+	}
+	return predictAll(m, spc.EncodeAll(cs))
+}
+
 // ScoredPool is the prelude RSp and RSb share: the configuration pool
 // X_p of Algorithms 1 and 2 and the model's prediction for each entry
 // (Preds[i] scores Pool[i]). The searches only read it, so one scored
@@ -59,11 +82,11 @@ type ScoredPool struct {
 	Preds []float64
 }
 
-// ScorePool draws n configurations of spc from poolR (SamplePool), encodes
-// them and scores every row with m.
+// ScorePool draws n configurations of spc from poolR (SamplePool) and
+// scores every one with m (ScoreConfigs).
 func ScorePool(spc *space.Space, m Model, n int, poolR *rng.RNG) ScoredPool {
 	pool := spc.SamplePool(n, poolR)
-	return ScoredPool{Pool: pool, Preds: predictAll(m, spc.EncodeAll(pool))}
+	return ScoredPool{Pool: pool, Preds: ScoreConfigs(m, spc, pool)}
 }
 
 // DefaultDeltaPct is the paper's pruning-cutoff quantile percentage.
@@ -118,6 +141,16 @@ func (tm *timedModel) PredictAll(X [][]float64) []float64 {
 	out := predictAll(tm.m, X)
 	tm.dur += sw.Elapsed()
 	tm.n += len(X)
+	return out
+}
+
+// PredictConfigs implements ConfigModel by forwarding to ScoreConfigs on
+// the wrapped model, counting one call per configuration.
+func (tm *timedModel) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
+	sw := obs.StartTimer()
+	out := ScoreConfigs(tm.m, spc, cs)
+	tm.dur += sw.Elapsed()
+	tm.n += len(cs)
 	return out
 }
 
@@ -220,7 +253,7 @@ func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOp
 			break
 		}
 		considered++
-		if pred := scorer.Predict(spc.Encode(c)); pred < cutoff {
+		if pred := ScoreConfigs(scorer, spc, []space.Config{c})[0]; pred < cutoff {
 			if _, ok := run.evaluate(ctx, c); !ok {
 				break
 			}
@@ -268,23 +301,23 @@ func RSbScored(ctx context.Context, p Problem, sp ScoredPool, opt RSbOptions) *R
 	run.start(ctx)
 	defer run.finish()
 
-	type scored struct {
-		c    space.Config
-		pred float64
-	}
-	scoredPool := make([]scored, len(sp.Pool))
-	for i, c := range sp.Pool {
-		scoredPool[i] = scored{c: c, pred: sp.Preds[i]}
-	}
 	// Evaluating in ascending predicted order is equivalent to repeatedly
-	// taking the argmin and removing it (the model is fixed). The sort
-	// runs on this copy, so a shared pool stays untouched.
-	sort.SliceStable(scoredPool, func(a, b int) bool {
-		//lint:ignore floatcmp predictions are means of finite training targets (forest fits on Dataset.Valid rows), so the pool is NaN-free
-		return scoredPool[a].pred < scoredPool[b].pred
+	// taking the argmin and removing it (the model is fixed). Ties go to
+	// the lower pool index: (pred, index) is a total order, so its one
+	// sorted permutation is the stable sort by prediction. The sort runs
+	// on an index slice, so a shared pool stays untouched.
+	order := make([]int32, len(sp.Pool))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(sp.Preds[a], sp.Preds[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	for i := 0; i < len(scoredPool) && len(run.res.Records) < opt.NMax && ctx.Err() == nil; i++ {
-		if _, ok := run.evaluate(ctx, scoredPool[i].c); !ok {
+	for i := 0; i < len(order) && len(run.res.Records) < opt.NMax && ctx.Err() == nil; i++ {
+		if _, ok := run.evaluate(ctx, sp.Pool[order[i]]); !ok {
 			break
 		}
 	}
@@ -391,18 +424,18 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 		defer tm.flush(run.tr, "RSbA", "scan")
 	}
 
-	// Encodings travel with the pool entries so each refit generation can
-	// re-score the remaining configurations in one batch.
+	// The remaining pool is scored once per model generation (preds is
+	// nil until then); between refits the predictions travel with their
+	// entries, since re-scoring under the same model would repeat them.
 	remaining := spc.SamplePool(opt.PoolSize, poolR)
-	enc := spc.EncodeAll(remaining)
-	preds := predictAll(scorer, enc)
-	for gen := 0; len(run.res.Records) < opt.NMax && len(remaining) > 0 && ctx.Err() == nil; gen++ {
+	var preds []float64
+	for len(run.res.Records) < opt.NMax && len(remaining) > 0 && ctx.Err() == nil {
+		if preds == nil {
+			preds = ScoreConfigs(scorer, spc, remaining)
+		}
 		// Pick the argmin-predicted configuration from the remaining pool.
 		// Batched scoring plus a strict-< scan reproduces the serial
 		// Predict loop's choice exactly (first minimum wins in both).
-		if gen > 0 {
-			preds = predictAll(scorer, enc)
-		}
 		best := 0
 		bestPred := preds[0]
 		for i := 1; i < len(preds); i++ {
@@ -411,10 +444,9 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 			}
 		}
 		c := remaining[best]
-		remaining[best] = remaining[len(remaining)-1]
-		remaining = remaining[:len(remaining)-1]
-		enc[best] = enc[len(enc)-1]
-		enc = enc[:len(enc)-1]
+		last := len(remaining) - 1
+		remaining[best], preds[best] = remaining[last], preds[last]
+		remaining, preds = remaining[:last], preds[:last]
 
 		rec, ok := run.evaluate(ctx, c)
 		if !ok {
@@ -447,6 +479,7 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 			} else {
 				scorer = model
 			}
+			preds = nil
 		}
 	}
 	return run.res, nil

@@ -111,11 +111,19 @@ func EvaluateFull(ctx context.Context, p Problem, c space.Config) Outcome {
 	run, cost := p.Evaluate(c)
 	if math.IsNaN(run) || math.IsInf(run, 0) {
 		err := fmt.Errorf("search: non-finite run time %v", run)
-		obs.FromContext(ctx).Fault(p.Name(), c, 0, err)
+		if ctx.Value(faultsReportedKey{}) == nil {
+			obs.FromContext(ctx).Fault(p.Name(), c, 0, err)
+		}
 		return Outcome{RunTime: math.Inf(1), Cost: cost, Status: StatusFailed, Err: err}
 	}
 	return Outcome{RunTime: run, Cost: cost, Status: StatusOK}
 }
+
+// faultsReportedKey marks a context that a Resilient layer above has
+// handed down: Resilient reports every failed attempt itself, with its
+// attempt number, so the adapter in EvaluateFull must not report the
+// same attempt a second time.
+type faultsReportedKey struct{}
 
 // EvaluateBackground is the context-free Evaluate of every evaluation
 // layer: EvaluateFull under context.Background, reduced to the run time
@@ -192,6 +200,9 @@ func (r *Resilient) Evaluate(c space.Config) (runTime, cost float64) {
 func (r *Resilient) EvaluateFull(ctx context.Context, c space.Config) Outcome {
 	opt := r.Opt.withDefaults()
 	tr := obs.FromContext(ctx)
+	if tr.Enabled() {
+		ctx = context.WithValue(ctx, faultsReportedKey{}, true)
+	}
 	total := 0.0
 	for attempt := 0; ; attempt++ {
 		out := EvaluateFull(ctx, r.P, c)

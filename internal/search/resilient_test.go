@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/space"
 )
@@ -189,6 +190,41 @@ func TestResilientFailsNonFiniteRun(t *testing.T) {
 		if out.Status != StatusFailed || !math.IsInf(out.RunTime, 1) || out.Cost != 1 ||
 			out.Retries != 0 || out.Err == nil || IsTransient(out.Err) {
 			t.Fatalf("run %v: outcome = %+v, want one failed non-transient attempt costing 1", run, out)
+		}
+	}
+}
+
+// passLayer is a layer that only forwards to the problem below, so a
+// fault surfacing from below crosses one more layer before Resilient.
+type passLayer struct{ Problem }
+
+func (l passLayer) Evaluate(c space.Config) (float64, float64) { return EvaluateBackground(l, c) }
+func (l passLayer) EvaluateFull(ctx context.Context, c space.Config) Outcome {
+	return EvaluateFull(ctx, l.Problem, c)
+}
+
+// TestOneFaultEventPerFailedAttempt: a bare problem's non-finite run is
+// one failed attempt, and a traced search reports it as exactly one
+// fault event, whether the problem is searched bare, under Resilient,
+// or under Resilient with a layer in between. Resilient used to report
+// the attempt a second time after the EvaluateFull adapter had.
+func TestOneFaultEventPerFailedAttempt(t *testing.T) {
+	bare := constProblem{run: math.Inf(1)}
+	for name, p := range map[string]Problem{
+		"bare":            bare,
+		"resilient":       NewResilient(bare, ResilientOptions{Retries: 2}),
+		"resilient+layer": NewResilient(passLayer{bare}, ResilientOptions{Retries: 2}),
+	} {
+		ctx, sink := tracedCtx()
+		res := RS(ctx, p, 3, rng.New(1))
+		faults := 0
+		for _, e := range sink.Events() {
+			if e.Kind == obs.KindFault {
+				faults++
+			}
+		}
+		if c := res.Counts(); c.Failed != 3 || faults != 3 {
+			t.Errorf("%s: %d failed records, %d fault events; want 3 and 3", name, c.Failed, faults)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/rng"
 )
@@ -152,6 +153,12 @@ type Space struct {
 	// size caches Size: the parameters never change after New, and the
 	// sampler consults the count on every draw.
 	size float64
+	// encoded[i][l] is the feature value Encode writes for parameter i
+	// at level l: the one definition of the encoding. It is built on
+	// first use (see table), since model-free searches never encode and
+	// New runs once per problem built.
+	encodeOnce sync.Once
+	encoded    [][]float64
 }
 
 // New constructs a Space from parameters. Parameter names must be unique.
@@ -171,6 +178,44 @@ func New(params ...Param) *Space {
 		s.size *= float64(p.Levels())
 	}
 	return s
+}
+
+// table returns the encoded-level table, building it on first use in one
+// backing array (RT alone has 247 parameters).
+func (s *Space) table() [][]float64 {
+	s.encodeOnce.Do(func() {
+		levels := 0
+		for _, p := range s.params {
+			levels += p.Levels()
+		}
+		flat := make([]float64, 0, levels)
+		s.encoded = make([][]float64, len(s.params))
+		for i, p := range s.params {
+			lo := len(flat)
+			flat = appendEncoded(flat, p)
+			s.encoded[i] = flat[lo:len(flat):len(flat)]
+		}
+	})
+	return s.encoded
+}
+
+// appendEncoded appends the feature value of each of p's levels. Ordered
+// parameters (IntRange, PowerOfTwo, Boolean) encode as their concrete
+// value (log2 for PowerOfTwo, so tile sizes are on a linear scale);
+// Categorical parameters encode as their level index, which a
+// tree-based model can split on without assuming order.
+func appendEncoded(dst []float64, p Param) []float64 {
+	for l, v := range p.levels {
+		switch p.Kind {
+		case PowerOfTwo:
+			dst = append(dst, math.Log2(float64(v)))
+		case Categorical:
+			dst = append(dst, float64(l))
+		default:
+			dst = append(dst, float64(v))
+		}
+	}
+	return dst
 }
 
 // Equal reports whether s and o hold the same parameters in the same
@@ -323,11 +368,8 @@ func (s *Space) String(c Config) string {
 	return b.String()
 }
 
-// Encode maps c to a numeric feature vector for the surrogate model.
-// Ordered parameters (IntRange, PowerOfTwo, Boolean) encode as their
-// concrete value (log2 for PowerOfTwo, so tile sizes are on a linear
-// scale); Categorical parameters encode as their level index, which a
-// tree-based model can split on without assuming order.
+// Encode maps c to a numeric feature vector for the surrogate model, one
+// feature per parameter: the value EncodedLevels gives for c's level.
 func (s *Space) Encode(c Config) []float64 {
 	f := make([]float64, len(c))
 	s.encodeInto(f, c)
@@ -338,18 +380,20 @@ func (s *Space) Encode(c Config) []float64 {
 // values, so EncodeAll can fill rows of a shared backing.
 func (s *Space) encodeInto(dst []float64, c Config) {
 	dst = dst[:len(s.params)]
-	for i := range s.params {
-		p := &s.params[i]
-		switch p.Kind {
-		case PowerOfTwo:
-			dst[i] = math.Log2(float64(p.Value(c[i])))
-		case Categorical:
-			dst[i] = float64(c[i])
-		default:
-			dst[i] = float64(p.Value(c[i]))
+	for i, vals := range s.table() {
+		if c[i] < 0 || c[i] >= len(vals) {
+			panic(fmt.Sprintf("space: level %d out of range for %s (%d levels)", c[i], s.params[i].Name, len(vals)))
 		}
+		dst[i] = vals[c[i]]
 	}
 }
+
+// EncodedLevels returns the feature value of every level of parameter
+// i, the table Encode reads: Encode(c)[i] == EncodedLevels(i)[c[i]]. A
+// model compiled against these values can score configurations straight
+// from their level indices. The slice is shared; callers must not
+// modify it.
+func (s *Space) EncodedLevels(i int) []float64 { return s.table()[i] }
 
 // encodeChunk is the most float64s EncodeAll carves from one backing
 // allocation: 32 KB, the largest small-object size class. One backing per

@@ -3,6 +3,7 @@ package space
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -404,6 +405,44 @@ func TestEncodeAllMatchesEncode(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEncodedLevelsTable: the level table Encode reads holds each
+// kind's encoding (the value, log2 of a power of two, 0/1, the category
+// index), is built once on first use even when many goroutines encode a
+// fresh space at once, and an out-of-range level still panics.
+func TestEncodedLevelsTable(t *testing.T) {
+	want := [][]float64{{1, 2, 3, 4}, {0, 1, 2, 3}, {0, 1}, {0, 1, 2}}
+	s := smallSpace()
+	c := Config{3, 2, 1, 0}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := s.Encode(c); got[0] != 4 || got[1] != 2 || got[2] != 1 || got[3] != 0 {
+				t.Errorf("Encode(%v) = %v", c, got)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, vals := range want {
+		got := s.EncodedLevels(i)
+		if len(got) != len(vals) {
+			t.Fatalf("param %d: %d levels, want %d", i, len(got), len(vals))
+		}
+		for l := range vals {
+			if got[l] != vals[l] {
+				t.Errorf("param %d level %d encodes %v, want %v", i, l, got[l], vals[l])
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Encode accepted categorical level 3 of 3")
+		}
+	}()
+	s.Encode(Config{0, 0, 0, 3})
 }
 
 func TestSpaceEqual(t *testing.T) {
