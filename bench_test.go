@@ -547,6 +547,45 @@ func BenchmarkSamplePool(b *testing.B) {
 	}
 }
 
+// BenchmarkSurrogateFit fits M_a as core.Run does: 100 trees on T_a,
+// the valid rows of a 100-evaluation RS run on the source, encoded; on
+// LU and on RT (247 features). Each op also compiles the forest against
+// the space, the rest of what NewSurrogate does, and reports that part
+// alone as compile-ms/op.
+func BenchmarkSurrogateFit(b *testing.B) {
+	lu, err := kernels.ByName("LU")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		src  search.Problem
+	}{
+		{"LU", kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})},
+		{"RT", miniapps.NewProblem(miniapps.RT(), machine.Sandybridge)},
+	} {
+		spc := tc.src.Space()
+		_, ta := core.Collect(context.Background(), tc.src, 100, rng.NewNamed(2016, "crn-stream"))
+		X, y := ta.Valid().Encode(spc)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			compile := 0.0
+			for i := 0; i < b.N; i++ {
+				f, err := forest.Fit(X, y, forest.Params{}, rng.NewNamed(2016, "forest"))
+				if err != nil {
+					b.Fatal(err)
+				}
+				sw := obs.StartTimer()
+				if _, err := f.Compile(spc); err != nil {
+					b.Fatal(err)
+				}
+				compile += sw.Elapsed().Seconds()
+			}
+			b.ReportMetric(compile*1e3/float64(b.N), "compile-ms/op")
+		})
+	}
+}
+
 func BenchmarkEndToEndRSb(b *testing.B) {
 	tgt, sur := benchSurrogate(b)
 	b.Run("inline", func(b *testing.B) {

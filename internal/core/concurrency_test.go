@@ -7,7 +7,6 @@ import (
 	"repro/internal/forest"
 	"repro/internal/rng"
 	"repro/internal/search"
-	"repro/internal/space"
 )
 
 // hammer calls m.Predict on every probe from many goroutines and checks
@@ -101,7 +100,8 @@ func TestModelsConcurrentPredict(t *testing.T) {
 // TestSurrogateConcurrentConfigScoring hammers one shared Surrogate's
 // compiled config scorer from many goroutines, each scoring the whole
 // pool (sharded over the forest's workers) and single configurations
-// (RSp's per-candidate path), against the walk over encoded rows.
+// through a ConfigScorer of its own (RSp's per-candidate path), against
+// the walk over encoded rows.
 func TestSurrogateConcurrentConfigScoring(t *testing.T) {
 	spc := ablSpace()
 	ds := linearDataset(spc, 80, 3)
@@ -116,6 +116,7 @@ func TestSurrogateConcurrentConfigScoring(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			score := sur.ConfigScorer(spc)
 			for iter := 0; iter < 5; iter++ {
 				got := search.ScoreConfigs(sur, spc, pool)
 				for i := range got {
@@ -125,7 +126,7 @@ func TestSurrogateConcurrentConfigScoring(t *testing.T) {
 					}
 				}
 				for i := g; i < len(pool); i += 8 {
-					if v := search.ScoreConfigs(sur, spc, []space.Config{pool[i]})[0]; v != want[i] {
+					if v := score(pool[i]); v != want[i] {
 						t.Errorf("goroutine %d: config %d scored %v alone, walk %v", g, i, v, want[i])
 						return
 					}

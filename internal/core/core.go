@@ -80,10 +80,30 @@ func (s *Surrogate) PredictAll(X [][]float64) []float64 { return s.Forest.Predic
 // compiled forest scores the level indices directly; otherwise it
 // encodes under spc and walks the forest.
 func (s *Surrogate) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
-	if s.compiled == nil || (spc != s.Space && !spc.Equal(s.Space)) {
+	if !s.compiledFor(spc) {
 		return s.Forest.PredictAll(spc.EncodeAll(cs))
 	}
 	return s.compiled.PredictConfigs(cs)
+}
+
+// ConfigScorer implements search.ConfigModel: the function it returns
+// scores one configuration of spc at a time, returning
+// Predict(spc.Encode(c)) bit for bit. spc is compared with the
+// surrogate's space once, here, not per call; when it encodes alike, the
+// function scores through its own compiled-forest Scorer on the calling
+// goroutine and allocates nothing per call. It is therefore not safe for
+// concurrent use; the Surrogate itself stays immutable.
+func (s *Surrogate) ConfigScorer(spc *space.Space) func(space.Config) float64 {
+	if !s.compiledFor(spc) {
+		return func(c space.Config) float64 { return s.Forest.Predict(spc.Encode(c)) }
+	}
+	return s.compiled.Scorer().Predict
+}
+
+// compiledFor reports whether configurations of spc may be scored through
+// the compiled forest: spc is the surrogate's own space or Equal to it.
+func (s *Surrogate) compiledFor(spc *space.Space) bool {
+	return s.compiled != nil && (spc == s.Space || spc.Equal(s.Space))
 }
 
 // FitSurrogate trains the random-forest surrogate M_a on T_a. Failed and

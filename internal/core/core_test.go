@@ -293,9 +293,10 @@ func TestMismatchedSpacesRejected(t *testing.T) {
 }
 
 // TestNewSurrogate: the constructor refuses a space of another width,
-// and config scoring under a space that encodes differently (same width,
-// other level values) falls back to encoding under that space, so it
-// still equals the walk over the caller's encoding.
+// and config scoring, of a pool or one configuration at a time, under a
+// space that encodes differently (same width, other level values) falls
+// back to encoding under that space, so it still equals the walk over
+// the caller's encoding.
 func TestNewSurrogate(t *testing.T) {
 	lu := problem(t, "LU", machine.Westmere)
 	_, ta := Collect(context.Background(), lu, 30, rng.New(5))
@@ -310,10 +311,35 @@ func TestNewSurrogate(t *testing.T) {
 		pool := spc.SamplePool(300, rng.New(7))
 		want := sur.Forest.PredictAll(spc.EncodeAll(pool))
 		got := sur.PredictConfigs(spc, pool)
+		score := sur.ConfigScorer(spc)
 		for i := range pool {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("row %d: PredictConfigs %v, walk %v", i, got[i], want[i])
 			}
+			if one := score(pool[i]); math.Float64bits(one) != math.Float64bits(want[i]) {
+				t.Fatalf("row %d: ConfigScorer %v, walk %v", i, one, want[i])
+			}
+		}
+	}
+}
+
+// TestConfigScorerAllocs: scoring one candidate through a ConfigScorer,
+// as RSp's scan does, allocates nothing, whether the scan's space is the
+// surrogate's own or another pointer to an Equal space (as in core.Run,
+// where source and target build their own spaces). The space comparison
+// and the bitvector scratch are paid once per scorer, not per candidate.
+func TestConfigScorerAllocs(t *testing.T) {
+	lu := problem(t, "LU", machine.Westmere)
+	_, ta := Collect(context.Background(), lu, 30, rng.New(5))
+	sur, err := FitSurrogate(ta, lu.Space(), "src", forest.Params{Trees: 10}, rng.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spc := range []*space.Space{lu.Space(), problem(t, "LU", machine.Sandybridge).Space()} {
+		c := spc.SamplePool(1, rng.New(7))[0]
+		score := sur.ConfigScorer(spc)
+		if allocs := testing.AllocsPerRun(100, func() { score(c) }); allocs != 0 {
+			t.Errorf("ConfigScorer allocates %v times per candidate, want 0", allocs)
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 )
 
 // checkCompiled scores cs through f compiled against spc, at every
-// worker count given, and requires each prediction to equal both
-// PredictAll(EncodeAll(cs)) and a Predict loop bit for bit.
+// worker count given and one row at a time through a Scorer, and
+// requires each prediction to equal both PredictAll(EncodeAll(cs)) and a
+// Predict loop bit for bit.
 func checkCompiled(t *testing.T, name string, f *Forest, spc *space.Space, cs []space.Config, workers ...int) *Compiled {
 	t.Helper()
 	rows := spc.EncodeAll(cs)
@@ -31,12 +32,16 @@ func checkCompiled(t *testing.T, name string, f *Forest, spc *space.Space, cs []
 			t.Fatalf("%s: %v", name, err)
 		}
 		got := c.PredictConfigs(cs)
+		sc := c.Scorer()
 		for i := range cs {
 			want := f.Predict(rows[i])
 			if math.Float64bits(got[i]) != math.Float64bits(want) ||
 				math.Float64bits(got[i]) != math.Float64bits(batch[i]) {
 				t.Fatalf("%s/workers-%d: row %d (%v) compiled %v, Predict %v, PredictAll %v",
 					name, w, i, cs[i], got[i], want, batch[i])
+			}
+			if one := sc.Predict(cs[i]); math.Float64bits(one) != math.Float64bits(want) {
+				t.Fatalf("%s: row %d (%v) Scorer %v, Predict %v", name, i, cs[i], one, want)
 			}
 		}
 	}

@@ -10,7 +10,6 @@ package forest
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/rng"
@@ -94,21 +93,6 @@ func FitTree(X [][]float64, y []float64, p TreeParams, r *rng.RNG) (*Tree, error
 // feature: the feature value and the target.
 type xy struct{ x, y float64 }
 
-// byX orders pairs by feature value; encoded feature values are finite
-// by construction (space.Encode yields finite floats). The sort reads
-// only whether the result is negative, which is x < x', the predicate
-// the search has always sorted with.
-func byX(a, b xy) int {
-	//lint:ignore floatcmp encoded features are finite by construction (space.Encode), so the pairs are NaN-free
-	if a.x < b.x {
-		return -1
-	}
-	if a.x > b.x {
-		return 1
-	}
-	return 0
-}
-
 // grower grows one tree. Its buffers are sized for the root and reused
 // at every node, so the split search allocates nothing per node beyond
 // the rng's feature sample.
@@ -186,11 +170,11 @@ func (g *grower) bestSplit(idx []int) (feat int, thr, gain float64) {
 		for k, i := range idx {
 			pairs[k] = xy{g.X[i][f], g.y[i]}
 		}
-		// slices.SortFunc and sort.Slice are the same generated pdqsort,
-		// and byX is negative exactly when x < x', so the rows land in the
-		// permutation sort.Slice gave them: ties, and with them the
-		// floating-point sums below, come out bit for bit the same.
-		slices.SortFunc(pairs, byX)
+		// sortByX is the pdqsort behind sort.Slice with x < x' inlined,
+		// so the rows land in the permutation sort.Slice gave them: ties,
+		// and with them the floating-point sums below, come out bit for
+		// bit the same.
+		sortByX(pairs)
 
 		// Prefix sums over the sorted targets let us evaluate every
 		// threshold in O(n).

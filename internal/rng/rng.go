@@ -11,6 +11,7 @@ package rng
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -95,7 +96,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Uint64n returns a uniform uint64 in [0, n) using Lemire's method with a
-// rejection step to remove modulo bias.
+// rejection step to remove modulo bias: a draw is rejected when the low
+// half of its product with n is below 2^64 mod n. That threshold is
+// below n, so it is computed, with its 64-bit division, only for the rare
+// draw whose low half is below n itself.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
@@ -104,27 +108,14 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
+	return hi
 }
 
 // NormFloat64 returns a standard normal variate using the polar

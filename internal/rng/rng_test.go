@@ -132,6 +132,58 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
+// referenceUint64n is Uint64n as it was before it skipped the division:
+// the rejection threshold 2^64 mod n computed on every call and the
+// 128-bit product built from 32-bit halves.
+func referenceUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		v := r.Uint64()
+		const mask32 = 1<<32 - 1
+		x0, x1 := v&mask32, v>>32
+		y0, y1 := n&mask32, n>>32
+		w0 := x0 * y0
+		t := x1*y0 + w0>>32
+		w1 := t&mask32 + x0*y1
+		hi := x1*y1 + t>>32 + w1>>32
+		if lo := v * n; lo >= threshold {
+			return hi
+		}
+	}
+}
+
+// TestUint64nMatchesReference: Uint64n accepts and rejects exactly the
+// draws the old implementation did, so every value, and the number of
+// draws consumed, is the same. The n near 2^63 (and 2^64) that are not
+// powers of two reject close to half of all draws.
+func TestUint64nMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, 6, 7, 10, 247, 1000, 1<<32 - 1, 1<<32 + 1, 3 << 40,
+		1<<63 - 1, 1<<63 + 1, 1<<63 + 3, 1<<63 + 1<<62, 1<<64 - 1, 1<<64 - 3}
+	r := New(99)
+	for i := 0; i < 40; i++ {
+		ns = append(ns, r.Uint64()>>uint(r.Intn(64)))
+	}
+	for seed := uint64(0); seed < 50; seed++ {
+		for _, n := range ns {
+			if n == 0 {
+				continue
+			}
+			got, want := New(seed), New(seed)
+			for i := 0; i < 200; i++ {
+				if g, w := got.Uint64n(n), referenceUint64n(want, n); g != w {
+					t.Fatalf("seed %d n %d draw %d: Uint64n %d, reference %d", seed, n, i, g, w)
+				}
+			}
+			if got.Uint64() != want.Uint64() {
+				t.Fatalf("seed %d n %d: the streams consumed different numbers of draws", seed, n)
+			}
+		}
+	}
+}
+
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(31)
 	n := 200000

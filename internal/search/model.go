@@ -41,11 +41,15 @@ type BatchModel interface {
 // ConfigModel is the optional extension of Model that scores
 // configurations straight from their level indices. PredictConfigs must
 // return exactly what Predict returns on spc.Encode(c) for every c of
-// cs: like BatchModel, it is a performance path (core.Surrogate scores
-// through a forest compiled against its space), never a semantic one.
+// cs, and so must the function ConfigScorer returns, called on one c at
+// a time: like BatchModel, both are performance paths (core.Surrogate
+// scores through a forest compiled against its space), never semantic
+// ones. The function ConfigScorer returns may keep scratch between
+// calls, so it belongs to the one goroutine that asked for it.
 type ConfigModel interface {
 	Model
 	PredictConfigs(spc *space.Space, cs []space.Config) []float64
+	ConfigScorer(spc *space.Space) func(space.Config) float64
 }
 
 // predictAll scores every row of X with m, through the batched path
@@ -71,6 +75,18 @@ func ScoreConfigs(m Model, spc *space.Space, cs []space.Config) []float64 {
 		return cm.PredictConfigs(spc, cs)
 	}
 	return predictAll(m, spc.EncodeAll(cs))
+}
+
+// configScorer returns a function scoring one configuration of spc at a
+// time with m: m's own ConfigScorer when m is a ConfigModel, and
+// m.Predict(spc.Encode(c)) otherwise. Either way f(c) ==
+// m.Predict(spc.Encode(c)), bit for bit. A scan that scores one
+// candidate at a time resolves its scorer once, here.
+func configScorer(m Model, spc *space.Space) func(space.Config) float64 {
+	if cm, ok := m.(ConfigModel); ok {
+		return cm.ConfigScorer(spc)
+	}
+	return func(c space.Config) float64 { return m.Predict(spc.Encode(c)) }
 }
 
 // ScoredPool is the prelude RSp and RSb share: the configuration pool
@@ -152,6 +168,20 @@ func (tm *timedModel) PredictConfigs(spc *space.Space, cs []space.Config) []floa
 	tm.dur += sw.Elapsed()
 	tm.n += len(cs)
 	return out
+}
+
+// ConfigScorer implements ConfigModel by timing each call of the wrapped
+// model's one-configuration scorer (configScorer), counting one call
+// per configuration.
+func (tm *timedModel) ConfigScorer(spc *space.Space) func(space.Config) float64 {
+	score := configScorer(tm.m, spc)
+	return func(c space.Config) float64 {
+		sw := obs.StartTimer()
+		v := score(c)
+		tm.dur += sw.Elapsed()
+		tm.n++
+		return v
+	}
 }
 
 // flush emits the accumulated calls as one model-predict event for the
@@ -238,6 +268,7 @@ func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOp
 		run.tr.Warn("RSp", fmt.Sprintf("deltaPct %g outside (0,100); using default %g", origDelta, opt.DeltaPct))
 	}
 	scorer, tm := timed(run.tr, m)
+	score := configScorer(scorer, spc)
 	cutoff := stats.Quantile(sp.Preds, opt.DeltaPct/100)
 	if tm != nil {
 		defer tm.flush(run.tr, "RSp", "scan")
@@ -253,7 +284,7 @@ func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOp
 			break
 		}
 		considered++
-		if pred := ScoreConfigs(scorer, spc, []space.Config{c})[0]; pred < cutoff {
+		if pred := score(c); pred < cutoff {
 			if _, ok := run.evaluate(ctx, c); !ok {
 				break
 			}
@@ -302,26 +333,64 @@ func RSbScored(ctx context.Context, p Problem, sp ScoredPool, opt RSbOptions) *R
 	defer run.finish()
 
 	// Evaluating in ascending predicted order is equivalent to repeatedly
-	// taking the argmin and removing it (the model is fixed). Ties go to
-	// the lower pool index: (pred, index) is a total order, so its one
-	// sorted permutation is the stable sort by prediction. The sort runs
-	// on an index slice, so a shared pool stays untouched.
-	order := make([]int32, len(sp.Pool))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(sp.Preds[a], sp.Preds[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	// taking the argmin and removing it (the model is fixed). Every
+	// evaluation appends a record, so at most NMax pool entries are
+	// reached, and only those are selected and ordered.
+	order := smallestFirst(sp.Preds, opt.NMax)
 	for i := 0; i < len(order) && len(run.res.Records) < opt.NMax && ctx.Err() == nil; i++ {
 		if _, ok := run.evaluate(ctx, sp.Pool[order[i]]); !ok {
 			break
 		}
 	}
 	return run.res
+}
+
+// smallestFirst returns the indices of the min(k, len(preds)) smallest
+// predictions in ascending order. Ties go to the lower index: (pred,
+// index) is a total order, so the result is the prefix of the stable
+// sort of all indices by prediction. It keeps the k best seen so far in
+// a max-heap, so the cost is O(n log k) rather than a sort of all n, and
+// it reads preds only, so a shared pool stays untouched.
+func smallestFirst(preds []float64, k int) []int32 {
+	order := func(a, b int32) int {
+		if c := cmp.Compare(preds[a], preds[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	// heap[0] is the largest of the kept indices; siftDown restores that
+	// below position i.
+	heap := make([]int32, 0, min(k, len(preds)))
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
+			}
+			if c+1 < len(heap) && order(heap[c+1], heap[c]) > 0 {
+				c++
+			}
+			if order(heap[c], heap[i]) <= 0 {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := range preds {
+		switch {
+		case len(heap) < cap(heap):
+			heap = append(heap, int32(i))
+			for j := len(heap) - 1; j > 0 && order(heap[j], heap[(j-1)/2]) > 0; j = (j - 1) / 2 {
+				heap[j], heap[(j-1)/2] = heap[(j-1)/2], heap[j]
+			}
+		case len(heap) > 0 && order(int32(i), heap[0]) < 0:
+			heap[0] = int32(i)
+			siftDown(0)
+		}
+	}
+	slices.SortFunc(heap, order)
+	return heap
 }
 
 // RSpf is the model-free pruning control: it computes the cutoff from the

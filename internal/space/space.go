@@ -9,6 +9,7 @@
 package space
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -445,12 +446,16 @@ func (s *Space) Random(r *rng.RNG) Config {
 }
 
 // Sampler samples configurations uniformly at random without replacement.
-// It tracks previously returned keys, so it works on spaces of any size
-// without materializing them; external evaluations can be excluded too.
+// It tracks previously returned configurations, so it works on spaces of
+// any size without materializing them; external evaluations can be
+// excluded too.
 type Sampler struct {
 	space *Space
 	r     *rng.RNG
-	seen  map[string]struct{}
+	// seen holds the compactKey of every configuration returned or
+	// excluded. Each key is its own copy, so it aliases no Config.
+	seen map[string]struct{}
+	buf  []byte // compactKey's scratch
 }
 
 // NewSampler returns a Sampler drawing from r.
@@ -458,12 +463,26 @@ func NewSampler(s *Space, r *rng.RNG) *Sampler {
 	return &Sampler{space: s, r: r, seen: make(map[string]struct{})}
 }
 
+// compactKey renders c into the sampler's scratch as one uvarint per
+// level. Uvarints are a prefix code, so distinct configurations get
+// distinct keys: membership is as exact as with Config.Key, at about a
+// byte per level instead of a rendered decimal. Config.Key stays the
+// persisted format; these keys never leave the sampler.
+func (sm *Sampler) compactKey(c Config) []byte {
+	b := sm.buf[:0]
+	for _, v := range c {
+		b = binary.AppendUvarint(b, uint64(v))
+	}
+	sm.buf = b
+	return b
+}
+
 // Exclude marks a configuration as already used.
-func (sm *Sampler) Exclude(c Config) { sm.seen[c.Key()] = struct{}{} }
+func (sm *Sampler) Exclude(c Config) { sm.seen[string(sm.compactKey(c))] = struct{}{} }
 
 // Seen reports whether c has been returned or excluded.
 func (sm *Sampler) Seen(c Config) bool {
-	_, ok := sm.seen[c.Key()]
+	_, ok := sm.seen[string(sm.compactKey(c))]
 	return ok
 }
 
@@ -471,11 +490,11 @@ func (sm *Sampler) Seen(c Config) bool {
 // fresh. It computes the key once where Seen followed by Exclude would
 // compute it twice.
 func (sm *Sampler) claim(c Config) bool {
-	k := c.Key()
-	if _, dup := sm.seen[k]; dup {
+	k := sm.compactKey(c)
+	if _, dup := sm.seen[string(k)]; dup {
 		return false
 	}
-	sm.seen[k] = struct{}{}
+	sm.seen[string(k)] = struct{}{}
 	return true
 }
 

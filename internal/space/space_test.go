@@ -193,6 +193,53 @@ func TestSamplerExcludeRespected(t *testing.T) {
 	}
 }
 
+// TestSamplerCompactKeysExact: the sampler's compact keys give exactly
+// the membership Config.Key gives. Random probes over levels of one to
+// three uvarint bytes, and negative ones, are Seen exactly when their
+// Key was excluded or drawn, and changing a configuration after the
+// sampler returned it changes nothing the sampler holds.
+func TestSamplerCompactKeysExact(t *testing.T) {
+	s := New(NewIntRange("a", 0, 299), NewIntRange("b", 0, 20000), NewBoolean("c"))
+	sm := NewSampler(s, rng.New(8))
+	r := rng.New(9)
+	want := map[string]bool{}
+	probe := func() Config {
+		return Config{r.Intn(300) - 2, r.Intn(20001), r.Intn(2)}
+	}
+	var probes []Config
+	for i := 0; i < 3000; i++ {
+		if i%2 == 0 {
+			c := probe()
+			sm.Exclude(c)
+			want[c.Key()] = true
+			probes = append(probes, c.Clone())
+			continue
+		}
+		c, ok := sm.Next()
+		if !ok {
+			t.Fatal("sampler exhausted")
+		}
+		if want[c.Key()] {
+			t.Fatalf("sampler returned %v, already drawn or excluded", c)
+		}
+		want[c.Key()] = true
+		probes = append(probes, c.Clone())
+		c[0], c[1] = c[1], c[0] // the caller owns what Next returns
+		probes = append(probes, c)
+	}
+	for i := 0; i < 20000; i++ {
+		probes = append(probes, probe())
+	}
+	for _, c := range probes {
+		if sm.Seen(c) != want[c.Key()] {
+			t.Fatalf("Seen(%v) = %v, want %v", c, sm.Seen(c), want[c.Key()])
+		}
+	}
+	if sm.Drawn() != len(want) {
+		t.Fatalf("Drawn() = %d, want %d", sm.Drawn(), len(want))
+	}
+}
+
 func TestSamplerUniformFirstDraw(t *testing.T) {
 	s := New(NewIntRange("a", 0, 9))
 	counts := make([]int, 10)
