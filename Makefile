@@ -34,11 +34,12 @@ race:
 # fma-check keeps the cost model bit-identical on every GOARCH. arm64
 # and ppc64le compilers fuse a product feeding an add or subtract into
 # one FMA instruction, which skips the product's rounding; amd64 never
-# fuses. The cost-model packages round every such product explicitly
+# fuses. The cost-model packages, and the search package whose retry
+# backoff reaches the search clock, round every such product explicitly
 # (float64(x*y)), and this target cross-compiles them for both
 # architectures and fails on any fused instruction in the listing. No
 # emulator is needed. (go build replays a cached package's listing.)
-FMA_PKGS = ./internal/ir ./internal/cache ./internal/transform ./internal/sim
+FMA_PKGS = ./internal/ir ./internal/cache ./internal/transform ./internal/sim ./internal/search
 fma-check:
 	@set -e; for spec in 'arm64 FMADDD|FMSUBD|FNMADDD|FNMSUBD' 'ppc64le FMADDS?|FMSUBS?|FNMADDS?|FNMSUBS?'; do \
 		arch=$${spec%% *}; ops=$${spec#* }; \

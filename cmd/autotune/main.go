@@ -54,13 +54,13 @@
 // lease-based task claims with heartbeat failure detection re-dispatch
 // the work of dead or partitioned workers, capped-backoff retries and
 // optional hedged re-dispatch (-hedge-after D) recover the rest, and an
-// evaluation degrades inline once its retries find no worker. Start workers with
-// matching evaluation-stack flags (machine, faults, retries, timeout,
-// seed) so remote evaluations are bit-identical to local ones. Like
-// -workers it is results-invariant: the pool moves evaluations
-// between processes but never changes what they return. With -journal,
-// remote runs also journal the evaluation in flight, and the journal
-// resumes with or without remote workers.
+// evaluation degrades inline once its retries find no worker. Workers
+// evaluate bare problems: -faults, -retries, -timeout and -throttle act
+// in this process, above the pool, so remote evaluations are
+// bit-identical to local ones. Like -workers it is results-invariant:
+// the pool moves evaluations between processes but never changes what
+// they return. With -journal, remote runs also journal the evaluation
+// in flight, and the journal resumes with or without remote workers.
 //
 // -workers N caps the OS threads the Go runtime schedules goroutines on
 // (GOMAXPROCS; 0 keeps the runtime default). The search algorithms
@@ -199,25 +199,18 @@ func run() int {
 		warnf("%v", err)
 		return exitUsage
 	}
-	// The fault-aware evaluation layer: inject failures (if asked) and
-	// wrap with retry/timeout budgets. With neither faults nor budgets
-	// requested the problem runs bare.
-	p, inj := sp.Build(base)
-	if *throttle > 0 {
-		p = spec.Throttled{Problem: p, Wait: *throttle}
-	}
-
 	// SIGINT/SIGTERM cancel the context; searches drain the evaluation in
 	// flight and stop at the next boundary, so a journaled run always
 	// exits with every completed evaluation durable in its log.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	// The remote worker pool wraps outermost, so the full resilient
-	// stack travels to the workers. Like -workers it is
-	// results-invariant (and therefore absent from the journal meta): the
-	// pool only changes where evaluations execute, never what they
-	// return.
+	// The remote worker pool wraps the bare problem, and the fault-aware
+	// layers (injected failures, retry/timeout budgets) wrap the pool, so
+	// workers evaluate only what the spec names and the injector rolls
+	// under the bare name wherever an evaluation runs. Like -workers the
+	// pool is results-invariant (and therefore absent from the journal
+	// meta): it only changes where evaluations execute.
 	pool, err := remote.OpenPool(*workAddr, *hedgeAfter)
 	if err != nil {
 		warnf("%v", err)
@@ -231,7 +224,10 @@ func run() int {
 		warnf("serving evaluations to remote workers on %s (start cmd/brokerd with -connect %s)", *workAddr, *workAddr)
 	}
 	ctx = remote.Into(ctx, pool)
-	p = remote.Wrap(ctx, p)
+	p, inj := sp.Build(remote.Wrap(ctx, base))
+	if *throttle > 0 {
+		p = spec.Throttled{Problem: p, Wait: *throttle}
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/broker/remote"
 	"repro/internal/journal"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -236,55 +238,76 @@ func TestBrokerFlagValidation(t *testing.T) {
 
 // TestRemoteWorkersServeAutotune is the CLI-level remote e2e: autotune
 // listens on a unix socket, a brokerd-equivalent worker (the remote
-// package driven directly, same wire path) serves the evaluations, and
-// the output matches the inline run line for line.
+// package driven directly with brokerd's resolver, same wire path)
+// serves the evaluations, and the output matches the inline run line
+// for line. The worker evaluates bare problems, so a faulted run keeps
+// its injector, its retry budget and its throttle in the driver and
+// still matches.
 func TestRemoteWorkersServeAutotune(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-exec trial skipped in -short mode")
 	}
-	runFlags := []string{"-problem", "ATAX", "-algo", "rs", "-nmax", "20", "-seed", "19"}
-	inline, inlineOut := autotuneCmd(runFlags...)
-	if code := exitCode(t, inline.Run()); code != exitOK {
-		t.Fatalf("inline run exited %d; output:\n%s", code, inlineOut)
-	}
-
-	addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
-	remoteCmd, remoteOut := autotuneCmd(append(runFlags, "-throttle", "5ms", "-workers-addr", addr)...)
-	if err := remoteCmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	resolve, err := spec.Spec{}.Resolver()
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &remote.Worker{Resolve: resolve}
-	wctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer cancel()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = w.Run(wctx, func(ctx context.Context) (net.Conn, error) {
-			conn, err := remote.Dial(ctx, addr)
-			if err != nil {
-				// The driver may not be listening yet; Run's backoff retries.
-				return nil, err
+	const nmax, throttle = 20, 5 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		flags []string
+	}{
+		{"plain", nil},
+		{"faulted", []string{"-faults", "0.3", "-retries", "2", "-timeout", "30"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runFlags := append([]string{"-problem", "ATAX", "-algo", "rs", "-nmax", strconv.Itoa(nmax), "-seed", "19"}, tc.flags...)
+			inline, inlineOut := autotuneCmd(runFlags...)
+			if code := exitCode(t, inline.Run()); code != exitOK {
+				t.Fatalf("inline run exited %d; output:\n%s", code, inlineOut)
 			}
-			return conn, nil
+
+			addr := "unix:" + filepath.Join(t.TempDir(), "w.sock")
+			remoteCmd, remoteOut := autotuneCmd(append(runFlags, "-throttle", throttle.String(), "-workers-addr", addr, "-metrics")...)
+			start := time.Now()
+			if err := remoteCmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			resolve, err := spec.Resolver("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &remote.Worker{Resolve: resolve}
+			wctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer cancel()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// The driver may not be listening yet; Run's backoff
+				// retries the dial.
+				_ = w.Run(wctx, func(ctx context.Context) (net.Conn, error) { return remote.Dial(ctx, addr) })
+			}()
+			if code := exitCode(t, remoteCmd.Wait()); code != exitOK {
+				t.Fatalf("remote run exited %d; output:\n%s", code, remoteOut)
+			}
+			// The throttle waits once per evaluation in the driver, wherever
+			// the evaluation runs.
+			if wall := time.Since(start); wall < nmax*throttle {
+				t.Errorf("remote run took %v, under nmax x throttle = %v", wall, nmax*throttle)
+			}
+			// The worker connects while the search runs, so the first
+			// evaluations may degrade inline; the rest must be leased.
+			out := remoteOut.String()
+			if !strings.Contains(out, obs.MetricRemoteLeases) {
+				t.Errorf("no remote leases: the worker served nothing; output:\n%s", out)
+			}
+			for _, prefix := range []string{"statuses:", "best config:", "best run:", "search time:"} {
+				want := grepLine(inlineOut.String(), prefix)
+				if want == "" && prefix != "statuses:" {
+					t.Fatalf("inline output missing %q line:\n%s", prefix, inlineOut)
+				}
+				if got := grepLine(out, prefix); got != want {
+					t.Fatalf("remote %q line differs:\n  remote: %s\n  inline: %s", prefix, got, want)
+				}
+			}
 		})
-	}()
-	if code := exitCode(t, remoteCmd.Wait()); code != exitOK {
-		t.Fatalf("remote run exited %d; output:\n%s", code, remoteOut)
-	}
-	for _, prefix := range []string{"best config:", "best run:", "search time:"} {
-		want := grepLine(inlineOut.String(), prefix)
-		if want == "" {
-			t.Fatalf("inline output missing %q line:\n%s", prefix, inlineOut)
-		}
-		if got := grepLine(remoteOut.String(), prefix); got != want {
-			t.Fatalf("remote %q line differs:\n  remote: %s\n  inline: %s", prefix, got, want)
-		}
 	}
 }
 

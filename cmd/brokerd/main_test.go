@@ -58,15 +58,17 @@ func exitCode(t *testing.T, cmd *exec.Cmd) int {
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                       // -connect missing
-		{"-connect", "x", "-faults", "1.5"},      // rate out of range
-		{"-connect", "x", "-faults", "-0.1"},     // negative rate
-		{"-connect", "x", "-retries", "-1"},      // negative retry budget
-		{"-connect", "x", "-timeout", "-1"},      // negative timeout
 		{"-connect", "x", "-annotation", "none"}, // missing annotation file
 		// Tasks name their targets; a worker has no target flags.
 		{"-connect", "x", "-machine", "Sandybridge"},
 		{"-connect", "x", "-compiler", "gnu-4.4.7"},
 		{"-connect", "x", "-threads", "1"},
+		// Drivers keep the fault and resilience layers; a worker has no
+		// evaluator flags.
+		{"-connect", "x", "-faults", "0.3"},
+		{"-connect", "x", "-retries", "2"},
+		{"-connect", "x", "-timeout", "30"},
+		{"-connect", "x", "-seed", "7"},
 	}
 	for _, args := range cases {
 		if code := exitCode(t, brokerdCmd(args...)); code != exitUsage {
@@ -75,8 +77,8 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// lu is the inline reference problem: the same plain LU kernel stack a
-// brokerd worker builds for the default flags (no faults, no budgets).
+// lu is the inline reference problem: the same bare LU kernel a brokerd
+// worker builds for its wire name.
 func lu(t *testing.T) search.Problem {
 	t.Helper()
 	m, err := machine.ByName("Sandybridge")
@@ -239,12 +241,12 @@ type renamed struct {
 
 func (r renamed) Name() string { return r.name }
 
-// served runs a random search over p through the pool and returns it
-// with the evaluations the pool degraded inline.
-func served(pool *remote.Pool, p search.Problem, seed uint64) (*search.Result, int64) {
+// served runs a random search over p, a stack over the pool, and
+// returns it with the evaluations the pool degraded inline.
+func served(p search.Problem, seed uint64) (*search.Result, int64) {
 	reg := obs.NewRegistry()
 	ctx := obs.WithTracer(context.Background(), obs.New(obs.NewMetricsSink(reg)))
-	res := search.RS(ctx, pool.Problem(p), 12, rng.New(seed))
+	res := search.RS(ctx, p, 12, rng.New(seed))
 	return res, reg.Counter(obs.MetricDegraded).Value()
 }
 
@@ -262,16 +264,16 @@ func startWorker(t *testing.T, pool *remote.Pool, addr string, flags ...string) 
 	waitFor(t, "worker session", func() bool { return pool.Sessions() == 1 })
 }
 
-// TestResolverContract: one brokerd, given only the fault settings,
+// TestResolverContract: one brokerd, given no evaluator settings,
 // serves every target a sweep names — other machines and compilers,
-// forced OpenMP, the mini-apps, off-size kernels — as the stack the
-// driver builds inline under the same settings, so every search is
-// served remotely and bit-identical to inline. A name that is not the
-// name of the problem it builds is refused, and its evaluations run
-// inline.
+// forced OpenMP, the mini-apps, off-size kernels — under a driver-side
+// fault injector and resilient budgets stacked over the pool, so every
+// search is served remotely and bit-identical to the same stack inline.
+// A name that is not the name of the problem it builds is refused, and
+// its evaluations run inline.
 func TestResolverContract(t *testing.T) {
 	pool, addr := servingPool(t, t.TempDir(), 2)
-	startWorker(t, pool, addr, "-faults", "0.3", "-retries", "2", "-timeout", "30", "-seed", "7")
+	startWorker(t, pool, addr)
 	for i, s := range []spec.Spec{
 		{Problem: "LU", Machine: "Power7"},
 		{Problem: "MM", Machine: "XeonPhi", Compiler: "intel-15.0.1", Threads: 60, ForceOMP: true},
@@ -279,25 +281,26 @@ func TestResolverContract(t *testing.T) {
 		{Problem: "MM_n1000", Machine: "Sandybridge"},
 	} {
 		s.Faults, s.Retries, s.Timeout, s.Seed = 0.3, 2, 30, 7
-		stack := func() search.Problem {
-			base, err := s.Resolve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, _ := s.Build(base)
-			return p
+		base, err := s.Resolve()
+		if err != nil {
+			t.Fatal(err)
 		}
+		inline, _ := s.Build(base)
+		remoteStack, _ := s.Build(pool.Problem(base))
 		seed := uint64(40 + i)
-		ref := search.RS(context.Background(), stack(), 12, rng.New(seed))
-		res, degraded := served(pool, stack(), seed)
+		ref := search.RS(context.Background(), inline, 12, rng.New(seed))
+		res, degraded := served(remoteStack, seed)
 		if degraded != 0 {
 			t.Errorf("%s: %d evaluations degraded inline; the worker refused its target", ref.Problem, degraded)
+		}
+		if counts := ref.Counts(); counts.Failed == 0 && counts.Retried == 0 {
+			t.Errorf("%s: the faulted stack injected nothing: %+v", ref.Problem, counts)
 		}
 		if err := crashtest.Compare(ref, res); err != nil {
 			t.Errorf("%s: %v", ref.Problem, err)
 		}
 	}
-	res, degraded := served(pool, renamed{lu(t), "LU"}, 3)
+	res, degraded := served(pool.Problem(renamed{lu(t), "LU"}), 3)
 	if degraded == 0 {
 		t.Errorf("the worker served %d evaluations of an unqualified name", len(res.Records))
 	}
@@ -331,7 +334,7 @@ param RT_I on i regtile pow2 0..1
 		t.Fatal(err)
 	}
 	ref := search.RS(context.Background(), tiny, 12, rng.New(5))
-	res, degraded := served(pool, tiny, 5)
+	res, degraded := served(pool.Problem(tiny), 5)
 	if degraded != 0 {
 		t.Errorf("%s: %d evaluations degraded inline; the worker refused its annotated kernel", tiny.Name(), degraded)
 	}
@@ -344,7 +347,7 @@ param RT_I on i regtile pow2 0..1
 	if err == nil || !strings.Contains(err.Error(), "not available on Power7") {
 		t.Fatalf("annotated kernel with icc on Power7: got %v, want a compiler error", err)
 	}
-	if _, degraded := served(pool, renamed{tiny, icc}, 5); degraded == 0 {
+	if _, degraded := served(pool.Problem(renamed{tiny, icc}), 5); degraded == 0 {
 		t.Errorf("the worker served %s, which its spec refuses", icc)
 	}
 }

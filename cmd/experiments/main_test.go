@@ -151,7 +151,7 @@ func TestSweepKeepsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resolve, err := spec.Spec{}.Resolver()
+	resolve, err := spec.Resolver("")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/search"
+	"repro/internal/spec"
 )
 
 // readAll collects n frames from fc on a background peer.
@@ -360,5 +363,73 @@ func TestWorkerGivesUpAfterMaxAttempts(t *testing.T) {
 	err := w.Run(context.Background(), dial)
 	if err == nil {
 		t.Fatal("Run returned nil with every dial refused")
+	}
+}
+
+// TestWorkerRefusesMisfitConfig: a task whose config does not fit the
+// named problem's space comes back Interrupted carrying the space's
+// error, as an unresolvable name does, and the worker goes on to serve
+// the next task. Evaluating such a config would panic the worker.
+func TestWorkerRefusesMisfitConfig(t *testing.T) {
+	const name = "LU@Sandybridge/gnu-4.4.7/t1"
+	resolve, err := spec.Resolver("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lu, err := resolve(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	w := &Worker{Resolve: resolve, Label: "w0"}
+	done := make(chan error, 1)
+	go func() { done <- w.Serve(context.Background(), client) }()
+
+	fc := newFrameConn(server, "fake-pool", nil)
+	defer func() { _ = fc.close() }()
+	if f, err := fc.read(); err != nil || f.Type != MsgHello {
+		t.Fatalf("hello = %+v, %v", f, err)
+	}
+	serve := func(seq int, config []int) *ResultPayload {
+		t.Helper()
+		task := &TaskPayload{Seq: seq, Problem: name, Config: config, Attempt: 1}
+		if err := fc.write(Frame{Type: MsgTask, Task: task}); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := fc.read()
+			if err != nil {
+				t.Fatalf("task %d: %v", seq, err)
+			}
+			if f.Type == MsgResult {
+				return f.Result
+			}
+		}
+	}
+
+	bad := serve(1, []int{99, 99})
+	if !bad.Interrupted || !strings.Contains(bad.Err, "config has 2 entries, space has 9 parameters") {
+		t.Fatalf("misfit config: got %+v, want an Interrupted result carrying the space error", bad)
+	}
+	good := lu.Space().Random(rng.New(1))
+	got := outcomeFromWire(serve(2, good))
+	want := search.EvaluateFull(context.Background(), lu, good)
+	if got.RunTime != want.RunTime || got.Cost != want.Cost || got.Status != want.Status || got.Err != nil {
+		t.Fatalf("valid config after the misfit one: got %+v, want %+v", got, want)
+	}
+
+	if err := fc.write(Frame{Type: MsgBye}); err != nil {
+		t.Fatal(err)
+	}
+	// Drain heartbeats until the worker hangs up.
+	go func() {
+		for {
+			if _, err := fc.read(); err != nil {
+				return
+			}
+		}
+	}()
+	if err := <-done; err != nil {
+		t.Fatalf("worker session ended with %v, want a graceful bye", err)
 	}
 }

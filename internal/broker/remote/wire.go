@@ -31,7 +31,7 @@
 //   - Exactly-once evaluation: the worker-side EvalGuard collapses
 //     duplicate deliveries of the same task sequence into one
 //     evaluation and replays the cached outcome, so retransmits and
-//     duplicate-delivery storms cannot touch a stateful problem twice.
+//     duplicate-delivery storms run a problem once per task.
 //   - Reconnect: Worker.Run redials a lost pool connection with capped
 //     exponential backoff.
 //
@@ -42,10 +42,10 @@
 // deterministic (conn, frame) points and only move or suppress frames —
 // they never alter a payload — so they can move an evaluation between
 // workers, never change what it returns. Separate worker processes
-// (cmd/brokerd) necessarily hold their own problem instances; for
-// stateful fault-injecting problems the guard's exactly-once window is
-// then per-process, and bit-identity holds for searches that never
-// revisit a configuration (or for pure problems) — see DESIGN.md §8.
+// (cmd/brokerd) hold their own problem instances, so they serve bare
+// problems only, which are pure in (name, config); a driver's stateful
+// fault and resilience layers wrap the pool driver-side — see
+// DESIGN.md §8.
 //
 // Wall-clock use (hedge and backoff timers, the default monitor tick,
 // the handshake and remaining-deadline bounds) is confined to
@@ -104,7 +104,7 @@ type TaskPayload struct {
 	// and cancels are correlated by it.
 	Seq int `json:"seq"`
 	// Problem names the problem; the worker resolves it to its local
-	// instance of the same problem (same seed, same machine profile).
+	// instance of the same problem.
 	Problem string `json:"problem"`
 	// Config is the candidate's level vector.
 	Config []int `json:"config"`
@@ -249,9 +249,13 @@ func (fc *frameConn) writeRaw(buf []byte) error {
 }
 
 // read blocks for the next frame.
-func (fc *frameConn) read() (Frame, error) {
+func (fc *frameConn) read() (Frame, error) { return readFrame(fc.conn) }
+
+// readFrame decodes one frame, refusing an oversize length prefix
+// before it allocates the body.
+func readFrame(r io.Reader) (Frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(fc.conn, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -259,7 +263,7 @@ func (fc *frameConn) read() (Frame, error) {
 		return Frame{}, errFrameTooBig
 	}
 	body := make([]byte, n)
-	if _, err := io.ReadFull(fc.conn, body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		return Frame{}, err
 	}
 	var f Frame

@@ -13,18 +13,17 @@ import (
 )
 
 // Resolver maps a problem name from the wire to the worker's local
-// instance of the same problem (same seed, same machine profile, same
-// fault injector configuration).
+// instance of the same problem (cmd/brokerd: spec.Resolver).
 type Resolver func(name string) (search.Problem, error)
 
 // EvalGuard is the worker-side exactly-once guard: it collapses
 // duplicate deliveries of the same task sequence into one evaluation
 // and replays the cached outcome to every later copy. Retransmits
 // after a lost result frame, duplicate-delivery storms, and lease
-// reclaims that land back on the same guard therefore touch the
-// underlying problem exactly once per task — which is what preserves
-// bit-identity for stateful problems (the faults.Injector's attempt
-// counters advance once per logical evaluation, exactly as inline).
+// reclaims that land back on the same guard therefore run the problem
+// once per task and emit one worker-eval span, so stitched evaluation
+// counts equal broker.submits, and the pool tests' deliberately stateful
+// loopback problems stay bit-identical to inline.
 //
 // The guard's window is its own lifetime: worker sessions that share a
 // guard (the loopback topology, or one guard per process in
@@ -116,11 +115,11 @@ type Worker struct {
 	// Faults injects send-side transport faults (nil → none). The conn
 	// id is "w:<Label>".
 	Faults NetFaults
-	// Tracer receives reconnect events and is attached to evaluation
-	// contexts, so Resilient-layer telemetry (faults, retries, censors)
-	// is emitted worker-side. Loopback topologies pass the submission
-	// tracer here to keep full telemetry parity with inline runs;
-	// separate worker processes get local telemetry instead (nil →
+	// Tracer receives reconnect events and worker-eval spans, and is
+	// attached to evaluation contexts, so any telemetry the served
+	// problem emits lands worker-side. Loopback topologies pass the
+	// submission tracer here to keep full telemetry parity with inline
+	// runs; separate worker processes get local telemetry instead (nil →
 	// disabled).
 	Tracer *obs.Tracer
 }
@@ -259,11 +258,14 @@ func (w *Worker) serve(ctx context.Context, conn net.Conn) (established bool, _ 
 }
 
 // evaluate resolves and runs one task through the exactly-once guard.
-// Unresolvable problems come back Interrupted (never settling the
-// task) so the submitter re-dispatches or degrades inline, where the real
-// problem instance lives.
+// An unresolvable name or a misfit config comes back Interrupted with
+// the error (never settling the task), so the submitter re-dispatches
+// or degrades inline, where the real problem instance lives.
 func (w *Worker) evaluate(ctx context.Context, t *TaskPayload) *ResultPayload {
 	p, err := w.Resolve(t.Problem)
+	if err == nil {
+		err = p.Space().Validate(space.Config(t.Config))
+	}
 	if err != nil {
 		return &ResultPayload{Seq: t.Seq, Attempt: t.Attempt, Interrupted: true, Err: err.Error()}
 	}

@@ -167,7 +167,7 @@ func stripBroker(snapshot string) string {
 // them to exit, and the set of problem names they served.
 func serveWorkers(t *testing.T, addr string, n int) (stop func(), served *sync.Map) {
 	t.Helper()
-	resolver, err := spec.Spec{}.Resolver()
+	resolver, err := spec.Resolver("")
 	if err != nil {
 		t.Fatal(err)
 	}

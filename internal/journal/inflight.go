@@ -9,9 +9,9 @@ import (
 	"repro/internal/space"
 )
 
-// In-flight work tracking. The evaluation broker (internal/broker) can
-// be serving a task when the process dies: the journal has no entry for
-// it, yet real work was dispatched. MarkInFlight records the work item
+// In-flight work tracking. A remote worker (internal/broker/remote) can
+// be serving a task when the driver process dies: the journal has no
+// entry for it, yet real work was dispatched. MarkInFlight records the work item
 // durably before it is dispatched, so a SIGKILL'd run's resume knows
 // exactly which evaluation was cut mid-air. Replay then re-runs that
 // evaluation deterministically — the marker is verified against the

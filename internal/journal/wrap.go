@@ -15,8 +15,8 @@ type WrapOptions struct {
 	// TrackInFlight durably marks each live evaluation before it is
 	// dispatched (see Session.MarkInFlight), so a crash mid-evaluation
 	// leaves a marker the resume verifies against its deterministic
-	// replay. Meant for brokered runs, where an evaluation can be in a
-	// worker's hands when the process dies.
+	// replay. Meant for runs with a remote worker pool, where an
+	// evaluation can be in a worker's hands when the process dies.
 	TrackInFlight bool
 }
 

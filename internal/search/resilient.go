@@ -227,7 +227,7 @@ func (r *Resilient) EvaluateFull(ctx context.Context, c space.Config) Outcome {
 			return Outcome{RunTime: math.Inf(1), Cost: total,
 				Status: StatusFailed, Retries: attempt, Err: out.Err}
 		}
-		backoff := opt.Backoff * math.Pow(2, float64(attempt))
+		backoff := float64(opt.Backoff * math.Pow(2, float64(attempt)))
 		tr.Retry(r.P.Name(), c, attempt, backoff, out.Err)
 		total += backoff
 	}

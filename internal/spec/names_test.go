@@ -46,14 +46,13 @@ func TestNamedInvertsName(t *testing.T) {
 	}
 }
 
-// TestResolverServesEveryTarget: a resolver built from evaluator
-// settings alone serves every target a sweep tunes — other machines and
-// compilers, forced OpenMP, the mini-apps, off-size kernels — each as
-// the stack the spec builds inline under the same settings, and refuses
-// every name that is not the name of the problem it would build.
+// TestResolverServesEveryTarget: one resolver serves every target a
+// sweep tunes — other machines and compilers, forced OpenMP, the
+// mini-apps, off-size kernels — each as the bare problem the spec
+// builds inline, and refuses every name that is not the name of the
+// problem it would build.
 func TestResolverServesEveryTarget(t *testing.T) {
-	settings := Spec{Faults: 0.3, Retries: 2, Timeout: 30, Seed: 7}
-	resolve, err := settings.Resolver()
+	resolve, err := Resolver("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +62,10 @@ func TestResolverServesEveryTarget(t *testing.T) {
 		{Problem: "HPL", Machine: "Power7"},
 		{Problem: "MM_n1000", Machine: "Sandybridge"},
 	} {
-		inline.Faults, inline.Retries, inline.Timeout, inline.Seed = settings.Faults, settings.Retries, settings.Timeout, settings.Seed
-		base, err := inline.Resolve()
+		want, err := inline.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := inline.Build(base)
 		name := want.Name()
 		got, err := resolve(name)
 		if err != nil {
@@ -92,7 +89,7 @@ func TestResolverServesEveryTarget(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				if again, _ := resolve(name); again != got {
-					t.Errorf("resolve(%q) rebuilt its problem: a re-dispatched task would reset the fault injector", name)
+					t.Errorf("resolve(%q) rebuilt its problem and its compiled cost model", name)
 				}
 			}()
 		}
@@ -113,17 +110,15 @@ func TestResolverServesEveryTarget(t *testing.T) {
 	}
 }
 
-// TestResolverChecksSettings: the evaluator settings and the annotation
-// are checked when the resolver is built; the annotated kernel is served
-// under its parsed name, next to the built-in problems, on any target
-// that has its compiler.
+// TestResolverChecksSettings: the annotation, the resolver's one
+// setting, is checked when the resolver is built; the annotated kernel
+// is served under its parsed name, next to the built-in problems, on
+// any target that has its compiler.
 func TestResolverChecksSettings(t *testing.T) {
-	for _, bad := range []Spec{{Faults: 1}, {Faults: -0.1}, {Retries: -1}, {Timeout: -1}, {Annotation: "testdata/missing.orio"}} {
-		if _, err := bad.Resolver(); err == nil {
-			t.Errorf("Resolver() accepted %+v", bad)
-		}
+	if _, err := Resolver("testdata/missing.orio"); err == nil {
+		t.Error("Resolver accepted a missing annotation file")
 	}
-	resolve, err := Spec{Annotation: "testdata/tiny.orio"}.Resolver()
+	resolve, err := Resolver("testdata/tiny.orio")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,19 +204,17 @@ func (s Spec) Named(name string) (Spec, search.Problem, error) {
 	return s, p, nil
 }
 
-// Resolver returns the one wire-name resolver: it serves every problem
-// Named accepts, each built as the full evaluation stack s's evaluator
-// settings describe (Build). Only those settings and the annotation
-// matter; the names carry the rest. They are checked once, up front.
-// Problems are cached per name, so a re-dispatched task evaluates
-// against the same fault injector, and the cache is goroutine-safe for
-// workers that evaluate tasks concurrently.
-func (s Spec) Resolver() (func(name string) (search.Problem, error), error) {
-	s.Normalize()
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	if s.Annotation != "" {
+// Resolver returns the one wire-name resolver a worker serves: every
+// bare problem Named accepts, and the annotated kernel at annotation
+// (when set) under its parsed name. Workers evaluate bare problems only;
+// the fault and resilience layers stay with the driver, above its worker
+// pool, so a served result is a function of the name and the config
+// alone. The annotation is checked once, up front. Problems are cached
+// per name, so each keeps its compiled cost model across tasks, and the
+// cache is goroutine-safe for workers that evaluate tasks concurrently.
+func Resolver(annotation string) (func(name string) (search.Problem, error), error) {
+	s := Spec{Annotation: annotation}
+	if annotation != "" {
 		if _, err := s.annotated(); err != nil {
 			return nil, err
 		}
@@ -229,11 +227,10 @@ func (s Spec) Resolver() (func(name string) (search.Problem, error), error) {
 		if p, ok := cache[name]; ok {
 			return p, nil
 		}
-		t, p, err := s.Named(name)
+		_, p, err := s.Named(name)
 		if err != nil {
 			return nil, err
 		}
-		p, _ = t.Build(p)
 		cache[name] = p
 		return p, nil
 	}, nil
