@@ -31,19 +31,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fma-check keeps the cost model bit-identical on every GOARCH. arm64
-# and ppc64le compilers fuse a product feeding an add or subtract into
-# one FMA instruction, which skips the product's rounding; amd64 never
-# fuses. The cost-model packages, and the search package whose retry
-# backoff reaches the search clock, round every such product explicitly
-# (float64(x*y)), and this target cross-compiles them for both
-# architectures and fails on any fused instruction in the listing. No
-# emulator is needed. (go build replays a cached package's listing.)
-FMA_PKGS = ./internal/ir ./internal/cache ./internal/transform ./internal/sim ./internal/search
+# fma-check keeps every computed bit the same on every GOARCH. The
+# arm64, ppc64le, riscv64, s390x and loong64 compilers fuse a product
+# feeding an add or subtract into one FMA instruction, which skips the
+# product's rounding; amd64 never fuses. The module rounds every such
+# product explicitly (float64(x*y)), and this target cross-compiles
+# all of it for each of those architectures and fails on any fused
+# instruction in the listing. No emulator is needed. (go build replays
+# a cached package's listing.)
 fma-check:
-	@set -e; for spec in 'arm64 FMADDD|FMSUBD|FNMADDD|FNMSUBD' 'ppc64le FMADDS?|FMSUBS?|FNMADDS?|FNMSUBS?'; do \
+	@set -e; for spec in 'arm64 FMADDD|FMSUBD|FNMADDD|FNMSUBD' 'ppc64le FMADDS?|FMSUBS?|FNMADDS?|FNMSUBS?' \
+		'riscv64 FMADDD|FMSUBD|FNMADDD|FNMSUBD' 's390x FMADD|FMSUB' 'loong64 FMADDD|FMSUBD|FNMADDD|FNMSUBD'; do \
 		arch=$${spec%% *}; ops=$${spec#* }; \
-		listing=$$(GOARCH=$$arch $(GO) build -gcflags=-S $(FMA_PKGS) 2>&1) || { echo "$$listing"; exit 1; }; \
+		listing=$$(GOARCH=$$arch $(GO) build -gcflags=-S ./... 2>&1) || { echo "$$listing"; exit 1; }; \
 		fused=$$(echo "$$listing" | grep -E "[[:space:]]($$ops)[[:space:]]" || true); \
 		if [ -n "$$fused" ]; then echo "fused multiply-add on $$arch:"; echo "$$fused"; exit 1; fi; \
 		echo "fma-check: $$arch clean"; \

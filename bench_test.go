@@ -423,8 +423,8 @@ func BenchmarkTelemetryEvalLoop(b *testing.B) {
 }
 
 // BenchmarkTelemetryRSpScoring times RSp's model scoring loop (the
-// Model.Predict hot path, instrumented through the timed wrapper only
-// when tracing is enabled) under each tracing configuration.
+// per-candidate scorer, wrapped in a counting stopwatch only when
+// tracing is enabled) under each tracing configuration.
 func BenchmarkTelemetryRSpScoring(b *testing.B) {
 	src, tgt := transferPieces(b)
 	res := search.RS(context.Background(), src, 60, rng.New(7))

@@ -10,7 +10,10 @@
 //
 // An invalid evaluation spec on either machine (unknown problem,
 // machine, or compiler, a compiler the machine lacks, a negative
-// thread count or budget) is a usage error (exit 2).
+// thread count or budget) is a usage error (exit 2). SIGINT or SIGTERM
+// drains the search in flight and exits 3 with "interrupted" on stderr,
+// printing no table and writing no -save-ta or -save-model file: a
+// partial outcome must not pass for a result.
 package main
 
 import (
@@ -19,7 +22,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"repro/internal/core"
 	"repro/internal/durable"
@@ -60,10 +65,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	out, err := core.Run(context.Background(), src, tgt, core.Options{
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	out, err := core.Run(ctx, src, tgt, core.Options{
 		NMax: *nmax, PoolSize: *pool, DeltaPct: *delta,
 		Forest: forest.Params{Trees: *trees}, Seed: *seed,
 	})
+	if ctx.Err() != nil {
+		fmt.Fprintln(os.Stderr, "transfer: interrupted")
+		os.Exit(3)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "transfer:", err)
 		os.Exit(1)

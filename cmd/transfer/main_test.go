@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/forest"
@@ -155,5 +156,46 @@ func TestWriteArtifacts(t *testing.T) {
 	defer mf.Close()
 	if _, err := forest.Load(mf); err != nil {
 		t.Fatalf("saved model unreadable: %v", err)
+	}
+}
+
+// TestSIGINTPrintsNoResult: an interrupted transfer drains and exits 3
+// with "interrupted" on stderr. It prints no speedup table and writes
+// neither artifact, so a partial outcome cannot pass for a result. The
+// source collection of 50 000 RT evaluations is still running when the
+// signal lands.
+func TestSIGINTPrintsNoResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-exec trial skipped in -short mode")
+	}
+	dir := t.TempDir()
+	taPath, modelPath := filepath.Join(dir, "ta.csv"), filepath.Join(dir, "model.json")
+	cmd := exec.Command(os.Args[0], "-problem", "RT", "-nmax", "50000", "-pool", "100", "-trees", "1",
+		"-save-ta", taPath, "-save-model", modelPath)
+	cmd.Env = append(os.Environ(), "TRANSFER_E2E_MAIN=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 3 {
+		t.Fatalf("interrupted transfer: %v, want exit 3; stdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+	}
+	if !strings.Contains(stderr.String(), "interrupted") {
+		t.Fatalf("stderr does not report the interruption:\n%s", &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("interrupted transfer printed a result:\n%s", &stdout)
+	}
+	for _, p := range []string{taPath, modelPath} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("interrupted transfer wrote %s (stat: %v)", p, err)
+		}
 	}
 }

@@ -284,6 +284,11 @@ func (p *parser) parseRef(s string, write bool) (ir.Ref, error) {
 	return ir.Ref{Array: name, Index: idx, Write: write}, nil
 }
 
+// maxUnroll bounds the level table an unroll parameter allocates (the
+// built-in kernels stop at 32). The transformations refuse a factor
+// below 1, so no level may hold one either.
+const maxUnroll = 1024
+
 // paramDecl parses: U_I on i unroll 1..32 | T_I on i tile pow2 0..11 |
 // RT_I on i regtile pow2 0..5
 func (p *parser) paramDecl(fields []string) error {
@@ -316,6 +321,9 @@ func (p *parser) paramDecl(fields []string) error {
 		if pow2 {
 			return fmt.Errorf("unroll ranges are linear, not pow2")
 		}
+		if lo < 1 || hi > maxUnroll {
+			return fmt.Errorf("unroll range %q outside 1..%d", rangeStr, maxUnroll)
+		}
 	case "tile":
 		if !strings.HasPrefix(name, "T_") {
 			return fmt.Errorf("tile parameter %q must be named T_<suffix>", name)
@@ -334,6 +342,9 @@ func (p *parser) paramDecl(fields []string) error {
 		}
 	default:
 		return fmt.Errorf("unknown param kind %q", kind)
+	}
+	if pow2 && (lo < 0 || hi > space.MaxPow2Exp) {
+		return fmt.Errorf("%s exponents %q outside 0..%d", kind, rangeStr, space.MaxPow2Exp)
 	}
 
 	nestIdx := len(p.nests) - 1

@@ -230,6 +230,10 @@ loop i = 0 .. N
 stmt A[i] = A[i] flops 1
 param U_I on i unroll 1..4`, "needs unroll, tile, and regtile"},
 		{"bad switch", "kernel x\nswitch FOO", "unknown switch"},
+		{"negative tile exponent", "kernel x\nnest n\nparam T_I on i tile pow2 -1..2", "tile exponents \"-1..2\" outside 0..30"},
+		{"regtile exponent past 30", "kernel x\nnest n\nparam RT_I on i regtile pow2 0..31", "regtile exponents \"0..31\" outside 0..30"},
+		{"unroll below one", "kernel x\nnest n\nparam U_I on i unroll 0..4", "unroll range \"0..4\" outside 1..1024"},
+		{"unroll range too large", "kernel x\nnest n\nparam U_I on i unroll 1..9999999999", "unroll range \"1..9999999999\" outside 1..1024"},
 		{"param name mismatch", `
 kernel x
 size N = 10

@@ -46,7 +46,7 @@ func (b *bowl) Evaluate(c space.Config) (float64, float64) {
 	d := 0.0
 	for i, t := range b.target {
 		diff := float64(c[i] - t)
-		d += diff * diff
+		d += float64(diff * diff)
 	}
 	run := 1 + d
 	return run, run + 0.5

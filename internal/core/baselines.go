@@ -67,7 +67,7 @@ func (m *KNNModel) Predict(x []float64) float64 {
 		d := 0.0
 		for f := range row {
 			diff := (row[f] - x[f]) * m.scale[f]
-			d += diff * diff
+			d += float64(diff * diff)
 		}
 		ds[i] = nd{d: d, y: m.Y[i]}
 	}
@@ -107,13 +107,13 @@ func FitLinear(ta search.Dataset, spc *space.Space) (*LinearModel, error) {
 		row[0] = 1
 		copy(row[1:], X[i])
 		for r := 0; r < p; r++ {
-			b[r] += row[r] * y[i]
+			b[r] += float64(row[r] * y[i])
 			for c := 0; c < p; c++ {
-				A[r][c] += row[r] * row[c]
+				A[r][c] += float64(row[r] * row[c])
 			}
 		}
 	}
-	lambda := 1e-8 * float64(n)
+	lambda := float64(1e-8 * float64(n))
 	for i := 0; i < p; i++ {
 		A[i][i] += lambda
 	}
@@ -143,16 +143,16 @@ func solve(A [][]float64, b []float64) ([]float64, error) {
 		for r := col + 1; r < n; r++ {
 			f := A[r][col] / A[col][col]
 			for c := col; c < n; c++ {
-				A[r][c] -= f * A[col][c]
+				A[r][c] -= float64(f * A[col][c])
 			}
-			b[r] -= f * b[col]
+			b[r] -= float64(f * b[col])
 		}
 	}
 	x := make([]float64, n)
 	for r := n - 1; r >= 0; r-- {
 		s := b[r]
 		for c := r + 1; c < n; c++ {
-			s -= A[r][c] * x[c]
+			s -= float64(A[r][c] * x[c])
 		}
 		x[r] = s / A[r][r]
 	}
@@ -164,7 +164,7 @@ func solve(A [][]float64, b []float64) ([]float64, error) {
 func (m *LinearModel) Predict(x []float64) float64 {
 	v := m.w[0]
 	for i, xi := range x {
-		v += m.w[i+1] * xi
+		v += float64(m.w[i+1] * xi)
 	}
 	return v
 }

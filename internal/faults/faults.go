@@ -299,13 +299,13 @@ func (in *Injector) EvaluateFull(ctx context.Context, c space.Config) search.Out
 	}
 	if in.roll("crash", key, attempt) < in.rates.Crash {
 		in.counts["crash"]++
-		burned := compile + in.roll("crashfrac", key, attempt)*run
+		burned := compile + float64(in.roll("crashfrac", key, attempt)*run)
 		return failed(burned, search.Transient(
 			&Fault{Kind: KindCrash, Problem: in.p.Name(), Config: key, Attempt: attempt}))
 	}
 	if in.roll("hang", key, attempt) < in.rates.Hang {
 		in.counts["hang"]++
-		out.RunTime = run * in.rates.HangFactor
+		out.RunTime = float64(run * in.rates.HangFactor)
 		out.Cost = compile + out.RunTime
 		return out
 	}
@@ -316,7 +316,7 @@ func (in *Injector) EvaluateFull(ctx context.Context, c space.Config) search.Out
 		if z < 0 {
 			z = -z
 		}
-		out.RunTime = run * math.Exp(z*in.rates.NoiseSigma)
+		out.RunTime = float64(run * math.Exp(z*in.rates.NoiseSigma))
 		out.Cost = compile + out.RunTime
 		return out
 	}

@@ -133,7 +133,7 @@ func fit(X [][]float64, y []float64, p Params, r *rng.RNG,
 	for j := 0; j < n; j++ {
 		if oobCount[j] > 0 {
 			d := oobSum[j]/float64(oobCount[j]) - y[j]
-			sse += d * d
+			sse += float64(d * d)
 			cnt++
 		}
 	}

@@ -182,12 +182,12 @@ func (g *grower) bestSplit(idx []int) (feat int, thr, gain float64) {
 		sumT, sqT := 0.0, 0.0
 		for _, q := range pairs {
 			sumT += q.y
-			sqT += q.y * q.y
+			sqT += float64(q.y * q.y)
 		}
 		for i := 0; i < n-1; i++ {
 			v := pairs[i].y
 			sumL += v
-			sqL += v * v
+			sqL += float64(v * v)
 			// Cannot split between identical feature values.
 			//lint:ignore floatcmp exact tie detection: a split threshold between bit-identical feature values would send equal inputs to different children
 			if pairs[i].x == pairs[i+1].x {
@@ -222,7 +222,7 @@ func meanSSE(y []float64, idx []int) (mean, sse float64) {
 	mean /= float64(len(idx))
 	for _, i := range idx {
 		d := y[i] - mean
-		sse += d * d
+		sse += float64(d * d)
 	}
 	return mean, sse
 }

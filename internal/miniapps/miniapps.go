@@ -88,7 +88,7 @@ func (p *Problem) Evaluate(c space.Config) (runTime, cost float64) {
 	if p.App.evalOverhead != nil {
 		overhead = p.App.evalOverhead(c, p.Machine)
 	}
-	return run, run + overhead
+	return run, float64(run) + overhead
 }
 
 // ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ func hplRun(c space.Config, m machine.Machine) float64 {
 		// Oversubscription costs, but SMT absorbs much of it and the MPI
 		// stack/OS scheduler determine how badly it hurts — a per-platform
 		// property. The penalty is bounded: ranks time-share.
-		sensitivity := 1 + 0.8*personality(m, "oversub")
+		sensitivity := 1 + float64(0.8*personality(m, "oversub"))
 		procs = cores * math.Max(0.45, math.Pow(cores/procs, sensitivity))
 	}
 
@@ -151,7 +151,7 @@ func hplRun(c space.Config, m machine.Machine) float64 {
 
 	// BLAS-3 efficiency peaks at a block size matched to the cache
 	// hierarchy and degrades log-quadratically away from it.
-	nbOpt := math.Sqrt(m.L2Bytes()/(3*8)) * (1 + float64(m.VectorWidth)/16) *
+	nbOpt := math.Sqrt(m.L2Bytes()/(3*8)) * (1 + float64(float64(m.VectorWidth)/16)) *
 		math.Pow(2, 0.8*personality(m, "blas-nbopt"))
 	d := math.Log2(nb) - math.Log2(nbOpt)
 	eBlas := 0.85 * math.Exp(-d*d/20)
@@ -162,19 +162,19 @@ func hplRun(c space.Config, m machine.Machine) float64 {
 	// The library personality is amplified on platforms with immature
 	// BLAS/MPI stacks (tracked by CodeGenSigma, the same maturity signal
 	// the compiler model uses).
-	libScale := 1 + 3*m.CodeGenSigma
-	pers := libScale * (0.40*personality(m, fmt.Sprintf("blas-nb-%d", s.nb)) +
-		0.22*personality(m, "pfact-"+s.pfact) +
-		0.18*personality(m, "rfact-"+s.rfact) +
-		0.12*personality(m, fmt.Sprintf("nbmin-%d", s.nbmin)) +
-		0.10*personality(m, fmt.Sprintf("ndiv-%d", s.ndiv)) +
-		0.25*personality(m, fmt.Sprintf("grid-%dx%d", s.p, s.q)))
+	libScale := 1 + float64(3*m.CodeGenSigma)
+	pers := float64(libScale * (float64(0.40*personality(m, fmt.Sprintf("blas-nb-%d", s.nb))) +
+		float64(0.22*personality(m, "pfact-"+s.pfact)) +
+		float64(0.18*personality(m, "rfact-"+s.rfact)) +
+		float64(0.12*personality(m, fmt.Sprintf("nbmin-%d", s.nbmin))) +
+		float64(0.10*personality(m, fmt.Sprintf("ndiv-%d", s.ndiv))) +
+		float64(0.25*personality(m, fmt.Sprintf("grid-%dx%d", s.p, s.q)))))
 	eBlas *= math.Max(0.2, 1+pers)
 
 	compute := flops / (peak * math.Max(0.05, eBlas))
 
 	// Panel factorization: serial fraction growing with NB.
-	panel := hplN * hplN * nb / (m.FlopsPerCy * clock) * 2e-5 * (1 + 0.2*shared("pf-"+s.pfact))
+	panel := float64(hplN * hplN * nb / (m.FlopsPerCy * clock) * 2e-5 * (1 + float64(0.2*shared("pf-"+s.pfact))))
 
 	// Communication: ring broadcasts over the grid; tall grids pay more
 	// on the panel broadcast, flat grids on the update. Shared-memory
@@ -182,18 +182,18 @@ func hplRun(c space.Config, m machine.Machine) float64 {
 	steps := hplN / nb
 	msgCost := m.MemLatNs * 1e-9 * 40
 	aspect := math.Abs(math.Log2(math.Max(p, 1) / math.Max(q, 1) * 2)) // prefer P:Q near 1:2
-	bcastEff := 1 + 0.15*shared("bcast-"+s.bcast) + 0.6*personality(m, "bcast-"+s.bcast+fmt.Sprintf("-q%d", s.q))
-	comm := steps * (p + q) * msgCost * (1 + 0.4*aspect) * math.Max(0.3, bcastEff)
-	comm += steps * hplN * nb * 8 / (m.MemBWGBs * 1e9) * 0.5 // swap traffic
+	bcastEff := 1 + float64(0.15*shared("bcast-"+s.bcast)) + float64(0.6*personality(m, "bcast-"+s.bcast+fmt.Sprintf("-q%d", s.q)))
+	comm := float64(steps * (p + q) * msgCost * (1 + float64(0.4*aspect)) * math.Max(0.3, bcastEff))
+	comm += float64(steps * hplN * nb * 8 / (m.MemBWGBs * 1e9) * 0.5) // swap traffic
 
 	// Lookahead overlaps broadcast with update.
-	overlap := 1 - 0.18*float64(s.depth)*(1-1/math.Max(1, p*q/4))
+	overlap := 1 - float64(0.18*float64(s.depth)*(1-1/math.Max(1, p*q/4)))
 	comm *= math.Max(0.4, overlap)
 
 	// Swap variant and small switches.
-	comm *= 1 + 0.08*shared("swap-"+s.swap) + 0.25*personality(m, "swap-"+s.swap)
-	small := 1 + 0.015*float64(s.l1trans) + 0.01*float64(s.utrans) - 0.01*float64(s.equil) +
-		0.02*personality(m, fmt.Sprintf("align-%d", s.align))
+	comm = float64(comm * (1 + float64(0.08*shared("swap-"+s.swap)) + float64(0.25*personality(m, "swap-"+s.swap))))
+	small := 1 + float64(0.015*float64(s.l1trans)) + float64(0.01*float64(s.utrans)) - float64(0.01*float64(s.equil)) +
+		float64(0.02*personality(m, fmt.Sprintf("align-%d", s.align)))
 
 	t := (compute + panel + comm) * math.Max(0.5, small)
 
@@ -360,7 +360,7 @@ func rtRun(c space.Config, m machine.Machine, flagNames, paramNames []string) fl
 	// How strongly a flag's effect depends on the machine tracks the
 	// maturity of the compiler backend (CodeGenSigma): on X-Gene's
 	// erratic ARM64 backend the same flag can swing either way.
-	peScale := 1 + 15*m.CodeGenSigma
+	peScale := 1 + float64(15*m.CodeGenSigma)
 
 	logF := 0.0
 	for i, name := range flagNames {
@@ -373,12 +373,12 @@ func rtRun(c space.Config, m machine.Machine, flagNames, paramNames []string) fl
 		switch {
 		case i < 12:
 			// The strong flags: up to ~10% each, mostly portable.
-			eff = -0.08*(0.5+0.5*sh) + 0.025*pe
+			eff = float64(-0.08*(0.5+float64(0.5*sh))) + float64(0.025*pe)
 		case i < 40:
-			eff = 0.02*sh + 0.008*pe
+			eff = float64(0.02*sh) + float64(0.008*pe)
 		default:
 			// The long tail is nearly neutral.
-			eff = 0.004*sh + 0.002*pe
+			eff = float64(0.004*sh) + float64(0.002*pe)
 		}
 		logF += eff
 	}
@@ -388,7 +388,7 @@ func rtRun(c space.Config, m machine.Machine, flagNames, paramNames []string) fl
 		pe := personality(m, "rt-param-"+name) * peScale
 		// Each numeric parameter has a preferred level; deviation costs
 		// quadratically, with mostly-shared optima.
-		opt := 4.5 + 3*sh + 1.2*pe
+		opt := 4.5 + float64(3*sh) + float64(1.2*pe)
 		weight := 0.0025
 		if j < 10 {
 			weight = 0.01 // the real unroll/inline params matter more
@@ -398,7 +398,7 @@ func rtRun(c space.Config, m machine.Machine, flagNames, paramNames []string) fl
 	// Interactions: unrolling and vectorization compound on wide-vector
 	// machines; scheduling flags interact with in-order pipelines.
 	if c[0] == 1 && c[4] == 1 { // funroll-loops + ftree-vectorize
-		logF -= 0.02 * float64(m.VectorWidth) / 4
+		logF -= float64(0.02 * float64(m.VectorWidth) / 4)
 	}
 	if c[0] == 1 && m.OoOWindow < 32 { // unrolling on in-order cores
 		logF += 0.05

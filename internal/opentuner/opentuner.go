@@ -169,7 +169,7 @@ func (t *Tuner) pick(totalPulls int) *arm {
 	for _, a := range t.arms {
 		score := a.meanReward()
 		if a.pulls > 0 {
-			score += t.opt.ExplorationC * math.Sqrt(math.Log(float64(totalPulls+1))/float64(a.pulls))
+			score += float64(t.opt.ExplorationC * math.Sqrt(math.Log(float64(totalPulls+1))/float64(a.pulls)))
 		} else {
 			score = math.Inf(1)
 		}

@@ -122,9 +122,9 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 // Marsaglia method.
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := 2*float64(r.Float64()) - 1
+		v := 2*float64(r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
@@ -134,7 +134,7 @@ func (r *RNG) NormFloat64() float64 {
 // LogNormal returns a log-normal variate with the given location and
 // scale of the underlying normal.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // Perm returns a uniform random permutation of [0, n).

@@ -125,94 +125,6 @@ func NormalizeDeltaPct(d float64) (pct float64, adjusted bool) {
 	return d, false
 }
 
-// timedModel wraps a Model and accumulates the wall time its Predict
-// calls take. The model-guided searches install it only when tracing is
-// enabled, so the untraced scoring loop calls the model directly with
-// zero overhead. Wall time never feeds back into the search: it is an
-// observation about the harness, not a simulated quantity.
-//
-// Unlike the models it wraps, timedModel is intentionally NOT safe for
-// concurrent use (the counters are plain fields): each search run owns
-// its wrapper and calls it from one goroutine.
-type timedModel struct {
-	m   Model
-	n   int
-	dur time.Duration
-}
-
-// Predict implements Model.
-func (tm *timedModel) Predict(x []float64) float64 {
-	sw := obs.StartTimer()
-	v := tm.m.Predict(x)
-	tm.dur += sw.Elapsed()
-	tm.n++
-	return v
-}
-
-// PredictAll implements BatchModel by forwarding to the wrapped model's
-// batched path, counting one call per row so a traced run reports the
-// same prediction count a row-by-row loop would.
-func (tm *timedModel) PredictAll(X [][]float64) []float64 {
-	sw := obs.StartTimer()
-	out := predictAll(tm.m, X)
-	tm.dur += sw.Elapsed()
-	tm.n += len(X)
-	return out
-}
-
-// PredictConfigs implements ConfigModel by forwarding to ScoreConfigs on
-// the wrapped model, counting one call per configuration.
-func (tm *timedModel) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
-	sw := obs.StartTimer()
-	out := ScoreConfigs(tm.m, spc, cs)
-	tm.dur += sw.Elapsed()
-	tm.n += len(cs)
-	return out
-}
-
-// ConfigScorer implements ConfigModel by timing each call of the wrapped
-// model's one-configuration scorer (configScorer), counting one call
-// per configuration.
-func (tm *timedModel) ConfigScorer(spc *space.Space) func(space.Config) float64 {
-	score := configScorer(tm.m, spc)
-	return func(c space.Config) float64 {
-		sw := obs.StartTimer()
-		v := score(c)
-		tm.dur += sw.Elapsed()
-		tm.n++
-		return v
-	}
-}
-
-// flush emits the accumulated calls as one model-predict event for the
-// named phase and resets the counters.
-func (tm *timedModel) flush(tr *obs.Tracer, algo, phase string) {
-	tr.ModelPredict(algo, phase, tm.n, tm.dur)
-	tm.n, tm.dur = 0, 0
-}
-
-// timed installs a timedModel over m when tr is enabled; otherwise it
-// returns m itself and a nil wrapper.
-func timed(tr *obs.Tracer, m Model) (Model, *timedModel) {
-	if !tr.Enabled() {
-		return m, nil
-	}
-	tm := &timedModel{m: m}
-	return tm, tm
-}
-
-// tracedScorePool is ScorePool reporting the scoring as algo's one
-// "pool-score" model-predict event of n rows when ctx carries a tracer.
-func tracedScorePool(ctx context.Context, algo string, spc *space.Space, m Model, n int, poolR *rng.RNG) ScoredPool {
-	tr := obs.FromContext(ctx)
-	scorer, tm := timed(tr, m)
-	sp := ScorePool(spc, scorer, n, poolR)
-	if tm != nil {
-		tm.flush(tr, algo, "pool-score")
-	}
-	return sp
-}
-
 // RSpOptions configures random search with the pruning strategy
 // (Algorithm 1).
 type RSpOptions struct {
@@ -248,7 +160,9 @@ func (o RSpOptions) withDefaults() RSpOptions {
 // order and merely skip some — the paper's common-random-numbers setup.
 // The pool is drawn from poolR and scored with m (ScorePool).
 func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.RNG) *Result {
-	sp := tracedScorePool(ctx, "RSp", p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	sw := obs.StartTimer()
+	sp := ScorePool(p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	obs.FromContext(ctx).ModelPredict("RSp", "pool-score", len(sp.Pool), sw.Elapsed())
 	return RSpScored(ctx, p, m, sp, opt, r)
 }
 
@@ -267,11 +181,19 @@ func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOp
 	if adjusted {
 		run.tr.Warn("RSp", fmt.Sprintf("deltaPct %g outside (0,100); using default %g", origDelta, opt.DeltaPct))
 	}
-	scorer, tm := timed(run.tr, m)
-	score := configScorer(scorer, spc)
+	score := configScorer(m, spc)
 	cutoff := stats.Quantile(sp.Preds, opt.DeltaPct/100)
-	if tm != nil {
-		defer tm.flush(run.tr, "RSp", "scan")
+	if run.tr.Enabled() {
+		// Count and time every candidate scored, reported as one event
+		// when the run ends. Untraced runs call the scorer directly.
+		inner, n, dur := score, 0, time.Duration(0)
+		score = func(c space.Config) float64 {
+			sw := obs.StartTimer()
+			v := inner(c)
+			n, dur = n+1, dur+sw.Elapsed()
+			return v
+		}
+		defer func() { run.tr.ModelPredict("RSp", "scan", n, dur) }()
 	}
 
 	// At most 100*NMax candidates are examined, evaluated or skipped, so
@@ -319,7 +241,9 @@ func (o RSbOptions) withDefaults() RSbOptions {
 // pool configuration with the smallest predicted run time, removing it
 // from the pool.
 func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG) *Result {
-	sp := tracedScorePool(ctx, "RSb", p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	sw := obs.StartTimer()
+	sp := ScorePool(p.Space(), m, opt.withDefaults().PoolSize, poolR)
+	obs.FromContext(ctx).ModelPredict("RSb", "pool-score", len(sp.Pool), sw.Elapsed())
 	return RSbScored(ctx, p, sp, opt)
 }
 
@@ -486,12 +410,11 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 	model := initial
 	observed := append(Dataset{}, ta...)
 
-	// One timed wrapper spans every refit generation: its inner model is
-	// swapped in place so the per-call latency metric covers the whole run.
-	scorer, tm := timed(run.tr, model)
-	if tm != nil {
-		defer tm.flush(run.tr, "RSbA", "scan")
-	}
+	// Every generation's scoring adds to one model-predict event, so the
+	// per-call latency metric covers the whole run.
+	var scored int
+	var scoreDur time.Duration
+	defer func() { run.tr.ModelPredict("RSbA", "scan", scored, scoreDur) }()
 
 	// The remaining pool is scored once per model generation (preds is
 	// nil until then); between refits the predictions travel with their
@@ -500,7 +423,9 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 	var preds []float64
 	for len(run.res.Records) < opt.NMax && len(remaining) > 0 && ctx.Err() == nil {
 		if preds == nil {
-			preds = ScoreConfigs(scorer, spc, remaining)
+			sw := obs.StartTimer()
+			preds = ScoreConfigs(model, spc, remaining)
+			scored, scoreDur = scored+len(remaining), scoreDur+sw.Elapsed()
 		}
 		// Pick the argmin-predicted configuration from the remaining pool.
 		// Batched scoring plus a strict-< scan reproduces the serial
@@ -543,11 +468,6 @@ func RSbA(ctx context.Context, p Problem, initial Model, ta Dataset, opt RSbOpti
 				run.tr.ModelFit("RSbA-refit", len(observed), sw.Elapsed())
 			}
 			model = m
-			if tm != nil {
-				tm.m = model
-			} else {
-				scorer = model
-			}
 			preds = nil
 		}
 	}

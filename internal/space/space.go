@@ -74,9 +74,12 @@ func NewIntRange(name string, lo, hi int) Param {
 	return Param{Name: name, Kind: IntRange, levels: levels}
 }
 
+// MaxPow2Exp is the largest exponent NewPowerOfTwo accepts.
+const MaxPow2Exp = 30
+
 // NewPowerOfTwo returns a parameter over {2^loExp, ..., 2^hiExp}.
 func NewPowerOfTwo(name string, loExp, hiExp int) Param {
-	if hiExp < loExp || loExp < 0 || hiExp > 30 {
+	if hiExp < loExp || loExp < 0 || hiExp > MaxPow2Exp {
 		panic(fmt.Sprintf("space: bad power-of-two exponents %d..%d for %s", loExp, hiExp, name))
 	}
 	levels := make([]int, hiExp-loExp+1)

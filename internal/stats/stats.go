@@ -36,7 +36,7 @@ func Variance(xs []float64) float64 {
 	s := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -112,8 +112,8 @@ func Quantile(xs []float64, q float64) float64 {
 	if lo == hi {
 		return s[lo]
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	frac := float64(pos) - float64(lo)
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
 }
 
 // Median returns the 0.5-quantile of xs.
@@ -129,9 +129,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, errors.New("stats: zero variance in Pearson correlation")
@@ -216,7 +216,7 @@ func RMSE(pred, truth []float64) (float64, error) {
 	s := 0.0
 	for i := range pred {
 		d := pred[i] - truth[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(pred))), nil
 }
@@ -242,9 +242,9 @@ func R2(pred, truth []float64) (float64, error) {
 	var ssRes, ssTot float64
 	for i := range pred {
 		d := truth[i] - pred[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := truth[i] - m
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot == 0 {
 		return 0, errors.New("stats: zero total variance in R2")
@@ -268,7 +268,7 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, conf float64, reps 
 		vals[i] = stat(resample)
 	}
 	alpha := (1 - conf) / 2
-	return Quantile(vals, alpha), Quantile(vals, 1-alpha)
+	return Quantile(vals, alpha), Quantile(vals, 1-float64(alpha))
 }
 
 // Summary bundles the descriptive statistics of one sample.
@@ -341,7 +341,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	d := x - w.mean
 	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.m2 += float64(d * (x - w.mean))
 }
 
 // N returns the number of observations so far.

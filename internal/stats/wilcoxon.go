@@ -63,12 +63,12 @@ func Wilcoxon(xs, ys []float64) (WilcoxonResult, error) {
 	for _, c := range counts {
 		if c > 1 {
 			fc := float64(c)
-			tieCorrection += fc*fc*fc - fc
+			tieCorrection += float64(fc*fc*fc) - fc
 		}
 	}
 
 	fn := float64(n)
-	mean := fn * (fn + 1) / 4
+	mean := float64(fn * (fn + 1) / 4)
 	variance := fn*(fn+1)*(2*fn+1)/24 - tieCorrection/48
 	if variance <= 0 {
 		return WilcoxonResult{W: wPlus, N: n}, errors.New("stats: zero variance in Wilcoxon test")
@@ -81,5 +81,5 @@ func Wilcoxon(xs, ys []float64) (WilcoxonResult, error) {
 // normalCDF is the standard normal CDF via the complementary error
 // function.
 func normalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
+	return float64(0.5 * math.Erfc(-z/math.Sqrt2))
 }
