@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race lint fma-check crashtest trace-smoke bench-parallel bench-json broker-chaos daemon-smoke
+.PHONY: check build vet test race lint fma-check crashtest trace-smoke bench-parallel bench-json bench-smoke broker-chaos daemon-smoke
 
 # check is the full local CI gate: build everything, run the static
 # analyzers, and run the test suite under the race detector.
@@ -84,6 +84,12 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkForest(Fit|Predict)' -benchmem -benchtime 2x ./internal/forest/ >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRepolint' -benchtime 2x ./internal/analysis/ >> bench-raw.txt
 	$(GO) run ./cmd/benchjson -o BENCH_PR10.json < bench-raw.txt
+
+# bench-smoke runs the end-to-end benchmark's own test suite (bench/ is
+# a separate module): every workload, traced and untraced, with the
+# correctness checks each run makes against bench/golden.json.
+bench-smoke:
+	cd bench && $(GO) test -count=1 ./...
 
 # broker-chaos runs the broker and remote-worker suites, including the
 # randomized remote chaos campaign (network faults, connection kills),

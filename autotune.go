@@ -198,7 +198,10 @@ func PrunedSearch(ctx context.Context, tgt Problem, sur *Surrogate, nmax, poolSi
 
 // Transfer runs the complete source -> target experiment (collect T_a,
 // fit the surrogate, run RS/RSp/RSb/RSpf/RSbf under common random
-// numbers, compute the paper's speedup metrics).
+// numbers, compute the paper's speedup metrics). Cancelling ctx during
+// the source collection or the fit returns an error wrapping ctx's;
+// cancelling it later drains the target searches and returns a partial
+// outcome, so check ctx.Err after Transfer returns.
 func Transfer(ctx context.Context, src, tgt Problem, opts TransferOptions) (*Outcome, error) {
 	return core.Run(ctx, src, tgt, opts)
 }

@@ -240,9 +240,9 @@ type Outcome struct {
 // Prelude is the target-independent half of a transfer experiment, the
 // work the paper does once on the source machine γ_a and reuses on every
 // target γ_b: the source RS run, T_a, the surrogate M_a fitted on it, and
-// the configuration pool RSp and RSb share, drawn once and scored once.
-// A Prelude is immutable after Prepare; Run only reads it, so one
-// Prelude may serve any number of targets, concurrently too.
+// what RSp and RSb read of the pool they share, drawn and scored once and
+// then dropped. A Prelude is immutable after Prepare; Run only reads it,
+// so one Prelude may serve any number of targets, concurrently too.
 type Prelude struct {
 	Source string
 	// SourceRS is the RS run on the source machine that produced Ta.
@@ -250,9 +250,10 @@ type Prelude struct {
 	Ta       search.Dataset
 	// Surrogate is M_a; nil when the fit degraded (Warnings says why).
 	Surrogate *Surrogate
-	// Pool is the pool of Algorithms 1 and 2 scored with Surrogate; empty
-	// when degraded.
-	Pool     search.ScoredPool
+	// Cutoff (RSp's Δ) and Best (RSb's NMax configurations, in order) are
+	// the pool's ScoredPool.Cutoff and Best; zero when degraded.
+	Cutoff   float64
+	Best     []space.Config
 	Warnings []string
 
 	space *space.Space
@@ -262,7 +263,8 @@ type Prelude struct {
 // Prepare runs the source half of the transfer experiment: collect Ta on
 // src, fit M_a, and draw and score the shared pool. When too few source
 // evaluations succeed to fit a surrogate, the prelude is degraded rather
-// than an error: its Run falls back to plain RS for RSp and RSb.
+// than an error: its Run falls back to plain RS for RSp and RSb. Once ctx
+// is cancelled it returns an error wrapping ctx's before the next phase.
 func Prepare(ctx context.Context, src search.Problem, opt Options) (*Prelude, error) {
 	tr := obs.FromContext(ctx)
 	if _, adjusted := search.NormalizeDeltaPct(opt.DeltaPct); adjusted {
@@ -274,11 +276,17 @@ func Prepare(ctx context.Context, src search.Problem, opt Options) (*Prelude, er
 
 	// Collect Ta on the source machine with the shared stream.
 	p.SourceRS, p.Ta = Collect(ctx, src, opt.NMax, rng.NewNamed(opt.Seed, "crn-stream"))
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: prepare %s: %w", p.Source, err)
+	}
 
 	// Fit the surrogate. When the source search lost too many evaluations
 	// to failures, the surrogate cannot be trusted; instead of erroring,
 	// degrade gracefully to model-free search.
 	sur, err := FitSurrogate(p.Ta, src.Space(), src.Name(), opt.Forest, rng.NewNamed(opt.Seed, "forest"))
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("core: prepare %s: %w", p.Source, cerr)
+	}
 	if err != nil {
 		if !errors.Is(err, ErrTooFewValid) {
 			return nil, err
@@ -299,8 +307,9 @@ func Prepare(ctx context.Context, src search.Problem, opt Options) (*Prelude, er
 	// whose space Equals it, and sampling and encoding read nothing else,
 	// so this is the pool RSp and RSb would each draw on the target.
 	sw := obs.StartTimer()
-	p.Pool = search.ScorePool(p.space, sur, opt.PoolSize, rng.NewNamed(opt.Seed, "pool"))
-	tr.ModelPredict(src.Name(), "pool-score", len(p.Pool.Pool), sw.Elapsed())
+	pool := search.ScorePool(p.space, sur, opt.PoolSize, rng.NewNamed(opt.Seed, "pool"))
+	tr.ModelPredict(src.Name(), "pool-score", len(pool.Pool), sw.Elapsed())
+	p.Cutoff, p.Best = pool.Cutoff(opt.DeltaPct), pool.Best(opt.NMax)
 	return p, nil
 }
 
@@ -317,9 +326,9 @@ func sameSpace(src, tgt *space.Space) error {
 // M_a, then run RS and all four variants on the target under common
 // random numbers, and compute the paper's metrics. It is Prepare on src
 // followed by the prelude's Run on tgt. Cancelling ctx drains whichever
-// search phase is running between evaluations; the partial outcome is
-// still internally consistent, but callers should treat it as incomplete
-// (check ctx.Err after Run returns).
+// search phase is running between evaluations: in Prepare, Run returns
+// Prepare's error; later, the partial outcome is internally consistent,
+// but callers should treat it as incomplete (check ctx.Err after Run).
 func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, error) {
 	if err := sameSpace(src.Space(), tgt.Space()); err != nil {
 		return nil, err
@@ -332,7 +341,7 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 }
 
 // Run executes the target half of the transfer experiment on tgt: RS
-// replaying the source run, RSp and RSb over the shared scored pool (or
+// replaying the source run, RSp with Cutoff and RSb replaying Best (or
 // plain RS when degraded), the model-free controls, and the paper's
 // metrics. It refuses a target whose space differs from the source's.
 func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error) {
@@ -358,12 +367,12 @@ func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error)
 	if sur := p.Surrogate; sur != nil {
 		// RSp walks the same candidate stream as RS (fresh
 		// identically-seeded stream) and prunes with the surrogate.
-		out.RSp = search.RSpScored(ctx, tgt, sur, p.Pool,
+		out.RSp = search.RSpScored(ctx, tgt, sur, p.Cutoff,
 			search.RSpOptions{NMax: opt.NMax, DeltaPct: opt.DeltaPct},
 			rng.NewNamed(opt.Seed, "crn-stream"))
 
-		// RSb greedily evaluates the pool in ascending predicted order.
-		out.RSb = search.RSbScored(ctx, tgt, p.Pool, search.RSbOptions{NMax: opt.NMax})
+		// RSb evaluates the pool in ascending predicted order.
+		out.RSb = search.Replay(ctx, tgt, p.Best, "RSb")
 	} else {
 		// Fallback: plain RS on the variants' own streams, so the
 		// experiment still yields five complete runs (the variants just

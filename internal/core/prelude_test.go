@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -79,6 +82,76 @@ func composedRun(t *testing.T, src, tgt search.Problem, opt Options) *Outcome {
 	return out
 }
 
+// checkKeptResults holds a prelude's Cutoff and Best to oracles built
+// without ScoredPool's helpers: the pool is drawn and scored again from
+// the "pool" stream, Cutoff must be stats.Quantile of its predictions at
+// δ/100, and Best the first NMax entries of a stable sort by prediction.
+func checkKeptResults(t *testing.T, wl string, pre *Prelude, src search.Problem, opt Options) {
+	t.Helper()
+	spc := src.Space()
+	pool := spc.SamplePool(opt.PoolSize, rng.NewNamed(opt.Seed, "pool"))
+	preds := make([]float64, len(pool))
+	for i, c := range pool {
+		preds[i] = pre.Surrogate.Predict(spc.Encode(c))
+	}
+	if want := stats.Quantile(preds, opt.DeltaPct/100); math.Float64bits(pre.Cutoff) != math.Float64bits(want) {
+		t.Fatalf("%s: cutoff %v, want %v", wl, pre.Cutoff, want)
+	}
+	order := make([]int, len(pool))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return preds[order[a]] < preds[order[b]] })
+	for i, c := range pre.Best {
+		if c.Key() != pool[order[i]].Key() {
+			t.Fatalf("%s: best[%d] is %v, want pool[%d] %v", wl, i, c, order[i], pool[order[i]])
+		}
+	}
+}
+
+// cancelAfter cancels its context once it has evaluated n configurations.
+type cancelAfter struct {
+	search.Problem
+	n, evals int
+	cancel   context.CancelFunc
+}
+
+func (c *cancelAfter) Evaluate(cfg space.Config) (float64, float64) {
+	run, cost := c.Problem.Evaluate(cfg)
+	if c.evals++; c.evals == c.n {
+		c.cancel()
+	}
+	return run, cost
+}
+
+// TestPrepareHonoursCancellation: a transfer cancelled during source
+// collection returns the context's error from Prepare and Run, without
+// fitting a forest or scoring a pool.
+func TestPrepareHonoursCancellation(t *testing.T) {
+	for _, k := range []int{1, 12} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &obs.MemorySink{}
+		ctx = obs.WithTracer(ctx, obs.New(sink))
+		src := &cancelAfter{Problem: problem(t, "LU", machine.Westmere), n: k, cancel: cancel}
+		out, err := Run(ctx, src, problem(t, "LU", machine.Sandybridge), smallOpts(3))
+		cancel()
+		if out != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("k=%d: Run returned (%v, %v), want (nil, context.Canceled)", k, out != nil, err)
+		}
+		if src.evals != k {
+			t.Fatalf("k=%d: %d source evaluations, want %d", k, src.evals, k)
+		}
+		if fits := sink.ByKind(obs.KindModelFit); len(fits) != 0 {
+			t.Fatalf("k=%d: model-fit events %+v, want none", k, fits)
+		}
+		for _, e := range sink.ByKind(obs.KindModelPredict) {
+			if e.Detail == "pool-score" {
+				t.Fatalf("k=%d: pool-score event %+v, want none", k, e)
+			}
+		}
+	}
+}
+
 // runOn builds one workload of the test on machine m.
 func runOn(t *testing.T, wl string, m machine.Machine) search.Problem {
 	t.Helper()
@@ -128,10 +201,11 @@ func TestPreludeMatchesComposedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pre.Surrogate == nil || len(pre.Pool.Pool) != opt.PoolSize || len(pre.Pool.Preds) != opt.PoolSize {
-			t.Fatalf("%s: prelude holds surrogate %v and a pool of %d/%d, want %d",
-				wl, pre.Surrogate != nil, len(pre.Pool.Pool), len(pre.Pool.Preds), opt.PoolSize)
+		if pre.Surrogate == nil || len(pre.Best) != min(opt.NMax, opt.PoolSize) {
+			t.Fatalf("%s: prelude holds surrogate %v and %d best configurations, want %d",
+				wl, pre.Surrogate != nil, len(pre.Best), min(opt.NMax, opt.PoolSize))
 		}
+		checkKeptResults(t, wl, pre, src, opt)
 		reused := runTargets(t, pre, tgts)
 		for i, tgt := range tgts {
 			fresh, err := Run(ctx, src, tgt, opt)
@@ -163,9 +237,9 @@ func TestDegradedPreludeReused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.Surrogate != nil || pre.Pool.Pool != nil || len(pre.Warnings) != 1 {
-		t.Fatalf("degraded prelude: surrogate %v, pool %d, warnings %q",
-			pre.Surrogate != nil, len(pre.Pool.Pool), pre.Warnings)
+	if pre.Surrogate != nil || pre.Best != nil || pre.Cutoff != 0 || len(pre.Warnings) != 1 {
+		t.Fatalf("degraded prelude: surrogate %v, best %d, cutoff %v, warnings %q",
+			pre.Surrogate != nil, len(pre.Best), pre.Cutoff, pre.Warnings)
 	}
 	tgts := []search.Problem{problem(t, "LU", machine.Sandybridge), problem(t, "LU", machine.Power7)}
 	for i, got := range runTargets(t, pre, tgts) {

@@ -95,16 +95,10 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	// The surrogate's predicted-best pool configuration warm-starts the
-	// sophisticated searches.
-	scored := search.ScorePool(spc, sur, cfg.PoolSize, rng.NewNamed(seed, "pool"))
-	warm := scored.Pool[0]
-	best := scored.Preds[0]
-	for i, p := range scored.Preds[1:] {
-		if p < best {
-			best, warm = p, scored.Pool[i+1]
-		}
-	}
+	// RSb's sequence over the pool, best predicted first: its head
+	// warm-starts the sophisticated searches.
+	best := search.ScorePool(spc, sur, cfg.PoolSize, rng.NewNamed(seed, "pool")).Best(cfg.NMax)
+	warm := best[0]
 
 	// One cell per algorithm. The cells share the read-only surrogate,
 	// space, and source dataset (Model implementations are goroutine-safe
@@ -123,9 +117,8 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 			return search.RS(ctx, tgt, cfg.NMax, rng.NewNamed(seed, "rs")), nil
 		}},
 		{"RSb", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
-			// The warm-start pool is the pool RSb would draw: same seed,
-			// same surrogate, equal spaces.
-			return search.RSbScored(ctx, tgt, scored, search.RSbOptions{NMax: cfg.NMax}), nil
+			// best is the sequence RSb would draw: same seed, surrogate, space.
+			return search.Replay(ctx, tgt, best, "RSb"), nil
 		}},
 		{"SA", func(ctx context.Context, tgt search.Problem) (*search.Result, error) {
 			return search.Drive(ctx, tgt, search.NewAnneal(spc, rng.NewNamed(seed, "sa"), 0.95), cfg.NMax), nil

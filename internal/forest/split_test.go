@@ -179,3 +179,31 @@ func TestFitSplitOrderPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleFeaturesMatchesSampleWithoutReplacement: over an (n, k, seed)
+// grid, the grower's in-place feature sample returns what
+// rng.SampleWithoutReplacement returns on an identically seeded stream,
+// call after call on one reused buffer, and leaves both streams at the
+// same position.
+func TestSampleFeaturesMatchesSampleWithoutReplacement(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 7, 16, 32, 83, 247} {
+		for _, k := range []int{1, 2, n/4 - 1, n / 4, n/4 + 1, (n + 2) / 3, n - 1, n} {
+			if k < 1 || k > n {
+				continue
+			}
+			for _, seed := range []uint64{1, 2016, 1 << 40} {
+				g := &grower{r: rng.New(seed), all: make([]int, n)}
+				ref := rng.New(seed)
+				for call := 0; call < 5; call++ {
+					got, want := g.sampleFeatures(k), ref.SampleWithoutReplacement(n, k)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("n=%d k=%d seed=%d call %d: got %v, want %v", n, k, seed, call, got, want)
+					}
+					if a, b := g.r.Uint64(), ref.Uint64(); a != b {
+						t.Fatalf("n=%d k=%d seed=%d call %d: streams diverge after the sample", n, k, seed, call)
+					}
+				}
+			}
+		}
+	}
+}

@@ -94,8 +94,8 @@ func FitTree(X [][]float64, y []float64, p TreeParams, r *rng.RNG) (*Tree, error
 type xy struct{ x, y float64 }
 
 // grower grows one tree. Its buffers are sized for the root and reused
-// at every node, so the split search allocates nothing per node beyond
-// the rng's feature sample.
+// at every node, so the split search allocates nothing per node unless
+// MTry is below a quarter of the features (sampleFeatures).
 type grower struct {
 	t     *Tree
 	X     [][]float64
@@ -104,7 +104,18 @@ type grower struct {
 	r     *rng.RNG
 	pairs []xy  // one node's rows sorted by the candidate feature
 	spill []int // right-hand rows while a node partitions idx in place
-	all   []int // every feature index, the candidates without MTry
+	all   []int // every feature index; with MTry, sampleFeatures permutes it
+}
+
+// sampleFeatures returns what g.r.SampleWithoutReplacement(n, k) returns,
+// with the same draws, but takes its Perm branch (4k ≥ n, always so at
+// the default MTry) in g.all; the result lasts until the next call.
+func (g *grower) sampleFeatures(k int) []int {
+	if n := len(g.all); k*4 < n {
+		return g.r.SampleWithoutReplacement(n, k)
+	}
+	g.r.PermInto(g.all)
+	return g.all[:k]
 }
 
 // grow recursively builds the subtree over the sample indices and returns
@@ -154,10 +165,9 @@ func (g *grower) grow(idx []int, depth int) int {
 // threshold split.
 func (g *grower) bestSplit(idx []int) (feat int, thr, gain float64) {
 	p := g.p
-	nf := len(g.all)
 	candidates := g.all
-	if p.MTry > 0 && p.MTry < nf && g.r != nil {
-		candidates = g.r.SampleWithoutReplacement(nf, p.MTry)
+	if p.MTry > 0 && p.MTry < len(g.all) && g.r != nil {
+		candidates = g.sampleFeatures(p.MTry)
 	}
 
 	_, parentSSE := meanSSE(g.y, idx)

@@ -140,11 +140,16 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 // Perm returns a uniform random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with what Perm(len(p)) returns, making the same draws.
+func (r *RNG) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
 	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // Shuffle performs a Fisher–Yates shuffle over n elements via swap.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -89,10 +88,10 @@ func configScorer(m Model, spc *space.Space) func(space.Config) float64 {
 	return func(c space.Config) float64 { return m.Predict(spc.Encode(c)) }
 }
 
-// ScoredPool is the prelude RSp and RSb share: the configuration pool
-// X_p of Algorithms 1 and 2 and the model's prediction for each entry
-// (Preds[i] scores Pool[i]). The searches only read it, so one scored
-// pool may serve any number of runs, concurrently too.
+// ScoredPool is the configuration pool X_p of Algorithms 1 and 2 and the
+// model's prediction for each entry (Preds[i] scores Pool[i]). RSp reads
+// only its Cutoff and RSb only its Best configurations, so a caller that
+// serves many runs keeps those two and drops the pool.
 type ScoredPool struct {
 	Pool  []space.Config
 	Preds []float64
@@ -103,6 +102,22 @@ type ScoredPool struct {
 func ScorePool(spc *space.Space, m Model, n int, poolR *rng.RNG) ScoredPool {
 	pool := spc.SamplePool(n, poolR)
 	return ScoredPool{Pool: pool, Preds: ScoreConfigs(m, spc, pool)}
+}
+
+// Cutoff is RSp's Δ: the deltaPct quantile of the pool's predictions.
+func (sp ScoredPool) Cutoff(deltaPct float64) float64 {
+	return stats.Quantile(sp.Preds, deltaPct/100)
+}
+
+// Best returns the min(k, len(Pool)) configurations with the smallest
+// predictions, in (prediction, index) order: RSb's evaluation sequence.
+func (sp ScoredPool) Best(k int) []space.Config {
+	order := smallestFirst(sp.Preds, k)
+	best := make([]space.Config, len(order))
+	for i, j := range order {
+		best[i] = sp.Pool[j]
+	}
+	return best
 }
 
 // DefaultDeltaPct is the paper's pruning-cutoff quantile percentage.
@@ -163,14 +178,13 @@ func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.
 	sw := obs.StartTimer()
 	sp := ScorePool(p.Space(), m, opt.withDefaults().PoolSize, poolR)
 	obs.FromContext(ctx).ModelPredict("RSp", "pool-score", len(sp.Pool), sw.Elapsed())
-	return RSpScored(ctx, p, m, sp, opt, r)
+	return RSpScored(ctx, p, m, sp.Cutoff(opt.withDefaults().DeltaPct), opt, r)
 }
 
-// RSpScored is RSp over a pool drawn and scored beforehand (ScorePool):
-// the cutoff is the DeltaPct quantile of sp.Preds and opt.PoolSize is
-// unused. Given the pool RSp would draw from poolR with the same model,
-// it returns exactly what RSp returns.
-func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOptions, r *rng.RNG) *Result {
+// RSpScored is RSp with its cutoff Δ given (ScoredPool.Cutoff);
+// opt.PoolSize is unused. Given the cutoff of the pool RSp would draw
+// from poolR with the same model, it returns exactly what RSp returns.
+func RSpScored(ctx context.Context, p Problem, m Model, cutoff float64, opt RSpOptions, r *rng.RNG) *Result {
 	origDelta := opt.DeltaPct
 	_, adjusted := NormalizeDeltaPct(origDelta)
 	opt = opt.withDefaults()
@@ -182,7 +196,6 @@ func RSpScored(ctx context.Context, p Problem, m Model, sp ScoredPool, opt RSpOp
 		run.tr.Warn("RSp", fmt.Sprintf("deltaPct %g outside (0,100); using default %g", origDelta, opt.DeltaPct))
 	}
 	score := configScorer(m, spc)
-	cutoff := stats.Quantile(sp.Preds, opt.DeltaPct/100)
 	if run.tr.Enabled() {
 		// Count and time every candidate scored, reported as one event
 		// when the run ends. Untraced runs call the scorer directly.
@@ -237,36 +250,15 @@ func (o RSbOptions) withDefaults() RSbOptions {
 }
 
 // RSb is random search with the biasing strategy (Algorithm 2): draw a
-// pool of PoolSize random configurations, then repeatedly evaluate the
-// pool configuration with the smallest predicted run time, removing it
-// from the pool.
+// pool of PoolSize random configurations and evaluate them in ascending
+// predicted run time, which, the model being fixed, is a Replay of the
+// pool's NMax Best configurations.
 func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG) *Result {
-	sw := obs.StartTimer()
-	sp := ScorePool(p.Space(), m, opt.withDefaults().PoolSize, poolR)
-	obs.FromContext(ctx).ModelPredict("RSb", "pool-score", len(sp.Pool), sw.Elapsed())
-	return RSbScored(ctx, p, sp, opt)
-}
-
-// RSbScored is RSb over a pool drawn and scored beforehand (ScorePool);
-// opt.PoolSize is unused. Given the pool RSb would draw from poolR with
-// the same model, it returns exactly what RSb returns.
-func RSbScored(ctx context.Context, p Problem, sp ScoredPool, opt RSbOptions) *Result {
 	opt = opt.withDefaults()
-	run := newRunner(p, "RSb")
-	run.start(ctx)
-	defer run.finish()
-
-	// Evaluating in ascending predicted order is equivalent to repeatedly
-	// taking the argmin and removing it (the model is fixed). Every
-	// evaluation appends a record, so at most NMax pool entries are
-	// reached, and only those are selected and ordered.
-	order := smallestFirst(sp.Preds, opt.NMax)
-	for i := 0; i < len(order) && len(run.res.Records) < opt.NMax && ctx.Err() == nil; i++ {
-		if _, ok := run.evaluate(ctx, sp.Pool[order[i]]); !ok {
-			break
-		}
-	}
-	return run.res
+	sw := obs.StartTimer()
+	sp := ScorePool(p.Space(), m, opt.PoolSize, poolR)
+	obs.FromContext(ctx).ModelPredict("RSb", "pool-score", len(sp.Pool), sw.Elapsed())
+	return Replay(ctx, p, sp.Best(opt.NMax), "RSb")
 }
 
 // smallestFirst returns the indices of the min(k, len(preds)) smallest
@@ -358,31 +350,17 @@ func RSpf(ctx context.Context, p Problem, ta Dataset, deltaPct float64) *Result 
 }
 
 // RSbf is the model-free biasing control: it sorts Ta ascending by the
-// source run times and evaluates the configurations in that order.
+// source run times and Replays the configurations in that order.
 // Censored source rows sort by their caps, which places them with the
 // slow configurations they almost certainly are.
 func RSbf(ctx context.Context, p Problem, ta Dataset) *Result {
-	run := newRunner(p, "RSbf")
-	run.start(ctx)
-	defer run.finish()
-	ta = ta.Valid()
-	order := make([]int, len(ta))
-	for i := range order {
-		order[i] = i
+	ta = ta.Valid() // a new slice, with every non-finite run time dropped
+	slices.SortStableFunc(ta, func(a, b Sample) int { return cmp.Compare(a.RunTime, b.RunTime) })
+	seq := make([]space.Config, len(ta))
+	for i, s := range ta {
+		seq[i] = s.Config
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		//lint:ignore floatcmp ta.Valid() above dropped every non-finite run time
-		return ta[order[a]].RunTime < ta[order[b]].RunTime
-	})
-	for _, i := range order {
-		if ctx.Err() != nil {
-			break
-		}
-		if _, ok := run.evaluate(ctx, ta[i].Config); !ok {
-			break
-		}
-	}
-	return run.res
+	return Replay(ctx, p, seq, "RSbf")
 }
 
 // RSbA is the active-learning refinement of the biasing strategy

@@ -373,9 +373,9 @@ func RS(ctx context.Context, p Problem, nmax int, r *rng.RNG) *Result {
 	return run.res
 }
 
-// Replay evaluates exactly the given configurations in order — used for
-// common-random-numbers comparisons and the model-free variants. Like
-// RS, it stops cleanly between evaluations when ctx is cancelled.
+// Replay evaluates exactly the given configurations in order; every
+// fixed-order search (the RS replay, RSb, RSbf) is one. Like RS, it
+// stops cleanly between evaluations when ctx is cancelled.
 func Replay(ctx context.Context, p Problem, seq []space.Config, algorithm string) *Result {
 	run := newRunner(p, algorithm)
 	run.start(ctx)
