@@ -72,12 +72,13 @@ bench-parallel:
 # analyzers, so gate latency joins the tracked trajectory) — and
 # converts the combined output into BENCH_PR10.json (committed as the
 # PR's trajectory point; CI regenerates and uploads it). bench-raw.txt
-# keeps the raw `go test -bench` lines. The transfer, pool, sample-pool
-# and forest lines pass -benchmem, so their entries carry B/op and allocs/op.
+# keeps the raw `go test -bench` lines. The RSp/RSb, transfer, pool,
+# sample-pool and forest lines pass -benchmem, so their entries carry B/op
+# and allocs/op.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkRemoteDispatch' -benchtime 2x ./internal/broker/remote/ > bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributedTrace' -benchtime 2x ./internal/broker/remote/ >> bench-raw.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndRS[pb]' -benchtime 2x . >> bench-raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkEndToEndRS[pb]' -benchmem -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkTransferRun' -benchmem -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolScoring' -benchmem -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSamplePool' -benchmem -benchtime 2x . >> bench-raw.txt

@@ -28,7 +28,6 @@ import (
 	"repro/internal/search"
 	"repro/internal/sim"
 	"repro/internal/space"
-	"repro/internal/stats"
 )
 
 // benchConfig is the reduced scale used by the per-figure benchmarks.
@@ -485,12 +484,13 @@ func BenchmarkEndToEndRSp(b *testing.B) {
 type walkModel struct{ search.BatchModel }
 
 // BenchmarkPoolScoring isolates the prelude RSp and RSb pay before their
-// first evaluation: draw the paper-scale pool (N = 10 000) and score it
-// with search.ScorePool, on LU and on RT (247 parameters). "compiled" is
-// what core.Run does, scoring level indices through the surrogate's
-// compiled forest; "walk" is the encode-and-walk fallback other models
-// take, kept beside it so one run shows what the compiled path saves.
-// The surrogates have the transfer experiment's 100 trees.
+// first evaluation: stream the paper-scale pool (N = 10 000) through
+// search.ScorePool, keeping RSp's cutoff and RSb's 100 best, on LU and
+// on RT (247 parameters). "compiled" is what core.Run does, scoring
+// level indices through the surrogate's compiled forest; "walk" is the
+// encode-and-walk fallback other models take, kept beside it so one run
+// shows what the compiled path saves. The surrogates have the transfer
+// experiment's 100 trees.
 func BenchmarkPoolScoring(b *testing.B) {
 	lu, err := kernels.ByName("LU")
 	if err != nil {
@@ -516,8 +516,7 @@ func BenchmarkPoolScoring(b *testing.B) {
 			b.Run(tc.name+"/"+m.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					sp := search.ScorePool(spc, m.model, 10000, rng.NewNamed(2016, "pool"))
-					stats.Quantile(sp.Preds, 0.2)
+					search.ScorePool(spc, m.model, 10000, 100, 20, rng.NewNamed(2016, "pool"))
 				}
 			})
 		}

@@ -240,9 +240,10 @@ type Outcome struct {
 // Prelude is the target-independent half of a transfer experiment, the
 // work the paper does once on the source machine γ_a and reuses on every
 // target γ_b: the source RS run, T_a, the surrogate M_a fitted on it, and
-// what RSp and RSb read of the pool they share, drawn and scored once and
-// then dropped. A Prelude is immutable after Prepare; Run only reads it,
-// so one Prelude may serve any number of targets, concurrently too.
+// what RSp and RSb read of the pool they share, which is streamed and
+// scored in blocks and never held whole. A Prelude is immutable after
+// Prepare; Run only reads it, so one Prelude may serve any number of
+// targets, concurrently too.
 type Prelude struct {
 	Source string
 	// SourceRS is the RS run on the source machine that produced Ta.
@@ -251,7 +252,7 @@ type Prelude struct {
 	// Surrogate is M_a; nil when the fit degraded (Warnings says why).
 	Surrogate *Surrogate
 	// Cutoff (RSp's Δ) and Best (RSb's NMax configurations, in order) are
-	// the pool's ScoredPool.Cutoff and Best; zero when degraded.
+	// the pool's search.PoolScores; zero when degraded.
 	Cutoff   float64
 	Best     []space.Config
 	Warnings []string
@@ -261,10 +262,12 @@ type Prelude struct {
 }
 
 // Prepare runs the source half of the transfer experiment: collect Ta on
-// src, fit M_a, and draw and score the shared pool. When too few source
-// evaluations succeed to fit a surrogate, the prelude is degraded rather
-// than an error: its Run falls back to plain RS for RSp and RSb. Once ctx
-// is cancelled it returns an error wrapping ctx's before the next phase.
+// src, fit M_a, and stream the shared pool through search.ScorePool,
+// which draws and scores it in blocks and keeps only Cutoff and Best.
+// When too few source evaluations succeed to fit a surrogate, the
+// prelude is degraded rather than an error: its Run falls back to plain
+// RS for RSp and RSb. Once ctx is cancelled it returns an error wrapping
+// ctx's before the next phase.
 func Prepare(ctx context.Context, src search.Problem, opt Options) (*Prelude, error) {
 	tr := obs.FromContext(ctx)
 	if _, adjusted := search.NormalizeDeltaPct(opt.DeltaPct); adjusted {
@@ -307,9 +310,9 @@ func Prepare(ctx context.Context, src search.Problem, opt Options) (*Prelude, er
 	// whose space Equals it, and sampling and encoding read nothing else,
 	// so this is the pool RSp and RSb would each draw on the target.
 	sw := obs.StartTimer()
-	pool := search.ScorePool(p.space, sur, opt.PoolSize, rng.NewNamed(opt.Seed, "pool"))
-	tr.ModelPredict(src.Name(), "pool-score", len(pool.Pool), sw.Elapsed())
-	p.Cutoff, p.Best = pool.Cutoff(opt.DeltaPct), pool.Best(opt.NMax)
+	pool := search.ScorePool(p.space, sur, opt.PoolSize, opt.NMax, opt.DeltaPct, rng.NewNamed(opt.Seed, "pool"))
+	tr.ModelPredict(src.Name(), "pool-score", pool.Drawn, sw.Elapsed())
+	p.Cutoff, p.Best = pool.Cutoff, pool.Best
 	return p, nil
 }
 

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/forest"
 	"repro/internal/machine"
 	"repro/internal/miniapps"
 	"repro/internal/obs"
@@ -83,7 +85,7 @@ func composedRun(t *testing.T, src, tgt search.Problem, opt Options) *Outcome {
 }
 
 // checkKeptResults holds a prelude's Cutoff and Best to oracles built
-// without ScoredPool's helpers: the pool is drawn and scored again from
+// without search.ScorePool: the pool is drawn whole and scored again from
 // the "pool" stream, Cutoff must be stats.Quantile of its predictions at
 // δ/100, and Best the first NMax entries of a stable sort by prediction.
 func checkKeptResults(t *testing.T, wl string, pre *Prelude, src search.Problem, opt Options) {
@@ -282,5 +284,63 @@ func TestTracedRunScoresPoolOnce(t *testing.T) {
 	}
 	if outcomeKey(traced) != outcomeKey(untraced) {
 		t.Fatal("traced outcome differs from untraced")
+	}
+}
+
+// smallProblem is a 24-configuration problem, smaller than a pool.
+type smallProblem struct{ spc *space.Space }
+
+func (p smallProblem) Name() string        { return "small" }
+func (p smallProblem) Space() *space.Space { return p.spc }
+func (p smallProblem) Evaluate(c space.Config) (float64, float64) {
+	run := float64(1 + c[0] + 2*c[1] + 3*c[2])
+	return run, run
+}
+
+// TestPoolScoreEventCountsDrawn: on a space smaller than PoolSize the
+// pool is the whole space, and the prelude's pool-score event counts
+// the configurations drawn, not the PoolSize asked for.
+func TestPoolScoreEventCountsDrawn(t *testing.T) {
+	spc := space.New(space.NewIntRange("a", 0, 1), space.NewIntRange("b", 0, 2), space.NewIntRange("c", 0, 3))
+	opt := Options{NMax: 12, PoolSize: 100, DeltaPct: 20, Forest: forest.Params{Trees: 5}, Seed: 3}
+	sink := &obs.MemorySink{}
+	pre, err := Prepare(obs.WithTracer(context.Background(), obs.New(sink)), smallProblem{spc}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pool []obs.Event
+	for _, e := range sink.ByKind(obs.KindModelPredict) {
+		if e.Detail == "pool-score" {
+			pool = append(pool, e)
+		}
+	}
+	if len(pool) != 1 || pool[0].N != int(spc.Size()) || len(pre.Best) != opt.NMax {
+		t.Fatalf("pool-score events %+v and %d best, want one of N=%v and %d", pool, len(pre.Best), spc.Size(), opt.NMax)
+	}
+}
+
+// TestScorePoolStreamsRT pins the streamed pool's memory: scoring the
+// paper's N = 10 000 on RT (247 parameters) with the compiled surrogate
+// allocates far less than the materialised pool alone, N × 247 levels
+// of 8 bytes (19.8 MB).
+func TestScorePoolStreamsRT(t *testing.T) {
+	src := runOn(t, "RT", machine.Sandybridge)
+	_, ta := Collect(context.Background(), src, 100, rng.NewNamed(2016, "crn-stream"))
+	sur, err := FitSurrogate(ta, src.Space(), src.Name(), forest.Params{}, rng.NewNamed(2016, "forest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, limit = 10000, 8 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sp := search.ScorePool(src.Space(), sur, n, 100, 20, rng.NewNamed(2016, "pool"))
+	runtime.ReadMemStats(&after)
+	if sp.Drawn != n || len(sp.Best) != 100 {
+		t.Fatalf("drew %d and kept %d, want %d and 100", sp.Drawn, len(sp.Best), n)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("ScorePool allocated %.2f MB", float64(alloc)/(1<<20))
+	if alloc >= limit {
+		t.Fatalf("ScorePool allocated %d bytes, want < %d", alloc, limit)
 	}
 }

@@ -97,7 +97,7 @@ func runExtAlgos(ctx context.Context, cfg Config) (*Report, error) {
 
 	// RSb's sequence over the pool, best predicted first: its head
 	// warm-starts the sophisticated searches.
-	best := search.ScorePool(spc, sur, cfg.PoolSize, rng.NewNamed(seed, "pool")).Best(cfg.NMax)
+	best := search.ScorePool(spc, sur, cfg.PoolSize, cfg.NMax, search.DefaultDeltaPct, rng.NewNamed(seed, "pool")).Best
 	warm := best[0]
 
 	// One cell per algorithm. The cells share the read-only surrogate,

@@ -46,6 +46,9 @@ type Kernel struct {
 	// scr, vec, omp are the space positions of the switches (-1 when
 	// the kernel has none).
 	scr, vec, omp int
+	// orders[ni] is nest ni's loop order, the one every spec of the nest
+	// lists; SpecsFor shares it read-only.
+	orders [][]string
 }
 
 // Space returns the kernel's configuration space.
@@ -68,6 +71,13 @@ func (k *Kernel) index() *Kernel {
 	if k.hasOMP {
 		k.omp = k.spc.Index("OMP")
 	}
+	k.orders = make([][]string, len(k.Nests))
+	for ni, n := range k.Nests {
+		k.orders[ni] = make([]string, len(n.Loops))
+		for i, l := range n.Loops {
+			k.orders[ni][i] = l.Var
+		}
+	}
 	return k
 }
 
@@ -78,19 +88,11 @@ func (k *Kernel) value(c space.Config, i int) int { return k.spc.Param(i).Value(
 // spec lists its nest's factors in binding order.
 func (k *Kernel) SpecsFor(c space.Config) []transform.Spec {
 	specs := make([]transform.Spec, len(k.Nests))
-	loops := 0
-	for _, n := range k.Nests {
-		loops += len(n.Loops)
-	}
-	order := make([]string, 0, loops)
 	factors := make(transform.Factors, 3*len(k.bindings))
 	off := 0
-	for ni, n := range k.Nests {
-		start := len(order)
-		for _, l := range n.Loops {
-			order = append(order, l.Var)
-		}
-		spec := transform.Spec{Order: order[start:len(order):len(order)]}
+	for ni := range k.Nests {
+		order := k.orders[ni]
+		spec := transform.Spec{Order: order[:len(order):len(order)]}
 		if k.hasSCR {
 			spec.ScalarReplace = k.value(c, k.scr) == 1
 		}

@@ -23,6 +23,7 @@ package miniapps
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/machine"
 	"repro/internal/rng"
@@ -48,8 +49,10 @@ func shared(tag string) float64 {
 type App struct {
 	Name string
 	spc  *space.Space
-	// run returns the noise-free run time of config c on machine m.
-	run func(c space.Config, m machine.Machine) float64
+	// model returns the noise-free run time of a configuration on
+	// machine m. A Problem calls it once, on its first evaluation, so a
+	// model's per-machine table is built only for a problem that runs.
+	model func(m machine.Machine) func(c space.Config) float64
 	// evalOverhead returns the non-run cost of one evaluation on m
 	// (e.g. recompiling the raytracer with new flags).
 	evalOverhead func(c space.Config, m machine.Machine) float64
@@ -63,6 +66,9 @@ func (a *App) Space() *space.Space { return a.spc }
 type Problem struct {
 	App     *App
 	Machine machine.Machine
+
+	runOnce sync.Once
+	run     func(c space.Config) float64 // App.model(Machine), built by runOnce
 }
 
 // NewProblem constructs a Problem.
@@ -81,7 +87,8 @@ func (p *Problem) Evaluate(c space.Config) (runTime, cost float64) {
 	if err := p.App.spc.Validate(c); err != nil {
 		panic(fmt.Sprintf("miniapps: %v", err))
 	}
-	run := p.App.run(c, p.Machine)
+	p.runOnce.Do(func() { p.run = p.App.model(p.Machine) })
+	run := p.run(c)
 	key := rng.HashInts64("miniapp|"+p.App.Name+"|"+p.Machine.Name, c)
 	run *= rng.New(key).LogNormal(0, p.Machine.NoiseSigma)
 	overhead := 0.0
@@ -121,7 +128,9 @@ func HPL() *App {
 	return &App{
 		Name: "HPL",
 		spc:  spc,
-		run:  hplRun,
+		model: func(m machine.Machine) func(space.Config) float64 {
+			return func(c space.Config) float64 { return hplRun(c, m) }
+		},
 		// HPL is reconfigured via HPL.dat: no recompilation, only a
 		// small setup cost per evaluation.
 		evalOverhead: func(_ space.Config, m machine.Machine) float64 {
@@ -313,6 +322,9 @@ const (
 	RTParamCount = 104
 )
 
+// rtParamLevels is the number of levels of each numeric --param setting.
+const rtParamLevels = 10
+
 // RT returns the raytracer compiler-flag tuning problem: 143 binary g++
 // flags plus 104 numeric --param settings (10 levels each).
 func RT() *App {
@@ -333,14 +345,14 @@ func RT() *App {
 			name = realParams[i]
 		}
 		paramNames[i] = name
-		params = append(params, space.NewIntRange(name, 0, 9))
+		params = append(params, space.NewIntRange(name, 0, rtParamLevels-1))
 	}
 	spc := space.New(params...)
 	return &App{
 		Name: "RT",
 		spc:  spc,
-		run: func(c space.Config, m machine.Machine) float64 {
-			return rtRun(c, m, flagNames, paramNames)
+		model: func(m machine.Machine) func(space.Config) float64 {
+			return newRTModel(m, flagNames, paramNames).run
 		},
 		// Every configuration requires recompiling the raytracer.
 		evalOverhead: func(_ space.Config, m machine.Machine) float64 {
@@ -349,41 +361,51 @@ func RT() *App {
 	}
 }
 
-// rtRun models the render time under the flag configuration. A small set
-// of flags carries most of the effect; their strength is mostly shared
-// across machines, with machine-specific components for the flags whose
-// value genuinely depends on the microarchitecture.
-func rtRun(c space.Config, m machine.Machine, flagNames, paramNames []string) float64 {
-	base := 3e11 / (m.IssueWidth * m.ClockGHz * 1e9 *
-		(float64(m.OoOWindow)/(float64(m.OoOWindow)+24) + 0.2))
+// rtModel models the render time under the flag configuration on one
+// machine. A small set of flags carries most of the effect; their
+// strength is mostly shared across machines, with machine-specific
+// components for the flags whose value genuinely depends on the
+// microarchitecture. Every coefficient depends on the machine and the
+// parameter alone, so newRTModel computes them once: run only adds up
+// the terms of the levels a configuration chose.
+type rtModel struct {
+	m    machine.Machine
+	base float64
+	// flagEff[i] is flag i's term of the log run time when it is on.
+	flagEff []float64
+	// paramCost[j][lv] is numeric parameter j's term at level lv.
+	paramCost [][rtParamLevels]float64
+}
+
+func newRTModel(m machine.Machine, flagNames, paramNames []string) *rtModel {
+	r := &rtModel{
+		m: m,
+		base: 3e11 / (m.IssueWidth * m.ClockGHz * 1e9 *
+			(float64(m.OoOWindow)/(float64(m.OoOWindow)+24) + 0.2)),
+		flagEff:   make([]float64, len(flagNames)),
+		paramCost: make([][rtParamLevels]float64, len(paramNames)),
+	}
 
 	// How strongly a flag's effect depends on the machine tracks the
 	// maturity of the compiler backend (CodeGenSigma): on X-Gene's
 	// erratic ARM64 backend the same flag can swing either way.
 	peScale := 1 + float64(15*m.CodeGenSigma)
 
-	logF := 0.0
 	for i, name := range flagNames {
-		if c[i] == 0 {
-			continue
-		}
 		sh := shared("rt-flag-" + name)
 		pe := personality(m, "rt-flag-"+name) * peScale
-		var eff float64
 		switch {
 		case i < 12:
 			// The strong flags: up to ~10% each, mostly portable.
-			eff = float64(-0.08*(0.5+float64(0.5*sh))) + float64(0.025*pe)
+			r.flagEff[i] = float64(-0.08*(0.5+float64(0.5*sh))) + float64(0.025*pe)
 		case i < 40:
-			eff = float64(0.02*sh) + float64(0.008*pe)
+			r.flagEff[i] = float64(0.02*sh) + float64(0.008*pe)
 		default:
 			// The long tail is nearly neutral.
-			eff = float64(0.004*sh) + float64(0.002*pe)
+			r.flagEff[i] = float64(0.004*sh) + float64(0.002*pe)
 		}
-		logF += eff
 	}
 	for j, name := range paramNames {
-		lv := float64(c[len(flagNames)+j])
 		sh := shared("rt-param-" + name)
 		pe := personality(m, "rt-param-"+name) * peScale
 		// Each numeric parameter has a preferred level; deviation costs
@@ -393,15 +415,33 @@ func rtRun(c space.Config, m machine.Machine, flagNames, paramNames []string) fl
 		if j < 10 {
 			weight = 0.01 // the real unroll/inline params matter more
 		}
-		logF += weight * (lv - opt) * (lv - opt) / 20
+		for level := range r.paramCost[j] {
+			lv := float64(level)
+			r.paramCost[j][level] = weight * (lv - opt) * (lv - opt) / 20
+		}
+	}
+	return r
+}
+
+// run returns the noise-free render time of c: the flags' and the
+// parameters' terms summed in parameter order, then the interactions.
+func (r *rtModel) run(c space.Config) float64 {
+	logF := 0.0
+	for i, eff := range r.flagEff {
+		if c[i] != 0 {
+			logF += eff
+		}
+	}
+	for j := range r.paramCost {
+		logF += r.paramCost[j][c[len(r.flagEff)+j]]
 	}
 	// Interactions: unrolling and vectorization compound on wide-vector
 	// machines; scheduling flags interact with in-order pipelines.
 	if c[0] == 1 && c[4] == 1 { // funroll-loops + ftree-vectorize
-		logF -= float64(0.02 * float64(m.VectorWidth) / 4)
+		logF -= float64(0.02 * float64(r.m.VectorWidth) / 4)
 	}
-	if c[0] == 1 && m.OoOWindow < 32 { // unrolling on in-order cores
+	if c[0] == 1 && r.m.OoOWindow < 32 { // unrolling on in-order cores
 		logF += 0.05
 	}
-	return base * math.Exp(logF)
+	return r.base * math.Exp(logF)
 }

@@ -1,6 +1,7 @@
 package miniapps
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -49,6 +50,59 @@ func TestEvaluateDeterministicAndPositive(t *testing.T) {
 		if r1 <= 0 || c1 <= r1 {
 			t.Fatalf("%s degenerate evaluation: run=%v cost=%v", app.Name, r1, c1)
 		}
+	}
+}
+
+// TestEvaluateConcurrentFirstUse: goroutines that race to a fresh
+// problem's first evaluation, which builds its model, see what a serial
+// problem computes.
+func TestEvaluateConcurrentFirstUse(t *testing.T) {
+	for _, app := range []*App{HPL(), RT()} {
+		configs := make([]space.Config, 20)
+		r := rng.New(4)
+		for i := range configs {
+			configs[i] = app.Space().Random(r)
+		}
+		serial := NewProblem(app, machine.XGene)
+		want := make([]float64, len(configs))
+		for i, c := range configs {
+			want[i], _ = serial.Evaluate(c)
+		}
+		p := NewProblem(app, machine.XGene)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, c := range configs {
+					if got, _ := p.Evaluate(c); got != want[i] {
+						t.Errorf("%s: config %d: run %v, want %v", app.Name, i, got, want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// BenchmarkEvaluate times one mini-app evaluation on Sandybridge, the
+// model built.
+func BenchmarkEvaluate(b *testing.B) {
+	for _, app := range []*App{HPL(), RT()} {
+		b.Run(app.Name, func(b *testing.B) {
+			p := NewProblem(app, machine.Sandybridge)
+			configs := make([]space.Config, 64)
+			r := rng.New(9)
+			for i := range configs {
+				configs[i] = app.Space().Random(r)
+				p.Evaluate(configs[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Evaluate(configs[i%len(configs)])
+			}
+		})
 	}
 }
 

@@ -103,6 +103,7 @@ func (t *Tuner) Run(ctx context.Context, p search.Problem) (*search.Result, map[
 	}
 	res := &search.Result{Algorithm: "OpenTuner", Problem: p.Name()}
 	seen := map[string]float64{}
+	var key []byte // the proposal's compact key, in one reused buffer
 	best := math.Inf(1)
 	elapsed := 0.0
 	totalPulls := 0
@@ -120,7 +121,8 @@ func (t *Tuner) Run(ctx context.Context, p search.Problem) (*search.Result, map[
 			}
 			continue
 		}
-		if cached, dup := seen[c.Key()]; dup {
+		key = c.AppendCompactKey(key[:0])
+		if cached, dup := seen[string(key)]; dup {
 			// No budget spent; feed the cached value back and count a
 			// zero reward (the technique is re-treading old ground). A
 			// cached failure (+Inf) is withheld like a live one.
@@ -130,14 +132,17 @@ func (t *Tuner) Run(ctx context.Context, p search.Problem) (*search.Result, map[
 			a.addReward(0)
 			continue
 		}
-		out := search.EvaluateFull(ctx, p, c)
+		// The problem and the record get a copy no one writes to: the
+		// technique may reuse c's buffer on its next proposal.
+		evaluated := c.Clone()
+		out := search.EvaluateFull(ctx, p, evaluated)
 		if out.Interrupted() {
 			break
 		}
-		seen[c.Key()] = out.RunTime
+		seen[string(key)] = out.RunTime
 		elapsed += out.Cost
 		res.Records = append(res.Records, search.Record{
-			Config: c.Clone(), RunTime: out.RunTime, Cost: out.Cost, Elapsed: elapsed,
+			Config: evaluated, RunTime: out.RunTime, Cost: out.Cost, Elapsed: elapsed,
 			Status: out.Status, Retries: out.Retries,
 		})
 		if out.Status == search.StatusFailed {

@@ -16,9 +16,12 @@ import (
 type Technique interface {
 	Name() string
 	// Propose returns the next configuration to evaluate; ok=false means
-	// the technique has nothing more to try.
+	// the technique has nothing more to try. The configuration may live
+	// in a buffer the technique reuses: it is valid until the next
+	// Propose, and a caller that keeps it keeps a clone.
 	Propose() (space.Config, bool)
-	// Report feeds back the observed run time for a proposed config.
+	// Report feeds back the observed run time for a proposed config. A
+	// technique that keeps c copies it.
 	Report(c space.Config, runTime float64)
 }
 
@@ -32,13 +35,15 @@ func Drive(ctx context.Context, p Problem, t Technique, nmax int) *Result {
 	run.start(ctx)
 	defer run.finish()
 	seen := map[string]float64{}
+	var key []byte // the proposal's compact key, in one reused buffer
 	misses := 0
 	for len(run.res.Records) < nmax && misses < 50*nmax && ctx.Err() == nil {
 		c, ok := t.Propose()
 		if !ok {
 			break
 		}
-		if cached, dup := seen[c.Key()]; dup {
+		key = c.AppendCompactKey(key[:0])
+		if cached, dup := seen[string(key)]; dup {
 			// Feed the cached measurement back so the technique still
 			// advances its internal state, without spending budget. A
 			// cached failure (+Inf) is withheld the same as a live one.
@@ -53,7 +58,7 @@ func Drive(ctx context.Context, p Problem, t Technique, nmax int) *Result {
 		if !ok {
 			break
 		}
-		seen[c.Key()] = rec.RunTime
+		seen[string(key)] = rec.RunTime
 		if rec.Status != StatusFailed {
 			t.Report(c, rec.RunTime)
 		}
@@ -74,7 +79,7 @@ type Anneal struct {
 	started bool
 	temp    float64
 	cooling float64
-	pending space.Config
+	next    space.Config // the buffer neighbor proposals are written to
 	start   space.Config
 }
 
@@ -100,20 +105,19 @@ func (a *Anneal) SetStart(c space.Config) { a.start = c.Clone() }
 func (a *Anneal) Propose() (space.Config, bool) {
 	if !a.started {
 		if a.start != nil {
-			a.pending = a.start
-		} else {
-			a.pending = a.spc.Random(a.r)
+			return a.start, true
 		}
-	} else {
-		a.pending = a.neighbor(a.cur)
+		return a.spc.Random(a.r), true
 	}
-	return a.pending, true
+	a.next = a.neighbor(a.next, a.cur)
+	return a.next, true
 }
 
-// neighbor perturbs one parameter by one level (wrapping at the ends
-// would bias toward boundaries, so it clamps instead).
-func (a *Anneal) neighbor(c space.Config) space.Config {
-	n := c.Clone()
+// neighbor writes into dst, and returns, c with one parameter perturbed
+// by one level (wrapping at the ends would bias toward boundaries, so it
+// clamps instead).
+func (a *Anneal) neighbor(dst, c space.Config) space.Config {
+	n := append(dst[:0], c...)
 	i := a.r.Intn(a.spc.NumParams())
 	levels := a.spc.Param(i).Levels()
 	if levels == 1 {
@@ -140,7 +144,7 @@ func (a *Anneal) neighbor(c space.Config) space.Config {
 // Report implements Technique.
 func (a *Anneal) Report(c space.Config, runTime float64) {
 	if !a.started {
-		a.cur = c.Clone()
+		a.cur = append(a.cur[:0], c...)
 		a.curTime = runTime
 		a.temp = runTime * 0.3
 		a.started = true
@@ -151,7 +155,7 @@ func (a *Anneal) Report(c space.Config, runTime float64) {
 		accept = a.r.Float64() < math.Exp(-(runTime-a.curTime)/a.temp)
 	}
 	if accept {
-		a.cur = c.Clone()
+		a.cur = append(a.cur[:0], c...)
 		a.curTime = runTime
 	}
 	a.temp *= a.cooling
@@ -167,6 +171,7 @@ type Genetic struct {
 	popSize  int
 	mutation float64
 	pop      []gaMember
+	child    space.Config // the buffer crossover proposals are written to
 }
 
 type gaMember struct {
@@ -195,7 +200,10 @@ func (g *Genetic) Propose() (space.Config, bool) {
 	}
 	p1 := g.tournament()
 	p2 := g.tournament()
-	child := make(space.Config, g.spc.NumParams())
+	if g.child == nil {
+		g.child = make(space.Config, g.spc.NumParams())
+	}
+	child := g.child
 	for i := range child {
 		if g.r.Float64() < 0.5 {
 			child[i] = p1.c[i]
@@ -222,9 +230,8 @@ func (g *Genetic) tournament() gaMember {
 
 // Report implements Technique.
 func (g *Genetic) Report(c space.Config, runTime float64) {
-	m := gaMember{c: c.Clone(), runTime: runTime}
 	if len(g.pop) < g.popSize {
-		g.pop = append(g.pop, m)
+		g.pop = append(g.pop, gaMember{c: c.Clone(), runTime: runTime})
 		return
 	}
 	worst := 0
@@ -233,8 +240,11 @@ func (g *Genetic) Report(c space.Config, runTime float64) {
 			worst = i
 		}
 	}
-	if m.runTime < g.pop[worst].runTime {
-		g.pop[worst] = m
+	if runTime < g.pop[worst].runTime {
+		// Members are never handed out, so the new one takes over the
+		// replaced member's levels in place.
+		copy(g.pop[worst].c, c)
+		g.pop[worst].runTime = runTime
 	}
 }
 
@@ -253,6 +263,7 @@ type Pattern struct {
 	dim     int
 	sign    int
 	failed  int
+	next    space.Config // the buffer poll proposals are written to
 }
 
 // NewPattern returns a pattern-search technique with the given initial
@@ -275,7 +286,8 @@ func (p *Pattern) Propose() (space.Config, bool) {
 	if p.step < 1 {
 		return nil, false
 	}
-	c := p.cur.Clone()
+	p.next = append(p.next[:0], p.cur...)
+	c := p.next
 	levels := p.spc.Param(p.dim).Levels()
 	v := c[p.dim] + p.sign*p.step
 	if v < 0 {
@@ -291,13 +303,13 @@ func (p *Pattern) Propose() (space.Config, bool) {
 // Report implements Technique.
 func (p *Pattern) Report(c space.Config, runTime float64) {
 	if !p.started {
-		p.cur = c.Clone()
+		p.cur = append(p.cur[:0], c...)
 		p.curTime = runTime
 		p.started = true
 		return
 	}
 	if runTime < p.curTime {
-		p.cur = c.Clone()
+		p.cur = append(p.cur[:0], c...)
 		p.curTime = runTime
 		p.failed = 0
 	} else {

@@ -88,36 +88,73 @@ func configScorer(m Model, spc *space.Space) func(space.Config) float64 {
 	return func(c space.Config) float64 { return m.Predict(spc.Encode(c)) }
 }
 
-// ScoredPool is the configuration pool X_p of Algorithms 1 and 2 and the
-// model's prediction for each entry (Preds[i] scores Pool[i]). RSp reads
-// only its Cutoff and RSb only its Best configurations, so a caller that
-// serves many runs keeps those two and drops the pool.
-type ScoredPool struct {
-	Pool  []space.Config
-	Preds []float64
+// poolBlock is how many pool configurations ScorePool draws and scores
+// at a time, through one reused buffer of levels.
+const poolBlock = 512
+
+// PoolScores is what RSp and RSb read of the scored configuration pool
+// X_p of Algorithms 1 and 2; the pool itself is never kept.
+type PoolScores struct {
+	// Drawn is the pool's size: n, or the space's size when that is
+	// smaller.
+	Drawn int
+	// Cutoff is RSp's Δ: the deltaPct quantile of the pool's predictions.
+	Cutoff float64
+	// Best is the min(k, Drawn) pool configurations with the smallest
+	// predictions, in (prediction, index) order: RSb's evaluation
+	// sequence.
+	Best []space.Config
 }
 
-// ScorePool draws n configurations of spc from poolR (SamplePool) and
-// scores every one with m (ScoreConfigs).
-func ScorePool(spc *space.Space, m Model, n int, poolR *rng.RNG) ScoredPool {
-	pool := spc.SamplePool(n, poolR)
-	return ScoredPool{Pool: pool, Preds: ScoreConfigs(m, spc, pool)}
-}
-
-// Cutoff is RSp's Δ: the deltaPct quantile of the pool's predictions.
-func (sp ScoredPool) Cutoff(deltaPct float64) float64 {
-	return stats.Quantile(sp.Preds, deltaPct/100)
-}
-
-// Best returns the min(k, len(Pool)) configurations with the smallest
-// predictions, in (prediction, index) order: RSb's evaluation sequence.
-func (sp ScoredPool) Best(k int) []space.Config {
-	order := smallestFirst(sp.Preds, k)
-	best := make([]space.Config, len(order))
-	for i, j := range order {
-		best[i] = sp.Pool[j]
+// ScorePool draws the pool spc.SamplePool(n, poolR) would return, with
+// the same draws, and scores every configuration with m (ScoreConfigs).
+// It streams the pool: poolBlock configurations at a time are drawn
+// into one reused buffer and scored, their predictions are appended to
+// one slice for the Cutoff, and only the k best are copied out. Memory
+// is O(n) predictions and sampler keys (about a byte per level) plus
+// O(k + poolBlock) configurations, never the pool. Each prediction
+// depends on its configuration alone, so the result is the materialised
+// pool's, bit for bit.
+func ScorePool(spc *space.Space, m Model, n, k int, deltaPct float64, poolR *rng.RNG) PoolScores {
+	whole := float64(n) >= spc.Size()
+	size := max(n, 0)
+	if whole {
+		size = int(spc.Size())
 	}
-	return best
+	preds := make([]float64, 0, size)
+	best := newSmallestFirst(min(k, size))
+	score := func(block []space.Config) {
+		for i, pred := range ScoreConfigs(m, spc, block) {
+			best.offer(pred, block[i])
+			preds = append(preds, pred)
+		}
+	}
+	if whole {
+		// A pool as large as the space is the whole space in mixed-radix
+		// order (SamplePool), and such a space is small.
+		for all := spc.Enumerate(); len(all) > 0; {
+			b := min(poolBlock, len(all))
+			score(all[:b])
+			all = all[b:]
+		}
+	} else {
+		np := spc.NumParams()
+		block := make([]space.Config, min(poolBlock, size))
+		levels := make([]int, len(block)*np)
+		for i := range block {
+			block[i] = levels[i*np : (i+1)*np : (i+1)*np]
+		}
+		sm := space.NewSampler(spc, poolR)
+		for len(preds) < size {
+			block := block[:min(len(block), size-len(preds))]
+			for _, c := range block {
+				// Never false: size < spc.Size() configurations in all.
+				sm.NextInto(c)
+			}
+			score(block)
+		}
+	}
+	return PoolScores{Drawn: len(preds), Cutoff: stats.Quantile(preds, deltaPct/100), Best: best.sorted()}
 }
 
 // DefaultDeltaPct is the paper's pruning-cutoff quantile percentage.
@@ -176,12 +213,13 @@ func (o RSpOptions) withDefaults() RSpOptions {
 // The pool is drawn from poolR and scored with m (ScorePool).
 func RSp(ctx context.Context, p Problem, m Model, opt RSpOptions, r, poolR *rng.RNG) *Result {
 	sw := obs.StartTimer()
-	sp := ScorePool(p.Space(), m, opt.withDefaults().PoolSize, poolR)
-	obs.FromContext(ctx).ModelPredict("RSp", "pool-score", len(sp.Pool), sw.Elapsed())
-	return RSpScored(ctx, p, m, sp.Cutoff(opt.withDefaults().DeltaPct), opt, r)
+	d := opt.withDefaults()
+	sp := ScorePool(p.Space(), m, d.PoolSize, 0, d.DeltaPct, poolR)
+	obs.FromContext(ctx).ModelPredict("RSp", "pool-score", sp.Drawn, sw.Elapsed())
+	return RSpScored(ctx, p, m, sp.Cutoff, opt, r)
 }
 
-// RSpScored is RSp with its cutoff Δ given (ScoredPool.Cutoff);
+// RSpScored is RSp with its cutoff Δ given (PoolScores.Cutoff);
 // opt.PoolSize is unused. Given the cutoff of the pool RSp would draw
 // from poolR with the same model, it returns exactly what RSp returns.
 func RSpScored(ctx context.Context, p Problem, m Model, cutoff float64, opt RSpOptions, r *rng.RNG) *Result {
@@ -212,10 +250,10 @@ func RSpScored(ctx context.Context, p Problem, m Model, cutoff float64, opt RSpO
 	// At most 100*NMax candidates are examined, evaluated or skipped, so
 	// an over-aggressive cutoff cannot loop forever.
 	sampler := space.NewSampler(spc, r)
+	c := make(space.Config, spc.NumParams()) // evaluate copies what it keeps
 	considered := 0
 	for len(run.res.Records) < opt.NMax && considered < 100*opt.NMax && ctx.Err() == nil {
-		c, ok := sampler.Next()
-		if !ok {
+		if !sampler.NextInto(c) {
 			break
 		}
 		considered++
@@ -256,57 +294,85 @@ func (o RSbOptions) withDefaults() RSbOptions {
 func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG) *Result {
 	opt = opt.withDefaults()
 	sw := obs.StartTimer()
-	sp := ScorePool(p.Space(), m, opt.PoolSize, poolR)
-	obs.FromContext(ctx).ModelPredict("RSb", "pool-score", len(sp.Pool), sw.Elapsed())
-	return Replay(ctx, p, sp.Best(opt.NMax), "RSb")
+	sp := ScorePool(p.Space(), m, opt.PoolSize, opt.NMax, DefaultDeltaPct, poolR)
+	obs.FromContext(ctx).ModelPredict("RSb", "pool-score", sp.Drawn, sw.Elapsed())
+	return Replay(ctx, p, sp.Best, "RSb")
 }
 
-// smallestFirst returns the indices of the min(k, len(preds)) smallest
-// predictions in ascending order. Ties go to the lower index: (pred,
-// index) is a total order, so the result is the prefix of the stable
-// sort of all indices by prediction. It keeps the k best seen so far in
-// a max-heap, so the cost is O(n log k) rather than a sort of all n, and
-// it reads preds only, so a shared pool stays untouched.
-func smallestFirst(preds []float64, k int) []int32 {
-	order := func(a, b int32) int {
-		if c := cmp.Compare(preds[a], preds[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
+// smallestFirst keeps the k configurations with the smallest
+// predictions offered so far, in a max-heap by (prediction, index). Ties
+// go to the lower index: (prediction, index) is a total order
+// (cmp.Compare puts NaN first), so the result is the prefix of the
+// stable sort of every offered configuration by prediction. Selecting
+// from n costs O(n log k). The heap owns at most k copies of
+// configurations: a configuration is copied only when it enters the
+// heap, into an evicted configuration's copy once the heap is full.
+type smallestFirst struct {
+	heap    []rankedConfig // heap[0] is the largest kept
+	offered int
+}
+
+// rankedConfig is a configuration in the heap, its prediction and its
+// index in the order the configurations were offered.
+type rankedConfig struct {
+	pred float64
+	idx  int
+	c    space.Config
+}
+
+func newSmallestFirst(k int) *smallestFirst {
+	return &smallestFirst{heap: make([]rankedConfig, 0, k)}
+}
+
+func compareRanked(a, b rankedConfig) int {
+	if c := cmp.Compare(a.pred, b.pred); c != 0 {
+		return c
 	}
-	// heap[0] is the largest of the kept indices; siftDown restores that
-	// below position i.
-	heap := make([]int32, 0, min(k, len(preds)))
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(heap) {
-				return
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// offer considers c, with prediction pred, as the next configuration in
+// index order. The heap keeps no reference to c.
+func (h *smallestFirst) offer(pred float64, c space.Config) {
+	e := rankedConfig{pred: pred, idx: h.offered}
+	h.offered++
+	switch {
+	case len(h.heap) < cap(h.heap):
+		e.c = slices.Clone(c)
+		h.heap = append(h.heap, e)
+		for j := len(h.heap) - 1; j > 0 && compareRanked(h.heap[j], h.heap[(j-1)/2]) > 0; j = (j - 1) / 2 {
+			h.heap[j], h.heap[(j-1)/2] = h.heap[(j-1)/2], h.heap[j]
+		}
+	case len(h.heap) > 0 && compareRanked(e, h.heap[0]) < 0:
+		e.c = h.heap[0].c
+		copy(e.c, c)
+		h.heap[0] = e
+		for i := 0; ; {
+			j := 2*i + 1
+			if j >= len(h.heap) {
+				break
 			}
-			if c+1 < len(heap) && order(heap[c+1], heap[c]) > 0 {
-				c++
+			if j+1 < len(h.heap) && compareRanked(h.heap[j+1], h.heap[j]) > 0 {
+				j++
 			}
-			if order(heap[c], heap[i]) <= 0 {
-				return
+			if compareRanked(h.heap[j], h.heap[i]) <= 0 {
+				break
 			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
+			h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
+			i = j
 		}
 	}
-	for i := range preds {
-		switch {
-		case len(heap) < cap(heap):
-			heap = append(heap, int32(i))
-			for j := len(heap) - 1; j > 0 && order(heap[j], heap[(j-1)/2]) > 0; j = (j - 1) / 2 {
-				heap[j], heap[(j-1)/2] = heap[(j-1)/2], heap[j]
-			}
-		case len(heap) > 0 && order(int32(i), heap[0]) < 0:
-			heap[0] = int32(i)
-			siftDown(0)
-		}
+}
+
+// sorted returns the kept configurations in ascending (prediction,
+// index) order.
+func (h *smallestFirst) sorted() []space.Config {
+	slices.SortFunc(h.heap, compareRanked)
+	out := make([]space.Config, len(h.heap))
+	for i, e := range h.heap {
+		out[i] = e.c
 	}
-	slices.SortFunc(heap, order)
-	return heap
+	return out
 }
 
 // RSpf is the model-free pruning control: it computes the cutoff from the

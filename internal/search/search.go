@@ -323,12 +323,15 @@ func (r *runner) skip(seq int, c space.Config, pred, cutoff float64) {
 // result, or a resumed run could never reproduce it) and the caller
 // must stop the search.
 func (r *runner) evaluate(ctx context.Context, c space.Config) (Record, bool) {
+	// The problem and the record get a copy no one writes to, so a caller
+	// may reuse c's buffer.
+	c = c.Clone()
 	out := EvaluateFull(ctx, r.p, c)
 	if out.Interrupted() {
 		return Record{}, false
 	}
 	rec := Record{
-		Config: c.Clone(), RunTime: out.RunTime, Cost: out.Cost,
+		Config: c, RunTime: out.RunTime, Cost: out.Cost,
 		Elapsed: r.elapsed() + out.Cost,
 		Status:  out.Status, Retries: out.Retries,
 	}
@@ -361,9 +364,9 @@ func RS(ctx context.Context, p Problem, nmax int, r *rng.RNG) *Result {
 	sampler := space.NewSampler(p.Space(), r)
 	run.start(ctx)
 	defer run.finish()
+	c := make(space.Config, p.Space().NumParams()) // evaluate copies what it keeps
 	for len(run.res.Records) < nmax && ctx.Err() == nil {
-		c, ok := sampler.Next()
-		if !ok {
+		if !sampler.NextInto(c) {
 			break
 		}
 		if _, ok := run.evaluate(ctx, c); !ok {

@@ -337,6 +337,42 @@ func TestDriveNoDuplicateEvaluations(t *testing.T) {
 	}
 }
 
+// checkRecordsMatchEvaluation fails unless every record's configuration
+// re-evaluates to the record's run time: a record whose levels changed
+// after its evaluation (a technique's reused buffer) fails it.
+func checkRecordsMatchEvaluation(t *testing.T, p Problem, res *Result) {
+	t.Helper()
+	for i, rec := range res.Records {
+		if run, _ := p.Evaluate(rec.Config); math.Float64bits(run) != math.Float64bits(rec.RunTime) {
+			t.Fatalf("%s record %d: config %v re-evaluates to %v, recorded %v", res.Algorithm, i, rec.Config, run, rec.RunTime)
+		}
+	}
+}
+
+// TestTechniquesReuseProposalBuffers pins that a started SA, GA or
+// pattern search proposes and takes reports without allocating, so a
+// duplicate proposal, which Drive answers from its cache, makes no
+// garbage; and that Drive keeps copies, not the reused buffers.
+func TestTechniquesReuseProposalBuffers(t *testing.T) {
+	p := newBowl()
+	for _, tech := range []Technique{
+		NewAnneal(p.Space(), rng.New(96), 0.95),
+		NewGenetic(p.Space(), rng.New(97), 8, 0.15),
+		NewPattern(p.Space(), rng.New(98), 4),
+	} {
+		res := Drive(context.Background(), p, tech, 40)
+		checkRecordsMatchEvaluation(t, p, res)
+		allocs := testing.AllocsPerRun(100, func() {
+			if c, ok := tech.Propose(); ok {
+				tech.Report(c, math.MaxFloat64)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per proposal and report, want 0", tech.Name(), allocs)
+		}
+	}
+}
+
 func TestRandomTechnique(t *testing.T) {
 	p := newBowl()
 	res := Drive(context.Background(), p, NewRandomTechnique(p.Space(), rng.New(95)), 50)

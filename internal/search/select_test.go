@@ -39,10 +39,12 @@ func tieHeavyPreds(n, distinct int, r *rng.RNG) []float64 {
 	return preds
 }
 
-// TestSmallestFirstMatchesSort: the bounded selection returns exactly the
-// first min(k, n) indices of the full sort by (prediction, index), on
+// TestSmallestFirstMatchesSort: the bounded heap keeps exactly the
+// first min(k, n) entries of the full sort by (prediction, index), on
 // tie-heavy predictions, with k below, at and above n, and with NaN and
-// infinite predictions ordered as cmp.Compare orders them.
+// infinite predictions ordered as cmp.Compare orders them. Each offered
+// configuration is the one-level configuration {i}, overwritten after
+// the offer, so the result also shows the heap copies what it keeps.
 func TestSmallestFirstMatchesSort(t *testing.T) {
 	r := rng.New(24)
 	for _, n := range []int{0, 1, 2, 5, 64, 1000} {
@@ -56,9 +58,112 @@ func TestSmallestFirstMatchesSort(t *testing.T) {
 				if k < 0 {
 					continue
 				}
-				got := smallestFirst(preds, k)
+				h, c := newSmallestFirst(min(k, n)), make(space.Config, 1)
+				for i, pred := range preds {
+					c[0] = i
+					h.offer(pred, c)
+					c[0] = -1
+				}
+				got := make([]int32, 0, min(k, n))
+				for _, c := range h.sorted() {
+					got = append(got, int32(c[0]))
+				}
 				if !slices.Equal(got, want[:min(k, n)]) {
 					t.Fatalf("n=%d distinct=%d k=%d: got %v, want %v", n, distinct, k, got, want[:min(k, n)])
+				}
+			}
+		}
+	}
+}
+
+// stubModel predicts from a hash of the encoded configuration: one of
+// distinct values, or now and then NaN or ±Inf, so a scored pool is
+// tie-heavy and holds every kind of value cmp.Compare orders.
+type stubModel struct{ distinct uint64 }
+
+func (m stubModel) Predict(x []float64) float64 {
+	h := uint64(14695981039346656037)
+	for _, v := range x {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	switch h = rng.New(h).Uint64(); h % 32 {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	}
+	return float64(h/32%m.distinct) * 0.25
+}
+
+// materialisedPool is the oracle for ScorePool, the code it replaced:
+// draw the whole pool with SamplePool, score every entry, and take the
+// cutoff and a stable sort's prefix from the full arrays.
+func materialisedPool(spc *space.Space, m Model, n, k int, deltaPct float64, r *rng.RNG) PoolScores {
+	pool := spc.SamplePool(n, r)
+	preds := make([]float64, len(pool))
+	for i, c := range pool {
+		preds[i] = m.Predict(spc.Encode(c))
+	}
+	best := make([]space.Config, min(k, len(pool)))
+	for i, j := range stableOrder(preds)[:len(best)] {
+		best[i] = pool[j]
+	}
+	return PoolScores{Drawn: len(pool), Cutoff: stats.Quantile(preds, deltaPct/100), Best: best}
+}
+
+// checkPoolScores compares a streamed pool with the oracle's bit for bit.
+func checkPoolScores(t *testing.T, name string, got, want PoolScores) {
+	t.Helper()
+	if got.Drawn != want.Drawn || len(got.Best) != len(want.Best) {
+		t.Fatalf("%s: drew %d and kept %d, want %d and %d", name, got.Drawn, len(got.Best), want.Drawn, len(want.Best))
+	}
+	if math.Float64bits(got.Cutoff) != math.Float64bits(want.Cutoff) {
+		t.Fatalf("%s: cutoff %v, want %v", name, got.Cutoff, want.Cutoff)
+	}
+	for i, c := range got.Best {
+		if !slices.Equal(c, want.Best[i]) {
+			t.Fatalf("%s: best[%d] is %v, want %v", name, i, c, want.Best[i])
+		}
+	}
+}
+
+// TestScorePoolMatchesMaterialisedPool: the streamed pool draws, scores
+// and selects exactly what the materialised pool did, for pool sizes
+// around the block size and at the paper's N, for budgets from none to
+// more than the pool, on a space too large to enumerate, on spaces no
+// larger than the pool (the Enumerate path) and on a space the sampler
+// drains into its exhaustive fallback; and the pool stream is left
+// where SamplePool leaves it.
+func TestScorePoolMatchesMaterialisedPool(t *testing.T) {
+	const nmax = 100
+	wide := space.New(
+		space.NewIntRange("a", 0, 9), space.NewIntRange("b", 1, 4), space.NewPowerOfTwo("c", 0, 6),
+		space.NewBoolean("d"), space.NewCategorical("e", "x", "y", "z"), space.NewIntRange("f", 0, 9),
+		space.NewBoolean("g"), space.NewExplicit("h", 3, 5, 8, 13), space.NewIntRange("i", 0, 2),
+	)
+	small := space.New(space.NewIntRange("a", 0, 2), space.NewIntRange("b", 0, 3), space.NewBoolean("c"))
+	tiny := space.New(space.NewIntRange("a", 0, 9), space.NewIntRange("b", 0, 9), space.NewIntRange("c", 0, 9))
+	for _, tc := range []struct {
+		name string
+		spc  *space.Space
+		ns   []int
+	}{
+		{"wide", wide, []int{0, 1, poolBlock - 1, poolBlock, poolBlock + 1, 3*poolBlock + 7, 10000}},
+		{"small", small, []int{23, 24, 25, 100}},
+		{"tiny", tiny, []int{999, 1000}},
+	} {
+		for _, n := range tc.ns {
+			for _, k := range []int{0, 1, nmax, n, n + 50} {
+				for _, delta := range []float64{1, 20, 99} {
+					name := fmt.Sprintf("%s n=%d k=%d δ=%g", tc.name, n, k, delta)
+					m := stubModel{distinct: 5}
+					r1, r2 := rng.New(uint64(n)), rng.New(uint64(n))
+					checkPoolScores(t, name, ScorePool(tc.spc, m, n, k, delta, r1), materialisedPool(tc.spc, m, n, k, delta, r2))
+					if r1.Uint64() != r2.Uint64() {
+						t.Fatalf("%s: the pool stream is not where SamplePool leaves it", name)
+					}
 				}
 			}
 		}
@@ -80,7 +185,7 @@ func (c *cancelAfter) Evaluate(cfg space.Config) (float64, float64) {
 	return run, cost
 }
 
-// stableOrder is the oracle for ScoredPool.Best: every pool index, in
+// stableOrder is the oracle for ScorePool's Best: every pool index, in
 // the order a stable sort by prediction alone leaves them (cmp.Less puts
 // NaN first, as cmp.Compare does).
 func stableOrder(preds []float64) []int {
@@ -93,18 +198,23 @@ func stableOrder(preds []float64) []int {
 }
 
 // TestPoolBestAndCutoffMatchOracles: on a tie-heavy pool with NaN and
-// infinite predictions, Best(k) is the prefix of a full stable sort, for
-// k below, at and above both the budget and the pool size, and Cutoff is
-// stats.Quantile of the predictions at δ/100, bit for bit.
+// infinite predictions, Best for budget k is the prefix of a full stable
+// sort of the predictions, for k below, at and above both the budget and
+// the pool size, and Cutoff is stats.Quantile of the predictions at
+// δ/100, bit for bit.
 func TestPoolBestAndCutoffMatchOracles(t *testing.T) {
 	const nmax = 100
-	pool := newBowl().Space().SamplePool(400, rng.New(11))
-	for _, distinct := range []int{1, 4, 50} {
-		sp := ScoredPool{Pool: pool, Preds: tieHeavyPreds(len(pool), distinct, rng.New(12))}
-		sp.Preds[7], sp.Preds[90], sp.Preds[91], sp.Preds[300] = math.NaN(), math.Inf(-1), math.Inf(1), math.NaN()
-		want := stableOrder(sp.Preds)
+	spc := newBowl().Space()
+	pool := spc.SamplePool(400, rng.New(11))
+	for _, distinct := range []uint64{1, 4, 50} {
+		m := stubModel{distinct: distinct}
+		preds := make([]float64, len(pool))
+		for i, c := range pool {
+			preds[i] = m.Predict(spc.Encode(c))
+		}
+		want := stableOrder(preds)
 		for _, k := range []int{1, nmax - 1, nmax, len(pool), len(pool) + 50} {
-			got := sp.Best(k)
+			got := ScorePool(spc, m, len(pool), k, DefaultDeltaPct, rng.New(11)).Best
 			if len(got) != min(k, len(pool)) {
 				t.Fatalf("distinct=%d k=%d: %d configurations, want %d", distinct, k, len(got), min(k, len(pool)))
 			}
@@ -115,7 +225,7 @@ func TestPoolBestAndCutoffMatchOracles(t *testing.T) {
 			}
 		}
 		for _, delta := range []float64{1, 20, 50, 99} {
-			got, want := sp.Cutoff(delta), stats.Quantile(sp.Preds, delta/100)
+			got, want := ScorePool(spc, m, len(pool), 0, delta, rng.New(11)).Cutoff, stats.Quantile(preds, delta/100)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("distinct=%d δ=%g: cutoff %v, want %v", distinct, delta, got, want)
 			}
@@ -131,8 +241,13 @@ func TestPoolBestAndCutoffMatchOracles(t *testing.T) {
 func TestRSbScoredEvaluatesSortedPrefix(t *testing.T) {
 	spc := newBowl().Space()
 	pool := spc.SamplePool(400, rng.New(5))
-	sp := ScoredPool{Pool: pool, Preds: tieHeavyPreds(len(pool), 4, rng.New(6))}
-	want := sortedOrder(sp.Preds)
+	m := stubModel{distinct: 4}
+	preds := make([]float64, len(pool))
+	for i, c := range pool {
+		preds[i] = m.Predict(spc.Encode(c))
+	}
+	want := sortedOrder(preds)
+	best := func(k int) []space.Config { return ScorePool(spc, m, len(pool), k, DefaultDeltaPct, rng.New(5)).Best }
 	check := func(name string, res *Result, n int) {
 		t.Helper()
 		if res.Algorithm != "RSb" || len(res.Records) != n {
@@ -145,13 +260,13 @@ func TestRSbScoredEvaluatesSortedPrefix(t *testing.T) {
 		}
 	}
 	for _, nmax := range []int{1, 37, len(pool), len(pool) + 50} {
-		res := Replay(context.Background(), newBowl(), sp.Best(nmax), "RSb")
+		res := Replay(context.Background(), newBowl(), best(nmax), "RSb")
 		check(fmt.Sprintf("nmax-%d", nmax), res, min(nmax, len(pool)))
 	}
 	for _, stop := range []int{1, 20} {
 		ctx, cancel := context.WithCancel(context.Background())
 		p := &cancelAfter{bowl: newBowl(), n: stop, cancel: cancel}
-		res := Replay(ctx, p, sp.Best(100), "RSb")
+		res := Replay(ctx, p, best(100), "RSb")
 		cancel()
 		check(fmt.Sprintf("cancelled-after-%d", stop), res, stop)
 	}

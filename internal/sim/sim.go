@@ -146,15 +146,36 @@ func (md *Model) autoVariant() (structural, error) {
 	return md.auto, md.autoErr
 }
 
+// variants holds scratch nests for structuralTime: a transformed variant
+// lives only for the call that analyzes it.
+var variants = sync.Pool{New: func() any { return new(ir.Nest) }}
+
+// getVariant returns a scratch nest holding base transformed by spec;
+// putVariant hands it back.
+func getVariant(base *ir.Nest, spec transform.Spec) (*ir.Nest, error) {
+	n := variants.Get().(*ir.Nest)
+	if err := transform.ApplyTo(n, base, spec); err != nil {
+		putVariant(n)
+		return nil, err
+	}
+	return n, nil
+}
+
+func putVariant(n *ir.Nest) {
+	*n = ir.Nest{Loops: n.Loops[:0]}
+	variants.Put(n)
+}
+
 // structuralTime models the variant's serial execution time without the
 // code-generation lottery, efficiency floor, parallelization, or
 // measurement noise. manual is manualMagnitude(spec).
 func (md *Model) structuralTime(spec transform.Spec, manual float64) (structural, error) {
 	eff, own := md.effectiveSpec(spec)
-	nest, err := transform.Apply(md.base, eff)
+	nest, err := getVariant(md.base, eff)
 	if err != nil {
 		return structural{}, err
 	}
+	defer putVariant(nest)
 
 	m := md.m
 	an, err := cache.Analyze(nest, cache.Params{
@@ -265,9 +286,10 @@ func (md *Model) structuralTime(spec transform.Spec, manual float64) (structural
 	// just analyzed.
 	userNest := nest
 	if !own {
-		if userNest, err = transform.Apply(md.base, spec); err != nil {
+		if userNest, err = getVariant(md.base, spec); err != nil {
 			return structural{}, err
 		}
+		defer putVariant(userNest)
 	}
 	parTrip, parTri, err := parallelLoop(userNest)
 	if err != nil {

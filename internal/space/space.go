@@ -316,6 +316,20 @@ func keyLen(c Config) int {
 	return n
 }
 
+// AppendCompactKey appends c to dst as one uvarint per level and returns
+// the extended buffer. Uvarints are a prefix code, so distinct
+// configurations get distinct keys: a set keyed by them is as exact as
+// one keyed by Key, at about a byte per level instead of a rendered
+// decimal, and a lookup m[string(buf)] through a reused buffer does not
+// allocate. Key stays the persisted format; compact keys are for sets
+// that live in memory only.
+func (c Config) AppendCompactKey(dst []byte) []byte {
+	for _, v := range c {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	return dst
+}
+
 // Hash returns a stable 64-bit hash of the configuration under a tag.
 func (c Config) Hash(tag string) uint64 { return rng.HashInts64(tag, c) }
 
@@ -442,10 +456,15 @@ func (s *Space) Default() Config { return make(Config, len(s.params)) }
 // Random returns a uniform random configuration.
 func (s *Space) Random(r *rng.RNG) Config {
 	c := make(Config, len(s.params))
-	for i := range s.params {
-		c[i] = r.Intn(len(s.params[i].levels))
-	}
+	s.randomInto(c, r)
 	return c
+}
+
+// randomInto writes Random's draws into dst, which holds NumParams levels.
+func (s *Space) randomInto(dst Config, r *rng.RNG) {
+	for i := range s.params {
+		dst[i] = r.Intn(len(s.params[i].levels))
+	}
 }
 
 // Sampler samples configurations uniformly at random without replacement.
@@ -466,18 +485,10 @@ func NewSampler(s *Space, r *rng.RNG) *Sampler {
 	return &Sampler{space: s, r: r, seen: make(map[string]struct{})}
 }
 
-// compactKey renders c into the sampler's scratch as one uvarint per
-// level. Uvarints are a prefix code, so distinct configurations get
-// distinct keys: membership is as exact as with Config.Key, at about a
-// byte per level instead of a rendered decimal. Config.Key stays the
-// persisted format; these keys never leave the sampler.
+// compactKey renders c into the sampler's scratch with AppendCompactKey.
 func (sm *Sampler) compactKey(c Config) []byte {
-	b := sm.buf[:0]
-	for _, v := range c {
-		b = binary.AppendUvarint(b, uint64(v))
-	}
-	sm.buf = b
-	return b
+	sm.buf = c.AppendCompactKey(sm.buf[:0])
+	return sm.buf
 }
 
 // Exclude marks a configuration as already used.
@@ -507,45 +518,57 @@ func (sm *Sampler) Drawn() int { return len(sm.seen) }
 // Next returns a configuration not previously returned or excluded.
 // ok is false when the space is exhausted.
 func (sm *Sampler) Next() (Config, bool) {
-	if float64(len(sm.seen)) >= sm.space.Size() {
+	c := make(Config, sm.space.NumParams())
+	if !sm.NextInto(c) {
 		return nil, false
+	}
+	return c, true
+}
+
+// NextInto is Next drawing into dst, which must hold NumParams levels:
+// it makes the same draws, returns the same configuration in dst and
+// reports false, leaving dst unspecified, when the space is exhausted. A
+// caller drawing many configurations can reuse one buffer; the sampler
+// keeps no reference to dst.
+func (sm *Sampler) NextInto(dst Config) bool {
+	if float64(len(sm.seen)) >= sm.space.Size() {
+		return false
 	}
 	// Rejection sampling; with |seen| ≤ nmax ≈ 100 and spaces of 1e8-1e12,
 	// collisions are essentially nonexistent. For tiny test spaces the
 	// fallback below guarantees termination.
 	for attempt := 0; attempt < 64; attempt++ {
-		if c := sm.space.Random(sm.r); sm.claim(c) {
-			return c, true
+		if sm.space.randomInto(dst, sm.r); sm.claim(dst) {
+			return true
 		}
 	}
-	return sm.exhaustiveNext()
+	return sm.exhaustiveNext(dst)
 }
 
-// exhaustiveNext enumerates the space in mixed-radix order to find the
-// k-th unseen configuration for a uniformly drawn k. Only reachable when
-// the space is small and mostly consumed.
-func (sm *Sampler) exhaustiveNext() (Config, bool) {
+// exhaustiveNext enumerates the space in mixed-radix order, in dst, to
+// find the k-th unseen configuration for a uniformly drawn k. Only
+// reachable when the space is small and mostly consumed.
+func (sm *Sampler) exhaustiveNext(dst Config) bool {
 	total := int(sm.space.Size())
 	remaining := total - len(sm.seen)
 	if remaining <= 0 {
-		return nil, false
+		return false
 	}
 	target := sm.r.Intn(remaining)
-	c := sm.space.Default()
+	clear(dst)
 	for i := 0; i < total; i++ {
-		if !sm.Seen(c) {
+		if !sm.Seen(dst) {
 			if target == 0 {
-				out := c.Clone()
-				sm.Exclude(out)
-				return out, true
+				sm.Exclude(dst)
+				return true
 			}
 			target--
 		}
-		if !sm.space.increment(c) {
+		if !sm.space.increment(dst) {
 			break
 		}
 	}
-	return nil, false
+	return false
 }
 
 // increment advances c to the next configuration in mixed-radix order,

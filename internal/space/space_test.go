@@ -178,6 +178,81 @@ func TestSamplerNoRepeats(t *testing.T) {
 	}
 }
 
+// oldNext is the draw loop Next had before NextInto: a fresh Random
+// configuration per attempt, and an exhaustive fallback that clones the
+// configuration it finds.
+func oldNext(sm *Sampler) (Config, bool) {
+	if float64(len(sm.seen)) >= sm.space.Size() {
+		return nil, false
+	}
+	for attempt := 0; attempt < 64; attempt++ {
+		if c := sm.space.Random(sm.r); sm.claim(c) {
+			return c, true
+		}
+	}
+	total := int(sm.space.Size())
+	remaining := total - len(sm.seen)
+	if remaining <= 0 {
+		return nil, false
+	}
+	target := sm.r.Intn(remaining)
+	c := sm.space.Default()
+	for i := 0; i < total; i++ {
+		if !sm.Seen(c) {
+			if target == 0 {
+				out := c.Clone()
+				sm.Exclude(out)
+				return out, true
+			}
+			target--
+		}
+		if !sm.space.increment(c) {
+			break
+		}
+	}
+	return nil, false
+}
+
+// TestNextIntoMatchesNext: NextInto into one reused buffer, Next, and
+// the draw loop Next had before NextInto return the same sequence from
+// equal streams, through the exhaustive fallback of spaces drained to
+// the last configuration (with one configuration excluded up front),
+// report exhaustion together, and leave the streams aligned.
+func TestNextIntoMatchesNext(t *testing.T) {
+	for _, s := range []*Space{
+		smallSpace(),
+		New(NewIntRange("a", 0, 9), NewIntRange("b", 0, 9), NewIntRange("c", 0, 9)),
+		New(NewBoolean("a")),
+	} {
+		r1, r2, r3 := rng.New(8), rng.New(8), rng.New(8)
+		into, next, old := NewSampler(s, r1), NewSampler(s, r2), NewSampler(s, r3)
+		for _, sm := range []*Sampler{into, next, old} {
+			sm.Exclude(s.Default())
+		}
+		buf := make(Config, s.NumParams())
+		for i := 0; ; i++ {
+			ok1 := into.NextInto(buf)
+			c2, ok2 := next.Next()
+			c3, ok3 := oldNext(old)
+			if ok1 != ok2 || ok1 != ok3 {
+				t.Fatalf("%v: draw %d: ok %v %v %v", s.Names(), i, ok1, ok2, ok3)
+			}
+			if !ok1 {
+				if i != int(s.Size())-1 {
+					t.Fatalf("%v: exhausted after %d draws, want %v", s.Names(), i, s.Size()-1)
+				}
+				break
+			}
+			if buf.Key() != c2.Key() || c2.Key() != c3.Key() {
+				t.Fatalf("%v: draw %d: NextInto %v, Next %v, old Next %v", s.Names(), i, buf, c2, c3)
+			}
+		}
+		if a, b, c := r1.Uint64(), r2.Uint64(), r3.Uint64(); a != b || a != c {
+			t.Fatalf("%v: streams not aligned after the drain", s.Names())
+		}
+	}
+}
+
 func TestSamplerExcludeRespected(t *testing.T) {
 	s := New(NewIntRange("a", 0, 3))
 	sm := NewSampler(s, rng.New(3))

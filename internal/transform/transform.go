@@ -11,6 +11,7 @@ package transform
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -213,6 +214,18 @@ type Spec struct {
 // own Loops and shares Body, Arrays and Sizes with base: no transformation
 // writes those.
 func Apply(base *ir.Nest, spec Spec) (*ir.Nest, error) {
+	n := new(ir.Nest)
+	if err := ApplyTo(n, base, spec); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// ApplyTo is Apply writing the transformed copy into n, whose Loops
+// buffer it reuses, so a caller that transforms variants one after
+// another can keep one scratch nest. It overwrites all of n; on error n
+// holds no meaningful nest.
+func ApplyTo(n *ir.Nest, base *ir.Nest, spec Spec) error {
 	vars := spec.Order
 	if len(vars) == 0 {
 		for _, l := range base.Loops {
@@ -220,22 +233,21 @@ func Apply(base *ir.Nest, spec Spec) (*ir.Nest, error) {
 		}
 	}
 	// Each variable strip-mines at most twice (cache and register tile).
-	loops := make([]ir.Loop, len(base.Loops), len(base.Loops)+2*len(vars))
-	copy(loops, base.Loops)
-	n := &ir.Nest{Name: base.Name, Loops: loops, Body: base.Body, Arrays: base.Arrays, Sizes: base.Sizes}
+	loops := slices.Grow(append(n.Loops[:0], base.Loops...), 2*len(vars))
+	*n = ir.Nest{Name: base.Name, Loops: loops, Body: base.Body, Arrays: base.Arrays, Sizes: base.Sizes}
 
 	tiles := make([]int, len(vars))
 	for i, v := range vars {
 		tiles[i] = spec.CacheTiles.Get(v)
 	}
 	if err := CacheTile(n, vars, tiles); err != nil {
-		return nil, err
+		return err
 	}
 
 	for _, v := range vars {
 		if rt := spec.RegTiles.Get(v); rt > 1 {
 			if err := RegisterTile(n, v, rt); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -247,13 +259,13 @@ func Apply(base *ir.Nest, spec Spec) (*ir.Nest, error) {
 				continue // already fully unrolled by unroll-and-jam
 			}
 			if err := Unroll(n, v, u); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 
 	if err := n.Validate(); err != nil {
-		return nil, fmt.Errorf("transform: result of spec invalid: %w", err)
+		return fmt.Errorf("transform: result of spec invalid: %w", err)
 	}
-	return n, nil
+	return nil
 }
