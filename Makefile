@@ -67,14 +67,15 @@ bench-parallel:
 # path), end-to-end RSp/RSb searches, one paper-scale transfer run
 # (source RS, fit, shared pool, five target runs), the isolated
 # pool-scoring prelude those searches pay up front, the paper-scale pool draw on the
-# smallest (LU) and largest (RT) spaces, forest fit and prediction, and the
+# smallest (LU) and largest (RT) spaces, the surrogate fit on encoded T_a
+# (LU and RT, with Forest.Compile timed alone), forest fit and prediction, and the
 # full-module repolint analysis gate (parse + type-check + all nine
 # analyzers, so gate latency joins the tracked trajectory) — and
 # converts the combined output into BENCH_PR10.json (committed as the
 # PR's trajectory point; CI regenerates and uploads it). bench-raw.txt
 # keeps the raw `go test -bench` lines. The RSp/RSb, transfer, pool,
-# sample-pool and forest lines pass -benchmem, so their entries carry B/op
-# and allocs/op.
+# sample-pool, surrogate-fit and forest lines pass -benchmem, so their
+# entries carry B/op and allocs/op.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkRemoteDispatch' -benchtime 2x ./internal/broker/remote/ > bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributedTrace' -benchtime 2x ./internal/broker/remote/ >> bench-raw.txt
@@ -82,6 +83,7 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkTransferRun' -benchmem -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolScoring' -benchmem -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSamplePool' -benchmem -benchtime 2x . >> bench-raw.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkSurrogateFit' -benchmem -benchtime 2x . >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkForest(Fit|Predict)' -benchmem -benchtime 2x ./internal/forest/ >> bench-raw.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRepolint' -benchtime 2x ./internal/analysis/ >> bench-raw.txt
 	$(GO) run ./cmd/benchjson -o BENCH_PR10.json < bench-raw.txt

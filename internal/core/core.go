@@ -100,6 +100,11 @@ func (s *Surrogate) ConfigScorer(spc *space.Space) func(space.Config) float64 {
 	return s.compiled.Scorer().Predict
 }
 
+// Workers implements search.ConfigModel: the forest's own bound on its
+// goroutines (forest.Params.Workers), so a pool is scored under the
+// bound the surrogate was fitted with.
+func (s *Surrogate) Workers() int { return s.Forest.Workers() }
+
 // compiledFor reports whether configurations of spc may be scored through
 // the compiled forest: spc is the surrogate's own space or Equal to it.
 func (s *Surrogate) compiledFor(spc *space.Space) bool {

@@ -232,6 +232,10 @@ func (f *Forest) PredictAll(X [][]float64) []float64 {
 // trained on, the width Predict and PredictAll accept.
 func (f *Forest) NumFeatures() int { return f.nf }
 
+// Workers returns Params.Workers, the bound on the goroutines Fit and
+// PredictAll use; <= 0 means one per CPU.
+func (f *Forest) Workers() int { return f.params.Workers }
+
 // NumTrees returns the ensemble size.
 func (f *Forest) NumTrees() int { return len(f.trees) }
 

@@ -11,10 +11,12 @@
 // is structural:
 //
 //   - Results are keyed by input index, never by completion order.
-//   - Items are dispatched strictly in input order.
-//   - On failure the pool stops dispatching new items but never cancels
-//     an in-flight one; because dispatch is in-order, every item with an
-//     index at or below the first failing item has been dispatched and
+//   - Items are claimed strictly in input order, through one atomic
+//     cursor that every worker — the calling goroutine among them —
+//     advances itself.
+//   - On failure the pool stops claiming new items but never cancels
+//     an in-flight one; because claims are in order, every item with an
+//     index at or below the first failing item has been claimed and
 //     runs to completion, so the reported error — the failing item with
 //     the lowest index — is the same error a serial loop would have
 //     returned, independent of scheduling.
@@ -27,7 +29,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -54,10 +56,11 @@ type Options struct {
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most opt.Workers
-// goroutines and returns after every dispatched item has finished.
+// goroutines, the caller among them, and returns after every claimed
+// item has finished.
 //
-// Dispatch is strictly in input order. After the first item error (or
-// once ctx is cancelled) no further items are dispatched; items already
+// Items are claimed strictly in input order. After the first item error
+// (or once ctx is cancelled) no further items are claimed; items already
 // running complete normally — the pool never cancels work, so partial
 // failure cannot perturb the items that did run. The returned error is
 // the error of the failing item with the lowest index (deterministic
@@ -72,72 +75,42 @@ func ForEach(ctx context.Context, opt Options, n int, fn func(i int) error) erro
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers := Workers(opt.Workers)
-	if workers > n {
-		workers = n
-	}
+	workers := min(Workers(opt.Workers), n)
 	tr := obs.FromContext(ctx)
 	tr.PoolStart(opt.Label, workers, n)
 	start := obs.StartTimer()
 
 	var (
-		mu       sync.Mutex
-		failed   = false // stop dispatching; never cancels in-flight items
-		errs     = make([]error, n)
-		done     = 0
-		jobs     = make(chan int)
-		wg       sync.WaitGroup
-		enabled  = tr.Enabled()
-		taskWall []time.Duration
+		failed  atomic.Bool // stop claiming; never cancels in-flight items
+		done    atomic.Int64
+		errs    = make([]error, n)
+		enabled = tr.Enabled()
 	)
-	if enabled {
-		taskWall = make([]time.Duration, n)
-	}
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for i := range jobs {
-				var sw obs.Stopwatch
-				if enabled {
-					sw = obs.StartTimer()
-				}
-				err := fn(i)
-				if enabled {
-					taskWall[i] = sw.Elapsed()
-					tr.WorkerTask(opt.Label, i, worker, taskWall[i])
-				}
-				mu.Lock()
-				errs[i] = err
-				done++
-				if err != nil {
-					failed = true
-				}
-				mu.Unlock()
+	claim := cursor(n)
+	fanOut(workers, func(worker int) {
+		for !failed.Load() && ctx.Err() == nil {
+			i, ok := claim()
+			if !ok {
+				return
 			}
-		}(w)
-	}
-
-dispatch:
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
+			var sw obs.Stopwatch
+			if enabled {
+				sw = obs.StartTimer()
+			}
+			errs[i] = fn(i)
+			if enabled {
+				tr.WorkerTask(opt.Label, i, worker, sw.Elapsed())
+			}
+			done.Add(1)
+			if errs[i] != nil {
+				failed.Store(true)
+			}
 		}
-		mu.Lock()
-		stop := failed
-		mu.Unlock()
-		if stop {
-			break dispatch
-		}
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	})
 
-	tr.PoolFinish(opt.Label, done, start.Elapsed())
+	tr.PoolFinish(opt.Label, int(done.Load()), start.Elapsed())
 
-	// Lowest-index error first: dispatch order guarantees every item below
+	// Lowest-index error first: claim order guarantees every item below
 	// the first failing index ran, so this choice is scheduling-invariant.
 	for _, err := range errs {
 		if err != nil {
@@ -147,39 +120,50 @@ dispatch:
 	return ctx.Err()
 }
 
-// Do runs fn(i) for every i in [0, n) on at most workers goroutines and
-// waits for all of them. It is the context-free, telemetry-free variant
-// for library layers below the context plumbing (model fitting and
-// batched prediction); every item always runs exactly once.
+// Do runs fn(i) for every i in [0, n) on at most workers goroutines, the
+// caller among them, and waits for all of them. It is the context-free,
+// telemetry-free variant for library layers below the context plumbing
+// (model fitting and batched prediction); every item always runs exactly
+// once. Do(w, w, fn) is a parallel region: each fn(i) is a worker that
+// claims its own share of some shared work, so which goroutine runs it
+// does not matter.
 func Do(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
+	claim := cursor(n)
+	fanOut(min(Workers(workers), n), func(int) {
+		for i, ok := claim(); ok; i, ok = claim() {
 			fn(i)
 		}
-		return
+	})
+}
+
+// cursor returns the claim function of one run over [0, n): each call
+// claims the next unclaimed index, in increasing order, and reports
+// false once all n are claimed. It is safe for concurrent use; a claim
+// is one atomic add, so no goroutine hands items to another.
+func cursor(n int) func() (int, bool) {
+	var next atomic.Int64
+	return func() (int, bool) {
+		i := next.Add(1) - 1
+		return int(i), i < int64(n)
 	}
-	jobs := make(chan int)
+}
+
+// fanOut runs work(w) for every worker w in [0, workers): worker 0 on
+// the calling goroutine, the others on workers-1 new ones. It returns
+// once all of them have returned.
+func fanOut(workers int, work func(worker int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
+			work(w)
 		}()
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
+	work(0)
 	wg.Wait()
 }
 
@@ -195,11 +179,4 @@ func Shard(n, shards, s int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -120,6 +123,65 @@ func TestDo(t *testing.T) {
 		}
 	}
 	Do(4, 0, func(i int) { t.Fatal("fn called for n=0") })
+}
+
+// TestDoClaimsEachItemOnce: every item runs exactly once, for item
+// counts below, at and above the worker count, and none when there are
+// no items.
+func TestDoClaimsEachItemOnce(t *testing.T) {
+	const workers = 4
+	for _, n := range []int{0, 1, workers - 1, workers, 1000} {
+		runs := make([]atomic.Int32, n)
+		Do(workers, n, func(i int) { runs[i].Add(1) })
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("n=%d: item %d ran %d times", n, i, got)
+			}
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, read from its stack header
+// ("goroutine 7 [running]:").
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestDoCallerWorks: the calling goroutine is one of the workers, so it
+// runs items itself, and Do starts only workers-1 goroutines, none of
+// which outlives the call.
+func TestDoCallerWorks(t *testing.T) {
+	const workers, n = 3, 300
+	caller, before := goid(), runtime.NumGoroutine()
+	var onCaller, peak atomic.Int64
+	Do(workers, n, func(i int) {
+		if goid() == caller {
+			onCaller.Add(1)
+		}
+		for {
+			p, cur := peak.Load(), int64(runtime.NumGoroutine())
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		runtime.Gosched()
+	})
+	if onCaller.Load() == 0 {
+		t.Fatal("the calling goroutine ran no items")
+	}
+	if extra := peak.Load() - int64(before); extra > workers-1 {
+		t.Fatalf("%d goroutines beside the caller's, want at most %d", extra, workers-1)
+	}
+	// A worker may still be returning from its deferred Done.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Do, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestWorkers: the resolver clamps to [1, ...] and defaults to CPUs.

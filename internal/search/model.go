@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/space"
 	"repro/internal/stats"
@@ -23,7 +25,9 @@ import (
 // core.KNNModel, core.LinearModel) is an immutable fitted artifact whose
 // Predict only reads it; this is what lets parallel experiment cells
 // share one model and lets PredictAll shard rows over workers. The
-// contract is pinned by -race hammer tests in forest and core.
+// contract is pinned by -race hammer tests in forest and core. Neither
+// Predict nor PredictAll may keep x or a row of X past the call: the
+// pool scorer encodes every block into the same reused rows.
 type Model interface {
 	Predict(x []float64) float64
 }
@@ -44,11 +48,14 @@ type BatchModel interface {
 // a time: like BatchModel, both are performance paths (core.Surrogate
 // scores through a forest compiled against its space), never semantic
 // ones. The function ConfigScorer returns may keep scratch between
-// calls, so it belongs to the one goroutine that asked for it.
+// calls, so it belongs to the one goroutine that asked for it. Workers
+// bounds the goroutines that score at once, each through its own
+// ConfigScorer, when ScorePool scores a pool; <= 0 means one per CPU.
 type ConfigModel interface {
 	Model
 	PredictConfigs(spc *space.Space, cs []space.Config) []float64
 	ConfigScorer(spc *space.Space) func(space.Config) float64
+	Workers() int
 }
 
 // predictAll scores every row of X with m, through the batched path
@@ -88,9 +95,14 @@ func configScorer(m Model, spc *space.Space) func(space.Config) float64 {
 	return func(c space.Config) float64 { return m.Predict(spc.Encode(c)) }
 }
 
-// poolBlock is how many pool configurations ScorePool draws and scores
-// at a time, through one reused buffer of levels.
+// poolBlock is how many pool configurations ScorePool draws, encodes and
+// scores at a time for a model that is not a ConfigModel.
 const poolBlock = 512
+
+// poolChunk is how many pool configurations a ScorePool worker draws at
+// a time for a ConfigModel: small enough that the workers share the pool
+// evenly, large enough that they rarely wait on the draw's lock.
+const poolChunk = 64
 
 // PoolScores is what RSp and RSb read of the scored configuration pool
 // X_p of Algorithms 1 and 2; the pool itself is never kept.
@@ -107,54 +119,138 @@ type PoolScores struct {
 }
 
 // ScorePool draws the pool spc.SamplePool(n, poolR) would return, with
-// the same draws, and scores every configuration with m (ScoreConfigs).
-// It streams the pool: poolBlock configurations at a time are drawn
-// into one reused buffer and scored, their predictions are appended to
-// one slice for the Cutoff, and only the k best are copied out. Memory
-// is O(n) predictions and sampler keys (about a byte per level) plus
-// O(k + poolBlock) configurations, never the pool. Each prediction
-// depends on its configuration alone, so the result is the materialised
-// pool's, bit for bit.
+// the same draws, and scores every configuration with m. It streams the
+// pool, never holding it whole: each prediction is stored at the
+// configuration's pool index for the Cutoff, and each configuration is
+// offered under that index to a bounded heap of the k best. Memory is
+// O(n) predictions and sampler keys (about a byte per level) plus O(k)
+// configurations per scoring goroutine and a chunk's levels.
+//
+// A ConfigModel scores the pool in one parallel region of m.Workers()
+// goroutines: each in turn draws the next poolChunk configurations
+// under one lock, in the serial draw order, then scores them with its
+// own ConfigScorer and keeps its own heap; the heaps are merged at the
+// end. Any other model is scored on the calling goroutine, poolBlock
+// configurations at a time encoded into one reused set of rows, because
+// its Predict may not be safe to call from two goroutines at once (the
+// benchmark's timing wrapper is not). Each prediction depends on its
+// configuration alone and (prediction, index) is a total order, so
+// either way the result is the materialised pool's, bit for bit.
 func ScorePool(spc *space.Space, m Model, n, k int, deltaPct float64, poolR *rng.RNG) PoolScores {
-	whole := float64(n) >= spc.Size()
-	size := max(n, 0)
-	if whole {
-		size = int(spc.Size())
-	}
-	preds := make([]float64, 0, size)
-	best := newSmallestFirst(min(k, size))
-	score := func(block []space.Config) {
-		for i, pred := range ScoreConfigs(m, spc, block) {
-			best.offer(pred, block[i])
-			preds = append(preds, pred)
-		}
-	}
-	if whole {
+	d := &poolDraw{size: max(n, 0)}
+	if float64(n) >= spc.Size() {
 		// A pool as large as the space is the whole space in mixed-radix
 		// order (SamplePool), and such a space is small.
-		for all := spc.Enumerate(); len(all) > 0; {
-			b := min(poolBlock, len(all))
-			score(all[:b])
-			all = all[b:]
-		}
+		d.all = spc.Enumerate()
+		d.size = len(d.all)
 	} else {
-		np := spc.NumParams()
-		block := make([]space.Config, min(poolBlock, size))
-		levels := make([]int, len(block)*np)
-		for i := range block {
-			block[i] = levels[i*np : (i+1)*np : (i+1)*np]
-		}
-		sm := space.NewSampler(spc, poolR)
-		for len(preds) < size {
-			block := block[:min(len(block), size-len(preds))]
-			for _, c := range block {
-				// Never false: size < spc.Size() configurations in all.
-				sm.NextInto(c)
+		d.sm = space.NewSampler(spc, poolR)
+	}
+	preds := make([]float64, d.size)
+	k = min(k, d.size)
+	var heaps []*smallestFirst
+	if cm, ok := m.(ConfigModel); ok {
+		heaps = scoreRegion(spc, cm, d, preds, k)
+	} else {
+		heaps = []*smallestFirst{scoreBlocks(spc, m, d, preds, k)}
+	}
+	return PoolScores{Drawn: d.size, Cutoff: stats.QuantileInPlace(preds, deltaPct/100), Best: mergeBest(heaps, k)}
+}
+
+// poolDraw hands out a pool's configurations in pool order: the
+// enumerated space, or a sampler's draws. It is not safe for concurrent
+// use.
+type poolDraw struct {
+	size, drawn int
+	all         []space.Config // the whole space, when the pool is all of it
+	sm          *space.Sampler
+}
+
+// next returns the pool's next up to n configurations, with the pool
+// index of the first: a slice of the enumerated space, or the sampler's
+// draws into the first of buf's configurations (buf from d.buffer). The
+// slice is empty once the pool is drawn.
+func (d *poolDraw) next(n int, buf []space.Config) ([]space.Config, int) {
+	start := d.drawn
+	n = min(n, d.size-start)
+	d.drawn += n
+	if d.all != nil {
+		return d.all[start : start+n], start
+	}
+	for _, c := range buf[:n] {
+		// Never false: size < spc.Size() configurations in all.
+		d.sm.NextInto(c)
+	}
+	return buf[:n], start
+}
+
+// buffer returns what next needs to draw up to n configurations at a
+// time: n configurations of spc sharing one backing array, or nil for
+// an enumerated pool.
+func (d *poolDraw) buffer(spc *space.Space, n int) []space.Config {
+	if d.all != nil {
+		return nil
+	}
+	np := spc.NumParams()
+	levels := make([]int, n*np)
+	buf := make([]space.Config, n)
+	for i := range buf {
+		buf[i] = levels[i*np : (i+1)*np : (i+1)*np]
+	}
+	return buf
+}
+
+// scoreRegion scores the whole pool of d with cm in one parallel region
+// (see ScorePool) and returns each worker's heap of its k best.
+func scoreRegion(spc *space.Space, cm ConfigModel, d *poolDraw, preds []float64, k int) []*smallestFirst {
+	workers := min(parallel.Workers(cm.Workers()), max(1, (d.size+poolChunk-1)/poolChunk))
+	heaps := make([]*smallestFirst, workers)
+	var mu sync.Mutex
+	parallel.Do(workers, workers, func(w int) {
+		score, best, buf := cm.ConfigScorer(spc), newSmallestFirst(k), d.buffer(spc, poolChunk)
+		for {
+			mu.Lock()
+			chunk, start := d.next(poolChunk, buf)
+			mu.Unlock()
+			if len(chunk) == 0 {
+				break
 			}
-			score(block)
+			for i, c := range chunk {
+				pred := score(c)
+				preds[start+i] = pred
+				best.offer(pred, start+i, c)
+			}
+		}
+		heaps[w] = best
+	})
+	return heaps
+}
+
+// scoreBlocks scores the whole pool of d with m on the calling
+// goroutine, a block at a time encoded into one reused set of rows, and
+// returns the heap of its k best.
+func scoreBlocks(spc *space.Space, m Model, d *poolDraw, preds []float64, k int) *smallestFirst {
+	np, rows := spc.NumParams(), min(poolBlock, d.size)
+	buf := d.buffer(spc, rows)
+	flat := make([]float64, rows*np)
+	X := make([][]float64, rows)
+	for i := range X {
+		X[i] = flat[i*np : (i+1)*np : (i+1)*np]
+	}
+	best := newSmallestFirst(k)
+	for {
+		block, start := d.next(rows, buf)
+		if len(block) == 0 {
+			return best
+		}
+		for i, c := range block {
+			spc.EncodeInto(X[i], c)
+		}
+		for i, pred := range predictAll(m, X[:len(block)]) {
+			preds[start+i] = pred
+			best.offer(pred, start+i, block[i])
 		}
 	}
-	return PoolScores{Drawn: len(preds), Cutoff: stats.Quantile(preds, deltaPct/100), Best: best.sorted()}
 }
 
 // DefaultDeltaPct is the paper's pruning-cutoff quantile percentage.
@@ -303,17 +399,17 @@ func RSb(ctx context.Context, p Problem, m Model, opt RSbOptions, poolR *rng.RNG
 // predictions offered so far, in a max-heap by (prediction, index). Ties
 // go to the lower index: (prediction, index) is a total order
 // (cmp.Compare puts NaN first), so the result is the prefix of the
-// stable sort of every offered configuration by prediction. Selecting
-// from n costs O(n log k). The heap owns at most k copies of
-// configurations: a configuration is copied only when it enters the
-// heap, into an evicted configuration's copy once the heap is full.
+// stable sort of every offered configuration by prediction, whatever
+// order they were offered in. Selecting from n costs O(n log k). The
+// heap owns at most k copies of configurations: a configuration is
+// copied only when it enters the heap, into an evicted configuration's
+// copy once the heap is full.
 type smallestFirst struct {
-	heap    []rankedConfig // heap[0] is the largest kept
-	offered int
+	heap []rankedConfig // heap[0] is the largest kept
 }
 
 // rankedConfig is a configuration in the heap, its prediction and its
-// index in the order the configurations were offered.
+// index in the pool.
 type rankedConfig struct {
 	pred float64
 	idx  int
@@ -331,11 +427,10 @@ func compareRanked(a, b rankedConfig) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// offer considers c, with prediction pred, as the next configuration in
-// index order. The heap keeps no reference to c.
-func (h *smallestFirst) offer(pred float64, c space.Config) {
-	e := rankedConfig{pred: pred, idx: h.offered}
-	h.offered++
+// offer considers c, with prediction pred, under the index idx; no two
+// offers to one heap share an index. The heap keeps no reference to c.
+func (h *smallestFirst) offer(pred float64, idx int, c space.Config) {
+	e := rankedConfig{pred: pred, idx: idx}
 	switch {
 	case len(h.heap) < cap(h.heap):
 		e.c = slices.Clone(c)
@@ -364,13 +459,19 @@ func (h *smallestFirst) offer(pred float64, c space.Config) {
 	}
 }
 
-// sorted returns the kept configurations in ascending (prediction,
-// index) order.
-func (h *smallestFirst) sorted() []space.Config {
-	slices.SortFunc(h.heap, compareRanked)
-	out := make([]space.Config, len(h.heap))
-	for i, e := range h.heap {
-		out[i] = e.c
+// mergeBest returns the k configurations with the smallest (prediction,
+// index) kept by any of hs, in ascending order. Heaps offered disjoint
+// parts of one pool, each keeping its own k best, together keep the
+// pool's k best.
+func mergeBest(hs []*smallestFirst, k int) []space.Config {
+	var all []rankedConfig
+	for _, h := range hs {
+		all = append(all, h.heap...)
+	}
+	slices.SortFunc(all, compareRanked)
+	out := make([]space.Config, min(k, len(all)))
+	for i := range out {
+		out[i] = all[i].c
 	}
 	return out
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/rng"
@@ -42,9 +44,11 @@ func tieHeavyPreds(n, distinct int, r *rng.RNG) []float64 {
 // TestSmallestFirstMatchesSort: the bounded heap keeps exactly the
 // first min(k, n) entries of the full sort by (prediction, index), on
 // tie-heavy predictions, with k below, at and above n, and with NaN and
-// infinite predictions ordered as cmp.Compare orders them. Each offered
-// configuration is the one-level configuration {i}, overwritten after
-// the offer, so the result also shows the heap copies what it keeps.
+// infinite predictions ordered as cmp.Compare orders them; and so do
+// 1 to 3 heaps offered interleaved runs of the entries and merged, as
+// ScorePool's workers offer them. Each offered configuration is the
+// one-level configuration {i}, overwritten after the offer, so the
+// result also shows the heap copies what it keeps.
 func TestSmallestFirstMatchesSort(t *testing.T) {
 	r := rng.New(24)
 	for _, n := range []int{0, 1, 2, 5, 64, 1000} {
@@ -58,18 +62,23 @@ func TestSmallestFirstMatchesSort(t *testing.T) {
 				if k < 0 {
 					continue
 				}
-				h, c := newSmallestFirst(min(k, n)), make(space.Config, 1)
-				for i, pred := range preds {
-					c[0] = i
-					h.offer(pred, c)
-					c[0] = -1
-				}
-				got := make([]int32, 0, min(k, n))
-				for _, c := range h.sorted() {
-					got = append(got, int32(c[0]))
-				}
-				if !slices.Equal(got, want[:min(k, n)]) {
-					t.Fatalf("n=%d distinct=%d k=%d: got %v, want %v", n, distinct, k, got, want[:min(k, n)])
+				for heaps := 1; heaps <= 3; heaps++ {
+					hs, c := make([]*smallestFirst, heaps), make(space.Config, 1)
+					for w := range hs {
+						hs[w] = newSmallestFirst(min(k, n))
+					}
+					for i, pred := range preds {
+						c[0] = i
+						hs[i/7%heaps].offer(pred, i, c)
+						c[0] = -1
+					}
+					got := make([]int32, 0, min(k, n))
+					for _, c := range mergeBest(hs, k) {
+						got = append(got, int32(c[0]))
+					}
+					if !slices.Equal(got, want[:min(k, n)]) {
+						t.Fatalf("n=%d distinct=%d k=%d heaps=%d: got %v, want %v", n, distinct, k, heaps, got, want[:min(k, n)])
+					}
 				}
 			}
 		}
@@ -129,6 +138,19 @@ func checkPoolScores(t *testing.T, name string, got, want PoolScores) {
 	}
 }
 
+// poolTestSpaces returns a space too large to enumerate (wide: 645 120
+// configurations), one of 24 configurations and one of 1000.
+func poolTestSpaces() (wide, small, tiny *space.Space) {
+	wide = space.New(
+		space.NewIntRange("a", 0, 9), space.NewIntRange("b", 1, 4), space.NewPowerOfTwo("c", 0, 6),
+		space.NewBoolean("d"), space.NewCategorical("e", "x", "y", "z"), space.NewIntRange("f", 0, 9),
+		space.NewBoolean("g"), space.NewExplicit("h", 3, 5, 8, 13), space.NewIntRange("i", 0, 2),
+	)
+	small = space.New(space.NewIntRange("a", 0, 2), space.NewIntRange("b", 0, 3), space.NewBoolean("c"))
+	tiny = space.New(space.NewIntRange("a", 0, 9), space.NewIntRange("b", 0, 9), space.NewIntRange("c", 0, 9))
+	return wide, small, tiny
+}
+
 // TestScorePoolMatchesMaterialisedPool: the streamed pool draws, scores
 // and selects exactly what the materialised pool did, for pool sizes
 // around the block size and at the paper's N, for budgets from none to
@@ -138,13 +160,7 @@ func checkPoolScores(t *testing.T, name string, got, want PoolScores) {
 // where SamplePool leaves it.
 func TestScorePoolMatchesMaterialisedPool(t *testing.T) {
 	const nmax = 100
-	wide := space.New(
-		space.NewIntRange("a", 0, 9), space.NewIntRange("b", 1, 4), space.NewPowerOfTwo("c", 0, 6),
-		space.NewBoolean("d"), space.NewCategorical("e", "x", "y", "z"), space.NewIntRange("f", 0, 9),
-		space.NewBoolean("g"), space.NewExplicit("h", 3, 5, 8, 13), space.NewIntRange("i", 0, 2),
-	)
-	small := space.New(space.NewIntRange("a", 0, 2), space.NewIntRange("b", 0, 3), space.NewBoolean("c"))
-	tiny := space.New(space.NewIntRange("a", 0, 9), space.NewIntRange("b", 0, 9), space.NewIntRange("c", 0, 9))
+	wide, small, tiny := poolTestSpaces()
 	for _, tc := range []struct {
 		name string
 		spc  *space.Space
@@ -166,6 +182,122 @@ func TestScorePoolMatchesMaterialisedPool(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// configStub is stubModel as a ConfigModel scoring on a given number of
+// workers. Its scorer encodes into scratch of its own, which is what
+// makes it single-goroutine, and yields now and then so the workers of
+// one region interleave.
+type configStub struct {
+	stubModel
+	workers int
+}
+
+func (m configStub) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
+	out := make([]float64, len(cs))
+	for i, c := range cs {
+		out[i] = m.Predict(spc.Encode(c))
+	}
+	return out
+}
+
+func (m configStub) ConfigScorer(spc *space.Space) func(space.Config) float64 {
+	x, calls := make([]float64, spc.NumParams()), 0
+	return func(c space.Config) float64 {
+		if calls++; calls%16 == 0 {
+			runtime.Gosched()
+		}
+		spc.EncodeInto(x, c)
+		return m.Predict(x)
+	}
+}
+
+func (m configStub) Workers() int { return m.workers }
+
+// TestScorePoolRegionMatchesMaterialisedPool: a ConfigModel's pool,
+// scored in one parallel region of 1, 2, 3 or 8 workers, draws, scores
+// and selects exactly what the materialised pool did: on a space too
+// large to enumerate at pool sizes around the chunk size, on spaces the
+// sampler nearly drains (so it rejects most late draws as duplicates),
+// and on the Enumerate path, for budgets of none, one, NMax and the
+// whole pool; and the pool stream is left where SamplePool leaves it.
+func TestScorePoolRegionMatchesMaterialisedPool(t *testing.T) {
+	const nmax = 100
+	wide, small, tiny := poolTestSpaces()
+	for _, tc := range []struct {
+		name string
+		spc  *space.Space
+		ns   []int
+	}{
+		{"wide", wide, []int{1, poolChunk - 1, poolChunk, poolChunk + 1, 3*poolChunk + 7, 2000}},
+		{"small", small, []int{23, 24, 100}},
+		{"tiny", tiny, []int{900, 999, 1000}},
+	} {
+		for _, n := range tc.ns {
+			for _, k := range []int{0, 1, nmax, n} {
+				for _, workers := range []int{1, 2, 3, 8} {
+					name := fmt.Sprintf("%s n=%d k=%d workers=%d", tc.name, n, k, workers)
+					m := configStub{stubModel{distinct: 5}, workers}
+					r1, r2 := rng.New(uint64(n)), rng.New(uint64(n))
+					checkPoolScores(t, name, ScorePool(tc.spc, m, n, k, 20, r1), materialisedPool(tc.spc, m, n, k, 20, r2))
+					if r1.Uint64() != r2.Uint64() {
+						t.Fatalf("%s: the pool stream is not where SamplePool leaves it", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// serialStub is stubModel with a Predict that fails the test when two
+// calls overlap, like a model whose Predict is not safe for concurrent
+// use (the benchmark's timing wrapper).
+type serialStub struct {
+	stubModel
+	t        *testing.T
+	inFlight *atomic.Int32
+}
+
+func (m serialStub) Predict(x []float64) float64 {
+	if m.inFlight.Add(1) != 1 {
+		m.t.Error("two Predict calls overlap")
+	}
+	defer m.inFlight.Add(-1)
+	runtime.Gosched()
+	return m.stubModel.Predict(x)
+}
+
+// serialBatchStub adds a PredictAll that must not overlap either.
+type serialBatchStub struct{ serialStub }
+
+func (m serialBatchStub) PredictAll(X [][]float64) []float64 {
+	if m.inFlight.Add(1) != 1 {
+		m.t.Error("two PredictAll calls overlap")
+	}
+	defer m.inFlight.Add(-1)
+	out := make([]float64, len(X))
+	for i, x := range X {
+		out[i] = m.stubModel.Predict(x)
+	}
+	return out
+}
+
+// TestScorePoolScoresOtherModelsSerially: a model that is not a
+// ConfigModel is never called from two goroutines at once, whether it
+// scores row by row or in batches, and its pool is still the
+// materialised one.
+func TestScorePoolScoresOtherModelsSerially(t *testing.T) {
+	wide, _, tiny := poolTestSpaces()
+	for _, spc := range []*space.Space{wide, tiny} {
+		for _, batch := range []bool{false, true} {
+			var m Model = serialStub{stubModel{distinct: 5}, t, new(atomic.Int32)}
+			if batch {
+				m = serialBatchStub{m.(serialStub)}
+			}
+			name := fmt.Sprintf("size=%g batch=%v", spc.Size(), batch)
+			checkPoolScores(t, name, ScorePool(spc, m, 3000, 100, 20, rng.New(4)), materialisedPool(spc, stubModel{distinct: 5}, 3000, 100, 20, rng.New(4)))
 		}
 	}
 }

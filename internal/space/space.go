@@ -390,13 +390,13 @@ func (s *Space) String(c Config) string {
 // feature per parameter: the value EncodedLevels gives for c's level.
 func (s *Space) Encode(c Config) []float64 {
 	f := make([]float64, len(c))
-	s.encodeInto(f, c)
+	s.EncodeInto(f, c)
 	return f
 }
 
-// encodeInto writes Encode(c) into dst, which must hold NumParams
-// values, so EncodeAll can fill rows of a shared backing.
-func (s *Space) encodeInto(dst []float64, c Config) {
+// EncodeInto writes Encode(c) into dst, which must hold NumParams
+// values, so a caller can fill rows of a shared or reused backing.
+func (s *Space) EncodeInto(dst []float64, c Config) {
 	dst = dst[:len(s.params)]
 	for i, vals := range s.table() {
 		if c[i] < 0 || c[i] >= len(vals) {
@@ -430,7 +430,7 @@ func (s *Space) EncodeAll(cs []Config) [][]float64 {
 			flat = make([]float64, min(max(1, encodeChunk/nf), len(cs)-i)*nf)
 		}
 		rows[i], flat = flat[:nf:nf], flat[nf:]
-		s.encodeInto(rows[i], c)
+		s.EncodeInto(rows[i], c)
 	}
 	return rows
 }

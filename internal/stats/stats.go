@@ -7,6 +7,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -98,22 +99,85 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	if math.IsNaN(q) || q < 0 || q > 1 {
-		panic("stats: quantile q must be a finite value in [0,1]")
-	}
+	lo, hi, frac := quantilePos(len(xs), q)
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return s[lo]
 	}
-	frac := float64(pos) - float64(lo)
 	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac)
+}
+
+// QuantileInPlace returns Quantile(xs, q) bit for bit without the copy
+// and the sort, for a caller that owns xs: it selects the one or two
+// order statistics the quantile reads in expected O(len(xs)) time and
+// leaves xs reordered. When xs holds a NaN or a zero it returns
+// Quantile(xs, q) instead: NaNs, and +0 with -0, are equal under the
+// sort's order yet differ in bits, so only the sort's own permutation
+// decides which of them lands where.
+func QuantileInPlace(xs []float64, q float64) float64 {
+	for _, x := range xs {
+		if x == 0 || math.IsNaN(x) {
+			return Quantile(xs, q)
+		}
+	}
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	lo, hi, frac := quantilePos(len(xs), q)
+	selectNth(xs, lo)
+	if lo == hi {
+		return xs[lo]
+	}
+	// Everything after xs[lo] is at least xs[lo], so the next order
+	// statistic is the smallest of them.
+	return float64(xs[lo]*(1-frac)) + float64(slices.Min(xs[lo+1:])*frac)
+}
+
+// quantilePos locates the q-quantile of n > 0 sorted values: between the
+// order statistics lo and hi (lo, or lo+1), frac of the way from lo.
+func quantilePos(n int, q float64) (lo, hi int, frac float64) {
+	if math.IsNaN(q) || q < 0 || q > 1 {
+		panic("stats: quantile q must be a finite value in [0,1]")
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, float64(pos) - float64(lo)
+}
+
+// selectNth reorders xs, which holds no NaN, so that xs[k] is the k-th
+// smallest value, nothing before it is larger and nothing after it is
+// smaller. It partitions three ways around a median-of-three pivot, so
+// runs of ties cost one pass.
+func selectNth(xs []float64, k int) {
+	lo, hi := 0, len(xs) // xs[lo:hi] holds position k
+	for hi-lo > 1 {
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi-1]
+		p := max(min(a, b), min(max(a, b), c))
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := xs[i]; {
+			case x < p:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				xs[gt], xs[i] = x, xs[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 
 // Median returns the 0.5-quantile of xs.

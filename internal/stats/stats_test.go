@@ -341,3 +341,56 @@ func TestQuantileRejectsNonFiniteQ(t *testing.T) {
 		t.Fatalf("Quantile(1) = %v", got)
 	}
 }
+
+// TestQuantileInPlaceMatchesQuantile: the selecting quantile returns
+// Quantile's value bit for bit, at every q from 0 to 1, on tie-heavy
+// inputs of every size from one value up, with ±Inf among them, and,
+// through its fallback, with NaNs of two payloads and zeros of both
+// signs; and it leaves xs a permutation of its input.
+func TestQuantileInPlaceMatchesQuantile(t *testing.T) {
+	r := rng.New(30)
+	negNaN := math.Float64frombits(0xFFF8000000000000)
+	specials := [][]float64{
+		nil,
+		{math.Inf(1), math.Inf(-1)},
+		{math.NaN(), negNaN, math.Inf(1)},
+		{math.Copysign(0, -1), 0, math.Copysign(0, -1)},
+		{math.NaN(), math.Copysign(0, -1), 0, math.Inf(-1)},
+	}
+	for _, n := range []int{1, 2, 3, 5, 17, 100, 1000, 10000} {
+		for _, distinct := range []int{1, 4, 1 << 30} {
+			for si, sp := range specials {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = float64(r.Intn(distinct)+1) * 0.25
+				}
+				for j, v := range sp {
+					xs[r.Intn(n)] = v
+					if j%2 == 0 && n > 1 {
+						xs[r.Intn(n)] = v
+					}
+				}
+				for _, q := range []float64{0, 0.01, 0.2, 0.5, 0.77, 0.999, 1} {
+					want := Quantile(xs, q)
+					ys := append([]float64(nil), xs...)
+					got := QuantileInPlace(ys, q)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("n=%d distinct=%d specials=%d q=%g: got %v (%#x), want %v (%#x)",
+							n, distinct, si, q, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
+					a, b := append([]float64(nil), xs...), append([]float64(nil), ys...)
+					sort.Float64s(a)
+					sort.Float64s(b)
+					for i := range a {
+						if a[i] != b[i] && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+							t.Fatalf("n=%d distinct=%d specials=%d q=%g: xs is no longer a permutation of its input", n, distinct, si, q)
+						}
+					}
+				}
+			}
+		}
+	}
+	if got := QuantileInPlace(nil, 0.5); !math.IsNaN(got) {
+		t.Fatalf("QuantileInPlace(nil) = %v, want NaN", got)
+	}
+}
