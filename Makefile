@@ -65,7 +65,7 @@ bench-parallel:
 # (framing + heartbeat + lease overhead per evaluation), fully traced
 # remote dispatch (span emission + recorder ring on top of the loopback
 # path), end-to-end RSp/RSb searches, one paper-scale transfer run
-# (source RS, fit, shared pool, five target runs), the isolated
+# each on LU, HPL and RT (source RS, fit, shared pool, five target runs), the isolated
 # pool-scoring prelude those searches pay up front, the paper-scale pool draw on the
 # smallest (LU) and largest (RT) spaces, the surrogate fit on encoded T_a
 # (LU and RT, with Forest.Compile timed alone), forest fit and prediction, and the

@@ -596,17 +596,34 @@ func BenchmarkEndToEndRSb(b *testing.B) {
 	})
 }
 
-// BenchmarkTransferRun is one paper-scale transfer experiment, LU from
+// BenchmarkTransferRun is one paper-scale transfer experiment from
 // Sandybridge to Westmere: the source RS, the forest fit, the pool drawn
 // and scored once, and the five target runs (budget 100, N = 10 000,
-// 100 trees).
+// 100 trees). LU and HPL are small ops, whose serial collect and target
+// half are a large share; RT's 247-feature fit and pool dominate it.
 func BenchmarkTransferRun(b *testing.B) {
-	tgt, src := transferPieces(b)
-	opts := core.Options{NMax: 100, PoolSize: 10000, DeltaPct: 20, Seed: 2016}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(context.Background(), src, tgt, opts); err != nil {
-			b.Fatal(err)
-		}
+	lu, err := kernels.ByName("LU")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		src, tgt search.Problem
+	}{
+		{"LU",
+			kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1}),
+			kernels.NewProblem(lu, sim.Target{Machine: machine.Westmere, Compiler: machine.GNU, Threads: 1})},
+		{"HPL", miniapps.NewProblem(miniapps.HPL(), machine.Sandybridge), miniapps.NewProblem(miniapps.HPL(), machine.Westmere)},
+		{"RT", miniapps.NewProblem(miniapps.RT(), machine.Sandybridge), miniapps.NewProblem(miniapps.RT(), machine.Westmere)},
+	} {
+		opts := core.Options{NMax: 100, PoolSize: 10000, DeltaPct: 20, Seed: 2016}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Run(context.Background(), tc.src, tc.tgt, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

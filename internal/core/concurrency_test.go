@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/forest"
+	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/search"
 )
@@ -135,4 +140,91 @@ func TestSurrogateConcurrentConfigScoring(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// tracedTargetHalf runs pre on tgt traced and untraced, checks the two
+// outcomes agree, and returns the outcome's key with the trace's events,
+// their wall-clock Dur fields zeroed.
+func tracedTargetHalf(t *testing.T, pre *Prelude, tgt func() search.Problem) (string, []obs.Event) {
+	t.Helper()
+	sink := &obs.MemorySink{}
+	traced, err := pre.Run(obs.WithTracer(context.Background(), obs.New(sink)), tgt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	untraced, err := pre.Run(context.Background(), tgt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := outcomeKey(traced)
+	if got := outcomeKey(untraced); got != key {
+		t.Fatalf("%s: untraced outcome differs from traced:\n%s\nwant\n%s", traced.Target, got, key)
+	}
+	events := sink.Events()
+	for i := range events {
+		events[i].Dur = 0
+	}
+	return key, events
+}
+
+// TestTargetHalfConcurrentMatchesSerial: on a search.Pure target the five
+// target searches run concurrently within the prelude's Forest.Workers
+// bound, and at every width the outcome equals the serial (width 1) one
+// bit for bit — records, speedups, failure counts, correlations — and a
+// traced run emits the serial run's event sequence, Dur fields aside.
+// The same holds for a degraded prelude's RS fallbacks, and for a
+// faults-wrapped target, which is not Pure and so runs serially at any
+// width (its injector counts attempts across searches and is not safe
+// for concurrent use, which -race would report).
+func TestTargetHalfConcurrentMatchesSerial(t *testing.T) {
+	type target struct {
+		name string
+		src  search.Problem
+		tgt  func() search.Problem
+	}
+	var targets []target
+	for _, wl := range []string{"MM", "ATAX", "COR", "LU", "HPL", "RT"} {
+		tgt := runOn(t, wl, machine.Sandybridge)
+		targets = append(targets, target{wl, runOn(t, wl, machine.Westmere), func() search.Problem { return tgt }})
+	}
+	broken := search.NewResilient(
+		faults.Wrap(problem(t, "LU", machine.Westmere), faults.Rates{CompileFail: 0.97}, 77),
+		search.ResilientOptions{Retries: 1})
+	bare := problem(t, "LU", machine.Sandybridge)
+	targets = append(targets,
+		target{"degraded", broken, func() search.Problem { return bare }},
+		target{"faulted", problem(t, "LU", machine.Westmere), func() search.Problem {
+			// A fresh injector per run: its attempt counts carry over
+			// from one search to the next.
+			return search.NewResilient(
+				faults.Wrap(bare, faults.Profile(machine.Sandybridge.Name).ScaledTo(0.3), 6),
+				search.ResilientOptions{Retries: 2, Backoff: 0.5})
+		}})
+	for _, tc := range targets {
+		for _, seed := range []uint64{3, 2016} {
+			opt := smallOpts(seed)
+			opt.Forest.Workers = 1
+			pre, err := Prepare(context.Background(), tc.src, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if degraded := pre.Surrogate == nil; degraded != (tc.name == "degraded") {
+				t.Fatalf("%s seed %d: prelude degraded %v", tc.name, seed, degraded)
+			}
+			wantKey, wantEvents := tracedTargetHalf(t, pre, tc.tgt)
+			for _, width := range []int{2, 8} {
+				wide := *pre
+				wide.opt.Forest.Workers = width
+				key, events := tracedTargetHalf(t, &wide, tc.tgt)
+				if key != wantKey {
+					t.Errorf("%s seed %d width %d: outcome differs from width 1:\n%s\nwant\n%s",
+						tc.name, seed, width, key, wantKey)
+				}
+				if !reflect.DeepEqual(events, wantEvents) {
+					t.Errorf("%s seed %d width %d: %d traced events differ from width 1's %d",
+						tc.name, seed, width, len(events), len(wantEvents))
+				}
+			}
+		}
+	}
 }

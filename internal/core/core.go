@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/forest"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/space"
@@ -352,6 +353,9 @@ func Run(ctx context.Context, src, tgt search.Problem, opt Options) (*Outcome, e
 // replaying the source run, RSp with Cutoff and RSb replaying Best (or
 // plain RS when degraded), the model-free controls, and the paper's
 // metrics. It refuses a target whose space differs from the source's.
+// On a search.Pure target the five searches run concurrently, within the
+// prelude's Forest.Workers bound; the outcome and the telemetry are the
+// serial run's either way.
 func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error) {
 	if err := sameSpace(p.space, tgt.Space()); err != nil {
 		return nil, err
@@ -370,30 +374,38 @@ func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error)
 	for i, rec := range p.SourceRS.Records {
 		srcSeq[i] = rec.Config
 	}
-	out.RS = search.Replay(ctx, tgt, srcSeq, "RS")
-
+	rs := func(ctx context.Context) *search.Result { return search.Replay(ctx, tgt, srcSeq, "RS") }
+	var rsp, rsb func(ctx context.Context) *search.Result
 	if sur := p.Surrogate; sur != nil {
 		// RSp walks the same candidate stream as RS (fresh
 		// identically-seeded stream) and prunes with the surrogate.
-		out.RSp = search.RSpScored(ctx, tgt, sur, p.Cutoff,
-			search.RSpOptions{NMax: opt.NMax, DeltaPct: opt.DeltaPct},
-			rng.NewNamed(opt.Seed, "crn-stream"))
-
+		rsp = func(ctx context.Context) *search.Result {
+			return search.RSpScored(ctx, tgt, sur, p.Cutoff,
+				search.RSpOptions{NMax: opt.NMax, DeltaPct: opt.DeltaPct},
+				rng.NewNamed(opt.Seed, "crn-stream"))
+		}
 		// RSb evaluates the pool in ascending predicted order.
-		out.RSb = search.Replay(ctx, tgt, p.Best, "RSb")
+		rsb = func(ctx context.Context) *search.Result { return search.Replay(ctx, tgt, p.Best, "RSb") }
 	} else {
 		// Fallback: plain RS on the variants' own streams, so the
 		// experiment still yields five complete runs (the variants just
 		// bring no knowledge).
-		out.RSp = search.RS(ctx, tgt, opt.NMax, rng.NewNamed(opt.Seed, "crn-stream"))
-		out.RSp.Algorithm = "RSp(RS-fallback)"
-		out.RSb = search.RS(ctx, tgt, opt.NMax, rng.NewNamed(opt.Seed, "pool"))
-		out.RSb.Algorithm = "RSb(RS-fallback)"
+		rsp = func(ctx context.Context) *search.Result {
+			res := search.RS(ctx, tgt, opt.NMax, rng.NewNamed(opt.Seed, "crn-stream"))
+			res.Algorithm = "RSp(RS-fallback)"
+			return res
+		}
+		rsb = func(ctx context.Context) *search.Result {
+			res := search.RS(ctx, tgt, opt.NMax, rng.NewNamed(opt.Seed, "pool"))
+			res.Algorithm = "RSb(RS-fallback)"
+			return res
+		}
 	}
-
 	// Model-free controls restricted to Ta (empty Ta yields empty runs).
-	out.RSpf = search.RSpf(ctx, tgt, p.Ta, opt.DeltaPct)
-	out.RSbf = search.RSbf(ctx, tgt, p.Ta)
+	rspf := func(ctx context.Context) *search.Result { return search.RSpf(ctx, tgt, p.Ta, opt.DeltaPct) }
+	rsbf := func(ctx context.Context) *search.Result { return search.RSbf(ctx, tgt, p.Ta) }
+	runs := runSearches(ctx, tgt, opt.Forest.Workers, [...]func(context.Context) *search.Result{rs, rsp, rsb, rspf, rsbf})
+	out.RS, out.RSp, out.RSb, out.RSpf, out.RSbf = runs[0], runs[1], runs[2], runs[3], runs[4]
 
 	for name, res := range map[string]*search.Result{
 		"RSp": out.RSp, "RSb": out.RSb, "RSpf": out.RSpf, "RSbf": out.RSbf,
@@ -437,4 +449,36 @@ func (p *Prelude) Run(ctx context.Context, tgt search.Problem) (*Outcome, error)
 	}
 
 	return out, nil
+}
+
+// claimOrder is the order runSearches starts the five target searches
+// in when it runs them concurrently: RSp, the longest, first, so it is
+// not the one left running alone at the end; then the rest in serial
+// order.
+var claimOrder = [5]int{1, 0, 2, 3, 4}
+
+// runSearches runs the five target searches (RS, RSp, RSb, RSpf, RSbf)
+// and returns their results in that order. On a search.Pure target they
+// run in one parallel region of at most workers goroutines (<= 0 means
+// GOMAXPROCS): each search then computes what it computes alone, and
+// under an enabled tracer each runs under its own buffer, replayed in
+// the serial order, so every sink sees the serial event sequence. Any
+// other target is a stack of evaluation layers, whose state may carry
+// from one search to the next (a fault injector counts attempts per
+// configuration across searches), so they run one after another in the
+// serial order.
+func runSearches(ctx context.Context, tgt search.Problem, workers int, searches [5]func(context.Context) *search.Result) (runs [5]*search.Result) {
+	if _, pure := tgt.(search.Pure); !pure || parallel.Workers(workers) == 1 {
+		for i, run := range searches {
+			runs[i] = run(ctx)
+		}
+		return runs
+	}
+	fan := obs.NewFanin(ctx, len(searches))
+	parallel.Do(workers, len(searches), func(k int) {
+		i := claimOrder[k]
+		runs[i] = searches[i](fan.Context(ctx, i))
+	})
+	fan.Replay()
+	return runs
 }

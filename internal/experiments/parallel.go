@@ -13,42 +13,24 @@ import (
 // Telemetry fan-in keeps parallel runs observationally identical to
 // serial ones: when the experiment is traced, every cell runs under its
 // own buffering tracer, and the buffers are replayed into the parent
-// sink in input order after the pool drains. The parent therefore sees
-// the exact event sequence a serial loop would have produced — same
-// events, same order — so metrics registries fold to the same counters
-// and gauges regardless of worker count (only wall-clock Dur fields and
-// the engine's own pool-start/worker-task/pool-finish events describe
-// the actual scheduling). The engine events bypass the buffers: they go
-// straight to the parent tracer on ctx.
+// sink in input order after the pool drains (obs.Fanin). The parent
+// therefore sees the exact event sequence a serial loop would have
+// produced — same events, same order — so metrics registries fold to the
+// same counters and gauges regardless of worker count (only wall-clock
+// Dur fields and the engine's own pool-start/worker-task/pool-finish
+// events describe the actual scheduling). The engine events bypass the
+// buffers: they go straight to the parent tracer on ctx.
 //
 // Result determinism needs no machinery at all: each cell derives its
 // rng streams from its own seed (common random numbers), so cell
 // results cannot depend on scheduling. See DESIGN.md.
 func runCells(ctx context.Context, cfg Config, label string, n int, cell func(ctx context.Context, i int) error) error {
-	parent := obs.FromContext(ctx)
-	var buffers []*obs.MemorySink
-	if parent.Enabled() {
-		buffers = make([]*obs.MemorySink, n)
-		for i := range buffers {
-			buffers[i] = &obs.MemorySink{}
-		}
-	}
+	fan := obs.NewFanin(ctx, n)
 	err := parallel.ForEach(ctx, parallel.Options{Workers: cfg.Workers, Label: label}, n, func(i int) error {
-		cellCtx := ctx
-		if buffers != nil {
-			cellCtx = obs.WithTracer(ctx, obs.New(buffers[i]))
-		}
-		return cell(cellCtx, i)
+		return cell(fan.Context(ctx, i), i)
 	})
-	if buffers != nil {
-		// Replay even on error: the cells that did run are observable, just
-		// as they would be after a serial loop stopped partway.
-		sink := parent.Sink()
-		for _, buf := range buffers {
-			for _, e := range buf.Events() {
-				sink.Emit(e)
-			}
-		}
-	}
+	// Replay even on error: the cells that did run are observable, just
+	// as they would be after a serial loop stopped partway.
+	fan.Replay()
 	return err
 }

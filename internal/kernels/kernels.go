@@ -519,6 +519,11 @@ func (p *Problem) Name() string {
 // Space returns the kernel's configuration space.
 func (p *Problem) Space() *space.Space { return p.Kernel.Space() }
 
+// Pure implements search.Pure: the simulator keys its noise by the
+// configuration, and the per-nest models are built once and then only
+// read.
+func (p *Problem) Pure() {}
+
 // Evaluate compiles and runs the configuration on the simulated target.
 func (p *Problem) Evaluate(c space.Config) (runTime, cost float64) {
 	if err := p.Kernel.Space().Validate(c); err != nil {

@@ -82,6 +82,10 @@ func (p *Problem) Name() string { return p.App.Name + "@" + p.Machine.Name }
 // Space returns the configuration space.
 func (p *Problem) Space() *space.Space { return p.App.spc }
 
+// Pure implements search.Pure: the noise is keyed by the configuration,
+// and the machine's model is built once and then only read.
+func (p *Problem) Pure() {}
+
 // Evaluate returns the measured run time and the total evaluation cost.
 func (p *Problem) Evaluate(c space.Config) (runTime, cost float64) {
 	if err := p.App.spc.Validate(c); err != nil {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"sync"
@@ -192,4 +193,53 @@ func Multi(sinks ...Sink) Sink {
 		return kept[0]
 	}
 	return multiSink(kept)
+}
+
+// Fanin keeps the telemetry of items run concurrently identical to a
+// serial loop's: each item runs under its own buffering tracer, and
+// Replay emits the buffers into the parent sink in item order, so the
+// parent sees the exact event sequence the serial loop would have
+// produced and metrics fold to the same counters and gauges whatever
+// the schedule. The nil *Fanin, which NewFanin returns when ctx carries
+// no enabled tracer, is valid: Context returns ctx unchanged and Replay
+// does nothing, so untraced runs pay nothing.
+type Fanin struct {
+	parent Sink
+	bufs   []*MemorySink
+}
+
+// NewFanin returns the fan-in of n items run under ctx's tracer, or nil
+// when that tracer is disabled.
+func NewFanin(ctx context.Context, n int) *Fanin {
+	parent := FromContext(ctx)
+	if !parent.Enabled() {
+		return nil
+	}
+	f := &Fanin{parent: parent.Sink(), bufs: make([]*MemorySink, n)}
+	for i := range f.bufs {
+		f.bufs[i] = &MemorySink{}
+	}
+	return f
+}
+
+// Context returns the context item i runs under: ctx with its tracer
+// replaced by one over item i's buffer.
+func (f *Fanin) Context(ctx context.Context, i int) context.Context {
+	if f == nil {
+		return ctx
+	}
+	return WithTracer(ctx, New(f.bufs[i]))
+}
+
+// Replay emits every item's buffered events into the parent sink, item
+// by item in index order. Call it once, after the last item finished.
+func (f *Fanin) Replay() {
+	if f == nil {
+		return
+	}
+	for _, buf := range f.bufs {
+		for _, e := range buf.Events() {
+			f.parent.Emit(e)
+		}
+	}
 }

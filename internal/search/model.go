@@ -145,6 +145,7 @@ func ScorePool(spc *space.Space, m Model, n, k int, deltaPct float64, poolR *rng
 		d.size = len(d.all)
 	} else {
 		d.sm = space.NewSampler(spc, poolR)
+		d.sm.Reserve(d.size)
 	}
 	preds := make([]float64, d.size)
 	k = min(k, d.size)

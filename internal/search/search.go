@@ -39,6 +39,19 @@ type Problem interface {
 	Evaluate(c space.Config) (runTime, cost float64)
 }
 
+// Pure is implemented by a bare problem whose Evaluate is a pure
+// function of the configuration and safe to call from several goroutines
+// at once, so searches over it may run concurrently and each still
+// computes what it computes alone. No evaluation layer implements it: a
+// layer may keep state across searches (fault attempt counts, a cache,
+// a journal) or order its side effects, so a stack of layers is never
+// Pure, even over a Pure problem.
+type Pure interface {
+	Problem
+	// Pure marks the implementation; it does nothing.
+	Pure()
+}
+
 // Status classifies how an evaluation ended.
 type Status uint8
 

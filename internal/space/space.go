@@ -476,14 +476,19 @@ type Sampler struct {
 	r     *rng.RNG
 	// seen holds the compactKey of every configuration returned or
 	// excluded. Each key is its own copy, so it aliases no Config.
-	seen map[string]struct{}
+	seen keySet
 	buf  []byte // compactKey's scratch
 }
 
 // NewSampler returns a Sampler drawing from r.
 func NewSampler(s *Space, r *rng.RNG) *Sampler {
-	return &Sampler{space: s, r: r, seen: make(map[string]struct{})}
+	return &Sampler{space: s, r: r}
 }
+
+// Reserve makes room for n distinct configurations drawn or excluded in
+// all, so a caller that knows how many it will draw (a pool's N) sizes
+// the sampler's memory once. It changes no draw.
+func (sm *Sampler) Reserve(n int) { sm.seen.reserve(n) }
 
 // compactKey renders c into the sampler's scratch with AppendCompactKey.
 func (sm *Sampler) compactKey(c Config) []byte {
@@ -492,28 +497,18 @@ func (sm *Sampler) compactKey(c Config) []byte {
 }
 
 // Exclude marks a configuration as already used.
-func (sm *Sampler) Exclude(c Config) { sm.seen[string(sm.compactKey(c))] = struct{}{} }
+func (sm *Sampler) Exclude(c Config) { sm.seen.insert(sm.compactKey(c)) }
 
 // Seen reports whether c has been returned or excluded.
-func (sm *Sampler) Seen(c Config) bool {
-	_, ok := sm.seen[string(sm.compactKey(c))]
-	return ok
-}
+func (sm *Sampler) Seen(c Config) bool { return sm.seen.contains(sm.compactKey(c)) }
 
 // claim marks c as used unless it already was, reporting whether it was
 // fresh. It computes the key once where Seen followed by Exclude would
 // compute it twice.
-func (sm *Sampler) claim(c Config) bool {
-	k := sm.compactKey(c)
-	if _, dup := sm.seen[string(k)]; dup {
-		return false
-	}
-	sm.seen[string(k)] = struct{}{}
-	return true
-}
+func (sm *Sampler) claim(c Config) bool { return sm.seen.insert(sm.compactKey(c)) }
 
 // Drawn returns how many distinct configurations have been drawn/excluded.
-func (sm *Sampler) Drawn() int { return len(sm.seen) }
+func (sm *Sampler) Drawn() int { return sm.seen.n }
 
 // Next returns a configuration not previously returned or excluded.
 // ok is false when the space is exhausted.
@@ -531,7 +526,7 @@ func (sm *Sampler) Next() (Config, bool) {
 // caller drawing many configurations can reuse one buffer; the sampler
 // keeps no reference to dst.
 func (sm *Sampler) NextInto(dst Config) bool {
-	if float64(len(sm.seen)) >= sm.space.Size() {
+	if float64(sm.seen.n) >= sm.space.Size() {
 		return false
 	}
 	// Rejection sampling; with |seen| ≤ nmax ≈ 100 and spaces of 1e8-1e12,
@@ -550,7 +545,7 @@ func (sm *Sampler) NextInto(dst Config) bool {
 // reachable when the space is small and mostly consumed.
 func (sm *Sampler) exhaustiveNext(dst Config) bool {
 	total := int(sm.space.Size())
-	remaining := total - len(sm.seen)
+	remaining := total - sm.seen.n
 	if remaining <= 0 {
 		return false
 	}
@@ -592,6 +587,7 @@ func (s *Space) SamplePool(n int, r *rng.RNG) []Config {
 		return s.Enumerate()
 	}
 	sm := NewSampler(s, r)
+	sm.Reserve(n)
 	pool := make([]Config, 0, n)
 	for len(pool) < n {
 		c, ok := sm.Next()

@@ -182,7 +182,7 @@ func TestSamplerNoRepeats(t *testing.T) {
 // configuration per attempt, and an exhaustive fallback that clones the
 // configuration it finds.
 func oldNext(sm *Sampler) (Config, bool) {
-	if float64(len(sm.seen)) >= sm.space.Size() {
+	if float64(sm.Drawn()) >= sm.space.Size() {
 		return nil, false
 	}
 	for attempt := 0; attempt < 64; attempt++ {
@@ -191,7 +191,7 @@ func oldNext(sm *Sampler) (Config, bool) {
 		}
 	}
 	total := int(sm.space.Size())
-	remaining := total - len(sm.seen)
+	remaining := total - sm.Drawn()
 	if remaining <= 0 {
 		return nil, false
 	}
