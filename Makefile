@@ -68,7 +68,7 @@ bench-parallel:
 # each on LU, HPL and RT (source RS, fit, shared pool, five target runs), the isolated
 # pool-scoring prelude those searches pay up front, the paper-scale pool draw on the
 # smallest (LU) and largest (RT) spaces, the surrogate fit on encoded T_a
-# (LU and RT, with Forest.Compile timed alone), forest fit and prediction, and the
+# (LU, HPL and RT, with Forest.Compile timed alone), forest fit and prediction, and the
 # full-module repolint analysis gate (parse + type-check + all nine
 # analyzers, so gate latency joins the tracked trajectory) — and
 # converts the combined output into BENCH_PR10.json (committed as the

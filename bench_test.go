@@ -501,6 +501,7 @@ func BenchmarkPoolScoring(b *testing.B) {
 		src  search.Problem
 	}{
 		{"LU", kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})},
+		{"HPL", miniapps.NewProblem(miniapps.HPL(), machine.Sandybridge)},
 		{"RT", miniapps.NewProblem(miniapps.RT(), machine.Sandybridge)},
 	} {
 		_, ta := core.Collect(context.Background(), tc.src, 100, rng.NewNamed(2016, "crn-stream"))
@@ -548,9 +549,9 @@ func BenchmarkSamplePool(b *testing.B) {
 
 // BenchmarkSurrogateFit fits M_a as core.Run does: 100 trees on T_a,
 // the valid rows of a 100-evaluation RS run on the source, encoded; on
-// LU and on RT (247 features). Each op also compiles the forest against
-// the space, the rest of what NewSurrogate does, and reports that part
-// alone as compile-ms/op.
+// LU, HPL and RT (247 features), the problems of BenchmarkTransferRun.
+// Each op also compiles the forest against the space, the rest of what
+// NewSurrogate does, and reports that part alone as compile-ms/op.
 func BenchmarkSurrogateFit(b *testing.B) {
 	lu, err := kernels.ByName("LU")
 	if err != nil {
@@ -561,6 +562,7 @@ func BenchmarkSurrogateFit(b *testing.B) {
 		src  search.Problem
 	}{
 		{"LU", kernels.NewProblem(lu, sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1})},
+		{"HPL", miniapps.NewProblem(miniapps.HPL(), machine.Sandybridge)},
 		{"RT", miniapps.NewProblem(miniapps.RT(), machine.Sandybridge)},
 	} {
 		spc := tc.src.Space()

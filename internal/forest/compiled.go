@@ -128,8 +128,9 @@ func (f *Forest) Compile(spc *space.Space) (*Compiled, error) {
 		if len(splits) == 0 {
 			continue
 		}
-		// Thresholds are never NaN (Fit takes midpoints of finite
-		// values and Load refuses NaN), and cmp.Compare orders the rest.
+		// Thresholds are never NaN (Fit takes midpoints of the finite
+		// values checkFitInput admits, and Load refuses NaN), and
+		// cmp.Compare orders the rest.
 		// Ordered by threshold, the tests false at a level are a prefix.
 		slices.SortStableFunc(splits, func(a, b split) int { return cmp.Compare(a.thr, b.thr) })
 		levels := spc.EncodedLevels(feat)

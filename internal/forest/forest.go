@@ -61,59 +61,49 @@ type Forest struct {
 // Fit trains a random forest on X, y using the deterministic stream r.
 // Trees are grown concurrently (each tree draws from its own named
 // substream, so the result is independent of scheduling and identical to
-// a sequential fit).
+// a sequential fit). Every value must be finite.
 func Fit(X [][]float64, y []float64, p Params, r *rng.RNG) (*Forest, error) {
-	return fit(X, y, p, r, FitTree)
+	return fit(X, y, p, r, growTree)
 }
 
+// treeFitter grows one tree on the rows of X and y that rows lists, in
+// draw order with repeats, and may reorder rows; ranks is X's rank table.
+type treeFitter func(X [][]float64, y []float64, ranks *rankTable, rows []int, p TreeParams, r *rng.RNG) *Tree
+
 // fit is Fit with the tree fitter as a parameter, so the tests can pin
-// FitTree against a reference fitter forest by forest.
-func fit(X [][]float64, y []float64, p Params, r *rng.RNG,
-	fitTree func([][]float64, []float64, TreeParams, *rng.RNG) (*Tree, error)) (*Forest, error) {
+// growTree against a reference fitter forest by forest.
+func fit(X [][]float64, y []float64, p Params, r *rng.RNG, fitTree treeFitter) (*Forest, error) {
 	fitSW := obs.StartTimer()
-	if len(X) == 0 || len(X) != len(y) {
-		return nil, fmt.Errorf("forest: need non-empty, equal-length X and y (%d, %d)", len(X), len(y))
+	if err := checkFitInput(X, y); err != nil {
+		return nil, err
 	}
 	nf := len(X[0])
-	for _, row := range X {
-		if len(row) != nf {
-			return nil, fmt.Errorf("forest: ragged feature matrix")
-		}
-	}
 	p = p.withDefaults(nf)
 	f := &Forest{params: p, nf: nf, trees: make([]*Tree, p.Trees)}
+	var ranks rankTable // only the screen reads it (see growTree)
+	if min(p.MTry, nf) > 1 {
+		ranks = newRankTable(X)
+	}
 
 	n := len(y)
 	sampleN := int(math.Max(1, p.SampleFraction*float64(n)))
 
-	type treeOut struct {
-		inBag []bool
-		err   error
-	}
-	outs := make([]treeOut, p.Trees)
+	inBags := make([][]bool, p.Trees)
 	parallel.Do(p.Workers, p.Trees, func(t int) {
 		tr := r.SplitNamed(fmt.Sprintf("tree-%d", t))
 		inBag := make([]bool, n)
-		idxX := make([][]float64, sampleN)
-		idxY := make([]float64, sampleN)
-		for i := 0; i < sampleN; i++ {
+		rows := make([]int, sampleN)
+		for i := range rows {
 			j := tr.Intn(n)
 			inBag[j] = true
-			idxX[i] = X[j]
-			idxY[i] = y[j]
+			rows[i] = j
 		}
-		tree, err := fitTree(idxX, idxY, TreeParams{
+		f.trees[t] = fitTree(X, y, &ranks, rows, TreeParams{
 			MaxDepth: p.MaxDepth, MinLeaf: p.MinLeaf, MTry: p.MTry,
 		}, tr)
-		f.trees[t] = tree
-		outs[t] = treeOut{inBag: inBag, err: err}
+		inBags[t] = inBag
 	})
 
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-	}
 	f.pack()
 
 	// Out-of-bag bookkeeping: per-row prediction sum and count from trees
@@ -122,7 +112,7 @@ func fit(X [][]float64, y []float64, p Params, r *rng.RNG,
 	oobCount := make([]int, n)
 	for t, tree := range f.trees {
 		for j := 0; j < n; j++ {
-			if !outs[t].inBag[j] {
+			if !inBags[t][j] {
 				oobSum[j] += walk(tree.nodes, X[j])
 				oobCount[j]++
 			}

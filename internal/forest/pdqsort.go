@@ -14,9 +14,9 @@ import "math/bits"
 // sortByX sorts pairs by feature value. It makes the comparisons and
 // swaps slices.SortFunc makes with a comparator that is negative exactly
 // when a.x < b.x, so it leaves tied pairs in the same permutation, and
-// that permutation no longer depends on the toolchain's sort. Encoded
-// feature values are finite by construction (space.Encode), so the
-// order is total.
+// that permutation no longer depends on the toolchain's sort. Fit and
+// FitTree refuse non-finite values (checkFitInput), so the order is
+// total.
 func sortByX(pairs []xy) {
 	n := len(pairs)
 	pdqsortXY(pairs, 0, n, bits.Len(uint(n)))

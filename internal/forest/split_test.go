@@ -30,6 +30,20 @@ func referenceFitTree(X [][]float64, y []float64, p TreeParams, r *rng.RNG) (*Tr
 	return t, nil
 }
 
+// referenceTree is referenceFitTree as fit's tree fitter: it gathers the
+// bootstrap sample's rows, as fit did before the rank table.
+func referenceTree(X [][]float64, y []float64, _ *rankTable, rows []int, p TreeParams, r *rng.RNG) *Tree {
+	sx, sy := make([][]float64, len(rows)), make([]float64, len(rows))
+	for i, j := range rows {
+		sx[i], sy[i] = X[j], y[j]
+	}
+	t, err := referenceFitTree(sx, sy, p, r)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 func referenceGrow(t *Tree, X [][]float64, y []float64, idx []int, p TreeParams, r *rng.RNG, depth int) int {
 	mean, sse := meanSSE(y, idx)
 	pos := len(t.nodes)
@@ -162,7 +176,7 @@ func TestFitSplitOrderPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, err := fit(X, y, params, rng.NewNamed(seed, "forest"), referenceFitTree)
+				ref, err := fit(X, y, params, rng.NewNamed(seed, "forest"), referenceTree)
 				if err != nil {
 					t.Fatal(err)
 				}
