@@ -114,17 +114,22 @@ daemon-smoke:
 	AUTOTUNED_E2E_LOGDIR=$(CURDIR)/daemon-logs $(GO) test -count=1 -v ./cmd/autotuned/
 
 # trace-smoke runs a small traced, faulted, journaled search and checks
-# that tracestat can parse and summarize the trace. It then drives the
-# failure path: a run whose every evaluation fails must exit 1 and dump
-# a non-empty flight recording that tracestat also reads. (The binary is
-# built rather than run with go run, which reports every non-zero exit
-# as 1.) The trace and the flight dump land in trace-smoke/ (CI uploads
-# both as artifacts).
+# that tracestat can parse and summarize the trace, then does the same
+# for an OpenTuner ensemble run, whose trace must not be empty. It then
+# drives the failure path: a run whose every evaluation fails must exit
+# 1 and dump a non-empty flight recording that tracestat also reads.
+# (The binary is built rather than run with go run, which reports every
+# non-zero exit as 1.) The traces and the flight dump land in
+# trace-smoke/ (CI uploads them as artifacts).
 trace-smoke:
 	rm -rf trace-smoke && mkdir -p trace-smoke
 	$(GO) run ./cmd/autotune -problem ATAX -nmax 60 -seed 7 -faults 0.2 -timeout 50 \
 		-journal trace-smoke/journal -trace trace-smoke/trace.jsonl -metrics
 	$(GO) run ./cmd/tracestat trace-smoke/trace.jsonl
+	$(GO) run ./cmd/autotune -problem HPL -algo ensemble -nmax 40 -seed 7 \
+		-trace trace-smoke/ensemble.jsonl
+	test -s trace-smoke/ensemble.jsonl
+	$(GO) run ./cmd/tracestat trace-smoke/ensemble.jsonl
 	$(GO) build -o trace-smoke/autotune ./cmd/autotune
 	trace-smoke/autotune -problem MM -faults 0.99 -retries 0 -nmax 1 -seed 1 \
 		-flight trace-smoke/flight.jsonl; code=$$?; if [ $$code -ne 1 ]; then \

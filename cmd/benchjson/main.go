@@ -5,11 +5,12 @@
 //	go test -run '^$' -bench 'BenchmarkBroker' -benchtime 2x ./... |
 //	    go run ./cmd/benchjson -o BENCH_PR7.json
 //
-// Each benchmark line becomes an entry with its name, iteration count,
-// ns/op, and any extra metrics the benchmark reported via
-// b.ReportMetric (e.g. pearson, speedup). Lines that are not benchmark
-// results (pass/fail markers, package headers) are passed through to
-// stderr so a piped run still shows its progress.
+// Each benchmark line becomes an entry with its package (from the last
+// "pkg:" header before it), name, iteration count, ns/op, and any extra
+// metrics the benchmark reported via b.ReportMetric (e.g. pearson,
+// speedup). Lines that are not benchmark results or headers (pass/fail
+// markers) are passed through to stderr so a piped run still shows its
+// progress.
 //
 // The JSON is stable: entries appear in input order and keys are
 // emitted sorted, so two runs of the same benchmarks diff cleanly.
@@ -18,8 +19,10 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -27,6 +30,8 @@ import (
 
 // Entry is one benchmark result line.
 type Entry struct {
+	// Package is the import path of the benchmark's package.
+	Package string `json:"package,omitempty"`
 	// Name is the full benchmark name including sub-benchmarks,
 	// with the -N GOMAXPROCS suffix stripped.
 	Name string `json:"name"`
@@ -42,7 +47,7 @@ type Entry struct {
 // Report is the top-level JSON document.
 type Report struct {
 	// Context lines captured from the benchmark header (goos, goarch,
-	// pkg, cpu), keyed by field name.
+	// cpu), keyed by field name.
 	Context map[string]string `json:"context,omitempty"`
 	// Benchmarks holds the results in input order.
 	Benchmarks []Entry `json:"benchmarks"`
@@ -51,15 +56,34 @@ type Report struct {
 func main() {
 	out := flag.String("o", "BENCH.json", "output JSON file")
 	flag.Parse()
+	rep, err := parse(os.Stdin, os.Stderr)
+	var buf []byte
+	if err == nil {
+		buf, err = json.MarshalIndent(rep, "", "  ")
+	}
+	if err == nil {
+		err = os.WriteFile(*out, append(buf, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+}
 
+// parse reads `go test -bench` output from r, passing every line that
+// is neither a result nor a header through to w. Each entry gets the
+// package of the last "pkg:" header before it.
+func parse(r io.Reader, w io.Writer) (Report, error) {
 	rep := Report{Context: map[string]string{}}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "Benchmark"):
 			if e, ok := parseBench(line); ok {
+				e.Package = rep.Context["pkg"]
 				rep.Benchmarks = append(rep.Benchmarks, e)
 				continue
 			}
@@ -68,28 +92,16 @@ func main() {
 			rep.Context[k] = strings.TrimSpace(v)
 			continue
 		}
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(w, line)
 	}
+	delete(rep.Context, "pkg") // each entry carries its own
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return Report{}, err
 	}
 	if len(rep.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+		return Report{}, errors.New("no benchmark lines on stdin")
 	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+	return rep, nil
 }
 
 func hasContextPrefix(line string) bool {

@@ -75,18 +75,6 @@ func (s *Surrogate) Predict(x []float64) float64 { return s.Forest.Predict(x) }
 // sharded batch path.
 func (s *Surrogate) PredictAll(X [][]float64) []float64 { return s.Forest.PredictAll(X) }
 
-// PredictConfigs implements search.ConfigModel: it returns
-// Predict(spc.Encode(c)) for every c of cs, bit for bit. When spc encodes
-// like the surrogate's own space (the same pointer, or Equal) the
-// compiled forest scores the level indices directly; otherwise it
-// encodes under spc and walks the forest.
-func (s *Surrogate) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
-	if !s.compiledFor(spc) {
-		return s.Forest.PredictAll(spc.EncodeAll(cs))
-	}
-	return s.compiled.PredictConfigs(cs)
-}
-
 // ConfigScorer implements search.ConfigModel: the function it returns
 // scores one configuration of spc at a time, returning
 // Predict(spc.Encode(c)) bit for bit. spc is compared with the

@@ -293,31 +293,35 @@ func TestMismatchedSpacesRejected(t *testing.T) {
 }
 
 // TestNewSurrogate: the constructor refuses a space of another width,
-// and config scoring, of a pool or one configuration at a time, under a
-// space that encodes differently (same width, other level values) falls
-// back to encoding under that space, so it still equals the walk over
-// the caller's encoding.
+// and config scoring, of a batch (search.ScoreConfigs) or one
+// configuration at a time, under a space that encodes differently (same
+// width, other level values) falls back to encoding under that space,
+// so it still equals the walk over the caller's encoding. The batch is
+// sharded over Forest.Workers goroutines, so it is checked at 1, 2, 3
+// and 8 of them.
 func TestNewSurrogate(t *testing.T) {
 	lu := problem(t, "LU", machine.Westmere)
 	_, ta := Collect(context.Background(), lu, 30, rng.New(5))
-	sur, err := FitSurrogate(ta, lu.Space(), "src", forest.Params{Trees: 10}, rng.New(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSurrogate(sur.Forest, problem(t, "MM", machine.Westmere).Space(), "mm"); err == nil {
-		t.Fatal("NewSurrogate bound an LU forest to MM's space")
-	}
-	for _, spc := range []*space.Space{lu.Space(), problem(t, "LU", machine.Sandybridge).Space(), shiftedSpace{lu}.Space()} {
-		pool := spc.SamplePool(300, rng.New(7))
-		want := sur.Forest.PredictAll(spc.EncodeAll(pool))
-		got := sur.PredictConfigs(spc, pool)
-		score := sur.ConfigScorer(spc)
-		for i := range pool {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("row %d: PredictConfigs %v, walk %v", i, got[i], want[i])
-			}
-			if one := score(pool[i]); math.Float64bits(one) != math.Float64bits(want[i]) {
-				t.Fatalf("row %d: ConfigScorer %v, walk %v", i, one, want[i])
+	for _, workers := range []int{1, 2, 3, 8} {
+		sur, err := FitSurrogate(ta, lu.Space(), "src", forest.Params{Trees: 10, Workers: workers}, rng.New(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewSurrogate(sur.Forest, problem(t, "MM", machine.Westmere).Space(), "mm"); err == nil {
+			t.Fatal("NewSurrogate bound an LU forest to MM's space")
+		}
+		for _, spc := range []*space.Space{lu.Space(), problem(t, "LU", machine.Sandybridge).Space(), shiftedSpace{lu}.Space()} {
+			pool := spc.SamplePool(300, rng.New(7))
+			got := search.ScoreConfigs(sur, spc, pool)
+			score := sur.ConfigScorer(spc)
+			for i, c := range pool {
+				want := sur.Forest.Predict(spc.Encode(c))
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("workers %d, row %d: ScoreConfigs %v, walk %v", workers, i, got[i], want)
+				}
+				if one := score(c); math.Float64bits(one) != math.Float64bits(want) {
+					t.Fatalf("workers %d, row %d: ConfigScorer %v, walk %v", workers, i, one, want)
+				}
 			}
 		}
 	}

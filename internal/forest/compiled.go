@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/parallel"
 	"repro/internal/space"
 )
 
@@ -37,7 +36,6 @@ type Compiled struct {
 	wordOff  []int32           // tree t's words are [wordOff[t], wordOff[t+1])
 	leafOff  []int32           // tree t's leaves start at leaves[leafOff[t]]
 	leaves   []float64         // leaf values, tree by tree, left to right
-	workers  int
 }
 
 // compiledFeature holds, for each level of one feature, the span of
@@ -85,7 +83,6 @@ func (f *Forest) Compile(spc *space.Space) (*Compiled, error) {
 		nf:      f.nf,
 		wordOff: make([]int32, 1, len(f.trees)+1),
 		leafOff: make([]int32, 0, len(f.trees)),
-		workers: f.params.Workers,
 	}
 	for _, t := range f.trees {
 		base := int32(len(c.leaves))
@@ -219,25 +216,6 @@ func wordBits(lo, hi int) uint64 {
 
 // words is the total bitvector length of all trees, in 64-bit words.
 func (c *Compiled) words() int32 { return c.wordOff[len(c.wordOff)-1] }
-
-// PredictConfigs scores every configuration, which must come from the
-// space c was compiled against: out[i] is bit-identical to
-// Forest.Predict(spc.Encode(cs[i])). Like PredictAll it shards the rows
-// over Params.Workers goroutines, each with its own Scorer and writing
-// disjoint indices of the output, so the result does not depend on the
-// worker count.
-func (c *Compiled) PredictConfigs(cs []space.Config) []float64 {
-	out := make([]float64, len(cs))
-	workers := min(parallel.Workers(c.workers), len(cs))
-	parallel.Do(workers, workers, func(s int) {
-		lo, hi := parallel.Shard(len(cs), workers, s)
-		sc := c.Scorer()
-		for i := lo; i < hi; i++ {
-			out[i] = sc.Predict(cs[i])
-		}
-	})
-	return out
-}
 
 // Scorer scores configurations one at a time on the calling goroutine
 // with its own bitvector scratch, so a scan that scores one candidate at

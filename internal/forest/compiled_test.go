@@ -3,7 +3,6 @@ package forest
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -16,33 +15,27 @@ import (
 	"repro/internal/space"
 )
 
-// checkCompiled scores cs through f compiled against spc, at every
-// worker count given and one row at a time through a Scorer, and
-// requires each prediction to equal both PredictAll(EncodeAll(cs)) and a
-// Predict loop bit for bit.
-func checkCompiled(t *testing.T, name string, f *Forest, spc *space.Space, cs []space.Config, workers ...int) *Compiled {
+// checkCompiled compiles f against spc, scores cs one row at a time
+// through a Scorer, and requires each prediction to equal both
+// PredictAll(EncodeAll(cs)) and a Predict loop bit for bit. Batches of
+// configurations are scored by search.ScoreConfigs, whose worker counts
+// core's TestNewSurrogate covers.
+func checkCompiled(t *testing.T, name string, f *Forest, spc *space.Space, cs []space.Config) *Compiled {
 	t.Helper()
 	rows := spc.EncodeAll(cs)
 	batch := f.PredictAll(rows)
-	var c *Compiled
-	for _, w := range workers {
-		f.params.Workers = w
-		var err error
-		if c, err = f.Compile(spc); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got := c.PredictConfigs(cs)
-		sc := c.Scorer()
-		for i := range cs {
-			want := f.Predict(rows[i])
-			if math.Float64bits(got[i]) != math.Float64bits(want) ||
-				math.Float64bits(got[i]) != math.Float64bits(batch[i]) {
-				t.Fatalf("%s/workers-%d: row %d (%v) compiled %v, Predict %v, PredictAll %v",
-					name, w, i, cs[i], got[i], want, batch[i])
-			}
-			if one := sc.Predict(cs[i]); math.Float64bits(one) != math.Float64bits(want) {
-				t.Fatalf("%s: row %d (%v) Scorer %v, Predict %v", name, i, cs[i], one, want)
-			}
+	c, err := f.Compile(spc)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	sc := c.Scorer()
+	for i := range cs {
+		want := f.Predict(rows[i])
+		got := sc.Predict(cs[i])
+		if math.Float64bits(got) != math.Float64bits(want) ||
+			math.Float64bits(got) != math.Float64bits(batch[i]) {
+			t.Fatalf("%s: row %d (%v) Scorer %v, Predict %v, PredictAll %v",
+				name, i, cs[i], got, want, batch[i])
 		}
 	}
 	return c
@@ -61,8 +54,8 @@ func maxWords(c *Compiled) int32 {
 // bit for bit, on every kernel space and both mini-app spaces (HPL's
 // explicit level lists, RT's 247 parameters): forests fitted on 100 rows,
 // and on 300 rows with single-row leaves so some tree has more than 64
-// leaves and spans several bitvector words, each at one worker and at
-// one per CPU. A single-leaf tree rides along in the small forests.
+// leaves and spans several bitvector words. A single-leaf tree rides
+// along in the small forests.
 func TestCompiledScorerMatchesWalk(t *testing.T) {
 	sandy := sim.Target{Machine: machine.Sandybridge, Compiler: machine.GNU, Threads: 1}
 	var problems []search.Problem
@@ -72,7 +65,6 @@ func TestCompiledScorerMatchesWalk(t *testing.T) {
 	problems = append(problems,
 		miniapps.NewProblem(miniapps.HPL(), machine.Westmere),
 		miniapps.NewProblem(miniapps.RT(), machine.Westmere))
-	workers := []int{1, runtime.NumCPU()}
 	for _, p := range problems {
 		spc := p.Space()
 		pool := spc.SamplePool(1500, rng.NewNamed(2016, "pool"))
@@ -94,7 +86,7 @@ func TestCompiledScorerMatchesWalk(t *testing.T) {
 				f.trees = append(f.trees, &Tree{nodes: []node{{val: y[0], feature: -1}}, stats: []nodeStats{{mean: y[0], count: 1}}})
 				f.pack()
 			}
-			c := checkCompiled(t, name, f, spc, pool, workers...)
+			c := checkCompiled(t, name, f, spc, pool)
 			if tc.rows == 300 && maxWords(c) < 2 {
 				t.Errorf("%s: widest tree has one bitvector word; the multi-word path went untested", name)
 			}
@@ -126,15 +118,15 @@ func TestCompiledScorerHandBuilt(t *testing.T) {
 	}
 	f.trees[2].nodes[0].val = math.Inf(-1)
 	all := spc.Enumerate()
-	checkCompiled(t, "hand-built", f, spc, all, 1, 3)
+	checkCompiled(t, "hand-built", f, spc, all)
 	f.trees[2].nodes[0].val = math.Inf(1)
-	checkCompiled(t, "hand-built/+inf", f, spc, all, 1)
+	checkCompiled(t, "hand-built/+inf", f, spc, all)
 
 	leaves, err := Fit([][]float64{{1, 0, 0}, {2, 1, 2}}, []float64{7, 7}, Params{Trees: 3}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkCompiled(t, "single-leaf", leaves, spc, all, 1)
+	checkCompiled(t, "single-leaf", leaves, spc, all)
 }
 
 // TestCompileRefusesWidthMismatch: a space that does not encode to the

@@ -43,8 +43,9 @@ const (
 	// KindSkip is a candidate rejected by a pruning cutoff (RSp/RSpf);
 	// Value carries the prediction, Cost the cutoff it missed.
 	KindSkip
-	// KindCacheHit is a duplicate proposal served from the evaluation
-	// cache without spending budget (ensemble Drive).
+	// KindCacheHit is a duplicate proposal served from search.Drive's
+	// memo without spending budget (every Technique, the OpenTuner
+	// ensemble included).
 	KindCacheHit
 	// KindRetry is one retry decision after a transient failure; N is the
 	// attempt index, Cost the backoff charged to the search clock.

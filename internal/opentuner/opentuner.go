@@ -63,18 +63,22 @@ func (a *arm) meanReward() float64 {
 	return s / float64(len(a.rewards))
 }
 
-// Tuner is the ensemble meta-tuner.
+// Tuner is the ensemble meta-tuner: a search.Technique, with the
+// search.Settler hook that pays its arms, that search.Drive runs.
 type Tuner struct {
-	arms []*arm
-	opt  Options
-	r    *rng.RNG
+	arms  []*arm
+	opt   Options
+	r     *rng.RNG
+	pulls int     // arms pulled so far in this run
+	cur   *arm    // the arm whose proposal is out
+	best  float64 // the run's best clean measurement so far
 }
 
 // New builds a Tuner over the given techniques. With no techniques, the
 // default OpenTuner-like ensemble (SA, GA, pattern search, random) is
 // constructed over the problem's space at Run time.
 func New(opt Options, r *rng.RNG, techniques ...search.Technique) *Tuner {
-	t := &Tuner{opt: opt.withDefaults(), r: r}
+	t := &Tuner{opt: opt.withDefaults(), r: r, best: math.Inf(1)}
 	for _, tech := range techniques {
 		t.arms = append(t.arms, &arm{tech: tech, window: t.opt.Window})
 	}
@@ -91,75 +95,18 @@ func DefaultEnsemble(spc *space.Space, r *rng.RNG) []search.Technique {
 	}
 }
 
-// Run tunes the problem with the ensemble, returning the search result
-// (algorithm name "OpenTuner") and the per-technique pull counts.
-// Cancelling ctx drains the ensemble between evaluations, like the
-// search package's algorithms.
+// Run tunes the problem with the ensemble through search.Drive,
+// returning the search result (algorithm name "OpenTuner") and the
+// per-technique pull counts. Cancelling ctx drains the ensemble between
+// evaluations, like the search package's algorithms.
 func (t *Tuner) Run(ctx context.Context, p search.Problem) (*search.Result, map[string]int) {
 	if len(t.arms) == 0 {
 		for _, tech := range DefaultEnsemble(p.Space(), t.r) {
 			t.arms = append(t.arms, &arm{tech: tech, window: t.opt.Window})
 		}
 	}
-	res := &search.Result{Algorithm: "OpenTuner", Problem: p.Name()}
-	seen := map[string]float64{}
-	var key []byte // the proposal's compact key, in one reused buffer
-	best := math.Inf(1)
-	elapsed := 0.0
-	totalPulls := 0
-
-	for len(res.Records) < t.opt.NMax && ctx.Err() == nil {
-		a := t.pick(totalPulls)
-		totalPulls++
-		a.pulls++
-
-		c, ok := a.tech.Propose()
-		if !ok {
-			a.addReward(0)
-			if t.allExhausted() {
-				break
-			}
-			continue
-		}
-		key = c.AppendCompactKey(key[:0])
-		if cached, dup := seen[string(key)]; dup {
-			// No budget spent; feed the cached value back and count a
-			// zero reward (the technique is re-treading old ground). A
-			// cached failure (+Inf) is withheld like a live one.
-			if !math.IsInf(cached, 0) && !math.IsNaN(cached) {
-				a.tech.Report(c, cached)
-			}
-			a.addReward(0)
-			continue
-		}
-		// The problem and the record get a copy no one writes to: the
-		// technique may reuse c's buffer on its next proposal.
-		evaluated := c.Clone()
-		out := search.EvaluateFull(ctx, p, evaluated)
-		if out.Interrupted() {
-			break
-		}
-		seen[string(key)] = out.RunTime
-		elapsed += out.Cost
-		res.Records = append(res.Records, search.Record{
-			Config: evaluated, RunTime: out.RunTime, Cost: out.Cost, Elapsed: elapsed,
-			Status: out.Status, Retries: out.Retries,
-		})
-		if out.Status == search.StatusFailed {
-			// The technique saw no measurement; the arm pays with a zero
-			// reward for proposing a broken configuration.
-			a.addReward(0)
-			continue
-		}
-		a.tech.Report(c, out.RunTime)
-		if out.Status == search.StatusOK && out.RunTime < best {
-			best = out.RunTime
-			a.addReward(1)
-		} else {
-			a.addReward(0)
-		}
-	}
-
+	t.pulls, t.best = 0, math.Inf(1)
+	res := search.Drive(ctx, p, t, t.opt.NMax)
 	pulls := map[string]int{}
 	for _, a := range t.arms {
 		pulls[a.tech.Name()] += a.pulls
@@ -167,14 +114,54 @@ func (t *Tuner) Run(ctx context.Context, p search.Problem) (*search.Result, map[
 	return res, pulls
 }
 
+// Name implements search.Technique.
+func (t *Tuner) Name() string { return "OpenTuner" }
+
+// Propose implements search.Technique: it pulls arms by UCB1 until one
+// proposes. An arm with nothing to propose earns reward 0; once no arm
+// has anything left, neither has the ensemble.
+func (t *Tuner) Propose() (space.Config, bool) {
+	for len(t.arms) > 0 {
+		a := t.pick()
+		t.pulls++
+		a.pulls++
+		if c, ok := a.tech.Propose(); ok {
+			t.cur = a
+			return c, true
+		}
+		a.addReward(0)
+		if t.allExhausted() {
+			break
+		}
+	}
+	return nil, false
+}
+
+// Report implements search.Technique by forwarding to the proposing
+// arm's technique.
+func (t *Tuner) Report(c space.Config, runTime float64) { t.cur.tech.Report(c, runTime) }
+
+// Settle implements search.Settler: the proposing arm earns reward 1
+// when its proposal improved on the run's best clean measurement, and 0
+// for a duplicate (the technique is re-treading old ground), a failure
+// (it proposed a broken configuration), or no improvement.
+func (t *Tuner) Settle(rec *search.Record) {
+	reward := 0.0
+	if rec != nil && rec.Status == search.StatusOK && rec.RunTime < t.best {
+		t.best = rec.RunTime
+		reward = 1
+	}
+	t.cur.addReward(reward)
+}
+
 // pick selects the next technique by UCB1 over sliding-window rewards.
-func (t *Tuner) pick(totalPulls int) *arm {
+func (t *Tuner) pick() *arm {
 	best := t.arms[0]
 	bestScore := math.Inf(-1)
 	for _, a := range t.arms {
 		score := a.meanReward()
 		if a.pulls > 0 {
-			score += float64(t.opt.ExplorationC * math.Sqrt(math.Log(float64(totalPulls+1))/float64(a.pulls)))
+			score += float64(t.opt.ExplorationC * math.Sqrt(math.Log(float64(t.pulls+1))/float64(a.pulls)))
 		} else {
 			score = math.Inf(1)
 		}

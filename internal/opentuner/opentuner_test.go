@@ -2,12 +2,13 @@ package opentuner
 
 import (
 	"context"
-
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/machine"
 	"repro/internal/miniapps"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/search"
 	"repro/internal/space"
@@ -160,5 +161,118 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.NMax != 100 || o.ExplorationC != 1.4 || o.Window != 30 {
 		t.Fatalf("defaults wrong: %+v", o)
+	}
+}
+
+// line is a five-configuration problem: a budget above five can only be
+// spent on duplicates once every configuration has been evaluated.
+type line struct{ spc *space.Space }
+
+func newLine() *line { return &line{spc: space.New(space.NewIntRange("x", 0, 4))} }
+
+func (p *line) Name() string        { return "line" }
+func (p *line) Space() *space.Space { return p.spc }
+func (p *line) Evaluate(c space.Config) (float64, float64) {
+	run := 1 + float64(c[0])
+	return run, run
+}
+
+// TestExhaustedSpaceEnds: a budget larger than the space ends once the
+// space is evaluated and the duplicate cap is reached, not at the
+// context's deadline. (The random arm never runs out of proposals, so an
+// ensemble loop without a duplicate cap spins until it is cancelled.)
+func TestExhaustedSpaceEnds(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	res, _ := New(Options{NMax: 10}, rng.New(31)).Run(ctx, newLine())
+	if err := ctx.Err(); err != nil {
+		t.Fatalf("ensemble ran until the context ended: %v", err)
+	}
+	if len(res.Records) != 5 {
+		t.Fatalf("%d records on a five-configuration space", len(res.Records))
+	}
+}
+
+// TestEnsembleTelemetry: an ensemble run is traced like any search: one
+// search-start, one eval event per record (in record order), one
+// cache-hit per duplicate proposal it served without spending budget,
+// and one search-finish; the metrics sink counts every evaluation.
+func TestEnsembleTelemetry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    search.Problem
+		nmax int
+		// techniques builds a custom ensemble (nil: the default one).
+		techniques func(spc *space.Space) []search.Technique
+		// dups is the duplicates served, from the result and the pulls.
+		dups func(res *search.Result, pulls map[string]int) int
+	}{
+		{
+			// No arm of this ensemble ever runs out of proposals, so
+			// every pull is one proposal, evaluated or served as a
+			// duplicate.
+			name: "rosen", p: newRosen(), nmax: 60,
+			techniques: func(spc *space.Space) []search.Technique {
+				return []search.Technique{
+					search.NewAnneal(spc, rng.New(41), 0.95),
+					search.NewGenetic(spc, rng.New(42), 16, 0.15),
+					search.NewRandomTechnique(spc, rng.New(43)),
+				}
+			},
+			dups: func(res *search.Result, pulls map[string]int) int {
+				total := 0
+				for _, n := range pulls {
+					total += n
+				}
+				return total - len(res.Records)
+			},
+		},
+		{
+			// Once the five configurations are evaluated, the run ends at
+			// Drive's cap of 50 × nmax duplicates.
+			name: "line", p: newLine(), nmax: 10,
+			dups: func(*search.Result, map[string]int) int { return 50 * 10 },
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := &obs.MemorySink{}
+			reg := obs.NewRegistry()
+			// The deadline only bounds a run that would never end.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			ctx = obs.WithTracer(ctx, obs.New(obs.Multi(mem, obs.NewMetricsSink(reg))))
+			var techniques []search.Technique
+			if tc.techniques != nil {
+				techniques = tc.techniques(tc.p.Space())
+			}
+			res, pulls := New(Options{NMax: tc.nmax}, rng.New(37), techniques...).Run(ctx, tc.p)
+
+			starts, fins := mem.ByKind(obs.KindSearchStart), mem.ByKind(obs.KindSearchFinish)
+			if len(starts) != 1 || starts[0].Algo != "OpenTuner" || starts[0].Problem != tc.p.Name() {
+				t.Fatalf("search-start events: %+v", starts)
+			}
+			if len(fins) != 1 || fins[0].N != len(res.Records) {
+				t.Fatalf("search-finish events: %+v for %d records", fins, len(res.Records))
+			}
+			evals := mem.ByKind(obs.KindEval)
+			if len(evals) != len(res.Records) {
+				t.Fatalf("%d eval events for %d records", len(evals), len(res.Records))
+			}
+			for i, e := range evals {
+				if rec := res.Records[i]; e.Seq != i || e.Value != rec.RunTime || e.Config != obs.ConfigString(rec.Config) {
+					t.Fatalf("eval event %d = %+v does not match record %+v", i, e, rec)
+				}
+			}
+			hits, want := len(mem.ByKind(obs.KindCacheHit)), tc.dups(res, pulls)
+			if hits != want || hits == 0 {
+				t.Fatalf("%d cache-hit events, %d duplicates served", hits, want)
+			}
+			if n := reg.Counter(obs.MetricEvals).Value(); n != int64(len(res.Records)) {
+				t.Fatalf("%s = %d, %d records", obs.MetricEvals, n, len(res.Records))
+			}
+			if n := reg.Counter(obs.MetricCacheHits).Value(); n != int64(hits) {
+				t.Fatalf("%s = %d, %d cache-hit events", obs.MetricCacheHits, n, hits)
+			}
+		})
 	}
 }

@@ -9,10 +9,10 @@ import (
 )
 
 // Technique is an incremental search heuristic: it proposes
-// configurations and receives the measured run times back. The
-// Propose/Report protocol lets a meta-tuner (internal/opentuner)
-// interleave several techniques on one evaluation budget, which is how
-// OpenTuner structures its ensembles.
+// configurations and receives the measured run times back. Drive runs
+// every technique: the heuristics below, and the OpenTuner ensemble
+// (internal/opentuner), whose Propose picks one of several techniques to
+// propose, so they share one evaluation budget.
 type Technique interface {
 	Name() string
 	// Propose returns the next configuration to evaluate; ok=false means
@@ -25,15 +25,31 @@ type Technique interface {
 	Report(c space.Config, runTime float64)
 }
 
+// Settler is the optional extension of Technique for a technique that
+// learns from how its proposals settled, as the ensemble's bandit does.
+// Drive calls Settle once for every proposal it serves, after any
+// Report: with the proposal's fresh record, or with nil when the
+// proposal repeated a configuration this run already evaluated (no
+// budget spent).
+type Settler interface {
+	Settle(rec *Record)
+}
+
 // Drive runs a single technique against a problem for nmax evaluations,
 // skipping configurations that were already evaluated. Failed
 // evaluations consume budget and are recorded, but are not reported to
 // the technique (it saw no measurement), so heuristics continue past
-// failures without poisoning their internal state.
+// failures without poisoning their internal state. Drive stops when the
+// technique has nothing to propose, or after 50 × nmax duplicate
+// proposals.
 func Drive(ctx context.Context, p Problem, t Technique, nmax int) *Result {
 	run := newRunner(p, t.Name())
 	run.start(ctx)
 	defer run.finish()
+	settle := func(*Record) {}
+	if s, ok := t.(Settler); ok {
+		settle = s.Settle
+	}
 	seen := map[string]float64{}
 	var key []byte // the proposal's compact key, in one reused buffer
 	misses := 0
@@ -52,6 +68,7 @@ func Drive(ctx context.Context, p Problem, t Technique, nmax int) *Result {
 			if !math.IsInf(cached, 0) && !math.IsNaN(cached) {
 				t.Report(c, cached)
 			}
+			settle(nil)
 			continue
 		}
 		rec, ok := run.evaluate(ctx, c)
@@ -62,6 +79,7 @@ func Drive(ctx context.Context, p Problem, t Technique, nmax int) *Result {
 		if rec.Status != StatusFailed {
 			t.Report(c, rec.RunTime)
 		}
+		settle(&rec)
 	}
 	return run.res
 }

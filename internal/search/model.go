@@ -42,18 +42,16 @@ type BatchModel interface {
 }
 
 // ConfigModel is the optional extension of Model that scores
-// configurations straight from their level indices. PredictConfigs must
-// return exactly what Predict returns on spc.Encode(c) for every c of
-// cs, and so must the function ConfigScorer returns, called on one c at
-// a time: like BatchModel, both are performance paths (core.Surrogate
-// scores through a forest compiled against its space), never semantic
-// ones. The function ConfigScorer returns may keep scratch between
-// calls, so it belongs to the one goroutine that asked for it. Workers
-// bounds the goroutines that score at once, each through its own
-// ConfigScorer, when ScorePool scores a pool; <= 0 means one per CPU.
+// configurations straight from their level indices. The function
+// ConfigScorer returns must return exactly what Predict returns on
+// spc.Encode(c): like BatchModel, it is a performance path (core.Surrogate
+// scores through a forest compiled against its space), never a semantic
+// one. It may keep scratch between calls, so it belongs to the one
+// goroutine that asked for it. Workers bounds the goroutines that score
+// at once, each through its own ConfigScorer, when ScoreConfigs scores a
+// batch or ScorePool a pool; <= 0 means one per CPU.
 type ConfigModel interface {
 	Model
-	PredictConfigs(spc *space.Space, cs []space.Config) []float64
 	ConfigScorer(spc *space.Space) func(space.Config) float64
 	Workers() int
 }
@@ -73,14 +71,26 @@ func predictAll(m Model, X [][]float64) []float64 {
 }
 
 // ScoreConfigs returns m's prediction for every configuration of cs
-// under spc's encoding: through PredictConfigs when m is a ConfigModel,
-// and by encoding cs and scoring the rows otherwise. Either way
-// out[i] == m.Predict(spc.Encode(cs[i])), bit for bit.
+// under spc's encoding. A ConfigModel shards cs over min(m.Workers(),
+// len(cs)) goroutines, each scoring its rows through its own
+// ConfigScorer and writing disjoint indices of the output; any other
+// model scores the encoded rows. Either way out[i] ==
+// m.Predict(spc.Encode(cs[i])), bit for bit, whatever the worker count.
 func ScoreConfigs(m Model, spc *space.Space, cs []space.Config) []float64 {
-	if cm, ok := m.(ConfigModel); ok {
-		return cm.PredictConfigs(spc, cs)
+	cm, ok := m.(ConfigModel)
+	if !ok {
+		return predictAll(m, spc.EncodeAll(cs))
 	}
-	return predictAll(m, spc.EncodeAll(cs))
+	out := make([]float64, len(cs))
+	workers := min(parallel.Workers(cm.Workers()), len(cs))
+	parallel.Do(workers, workers, func(s int) {
+		lo, hi := parallel.Shard(len(cs), workers, s)
+		score := cm.ConfigScorer(spc)
+		for i := lo; i < hi; i++ {
+			out[i] = score(cs[i])
+		}
+	})
+	return out
 }
 
 // configScorer returns a function scoring one configuration of spc at a

@@ -195,14 +195,6 @@ type configStub struct {
 	workers int
 }
 
-func (m configStub) PredictConfigs(spc *space.Space, cs []space.Config) []float64 {
-	out := make([]float64, len(cs))
-	for i, c := range cs {
-		out[i] = m.Predict(spc.Encode(c))
-	}
-	return out
-}
-
 func (m configStub) ConfigScorer(spc *space.Space) func(space.Config) float64 {
 	x, calls := make([]float64, spc.NumParams()), 0
 	return func(c space.Config) float64 {
